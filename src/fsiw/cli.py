@@ -31,7 +31,7 @@ from .experiment import (
     parse_duration,
     run_pipeline,
 )
-from .metrics import delay_stats, evaluate_predictions
+from .metrics import MetricInputError, delay_stats, evaluate_predictions
 from .simulate import generate_arrays, write_sim_tsv, write_truth
 from .training import TrainingError
 
@@ -150,8 +150,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    labels: list[int] = []
+    labels: list[float] = []
     preds: list[float] = []
+    line_nos: list[int] = []
     path = Path(args.preds)
     if not path.exists():
         raise CliError(f"prediction file not found: {path}")
@@ -165,14 +166,21 @@ def cmd_eval(args) -> int:
                 continue  # header row
             if len(parts) < 2:
                 raise CliError(f"{path}:{line_no}: expected 'label<TAB>prediction'")
-            labels.append(int(float(parts[0])))
-            preds.append(float(parts[1]))
+            try:
+                labels.append(float(parts[0]))
+                preds.append(float(parts[1]))
+            except ValueError as exc:
+                raise CliError(f"{path}:{line_no}: {exc}") from exc
+            line_nos.append(line_no)
     if not labels:
         raise CliError(f"{path}: no prediction rows")
     base = args.train_mean_cvr if args.train_mean_cvr is not None else float(np.mean(labels))
-    report = evaluate_predictions(
-        labels, preds, base, bootstrap_b=args.bootstrap_b, seed=args.seed or 0
-    )
+    try:
+        report = evaluate_predictions(
+            labels, preds, base, bootstrap_b=args.bootstrap_b, seed=args.seed or 0
+        )
+    except MetricInputError as exc:
+        raise CliError(f"{path}:{line_nos[exc.index]}: {exc.detail}") from exc
     print(json.dumps(report.to_flat_dict(), sort_keys=True, indent=2))
     return 0
 

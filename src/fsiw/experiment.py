@@ -306,8 +306,6 @@ class ExperimentConfig:
                 "max_iter": self.optimizer.max_iter,
                 "tol": self.optimizer.tol,
                 "step0": self.optimizer.step0,
-                "mode": self.optimizer.mode,
-                "batch_size": self.optimizer.batch_size,
                 "eval_every": self.optimizer.eval_every,
                 "patience": self.optimizer.patience,
             },
@@ -446,15 +444,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     opt_raw = dict(raw.get("optimizer", {}))
     _require_keys(
         opt_raw,
-        {"max_iter", "tol", "step0", "mode", "batch_size", "eval_every", "patience"},
+        {"max_iter", "tol", "step0", "eval_every", "patience"},
         "optimizer",
     )
     optimizer = OptConfig(
         max_iter=int(opt_raw.get("max_iter", 400)),
         tol=float(opt_raw.get("tol", 1e-9)),
         step0=float(opt_raw.get("step0", 1.0)),
-        mode=str(opt_raw.get("mode", "batch")),
-        batch_size=int(opt_raw.get("batch_size", 4096)),
         eval_every=int(opt_raw.get("eval_every", 10)),
         patience=int(opt_raw.get("patience", 5)),
     )

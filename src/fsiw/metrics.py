@@ -38,6 +38,30 @@ def _as_arrays(labels: Sequence[int], preds: Sequence[float]) -> tuple[np.ndarra
     return labels, preds
 
 
+class MetricInputError(ValueError):
+    """A label or prediction outside its domain; ``index`` is the first bad sample."""
+
+    def __init__(self, detail: str, index: int):
+        super().__init__(f"sample {index}: {detail}")
+        self.detail = detail
+        self.index = index
+
+
+def _validate_inputs(labels: np.ndarray, preds: np.ndarray) -> None:
+    """Reject labels outside {0, 1} and predictions that are not finite
+    probabilities, naming the first offending sample. Call once per
+    evaluation, not per bootstrap resample."""
+    bad_label = (labels != 0) & (labels != 1)
+    bad = bad_label | ~((preds >= 0) & (preds <= 1))  # nan fails both comparisons
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if bad_label[i]:
+            raise MetricInputError(f"label {float(labels[i])!r} is not 0 or 1", i)
+        raise MetricInputError(
+            f"prediction {float(preds[i])!r} is not a finite probability in [0, 1]", i
+        )
+
+
 def log_loss(labels: Sequence[int], preds: Sequence[float], clip: float = PRED_CLIP) -> float:
     """Mean negative log likelihood; predictions are clipped into
     [clip, 1-clip] so perfectly confident mistakes stay finite."""
@@ -203,12 +227,16 @@ def evaluate_predictions(
 ) -> EvalReport:
     """Full per-split report with bootstrap CIs for every metric.
 
+    Raises MetricInputError for a label outside {0, 1} or a prediction that
+    is not a finite probability.
+
     Bootstrap resamples that lose all positives fall back to the point
     estimate for average precision (keeps the CI well-defined on skewed
     data). Percentile intervals are widened, if necessary, to bracket the
     point estimate.
     """
     labels_arr, preds_arr = _as_arrays(labels, preds)
+    _validate_inputs(labels_arr, preds_arr)
     ll = log_loss(labels_arr, preds_arr)
     nll = normalized_log_loss(labels_arr, preds_arr, train_mean_cvr)
     ap = pr_auc(labels_arr, preds_arr)

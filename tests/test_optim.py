@@ -1,4 +1,4 @@
-"""Optimizer kernel: line-searched descent, CSR assembly, minibatch mode."""
+"""Optimizer kernel: line-searched descent and CSR assembly."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from fsiw.optim import (
     append_columns,
     features_to_csr,
     minimize_batch,
-    minimize_minibatch,
     softplus,
 )
 
@@ -92,27 +91,7 @@ def test_minimize_batch_early_stopping_returns_best_validation_iterate() -> None
     assert abs(res.theta[0] - 1.0) < 0.5  # kept an iterate near the validation optimum
 
 
-def test_minibatch_is_deterministic_given_seed() -> None:
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(200, 3))
-    y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.1, size=200)
-
-    def grad_batch(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        r = x[idx] @ theta - y[idx]
-        return x[idx].T @ r / len(idx)
-
-    def f(theta: np.ndarray) -> float:
-        return 0.5 * float(np.mean((x @ theta - y) ** 2))
-
-    cfg = OptConfig(max_iter=50, batch_size=32, step0=0.1, seed=7, mode="minibatch")
-    r1 = minimize_minibatch(grad_batch, f, np.zeros(3), 200, cfg)
-    r2 = minimize_minibatch(grad_batch, f, np.zeros(3), 200, cfg)
-    assert np.array_equal(r1.theta, r2.theta)
-    assert np.allclose(r1.theta, [1.0, -2.0, 0.5], atol=0.1)
-
-
 def test_opt_config_validation() -> None:
-    with pytest.raises(ValueError):
-        OptConfig(mode="annealing")
-    with pytest.raises(ValueError):
-        OptConfig(max_iter=0)
+    for bad in ({"max_iter": 0}, {"step0": 0.0}, {"tol": -1.0}):
+        with pytest.raises(ValueError):
+            OptConfig(**bad)
