@@ -28,6 +28,7 @@ from .experiment import (
     PipelineError,
     config_from_dict,
     deadline_sweep,
+    load_source,
     parse_duration,
     run_pipeline,
 )
@@ -99,16 +100,12 @@ def cmd_stats(args) -> int:
     if args.data:
         if not config.data.schema:
             raise CliError("stats on a TSV needs data.schema in the config")
-        records = read_tsv(args.data, list(config.data.schema))
-    elif config.data.kind == "simulator":
-        from .simulate import to_records
-
-        records = to_records(generate_arrays(config.data.simulator.build(config.seed)))
+        log = read_tsv(
+            args.data, list(config.data.schema), dim=config.hash_dim, seed=config.hash_seed
+        )
     else:
-        if config.data.path is None:
-            raise CliError("no data source: pass --data or configure one")
-        records = read_tsv(config.data.path, list(config.data.schema))
-    stats = delay_stats(records)
+        log = load_source(config)[0]
+    stats = delay_stats(log.click_ts, log.conv_ts)
     payload = json.dumps(stats.to_dict(), sort_keys=True, indent=2)
     if args.json_out:
         Path(args.json_out).write_text(payload + "\n", encoding="utf-8")
@@ -162,8 +159,11 @@ def cmd_eval(args) -> int:
             if not line:
                 continue
             parts = line.split("\t")
-            if line_no == 1 and not parts[0].lstrip("-").replace(".", "").isdigit():
-                continue  # header row
+            if line_no == 1:
+                try:
+                    float(parts[0])
+                except ValueError:
+                    continue  # header row: its label field is not a number
             if len(parts) < 2:
                 raise CliError(f"{path}:{line_no}: expected 'label<TAB>prediction'")
             try:

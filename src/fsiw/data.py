@@ -4,6 +4,10 @@ A click log row is ``click_ts <TAB> conv_ts <TAB> feature columns...`` where an
 empty conversion column means the click never converted (as far as the log
 knows). Labels are assigned relative to a snapshot time ``T``: a click counts
 as positive only if its conversion was already observable at ``T``.
+
+A loaded log is one ``ClickLog``: two int64 timestamp arrays and one binary
+CSR feature matrix, row i of each being click i. Windows, snapshot labels and
+relabeled sets are masks, index arrays and row slices over it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
+from scipy import sparse
 
 DEFAULT_HASH_DIM = 2**17
 DEFAULT_HASH_SEED = 0
@@ -20,9 +27,14 @@ DEFAULT_HASH_SEED = 0
 SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 86400
 
+# ``conv_ts`` of a click without a logged conversion. It sorts after every
+# real timestamp, so ``conv_ts <= t`` is False for it at any snapshot t.
+NO_CONVERSION = int(np.iinfo(np.int64).max)
+_MIN_TS = int(np.iinfo(np.int64).min)
+
 
 class ParseError(ValueError):
-    """A TSV line could not be turned into a ClickRecord."""
+    """A TSV line could not be parsed into a click."""
 
     def __init__(self, message: str, *, line_no: int | None = None, column: int | None = None):
         where = []
@@ -72,97 +84,47 @@ def categorical_schema(n_fields: int, prefix: str = "f") -> list[FieldSpec]:
 
 
 @dataclass(frozen=True)
-class ClickRecord:
-    """One click event. ``conv_ts`` is None when no conversion was logged."""
+class ClickLog:
+    """A click log in columns: row i of every field is click i.
 
-    click_ts: int
-    conv_ts: int | None
-    raw_features: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        if self.conv_ts is not None and self.conv_ts < self.click_ts:
-            raise ValueError(
-                f"conversion at {self.conv_ts} precedes click at {self.click_ts}"
-            )
-        field_ids = [fid for fid, _ in self.raw_features]
-        if len(set(field_ids)) != len(field_ids):
-            raise ValueError("duplicate field ids in record")
-
-    @property
-    def delay(self) -> int | None:
-        """Click-to-conversion gap in seconds; None when no conversion."""
-        if self.conv_ts is None:
-            return None
-        return self.conv_ts - self.click_ts
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse binary feature vector: sorted hashed indices into [0, dim)."""
-
-    indices: tuple[int, ...]
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2 or (self.dim & (self.dim - 1)) != 0:
-            raise ValueError(f"dim must be a power of two >= 2, got {self.dim}")
-        prev = -1
-        for idx in self.indices:
-            if idx <= prev:
-                raise ValueError("indices must be strictly increasing")
-            if idx >= self.dim:
-                raise ValueError(f"index {idx} out of range for dim {self.dim}")
-            prev = idx
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """Snapshot-labeled training sample.
-
-    ``y`` is the label as of the snapshot, ``e`` the elapsed seconds between
-    the click and the snapshot, and ``d`` the observed delay (present iff the
-    conversion happened before the snapshot).
+    ``click_ts`` and ``conv_ts`` are int64 seconds; ``conv_ts`` is
+    NO_CONVERSION where no conversion was logged. ``x`` is the (n, dim) binary
+    CSR feature matrix, with sorted, deduplicated indices in every row.
     """
 
-    x: FeatureVector
-    y: int
-    e: int
-    d: int | None
-    click_ts: int
+    click_ts: np.ndarray
+    conv_ts: np.ndarray
+    x: sparse.csr_matrix
 
     def __post_init__(self):
-        if self.y not in (0, 1):
-            raise ValueError(f"y must be 0 or 1, got {self.y}")
-        if self.e <= 0:
-            raise ValueError(f"elapsed time must be positive, got {self.e}")
-        if self.y == 1:
-            if self.d is None:
-                raise ValueError("positive sample is missing its delay")
-            if self.d > self.e:
-                raise ValueError(f"delay {self.d} exceeds elapsed time {self.e}")
-        elif self.d is not None:
-            raise ValueError("negative sample carries a delay")
+        n = self.click_ts.shape[0]
+        if self.conv_ts.shape != (n,) or self.x.shape[0] != n:
+            raise ValueError("click_ts, conv_ts and x need one row per click")
+        early = self.conv_ts < self.click_ts
+        if np.any(early):
+            i = int(np.argmax(early))
+            raise ValueError(
+                f"conversion at {self.conv_ts[i]} precedes click at {self.click_ts[i]} (row {i})"
+            )
+
+    def __len__(self) -> int:
+        return self.click_ts.shape[0]
+
+    def rows(self, idx: np.ndarray) -> ClickLog:
+        """The clicks at ``idx`` (indices or a mask), in that order."""
+        return ClickLog(self.click_ts[idx], self.conv_ts[idx], self.x[idx])
 
 
-@dataclass(frozen=True)
-class TestSample:
-    """Fully observed evaluation sample: ``c`` is the true conversion label."""
+def parse_record(
+    line: str, schema: Sequence[FieldSpec], *, line_no: int | None = None
+) -> tuple[int, int, list[str]]:
+    """Parse one tab-separated row into (click_ts, conv_ts, tokens).
 
-    x: FeatureVector
-    c: int
-
-    def __post_init__(self):
-        if self.c not in (0, 1):
-            raise ValueError(f"c must be 0 or 1, got {self.c}")
-
-
-def parse_record(line: str, schema: Sequence[FieldSpec], *, line_no: int | None = None) -> ClickRecord:
-    """Parse one tab-separated row into a ClickRecord.
-
-    Columns: click timestamp, conversion timestamp (empty means none), then
-    one column per schema field. Raises ParseError pointing at the offending
-    line/column on malformed timestamps, wrong column counts, or a conversion
-    preceding its click.
+    Columns: click timestamp, conversion timestamp (empty means none, returned
+    as NO_CONVERSION), then one column per schema field, returned as its
+    token. Raises ParseError pointing at the offending line/column on
+    malformed or out-of-range timestamps, wrong column counts, or a
+    conversion preceding its click.
     """
     parts = line.rstrip("\n").split("\t")
     expected = 2 + len(schema)
@@ -175,10 +137,12 @@ def parse_record(line: str, schema: Sequence[FieldSpec], *, line_no: int | None 
         click_ts = int(parts[0])
     except ValueError:
         raise ParseError(f"bad click timestamp {parts[0]!r}", line_no=line_no, column=1) from None
+    if not _MIN_TS <= click_ts < NO_CONVERSION:
+        raise ParseError(f"click timestamp {click_ts} out of range", line_no=line_no, column=1)
 
     conv_raw = parts[1]
     if conv_raw == "":
-        conv_ts = None
+        conv_ts = NO_CONVERSION
     else:
         try:
             conv_ts = int(conv_raw)
@@ -192,40 +156,49 @@ def parse_record(line: str, schema: Sequence[FieldSpec], *, line_no: int | None 
                 line_no=line_no,
                 column=2,
             )
+        if conv_ts >= NO_CONVERSION:
+            raise ParseError(
+                f"conversion timestamp {conv_ts} out of range", line_no=line_no, column=2
+            )
 
-    features = []
+    tokens = []
     for field_id, (spec, raw) in enumerate(zip(schema, parts[2:])):
         try:
-            token = spec.tokenize(raw)
+            tokens.append(spec.tokenize(raw))
         except ValueError as exc:
             raise ParseError(str(exc), line_no=line_no, column=3 + field_id) from None
-        features.append((field_id, token))
-
-    return ClickRecord(click_ts=click_ts, conv_ts=conv_ts, raw_features=tuple(features))
+    return click_ts, conv_ts, tokens
 
 
-def read_tsv(path: str | Path, schema: Sequence[FieldSpec]) -> list[ClickRecord]:
-    records = []
+def read_tsv(
+    path: str | Path,
+    schema: Sequence[FieldSpec],
+    *,
+    dim: int = DEFAULT_HASH_DIM,
+    seed: int = DEFAULT_HASH_SEED,
+) -> ClickLog:
+    """Load a TSV click log, hashing its features into ``dim`` columns.
+
+    Each field's tokens get codes in order of first appearance, so hash_csr
+    hashes every distinct (field, token) pair once. Blank lines are skipped.
+    """
+    vocabs: list[dict[str, int]] = [{} for _ in schema]
+    clicks, convs, codes = [], [], []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            records.append(parse_record(line, schema, line_no=line_no))
-    return records
-
-
-def write_tsv(records: Iterable[ClickRecord], path: str | Path, schema: Sequence[FieldSpec]) -> None:
-    """Emit the same TSV layout the parser reads.
-
-    Tokens are written as-is, so numeric columns that were binned on ingestion
-    round-trip through an all-categorical schema.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            by_field = dict(record.raw_features)
-            conv = "" if record.conv_ts is None else str(record.conv_ts)
-            tokens = [by_field.get(fid, "") for fid in range(len(schema))]
-            handle.write("\t".join([str(record.click_ts), conv, *tokens]) + "\n")
+            click_ts, conv_ts, tokens = parse_record(line, schema, line_no=line_no)
+            clicks.append(click_ts)
+            convs.append(conv_ts)
+            for vocab, token in zip(vocabs, tokens):
+                codes.append(vocab.setdefault(token, len(vocab)))
+    code_matrix = np.array(codes, dtype=np.int64).reshape(len(clicks), len(schema))
+    return ClickLog(
+        click_ts=np.array(clicks, dtype=np.int64),
+        conv_ts=np.array(convs, dtype=np.int64),
+        x=hash_csr(code_matrix, [list(vocab) for vocab in vocabs], dim=dim, seed=seed),
+    )
 
 
 def stable_feature_hash(field_id: int, token: str, seed: int) -> int:
@@ -241,88 +214,85 @@ def stable_feature_hash(field_id: int, token: str, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def hash_features(
-    record: ClickRecord,
-    dim: int = DEFAULT_HASH_DIM,
-    seed: int = DEFAULT_HASH_SEED,
-) -> FeatureVector:
-    """Hash a record's (field_id, token) pairs into a binary FeatureVector.
-
-    Deterministic for fixed (record, dim, seed); colliding pairs are
-    deduplicated (presence encoding, no sign trick).
-    """
-    indices = {stable_feature_hash(fid, tok, seed) % dim for fid, tok in record.raw_features}
-    return FeatureVector(indices=tuple(sorted(indices)), dim=dim)
-
-
-def hash_records(
-    records: Sequence[ClickRecord],
-    dim: int = DEFAULT_HASH_DIM,
-    seed: int = DEFAULT_HASH_SEED,
-) -> list[FeatureVector]:
-    """Batch hashing with a per-call token cache (logs repeat tokens heavily)."""
-    cache: dict[tuple[int, str], int] = {}
-    out = []
-    for record in records:
-        indices = set()
-        for pair in record.raw_features:
-            idx = cache.get(pair)
-            if idx is None:
-                idx = stable_feature_hash(pair[0], pair[1], seed) % dim
-                cache[pair] = idx
-            indices.add(idx)
-        out.append(FeatureVector(indices=tuple(sorted(indices)), dim=dim))
-    return out
-
-
-def snapshot_labels(
-    records: Sequence[ClickRecord],
-    training_end: int,
+def hash_csr(
+    codes: np.ndarray,
+    tokens: Sequence[Sequence[str]],
     *,
     dim: int = DEFAULT_HASH_DIM,
     seed: int = DEFAULT_HASH_SEED,
-) -> list[LabeledSample]:
-    """Label records as of snapshot time ``training_end``.
+) -> sparse.csr_matrix:
+    """Binary (n, dim) feature matrix of hashed (field, token) pairs.
+
+    ``codes[i, j]`` indexes ``tokens[j]``, the distinct tokens of field j.
+    Each distinct pair is hashed once and its column is gathered by code.
+    Pairs that collide within a row are deduplicated (presence encoding, no
+    sign trick), and every row's column indices are sorted.
+    """
+    n, n_fields = codes.shape
+    if len(tokens) != n_fields:
+        raise ValueError(f"{len(tokens)} token lists for {n_fields} code columns")
+    cols = np.empty((n, n_fields), dtype=np.int64)
+    for j, field_tokens in enumerate(tokens):
+        table = np.array(
+            [stable_feature_hash(j, token, seed) % dim for token in field_tokens], dtype=np.int64
+        )
+        cols[:, j] = table[codes[:, j]]
+    cols.sort(axis=1)
+    keep = np.ones((n, n_fields), dtype=bool)
+    keep[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    indices = cols[keep]
+    return sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n, dim)
+    )
+
+
+class Snapshot(NamedTuple):
+    """Snapshot-labeled rows of a click log, in log order.
+
+    ``y`` is the label as of the snapshot, ``e`` the elapsed seconds between
+    the click and the snapshot, and ``d`` the observed delay on positives
+    (0 on negatives).
+    """
+
+    x: sparse.csr_matrix
+    y: np.ndarray
+    e: np.ndarray
+    d: np.ndarray
+    click_ts: np.ndarray
+
+
+def snapshot_labels(log: ClickLog, training_end: int) -> Snapshot:
+    """Label a log as of snapshot time ``training_end``.
 
     Clicks at or after the snapshot are dropped. A kept click is positive iff
     its conversion timestamp exists and is <= the snapshot; conversions that
     land later are (mis)labeled negative, which is exactly the censoring this
     package corrects for. Order-preserving and idempotent.
     """
-    kept = [r for r in records if r.click_ts < training_end]
-    features = hash_records(kept, dim=dim, seed=seed)
-    samples = []
-    for record, x in zip(kept, features):
-        e = training_end - record.click_ts
-        if record.conv_ts is not None and record.conv_ts <= training_end:
-            samples.append(
-                LabeledSample(x=x, y=1, e=e, d=record.conv_ts - record.click_ts, click_ts=record.click_ts)
-            )
-        else:
-            samples.append(LabeledSample(x=x, y=0, e=e, d=None, click_ts=record.click_ts))
-    return samples
+    kept = log.click_ts < training_end
+    click_ts, conv_ts = log.click_ts[kept], log.conv_ts[kept]
+    y = conv_ts <= training_end
+    return Snapshot(
+        x=log.x[kept],
+        y=y.astype(np.int8),
+        e=training_end - click_ts,
+        d=np.where(y, conv_ts, click_ts) - click_ts,
+        click_ts=click_ts,
+    )
 
 
 def full_observation_labels(
-    records: Sequence[ClickRecord],
-    *,
-    dim: int = DEFAULT_HASH_DIM,
-    seed: int = DEFAULT_HASH_SEED,
-    observational_period: int | None = None,
-) -> list[TestSample]:
-    """Label records with their final outcome.
+    log: ClickLog, *, observational_period: int | None = None
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Features and final outcome ``c`` of every click in the log.
 
     When ``observational_period`` is set, only conversions within that many
     seconds of the click count; this mirrors logs whose labels are frozen
     after a fixed tracking window.
     """
-    features = hash_records(records, dim=dim, seed=seed)
-    samples = []
-    for record, x in zip(records, features):
-        c = 0
-        if record.conv_ts is not None:
-            delay = record.conv_ts - record.click_ts
-            if observational_period is None or delay <= observational_period:
-                c = 1
-        samples.append(TestSample(x=x, c=c))
-    return samples
+    c = log.conv_ts != NO_CONVERSION
+    if observational_period is not None:
+        c &= np.where(c, log.conv_ts, log.click_ts) - log.click_ts <= observational_period
+    return log.x, c.astype(np.int8)

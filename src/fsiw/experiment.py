@@ -20,12 +20,13 @@ from typing import Sequence
 
 import numpy as np
 import yaml
+from scipy import sparse
 
 from . import data as data_mod
 from .data import (
-    ClickRecord,
+    ClickLog,
     FieldSpec,
-    TestSample,
+    Snapshot,
     full_observation_labels,
     read_tsv,
     snapshot_labels,
@@ -39,7 +40,7 @@ from .simulate import (
     SimConfig,
     generate_arrays,
     sample_weight_vector,
-    to_records,
+    to_click_log,
 )
 from .training import (
     predict_cvr_batch,
@@ -50,6 +51,7 @@ from .training import (
 )
 from .weights import (
     ElapsedBasis,
+    WeightedDataset,
     WeightModelHyper,
     WeightModelPair,
     assign_fsiw,
@@ -288,6 +290,12 @@ class ExperimentConfig:
                 )
         if self.normalization not in ("mean", "sum"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
+        if self.hash_dim < 2 or self.hash_dim & (self.hash_dim - 1):
+            raise ConfigError(f"hashing.dim must be a power of two >= 2, got {self.hash_dim}")
+        if not 0 <= self.hash_seed < 2**64:
+            raise ConfigError(
+                f"hashing.seed must fit in an unsigned 64-bit integer, got {self.hash_seed}"
+            )
         if self.bootstrap_b < 100:
             raise ConfigError("bootstrap_b must be at least 100")
 
@@ -500,10 +508,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 @dataclass
 class Split:
+    """One rolling window: click-log rows of each part, and where each ends."""
+
     k: int
-    train: list[ClickRecord]
-    validation: list[ClickRecord]
-    test: list[ClickRecord]
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
@@ -513,13 +520,14 @@ class Split:
 
 
 def rolling_splits(
-    records: Sequence[ClickRecord],
+    click_ts: np.ndarray,
     spec: SplitSpec,
     *,
     start: int | None = None,
     end: int | None = None,
 ) -> list[Split]:
-    """Cut the record stream into overlapping train/validation/test windows.
+    """Cut a log's click timestamps into overlapping train/validation/test
+    windows of row indices (ascending, so each window keeps log order).
 
     Window k starts at start + k·stride; the number of splits is the largest
     count the data span allows unless ``spec.n_splits`` pins it. By default the
@@ -528,9 +536,9 @@ def rolling_splits(
     ``start``/``end`` when the collection window is known exactly, e.g. for
     simulated data.
     """
-    if not records:
+    ts = np.asarray(click_ts, dtype=np.int64)
+    if ts.size == 0:
         raise ConfigError("no records to split")
-    ts = np.fromiter((r.click_ts for r in records), dtype=np.int64, count=len(records))
     t0 = int(ts.min()) if start is None else int(start)
     span = (int(end) - t0) if end is not None else int(ts.max()) - t0 + 1
     if span < spec.total_window:
@@ -548,18 +556,12 @@ def rolling_splits(
         train_end = a + spec.train_window
         val_end = train_end + spec.validation_window
         test_end = val_end + spec.test_window
-        train_idx = np.nonzero((ts >= a) & (ts < train_end))[0]
-        val_idx = np.nonzero((ts >= train_end) & (ts < val_end))[0]
-        test_idx = np.nonzero((ts >= val_end) & (ts < test_end))[0]
         splits.append(
             Split(
                 k=k,
-                train=[records[i] for i in train_idx],
-                validation=[records[i] for i in val_idx],
-                test=[records[i] for i in test_idx],
-                train_idx=train_idx,
-                val_idx=val_idx,
-                test_idx=test_idx,
+                train_idx=np.flatnonzero((ts >= a) & (ts < train_end)),
+                val_idx=np.flatnonzero((ts >= train_end) & (ts < val_end)),
+                test_idx=np.flatnonzero((ts >= val_end) & (ts < test_end)),
                 train_end=train_end,
                 val_end=val_end,
                 test_end=test_end,
@@ -620,44 +622,153 @@ def write_report_json(rows: Sequence[ReportRow], path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_source(
+def load_source(
     config: ExperimentConfig,
-) -> tuple[list[ClickRecord], np.ndarray | None, tuple[int, int] | None]:
-    """Returns (records, true labels aligned with records or None, and the
-    exact collection window when it is known a priori)."""
+) -> tuple[ClickLog, np.ndarray | None, tuple[int | None, int | None]]:
+    """Returns (the hashed click log, true labels aligned with it or None,
+    and the (start, end) of the collection window, each None unless it is
+    known a priori)."""
     if config.data.kind == "simulator":
-        sim_config = config.data.simulator.build(config.seed)
-        arrays = generate_arrays(sim_config)
-        window = (0, config.data.simulator.time_span)
-        return to_records(arrays), arrays.c.astype(np.int8), window
-    records = read_tsv(config.data.path, list(config.data.schema))
-    return records, None, None
-
-
-def _test_samples(
-    config: ExperimentConfig, split: Split, truth: np.ndarray | None
-) -> list[TestSample]:
-    if truth is not None:
-        features = data_mod.hash_records(split.test, dim=config.hash_dim, seed=config.hash_seed)
-        return [
-            TestSample(x=x, c=int(truth[i])) for x, i in zip(features, split.test_idx)
-        ]
-    if split.test_end + config.data.observational_period > config.data.tracked_until:
-        raise ConfigError(
-            f"split {split.k}: test labels are not final — conversions are tracked "
-            f"until {config.data.tracked_until} but the test window needs "
-            f"{split.test_end + config.data.observational_period}"
-        )
-    return full_observation_labels(
-        split.test,
-        dim=config.hash_dim,
-        seed=config.hash_seed,
-        observational_period=config.data.observational_period,
-    )
+        arrays = generate_arrays(config.data.simulator.build(config.seed))
+        log = to_click_log(arrays, dim=config.hash_dim, seed=config.hash_seed)
+        return log, arrays.c, (0, config.data.simulator.time_span)
+    schema = list(config.data.schema)
+    log = read_tsv(config.data.path, schema, dim=config.hash_dim, seed=config.hash_seed)
+    return log, None, (None, None)
 
 
 def _wrap(split_k: int, trainer: str, exc: Exception) -> PipelineError:
     return PipelineError(f"split {split_k}, trainer {trainer}: {exc}")
+
+
+@dataclass(frozen=True)
+class _LabeledSplit:
+    """A split's training and validation snapshots and its fully observed
+    test rows; none of them depends on tau."""
+
+    split: Split
+    train: Snapshot
+    val: Snapshot | None
+    x_test: sparse.csr_matrix
+    c_test: np.ndarray
+    train_mean_cvr: float
+
+
+def _label_split(
+    config: ExperimentConfig, log: ClickLog, truth: np.ndarray | None, split: Split
+) -> _LabeledSplit:
+    # provenance gate: nothing clicked inside or after the test window may
+    # reach a training artifact
+    ts = log.click_ts[np.concatenate([split.train_idx, split.val_idx])]
+    leaked = ts >= split.val_end
+    if np.any(leaked):
+        raise PipelineError(
+            f"split {split.k}: leakage — training record clicked at "
+            f"{ts[np.argmax(leaked)]}, inside the test window"
+        )
+
+    train = snapshot_labels(log.rows(split.train_idx), split.train_end)
+    if len(train.y) == 0:
+        raise PipelineError(f"split {split.k}: empty training window")
+    val = (
+        snapshot_labels(log.rows(split.val_idx), split.val_end)
+        if config.split.validation_window > 0
+        else None
+    )
+    if truth is not None:
+        x_test, c_test = log.x[split.test_idx], truth[split.test_idx]
+    else:
+        if split.test_end + config.data.observational_period > config.data.tracked_until:
+            raise ConfigError(
+                f"split {split.k}: test labels are not final — conversions are tracked "
+                f"until {config.data.tracked_until} but the test window needs "
+                f"{split.test_end + config.data.observational_period}"
+            )
+        x_test, c_test = full_observation_labels(
+            log.rows(split.test_idx), observational_period=config.data.observational_period
+        )
+    if len(c_test) == 0:
+        raise PipelineError(f"split {split.k}: empty test window")
+
+    train_mean_cvr = float(train.y.mean())
+    if not 0.0 < train_mean_cvr < 1.0:
+        raise PipelineError(
+            f"split {split.k}: degenerate training labels (mean y = {train_mean_cvr})"
+        )
+    return _LabeledSplit(split, train, val, x_test, c_test, train_mean_cvr)
+
+
+def _fit_and_score(
+    config: ExperimentConfig, labeled: _LabeledSplit, tau: int, trainers: Sequence[str]
+) -> tuple[dict, WeightedDataset | None, list[ReportRow]]:
+    """Train ``trainers`` on one labeled split at deadline ``tau`` and score
+    them on its test rows. Returns the models, the weighted training set
+    (None unless lr_fsiw ran) and one report row per trainer."""
+    split, train, val = labeled.split, labeled.train, labeled.val
+    models = {}
+    weighted = None
+    for trainer in trainers:
+        opt = replace(config.optimizer, seed=_derived_seed(config.seed, split.k, ROLE_CVR_TRAIN))
+        try:
+            if trainer == "naive_lr":
+                models[trainer] = train_naive_logistic(
+                    train.x, train.y, config.l2, opt, normalization=config.normalization
+                )
+            elif trainer == "dfm":
+                models[trainer] = train_dfm(
+                    train.x,
+                    train.y,
+                    train.d,
+                    train.e,
+                    config.l2,
+                    opt,
+                    normalization=config.normalization,
+                )
+            else:
+                relabel_cfg = RelabelConfig(tau=tau, training_end=split.train_end)
+                d1, d0 = build_artificial_datasets(train, relabel_cfg)
+                hyper_pos = config.weight_pos.build(
+                    config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
+                )
+                hyper_neg = config.weight_neg.build(
+                    config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
+                )
+                pair = WeightModelPair(
+                    model_pos=fit_weight_model(train.x[d1.idx], d1.e_adj, d1.s, hyper_pos),
+                    model_neg=fit_weight_model(train.x[d0.idx], d0.e_adj, d0.s, hyper_neg),
+                    clip_floor=config.clip_floor,
+                )
+                weighted = assign_fsiw(pair, train.x, train.y, train.e)
+                weighted_val = (
+                    assign_fsiw(pair, val.x, val.y, val.e)
+                    if val is not None and len(val.y) > 0
+                    else None
+                )
+                models[trainer] = train_weighted_logistic(
+                    weighted,
+                    config.l2,
+                    opt,
+                    normalization=config.normalization,
+                    validation=weighted_val,
+                )
+        except (ValueError, RuntimeError) as exc:
+            raise _wrap(split.k, trainer, exc) from exc
+
+    rows = []
+    for trainer in trainers:
+        try:
+            preds = predict_cvr_batch(models[trainer], labeled.x_test)
+            report = evaluate_predictions(
+                labeled.c_test,
+                preds,
+                labeled.train_mean_cvr,
+                bootstrap_b=config.bootstrap_b,
+                seed=_derived_seed(config.seed, split.k, ROLE_EVAL),
+            )
+        except (ValueError, RuntimeError) as exc:
+            raise _wrap(split.k, trainer, exc) from exc
+        rows.append(ReportRow(split=split.k, trainer=trainer, tau=tau, report=report))
+    return models, weighted, rows
 
 
 def run_pipeline(
@@ -669,20 +780,17 @@ def run_pipeline(
 ) -> list[ReportRow]:
     """Run every selected trainer over every rolling split and score it.
 
-    ``tau`` overrides the config's (first) counterfactual deadline — used by
-    the sweep. With ``write_outputs`` the output directory receives
-    reports.csv / reports.json, per-split weight dumps and model blobs, the
-    resolved config, and a manifest keyed by the config hash.
+    ``tau`` overrides the config's (first) counterfactual deadline. With
+    ``write_outputs`` the output directory receives reports.csv /
+    reports.json, per-split weight dumps and model blobs, the resolved
+    config, and a manifest keyed by the config hash.
     """
     the_tau = int(tau if tau is not None else config.tau[0])
     if not 0 < the_tau < config.split.train_window:
         raise ConfigError(f"tau {the_tau} must lie strictly inside the training window")
 
-    records, truth, window = _load_source(config)
-    if window is not None:
-        splits = rolling_splits(records, config.split, start=window[0], end=window[1])
-    else:
-        splits = rolling_splits(records, config.split)
+    log, truth, (start, end) = load_source(config)
+    splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
 
     out_path = Path(out_dir if out_dir is not None else config.output_dir)
     if write_outputs:
@@ -690,94 +798,9 @@ def run_pipeline(
 
     rows: list[ReportRow] = []
     for split in splits:
-        # provenance gate: nothing clicked inside or after the test window may
-        # reach a training artifact
-        for s_list in (split.train, split.validation):
-            for record in s_list:
-                if record.click_ts >= split.val_end:
-                    raise PipelineError(
-                        f"split {split.k}: leakage — training record clicked at "
-                        f"{record.click_ts}, inside the test window"
-                    )
-
-        train_samples = snapshot_labels(
-            split.train, split.train_end, dim=config.hash_dim, seed=config.hash_seed
-        )
-        if not train_samples:
-            raise PipelineError(f"split {split.k}: empty training window")
-        val_samples = (
-            snapshot_labels(split.validation, split.val_end, dim=config.hash_dim, seed=config.hash_seed)
-            if config.split.validation_window > 0
-            else []
-        )
-        test_samples = _test_samples(config, split, truth)
-        if not test_samples:
-            raise PipelineError(f"split {split.k}: empty test window")
-
-        train_y = np.fromiter((s.y for s in train_samples), dtype=float, count=len(train_samples))
-        train_mean_cvr = float(train_y.mean())
-        if not 0.0 < train_mean_cvr < 1.0:
-            raise PipelineError(
-                f"split {split.k}: degenerate training labels (mean y = {train_mean_cvr})"
-            )
-        test_labels = np.fromiter((t.c for t in test_samples), dtype=int, count=len(test_samples))
-        test_features = [t.x for t in test_samples]
-
-        models = {}
-        weighted = None
-        for trainer in config.trainers:
-            opt = replace(
-                config.optimizer, seed=_derived_seed(config.seed, split.k, ROLE_CVR_TRAIN)
-            )
-            try:
-                if trainer == "naive_lr":
-                    models[trainer] = train_naive_logistic(
-                        train_samples, config.l2, opt, normalization=config.normalization
-                    )
-                elif trainer == "dfm":
-                    models[trainer] = train_dfm(
-                        train_samples, config.l2, opt, normalization=config.normalization
-                    )
-                else:
-                    relabel_cfg = RelabelConfig(tau=the_tau, training_end=split.train_end)
-                    d1, d0 = build_artificial_datasets(train_samples, relabel_cfg)
-                    hyper_pos = config.weight_pos.build(
-                        config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
-                    )
-                    hyper_neg = config.weight_neg.build(
-                        config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
-                    )
-                    pair = WeightModelPair(
-                        model_pos=fit_weight_model(d1, hyper_pos),
-                        model_neg=fit_weight_model(d0, hyper_neg),
-                        clip_floor=config.clip_floor,
-                    )
-                    weighted = assign_fsiw(pair, train_samples)
-                    weighted_val = assign_fsiw(pair, val_samples) if val_samples else None
-                    models[trainer] = train_weighted_logistic(
-                        weighted,
-                        config.l2,
-                        opt,
-                        normalization=config.normalization,
-                        validation=weighted_val,
-                    )
-            except (ValueError, RuntimeError) as exc:
-                raise _wrap(split.k, trainer, exc) from exc
-
-        for trainer in config.trainers:
-            try:
-                preds = predict_cvr_batch(models[trainer], test_features)
-                report = evaluate_predictions(
-                    test_labels,
-                    preds,
-                    train_mean_cvr,
-                    bootstrap_b=config.bootstrap_b,
-                    seed=_derived_seed(config.seed, split.k, ROLE_EVAL),
-                )
-            except (ValueError, RuntimeError) as exc:
-                raise _wrap(split.k, trainer, exc) from exc
-            rows.append(ReportRow(split=split.k, trainer=trainer, tau=the_tau, report=report))
-
+        labeled = _label_split(config, log, truth, split)
+        models, weighted, split_rows = _fit_and_score(config, labeled, the_tau, config.trainers)
+        rows.extend(split_rows)
         if write_outputs:
             if weighted is not None:
                 dump_weights(weighted, out_path / f"weights_split{split.k}.tsv")
@@ -802,10 +825,12 @@ def deadline_sweep(
     out_dir: str | Path | None = None,
     write_outputs: bool = True,
 ) -> list[ReportRow]:
-    """Re-run the weighted pipeline for each counterfactual deadline.
+    """Run the weighted pipeline for each counterfactual deadline.
 
     Everything except tau (data, splits, seeds) is held fixed, so the table
-    isolates the deadline's effect. Only the weighted trainer runs.
+    isolates the deadline's effect. Only the weighted trainer runs. The log
+    is loaded and hashed, and every split labeled, once for all taus; rows
+    come tau by tau, each in split order, as from one run_pipeline per tau.
     """
     tau_list = [int(t) for t in (taus if taus is not None else config.tau)]
     if not tau_list:
@@ -814,10 +839,13 @@ def deadline_sweep(
         if not 0 < t < config.split.train_window:
             raise ConfigError(f"tau {t} must lie strictly inside the training window")
 
-    sweep_config = replace(config, trainers=("lr_fsiw",))
+    log, truth, (start, end) = load_source(config)
+    splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
+    labeled_splits = [_label_split(config, log, truth, split) for split in splits]
     rows: list[ReportRow] = []
     for t in tau_list:
-        rows.extend(run_pipeline(sweep_config, tau=t, write_outputs=False))
+        for labeled in labeled_splits:
+            rows.extend(_fit_and_score(config, labeled, t, ("lr_fsiw",))[2])
 
     if write_outputs:
         out_path = Path(out_dir if out_dir is not None else config.output_dir)

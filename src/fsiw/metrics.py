@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ClickRecord
+from .data import NO_CONVERSION
 
 PRED_CLIP = 1e-15
 
@@ -148,16 +148,19 @@ class DelayStats:
 
 
 def delay_stats(
-    records: Sequence[ClickRecord],
+    click_ts: np.ndarray,
+    conv_ts: np.ndarray,
     grid: Sequence[int] = DEFAULT_CDF_GRID,
     bin_width: int = 3600,
 ) -> DelayStats:
-    """Empirical delay distribution over the converted records.
+    """Empirical delay distribution over the converted clicks of a log
+    (``conv_ts`` is NO_CONVERSION for the others).
 
     CDF is evaluated at the grid points (P(delay <= t)); the PDF is a
     normalized histogram with fixed-width bins covering the observed range.
     """
-    delays = np.array([r.delay for r in records if r.conv_ts is not None], dtype=float)
+    converted = conv_ts != NO_CONVERSION
+    delays = (conv_ts[converted] - click_ts[converted]).astype(float)
     if delays.size == 0:
         raise ValueError("no converted records; delay distribution undefined")
     cdf = tuple(float(np.mean(delays <= t)) for t in grid)

@@ -12,13 +12,11 @@ predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
-
-from .data import FeatureVector
 
 
 def softplus(z: np.ndarray | float) -> np.ndarray:
@@ -34,24 +32,6 @@ def softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     t = np.exp(-np.abs(z))
     return np.maximum(z, 0.0) + np.log1p(t), np.where(z >= 0, 1.0, t) / (1.0 + t)
-
-
-def features_to_csr(features: Sequence[FeatureVector], dim: int | None = None) -> sparse.csr_matrix:
-    """Stack sparse binary FeatureVectors into an (n, dim) CSR matrix."""
-    if dim is None:
-        if not features:
-            raise ValueError("cannot infer dim from an empty feature list")
-        dim = features[0].dim
-    indptr = np.zeros(len(features) + 1, dtype=np.int64)
-    for i, fv in enumerate(features):
-        if fv.dim != dim:
-            raise ValueError(f"feature dim mismatch: {fv.dim} != {dim}")
-        indptr[i + 1] = indptr[i] + len(fv.indices)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for i, fv in enumerate(features):
-        indices[indptr[i] : indptr[i + 1]] = fv.indices
-    data = np.ones(indptr[-1], dtype=np.float64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(features), dim))
 
 
 def append_columns(x: sparse.csr_matrix, extra: np.ndarray) -> sparse.csr_matrix:
@@ -95,7 +75,9 @@ def minimize_batch(
 
     The step that passed the Armijo test is doubled for the next iteration,
     so the step size adapts in both directions. Convergence is declared when
-    the relative loss decrease over one iteration drops below cfg.tol.
+    the relative loss decrease over one iteration drops below cfg.tol. A
+    non-finite gradient gives no descent direction: the loop stops there with
+    converged=False and keeps the last iterate, whose loss is finite.
 
     When ``validation`` is given, it is evaluated every cfg.eval_every
     iterations; after cfg.patience evaluations without improvement the best
@@ -115,6 +97,8 @@ def minimize_batch(
     n_iter = 0
     converged = False
     for n_iter in range(1, cfg.max_iter + 1):
+        if not np.all(np.isfinite(grad)):
+            break
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0:
             converged = True

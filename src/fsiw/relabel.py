@@ -11,8 +11,11 @@ the samples that looked negative at the earlier deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .data import FeatureVector, LabeledSample
+import numpy as np
+
+from .data import Snapshot
 
 
 class ConfigError(ValueError):
@@ -38,34 +41,24 @@ class RelabelConfig:
         return self.training_end - self.tau
 
 
-@dataclass(frozen=True)
-class ArtificialSample:
-    """One relabeled sample.
+class ArtificialSet(NamedTuple):
+    """One weight-model training set over the rows of a Snapshot.
 
-    e_adj is the elapsed time measured at the counterfactual deadline; e keeps
-    the original snapshot elapsed time because downstream weight assignment
-    predicts with the original value.
+    ``idx`` holds the set's snapshot rows in ascending order. ``e_adj`` is
+    their elapsed time measured at the counterfactual deadline (the original
+    ``e`` stays in the snapshot, because weight assignment predicts with it)
+    and ``s`` is 1 where the row's label was already correct there.
     """
 
-    x: FeatureVector
-    e_adj: int
-    s: int
-    destination: str
-    e: int
-
-    def __post_init__(self):
-        if self.e_adj <= 0:
-            raise ValueError(f"adjusted elapsed time must be positive, got {self.e_adj}")
-        if self.s not in (0, 1):
-            raise ValueError(f"s must be 0 or 1, got {self.s}")
-        if self.destination not in ("D1", "D0"):
-            raise ValueError(f"destination must be D1 or D0, got {self.destination!r}")
+    idx: np.ndarray
+    e_adj: np.ndarray
+    s: np.ndarray
 
 
 def build_artificial_datasets(
-    train: list[LabeledSample], cfg: RelabelConfig
-) -> tuple[list[ArtificialSample], list[ArtificialSample]]:
-    """Split snapshot-labeled samples into the two weight-model training sets.
+    train: Snapshot, cfg: RelabelConfig
+) -> tuple[ArtificialSet, ArtificialSet]:
+    """Split snapshot-labeled rows into the two weight-model training sets.
 
     With cutoff = training_end - tau:
       * clicks at or after the cutoff are excluded entirely;
@@ -73,26 +66,22 @@ def build_artificial_datasets(
         cutoff, else with s=0 — and in the latter case also to D0 with s=0
         (at the earlier deadline it still looked negative);
       * a negative goes to D0 with s=1.
-    Every kept sample's adjusted elapsed time is e - tau, which the click
-    filter keeps positive. Output preserves input order.
+    Every kept row's adjusted elapsed time is e - tau, which the click filter
+    keeps positive. Both sets list their rows in input order.
     """
-    cutoff = cfg.cutoff
-    d1: list[ArtificialSample] = []
-    d0: list[ArtificialSample] = []
-    for sample in train:
-        if sample.click_ts >= cfg.training_end:
-            raise ValueError(
-                f"sample clicked at {sample.click_ts}, after training_end {cfg.training_end}"
-            )
-        if sample.click_ts >= cutoff:
-            continue
-        e_adj = sample.e - cfg.tau
-        if sample.y == 1:
-            converted_early = sample.click_ts + sample.d < cutoff
-            s = 1 if converted_early else 0
-            d1.append(ArtificialSample(x=sample.x, e_adj=e_adj, s=s, destination="D1", e=sample.e))
-            if not converted_early:
-                d0.append(ArtificialSample(x=sample.x, e_adj=e_adj, s=0, destination="D0", e=sample.e))
-        else:
-            d0.append(ArtificialSample(x=sample.x, e_adj=e_adj, s=1, destination="D0", e=sample.e))
-    return d1, d0
+    late = train.click_ts >= cfg.training_end
+    if np.any(late):
+        raise ValueError(
+            f"sample clicked at {train.click_ts[np.argmax(late)]}, "
+            f"after training_end {cfg.training_end}"
+        )
+    kept = train.click_ts < cfg.cutoff
+    pos = train.y == 1
+    early = pos & (train.click_ts + train.d < cfg.cutoff)
+    d1 = np.flatnonzero(kept & pos)
+    d0 = np.flatnonzero(kept & ~early)
+    e_adj = train.e - cfg.tau
+    return (
+        ArtificialSet(idx=d1, e_adj=e_adj[d1], s=early[d1].astype(np.int8)),
+        ArtificialSet(idx=d0, e_adj=e_adj[d0], s=(~pos[d0]).astype(np.int8)),
+    )

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .data import ClickRecord
+from .data import NO_CONVERSION, ClickLog, hash_csr
 
 CHUNK_SIZE = 1 << 16
 DAY_SECONDS = 86400.0
@@ -142,7 +142,7 @@ class SimArrays:
     """Column-oriented dataset: index i across all arrays is one sample.
 
     ``conv_ts`` is float with NaN for never-converting clicks (kept exact; it
-    is rounded up only when materializing integer ClickRecords).
+    is rounded up only when written as a TSV or turned into a ClickLog).
     """
 
     config: SimConfig
@@ -160,20 +160,6 @@ class SimArrays:
     def delays(self) -> np.ndarray:
         """Latent delays in seconds (NaN where c=0)."""
         return self.conv_ts - self.click_ts
-
-
-@dataclass(frozen=True)
-class SimSample:
-    record: ClickRecord
-    c: int
-    true_p: float
-    true_rate: float
-
-    def __post_init__(self):
-        if self.c not in (0, 1):
-            raise ValueError("c must be 0 or 1")
-        if (self.c == 1) != (self.record.conv_ts is not None):
-            raise ValueError("c must agree with presence of conv_ts")
 
 
 def _linear_columns(values: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
@@ -252,30 +238,24 @@ def snapshot_arrays(arrays: SimArrays, training_end: float) -> tuple[np.ndarray,
     return y, e
 
 
-def to_records(arrays: SimArrays, prefix: str = "f") -> list[ClickRecord]:
-    """Materialize ClickRecords; fractional delays are rounded up so that
-    integer conv_ts never precedes click_ts."""
-    conv_int = np.where(np.isnan(arrays.conv_ts), -1, np.ceil(arrays.conv_ts)).astype(np.int64)
-    records = []
-    for i in range(arrays.n):
-        feats = tuple((j, f"v{arrays.values[i, j]}") for j in range(arrays.values.shape[1]))
-        conv = None if arrays.c[i] == 0 else int(conv_int[i])
-        records.append(ClickRecord(click_ts=int(arrays.click_ts[i]), conv_ts=conv, raw_features=feats))
-    return records
+def _integer_conv_ts(arrays: SimArrays) -> np.ndarray:
+    """Conversion times rounded up to whole seconds, so that they never
+    precede their click; NO_CONVERSION where c=0."""
+    conv = np.where(np.isnan(arrays.conv_ts), -1, np.ceil(arrays.conv_ts)).astype(np.int64)
+    return np.where(arrays.c == 1, conv, NO_CONVERSION)
 
 
-def generate_dataset(config: SimConfig) -> list[SimSample]:
-    arrays = generate_arrays(config)
-    records = to_records(arrays)
-    return [
-        SimSample(
-            record=records[i],
-            c=int(arrays.c[i]),
-            true_p=float(arrays.true_p[i]),
-            true_rate=float(arrays.true_rate[i]),
-        )
-        for i in range(arrays.n)
-    ]
+def to_click_log(arrays: SimArrays, *, dim: int, seed: int) -> ClickLog:
+    """The simulated clicks as a ClickLog, with the features and timestamps
+    that reading their TSV (write_sim_tsv) would give. Each field value v is
+    the token ``v{v}``; the Σcardinalities tokens are hashed once and
+    gathered by value."""
+    tokens = [[f"v{v}" for v in range(card)] for card in arrays.config.field_cardinalities]
+    return ClickLog(
+        click_ts=arrays.click_ts,
+        conv_ts=_integer_conv_ts(arrays),
+        x=hash_csr(arrays.values, tokens, dim=dim, seed=seed),
+    )
 
 
 def oracle_fsiw(
@@ -351,7 +331,7 @@ def sample_weight_vector(
 
 def write_sim_tsv(arrays: SimArrays, path: str | Path) -> None:
     """Write the simulated clicks in the standard TSV layout."""
-    conv_int = np.where(np.isnan(arrays.conv_ts), -1, np.ceil(arrays.conv_ts)).astype(np.int64)
+    conv_int = _integer_conv_ts(arrays)
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(arrays.n):
             conv = "" if arrays.c[i] == 0 else str(int(conv_int[i]))

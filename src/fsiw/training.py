@@ -19,16 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 
-from .data import FeatureVector, LabeledSample
 from .optim import (
     OptConfig,
     OptResult,
-    features_to_csr,
     minimize_batch,
     sigmoid,
     softplus,
@@ -180,12 +178,19 @@ def fit_logistic(
     return result.theta, result
 
 
-def _samples_to_xy(samples: Sequence[LabeledSample]) -> tuple[sparse.csr_matrix, np.ndarray]:
-    if not samples:
-        raise TrainingError("empty training set")
-    x = features_to_csr([s.x for s in samples])
-    y = np.fromiter((s.y for s in samples), dtype=float, count=len(samples))
-    return x, y
+def _meta(opt: OptConfig, result: OptResult) -> TrainingMeta:
+    return TrainingMeta(
+        seed=opt.seed,
+        n_iter=result.n_iter,
+        final_loss=result.loss,
+        converged=result.converged,
+        stopped_early=result.stopped_early,
+    )
+
+
+def _linear_model(theta: np.ndarray, l2: float, meta: TrainingMeta) -> LinearCvrModel:
+    dim = theta.shape[0] - 1
+    return LinearCvrModel(coef=theta[:dim], intercept=float(theta[dim]), dim=dim, l2=l2, meta=meta)
 
 
 def train_weighted_logistic(
@@ -201,49 +206,34 @@ def train_weighted_logistic(
     When ``validation`` is supplied, early stopping monitors the weighted log
     loss on it (weights there should come from the same weighting scheme).
     """
-    x, y = _samples_to_xy(list(data.samples))
-    w = np.asarray(data.weights, dtype=float)
-    if len(w) != x.shape[0]:
-        raise TrainingError(f"weight count {len(w)} != sample count {x.shape[0]}")
     val = None
-    if validation is not None and len(validation.samples) > 0:
-        xv, yv = _samples_to_xy(list(validation.samples))
-        val = (xv, yv, np.asarray(validation.weights, dtype=float))
+    if validation is not None and len(validation) > 0:
+        val = (validation.x, validation.y, validation.weights)
     opt = opt or OptConfig()
     theta, result = fit_logistic(
-        x, y, sample_weight=w, l2=l2, opt=opt, normalization=normalization, validation=val
+        data.x,
+        data.y,
+        sample_weight=data.weights,
+        l2=l2,
+        opt=opt,
+        normalization=normalization,
+        validation=val,
     )
-    dim = x.shape[1]
-    meta = TrainingMeta(
-        seed=opt.seed,
-        n_iter=result.n_iter,
-        final_loss=result.loss,
-        converged=result.converged,
-        stopped_early=result.stopped_early,
-    )
-    return LinearCvrModel(coef=theta[:dim], intercept=float(theta[dim]), dim=dim, l2=l2, meta=meta)
+    return _linear_model(theta, l2, _meta(opt, result))
 
 
 def train_naive_logistic(
-    samples: Sequence[LabeledSample],
+    x: sparse.csr_matrix,
+    y: np.ndarray,
     l2: float,
     opt: OptConfig | None = None,
     *,
     normalization: str = "mean",
 ) -> LinearCvrModel:
     """Unweighted logistic regression on snapshot labels (the biased baseline)."""
-    x, y = _samples_to_xy(samples)
     opt = opt or OptConfig()
     theta, result = fit_logistic(x, y, l2=l2, opt=opt, normalization=normalization)
-    dim = x.shape[1]
-    meta = TrainingMeta(
-        seed=opt.seed,
-        n_iter=result.n_iter,
-        final_loss=result.loss,
-        converged=result.converged,
-        stopped_early=result.stopped_early,
-    )
-    return LinearCvrModel(coef=theta[:dim], intercept=float(theta[dim]), dim=dim, l2=l2, meta=meta)
+    return _linear_model(theta, l2, _meta(opt, result))
 
 
 def dfm_nll_grad(
@@ -303,7 +293,10 @@ def dfm_nll_grad(
 
 
 def train_dfm(
-    samples: Sequence[LabeledSample],
+    x: sparse.csr_matrix,
+    y: np.ndarray,
+    d: np.ndarray,
+    e: np.ndarray,
     l2: float,
     opt: OptConfig | None = None,
     *,
@@ -311,26 +304,25 @@ def train_dfm(
 ) -> DfmModel:
     """Fit the joint conversion/delay model by full-batch gradient descent.
 
-    Positives need their observed delay; negatives contribute through their
-    elapsed time. Initialization is data-dependent: the CVR intercept starts
-    at the snapshot base rate, the delay intercept at the inverse mean
-    observed delay.
+    ``d`` and ``e`` are the observed delay and the elapsed time in seconds;
+    positives contribute through ``d`` and negatives through ``e``, so ``d``
+    on negatives is ignored. Initialization is data-dependent: the CVR
+    intercept starts at the snapshot base rate, the delay intercept at the
+    inverse mean observed delay.
     """
-    if not samples:
+    n, dim = x.shape
+    if n == 0:
         raise TrainingError("empty training set")
-    x = features_to_csr([s.x for s in samples])
-    y = np.fromiter((s.y for s in samples), dtype=float, count=len(samples))
+    y = np.asarray(y, dtype=float)
     pos = y == 1
     if not np.any(pos):
         raise TrainingError("cannot fit a delay model without positive samples")
-    d_days = np.zeros(len(samples))
-    d_days[pos] = np.array([s.d for s in samples if s.y == 1], dtype=float) / SECONDS_PER_DAY
-    e_days = np.fromiter((s.e for s in samples), dtype=float, count=len(samples)) / SECONDS_PER_DAY
+    d_days = np.asarray(d, dtype=float) / SECONDS_PER_DAY
+    e_days = np.asarray(e, dtype=float) / SECONDS_PER_DAY
 
     opt = opt or OptConfig()
-    dim = x.shape[1]
     xt = x.T.tocsr()
-    denom = _denominator(np.ones(len(samples)), normalization)
+    denom = _denominator(np.ones(n), normalization)
 
     theta0 = np.zeros(2 * dim + 2)
     base = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
@@ -352,13 +344,6 @@ def train_dfm(
         raise TrainingError(f"non-finite likelihood: {exc}") from exc
 
     theta = result.theta
-    meta = TrainingMeta(
-        seed=opt.seed,
-        n_iter=result.n_iter,
-        final_loss=result.loss,
-        converged=result.converged,
-        stopped_early=result.stopped_early,
-    )
     return DfmModel(
         cvr_coef=theta[:dim],
         cvr_intercept=float(theta[dim]),
@@ -366,35 +351,24 @@ def train_dfm(
         delay_intercept=float(theta[2 * dim + 1]),
         dim=dim,
         l2=l2,
-        meta=meta,
+        meta=_meta(opt, result),
     )
 
 
-def predict_cvr(model: LinearCvrModel | DfmModel, x: FeatureVector) -> float:
-    """Conversion probability for a single feature vector."""
-    return float(predict_cvr_batch(model, [x])[0])
-
-
-def predict_cvr_batch(
-    model: LinearCvrModel | DfmModel, features: Sequence[FeatureVector]
-) -> np.ndarray:
+def predict_cvr_batch(model: LinearCvrModel | DfmModel, x: sparse.csr_matrix) -> np.ndarray:
+    """Conversion probability for every row of the feature matrix ``x``."""
+    if x.shape[1] != model.dim:
+        raise ValueError(f"feature dim {x.shape[1]} != model dim {model.dim}")
     coef, intercept = (
         (model.coef, model.intercept)
         if isinstance(model, LinearCvrModel)
         else (model.cvr_coef, model.cvr_intercept)
     )
-    for i, fv in enumerate(features):
-        if fv.dim != model.dim:
-            raise ValueError(f"feature dim {fv.dim} != model dim {model.dim} (sample {i})")
-    x = features_to_csr(features, dim=model.dim)
     return sigmoid(x @ coef + intercept)
 
 
-def predict_delay_rate(
-    model: DfmModel, features: Sequence[FeatureVector], per: str = "day"
-) -> np.ndarray:
-    """Predicted delay rate for each sample, per day or per second."""
-    x = features_to_csr(features, dim=model.dim)
+def predict_delay_rate(model: DfmModel, x: sparse.csr_matrix, per: str = "day") -> np.ndarray:
+    """Predicted delay rate for every row of ``x``, per day or per second."""
     rate = np.exp(x @ model.delay_coef + model.delay_intercept)
     if per == "day":
         return rate

@@ -14,13 +14,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .data import FeatureVector, LabeledSample
-from .optim import OptConfig, append_columns, features_to_csr, sigmoid
-from .relabel import ArtificialSample
+from .optim import OptConfig, append_columns, sigmoid
 from .training import fit_logistic
 
 DEFAULT_EDGES = (3600, 21600, 43200, 86400, 172800, 345600, 604800)
@@ -84,13 +82,13 @@ class WeightModel:
     degenerate: bool = False
     constant: float | None = None
 
-    def predict(self, features: Sequence[FeatureVector], e: np.ndarray) -> np.ndarray:
+    def predict(self, x: sparse.csr_matrix, e: np.ndarray) -> np.ndarray:
         e = np.asarray(e, dtype=float)
-        if len(features) != e.shape[0]:
+        if x.shape[0] != e.shape[0]:
             raise ValueError("feature/elapsed-time length mismatch")
         if self.degenerate:
             return np.full(e.shape[0], float(self.constant))
-        x = append_columns(features_to_csr(features, dim=self.dim), self.basis.transform(e))
+        x = append_columns(x, self.basis.transform(e))
         return sigmoid(x @ self.coef + self.intercept)
 
 
@@ -103,47 +101,53 @@ class WeightModelPair:
 
 @dataclass(frozen=True)
 class WeightedDataset:
-    """Training samples with aligned positive importance weights."""
+    """Training rows (features, snapshot label, elapsed seconds) with aligned
+    positive importance weights: at least 1 on positives, at most 1 on
+    negatives."""
 
-    samples: tuple[LabeledSample, ...]
+    x: sparse.csr_matrix
+    y: np.ndarray
+    e: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        y = np.asarray(self.y)
         w = np.asarray(self.weights, dtype=float)
-        if len(self.samples) != w.shape[0]:
+        if not self.x.shape[0] == y.shape[0] == np.shape(self.e)[0] == w.shape[0]:
             raise ValueError("sample/weight length mismatch")
         if np.any(~np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be positive and finite")
-        for i, s in enumerate(self.samples):
-            if s.y == 0 and w[i] > 1.0 + 1e-12:
+        bad = ((y == 0) & (w > 1.0 + 1e-12)) | ((y == 1) & (w < 1.0 - 1e-12))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            if y[i] == 0:
                 raise ValueError(f"negative sample {i} has weight {w[i]} > 1")
-            if s.y == 1 and w[i] < 1.0 - 1e-12:
-                raise ValueError(f"positive sample {i} has weight {w[i]} < 1")
+            raise ValueError(f"positive sample {i} has weight {w[i]} < 1")
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-
-def unit_weights(samples: Sequence[LabeledSample]) -> WeightedDataset:
-    return WeightedDataset(samples=tuple(samples), weights=np.ones(len(samples)))
+        return len(self.weights)
 
 
 def fit_weight_model(
-    data: Sequence[ArtificialSample],
+    x: sparse.csr_matrix,
+    e_adj: np.ndarray,
+    s: np.ndarray,
     hyper: WeightModelHyper | None = None,
 ) -> WeightModel:
-    """Fit one of the two weight models on relabeled samples.
+    """Fit one of the two weight models on a relabeled set.
 
-    Training pairs the hashed click features with a basis expansion of the
-    *adjusted* elapsed time and targets the s-label. A 10% holdout (seeded)
-    drives early stopping. Single-class inputs degrade to a constant
+    Training pairs the hashed click features ``x`` with a basis expansion of
+    the *adjusted* elapsed time and targets the s-label. A 10% holdout
+    (seeded) drives early stopping. Single-class inputs degrade to a constant
     predictor at the clipped class rate, with a warning.
     """
     hyper = hyper or WeightModelHyper()
-    if not data:
+    s = np.asarray(s, dtype=float)
+    if s.size == 0:
         raise ValueError("cannot fit a weight model on an empty dataset")
-    s = np.fromiter((a.s for a in data), dtype=float, count=len(data))
-    dim = data[0].x.dim
+    n, dim = x.shape
+    if not n == s.size == np.size(e_adj):
+        raise ValueError("feature/elapsed-time/label length mismatch")
 
     n_classes = len(np.unique(s))
     if n_classes == 1:
@@ -164,17 +168,14 @@ def fit_weight_model(
             constant=clipped,
         )
 
-    e_adj = np.fromiter((a.e_adj for a in data), dtype=float, count=len(data))
-    x = append_columns(
-        features_to_csr([a.x for a in data], dim=dim), hyper.basis.transform(e_adj)
-    )
+    x = append_columns(x, hyper.basis.transform(np.asarray(e_adj, dtype=float)))
 
     validation = None
-    train_idx = np.arange(len(data))
-    if hyper.holdout_fraction > 0 and len(data) >= 20:
+    train_idx = np.arange(n)
+    if hyper.holdout_fraction > 0 and n >= 20:
         rng = np.random.default_rng(np.random.SeedSequence([hyper.seed, 0x77]))
-        perm = rng.permutation(len(data))
-        n_hold = max(1, int(len(data) * hyper.holdout_fraction))
+        perm = rng.permutation(n)
+        n_hold = max(1, int(n * hyper.holdout_fraction))
         hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
         # early stopping only makes sense when the retained part still has
         # both classes; otherwise fit on everything without a holdout
@@ -201,31 +202,32 @@ def fit_weight_model(
     )
 
 
-def assign_fsiw(models: WeightModelPair, train: Sequence[LabeledSample]) -> WeightedDataset:
-    """Attach an importance weight to every training sample.
+def assign_fsiw(
+    models: WeightModelPair, x: sparse.csr_matrix, y: np.ndarray, e: np.ndarray
+) -> WeightedDataset:
+    """Attach an importance weight to every training row.
 
-    Predictions use each sample's original elapsed time (not the adjusted one
-    the models were trained with). Positives get the reciprocal of the pos
-    model's probability; negatives get the neg model's probability directly.
-    Probabilities are clipped to [clip_floor, 1] first, which caps any weight
-    at 1/clip_floor.
+    Predictions use each row's original elapsed time ``e`` (not the adjusted
+    one the models were trained with). Positives get the reciprocal of the
+    pos model's probability; negatives get the neg model's probability
+    directly. Probabilities are clipped to [clip_floor, 1] first, which caps
+    any weight at 1/clip_floor.
     """
-    samples = tuple(train)
-    if not samples:
-        return WeightedDataset(samples=samples, weights=np.zeros(0))
-    features = [s.x for s in samples]
-    e = np.fromiter((s.e for s in samples), dtype=float, count=len(samples))
-    y = np.fromiter((s.y for s in samples), dtype=int, count=len(samples))
-
-    p_pos = np.clip(models.model_pos.predict(features, e), models.clip_floor, 1.0)
-    p_neg = np.clip(models.model_neg.predict(features, e), models.clip_floor, 1.0)
-    weights = np.where(y == 1, 1.0 / p_pos, p_neg)
-    return WeightedDataset(samples=samples, weights=weights)
+    e_float = np.asarray(e, dtype=float)
+    p_pos = np.clip(models.model_pos.predict(x, e_float), models.clip_floor, 1.0)
+    p_neg = np.clip(models.model_neg.predict(x, e_float), models.clip_floor, 1.0)
+    weights = np.where(np.asarray(y) == 1, 1.0 / p_pos, p_neg)
+    return WeightedDataset(x=x, y=y, e=e, weights=weights)
 
 
 def dump_weights(dataset: WeightedDataset, path: str | Path) -> None:
     """Audit dump: one row per sample (index, y, e, weight)."""
+    rows = zip(
+        np.asarray(dataset.y).tolist(),
+        np.asarray(dataset.e).tolist(),
+        np.asarray(dataset.weights, dtype=float).tolist(),
+    )
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("index\ty\te\tweight\n")
-        for i, sample in enumerate(dataset.samples):
-            handle.write(f"{i}\t{sample.y}\t{sample.e}\t{float(dataset.weights[i])!r}\n")
+        for i, (y, e, w) in enumerate(rows):
+            handle.write(f"{i}\t{y}\t{e}\t{w!r}\n")

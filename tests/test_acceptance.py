@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import yaml
 from scipy import sparse
 from scipy.special import expit
 
-from fsiw.data import FeatureVector, LabeledSample
+from fsiw.data import Snapshot
 from fsiw.experiment import config_from_dict, deadline_sweep, run_pipeline
 from fsiw.metrics import bootstrap_ci, log_loss, normalized_log_loss, pr_auc
 from fsiw.optim import OptConfig
@@ -30,6 +31,7 @@ from fsiw.simulate import (
     SimConfig,
     generate_arrays,
     linear_score,
+    onehot_matrix,
     oracle_fsiw_array,
     sample_weight_vector,
     snapshot_arrays,
@@ -71,29 +73,18 @@ def _sim_config(
     )
 
 
-def _labeled_samples(arrays, cfg: SimConfig, training_end: int) -> tuple[list[LabeledSample], np.ndarray]:
-    """Snapshot the simulated world at training_end and box it into samples."""
+def _labeled_samples(arrays, cfg: SimConfig, training_end: int) -> tuple[Snapshot, np.ndarray]:
+    """Snapshot the simulated world at training_end, one-hot encoding its
+    features (one column per field value)."""
     y, e = snapshot_arrays(arrays, training_end)
-    offsets = cfg.onehot_offsets
-    dim = sum(cfg.field_cardinalities)
-    n_fields = len(cfg.field_cardinalities)
-    delays = arrays.delays()
-    samples = []
-    for i in range(arrays.n):
-        yi = int(y[i])
-        samples.append(
-            LabeledSample(
-                x=FeatureVector(
-                    indices=tuple(int(arrays.values[i, f] + offsets[f]) for f in range(n_fields)),
-                    dim=dim,
-                ),
-                y=yi,
-                e=int(e[i]),
-                d=int(delays[i]) if yi else None,
-                click_ts=int(arrays.click_ts[i]),
-            )
-        )
-    return samples, y
+    snapshot = Snapshot(
+        x=onehot_matrix(arrays.values, cfg.field_cardinalities),
+        y=y,
+        e=e.astype(np.int64),
+        d=np.where(y == 1, arrays.delays(), 0).astype(np.int64),
+        click_ts=arrays.click_ts,
+    )
+    return snapshot, y
 
 
 # --- 1: oracle-weighted loss is consistent for the true-label loss -----------
@@ -176,7 +167,11 @@ def test_criterion_02_oracle_weight_identities_hold_to_1e_minus_12() -> None:
 # --- 3: relabeling agrees with a brute-force branch table --------------------
 
 
-def _relabel_fixture(n: int, training_end: int, tau: int) -> list[LabeledSample]:
+def _relabel_fixture(
+    n: int, training_end: int, tau: int
+) -> tuple[list[SimpleNamespace], Snapshot]:
+    """Clicks as rows for the brute-force table, and the same clicks as the
+    snapshot that build_artificial_datasets reads (click i has feature i)."""
     rng = np.random.default_rng(7)
     cutoff = training_end - tau
     # hand-placed probes around every boundary, then random fill
@@ -201,21 +196,28 @@ def _relabel_fixture(n: int, training_end: int, tau: int) -> list[LabeledSample]
         e = training_end - click
         y = 1 if delay is not None and delay <= e else 0
         samples.append(
-            LabeledSample(
-                x=FeatureVector(indices=(i,), dim=256),
+            SimpleNamespace(
+                x=SimpleNamespace(indices=(i,)),
                 y=y,
                 e=e,
                 d=delay if y else None,
                 click_ts=click,
             )
         )
-    return samples
+    snapshot = Snapshot(
+        x=sparse.csr_matrix((np.ones(n), np.arange(n), np.arange(n + 1)), shape=(n, 256)),
+        y=np.array([s.y for s in samples], dtype=np.int8),
+        e=np.array([s.e for s in samples], dtype=np.int64),
+        d=np.array([s.d or 0 for s in samples], dtype=np.int64),
+        click_ts=np.array([s.click_ts for s in samples], dtype=np.int64),
+    )
+    return samples, snapshot
 
 
 def test_criterion_03_relabeling_matches_brute_force_enumeration() -> None:
     training_end, tau = 1000, 200
     cutoff = training_end - tau
-    samples = _relabel_fixture(200, training_end, tau)
+    samples, snapshot = _relabel_fixture(200, training_end, tau)
 
     expect_d1: list[tuple] = []
     expect_d0: list[tuple] = []
@@ -231,9 +233,16 @@ def test_criterion_03_relabeling_matches_brute_force_enumeration() -> None:
         if kept and s.y == 0:
             expect_d0.append((s.x.indices, s.e - tau, 1, "D0", s.e))
 
-    d1, d0 = build_artificial_datasets(samples, RelabelConfig(tau=tau, training_end=training_end))
-    got_d1 = [(a.x.indices, a.e_adj, a.s, a.destination, a.e) for a in d1]
-    got_d0 = [(a.x.indices, a.e_adj, a.s, a.destination, a.e) for a in d0]
+    d1, d0 = build_artificial_datasets(snapshot, RelabelConfig(tau=tau, training_end=training_end))
+
+    def got(a, destination: str) -> list[tuple]:
+        return [
+            (tuple(snapshot.x[i].indices.tolist()), e_adj, s, destination, int(snapshot.e[i]))
+            for i, e_adj, s in zip(a.idx.tolist(), a.e_adj.tolist(), a.s.tolist())
+        ]
+
+    got_d1 = got(d1, "D1")
+    got_d0 = got(d0, "D0")
     kept_ids = {t[0] for t in got_d1 + got_d0}
     print(f"kept {len(kept_ids)}/200 clicks; |D1|={len(got_d1)} |D0|={len(got_d0)}")
     assert sorted(got_d1) == sorted(expect_d1)
@@ -336,13 +345,14 @@ def test_criterion_05_weighting_halves_the_censoring_bias() -> None:
     )
     hyper = WeightModelHyper(l2=1e-4)
     pair = WeightModelPair(
-        model_pos=fit_weight_model(d1, hyper), model_neg=fit_weight_model(d0, hyper)
+        model_pos=fit_weight_model(samples.x[d1.idx], d1.e_adj, d1.s, hyper),
+        model_neg=fit_weight_model(samples.x[d0.idx], d0.e_adj, d0.s, hyper),
     )
-    weighted = assign_fsiw(pair, samples)
+    weighted = assign_fsiw(pair, samples.x, samples.y, samples.e)
 
     opt = OptConfig(max_iter=400, tol=1e-10)
-    feats = [s.x for s in samples]
-    naive = train_naive_logistic(samples, 1e-4, opt)
+    feats = samples.x
+    naive = train_naive_logistic(samples.x, samples.y, 1e-4, opt)
     corrected = train_weighted_logistic(weighted, 1e-4, opt)
     true_mean = float(arrays.true_p.mean())
     mean_naive = float(np.mean(predict_cvr_batch(naive, feats)))
@@ -367,8 +377,10 @@ def test_criterion_06_joint_model_recovers_simulator_truth() -> None:
     )
     arrays = generate_arrays(cfg)
     samples, _ = _labeled_samples(arrays, cfg, cfg.time_span)
-    model = train_dfm(samples, 1e-6, OptConfig(max_iter=1500, tol=1e-12))
-    feats = [s.x for s in samples]
+    model = train_dfm(
+        samples.x, samples.y, samples.d, samples.e, 1e-6, OptConfig(max_iter=1500, tol=1e-12)
+    )
+    feats = samples.x
     mae = float(np.mean(np.abs(predict_cvr_batch(model, feats) - arrays.true_p)))
     rate_rel = float(
         np.mean(

@@ -90,6 +90,34 @@ def test_stats_reports_delay_distribution(tmp_path, config_path) -> None:
     assert json.loads(inline.stdout)["n_conversions"] == payload["n_conversions"]
 
 
+def test_stats_on_the_simulated_tsv_matches_the_simulator_source(tmp_path, config_path) -> None:
+    sim = tmp_path / "sim"
+    assert _fsiw("simulate", "-c", str(config_path), "-o", str(sim)).returncode == 0
+    from_config = _fsiw("stats", "-c", str(config_path))
+    from_tsv = _fsiw(
+        "stats", "-c", str(config_path), "--data", str(sim / "data.tsv"),
+        "--set", "data.schema=[{name: f0}, {name: f1}]",
+    )
+    assert from_config.returncode == 0 and from_tsv.returncode == 0, from_tsv.stderr
+    assert from_tsv.stdout == from_config.stdout
+
+
+@pytest.mark.parametrize(
+    ("override", "message"),
+    [
+        ("hashing.dim=1000", "hashing.dim must be a power of two >= 2, got 1000"),
+        ("hashing.dim=0", "hashing.dim must be a power of two >= 2, got 0"),
+        ("hashing.dim=-4", "hashing.dim must be a power of two >= 2, got -4"),
+        (f"hashing.seed={2**64}", "hashing.seed must fit in an unsigned 64-bit integer"),
+    ],
+)
+def test_bad_hashing_config_exits_two(tmp_path, config_path, override, message) -> None:
+    proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--set", override)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_matches_library_metrics(tmp_path) -> None:
     labels = [1, 0, 0, 1, 0, 0, 0, 1, 0, 0]
     preds = [0.8, 0.2, 0.3, 0.6, 0.1, 0.15, 0.4, 0.5, 0.05, 0.25]
@@ -123,6 +151,26 @@ def test_eval_names_file_and_line_of_a_bad_row(tmp_path, row, message) -> None:
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {path}:5: ")
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    ("first", "n_test"),
+    [
+        ("1e0\t0.3", 3),
+        ("-0.0\t0.3", 3),
+        ("+1\t0.6", 3),
+        ("label\tprediction", 2),
+        ("y\t0.3", 2),
+    ],
+)
+def test_eval_reads_line_one_as_a_header_only_when_its_label_is_not_a_number(
+    tmp_path, first, n_test
+) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text(first + "\n0\t0.2\n1\t0.7\n", encoding="utf-8")
+    proc = _fsiw("eval", "--preds", str(path), "--bootstrap-b", "100")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_test"] == n_test
 
 
 def test_eval_requires_existing_file(tmp_path) -> None:

@@ -7,9 +7,9 @@ import copy
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fsiw.data import ClickRecord, categorical_schema, write_tsv
 from fsiw.experiment import (
     REPORT_COLUMNS,
     SimulatorSpec,
@@ -21,7 +21,7 @@ from fsiw.experiment import (
     run_pipeline,
 )
 from fsiw.relabel import ConfigError
-from fsiw.simulate import generate_arrays, to_records
+from fsiw.simulate import generate_arrays, write_sim_tsv
 
 DAY = 86400
 
@@ -61,8 +61,8 @@ def _base_dict(**overrides) -> dict:
     return deep
 
 
-def _click(ts: int, conv: int | None = None) -> ClickRecord:
-    return ClickRecord(click_ts=ts, conv_ts=conv, raw_features=((0, "a"),))
+def _ts(*clicks: int) -> np.ndarray:
+    return np.array(clicks, dtype=np.int64)
 
 
 # --- durations ---------------------------------------------------------------
@@ -94,55 +94,54 @@ def test_parse_duration_rejects_garbage() -> None:
 
 
 def test_rolling_splits_seven_windows_over_four_weeks() -> None:
-    records = [_click(ts) for ts in range(0, 28 * DAY, 6 * 3600)]
+    clicks = np.arange(0, 28 * DAY, 6 * 3600)
     spec = SplitSpec(train_window=21 * DAY, test_window=DAY, stride=DAY)
-    splits = rolling_splits(records, spec, start=0, end=28 * DAY)
+    splits = rolling_splits(clicks, spec, start=0, end=28 * DAY)
     assert len(splits) == 7
     assert splits[0].train_end == 21 * DAY
     assert splits[-1].test_end == 28 * DAY
 
 
 def test_rolling_splits_exact_span_is_one_split() -> None:
-    records = [_click(0), _click(8 * DAY - 1)]
     spec = SplitSpec(train_window=7 * DAY, test_window=DAY, stride=3 * DAY)
-    splits = rolling_splits(records, spec)
+    splits = rolling_splits(_ts(0, 8 * DAY - 1), spec)
     assert len(splits) == 1
 
 
 def test_rolling_splits_insufficient_span_errors() -> None:
-    records = [_click(0), _click(5 * DAY)]
     spec = SplitSpec(train_window=7 * DAY, test_window=DAY, stride=DAY)
     with pytest.raises(ConfigError, match="span"):
-        rolling_splits(records, spec)
+        rolling_splits(_ts(0, 5 * DAY), spec)
     with pytest.raises(ConfigError, match="no records"):
-        rolling_splits([], spec)
+        rolling_splits(_ts(), spec)
 
 
 def test_rolling_splits_respects_requested_count() -> None:
-    records = [_click(ts) for ts in range(0, 28 * DAY, 3600)]
+    clicks = np.arange(0, 28 * DAY, 3600)
     spec = SplitSpec(train_window=21 * DAY, test_window=DAY, stride=DAY, n_splits=3)
-    assert len(rolling_splits(records, spec, start=0, end=28 * DAY)) == 3
+    assert len(rolling_splits(clicks, spec, start=0, end=28 * DAY)) == 3
     too_many = SplitSpec(train_window=21 * DAY, test_window=DAY, stride=DAY, n_splits=8)
     with pytest.raises(ConfigError, match="allows only 7"):
-        rolling_splits(records, spec=too_many, start=0, end=28 * DAY)
+        rolling_splits(clicks, spec=too_many, start=0, end=28 * DAY)
 
 
 def test_rolling_splits_window_membership_boundaries() -> None:
-    marks = [0, 9, 10, 13, 14, 16, 17]
-    records = [_click(ts) for ts in marks]
+    # out of order on purpose: windows hold ascending row indices
+    marks = _ts(9, 0, 10, 13, 14, 16, 17)
     spec = SplitSpec(train_window=10, validation_window=4, test_window=3, stride=2)
-    splits = rolling_splits(records, spec, start=0, end=20)
+    splits = rolling_splits(marks, spec, start=0, end=20)
     assert len(splits) == 2
 
     first = splits[0]
-    assert [r.click_ts for r in first.train] == [0, 9]
-    assert [r.click_ts for r in first.validation] == [10, 13]
-    assert [r.click_ts for r in first.test] == [14, 16]
+    assert first.train_idx.tolist() == [0, 1]
+    assert marks[first.train_idx].tolist() == [9, 0]
+    assert marks[first.val_idx].tolist() == [10, 13]
+    assert marks[first.test_idx].tolist() == [14, 16]
 
     second = splits[1]
-    assert [r.click_ts for r in second.train] == [9, 10]
-    assert [r.click_ts for r in second.validation] == [13, 14]
-    assert [r.click_ts for r in second.test] == [16, 17]
+    assert marks[second.train_idx].tolist() == [9, 10]
+    assert marks[second.val_idx].tolist() == [13, 14]
+    assert marks[second.test_idx].tolist() == [16, 17]
 
 
 # --- config parsing and validation --------------------------------------------
@@ -190,6 +189,24 @@ def test_config_requires_known_trainers() -> None:
         config_from_dict(_base_dict(trainers=[]))
     with pytest.raises(ConfigError, match="unknown trainer"):
         config_from_dict(_base_dict(trainers=["gradient_boost"]))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dim", 1000, "hashing.dim must be a power of two >= 2, got 1000"),
+        ("dim", 0, "hashing.dim must be a power of two >= 2, got 0"),
+        ("dim", -4, "hashing.dim must be a power of two >= 2, got -4"),
+        ("dim", 1, "hashing.dim must be a power of two >= 2, got 1"),
+        ("seed", 2**64, "hashing.seed must fit in an unsigned 64-bit integer"),
+        ("seed", -1, "hashing.seed must fit in an unsigned 64-bit integer"),
+    ],
+)
+def test_config_validates_hashing(key, value, message) -> None:
+    raw = _base_dict()
+    raw["hashing"][key] = value
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(raw)
 
 
 def test_config_hash_ignores_output_dir_only() -> None:
@@ -263,6 +280,16 @@ def test_zero_delay_world_makes_weighting_a_no_op(tmp_path) -> None:
     assert by_trainer["lr_fsiw"].ll == pytest.approx(by_trainer["naive_lr"].ll, abs=1e-3)
 
 
+def test_run_and_sweep_hash_each_token_once(hash_calls) -> None:
+    # 8 + 8 simulator tokens; the sweep reuses its hashed log for every tau
+    config = config_from_dict(_base_dict())
+    run_pipeline(config, write_outputs=False)
+    assert len(hash_calls) == len(set(hash_calls)) == 16
+    hash_calls.clear()
+    deadline_sweep(config, [DAY, 2 * DAY, 3 * DAY], write_outputs=False)
+    assert len(hash_calls) == len(set(hash_calls)) == 16
+
+
 def test_run_pipeline_rejects_out_of_range_tau_override() -> None:
     config = config_from_dict(_base_dict())
     with pytest.raises(ConfigError, match="tau"):
@@ -273,6 +300,7 @@ def test_run_pipeline_rejects_out_of_range_tau_override() -> None:
 
 
 def _records_on_disk(tmp_path, n: int = 1500, seed: int = 9):
+    """A simulated click log written as TSV; returns its lines and path."""
     sim = SimulatorSpec(
         n_samples=n,
         field_cardinalities=(8, 8),
@@ -281,11 +309,9 @@ def _records_on_disk(tmp_path, n: int = 1500, seed: int = 9):
         mean_delay=DAY,
         rate_spread=0.4,
     )
-    records = to_records(generate_arrays(sim.build(seed)))
-    schema = categorical_schema(2)
     path = tmp_path / "clicks.tsv"
-    write_tsv(records, path, schema)
-    return records, path
+    write_sim_tsv(generate_arrays(sim.build(seed)), path)
+    return path.read_text(encoding="utf-8").splitlines(), path
 
 
 def _tsv_dict(path, tracked_until: int, **overrides) -> dict:
@@ -323,20 +349,18 @@ def test_tsv_requires_declared_tracking_metadata(tmp_path) -> None:
 
 
 def test_test_window_conversions_cannot_touch_training_artifacts(tmp_path) -> None:
-    records, _ = _records_on_disk(tmp_path)
-    t0 = min(r.click_ts for r in records)
+    lines, path_a = _records_on_disk(tmp_path)
+    rows = [line.split("\t") for line in lines]
+    t0 = min(int(r[0]) for r in rows)
     test_start = t0 + 7 * DAY  # split 0's training+nothing boundary
 
+    # every test-window click that never converted now converts 50s later
     scrambled = [
-        ClickRecord(click_ts=r.click_ts, conv_ts=r.click_ts + 50, raw_features=r.raw_features)
-        if r.click_ts >= test_start and r.conv_ts is None
-        else r
-        for r in records
+        [r[0], str(int(r[0]) + 50), *r[2:]] if int(r[0]) >= test_start and r[1] == "" else r
+        for r in rows
     ]
-    schema = categorical_schema(2)
-    path_a, path_b = tmp_path / "orig.tsv", tmp_path / "scrambled.tsv"
-    write_tsv(records, path_a, schema)
-    write_tsv(scrambled, path_b, schema)
+    path_b = tmp_path / "scrambled.tsv"
+    path_b.write_text("".join("\t".join(r) + "\n" for r in scrambled), encoding="utf-8")
 
     out_a, out_b = tmp_path / "out_a", tmp_path / "out_b"
     run_pipeline(config_from_dict(_tsv_dict(path_a, tracked_until=100 * DAY)), out_dir=out_a)
@@ -346,6 +370,27 @@ def test_test_window_conversions_cannot_touch_training_artifacts(tmp_path) -> No
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     # sanity: the scramble actually changed what the models were scored on
     assert (out_a / "reports.csv").read_bytes() != (out_b / "reports.csv").read_bytes()
+
+
+def test_leakage_gate_rejects_training_rows_inside_the_test_window() -> None:
+    from fsiw.experiment import PipelineError, Split, _label_split, load_source
+
+    config = config_from_dict(_base_dict())
+    log, truth, (start, end) = load_source(config)
+    (split,) = rolling_splits(log.click_ts, config.split, start=start, end=end)
+    _label_split(config, log, truth, split)  # the real window passes
+    leaky = Split(
+        k=0,
+        train_idx=np.append(split.train_idx, split.test_idx[0]),
+        val_idx=split.val_idx,
+        test_idx=split.test_idx,
+        train_end=split.train_end,
+        val_end=split.val_end,
+        test_end=split.test_end,
+    )
+    clicked = log.click_ts[split.test_idx[0]]
+    with pytest.raises(PipelineError, match=f"leakage — training record clicked at {clicked}"):
+        _label_split(config, log, truth, leaky)
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsiw.data import ClickRecord
+from fsiw.data import NO_CONVERSION
 from fsiw.metrics import (
     DEFAULT_CDF_GRID,
     EvalReport,
@@ -153,31 +153,31 @@ def test_bootstrap_rejects_too_few_resamples() -> None:
         bootstrap_ci(log_loss, [1, 0], [0.6, 0.4], 99, seed=0)
 
 
-def _click(delay: float | None, ts: int = 1000) -> ClickRecord:
-    conv = None if delay is None else ts + int(delay)
-    return ClickRecord(click_ts=ts, conv_ts=conv, raw_features=((0, "a"),))
+def _clicks(delays, ts: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """(click_ts, conv_ts) of clicks at ``ts``; a delay of None never converts."""
+    conv = [NO_CONVERSION if d is None else ts + int(d) for d in delays]
+    return np.full(len(conv), ts, dtype=np.int64), np.array(conv, dtype=np.int64)
 
 
 def test_delay_stats_all_instant_conversions() -> None:
-    stats = delay_stats([_click(0) for _ in range(10)])
+    stats = delay_stats(*_clicks([0] * 10))
     assert stats.n_conversions == 10
     assert all(v == 1.0 for v in stats.cdf)
     assert stats.quantiles["p50"] == 0.0
 
 
 def test_delay_stats_ignores_unconverted_and_requires_some_conversion() -> None:
-    stats = delay_stats([_click(0), _click(None), _click(None)])
+    stats = delay_stats(*_clicks([0, None, None]))
     assert stats.n_conversions == 1
     with pytest.raises(ValueError, match="no converted"):
-        delay_stats([_click(None)])
+        delay_stats(*_clicks([None]))
 
 
 def test_delay_stats_matches_exponential_closed_form() -> None:
     rng = np.random.default_rng(17)
     n = 100_000
     delays = rng.exponential(scale=DAY, size=n)
-    records = [_click(d) for d in delays]
-    stats = delay_stats(records, grid=(DAY,))
+    stats = delay_stats(*_clicks(delays), grid=(DAY,))
     expected = 1.0 - math.exp(-1.0)
     band = 4 * math.sqrt(expected * (1 - expected) / n)
     assert abs(stats.cdf[0] - expected) < band
@@ -189,8 +189,7 @@ def test_delay_stats_matches_exponential_closed_form() -> None:
 
 def test_delay_stats_default_grid_is_monotone() -> None:
     rng = np.random.default_rng(23)
-    records = [_click(d) for d in rng.exponential(scale=2 * DAY, size=5000)]
-    stats = delay_stats(records)
+    stats = delay_stats(*_clicks(rng.exponential(scale=2 * DAY, size=5000)))
     assert stats.cdf_grid == DEFAULT_CDF_GRID
     assert all(a <= b for a, b in zip(stats.cdf, stats.cdf[1:]))
 

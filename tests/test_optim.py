@@ -1,37 +1,22 @@
-"""Optimizer kernel: line-searched descent and CSR assembly."""
+"""Optimizer kernel: line-searched descent and design-matrix assembly."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from fsiw.data import FeatureVector
 from fsiw.optim import (
     OptConfig,
     append_columns,
-    features_to_csr,
     minimize_batch,
     softplus,
 )
-
-
-def test_features_to_csr_layout() -> None:
-    fvs = [FeatureVector(indices=(0, 3), dim=8), FeatureVector(indices=(5,), dim=8)]
-    m = features_to_csr(fvs).toarray()
-    assert m.tolist() == [
-        [1, 0, 0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0],
-    ]
-
-
-def test_features_to_csr_rejects_mixed_dims() -> None:
-    fvs = [FeatureVector(indices=(0,), dim=8), FeatureVector(indices=(0,), dim=16)]
-    with pytest.raises(ValueError, match="dim mismatch"):
-        features_to_csr(fvs)
+from fsiw.training import dfm_nll_grad
 
 
 def test_append_columns_attaches_dense_block() -> None:
-    base = features_to_csr([FeatureVector(indices=(1,), dim=4)])
+    base = sparse.csr_matrix(np.array([[0.0, 1.0, 0.0, 0.0]]))
     out = append_columns(base, np.array([[2.5, -1.0]]))
     assert out.toarray().tolist() == [[0, 1, 0, 0, 2.5, -1.0]]
 
@@ -95,3 +80,48 @@ def test_opt_config_validation() -> None:
     for bad in ({"max_iter": 0}, {"step0": 0.0}, {"tol": -1.0}):
         with pytest.raises(ValueError):
             OptConfig(**bad)
+
+
+def test_minimize_batch_stops_unconverged_at_a_nan_gradient() -> None:
+    # λ = exp(800) overflows on the negative row: the loss stays finite but
+    # its gradient is nan there, which leaves no direction to descend along
+    x = sparse.identity(2, format="csr")
+    xt = x.T.tocsr()
+    y, d, e = np.array([1.0, 0.0]), np.array([0.5, 0.0]), np.array([1.0, 1.0])
+    theta0 = np.zeros(6)
+    theta0[4] = 800.0
+
+    def fg(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return dfm_nll_grad(theta, x, xt, y, d, e, 0.0, 2.0)
+
+    def f(theta: np.ndarray) -> float:
+        return dfm_nll_grad(theta, x, xt, y, d, e, 0.0, 2.0, want_grad=False)[0]
+
+    with np.errstate(invalid="ignore"):
+        loss0, grad0 = fg(theta0)
+        res = minimize_batch(fg, f, theta0, OptConfig(max_iter=50))
+    assert loss0 == pytest.approx(0.943, abs=1e-3)
+    assert np.isnan(grad0).any()
+    assert not res.converged
+    assert res.n_iter == 1
+    assert np.array_equal(res.theta, theta0)
+    assert res.loss == loss0
+
+    # the same stop after finite steps keeps the last (finite) iterate
+    calls = []
+
+    def fg_late_nan(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        calls.append(theta.copy())
+        grad = 2.0 * (theta - 3.0)
+        return float((theta - 3.0) @ (theta - 3.0)), grad if len(calls) < 3 else grad * np.nan
+
+    res = minimize_batch(
+        fg_late_nan,
+        lambda t: float((t - 3.0) @ (t - 3.0)),
+        np.zeros(2),
+        OptConfig(max_iter=50, step0=0.1),
+    )
+    assert not res.converged
+    assert res.n_iter == 3
+    assert np.array_equal(res.theta, calls[-1])
+    assert np.isfinite(res.loss)

@@ -7,19 +7,20 @@ import math
 import numpy as np
 import pytest
 
+from fsiw.data import NO_CONVERSION, Snapshot, categorical_schema, read_tsv
 from fsiw.simulate import (
     ExponentialDelay,
     ModulatedExponentialDelay,
+    SimArrays,
     SimConfig,
     generate_arrays,
-    generate_dataset,
     onehot_matrix,
     oracle_fsiw,
     oracle_fsiw_array,
     read_truth,
     sample_weight_vector,
     snapshot_arrays,
-    to_records,
+    to_click_log,
     write_sim_tsv,
     write_truth,
 )
@@ -52,6 +53,19 @@ def _config(
         delay=delay,
         time_span=time_span,
         seed=seed,
+    )
+
+
+def _onehot_snapshot(arrays: SimArrays, training_end: float) -> Snapshot:
+    """The simulated clicks snapshot-labeled at ``training_end``, with exact
+    one-hot features (one column per field value) in place of hashed ones."""
+    y, e = snapshot_arrays(arrays, training_end)
+    return Snapshot(
+        x=onehot_matrix(arrays.values, arrays.config.field_cardinalities),
+        y=y,
+        e=e.astype(np.int64),
+        d=np.where(y == 1, arrays.delays(), 0).astype(np.int64),
+        click_ts=arrays.click_ts,
     )
 
 
@@ -225,14 +239,24 @@ def test_oracle_uses_family_cdf_when_given() -> None:
     assert oracle_fsiw(0.4, lam, e, 0, family=fam) == pytest.approx(0.6 / (0.6 + 0.4 * surv))
 
 
-def test_sim_sample_objects_are_consistent() -> None:
-    samples = generate_dataset(_config(n=500, seed=4))
-    for s in samples:
-        assert (s.c == 1) == (s.record.conv_ts is not None)
-        assert 0.0 < s.true_p < 1.0
-        assert s.true_rate > 0
-        if s.record.conv_ts is not None:
-            assert s.record.conv_ts >= s.record.click_ts
+def test_sim_click_log_is_consistent() -> None:
+    arrays = generate_arrays(_config(n=500, seed=4))
+    log = to_click_log(arrays, dim=64, seed=0)
+    converted = log.conv_ts != NO_CONVERSION
+    assert np.array_equal(converted, arrays.c == 1)
+    assert np.all(log.conv_ts[converted] >= log.click_ts[converted])
+    # integer conversion times are the simulated ones rounded up
+    assert np.all(log.conv_ts[converted] - arrays.conv_ts[converted] < 1.0)
+    assert np.array_equal(log.click_ts, arrays.click_ts)
+    assert np.all((arrays.true_p > 0.0) & (arrays.true_p < 1.0))
+    assert np.all(arrays.true_rate > 0)
+
+
+def test_sim_click_log_hashes_each_field_value_once(hash_calls) -> None:
+    to_click_log(generate_arrays(_config(n=2000, seed=3, cards=(8, 3))), dim=64, seed=0)
+    assert sorted(hash_calls) == sorted(
+        [(0, f"v{v}") for v in range(8)] + [(1, f"v{v}") for v in range(3)]
+    )
 
 
 def test_records_round_trip_through_tsv_and_truth_sidecar(tmp_path) -> None:
@@ -241,10 +265,13 @@ def test_records_round_trip_through_tsv_and_truth_sidecar(tmp_path) -> None:
     write_sim_tsv(arrays, tmp_path / "data.tsv")
     write_truth(arrays, tmp_path / "truth.tsv")
 
-    from fsiw.data import categorical_schema, read_tsv
-
-    records = read_tsv(tmp_path / "data.tsv", categorical_schema(2))
-    assert records == to_records(arrays)
+    # the TSV path and the simulator path give the same log, hashes included
+    read = read_tsv(tmp_path / "data.tsv", categorical_schema(2), dim=64, seed=5)
+    direct = to_click_log(arrays, dim=64, seed=5)
+    assert np.array_equal(read.click_ts, direct.click_ts)
+    assert np.array_equal(read.conv_ts, direct.conv_ts)
+    assert np.array_equal(read.x.indptr, direct.x.indptr)
+    assert np.array_equal(read.x.indices, direct.x.indices)
     c, p, rate = read_truth(tmp_path / "truth.tsv")
     assert np.array_equal(c, arrays.c)
     assert np.array_equal(p, arrays.true_p)

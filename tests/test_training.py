@@ -10,9 +10,9 @@ import pytest
 from scipy import sparse
 from scipy.special import expit
 
-from fsiw.data import FeatureVector, LabeledSample
-from fsiw.optim import OptConfig, features_to_csr
-from fsiw.simulate import generate_arrays, snapshot_arrays
+from fsiw.data import Snapshot
+from fsiw.optim import OptConfig
+from fsiw.simulate import generate_arrays
 from fsiw.training import (
     DfmModel,
     LinearCvrModel,
@@ -21,7 +21,6 @@ from fsiw.training import (
     dfm_nll_grad,
     fit_logistic,
     load_model,
-    predict_cvr,
     predict_cvr_batch,
     predict_delay_rate,
     save_model,
@@ -29,9 +28,9 @@ from fsiw.training import (
     train_naive_logistic,
     train_weighted_logistic,
 )
-from fsiw.weights import WeightedDataset, unit_weights
+from fsiw.weights import WeightedDataset
 
-from test_simulate import _config
+from test_simulate import _config, _onehot_snapshot
 
 OPT = OptConfig(max_iter=2000, tol=1e-13)
 
@@ -65,16 +64,34 @@ def _newton_logistic_reference(
     return beta, loss
 
 
-def _make_samples(n: int, seed: int, dim: int = 16) -> list[LabeledSample]:
+def _make_samples(n: int, seed: int, dim: int = 16) -> Snapshot:
+    """Random snapshot rows with three active features each."""
     rng = np.random.default_rng(seed)
-    out = []
+    cols, y, e, d = [], [], [], []
     for _ in range(n):
-        idx = tuple(sorted(rng.choice(dim, size=3, replace=False).tolist()))
-        y = int(rng.random() < 0.4)
-        e = int(rng.integers(100, 10_000))
-        d = int(rng.integers(0, e + 1)) if y else None
-        out.append(LabeledSample(x=FeatureVector(indices=idx, dim=dim), y=y, e=e, d=d, click_ts=0))
-    return out
+        cols.append(sorted(rng.choice(dim, size=3, replace=False).tolist()))
+        y.append(int(rng.random() < 0.4))
+        e.append(int(rng.integers(100, 10_000)))
+        d.append(int(rng.integers(0, e[-1] + 1)) if y[-1] else 0)
+    x = sparse.csr_matrix(
+        (np.ones(3 * n), np.array(cols, dtype=np.int64).ravel(), np.arange(0, 3 * n + 1, 3)),
+        shape=(n, dim),
+    )
+    return Snapshot(
+        x=x,
+        y=np.array(y, dtype=np.int8),
+        e=np.array(e, dtype=np.int64),
+        d=np.array(d, dtype=np.int64),
+        click_ts=np.zeros(n, dtype=np.int64),
+    )
+
+
+def _rows(snap: Snapshot, idx) -> Snapshot:
+    return Snapshot(*(a[idx] for a in snap))
+
+
+def _unit_weights(snap: Snapshot) -> WeightedDataset:
+    return WeightedDataset(x=snap.x, y=snap.y, e=snap.e, weights=np.ones(len(snap.y)))
 
 
 def test_fit_logistic_matches_independent_newton_reference() -> None:
@@ -95,39 +112,41 @@ def test_fit_logistic_matches_independent_newton_reference() -> None:
 
 def test_unit_weights_coincide_with_naive_trainer() -> None:
     samples = _make_samples(300, seed=1)
-    weighted = train_weighted_logistic(unit_weights(samples), 0.01, OPT)
-    naive = train_naive_logistic(samples, 0.01, OPT)
+    weighted = train_weighted_logistic(_unit_weights(samples), 0.01, OPT)
+    naive = train_naive_logistic(samples.x, samples.y, 0.01, OPT)
     assert np.allclose(weighted.coef, naive.coef, atol=1e-6)
     assert weighted.intercept == pytest.approx(naive.intercept, abs=1e-6)
 
 
 def test_duplicated_sample_equals_weight_two() -> None:
     samples = _make_samples(120, seed=2)
-    dup = samples + [samples[0]]
-    w_dup = np.ones(len(dup))
-    weights = np.ones(len(samples))
+    dup = _rows(samples, np.append(np.arange(120), 0))
+    weights = np.ones(120)
     weights[0] = 2.0
 
-    m_dup = train_weighted_logistic(
-        WeightedDataset(samples=tuple(dup), weights=w_dup), 0.05, OPT
-    )
+    m_dup = train_weighted_logistic(_unit_weights(dup), 0.05, OPT)
     m_w2 = train_weighted_logistic(
-        WeightedDataset(samples=tuple(samples), weights=weights), 0.05, OPT
+        WeightedDataset(x=samples.x, y=samples.y, e=samples.e, weights=weights), 0.05, OPT
     )
     assert m_dup.meta.final_loss == pytest.approx(m_w2.meta.final_loss, abs=1e-8)
 
 
 def test_sum_normalization_is_supported_and_differs() -> None:
     samples = _make_samples(100, seed=3)
-    mean_model = train_naive_logistic(samples, 0.5, OPT, normalization="mean")
-    sum_model = train_naive_logistic(samples, 0.5, OPT, normalization="sum")
+    mean_model = train_naive_logistic(samples.x, samples.y, 0.5, OPT, normalization="mean")
+    sum_model = train_naive_logistic(samples.x, samples.y, 0.5, OPT, normalization="sum")
     # same l2 bites much harder relative to a mean loss than a sum loss
     assert np.linalg.norm(sum_model.coef) > np.linalg.norm(mean_model.coef)
 
 
 def test_empty_training_set_raises() -> None:
+    empty = _rows(_make_samples(5, seed=8), slice(0, 0))
     with pytest.raises(TrainingError, match="empty"):
-        train_naive_logistic([], 0.1, OPT)
+        train_naive_logistic(empty.x, empty.y, 0.1, OPT)
+    with pytest.raises(TrainingError, match="empty"):
+        train_weighted_logistic(_unit_weights(empty), 0.1, OPT)
+    with pytest.raises(TrainingError, match="empty"):
+        train_dfm(empty.x, empty.y, empty.d, empty.e, 0.1, OPT)
 
 
 def test_bad_weight_names_offending_sample() -> None:
@@ -135,18 +154,13 @@ def test_bad_weight_names_offending_sample() -> None:
     w = np.ones(10)
     w[7] = np.inf
     with pytest.raises(TrainingError, match="sample index 7"):
-        fit_logistic(
-            features_to_csr([s.x for s in samples]),
-            [s.y for s in samples],
-            sample_weight=w,
-            l2=0.1,
-        )
+        fit_logistic(samples.x, samples.y, sample_weight=w, l2=0.1)
 
 
 def test_l2_path_shrinks_coefficients() -> None:
     samples = _make_samples(250, seed=5)
     norms = [
-        float(np.linalg.norm(train_naive_logistic(samples, l2, OPT).coef))
+        float(np.linalg.norm(train_naive_logistic(samples.x, samples.y, l2, OPT).coef))
         for l2 in (1e-4, 1e-2, 1.0)
     ]
     assert norms[0] >= norms[1] >= norms[2]
@@ -155,26 +169,27 @@ def test_l2_path_shrinks_coefficients() -> None:
 def test_predict_cvr_examples() -> None:
     meta = TrainingMeta(seed=0, n_iter=0, final_loss=0.0, converged=True)
     zero = LinearCvrModel(coef=np.zeros(8), intercept=0.0, dim=8, l2=0.0, meta=meta)
-    x = FeatureVector(indices=(2,), dim=8)
-    assert predict_cvr(zero, x) == pytest.approx(0.5)
+    x = sparse.csr_matrix(np.eye(8)[[2, 5]])
+    assert predict_cvr_batch(zero, x) == pytest.approx([0.5, 0.5])
 
     bias_only = LinearCvrModel(
         coef=np.zeros(8), intercept=math.log(0.2 / 0.8), dim=8, l2=0.0, meta=meta
     )
-    assert predict_cvr(bias_only, x) == pytest.approx(0.2)
+    assert predict_cvr_batch(bias_only, x) == pytest.approx([0.2, 0.2])
 
     bumped = LinearCvrModel(
         coef=np.eye(8)[2] * 0.7, intercept=0.0, dim=8, l2=0.0, meta=meta
     )
-    assert predict_cvr(bumped, x) > 0.5
-    assert 0.0 < predict_cvr(bumped, x) < 1.0
+    p_bumped, p_other = predict_cvr_batch(bumped, x)
+    assert 0.5 < p_bumped < 1.0
+    assert p_other == pytest.approx(0.5)
 
 
 def test_predict_cvr_rejects_dim_mismatch() -> None:
     meta = TrainingMeta(seed=0, n_iter=0, final_loss=0.0, converged=True)
     model = LinearCvrModel(coef=np.zeros(8), intercept=0.0, dim=8, l2=0.0, meta=meta)
-    with pytest.raises(ValueError, match="dim"):
-        predict_cvr(model, FeatureVector(indices=(1,), dim=16))
+    with pytest.raises(ValueError, match="feature dim 16 != model dim 8"):
+        predict_cvr_batch(model, sparse.csr_matrix((1, 16)))
 
 
 def test_dfm_single_positive_sample_nll_closed_form() -> None:
@@ -210,9 +225,10 @@ def test_dfm_negative_contribution_vanishing_censoring() -> None:
 
 
 def test_dfm_requires_positive_samples() -> None:
-    samples = [s for s in _make_samples(50, seed=6) if s.y == 0]
+    samples = _make_samples(50, seed=6)
+    neg = _rows(samples, samples.y == 0)
     with pytest.raises(TrainingError, match="positive"):
-        train_dfm(samples, 0.1, OPT)
+        train_dfm(neg.x, neg.y, neg.d, neg.e, 0.1, OPT)
 
 
 def test_gradients_match_central_differences() -> None:
@@ -272,35 +288,16 @@ def test_dfm_recovers_ground_truth_on_well_specified_data() -> None:
         mean_delay=2 * 86400, rate_spread=0.5, time_span=12 * 86400,
     )
     arrays = generate_arrays(cfg)
-    y, e = snapshot_arrays(arrays, cfg.time_span)
-    offsets = cfg.onehot_offsets
-    dim = sum(cfg.field_cardinalities)
+    snap = _onehot_snapshot(arrays, cfg.time_span)
 
-    samples = []
-    delays = arrays.delays()
-    for i in range(arrays.n):
-        idx = tuple(
-            int(arrays.values[i, f] + offsets[f])
-            for f in range(len(cfg.field_cardinalities))
-        )
-        yi = int(y[i])
-        samples.append(
-            LabeledSample(
-                x=FeatureVector(indices=idx, dim=dim),
-                y=yi,
-                e=int(e[i]),
-                d=int(delays[i]) if yi == 1 else None,
-                click_ts=int(arrays.click_ts[i]),
-            )
-        )
-
-    model = train_dfm(samples, 1e-6, OptConfig(max_iter=1500, tol=1e-12))
-    feats = [s.x for s in samples]
-    p_hat = predict_cvr_batch(model, feats)
+    model = train_dfm(
+        snap.x, snap.y, snap.d, snap.e, 1e-6, OptConfig(max_iter=1500, tol=1e-12)
+    )
+    p_hat = predict_cvr_batch(model, snap.x)
     mae = float(np.mean(np.abs(p_hat - arrays.true_p)))
     assert mae <= 0.02
 
-    rate_hat = predict_delay_rate(model, feats, per="second")
+    rate_hat = predict_delay_rate(model, snap.x, per="second")
     rel = float(np.mean(np.abs(rate_hat - arrays.true_rate) / arrays.true_rate))
     assert rel <= 0.10
 
@@ -308,26 +305,15 @@ def test_dfm_recovers_ground_truth_on_well_specified_data() -> None:
 def test_naive_trainer_underestimates_on_censored_data() -> None:
     cfg = _config(n=20_000, seed=33, cards=(8,), mean_delay=5 * 86400, time_span=10 * 86400)
     arrays = generate_arrays(cfg)
-    y, e = snapshot_arrays(arrays, cfg.time_span)
-    samples = []
-    delays = arrays.delays()
-    for i in range(arrays.n):
-        yi = int(y[i])
-        di = int(delays[i]) if yi == 1 else None
-        samples.append(
-            LabeledSample(
-                x=FeatureVector(indices=(int(arrays.values[i, 0]),), dim=8),
-                y=yi, e=int(e[i]), d=di, click_ts=int(arrays.click_ts[i]),
-            )
-        )
-    model = train_naive_logistic(samples, 1e-5, OptConfig(max_iter=400))
-    mean_pred = float(np.mean(predict_cvr_batch(model, [s.x for s in samples])))
+    snap = _onehot_snapshot(arrays, cfg.time_span)
+    model = train_naive_logistic(snap.x, snap.y, 1e-5, OptConfig(max_iter=400))
+    mean_pred = float(np.mean(predict_cvr_batch(model, snap.x)))
     assert mean_pred < arrays.true_p.mean()
 
 
 def test_model_save_load_round_trip(tmp_path) -> None:
     samples = _make_samples(150, seed=7)
-    linear = train_naive_logistic(samples, 0.01, OptConfig(max_iter=200))
+    linear = train_naive_logistic(samples.x, samples.y, 0.01, OptConfig(max_iter=200))
     save_model(linear, tmp_path / "linear.json")
     loaded = load_model(tmp_path / "linear.json")
     assert isinstance(loaded, LinearCvrModel)
@@ -335,13 +321,12 @@ def test_model_save_load_round_trip(tmp_path) -> None:
     assert loaded.intercept == linear.intercept
     assert loaded.meta == linear.meta
 
-    dfm = train_dfm(samples, 0.01, OptConfig(max_iter=100))
+    dfm = train_dfm(samples.x, samples.y, samples.d, samples.e, 0.01, OptConfig(max_iter=100))
     save_model(dfm, tmp_path / "dfm.json")
     loaded_dfm = load_model(tmp_path / "dfm.json")
     assert isinstance(loaded_dfm, DfmModel)
     assert np.array_equal(loaded_dfm.delay_coef, dfm.delay_coef)
-    x = samples[0].x
-    assert predict_cvr(loaded_dfm, x) == predict_cvr(dfm, x)
+    assert np.array_equal(predict_cvr_batch(loaded_dfm, samples.x), predict_cvr_batch(dfm, samples.x))
 
 
 def test_load_model_rejects_unknown_format(tmp_path) -> None:

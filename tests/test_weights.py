@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from fsiw.data import FeatureVector, LabeledSample
 from fsiw.optim import OptConfig
-from fsiw.relabel import ArtificialSample, RelabelConfig, build_artificial_datasets
+from fsiw.relabel import RelabelConfig, build_artificial_datasets
 from fsiw.simulate import generate_arrays, oracle_fsiw_array, snapshot_arrays
 from fsiw.training import predict_cvr_batch, train_naive_logistic, train_weighted_logistic
 from fsiw.weights import (
@@ -23,22 +23,19 @@ from fsiw.weights import (
     assign_fsiw,
     dump_weights,
     fit_weight_model,
-    unit_weights,
 )
 
-from test_simulate import _config
+from test_simulate import _config, _onehot_snapshot
 
 DAY = 86400
 
 
-def _fv(i: int, dim: int = 8) -> FeatureVector:
-    return FeatureVector(indices=(i,), dim=dim)
-
-
-def _labeled(y: int, e: int, *, i: int = 0, dim: int = 8, d: int | None = None) -> LabeledSample:
-    if y == 1 and d is None:
-        d = e // 2
-    return LabeledSample(x=_fv(i, dim), y=y, e=e, d=d, click_ts=0)
+def _onehot(cols, dim: int = 8) -> sparse.csr_matrix:
+    """One active feature per row, in column ``cols[i]``."""
+    cols = np.asarray(cols)
+    return sparse.csr_matrix(
+        (np.ones(cols.size), cols, np.arange(cols.size + 1)), shape=(cols.size, dim)
+    )
 
 
 def _constant_model(value: float, dim: int = 8) -> WeightModel:
@@ -93,48 +90,39 @@ def test_hyper_validation() -> None:
 
 def test_fit_rejects_empty_input() -> None:
     with pytest.raises(ValueError, match="empty"):
-        fit_weight_model([])
+        fit_weight_model(_onehot([]), np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match="length mismatch"):
+        fit_weight_model(_onehot([0, 1]), np.ones(2), np.array([0, 1, 1]))
 
 
 def test_single_class_falls_back_to_constant_with_warning() -> None:
-    all_pos = [
-        ArtificialSample(x=_fv(i % 4), e_adj=3600 * (i + 1), s=1, destination="D1", e=7200 * (i + 1))
-        for i in range(30)
-    ]
+    x = _onehot(np.arange(30) % 4)
+    e_adj = 3600 * (np.arange(30) + 1)
     with pytest.warns(RuntimeWarning, match="single s-class"):
-        model = fit_weight_model(all_pos)
+        model = fit_weight_model(x, e_adj, np.ones(30))
     assert model.degenerate
-    pred = model.predict([a.x for a in all_pos], np.array([float(a.e) for a in all_pos]))
-    assert np.all(pred == 1.0)
+    assert np.all(model.predict(x, 2.0 * e_adj) == 1.0)
 
-    all_neg = [
-        ArtificialSample(x=_fv(i % 4), e_adj=3600 * (i + 1), s=0, destination="D0", e=7200 * (i + 1))
-        for i in range(30)
-    ]
     with pytest.warns(RuntimeWarning):
-        model = fit_weight_model(all_neg)
+        model = fit_weight_model(x, e_adj, np.zeros(30))
     # constant sits at the clip floor rather than at an exact zero
-    assert np.all(
-        model.predict([all_neg[0].x], np.array([3600.0])) == WeightModelHyper().clip_floor
-    )
+    assert np.all(model.predict(x[:1], np.array([3600.0])) == WeightModelHyper().clip_floor)
 
 
 def test_fit_is_invariant_to_duplicating_every_row() -> None:
     rng = np.random.default_rng(4)
-    data = [
-        ArtificialSample(
-            x=_fv(int(rng.integers(0, 8))),
-            e_adj=int(rng.integers(600, 5 * DAY)),
-            s=int(rng.random() < 0.5),
-            destination="D1",
-            e=int(rng.integers(5 * DAY, 6 * DAY)),
-        )
-        for _ in range(400)
-    ]
+    cols, e_adj, s = [], [], []
+    for _ in range(400):
+        cols.append(int(rng.integers(0, 8)))
+        e_adj.append(int(rng.integers(600, 5 * DAY)))
+        s.append(int(rng.random() < 0.5))
+    x, e_adj, s = _onehot(cols), np.array(e_adj), np.array(s)
     hyper = WeightModelHyper(holdout_fraction=0.0, opt=OptConfig(max_iter=500, tol=1e-12))
-    single = fit_weight_model(data, hyper)
-    doubled = fit_weight_model(data + data, hyper)
-    grid_x = [_fv(i) for i in range(8)]
+    single = fit_weight_model(x, e_adj, s, hyper)
+    doubled = fit_weight_model(
+        sparse.vstack([x, x], format="csr"), np.tile(e_adj, 2), np.tile(s, 2), hyper
+    )
+    grid_x = _onehot(np.arange(8))
     grid_e = np.full(8, float(DAY))
     assert np.allclose(
         single.predict(grid_x, grid_e), doubled.predict(grid_x, grid_e), atol=1e-6
@@ -149,31 +137,22 @@ def test_fit_calibrates_against_closed_form_probabilities() -> None:
     e_adj = rng.uniform(0.05 * DAY, 6 * DAY, n).astype(int)
     p_true = 1.0 - np.exp(-lam[cell] * e_adj)
     s = (rng.random(n) < p_true).astype(int)
-    data = [
-        ArtificialSample(
-            x=_fv(int(cell[i]), dim=n_cells),
-            e_adj=int(e_adj[i]),
-            s=int(s[i]),
-            destination="D1",
-            e=int(e_adj[i]) + 2 * DAY,
-        )
-        for i in range(n)
-    ]
-    model = fit_weight_model(data, WeightModelHyper(l2=1e-4))
-    pred = model.predict([d.x for d in data], e_adj.astype(float))
+    x = _onehot(cell, dim=n_cells)
+    model = fit_weight_model(x, e_adj, s, WeightModelHyper(l2=1e-4))
+    pred = model.predict(x, e_adj.astype(float))
     assert float(np.mean(np.abs(pred - p_true))) < 0.05
 
 
 def test_assign_reciprocal_and_clip_examples() -> None:
-    samples = [_labeled(1, 7200), _labeled(0, 7200)]
+    x, y, e = _onehot([0, 0]), np.array([1, 0]), np.array([7200, 7200])
     pair = WeightModelPair(model_pos=_constant_model(0.5), model_neg=_constant_model(0.8))
-    out = assign_fsiw(pair, samples)
+    out = assign_fsiw(pair, x, y, e)
     assert out.weights[0] == pytest.approx(2.0)
     assert out.weights[1] == pytest.approx(0.8)
 
     # a probability of 0.001 hits the 0.01 floor, capping the weight at 100
     pair_tiny = WeightModelPair(model_pos=_constant_model(0.001), model_neg=_constant_model(0.001))
-    out = assign_fsiw(pair_tiny, samples)
+    out = assign_fsiw(pair_tiny, x, y, e)
     assert out.weights[0] == pytest.approx(100.0)
     assert out.weights[1] == pytest.approx(0.01)
 
@@ -182,86 +161,72 @@ def test_assign_uses_original_elapsed_time() -> None:
     seen: list[np.ndarray] = []
 
     class _Spy:
-        def predict(self, features, e):
+        def predict(self, x, e):
             seen.append(np.asarray(e, dtype=float).copy())
-            return np.full(len(features), 0.5)
+            return np.full(x.shape[0], 0.5)
 
-    samples = [_labeled(1, 9000), _labeled(0, 123456)]
-    assign_fsiw(WeightModelPair(model_pos=_Spy(), model_neg=_Spy()), samples)
+    pair = WeightModelPair(model_pos=_Spy(), model_neg=_Spy())
+    assign_fsiw(pair, _onehot([0, 0]), np.array([1, 0]), np.array([9000, 123456]))
     for arr in seen:
         assert np.array_equal(arr, np.array([9000.0, 123456.0]))
 
 
 def test_assign_empty_input() -> None:
     pair = WeightModelPair(model_pos=_constant_model(0.5), model_neg=_constant_model(0.5))
-    out = assign_fsiw(pair, [])
+    out = assign_fsiw(pair, _onehot([]), np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64))
     assert len(out) == 0
 
 
 def test_oracle_probability_stubs_reproduce_oracle_weights() -> None:
     cfg = _config(n=4000, seed=11)
     arrays = generate_arrays(cfg)
+    snap = _onehot_snapshot(arrays, cfg.time_span)
     y, e = snapshot_arrays(arrays, cfg.time_span)
-    offs = cfg.onehot_offsets
-    dim = sum(cfg.field_cardinalities)
-    delays = arrays.delays()
-    samples = []
-    for i in range(arrays.n):
-        idx = tuple(
-            int(arrays.values[i, f] + offs[f]) for f in range(len(cfg.field_cardinalities))
-        )
-        yi = int(y[i])
-        samples.append(
-            LabeledSample(
-                x=FeatureVector(indices=idx, dim=dim),
-                y=yi, e=int(e[i]),
-                d=int(delays[i]) if yi else None,
-                click_ts=int(arrays.click_ts[i]),
-            )
-        )
 
     class _TrueObserved:
-        def predict(self, features, e_arr):
-            return -np.expm1(-arrays.true_rate[: len(features)] * np.asarray(e_arr))
+        def predict(self, x, e_arr):
+            return -np.expm1(-arrays.true_rate[: x.shape[0]] * np.asarray(e_arr))
 
     class _TrueStillNegative:
-        def predict(self, features, e_arr):
-            p = arrays.true_p[: len(features)]
-            surv = np.exp(-arrays.true_rate[: len(features)] * np.asarray(e_arr))
+        def predict(self, x, e_arr):
+            p = arrays.true_p[: x.shape[0]]
+            surv = np.exp(-arrays.true_rate[: x.shape[0]] * np.asarray(e_arr))
             return (1 - p) / ((1 - p) + p * surv)
 
     pair = WeightModelPair(
         model_pos=_TrueObserved(), model_neg=_TrueStillNegative(), clip_floor=1e-9
     )
-    got = assign_fsiw(pair, samples).weights
+    got = assign_fsiw(pair, snap.x, snap.y, snap.e).weights
     want = oracle_fsiw_array(arrays.true_p, arrays.true_rate, e.astype(float), y)
     assert np.allclose(got, want, atol=1e-9)
 
 
+def _weighted(y, weights, e=None) -> WeightedDataset:
+    y = np.asarray(y, dtype=np.int8)
+    e = np.full(y.size, 7200) if e is None else np.asarray(e)
+    return WeightedDataset(x=_onehot(np.zeros(y.size, dtype=int)), y=y, e=e, weights=np.asarray(weights))
+
+
 def test_weighted_dataset_invariants() -> None:
-    pos, neg = _labeled(1, 7200), _labeled(0, 7200)
-    with pytest.raises(ValueError, match="> 1"):
-        WeightedDataset(samples=(neg,), weights=np.array([1.5]))
-    with pytest.raises(ValueError, match="< 1"):
-        WeightedDataset(samples=(pos,), weights=np.array([0.5]))
+    with pytest.raises(ValueError, match="negative sample 0 has weight 1.5 > 1"):
+        _weighted([0], [1.5])
+    with pytest.raises(ValueError, match="positive sample 0 has weight 0.5 < 1"):
+        _weighted([1], [0.5])
     with pytest.raises(ValueError, match="mismatch"):
-        WeightedDataset(samples=(pos,), weights=np.array([1.0, 2.0]))
+        _weighted([1], [1.0, 2.0])
+    with pytest.raises(ValueError, match="mismatch"):
+        WeightedDataset(x=_onehot([0, 0]), y=np.array([1]), e=np.array([1]), weights=np.ones(1))
     with pytest.raises(ValueError, match="positive and finite"):
-        WeightedDataset(samples=(pos,), weights=np.array([np.nan]))
+        _weighted([1], [np.nan])
+    # the first offending row is named, whatever its class
+    with pytest.raises(ValueError, match="positive sample 2 has weight"):
+        _weighted([1, 0, 1, 0], [1.0, 1.0, 0.9, 1.5])
     # boundary weight 1.0 is legal on both classes
-    WeightedDataset(samples=(pos, neg), weights=np.array([1.0, 1.0]))
-
-
-def test_unit_weights_are_all_ones() -> None:
-    samples = [_labeled(1, 7200), _labeled(0, 3600)]
-    data = unit_weights(samples)
-    assert np.array_equal(data.weights, np.ones(2))
-    assert data.samples == tuple(samples)
+    _weighted([1, 0], [1.0, 1.0])
 
 
 def test_dump_weights_round_trips_exact_floats(tmp_path) -> None:
-    samples = (_labeled(1, 7200), _labeled(0, 3600))
-    data = WeightedDataset(samples=samples, weights=np.array([1.0 / 3.0 + 1.0, 0.7]))
+    data = _weighted([1, 0], [1.0 / 3.0 + 1.0, 0.7], e=[7200, 3600])
     path = tmp_path / "weights.tsv"
     dump_weights(data, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -280,44 +245,27 @@ def test_fitted_weights_shrink_the_downward_bias_gap() -> None:
     )
     arrays = generate_arrays(cfg)
     training_end = cfg.time_span
-    y, e = snapshot_arrays(arrays, training_end)
-    offs = cfg.onehot_offsets
-    dim = sum(cfg.field_cardinalities)
-    delays = arrays.delays()
-    samples = []
-    for i in range(arrays.n):
-        idx = tuple(
-            int(arrays.values[i, f] + offs[f]) for f in range(len(cfg.field_cardinalities))
-        )
-        yi = int(y[i])
-        samples.append(
-            LabeledSample(
-                x=FeatureVector(indices=idx, dim=dim),
-                y=yi, e=int(e[i]),
-                d=int(delays[i]) if yi else None,
-                click_ts=int(arrays.click_ts[i]),
-            )
-        )
+    snap = _onehot_snapshot(arrays, training_end)
 
-    frac_censored_pos = 1.0 - y.sum() / arrays.c.sum()
+    frac_censored_pos = 1.0 - snap.y.sum() / arrays.c.sum()
     assert frac_censored_pos >= 0.30  # the regime this test is about
 
     d1, d0 = build_artificial_datasets(
-        samples, RelabelConfig(tau=4 * DAY, training_end=training_end)
+        snap, RelabelConfig(tau=4 * DAY, training_end=training_end)
     )
     hyper = WeightModelHyper(l2=1e-4)
     pair = WeightModelPair(
-        model_pos=fit_weight_model(d1, hyper), model_neg=fit_weight_model(d0, hyper)
+        model_pos=fit_weight_model(snap.x[d1.idx], d1.e_adj, d1.s, hyper),
+        model_neg=fit_weight_model(snap.x[d0.idx], d0.e_adj, d0.s, hyper),
     )
-    weighted = assign_fsiw(pair, samples)
+    weighted = assign_fsiw(pair, snap.x, snap.y, snap.e)
 
     opt = OptConfig(max_iter=400, tol=1e-10)
-    naive = train_naive_logistic(samples, 1e-4, opt)
+    naive = train_naive_logistic(snap.x, snap.y, 1e-4, opt)
     corrected = train_weighted_logistic(weighted, 1e-4, opt)
-    feats = [s.x for s in samples]
     true_mean = float(arrays.true_p.mean())
-    mean_naive = float(np.mean(predict_cvr_batch(naive, feats)))
-    mean_corrected = float(np.mean(predict_cvr_batch(corrected, feats)))
+    mean_naive = float(np.mean(predict_cvr_batch(naive, snap.x)))
+    mean_corrected = float(np.mean(predict_cvr_batch(corrected, snap.x)))
 
     assert mean_naive < true_mean * 0.9  # >10% relative underestimate
     gap_ratio = abs(mean_corrected - true_mean) / abs(mean_naive - true_mean)
