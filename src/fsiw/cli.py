@@ -126,6 +126,12 @@ def cmd_run(args) -> int:
             f"split {row.split} {row.trainer}: ll={flat.ll:.6f} "
             f"nll={flat.nll:.4f} pr_auc={flat.pr_auc:.6f}"
         )
+        if not row.fit.converged:
+            print(
+                f"warning: split {row.split} {row.trainer}: CVR fit did not converge "
+                f"(n_iter={row.fit.n_iter}, stopped_early={row.fit.stopped_early})",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -147,6 +153,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.bootstrap_b < 100:
+        raise CliError(f"--bootstrap-b must be at least 100, got {args.bootstrap_b}")
+    if args.train_mean_cvr is not None and not 0.0 < args.train_mean_cvr < 1.0:
+        raise CliError(f"--train-mean-cvr must be in (0, 1), got {args.train_mean_cvr}")
     labels: list[float] = []
     preds: list[float] = []
     line_nos: list[int] = []
@@ -174,13 +184,23 @@ def cmd_eval(args) -> int:
             line_nos.append(line_no)
     if not labels:
         raise CliError(f"{path}: no prediction rows")
-    base = args.train_mean_cvr if args.train_mean_cvr is not None else float(np.mean(labels))
+    base = args.train_mean_cvr
+    if base is None:
+        base = float(np.mean(labels))
+        if base in (0.0, 1.0):
+            also = " (and average precision needs a positive label)" if base == 0.0 else ""
+            raise CliError(
+                f"{path}: the mean test label is {int(base)}, not a baseline rate in (0, 1), "
+                f"so --train-mean-cvr must be given{also}"
+            )
     try:
         report = evaluate_predictions(
             labels, preds, base, bootstrap_b=args.bootstrap_b, seed=args.seed or 0
         )
     except MetricInputError as exc:
         raise CliError(f"{path}:{line_nos[exc.index]}: {exc.detail}") from exc
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     print(json.dumps(report.to_flat_dict(), sort_keys=True, indent=2))
     return 0
 

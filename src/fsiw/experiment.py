@@ -43,6 +43,7 @@ from .simulate import (
     to_click_log,
 )
 from .training import (
+    TrainingMeta,
     predict_cvr_batch,
     save_model,
     train_dfm,
@@ -576,6 +577,7 @@ class ReportRow:
     trainer: str
     tau: int
     report: EvalReport
+    fit: TrainingMeta  # how the trainer's optimizer ended; not written to the reports
 
     def to_flat_dict(self) -> dict:
         out = {"split": self.split, "trainer": self.trainer, "tau": self.tau}
@@ -767,7 +769,11 @@ def _fit_and_score(
             )
         except (ValueError, RuntimeError) as exc:
             raise _wrap(split.k, trainer, exc) from exc
-        rows.append(ReportRow(split=split.k, trainer=trainer, tau=tau, report=report))
+        rows.append(
+            ReportRow(
+                split=split.k, trainer=trainer, tau=tau, report=report, fit=models[trainer].meta
+            )
+        )
     return models, weighted, rows
 
 

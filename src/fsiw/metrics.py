@@ -1,5 +1,14 @@
 """Evaluation metrics: log loss, its normalized form, average precision,
 percentile-bootstrap confidence intervals, and delay-distribution summaries.
+
+Average precision ranks rows by a stable descending sort of the scores, so
+rows with equal scores keep their input order (in a bootstrap resample: the
+order in which they were drawn).
+
+The bootstrap CIs of ``evaluate_predictions`` are exact: every resample's
+statistic is the value ``log_loss``, ``normalized_log_loss`` and ``pr_auc``
+return on the resampled rows, bit for bit, but it comes from per-row columns
+prepared once per call, in O(n) per resample and without a sort.
 """
 
 from __future__ import annotations
@@ -28,9 +37,11 @@ DEFAULT_CDF_GRID = (
 )
 
 
-def _as_arrays(labels: Sequence[int], preds: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels, dtype=float)
-    preds = np.asarray(preds, dtype=float)
+def _as_arrays(
+    labels: Sequence[int], preds: Sequence[float], dtype: type | None = float
+) -> tuple[np.ndarray, np.ndarray]:
+    labels = np.asarray(labels, dtype=dtype)
+    preds = np.asarray(preds, dtype=dtype)
     if labels.shape != preds.shape:
         raise ValueError(f"length mismatch: {labels.shape} labels vs {preds.shape} predictions")
     if labels.size == 0:
@@ -62,12 +73,21 @@ def _validate_inputs(labels: np.ndarray, preds: np.ndarray) -> None:
         )
 
 
+def _log_terms(labels: np.ndarray, preds: np.ndarray, clip: float = PRED_CLIP) -> np.ndarray:
+    """Each row's log likelihood; log loss is minus their mean."""
+    p = np.clip(preds, clip, 1.0 - clip)
+    return labels * np.log(p) + (1.0 - labels) * np.log1p(-p)
+
+
+def _mean_loss(terms: np.ndarray) -> float:
+    return float(-np.mean(terms))
+
+
 def log_loss(labels: Sequence[int], preds: Sequence[float], clip: float = PRED_CLIP) -> float:
     """Mean negative log likelihood; predictions are clipped into
     [clip, 1-clip] so perfectly confident mistakes stay finite."""
     labels, preds = _as_arrays(labels, preds)
-    p = np.clip(preds, clip, 1.0 - clip)
-    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)))
+    return _mean_loss(_log_terms(labels, preds, clip))
 
 
 def normalized_log_loss(
@@ -87,7 +107,9 @@ def normalized_log_loss(
 
 def pr_auc(labels: Sequence[int], preds: Sequence[float]) -> float:
     """Average precision: mean over positives of precision at that positive's
-    rank after a stable descending-score sort (ties keep input order)."""
+    rank after a stable descending-score sort. Ties keep input order, so
+    within a group of equal scores that holds both labels the value depends
+    on the order of the rows."""
     labels, preds = _as_arrays(labels, preds)
     n_pos = labels.sum()
     if n_pos == 0:
@@ -108,10 +130,17 @@ def bootstrap_ci(
     seed: int,
 ) -> tuple[float, float]:
     """95% percentile bootstrap interval for ``metric`` over (label, pred)
-    pairs resampled with replacement. Deterministic for a fixed seed."""
+    pairs resampled with replacement. Deterministic for a fixed seed.
+
+    ``labels`` and ``preds`` may be any two per-row columns, of any dtype;
+    each resample passes ``metric`` the rows it drew of both, in draw order.
+    ``evaluate_predictions`` passes columns prepared once (see ``_Ranking``)
+    whose statistics equal the metrics on the drawn (label, pred) rows bit
+    for bit, so its intervals are the ones this loop gives for the metrics
+    themselves."""
     if b < 100:
         raise ValueError(f"need at least 100 resamples, got {b}")
-    labels, preds = _as_arrays(labels, preds)
+    labels, preds = _as_arrays(labels, preds, dtype=None)
     n = labels.size
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
     values = np.empty(b)
@@ -125,6 +154,73 @@ def bootstrap_ci(
         done += take
     lo, hi = np.percentile(values, [2.5, 97.5])
     return float(lo), float(hi)
+
+
+def _resampled_ll(terms: np.ndarray, base_terms: np.ndarray) -> float:
+    """``log_loss`` of the rows whose log likelihoods are ``terms``."""
+    return _mean_loss(terms)
+
+
+def _resampled_nll(terms: np.ndarray, base_terms: np.ndarray) -> float:
+    """``normalized_log_loss`` of the rows whose log likelihoods under the
+    model and under the base rate are ``terms`` and ``base_terms``."""
+    ll_naive = _mean_loss(base_terms)
+    return 100.0 * (ll_naive - _mean_loss(terms)) / ll_naive
+
+
+class _Ranking:
+    """The rows in one stable descending sort of their scores, from which the
+    average precision of any resample of them follows without a sort.
+
+    ``place[i]`` is row i's place in that sort. The same sort of a resample
+    lists the places in ascending order, each as often as it was drawn,
+    except inside a tie group (rows of equal score): there the stable sort
+    keeps the order of the draws. That only matters where the group holds
+    both labels; ``tied[i]`` says whether row i's group does.
+    """
+
+    def __init__(self, labels: np.ndarray, preds: np.ndarray):
+        order = np.argsort(-preds, kind="stable")
+        n = order.size
+        hit = labels[order] == 1
+        scores = preds[order]
+        starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+        sizes = np.diff(np.r_[starts, n])
+        n_hits = np.add.reduceat(hit, starts, dtype=np.intp)
+        mixed = np.repeat((n_hits > 0) & (n_hits < sizes), sizes)
+        self.hit = hit
+        self.hit_places = np.flatnonzero(hit)
+        self.hit_mixed = mixed[self.hit_places]
+        self.group_start = np.repeat(starts, sizes)
+        self.place = np.empty(n, dtype=np.intp)
+        self.place[order] = np.arange(n)
+        self.tied = mixed[self.place]
+
+    def average_precision(self, place: np.ndarray, tied: np.ndarray, fallback: float) -> float:
+        """``pr_auc`` of the resample whose rows have these ``place`` and
+        ``tied`` values, in draw order; ``fallback`` if it has no positive."""
+        counts = np.bincount(place, minlength=self.hit.size)
+        copies = counts[self.hit_places]
+        n_pos = int(copies.sum())
+        if n_pos == 0:
+            return fallback
+        # rows of the resample sorted above or at each place
+        upto = np.cumsum(counts)
+        # 1-based rank of every positive copy, in sorted order: its place's
+        # first rank plus the copy's index among that place's copies
+        k = np.arange(1, n_pos + 1)  # positives ranked at or above each copy
+        first = np.cumsum(copies) - copies
+        ranks = np.repeat(upto[self.hit_places] - copies - first, copies) + k
+        drawn = place[np.flatnonzero(tied)]
+        if drawn.size:
+            # in a tie group with both labels the resample's draws keep their
+            # order: the group's i-th draw has rank (rows above the group) + i + 1
+            drawn = drawn[np.argsort(self.group_start[drawn], kind="stable")]
+            start = self.group_start[drawn]
+            rank = upto[start] - counts[start] + np.arange(1, drawn.size + 1)
+            rank -= np.searchsorted(start, start)
+            ranks[np.repeat(self.hit_mixed, copies)] = rank[self.hit[drawn]]
+        return float((k / ranks).mean())
 
 
 @dataclass(frozen=True)
@@ -244,17 +340,16 @@ def evaluate_predictions(
     nll = normalized_log_loss(labels_arr, preds_arr, train_mean_cvr)
     ap = pr_auc(labels_arr, preds_arr)
 
-    def nll_metric(lab: np.ndarray, pr: np.ndarray) -> float:
-        return normalized_log_loss(lab, pr, train_mean_cvr)
+    terms = _log_terms(labels_arr, preds_arr)
+    base_terms = _log_terms(labels_arr, np.full(labels_arr.shape, train_mean_cvr, dtype=float))
+    ranking = _Ranking(labels_arr, preds_arr)
 
-    def ap_metric(lab: np.ndarray, pr: np.ndarray) -> float:
-        if lab.sum() == 0:
-            return ap
-        return pr_auc(lab, pr)
+    def ap_metric(place: np.ndarray, tied: np.ndarray) -> float:
+        return ranking.average_precision(place, tied, ap)
 
-    ll_ci = bootstrap_ci(log_loss, labels_arr, preds_arr, bootstrap_b, seed)
-    nll_ci = bootstrap_ci(nll_metric, labels_arr, preds_arr, bootstrap_b, seed + 1)
-    ap_ci = bootstrap_ci(ap_metric, labels_arr, preds_arr, bootstrap_b, seed + 2)
+    ll_ci = bootstrap_ci(_resampled_ll, terms, base_terms, bootstrap_b, seed)
+    nll_ci = bootstrap_ci(_resampled_nll, terms, base_terms, bootstrap_b, seed + 1)
+    ap_ci = bootstrap_ci(ap_metric, ranking.place, ranking.tied, bootstrap_b, seed + 2)
 
     def bracket(point: float, ci: tuple[float, float]) -> tuple[float, float]:
         return (min(ci[0], point), max(ci[1], point))

@@ -266,7 +266,9 @@ def dfm_nll_grad(
     pos = y == 1
 
     with np.errstate(over="ignore", under="ignore"):
-        lam_t = np.exp(u) * np.where(pos, d_days, e_days)
+        lam = np.exp(u)
+        t = np.where(pos, d_days, e_days)
+        lam_t = lam * t
         v = z - lam_t
         if want_grad:
             sp_z, p = softplus_sigmoid(z)
@@ -282,7 +284,14 @@ def dfm_nll_grad(
     # dz = p - 1 and du = λd - 1 on positives, dz = p - r2 and du = r2·λe on negatives
     q = np.where(pos, 1.0, r2)
     dz = (p - q) / denom
-    du = (lam_t * q - pos) / denom
+    with np.errstate(invalid="ignore"):
+        du = lam_t * q - pos
+    over = np.isinf(lam_t)
+    if over.any():
+        # λ·t overflowed, so r2 = 0 on a negative: q·λ first, then t, gives
+        # its du = 0 unless λ itself is inf
+        du[over] = q[over] * lam[over] * t[over] - pos[over]
+    du /= denom
 
     grad = np.empty_like(theta)
     grad[:dim] = xt @ dz + l2 * wc

@@ -173,6 +173,76 @@ def test_eval_reads_line_one_as_a_header_only_when_its_label_is_not_a_number(
     assert json.loads(proc.stdout)["n_test"] == n_test
 
 
+@pytest.mark.parametrize("label", [0, 1])
+def test_eval_without_a_base_rate_names_the_mean_label(tmp_path, label) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text(f"{label}\t0.2\n{label}\t0.7\n", encoding="utf-8")
+    proc = _fsiw("eval", "--preds", str(path), "--bootstrap-b", "100")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        f"error: {path}: the mean test label is {label}, not a baseline rate in (0, 1), "
+        "so --train-mean-cvr must be given"
+    )
+    assert "train_mean_cvr must be in" not in proc.stderr
+
+
+def test_eval_with_a_base_rate_scores_a_file_of_positives(tmp_path) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text("1\t0.2\n1\t0.7\n", encoding="utf-8")
+    proc = _fsiw("eval", "--preds", str(path), "--train-mean-cvr", "0.3", "--bootstrap-b", "100")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pr_auc"] == 1.0
+
+
+def test_eval_with_a_base_rate_names_the_file_without_positives(tmp_path) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text("0\t0.2\n0\t0.7\n", encoding="utf-8")
+    proc = _fsiw("eval", "--preds", str(path), "--train-mean-cvr", "0.3", "--bootstrap-b", "100")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: average precision needs at least one positive label\n"
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (("--bootstrap-b", "99"), "--bootstrap-b must be at least 100, got 99"),
+        (("--bootstrap-b", "0"), "--bootstrap-b must be at least 100, got 0"),
+        (("--train-mean-cvr", "0"), "--train-mean-cvr must be in (0, 1), got 0.0"),
+        (("--train-mean-cvr", "1"), "--train-mean-cvr must be in (0, 1), got 1.0"),
+        (("--train-mean-cvr", "-0.2"), "--train-mean-cvr must be in (0, 1), got -0.2"),
+        (("--train-mean-cvr", "nan"), "--train-mean-cvr must be in (0, 1), got nan"),
+    ],
+)
+def test_eval_rejects_bad_flags_before_reading_the_file(tmp_path, flags, message) -> None:
+    # the file does not exist: a flag error proves the file was never opened
+    proc = _fsiw("eval", "--preds", str(tmp_path / "nope.tsv"), *flags)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_run_warns_on_stderr_for_each_unconverged_cvr_fit(tmp_path, config_path) -> None:
+    out = tmp_path / "out"
+    proc = _fsiw("run", "-c", str(config_path), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    metas = {
+        p.stem.removeprefix("model_split0_"): json.loads(p.read_text(encoding="utf-8"))["meta"]
+        for p in out.glob("model_split0_*.json")
+    }
+    unconverged = sorted(t for t, meta in metas.items() if not meta["converged"])
+    assert unconverged == ["lr_fsiw"]  # naive_lr converges at this config
+    warnings = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        f"warning: split 0 {t}: CVR fit did not converge "
+        f"(n_iter={metas[t]['n_iter']}, stopped_early={metas[t]['stopped_early']})"
+        for t in unconverged
+    ]
+    assert "warning" not in proc.stdout
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["config_resolved.yaml", "manifest.json", "reports.csv", "reports.json",
+         "weights_split0.tsv", "model_split0_naive_lr.json", "model_split0_lr_fsiw.json"]
+    )
+
+
 def test_eval_requires_existing_file(tmp_path) -> None:
     proc = _fsiw("eval", "--preds", str(tmp_path / "nope.tsv"))
     assert proc.returncode == 2

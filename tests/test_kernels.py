@@ -178,3 +178,19 @@ def test_dfm_loss_with_overflowing_rate_raises_no_warning() -> None:
         warnings.simplefilter("error")
         loss, _ = dfm_nll_grad(*args, want_grad=False)
     assert loss == np.inf == _reference_dfm_nll_grad(*args, want_grad=False)[0]
+
+
+def test_dfm_grad_where_only_the_rate_times_elapsed_time_overflows() -> None:
+    # λ = exp(709) is finite, but λ·e is not: the negative's r2 is 0, and its
+    # du is r2·λ·e = 0 as in the reference, not 0·inf = nan with a warning
+    x = sparse.csr_matrix(np.zeros((2, 1)))
+    y = np.array([1.0, 0.0])
+    d_days = np.array([6.5, 0.0])
+    e_days = np.array([11.9, 4.2])
+    theta = np.array([0.0, 0.0, 0.0, 709.0])
+    args = (theta, x, x.T.tocsr(), y, d_days, e_days, 0.0, 2.0)
+    (ref_loss, ref_grad), ref_warnings = _run_recording(lambda: _reference_dfm_nll_grad(*args))
+    loss, grad = _run_raising_new_warnings(lambda: dfm_nll_grad(*args), ref_warnings)
+    _assert_close(loss, ref_loss)
+    _assert_close(grad, ref_grad)
+    assert not np.isnan(grad).any()

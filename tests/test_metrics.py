@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fsiw.data import NO_CONVERSION
@@ -15,6 +15,10 @@ from fsiw.metrics import (
     DEFAULT_CDF_GRID,
     EvalReport,
     MetricInputError,
+    _log_terms,
+    _Ranking,
+    _resampled_ll,
+    _resampled_nll,
     bootstrap_ci,
     delay_stats,
     evaluate_predictions,
@@ -281,3 +285,172 @@ def test_validation_accepts_probabilities_and_names_the_first_bad_sample(n, seed
         evaluate_predictions(labels, preds, 0.5, bootstrap_b=100, seed=0)
     assert info.value.index == bad_at[0]
     assert str(info.value).startswith(f"sample {bad_at[0]}: ")
+
+
+# The per-resample metric calls that evaluate_predictions made before its
+# resample statistics were computed from per-row columns; kept as the
+# reference that those statistics must match bit for bit.
+
+
+def _reference_log_loss(labels: np.ndarray, preds: np.ndarray) -> float:
+    p = np.clip(preds, 1e-15, 1.0 - 1e-15)
+    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)))
+
+
+def _reference_nll(labels: np.ndarray, preds: np.ndarray, base: float) -> float:
+    ll = _reference_log_loss(labels, preds)
+    ll_naive = _reference_log_loss(labels, np.full(labels.shape, base))
+    return 100.0 * (ll_naive - ll) / ll_naive
+
+
+def _reference_pr_auc(labels: np.ndarray, preds: np.ndarray) -> float:
+    order = np.argsort(-preds, kind="stable")
+    sorted_labels = labels[order]
+    cum_pos = np.cumsum(sorted_labels)
+    ranks = np.arange(1, labels.size + 1)
+    return float((cum_pos / ranks)[sorted_labels == 1].mean())
+
+
+def _reference_evaluate(labels, preds, base: float, b: int, seed: int) -> dict:
+    labels, preds = np.asarray(labels, dtype=float), np.asarray(preds, dtype=float)
+    ap = _reference_pr_auc(labels, preds)
+
+    def ap_metric(lab: np.ndarray, pr: np.ndarray) -> float:
+        return ap if lab.sum() == 0 else _reference_pr_auc(lab, pr)
+
+    points = {
+        "ll": _reference_log_loss(labels, preds),
+        "nll": _reference_nll(labels, preds, base),
+        "pr_auc": ap,
+    }
+    metrics = {
+        "ll": _reference_log_loss,
+        "nll": lambda lab, pr: _reference_nll(lab, pr, base),
+        "pr_auc": ap_metric,
+    }
+    flat = {"n_test": labels.size, "mean_pred": float(preds.mean()),
+            "mean_label": float(labels.mean()), "train_mean_cvr": base}
+    for offset, (name, metric) in enumerate(metrics.items()):
+        lo, hi = bootstrap_ci(metric, labels, preds, b, seed + offset)
+        flat[name] = points[name]
+        flat[f"{name}_lo"] = min(lo, points[name])
+        flat[f"{name}_hi"] = max(hi, points[name])
+    return flat
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+# few distinct scores, so tie groups holding both labels are common; 0 and 1
+# are clipped by the log losses, and -0.0 ties with 0.0
+TIED_SCORES = st.sampled_from([0.0, -0.0, 1e-16, 0.01, 0.2, 0.5, 0.99, 1.0])
+ANY_SCORE = st.one_of(TIED_SCORES, st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 60).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(ANY_SCORE, min_size=n, max_size=n),
+        )
+    ),
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.integers(0, 2**32 - 1),
+)
+def test_resample_statistics_match_the_metrics_bit_for_bit(rows, base, seed) -> None:
+    labels = np.array(rows[0], dtype=float)
+    preds = np.array(rows[1], dtype=float)
+    n = labels.size
+    terms = _log_terms(labels, preds)
+    base_terms = _log_terms(labels, np.full(n, base))
+    ranking = _Ranking(labels, preds)
+    fallback = 0.123
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(0, n, n) for _ in range(20)]
+    draws.append(np.arange(n))
+    negatives = np.flatnonzero(labels == 0)
+    if negatives.size:
+        draws.append(np.resize(negatives, n))  # no positive: the fallback
+    for r in draws:
+        lab, pr = labels[r], preds[r]
+        assert _bits(_resampled_ll(terms[r], base_terms[r])) == _bits(
+            _reference_log_loss(lab, pr)
+        )
+        assert _bits(_resampled_nll(terms[r], base_terms[r])) == _bits(
+            _reference_nll(lab, pr, base)
+        )
+        want = _reference_pr_auc(lab, pr) if lab.sum() > 0 else fallback
+        got = ranking.average_precision(ranking.place[r], ranking.tied[r], fallback)
+        assert _bits(got) == _bits(want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(ANY_SCORE, min_size=n, max_size=n),
+        )
+    ),
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.integers(0, 2**31),
+)
+def test_evaluate_predictions_matches_the_per_resample_metrics(rows, base, seed) -> None:
+    labels, preds = rows
+    assume(any(labels))  # the point estimate of average precision needs a positive
+    got = evaluate_predictions(labels, preds, base, bootstrap_b=100, seed=seed).to_flat_dict()
+    want = _reference_evaluate(labels, preds, base, 100, seed)
+    assert {k: _bits(v) for k, v in got.items()} == {k: _bits(v) for k, v in want.items()}
+
+
+def _smooth_scores() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(2024)
+    labels = (rng.random(300) < 0.3).astype(int)
+    preds = np.clip(0.3 * labels + rng.uniform(0.02, 0.7, 300), 0.0, 1.0)
+    return labels, preds
+
+
+def _tied_scores() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(7)
+    preds = rng.choice([0.0, 0.01, 0.2, 0.5, 0.99, 1.0], 250)
+    labels = (rng.random(250) < 0.2 + 0.6 * preds).astype(int)
+    return labels, preds
+
+
+@pytest.mark.parametrize(
+    ("inputs", "base", "b", "seed", "want"),
+    [
+        (
+            _smooth_scores, 0.25, 200, 11,
+            {
+                "ll": 0.5026689689786261, "ll_lo": 0.46176284312400395,
+                "ll_hi": 0.5381185220387423, "nll": 26.025925345355766,
+                "nll_lo": 16.06058363564487, "nll_hi": 32.99326981451845,
+                "pr_auc": 0.7858764265209758, "pr_auc_lo": 0.7208188769371486,
+                "pr_auc_hi": 0.8421304241671302, "n_test": 300,
+                "mean_pred": 0.47778467853222367, "mean_label": 0.3566666666666667,
+                "train_mean_cvr": 0.25,
+            },
+        ),
+        (
+            _tied_scores, 0.3, 300, 4,
+            {
+                "ll": 3.3823995397759528, "ll_lo": 2.391052309498082,
+                "ll_hi": 4.860515334225121, "nll": -347.0528182469723,
+                "nll_lo": -533.3087836838059, "nll_hi": -207.6773444828918,
+                "pr_auc": 0.6918136340287067, "pr_auc_lo": 0.6199697540518575,
+                "pr_auc_hi": 0.795731633501275, "n_test": 250,
+                "mean_pred": 0.48475999999999997, "mean_label": 0.472,
+                "train_mean_cvr": 0.3,
+            },
+        ),
+    ],
+)
+def test_evaluate_predictions_reproduces_pinned_reports(inputs, base, b, seed, want) -> None:
+    # values written by the per-resample implementation; any change to a CI's
+    # bytes shows up here
+    labels, preds = inputs()
+    report = evaluate_predictions(labels, preds, base, bootstrap_b=b, seed=seed)
+    assert report.to_flat_dict() == want
