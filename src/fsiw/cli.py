@@ -101,7 +101,7 @@ def cmd_stats(args) -> int:
         if not config.data.schema:
             raise CliError("stats on a TSV needs data.schema in the config")
         log = read_tsv(
-            args.data, list(config.data.schema), dim=config.hash_dim, seed=config.hash_seed
+            args.data, list(config.data.schema), dim=config.hashing.dim, seed=config.hashing.seed
         )
     else:
         log = load_source(config)[0]

@@ -14,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -75,6 +76,9 @@ ROLE_EVAL = 24
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([smhdw]?)\s*$")
 _UNIT_SECONDS = {"": 1, "s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
 
+# field metadata of a config key whose values go through parse_duration
+DURATION = {"duration": True}
+
 
 class PipelineError(RuntimeError):
     """A component failed; the message carries split/trainer context."""
@@ -105,11 +109,11 @@ def _derived_seed(*parts: int) -> int:
 class SimulatorSpec:
     n_samples: int = 20000
     field_cardinalities: tuple[int, ...] = (16, 16, 16, 16)
-    time_span: int = 28 * 86400
+    time_span: int = field(default=28 * 86400, metadata=DURATION)
     cvr_bias: float = -2.0
     cvr_spread: float = 1.0
     delay_family: str = "exponential"
-    mean_delay: int = 4 * 86400
+    mean_delay: int = field(default=4 * 86400, metadata=DURATION)
     rate_spread: float = 0.5
     modulation_depth: float = 0.0
 
@@ -145,26 +149,13 @@ class SimulatorSpec:
             seed=_derived_seed(seed, ROLE_SIM_DATA),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "field_cardinalities": list(self.field_cardinalities),
-            "time_span": self.time_span,
-            "cvr_bias": self.cvr_bias,
-            "cvr_spread": self.cvr_spread,
-            "delay_family": self.delay_family,
-            "mean_delay": self.mean_delay,
-            "rate_spread": self.rate_spread,
-            "modulation_depth": self.modulation_depth,
-        }
-
 
 @dataclass(frozen=True)
 class DataSpec:
     kind: str = "simulator"
     path: str | None = None
     schema: tuple[FieldSpec, ...] = ()
-    observational_period: int | None = None
+    observational_period: int | None = field(default=None, metadata=DURATION)
     tracked_until: int | None = None
     simulator: SimulatorSpec = field(default_factory=SimulatorSpec)
 
@@ -182,31 +173,27 @@ class DataSpec:
                     "labels can be proven final"
                 )
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "tsv":
-            out.update(
-                {
-                    "path": self.path,
-                    "schema": [
-                        {"name": f.name, "kind": f.kind, "bins": list(f.bins) if f.bins else None}
-                        for f in self.schema
-                    ],
-                    "observational_period": self.observational_period,
-                    "tracked_until": self.tracked_until,
-                }
+
+@dataclass(frozen=True)
+class HashingSpec:
+    dim: int = data_mod.DEFAULT_HASH_DIM
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.dim < 2 or self.dim & (self.dim - 1):
+            raise ConfigError(f"hashing.dim must be a power of two >= 2, got {self.dim}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(
+                f"hashing.seed must fit in an unsigned 64-bit integer, got {self.seed}"
             )
-        else:
-            out["simulator"] = self.simulator.to_dict()
-        return out
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_window: int = 21 * 86400
-    validation_window: int = 0
-    test_window: int = 86400
-    stride: int = 86400
+    train_window: int = field(default=21 * 86400, metadata=DURATION)
+    validation_window: int = field(default=0, metadata=DURATION)
+    test_window: int = field(default=86400, metadata=DURATION)
+    stride: int = field(default=86400, metadata=DURATION)
     n_splits: int | None = None
 
     def __post_init__(self):
@@ -221,20 +208,11 @@ class SplitSpec:
     def total_window(self) -> int:
         return self.train_window + self.validation_window + self.test_window
 
-    def to_dict(self) -> dict:
-        return {
-            "train_window": self.train_window,
-            "validation_window": self.validation_window,
-            "test_window": self.test_window,
-            "stride": self.stride,
-            "n_splits": self.n_splits,
-        }
-
 
 @dataclass(frozen=True)
 class WeightHyperSpec:
     l2: float = 1e-3
-    edges: tuple[int, ...] = ElapsedBasis().edges
+    edges: tuple[int, ...] = field(default=ElapsedBasis().edges, metadata=DURATION)
     max_iter: int = 300
     holdout_fraction: float = 0.1
 
@@ -248,32 +226,35 @@ class WeightHyperSpec:
             seed=seed,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "l2": self.l2,
-            "edges": list(self.edges),
-            "max_iter": self.max_iter,
-            "holdout_fraction": self.holdout_fraction,
-        }
+
+@dataclass(frozen=True)
+class MetricsSpec:
+    bootstrap_b: int = 200
+
+    def __post_init__(self):
+        if self.bootstrap_b < 100:
+            raise ConfigError("bootstrap_b must be at least 100")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The whole experiment; each field is the YAML key of the same name,
+    and its default is the value a config that omits the key gets."""
+
     seed: int = 0
     output_dir: str = "runs/out"
     data: DataSpec = field(default_factory=DataSpec)
-    hash_dim: int = data_mod.DEFAULT_HASH_DIM
-    hash_seed: int = 0
+    hashing: HashingSpec = field(default_factory=HashingSpec)
     split: SplitSpec = field(default_factory=SplitSpec)
-    tau: tuple[int, ...] = (7 * 86400,)
-    trainers: tuple[str, ...] = ("naive_lr", "lr_fsiw", "dfm")
+    tau: tuple[int, ...] = field(default=(7 * 86400,), metadata=DURATION)
+    trainers: tuple[str, ...] = TRAINERS
     l2: float = 1e-4
     normalization: str = "mean"
     optimizer: OptConfig = field(default_factory=lambda: OptConfig(max_iter=400))
-    weight_pos: WeightHyperSpec = field(default_factory=WeightHyperSpec)
-    weight_neg: WeightHyperSpec = field(default_factory=WeightHyperSpec)
+    weight_model_pos: WeightHyperSpec = field(default_factory=WeightHyperSpec)
+    weight_model_neg: WeightHyperSpec = field(default_factory=WeightHyperSpec)
     clip_floor: float = 0.01
-    bootstrap_b: int = 200
+    metrics: MetricsSpec = field(default_factory=MetricsSpec)
 
     def __post_init__(self):
         if not self.trainers:
@@ -291,220 +272,108 @@ class ExperimentConfig:
                 )
         if self.normalization not in ("mean", "sum"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.hash_dim < 2 or self.hash_dim & (self.hash_dim - 1):
-            raise ConfigError(f"hashing.dim must be a power of two >= 2, got {self.hash_dim}")
-        if not 0 <= self.hash_seed < 2**64:
-            raise ConfigError(
-                f"hashing.seed must fit in an unsigned 64-bit integer, got {self.hash_seed}"
-            )
-        if self.bootstrap_b < 100:
-            raise ConfigError("bootstrap_b must be at least 100")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "data": self.data.to_dict(),
-            "hashing": {"dim": self.hash_dim, "seed": self.hash_seed},
-            "split": self.split.to_dict(),
-            "tau": list(self.tau),
-            "trainers": list(self.trainers),
-            "l2": self.l2,
-            "normalization": self.normalization,
-            "optimizer": {
-                "max_iter": self.optimizer.max_iter,
-                "tol": self.optimizer.tol,
-                "step0": self.optimizer.step0,
-                "eval_every": self.optimizer.eval_every,
-                "patience": self.optimizer.patience,
-            },
-            "weight_model_pos": self.weight_pos.to_dict(),
-            "weight_model_neg": self.weight_neg.to_dict(),
-            "clip_floor": self.clip_floor,
-            "metrics": {"bootstrap_b": self.bootstrap_b},
-        }
+        for key in ("weight_model_pos", "weight_model_neg"):
+            try:
+                getattr(self, key).build(self.clip_floor, 0)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
     def sha256(self) -> str:
         """Fingerprint of the experiment: everything except where output lands."""
-        payload = self.to_dict()
+        payload = _to_plain(self)
         payload.pop("output_dir", None)
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
+    def to_yaml(self) -> str:
+        """The resolved config: every key with its value, defaults included."""
+        return yaml.safe_dump(_to_plain(self), sort_keys=True, default_flow_style=False)
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+
+def _keys(cls: type) -> list[Field]:
+    # an optimizer's seed is derived per fit from the global seed, never set
+    return [f for f in fields(cls) if not (cls is OptConfig and f.name == "seed")]
+
+
+def _to_plain(node):
+    """The YAML tree of a config node: dataclasses become mappings of their
+    keys, tuples become lists."""
+    if isinstance(node, tuple):
+        return [_to_plain(v) for v in node]
+    if not is_dataclass(node):
+        return node
+    out = {f.name: _to_plain(getattr(node, f.name)) for f in _keys(type(node))}
+    if isinstance(node, DataSpec):  # a source records only its own kind's keys
+        is_sim = node.kind == "simulator"
+        out = {k: v for k, v in out.items() if k == "kind" or (k == "simulator") == is_sim}
+    return out
+
+
+def _convert(tp, value, default, duration: bool, where: str):
+    """``value`` read as type ``tp``: nested dataclasses through _read,
+    tuples element by element (a scalar is a one-element list), durations
+    through parse_duration, and scalars without loss."""
+    if get_origin(tp) is UnionType:  # X | None
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return (_convert(get_args(tp)[0], value, None, duration, where),)
+        return tuple(
+            _convert(get_args(tp)[0], v, None, duration, f"{where}[{i}]")
+            for i, v in enumerate(value)
+        )
+    if is_dataclass(tp):
+        return _read(tp, value, default, where)
+    if duration:
+        return parse_duration(value, where)
+    bad = ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, str if tp is str else (int, float, str)):
+        raise bad
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise bad  # never truncate
+    try:
+        return tp(value)
+    except (ValueError, OverflowError):
+        raise bad from None
+
+
+def _read(cls: type, raw, default, where: str):
+    """Build a ``cls`` from the mapping ``raw``. Keys absent from ``raw``
+    keep their value in ``default`` (the enclosing default instance), or,
+    without one, the field's own default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'}: expected a mapping, got {raw!r}")
+    keys = _keys(cls)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ConfigError(
+            f"unknown key(s) in {where or 'config'}: {', '.join(sorted(map(str, unknown)))}"
+        )
+    hints = get_type_hints(cls)
+    values = {
+        f.name: _convert(
+            hints[f.name],
+            raw[f.name],
+            getattr(default, f.name, None),
+            "duration" in f.metadata,
+            f"{where}.{f.name}" if where else f.name,
+        )
+        for f in keys
+        if f.name in raw
+    }
+    if default is not None:
+        return replace(default, **values)
+    required = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING]
+    missing = [name for name in required if name not in raw]
+    if missing:
+        raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
+    return cls(**values)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a plain (YAML) dict."""
-    raw = dict(raw or {})
-    _require_keys(
-        raw,
-        {
-            "seed",
-            "output_dir",
-            "data",
-            "hashing",
-            "split",
-            "tau",
-            "trainers",
-            "l2",
-            "normalization",
-            "optimizer",
-            "weight_model_pos",
-            "weight_model_neg",
-            "clip_floor",
-            "metrics",
-        },
-        "config",
-    )
-
-    data_raw = dict(raw.get("data", {}))
-    _require_keys(
-        data_raw,
-        {"kind", "path", "schema", "observational_period", "tracked_until", "simulator"},
-        "data",
-    )
-    sim_raw = dict(data_raw.get("simulator", {}))
-    _require_keys(
-        sim_raw,
-        {
-            "n_samples",
-            "field_cardinalities",
-            "time_span",
-            "cvr_bias",
-            "cvr_spread",
-            "delay_family",
-            "mean_delay",
-            "rate_spread",
-            "modulation_depth",
-        },
-        "data.simulator",
-    )
-    sim_defaults = SimulatorSpec()
-    simulator = SimulatorSpec(
-        n_samples=int(sim_raw.get("n_samples", sim_defaults.n_samples)),
-        field_cardinalities=tuple(
-            sim_raw.get("field_cardinalities", sim_defaults.field_cardinalities)
-        ),
-        time_span=parse_duration(sim_raw.get("time_span", sim_defaults.time_span), "time_span"),
-        cvr_bias=float(sim_raw.get("cvr_bias", sim_defaults.cvr_bias)),
-        cvr_spread=float(sim_raw.get("cvr_spread", sim_defaults.cvr_spread)),
-        delay_family=str(sim_raw.get("delay_family", sim_defaults.delay_family)),
-        mean_delay=parse_duration(sim_raw.get("mean_delay", sim_defaults.mean_delay), "mean_delay"),
-        rate_spread=float(sim_raw.get("rate_spread", sim_defaults.rate_spread)),
-        modulation_depth=float(sim_raw.get("modulation_depth", sim_defaults.modulation_depth)),
-    )
-    schema = tuple(
-        FieldSpec(
-            name=f["name"],
-            kind=f.get("kind", "categorical"),
-            bins=tuple(f["bins"]) if f.get("bins") else None,
-        )
-        for f in data_raw.get("schema", [])
-    )
-    data_spec = DataSpec(
-        kind=data_raw.get("kind", "simulator"),
-        path=data_raw.get("path"),
-        schema=schema,
-        observational_period=(
-            parse_duration(data_raw["observational_period"], "observational_period")
-            if data_raw.get("observational_period") is not None
-            else None
-        ),
-        tracked_until=(
-            int(data_raw["tracked_until"]) if data_raw.get("tracked_until") is not None else None
-        ),
-        simulator=simulator,
-    )
-
-    hash_raw = dict(raw.get("hashing", {}))
-    _require_keys(hash_raw, {"dim", "seed"}, "hashing")
-
-    split_raw = dict(raw.get("split", {}))
-    _require_keys(
-        split_raw,
-        {"train_window", "validation_window", "test_window", "stride", "n_splits"},
-        "split",
-    )
-    split_defaults = SplitSpec()
-    split = SplitSpec(
-        train_window=parse_duration(
-            split_raw.get("train_window", split_defaults.train_window), "train_window"
-        ),
-        validation_window=parse_duration(
-            split_raw.get("validation_window", split_defaults.validation_window),
-            "validation_window",
-        ),
-        test_window=parse_duration(
-            split_raw.get("test_window", split_defaults.test_window), "test_window"
-        ),
-        stride=parse_duration(split_raw.get("stride", split_defaults.stride), "stride"),
-        n_splits=(int(split_raw["n_splits"]) if split_raw.get("n_splits") is not None else None),
-    )
-
-    tau_raw = raw.get("tau", 7 * 86400)
-    if not isinstance(tau_raw, (list, tuple)):
-        tau_raw = [tau_raw]
-    tau = tuple(parse_duration(t, "tau") for t in tau_raw)
-
-    opt_raw = dict(raw.get("optimizer", {}))
-    _require_keys(
-        opt_raw,
-        {"max_iter", "tol", "step0", "eval_every", "patience"},
-        "optimizer",
-    )
-    optimizer = OptConfig(
-        max_iter=int(opt_raw.get("max_iter", 400)),
-        tol=float(opt_raw.get("tol", 1e-9)),
-        step0=float(opt_raw.get("step0", 1.0)),
-        eval_every=int(opt_raw.get("eval_every", 10)),
-        patience=int(opt_raw.get("patience", 5)),
-    )
-
-    def weight_spec(key: str) -> WeightHyperSpec:
-        w_raw = dict(raw.get(key, {}))
-        _require_keys(w_raw, {"l2", "edges", "max_iter", "holdout_fraction"}, key)
-        defaults = WeightHyperSpec()
-        return WeightHyperSpec(
-            l2=float(w_raw.get("l2", defaults.l2)),
-            edges=tuple(parse_duration(e, f"{key}.edges") for e in w_raw.get("edges", defaults.edges)),
-            max_iter=int(w_raw.get("max_iter", defaults.max_iter)),
-            holdout_fraction=float(w_raw.get("holdout_fraction", defaults.holdout_fraction)),
-        )
-
-    metrics_raw = dict(raw.get("metrics", {}))
-    _require_keys(metrics_raw, {"bootstrap_b"}, "metrics")
-
-    return ExperimentConfig(
-        seed=int(raw.get("seed", 0)),
-        output_dir=str(raw.get("output_dir", "runs/out")),
-        data=data_spec,
-        hash_dim=int(hash_raw.get("dim", data_mod.DEFAULT_HASH_DIM)),
-        hash_seed=int(hash_raw.get("seed", 0)),
-        split=split,
-        tau=tau,
-        trainers=tuple(raw.get("trainers", ("naive_lr", "lr_fsiw", "dfm"))),
-        l2=float(raw.get("l2", 1e-4)),
-        normalization=str(raw.get("normalization", "mean")),
-        optimizer=optimizer,
-        weight_pos=weight_spec("weight_model_pos"),
-        weight_neg=weight_spec("weight_model_neg"),
-        clip_floor=float(raw.get("clip_floor", 0.01)),
-        bootstrap_b=int(metrics_raw.get("bootstrap_b", 200)),
-    )
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a mapping")
-    return config_from_dict(raw)
+    return _read(ExperimentConfig, raw or {}, ExperimentConfig(), "")
 
 
 @dataclass
@@ -632,10 +501,10 @@ def load_source(
     known a priori)."""
     if config.data.kind == "simulator":
         arrays = generate_arrays(config.data.simulator.build(config.seed))
-        log = to_click_log(arrays, dim=config.hash_dim, seed=config.hash_seed)
+        log = to_click_log(arrays, dim=config.hashing.dim, seed=config.hashing.seed)
         return log, arrays.c, (0, config.data.simulator.time_span)
     schema = list(config.data.schema)
-    log = read_tsv(config.data.path, schema, dim=config.hash_dim, seed=config.hash_seed)
+    log = read_tsv(config.data.path, schema, dim=config.hashing.dim, seed=config.hashing.seed)
     return log, None, (None, None)
 
 
@@ -729,10 +598,10 @@ def _fit_and_score(
             else:
                 relabel_cfg = RelabelConfig(tau=tau, training_end=split.train_end)
                 d1, d0 = build_artificial_datasets(train, relabel_cfg)
-                hyper_pos = config.weight_pos.build(
+                hyper_pos = config.weight_model_pos.build(
                     config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
                 )
-                hyper_neg = config.weight_neg.build(
+                hyper_neg = config.weight_model_neg.build(
                     config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
                 )
                 pair = WeightModelPair(
@@ -764,7 +633,7 @@ def _fit_and_score(
                 labeled.c_test,
                 preds,
                 labeled.train_mean_cvr,
-                bootstrap_b=config.bootstrap_b,
+                bootstrap_b=config.metrics.bootstrap_b,
                 seed=_derived_seed(config.seed, split.k, ROLE_EVAL),
             )
         except (ValueError, RuntimeError) as exc:
@@ -817,10 +686,7 @@ def run_pipeline(
         write_report_csv(rows, out_path / "reports.csv")
         write_report_json(rows, out_path / "reports.json")
         write_manifest(config, out_path, n_splits=len(splits))
-        (out_path / "config_resolved.yaml").write_text(
-            yaml.safe_dump(config.to_dict(), sort_keys=True, default_flow_style=False),
-            encoding="utf-8",
-        )
+        (out_path / "config_resolved.yaml").write_text(config.to_yaml(), encoding="utf-8")
     return rows
 
 

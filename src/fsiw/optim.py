@@ -51,8 +51,15 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.step0 <= 0 or self.tol < 0:
-            raise ValueError("bad optimizer config")
+        for name, bad in (
+            ("max_iter", self.max_iter < 1),
+            ("tol", self.tol < 0),
+            ("step0", self.step0 <= 0),
+            ("eval_every", self.eval_every < 1),
+            ("patience", self.patience < 1),
+        ):
+            if bad:
+                raise ValueError(f"bad optimizer config: {name} = {getattr(self, name)!r}")
 
 
 @dataclass

@@ -265,6 +265,23 @@ def test_bad_config_key_exits_two(tmp_path, config_path) -> None:
     assert "bogus" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    ("override", "message"),
+    [
+        ("hashing=5", "hashing: expected a mapping, got 5"),
+        ("split.n_splits=abc", "split.n_splits: expected int, got 'abc'"),
+        ("optimizer.eval_every=0", "bad optimizer config: eval_every = 0"),
+    ],
+)
+def test_malformed_config_value_exits_two_without_a_traceback(
+    tmp_path, config_path, override, message
+) -> None:
+    proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--set", override)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_config_file_exits_two(tmp_path) -> None:
     proc = _fsiw("run", "-c", str(tmp_path / "absent.yaml"))
     assert proc.returncode == 2

@@ -4,14 +4,19 @@ protection, determinism, and the deadline sweep."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
+from fsiw.cli import _set_dotted
 from fsiw.experiment import (
     REPORT_COLUMNS,
+    TRAINERS,
     SimulatorSpec,
     SplitSpec,
     config_from_dict,
@@ -167,6 +172,10 @@ def test_config_rejects_unknown_keys_everywhere() -> None:
     bad_opt["optimizer"]["learning_rate"] = 0.1
     with pytest.raises(ConfigError, match="learning_rate"):
         config_from_dict(bad_opt)
+    bad_field = _tsv_dict("clicks.tsv", tracked_until=100 * DAY)
+    bad_field["data"]["schema"] = [{"name": "a", "typo": 1}]
+    with pytest.raises(ConfigError, match=re.escape("unknown key(s) in data.schema[0]: typo")):
+        config_from_dict(bad_field)
 
 
 def test_config_rejects_retired_minibatch_keys() -> None:
@@ -189,6 +198,66 @@ def test_config_requires_known_trainers() -> None:
         config_from_dict(_base_dict(trainers=[]))
     with pytest.raises(ConfigError, match="unknown trainer"):
         config_from_dict(_base_dict(trainers=["gradient_boost"]))
+    # a scalar is a one-element list, as for every list key
+    assert config_from_dict(_base_dict(trainers="dfm")).trainers == ("dfm",)
+    with pytest.raises(ConfigError, match="unknown trainer 'gradient_boost'"):
+        config_from_dict(_base_dict(trainers="gradient_boost"))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("hashing", 5, "hashing: expected a mapping, got 5"),
+        ("weight_model_pos", 3, "weight_model_pos: expected a mapping, got 3"),
+        ("data", None, "data: expected a mapping, got None"),
+        ("data.schema", [{"kind": "categorical"}], "missing key(s) in data.schema[0]: name"),
+        (
+            "data.simulator.field_cardinalities",
+            ["a", 4],
+            "data.simulator.field_cardinalities[0]: expected int, got 'a'",
+        ),
+        ("split.n_splits", "abc", "split.n_splits: expected int, got 'abc'"),
+        ("data.tracked_until", "2d", "data.tracked_until: expected int, got '2d'"),
+        ("seed", 1.7, "seed: expected int, got 1.7"),
+        ("seed", True, "seed: expected int, got True"),
+        ("data.simulator.n_samples", 1.9, "data.simulator.n_samples: expected int, got 1.9"),
+        ("metrics.bootstrap_b", 150.5, "metrics.bootstrap_b: expected int, got 150.5"),
+        ("output_dir", None, "output_dir: expected str, got None"),
+        ("data.path", 5, "data.path: expected str, got 5"),
+        ("split.stride", "soon", "split.stride: cannot parse duration 'soon'"),
+        ("optimizer.seed", 3, "unknown key(s) in optimizer: seed"),
+    ],
+)
+def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> None:
+    raw = _tsv_dict("clicks.tsv", tracked_until=100 * DAY)
+    raw["data"]["simulator"] = _base_dict()["data"]["simulator"]
+    _set_dotted(raw, key, value)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("clip_floor", 2, "clip_floor must be a probability strictly inside (0, 1)"),
+        (
+            "weight_model_pos.holdout_fraction",
+            0.7,
+            "weight_model_pos: holdout_fraction must be in [0, 0.5)",
+        ),
+        (
+            "weight_model_neg.edges",
+            [5, 3],
+            "weight_model_neg: edges must be strictly increasing positive durations",
+        ),
+        ("weight_model_neg.max_iter", 0, "weight_model_neg: bad optimizer config: max_iter = 0"),
+    ],
+)
+def test_config_checks_weight_model_hyperparameters_on_entry(key, value, message) -> None:
+    raw = _base_dict(trainers=["naive_lr"])  # no weight model would ever be fit
+    _set_dotted(raw, key, value)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(raw)
 
 
 @pytest.mark.parametrize(
@@ -215,6 +284,94 @@ def test_config_hash_ignores_output_dir_only() -> None:
     c = config_from_dict(_base_dict(seed=6))
     assert a.sha256() == b.sha256()
     assert a.sha256() != c.sha256()
+
+
+def _golden_configs() -> dict[str, dict]:
+    crit10 = _base_dict(trainers=list(TRAINERS))
+    readme = _base_dict(output_dir="out", trainers=list(TRAINERS))
+    readme["data"]["simulator"]["n_samples"] = 30000
+    battery = _base_dict(
+        seed=1,
+        split={
+            "train_window": "12d",
+            "validation_window": "1d",
+            "test_window": "1d",
+            "stride": "1d",
+            "n_splits": 1,
+        },
+        tau="8d",
+        trainers=list(TRAINERS),
+        optimizer={"max_iter": 400, "tol": 0.0, "patience": 400},
+        weight_model_pos={"max_iter": 40},
+        weight_model_neg={"max_iter": 40},
+    )
+    del battery["output_dir"]
+    battery["data"]["simulator"] = {
+        "n_samples": 6000,
+        "field_cardinalities": [16, 16, 16, 16],
+        "time_span": "15d",
+        "cvr_bias": -1.5,
+        "cvr_spread": 1.0,
+        "mean_delay": "3d",
+        "rate_spread": 1.0,
+    }
+    tsv = {
+        "seed": 3,
+        "output_dir": "out/tsv",
+        "data": {
+            "kind": "tsv",
+            "path": "clicks.tsv",
+            "schema": [
+                {"name": "f0"},
+                {"name": "price", "kind": "numeric", "bins": [0.5, 2.5, 10.0]},
+            ],
+            "observational_period": "30d",
+            "tracked_until": 100 * DAY,
+        },
+        "split": {
+            "train_window": "7d",
+            "validation_window": "1d",
+            "test_window": "1d",
+            "stride": "1d",
+        },
+        "tau": ["1d", "2d"],
+        "trainers": ["lr_fsiw"],
+        "normalization": "sum",
+        "weight_model_neg": {"edges": ["1h", "1d"], "holdout_fraction": 0.2},
+        "clip_floor": 0.05,
+    }
+    return {"crit10": crit10, "readme": readme, "battery": battery, "tsv": tsv}
+
+
+# (config_sha256, sha256 of config_resolved.yaml), recorded before the config
+# reader and writer were derived from the dataclasses
+_GOLDEN_CONFIG_HASHES = {
+    "crit10": (
+        "99f9848afbf66187f65032186918941057031b6e5e8ad2a0d8182e3e7040f392",
+        "48a37493c5835202cc0d81606fae614b0819366771513b1e92723309c6d8162e",
+    ),
+    "readme": (
+        "c5c1b3b2ce59d9b56b3bae46bd9212b4679b06c89a23b92120cdfa91ad88ab71",
+        "14c935d6a82a6c992d7185f8555fb4cbce20a4fff533f8eb5e8845bea5f21a7c",
+    ),
+    "battery": (
+        "d64437fb4cd59fe2eb4a51ec0590891cf3e1d7727df38102af081bd8f7ef1bc8",
+        "3f458af0f660face523b170dee740c2121f9d7b7412411a0634d7a8d92a2cc7a",
+    ),
+    "tsv": (
+        "066d0eb4c291932a95bcebc4970bd39016978ae6544262dbb985854ac273e087",
+        "145647d83b2d6b12f39b58c472b252c9c154fea638e6c144c4786abf0ca25dc9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIG_HASHES))
+def test_config_writer_bytes_are_pinned_and_round_trip(name) -> None:
+    config = config_from_dict(_golden_configs()[name])
+    resolved = config.to_yaml()
+    got = (config.sha256(), hashlib.sha256(resolved.encode("utf-8")).hexdigest())
+    assert got == _GOLDEN_CONFIG_HASHES[name]
+    assert config_from_dict(yaml.safe_load(resolved)) == config
 
 
 def test_simulator_spec_build_is_seed_deterministic() -> None:

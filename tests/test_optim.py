@@ -77,8 +77,15 @@ def test_minimize_batch_early_stopping_returns_best_validation_iterate() -> None
 
 
 def test_opt_config_validation() -> None:
-    for bad in ({"max_iter": 0}, {"step0": 0.0}, {"tol": -1.0}):
-        with pytest.raises(ValueError):
+    for bad in (
+        {"max_iter": 0},
+        {"step0": 0.0},
+        {"tol": -1.0},
+        {"eval_every": 0},
+        {"patience": 0},
+    ):
+        ((name, value),) = bad.items()
+        with pytest.raises(ValueError, match=f"bad optimizer config: {name} = {value}"):
             OptConfig(**bad)
 
 
