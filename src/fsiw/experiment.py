@@ -272,6 +272,8 @@ class ExperimentConfig:
                 )
         if self.normalization not in ("mean", "sum"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
+        if not 0.0 < self.clip_floor < 1.0:
+            raise ConfigError("clip_floor must be a probability strictly inside (0, 1)")
         for key in ("weight_model_pos", "weight_model_neg"):
             try:
                 getattr(self, key).build(self.clip_floor, 0)
@@ -362,13 +364,17 @@ def _read(cls: type, raw, default, where: str):
         for f in keys
         if f.name in raw
     }
-    if default is not None:
-        return replace(default, **values)
-    required = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING]
-    missing = [name for name in required if name not in raw]
-    if missing:
-        raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
-    return cls(**values)
+    if default is None:
+        required = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING]
+        missing = [name for name in required if name not in raw]
+        if missing:
+            raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
+    try:
+        return cls(**values) if default is None else replace(default, **values)
+    except ValueError as exc:  # a spec's own check: name the key unless it does
+        if not where or str(exc).startswith(where):
+            raise
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -1,5 +1,5 @@
 """Shared numerical kernel: stable link functions, sparse design matrices,
-and a deterministic gradient-descent minimizer with backtracking line search.
+and a deterministic full-batch L-BFGS minimizer.
 
 The link functions are what every objective evaluation spends its time on.
 ``softplus`` is max(z, 0) + log1p(exp(-|z|)), about 4x cheaper than
@@ -7,10 +7,17 @@ The link functions are what every objective evaluation spends its time on.
 from one shared exp(-|z|), so a loss-and-gradient evaluation takes one exp
 per linear score. ``sigmoid`` (scipy's ``expit``) stays the link for
 predictions.
+
+``minimize_batch`` is limited-memory BFGS (Liu & Nocedal 1989): the
+two-loop recursion over the last ``MEMORY`` curvature pairs gives the search
+direction, and a backtracking Armijo line search tries the unit step first.
+Every trial point costs one loss-and-gradient evaluation, so an accepted unit
+step costs exactly one.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,11 +48,14 @@ def append_columns(x: sparse.csr_matrix, extra: np.ndarray) -> sparse.csr_matrix
     return sparse.hstack([x, sparse.csr_matrix(extra)], format="csr")
 
 
+# curvature pairs (s, y) kept by L-BFGS
+MEMORY = 10
+
+
 @dataclass(frozen=True)
 class OptConfig:
     max_iter: int = 500
     tol: float = 1e-9
-    step0: float = 1.0
     eval_every: int = 10
     patience: int = 5
     seed: int = 0
@@ -54,7 +64,6 @@ class OptConfig:
         for name, bad in (
             ("max_iter", self.max_iter < 1),
             ("tol", self.tol < 0),
-            ("step0", self.step0 <= 0),
             ("eval_every", self.eval_every < 1),
             ("patience", self.patience < 1),
         ):
@@ -71,33 +80,57 @@ class OptResult:
     stopped_early: bool = False
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H·grad by the two-loop recursion, where H is the inverse-Hessian
+    estimate of ``pairs`` (oldest first) scaled by sᵀy/yᵀy of the newest."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * float(y @ y))  # sᵀy / yᵀy
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
+
+
 def minimize_batch(
     fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    fun: Callable[[np.ndarray], float],
     theta0: np.ndarray,
     cfg: OptConfig,
     validation: Callable[[np.ndarray], float] | None = None,
 ) -> OptResult:
-    """Full-batch descent with Armijo backtracking.
+    """Full-batch L-BFGS with a backtracking Armijo line search.
 
-    The step that passed the Armijo test is doubled for the next iteration,
-    so the step size adapts in both directions. Convergence is declared when
-    the relative loss decrease over one iteration drops below cfg.tol. A
+    The first step, and any step after the memory is cleared, is steepest
+    descent of length 1/max(1, ||g||); later steps try the L-BFGS step at
+    length 1. A trial whose loss is non-finite or fails the Armijo test
+    (c = 1e-4) halves the step, at most 60 times; if none passes, no descent
+    is left at machine-level steps and the fit counts as converged. A
+    direction that does not descend clears the memory. A curvature pair is
+    kept only when it is finite and sᵀy > 1e-12·yᵀy.
+
+    Convergence is declared when the relative loss decrease over one
+    iteration is at most cfg.tol, so ``tol: 0`` stops at the first accepted
+    step that leaves the loss unchanged: the optimum to machine precision. A
     non-finite gradient gives no descent direction: the loop stops there with
     converged=False and keeps the last iterate, whose loss is finite.
 
     When ``validation`` is given, it is evaluated every cfg.eval_every
     iterations; after cfg.patience evaluations without improvement the best
     iterate seen (by validation score) is returned with stopped_early=True.
+    The returned loss is then the one recorded when that iterate was reached.
     """
     theta = np.array(theta0, dtype=np.float64)
     loss, grad = fun_grad(theta)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss at the initial point")
-    step = cfg.step0
+    pairs: deque = deque(maxlen=MEMORY)
 
     best_val = np.inf
-    best_theta = theta.copy()
+    best_theta, best_loss = theta.copy(), loss
     strikes = 0
     stopped_early = False
 
@@ -110,27 +143,35 @@ def minimize_batch(
         if gnorm2 == 0.0:
             converged = True
             break
+        direction = _lbfgs_direction(grad, pairs) if pairs else -grad
+        slope = float(grad @ direction)
+        if not slope < 0.0:  # not a descent direction: restart from steepest descent
+            pairs.clear()
+            direction, slope = -grad, -gnorm2
+        step = 1.0 if pairs else 1.0 / max(1.0, np.sqrt(gnorm2))
         accepted = False
         for _ in range(60):
-            candidate = theta - step * grad
-            cand_loss = fun(candidate)
-            if np.isfinite(cand_loss) and cand_loss <= loss - 1e-4 * step * gnorm2:
+            candidate = theta + step * direction
+            new_loss, new_grad = fun_grad(candidate)
+            if np.isfinite(new_loss) and new_loss <= loss + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             converged = True  # no descent at machine-level steps: at a minimum
             break
-        new_loss, new_grad = fun_grad(candidate)
+        s, y = candidate - theta, new_grad - grad
+        sy, yy = float(s @ y), float(y @ y)
+        if np.isfinite(sy) and np.isfinite(yy) and sy > 1e-12 * yy:
+            pairs.append((s, y, 1.0 / sy))
         rel_drop = (loss - new_loss) / max(1.0, abs(loss))
         theta, loss, grad = candidate, new_loss, new_grad
-        step *= 2.0
 
         if validation is not None and n_iter % cfg.eval_every == 0:
             score = validation(theta)
             if score < best_val - 1e-12:
                 best_val = score
-                best_theta = theta.copy()
+                best_theta, best_loss = theta.copy(), loss
                 strikes = 0
             else:
                 strikes += 1
@@ -138,18 +179,16 @@ def minimize_batch(
                     stopped_early = True
                     break
 
-        if 0 <= rel_drop < cfg.tol:
+        if 0 <= rel_drop <= cfg.tol:
             converged = True
             break
 
     if validation is not None:
-        final_val = validation(theta)
-        if final_val < best_val:
-            best_val = final_val
-            best_theta = theta.copy()
+        if validation(theta) < best_val:
+            best_theta, best_loss = theta.copy(), loss
         return OptResult(
             theta=best_theta,
-            loss=fun(best_theta),
+            loss=best_loss,
             n_iter=n_iter,
             converged=converged,
             stopped_early=stopped_early,

@@ -138,12 +138,6 @@ def fit_logistic(
     denom = _denominator(w, normalization)
     xt = x.T.tocsr()
 
-    def value(theta: np.ndarray) -> float:
-        z = x @ theta[:dim] + theta[dim]
-        return float(w @ (softplus(z) - y * z)) / denom + 0.5 * l2 * float(
-            theta[:dim] @ theta[:dim]
-        )
-
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         coef = theta[:dim]
         z = x @ coef + theta[dim]
@@ -168,7 +162,7 @@ def fit_logistic(
 
     start = np.zeros(dim + 1) if theta0 is None else np.asarray(theta0, dtype=float)
     try:
-        result = minimize_batch(value_grad, value, start, opt, validation=val_fn)
+        result = minimize_batch(value_grad, start, opt, validation=val_fn)
     except FloatingPointError as exc:
         z = x @ start[:dim] + start[dim]
         per_sample = w * (softplus(z) - y * z)
@@ -311,7 +305,12 @@ def train_dfm(
     *,
     normalization: str = "mean",
 ) -> DfmModel:
-    """Fit the joint conversion/delay model by full-batch gradient descent.
+    """Fit the joint conversion/delay model by maximum likelihood.
+
+    The censored negative log-likelihood is minimized by full-batch L-BFGS
+    (``optim.minimize_batch``), which stops once one iteration lowers the
+    loss by at most ``opt.tol`` relative, or after ``opt.max_iter``
+    iterations with ``meta.converged`` False.
 
     ``d`` and ``e`` are the observed delay and the elapsed time in seconds;
     positives contribute through ``d`` and negatives through ``e``, so ``d``
@@ -339,16 +338,11 @@ def train_dfm(
     mean_delay = float(d_days[pos].mean())
     theta0[2 * dim + 1] = -np.log(max(mean_delay, 1e-6))
 
-    def value(theta: np.ndarray) -> float:
-        loss, _ = dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom, want_grad=False)
-        return loss
-
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad = dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom)
-        return loss, grad
+        return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom)
 
     try:
-        result = minimize_batch(value_grad, value, theta0, opt)
+        result = minimize_batch(value_grad, theta0, opt)
     except FloatingPointError as exc:
         raise TrainingError(f"non-finite likelihood: {exc}") from exc
 

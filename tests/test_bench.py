@@ -6,7 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fsiw.data import snapshot_labels
+from fsiw.experiment import SimulatorSpec
 from fsiw.metrics import evaluate_predictions
+from fsiw.optim import OptConfig
+from fsiw.simulate import generate_arrays, to_click_log
+from fsiw.training import train_dfm
 
 pytestmark = pytest.mark.bench
 
@@ -20,3 +25,23 @@ def test_evaluate_predictions_30k_rows_200_resamples(benchmark) -> None:
     preds = np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, logit.size)))), 0.01, 0.99)
     report = benchmark(evaluate_predictions, labels, preds, 0.2, bootstrap_b=200, seed=21)
     assert report.n_test == 30_000
+
+
+def test_train_dfm_battery_world_6k_rows(benchmark) -> None:
+    # the criterion-04 world at 6k clicks and hash dim 1024, snapshot at the
+    # end of its 15 days, under the benchmark's fixed budget (tol 0): the fit
+    # stops at its optimum or after 400 iterations
+    spec = SimulatorSpec(
+        n_samples=6000,
+        field_cardinalities=(16, 16, 16, 16),
+        time_span=15 * 86400,
+        cvr_bias=-1.5,
+        mean_delay=3 * 86400,
+        rate_spread=1.0,
+    )
+    log = to_click_log(generate_arrays(spec.build(21)), dim=1024, seed=0)
+    snap = snapshot_labels(log, spec.time_span)
+    opt = OptConfig(max_iter=400, tol=0.0)
+    model = benchmark(train_dfm, snap.x, snap.y, snap.d, snap.e, 1e-4, opt)
+    assert snap.x.shape == (6000, 1024)
+    assert np.isfinite(model.meta.final_loss)

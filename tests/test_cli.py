@@ -221,15 +221,20 @@ def test_eval_rejects_bad_flags_before_reading_the_file(tmp_path, flags, message
 
 
 def test_run_warns_on_stderr_for_each_unconverged_cvr_fit(tmp_path, config_path) -> None:
+    # at 20 iterations dfm has converged (after 18) and the two logistic fits,
+    # which need 24 and 25, have not
     out = tmp_path / "out"
-    proc = _fsiw("run", "-c", str(config_path), "-o", str(out))
+    proc = _fsiw(
+        "run", "-c", str(config_path), "-o", str(out),
+        "--set", "optimizer.max_iter=20", "--set", "trainers=[naive_lr, lr_fsiw, dfm]",
+    )
     assert proc.returncode == 0, proc.stderr
     metas = {
         p.stem.removeprefix("model_split0_"): json.loads(p.read_text(encoding="utf-8"))["meta"]
         for p in out.glob("model_split0_*.json")
     }
-    unconverged = sorted(t for t, meta in metas.items() if not meta["converged"])
-    assert unconverged == ["lr_fsiw"]  # naive_lr converges at this config
+    unconverged = [t for t in ("naive_lr", "lr_fsiw", "dfm") if not metas[t]["converged"]]
+    assert unconverged == ["naive_lr", "lr_fsiw"]  # warned in trainer order
     warnings = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
     assert warnings == [
         f"warning: split 0 {t}: CVR fit did not converge "
@@ -239,7 +244,8 @@ def test_run_warns_on_stderr_for_each_unconverged_cvr_fit(tmp_path, config_path)
     assert "warning" not in proc.stdout
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["config_resolved.yaml", "manifest.json", "reports.csv", "reports.json",
-         "weights_split0.tsv", "model_split0_naive_lr.json", "model_split0_lr_fsiw.json"]
+         "weights_split0.tsv", "model_split0_naive_lr.json", "model_split0_lr_fsiw.json",
+         "model_split0_dfm.json"]
     )
 
 

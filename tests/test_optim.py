@@ -1,4 +1,5 @@
-"""Optimizer kernel: line-searched descent and design-matrix assembly."""
+"""Optimizer kernel: L-BFGS with a backtracking line search, and design-matrix
+assembly."""
 
 from __future__ import annotations
 
@@ -34,52 +35,131 @@ def test_minimize_batch_solves_quadratic_exactly() -> None:
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.5 * float(x @ a @ x) - float(b @ x), a @ x - b
 
-    def f(x: np.ndarray) -> float:
-        return fg(x)[0]
-
-    res = minimize_batch(fg, f, np.zeros(2), OptConfig(max_iter=500, tol=1e-14))
+    res = minimize_batch(fg, np.zeros(2), OptConfig(max_iter=500, tol=1e-14))
     assert res.converged
     assert np.allclose(res.theta, target, atol=1e-6)
 
+    # tol 0 stops at the first accepted step that leaves the loss unchanged
+    res = minimize_batch(fg, np.zeros(2), OptConfig(max_iter=500, tol=0.0))
+    assert res.converged and res.n_iter < 20
+    assert np.allclose(res.theta, target, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [10, 20])
+@pytest.mark.parametrize("seed", range(5))
+def test_minimize_batch_converges_on_a_quadratic_within_n_plus_5_iterations(n, seed) -> None:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = q @ np.diag(np.linspace(1.0, 10.0, n)) @ q.T
+    b = rng.normal(size=n)
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        return 0.5 * float(x @ a @ x) - float(b @ x), a @ x - b
+
+    res = minimize_batch(fg, np.zeros(n), OptConfig(max_iter=500, tol=1e-9))
+    assert res.converged
+    assert res.n_iter <= n + 5
+    assert np.allclose(res.theta, np.linalg.solve(a, b), atol=1e-4)
+
 
 def test_minimize_batch_never_increases_loss() -> None:
+    # the validation hook sees every accepted iterate; rejected trial points
+    # may cost more, accepted ones never do
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 5))
     a = a @ a.T + np.eye(5)
-    losses = []
+    accepted = []
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        val = 0.5 * float(x @ a @ x)
-        losses.append(val)
-        return val, a @ x
+        return 0.5 * float(x @ a @ x), a @ x
 
-    minimize_batch(fg, lambda x: 0.5 * float(x @ a @ x), np.ones(5), OptConfig(max_iter=60))
-    assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(len(losses) - 1))
+    def watch(x: np.ndarray) -> float:
+        accepted.append(fg(x)[0])
+        return 0.0
+
+    minimize_batch(
+        fg, np.ones(5), OptConfig(max_iter=60, eval_every=1, patience=60), validation=watch
+    )
+    assert len(accepted) > 5
+    assert all(accepted[i + 1] <= accepted[i] for i in range(len(accepted) - 1))
+
+
+def test_minimize_batch_costs_one_evaluation_per_trial_point() -> None:
+    # every fun_grad call is the start point, an accepted step or one halving;
+    # all values below are exact in binary, so the trial points are too
+    points = []
+
+    def quadratic(a: float, c: float):
+        def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+            points.append(float(x[0]))
+            return 0.5 * a * float((x[0] - c) ** 2), np.array([a * (x[0] - c)])
+
+        return fg
+
+    # steepest descent of length 1/|g| = 1/6 reaches 1; the L-BFGS step is
+    # then the Newton step to 3, accepted at unit length: no halving at all
+    res = minimize_batch(quadratic(2.0, 3.0), np.zeros(1), OptConfig(max_iter=50))
+    assert points == [0.0, 1.0, 3.0]
+    assert res.converged and res.theta[0] == 3.0 and res.n_iter == 3
+
+    # |g| = 1 gives a first trial at 1, which fails Armijo; three halvings
+    # reach the minimum at 1/8
+    points.clear()
+    res = minimize_batch(quadratic(8.0, 0.125), np.zeros(1), OptConfig(max_iter=50))
+    assert points == [0.0, 1.0, 0.5, 0.25, 0.125]
+    assert res.converged and res.theta[0] == 0.125 and res.n_iter == 2
+
+
+@pytest.mark.parametrize("wall", [np.inf, -np.inf, np.nan])
+def test_minimize_batch_backtracks_over_a_non_finite_trial_loss(wall) -> None:
+    # (x - 3)^2 behind a wall at 2.5: beyond it the loss is non-finite and the
+    # gradient nan. The Newton step from 1 and from 2 lands on 3, beyond the
+    # wall; each time one halving brings the trial back inside.
+    points = []
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        points.append(float(x[0]))
+        if x[0] > 2.5:
+            return wall, np.array([np.nan])
+        return float((x[0] - 3.0) ** 2), np.array([2.0 * (x[0] - 3.0)])
+
+    res = minimize_batch(fg, np.zeros(1), OptConfig(max_iter=3))
+    assert points == [0.0, 1.0, 3.0, 2.0, 3.0, 2.5]
+    assert res.theta[0] == 2.5 and res.loss == 0.25
+    assert res.n_iter == 3 and not res.converged
 
 
 def test_minimize_batch_early_stopping_returns_best_validation_iterate() -> None:
-    # validation deliberately prefers a point away from the training optimum
+    # Rosenbrock from (-1.2, 1) takes dozens of iterations to reach (1, 1);
+    # validation prefers (-1, 1), near the start, so its score turns early
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float((x[0] - 4.0) ** 2), np.array([2.0 * (x[0] - 4.0)])
+        r, v = 1.0 - x[0], x[1] - x[0] ** 2
+        return float(r**2 + 100.0 * v**2), np.array([-2.0 * r - 400.0 * x[0] * v, 200.0 * v])
+
+    scored = []
 
     def val(x: np.ndarray) -> float:
-        return float((x[0] - 1.0) ** 2)
+        score = float((x[0] + 1.0) ** 2 + (x[1] - 1.0) ** 2)
+        scored.append((score, x.copy()))
+        return score
 
     res = minimize_batch(
         fg,
-        lambda x: fg(x)[0],
-        np.zeros(1),
-        OptConfig(max_iter=200, eval_every=1, patience=3, step0=0.05),
+        np.array([-1.2, 1.0]),
+        OptConfig(max_iter=200, tol=0.0, eval_every=1, patience=3),
         validation=val,
     )
-    assert res.stopped_early
-    assert abs(res.theta[0] - 1.0) < 0.5  # kept an iterate near the validation optimum
+    assert res.stopped_early and not res.converged
+    assert res.n_iter < 20
+    best_score, best_theta = min(scored, key=lambda item: item[0])
+    assert np.array_equal(res.theta, best_theta)  # the best iterate validation saw
+    assert best_score < min(score for score, _ in scored[-3:])
+    assert res.loss == fg(res.theta)[0]
 
 
 def test_opt_config_validation() -> None:
     for bad in (
         {"max_iter": 0},
-        {"step0": 0.0},
         {"tol": -1.0},
         {"eval_every": 0},
         {"patience": 0},
@@ -101,12 +181,9 @@ def test_minimize_batch_stops_unconverged_at_a_nan_gradient() -> None:
     def fg(theta: np.ndarray) -> tuple[float, np.ndarray]:
         return dfm_nll_grad(theta, x, xt, y, d, e, 0.0, 2.0)
 
-    def f(theta: np.ndarray) -> float:
-        return dfm_nll_grad(theta, x, xt, y, d, e, 0.0, 2.0, want_grad=False)[0]
-
     with np.errstate(invalid="ignore"):
         loss0, grad0 = fg(theta0)
-        res = minimize_batch(fg, f, theta0, OptConfig(max_iter=50))
+        res = minimize_batch(fg, theta0, OptConfig(max_iter=50))
     assert loss0 == pytest.approx(0.943, abs=1e-3)
     assert np.isnan(grad0).any()
     assert not res.converged
@@ -122,12 +199,7 @@ def test_minimize_batch_stops_unconverged_at_a_nan_gradient() -> None:
         grad = 2.0 * (theta - 3.0)
         return float((theta - 3.0) @ (theta - 3.0)), grad if len(calls) < 3 else grad * np.nan
 
-    res = minimize_batch(
-        fg_late_nan,
-        lambda t: float((t - 3.0) @ (t - 3.0)),
-        np.zeros(2),
-        OptConfig(max_iter=50, step0=0.1),
-    )
+    res = minimize_batch(fg_late_nan, np.zeros(2), OptConfig(max_iter=50))
     assert not res.converged
     assert res.n_iter == 3
     assert np.array_equal(res.theta, calls[-1])
