@@ -77,12 +77,6 @@ class FieldSpec:
         return f"b{bisect_right(self.bins, value)}"
 
 
-def categorical_schema(n_fields: int, prefix: str = "f") -> list[FieldSpec]:
-    """All-categorical schema with generated names, used for simulator output
-    and for logs whose numeric columns were binned upstream."""
-    return [FieldSpec(name=f"{prefix}{i}") for i in range(n_fields)]
-
-
 @dataclass(frozen=True)
 class ClickLog:
     """A click log in columns: row i of every field is click i.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -52,7 +52,7 @@ from .training import (
     train_weighted_logistic,
 )
 from .weights import (
-    ElapsedBasis,
+    DEFAULT_CLIP_FLOOR,
     WeightedDataset,
     WeightModelHyper,
     WeightModelPair,
@@ -70,7 +70,6 @@ ROLE_SIM_CVR_W = 12
 ROLE_SIM_RATE_W = 13
 ROLE_WEIGHT_POS = 21
 ROLE_WEIGHT_NEG = 22
-ROLE_CVR_TRAIN = 23
 ROLE_EVAL = 24
 
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([smhdw]?)\s*$")
@@ -210,24 +209,6 @@ class SplitSpec:
 
 
 @dataclass(frozen=True)
-class WeightHyperSpec:
-    l2: float = 1e-3
-    edges: tuple[int, ...] = field(default=ElapsedBasis().edges, metadata=DURATION)
-    max_iter: int = 300
-    holdout_fraction: float = 0.1
-
-    def build(self, clip_floor: float, seed: int) -> WeightModelHyper:
-        return WeightModelHyper(
-            l2=self.l2,
-            basis=ElapsedBasis(edges=self.edges),
-            opt=OptConfig(max_iter=self.max_iter, tol=1e-10, eval_every=5, patience=5, seed=seed),
-            holdout_fraction=self.holdout_fraction,
-            clip_floor=clip_floor,
-            seed=seed,
-        )
-
-
-@dataclass(frozen=True)
 class MetricsSpec:
     bootstrap_b: int = 200
 
@@ -249,11 +230,10 @@ class ExperimentConfig:
     tau: tuple[int, ...] = field(default=(7 * 86400,), metadata=DURATION)
     trainers: tuple[str, ...] = TRAINERS
     l2: float = 1e-4
-    normalization: str = "mean"
     optimizer: OptConfig = field(default_factory=lambda: OptConfig(max_iter=400))
-    weight_model_pos: WeightHyperSpec = field(default_factory=WeightHyperSpec)
-    weight_model_neg: WeightHyperSpec = field(default_factory=WeightHyperSpec)
-    clip_floor: float = 0.01
+    weight_model_pos: WeightModelHyper = field(default_factory=WeightModelHyper)
+    weight_model_neg: WeightModelHyper = field(default_factory=WeightModelHyper)
+    clip_floor: float = DEFAULT_CLIP_FLOOR
     metrics: MetricsSpec = field(default_factory=MetricsSpec)
 
     def __post_init__(self):
@@ -270,15 +250,10 @@ class ExperimentConfig:
                     f"tau {t} must lie strictly inside the training window "
                     f"({self.split.train_window}s)"
                 )
-        if self.normalization not in ("mean", "sum"):
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError(f"l2 must be finite and non-negative, got {self.l2!r}")
         if not 0.0 < self.clip_floor < 1.0:
             raise ConfigError("clip_floor must be a probability strictly inside (0, 1)")
-        for key in ("weight_model_pos", "weight_model_neg"):
-            try:
-                getattr(self, key).build(self.clip_floor, 0)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
 
     def sha256(self) -> str:
         """Fingerprint of the experiment: everything except where output lands."""
@@ -291,11 +266,6 @@ class ExperimentConfig:
         return yaml.safe_dump(_to_plain(self), sort_keys=True, default_flow_style=False)
 
 
-def _keys(cls: type) -> list[Field]:
-    # an optimizer's seed is derived per fit from the global seed, never set
-    return [f for f in fields(cls) if not (cls is OptConfig and f.name == "seed")]
-
-
 def _to_plain(node):
     """The YAML tree of a config node: dataclasses become mappings of their
     keys, tuples become lists."""
@@ -303,7 +273,7 @@ def _to_plain(node):
         return [_to_plain(v) for v in node]
     if not is_dataclass(node):
         return node
-    out = {f.name: _to_plain(getattr(node, f.name)) for f in _keys(type(node))}
+    out = {f.name: _to_plain(getattr(node, f.name)) for f in fields(node)}
     if isinstance(node, DataSpec):  # a source records only its own kind's keys
         is_sim = node.kind == "simulator"
         out = {k: v for k, v in out.items() if k == "kind" or (k == "simulator") == is_sim}
@@ -346,7 +316,7 @@ def _read(cls: type, raw, default, where: str):
     without one, the field's own default."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where or 'config'}: expected a mapping, got {raw!r}")
-    keys = _keys(cls)
+    keys = fields(cls)
     unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ConfigError(
@@ -584,35 +554,25 @@ def _fit_and_score(
     split, train, val = labeled.split, labeled.train, labeled.val
     models = {}
     weighted = None
+    opt = config.optimizer
     for trainer in trainers:
-        opt = replace(config.optimizer, seed=_derived_seed(config.seed, split.k, ROLE_CVR_TRAIN))
         try:
             if trainer == "naive_lr":
-                models[trainer] = train_naive_logistic(
-                    train.x, train.y, config.l2, opt, normalization=config.normalization
-                )
+                models[trainer] = train_naive_logistic(train.x, train.y, config.l2, opt)
             elif trainer == "dfm":
-                models[trainer] = train_dfm(
-                    train.x,
-                    train.y,
-                    train.d,
-                    train.e,
-                    config.l2,
-                    opt,
-                    normalization=config.normalization,
-                )
+                models[trainer] = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
             else:
                 relabel_cfg = RelabelConfig(tau=tau, training_end=split.train_end)
                 d1, d0 = build_artificial_datasets(train, relabel_cfg)
-                hyper_pos = config.weight_model_pos.build(
-                    config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
-                )
-                hyper_neg = config.weight_model_neg.build(
-                    config.clip_floor, _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
-                )
+                seed_pos = _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
+                seed_neg = _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
                 pair = WeightModelPair(
-                    model_pos=fit_weight_model(train.x[d1.idx], d1.e_adj, d1.s, hyper_pos),
-                    model_neg=fit_weight_model(train.x[d0.idx], d0.e_adj, d0.s, hyper_neg),
+                    model_pos=fit_weight_model(
+                        train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos
+                    ),
+                    model_neg=fit_weight_model(
+                        train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg
+                    ),
                     clip_floor=config.clip_floor,
                 )
                 weighted = assign_fsiw(pair, train.x, train.y, train.e)
@@ -622,11 +582,7 @@ def _fit_and_score(
                     else None
                 )
                 models[trainer] = train_weighted_logistic(
-                    weighted,
-                    config.l2,
-                    opt,
-                    normalization=config.normalization,
-                    validation=weighted_val,
+                    weighted, config.l2, opt, validation=weighted_val
                 )
         except (ValueError, RuntimeError) as exc:
             raise _wrap(split.k, trainer, exc) from exc

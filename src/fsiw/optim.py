@@ -58,12 +58,11 @@ class OptConfig:
     tol: float = 1e-9
     eval_every: int = 10
     patience: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         for name, bad in (
             ("max_iter", self.max_iter < 1),
-            ("tol", self.tol < 0),
+            ("tol", not 0 <= self.tol < np.inf),  # nan and inf fail too
             ("eval_every", self.eval_every < 1),
             ("patience", self.patience < 1),
         ):

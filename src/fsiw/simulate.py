@@ -4,8 +4,9 @@ Samples are (click_ts, categorical features, latent conversion, latent delay).
 The true conversion probability is logistic in a one-hot encoding of the
 features and the delay rate is log-linear in the same encoding, so every
 censoring probability has a closed form and importance weights can be computed
-exactly (``oracle_fsiw``). Arrays are generated in fixed-size chunks, each on
-its own seed substream, so output is reproducible and chunk-parallelizable.
+exactly (``oracle_fsiw_array``). Arrays are generated in fixed-size chunks,
+each on its own seed substream, so output is reproducible and
+chunk-parallelizable.
 """
 
 from __future__ import annotations
@@ -258,36 +259,6 @@ def to_click_log(arrays: SimArrays, *, dim: int, seed: int) -> ClickLog:
     )
 
 
-def oracle_fsiw(
-    true_p: float,
-    true_rate: float,
-    e: float,
-    y: int,
-    family: DelayFamily | None = None,
-) -> float:
-    """Exact importance weight for a simulator sample.
-
-    For y=1 this is 1/P(observed by e | converts); for y=0 it is
-    P(never converts)/P(not observed by e). ``family=None`` means plain
-    exponential delays; otherwise the family's own CDF is used.
-    """
-    if e <= 0:
-        raise ValueError(f"elapsed time must be positive, got {e}")
-    if y not in (0, 1):
-        raise ValueError("y must be 0 or 1")
-    # the already-observed probability comes from an expm1-accurate CDF so the
-    # reciprocal stays exact even when the censoring window is tiny
-    if family is None:
-        observed = -math.expm1(-true_rate * e)
-        surv = math.exp(-true_rate * e)
-    else:
-        observed = float(family.cdf(e, true_rate))
-        surv = float(family.survival(e, true_rate))
-    if y == 1:
-        return 1.0 / observed
-    return (1.0 - true_p) / ((1.0 - true_p) + true_p * surv)
-
-
 def oracle_fsiw_array(
     true_p: np.ndarray,
     true_rate: np.ndarray,
@@ -295,11 +266,18 @@ def oracle_fsiw_array(
     y: np.ndarray,
     family: DelayFamily | None = None,
 ) -> np.ndarray:
-    """Vectorized oracle_fsiw (same semantics, elementwise)."""
+    """Exact importance weight of each simulator sample.
+
+    For y=1 this is 1/P(observed by e | converts); for y=0 it is
+    P(never converts)/P(not observed by e). ``family=None`` means plain
+    exponential delays; otherwise the family's own CDF is used.
+    """
     true_p = np.asarray(true_p, dtype=float)
     e = np.asarray(e, dtype=float)
     if np.any(e <= 0):
         raise ValueError("elapsed times must be positive")
+    # the already-observed probability comes from an expm1-accurate CDF so the
+    # reciprocal stays exact even when the censoring window is tiny
     if family is None:
         rate = np.asarray(true_rate, dtype=float)
         observed = -np.expm1(-rate * e)
@@ -347,18 +325,3 @@ def write_truth(arrays: SimArrays, path: str | Path) -> None:
             handle.write(
                 f"{i}\t{int(arrays.c[i])}\t{float(arrays.true_p[i])!r}\t{float(arrays.true_rate[i])!r}\n"
             )
-
-
-def read_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a truth sidecar back as (c, true_p, true_rate) arrays."""
-    c, p, rate = [], [], []
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header.startswith("index\t"):
-            raise ValueError("not a truth sidecar file")
-        for line in handle:
-            parts = line.rstrip("\n").split("\t")
-            c.append(int(parts[1]))
-            p.append(float(parts[2]))
-            rate.append(float(parts[3]))
-    return np.asarray(c, np.int8), np.asarray(p, float), np.asarray(rate, float)

@@ -8,10 +8,8 @@ Three trainers share one deterministic optimizer:
   * train_dfm — a joint model of conversion probability and exponential
     conversion-delay rate, fit by maximum likelihood on censored labels.
 
-Weighted losses are normalized by the total weight by default ("mean" mode),
-which makes duplicating a sample and doubling its weight exactly equivalent;
-"sum" mode skips the normalization for callers that tune l2 against an
-unnormalized loss.
+Weighted losses are normalized by the total weight, which makes duplicating a
+sample and doubling its weight exactly equivalent.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingMeta:
-    seed: int
     n_iter: int
     final_loss: float
     converged: bool
@@ -99,24 +96,14 @@ def _validate_weights(w: np.ndarray) -> None:
         )
 
 
-def _denominator(w: np.ndarray, normalization: str) -> float:
-    if normalization == "mean":
-        return float(w.sum())
-    if normalization == "sum":
-        return 1.0
-    raise ValueError(f"unknown loss normalization {normalization!r}")
-
-
 def fit_logistic(
     x: sparse.csr_matrix,
     y: np.ndarray,
     *,
     sample_weight: np.ndarray | None = None,
     l2: float = 0.0,
-    opt: OptConfig | None = None,
-    normalization: str = "mean",
+    opt: OptConfig = OptConfig(),
     validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None = None,
-    theta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, OptResult]:
     """Minimize the (weighted) logistic loss plus (l2/2)·||coef||².
 
@@ -133,9 +120,8 @@ def fit_logistic(
     _validate_weights(w)
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
-    opt = opt or OptConfig()
     y = np.asarray(y, dtype=float)
-    denom = _denominator(w, normalization)
+    denom = float(w.sum())
     xt = x.T.tocsr()
 
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -160,21 +146,15 @@ def fit_logistic(
             zv = xv @ theta[:dim] + theta[dim]
             return float(wv @ (softplus(zv) - yv * zv)) / wv_total
 
-    start = np.zeros(dim + 1) if theta0 is None else np.asarray(theta0, dtype=float)
     try:
-        result = minimize_batch(value_grad, start, opt, validation=val_fn)
+        result = minimize_batch(value_grad, np.zeros(dim + 1), opt, validation=val_fn)
     except FloatingPointError as exc:
-        z = x @ start[:dim] + start[dim]
-        per_sample = w * (softplus(z) - y * z)
-        bad = ~np.isfinite(per_sample)
-        idx = int(np.argmax(bad)) if np.any(bad) else None
-        raise TrainingError(f"non-finite training loss: {exc}", sample_index=idx) from exc
+        raise TrainingError(f"non-finite training loss: {exc}") from exc
     return result.theta, result
 
 
-def _meta(opt: OptConfig, result: OptResult) -> TrainingMeta:
+def _meta(result: OptResult) -> TrainingMeta:
     return TrainingMeta(
-        seed=opt.seed,
         n_iter=result.n_iter,
         final_loss=result.loss,
         converged=result.converged,
@@ -190,9 +170,8 @@ def _linear_model(theta: np.ndarray, l2: float, meta: TrainingMeta) -> LinearCvr
 def train_weighted_logistic(
     data: "WeightedDataset",
     l2: float,
-    opt: OptConfig | None = None,
+    opt: OptConfig = OptConfig(),
     *,
-    normalization: str = "mean",
     validation: "WeightedDataset | None" = None,
 ) -> LinearCvrModel:
     """Importance-weighted logistic regression over hashed features.
@@ -203,31 +182,21 @@ def train_weighted_logistic(
     val = None
     if validation is not None and len(validation) > 0:
         val = (validation.x, validation.y, validation.weights)
-    opt = opt or OptConfig()
     theta, result = fit_logistic(
-        data.x,
-        data.y,
-        sample_weight=data.weights,
-        l2=l2,
-        opt=opt,
-        normalization=normalization,
-        validation=val,
+        data.x, data.y, sample_weight=data.weights, l2=l2, opt=opt, validation=val
     )
-    return _linear_model(theta, l2, _meta(opt, result))
+    return _linear_model(theta, l2, _meta(result))
 
 
 def train_naive_logistic(
     x: sparse.csr_matrix,
     y: np.ndarray,
     l2: float,
-    opt: OptConfig | None = None,
-    *,
-    normalization: str = "mean",
+    opt: OptConfig = OptConfig(),
 ) -> LinearCvrModel:
     """Unweighted logistic regression on snapshot labels (the biased baseline)."""
-    opt = opt or OptConfig()
-    theta, result = fit_logistic(x, y, l2=l2, opt=opt, normalization=normalization)
-    return _linear_model(theta, l2, _meta(opt, result))
+    theta, result = fit_logistic(x, y, l2=l2, opt=opt)
+    return _linear_model(theta, l2, _meta(result))
 
 
 def dfm_nll_grad(
@@ -301,9 +270,7 @@ def train_dfm(
     d: np.ndarray,
     e: np.ndarray,
     l2: float,
-    opt: OptConfig | None = None,
-    *,
-    normalization: str = "mean",
+    opt: OptConfig = OptConfig(),
 ) -> DfmModel:
     """Fit the joint conversion/delay model by maximum likelihood.
 
@@ -328,9 +295,8 @@ def train_dfm(
     d_days = np.asarray(d, dtype=float) / SECONDS_PER_DAY
     e_days = np.asarray(e, dtype=float) / SECONDS_PER_DAY
 
-    opt = opt or OptConfig()
     xt = x.T.tocsr()
-    denom = _denominator(np.ones(n), normalization)
+    denom = float(n)
 
     theta0 = np.zeros(2 * dim + 2)
     base = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
@@ -354,7 +320,7 @@ def train_dfm(
         delay_intercept=float(theta[2 * dim + 1]),
         dim=dim,
         l2=l2,
-        meta=_meta(opt, result),
+        meta=_meta(result),
     )
 
 
@@ -388,7 +354,6 @@ def _sparse_coef(coef: np.ndarray) -> tuple[list[int], list[float]]:
 def save_model(model: LinearCvrModel | DfmModel, path: str | Path) -> None:
     """Write a model as a versioned JSON blob (sparse coefficient storage)."""
     meta = {
-        "seed": model.meta.seed,
         "n_iter": model.meta.n_iter,
         "final_loss": model.meta.final_loss,
         "converged": model.meta.converged,
@@ -425,38 +390,3 @@ def save_model(model: LinearCvrModel | DfmModel, path: str | Path) -> None:
     else:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     Path(path).write_text(json.dumps(blob, sort_keys=True, indent=0) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> LinearCvrModel | DfmModel:
-    blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    if blob.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {blob.get('format')!r}")
-    meta = TrainingMeta(
-        seed=blob["meta"]["seed"],
-        n_iter=blob["meta"]["n_iter"],
-        final_loss=blob["meta"]["final_loss"],
-        converged=blob["meta"]["converged"],
-        stopped_early=blob["meta"].get("stopped_early", False),
-    )
-    dim = blob["dim"]
-    if blob["kind"] == "linear":
-        coef = np.zeros(dim)
-        coef[blob["coef_idx"]] = blob["coef_val"]
-        return LinearCvrModel(
-            coef=coef, intercept=blob["intercept"], dim=dim, l2=blob["l2"], meta=meta
-        )
-    if blob["kind"] == "dfm":
-        cvr = np.zeros(dim)
-        cvr[blob["cvr_idx"]] = blob["cvr_val"]
-        delay = np.zeros(dim)
-        delay[blob["delay_idx"]] = blob["delay_val"]
-        return DfmModel(
-            cvr_coef=cvr,
-            cvr_intercept=blob["cvr_intercept"],
-            delay_coef=delay,
-            delay_intercept=blob["delay_intercept"],
-            dim=dim,
-            l2=blob["l2"],
-            meta=meta,
-        )
-    raise ValueError(f"unknown model kind {blob['kind']!r}")

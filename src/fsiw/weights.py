@@ -12,7 +12,7 @@ and the neg-model probability itself for negatives, clipped away from zero.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,18 +53,30 @@ class ElapsedBasis:
 
 @dataclass(frozen=True)
 class WeightModelHyper:
+    """Settings of one weight model; each field is a key of the config's
+    ``weight_model_pos`` / ``weight_model_neg`` section."""
+
     l2: float = 1e-3
-    basis: ElapsedBasis = ElapsedBasis()
-    opt: OptConfig = OptConfig(max_iter=300, tol=1e-10, eval_every=5, patience=5)
+    edges: tuple[int, ...] = field(default=DEFAULT_EDGES, metadata={"duration": True})
+    max_iter: int = 300
     holdout_fraction: float = 0.1
-    clip_floor: float = DEFAULT_CLIP_FLOOR
-    seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
+        self.basis  # raises on bad edges
+        self.opt  # raises on a bad max_iter
         if not 0.0 <= self.holdout_fraction < 0.5:
             raise ValueError("holdout_fraction must be in [0, 0.5)")
-        if not 0.0 < self.clip_floor < 1.0:
-            raise ValueError("clip_floor must be a probability strictly inside (0, 1)")
+
+    @property
+    def basis(self) -> ElapsedBasis:
+        return ElapsedBasis(edges=self.edges)
+
+    @property
+    def opt(self) -> OptConfig:
+        # holdout early stopping: score every 5 iterations, stop after 5 misses
+        return OptConfig(max_iter=self.max_iter, tol=1e-10, eval_every=5, patience=5)
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,7 @@ class WeightModel:
     """Probabilistic classifier over (hashed features, elapsed-time basis).
 
     ``degenerate`` marks the single-class fallback: a constant predictor at
-    the (clipped) class rate, flagged so callers can surface the anomaly.
+    the class rate, flagged so callers can surface the anomaly.
     """
 
     coef: np.ndarray
@@ -97,6 +109,10 @@ class WeightModelPair:
     model_pos: WeightModel
     model_neg: WeightModel
     clip_floor: float = DEFAULT_CLIP_FLOOR
+
+    def __post_init__(self):
+        if not 0.0 < self.clip_floor < 1.0:
+            raise ValueError("clip_floor must be a probability strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -132,16 +148,18 @@ def fit_weight_model(
     x: sparse.csr_matrix,
     e_adj: np.ndarray,
     s: np.ndarray,
-    hyper: WeightModelHyper | None = None,
+    hyper: WeightModelHyper = WeightModelHyper(),
+    *,
+    seed: int = 0,
 ) -> WeightModel:
     """Fit one of the two weight models on a relabeled set.
 
     Training pairs the hashed click features ``x`` with a basis expansion of
-    the *adjusted* elapsed time and targets the s-label. A 10% holdout
-    (seeded) drives early stopping. Single-class inputs degrade to a constant
-    predictor at the clipped class rate, with a warning.
+    the *adjusted* elapsed time and targets the s-label. A holdout of
+    ``hyper.holdout_fraction``, drawn from ``seed``, drives early stopping.
+    Single-class inputs degrade to a constant predictor at the class rate,
+    with a warning; ``assign_fsiw`` clips it like any prediction.
     """
-    hyper = hyper or WeightModelHyper()
     s = np.asarray(s, dtype=float)
     if s.size == 0:
         raise ValueError("cannot fit a weight model on an empty dataset")
@@ -149,31 +167,31 @@ def fit_weight_model(
     if not n == s.size == np.size(e_adj):
         raise ValueError("feature/elapsed-time/label length mismatch")
 
+    basis = hyper.basis
     n_classes = len(np.unique(s))
     if n_classes == 1:
         rate = float(s[0])
-        clipped = min(max(rate, hyper.clip_floor), 1.0)
         warnings.warn(
             f"weight-model data has a single s-class ({int(rate)}); "
-            f"falling back to a constant predictor at {clipped}",
+            f"falling back to a constant predictor at {rate}",
             RuntimeWarning,
             stacklevel=2,
         )
         return WeightModel(
-            coef=np.zeros(dim + hyper.basis.n_columns),
+            coef=np.zeros(dim + basis.n_columns),
             intercept=0.0,
             dim=dim,
-            basis=hyper.basis,
+            basis=basis,
             degenerate=True,
-            constant=clipped,
+            constant=rate,
         )
 
-    x = append_columns(x, hyper.basis.transform(np.asarray(e_adj, dtype=float)))
+    x = append_columns(x, basis.transform(np.asarray(e_adj, dtype=float)))
 
     validation = None
     train_idx = np.arange(n)
     if hyper.holdout_fraction > 0 and n >= 20:
-        rng = np.random.default_rng(np.random.SeedSequence([hyper.seed, 0x77]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x77]))
         perm = rng.permutation(n)
         n_hold = max(1, int(n * hyper.holdout_fraction))
         hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
@@ -198,7 +216,7 @@ def fit_weight_model(
         coef=theta[:-1],
         intercept=float(theta[-1]),
         dim=dim,
-        basis=hyper.basis,
+        basis=basis,
     )
 
 

@@ -277,6 +277,8 @@ def test_bad_config_key_exits_two(tmp_path, config_path) -> None:
         ("hashing=5", "hashing: expected a mapping, got 5"),
         ("split.n_splits=abc", "split.n_splits: expected int, got 'abc'"),
         ("optimizer.eval_every=0", "bad optimizer config: eval_every = 0"),
+        # rejected when the config is read, not as "split 0, trainer naive_lr: ..."
+        ("l2=-1", "error: l2 must be finite and non-negative, got -1.0"),
     ],
 )
 def test_malformed_config_value_exits_two_without_a_traceback(
@@ -286,6 +288,7 @@ def test_malformed_config_value_exits_two_without_a_traceback(
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()  # nothing was fit or written
 
 
 def test_missing_config_file_exits_two(tmp_path) -> None:

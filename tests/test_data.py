@@ -16,7 +16,6 @@ from fsiw.data import (
     ClickLog,
     FieldSpec,
     ParseError,
-    categorical_schema,
     full_observation_labels,
     hash_csr,
     parse_record,
@@ -24,6 +23,11 @@ from fsiw.data import (
     snapshot_labels,
     stable_feature_hash,
 )
+
+
+def _categorical_schema(n_fields: int) -> list[FieldSpec]:
+    """All-categorical schema with fields f0, f1, ..."""
+    return [FieldSpec(name=f"f{i}") for i in range(n_fields)]
 
 
 def _reference_hash(field_id: int, token: str, seed: int, dim: int) -> int:
@@ -79,25 +83,25 @@ def _write_tsv(path, rows: list[tuple[int, int | None, list[str]]]) -> None:
 
 
 def test_parse_record_maps_fields_directly() -> None:
-    schema = categorical_schema(2)
+    schema = _categorical_schema(2)
     assert parse_record("100\t150\tA\tB", schema) == (100, 150, ["A", "B"])
 
 
 def test_parse_record_empty_conversion_column_means_no_conversion() -> None:
-    _, conv_ts, _ = parse_record("100\t\tA\tB", categorical_schema(2))
+    _, conv_ts, _ = parse_record("100\t\tA\tB", _categorical_schema(2))
     assert conv_ts == NO_CONVERSION
 
 
 def test_parse_record_rejects_conversion_before_click() -> None:
     with pytest.raises(ParseError) as err:
-        parse_record("100\t50\tA\tB", categorical_schema(2), line_no=7)
+        parse_record("100\t50\tA\tB", _categorical_schema(2), line_no=7)
     assert "precedes" in str(err.value)
     assert "line 7" in str(err.value)
     assert err.value.column == 2
 
 
 def test_parse_record_rejects_wrong_column_count_and_bad_timestamps() -> None:
-    schema = categorical_schema(2)
+    schema = _categorical_schema(2)
     with pytest.raises(ParseError, match="columns"):
         parse_record("100\t150\tA", schema)
     with pytest.raises(ParseError, match="click timestamp"):
@@ -213,7 +217,7 @@ def test_read_tsv_hashes_each_distinct_token_once(tmp_path, hash_calls) -> None:
     rows = _corpus(300)
     path = tmp_path / "clicks.tsv"
     _write_tsv(path, [(i, None, row) for i, row in enumerate(rows)])
-    log = read_tsv(path, categorical_schema(6), dim=1 << 10, seed=3)
+    log = read_tsv(path, _categorical_schema(6), dim=1 << 10, seed=3)
     distinct = {(j, tok) for row in rows for j, tok in enumerate(row)}
     assert len(hash_calls) == len(set(hash_calls)) == len(distinct)
     assert _csr_rows(log.x) == _reference_rows(rows, 1 << 10, 3)
@@ -307,7 +311,7 @@ def test_tsv_round_trip(tmp_path) -> None:
     _write_tsv(path, rows)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write("\n")  # blank lines are skipped
-    log = read_tsv(path, categorical_schema(3), dim=64, seed=2)
+    log = read_tsv(path, _categorical_schema(3), dim=64, seed=2)
     assert log.click_ts.tolist() == [100, 110, 120]
     assert log.conv_ts.tolist() == [250, NO_CONVERSION, 120]
     assert log.click_ts.dtype == log.conv_ts.dtype == np.int64
@@ -318,7 +322,7 @@ def test_read_tsv_keeps_line_and_column_of_bad_rows(tmp_path) -> None:
     path = tmp_path / "bad.tsv"
     path.write_text("1\t\ta\n\n5\t3\tb\n", encoding="utf-8")
     with pytest.raises(ParseError, match="precedes") as err:
-        read_tsv(path, categorical_schema(1))
+        read_tsv(path, _categorical_schema(1))
     assert (err.value.line_no, err.value.column) == (3, 2)
 
 

@@ -184,6 +184,9 @@ def test_config_rejects_retired_minibatch_keys() -> None:
         raw["optimizer"][key] = value
         with pytest.raises(ConfigError, match=f"unknown key\\(s\\) in optimizer: {key}"):
             config_from_dict(raw)
+    # every loss is a weighted mean: there is no normalization mode to choose
+    with pytest.raises(ConfigError, match=re.escape("unknown key(s) in config: normalization")):
+        config_from_dict(_base_dict(normalization="mean"))
 
 
 def test_config_tau_must_sit_inside_training_window() -> None:
@@ -240,6 +243,13 @@ def test_config_requires_known_trainers() -> None:
             "split: train_window, test_window, stride must be positive",
         ),
         ("clip_floor", 2, "clip_floor must be a probability strictly inside (0, 1)"),
+        # fit floats that would otherwise fail only inside the first fit, or never
+        ("l2", -1, "l2 must be finite and non-negative, got -1.0"),
+        ("l2", float("nan"), "l2 must be finite and non-negative, got nan"),
+        ("l2", float("inf"), "l2 must be finite and non-negative, got inf"),
+        ("optimizer.tol", -1e-9, "optimizer: bad optimizer config: tol = -1e-09"),
+        ("optimizer.tol", float("nan"), "optimizer: bad optimizer config: tol = nan"),
+        ("optimizer.tol", float("inf"), "optimizer: bad optimizer config: tol = inf"),
     ],
 )
 def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> None:
@@ -265,6 +275,16 @@ def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> 
             "weight_model_neg: edges must be strictly increasing positive durations",
         ),
         ("weight_model_neg.max_iter", 0, "weight_model_neg: bad optimizer config: max_iter = 0"),
+        (
+            "weight_model_pos.l2",
+            -1e-3,
+            "weight_model_pos: l2 must be finite and non-negative, got -0.001",
+        ),
+        (
+            "weight_model_neg.l2",
+            float("nan"),
+            "weight_model_neg: l2 must be finite and non-negative, got nan",
+        ),
     ],
 )
 def test_config_checks_weight_model_hyperparameters_on_entry(key, value, message) -> None:
@@ -350,7 +370,6 @@ def _golden_configs() -> dict[str, dict]:
         },
         "tau": ["1d", "2d"],
         "trainers": ["lr_fsiw"],
-        "normalization": "sum",
         "weight_model_neg": {"edges": ["1h", "1d"], "holdout_fraction": 0.2},
         "clip_floor": 0.05,
     }
@@ -358,24 +377,26 @@ def _golden_configs() -> dict[str, dict]:
 
 
 # (config_sha256, sha256 of config_resolved.yaml). Recorded before the config
-# reader and writer were derived from the dataclasses, and re-recorded when
-# optimizer.step0 was removed: the resolved YAML lost exactly that one line.
+# reader and writer were derived from the dataclasses, and re-recorded each
+# time a key was removed, after checking that the resolved YAML lost exactly
+# that key's line: optimizer.step0, then normalization (the tsv config, which
+# set it to sum, no longer sets it).
 _GOLDEN_CONFIG_HASHES = {
     "crit10": (
-        "20e864aafa004a8b311795a177641a9e5ef393275794cc0ca0bf5dc9f90f03b5",
-        "ff4d2c33a14bd5b546bd0a269d70c17a5b4eb97924ceca779067e8c16ba95ddc",
+        "5dcaf11550260b282b6f56f9819a99a70b97123bd636f3a8e9397f0c62d4f5f0",
+        "52bba10f464fb68d11824c9d5c8343985c6557a7d8ce92b269fe7bc01660780f",
     ),
     "readme": (
-        "dd37c15a7b006754d0bcfbddbb1fa045a7d9dfe21562805c749d1e19022c386b",
-        "747831bc1db111ce7434477ad6915b0fe85b0294dee0b9aa0dbdec2297ff5180",
+        "2b94c6fd529cd50ad68ed69359f7960f06fc40618734cea681d46a30ade52668",
+        "036e95b75c0b17842ff26c72e65abc11c2a3c3b584eff38608925305ed85579a",
     ),
     "battery": (
-        "eb68d88fd0acc0fa06207adbecd38527142a633e69478aaba6d3f4265ae3a82a",
-        "13132825512f0e5ab78c939fa8a5cbe5dc095c9fc8d1e7bb44590c87ee1451e6",
+        "6236379c2e833efffff0801db74ccf817092e868bbd9612d1927ef017d776930",
+        "01f962d902812a6d811d0c25e451df87fb557505b40a360b7fe9e3b4d7a216d6",
     ),
     "tsv": (
-        "e2b4e314c665291027a9987d04d9f6344b4bc853a6f1d3f833a083c1d0ac629d",
-        "760eaf47d2dcaa42f3c181d1270545c55c9ab3bd6ba70346c29c001e9c5cc85e",
+        "3d91107d24466d477a4f93230c231ddb540afc771dc9a6b762adae4a6690c2f4",
+        "e5b2c9b0dab2e334ac6ad3a4a06afca9e5d3d9b0eedab0dbc22d663a3770c303",
     ),
 }
 
@@ -421,6 +442,43 @@ def test_run_pipeline_rows_and_artifacts(tmp_path) -> None:
 
     header = (tmp_path / "reports.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(REPORT_COLUMNS)
+
+
+# SHA-256 of what the criterion-10 config writes: a refactor must leave these
+# bytes as they are. Re-record them only after a numpy or scipy upgrade, or in
+# a change that sets out to move reported numbers, with a note in CHANGES.md.
+_CRITERION_10_OUTPUT_HASHES = {
+    "reports.csv": "3e9063b8abd3fb33f9260b226789d0045800505f589496c5aa575e41886a5e13",
+    "reports.json": "3c388335f7b039a7316c15410349af394f22615685fad767e842f7f17f6a5661",
+    "weights_split0.tsv": "e9d714b1992a34be1bf793415cb02bb2aeabd060b146a878fb55c5ec56918204",
+}
+
+
+def _output_hashes(out_dir) -> dict[str, str]:
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in _CRITERION_10_OUTPUT_HASHES
+    }
+
+
+def test_criterion_10_outputs_are_pinned(tmp_path, monkeypatch) -> None:
+    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
+    run_pipeline(config, out_dir=tmp_path / "run")
+    assert _output_hashes(tmp_path / "run") == _CRITERION_10_OUTPUT_HASHES
+
+    # the pin would catch a lost weight-model seed: with every holdout drawn
+    # from seed 0 the weights change
+    import fsiw.experiment
+
+    fit = fsiw.experiment.fit_weight_model
+    monkeypatch.setattr(
+        fsiw.experiment,
+        "fit_weight_model",
+        lambda *args, **kwargs: fit(*args, **{**kwargs, "seed": 0}),
+    )
+    run_pipeline(replace(config, trainers=("lr_fsiw",)), out_dir=tmp_path / "seed0")
+    pinned = _CRITERION_10_OUTPUT_HASHES["weights_split0.tsv"]
+    assert _output_hashes(tmp_path / "seed0")["weights_split0.tsv"] != pinned
 
 
 def test_run_pipeline_is_deterministic(tmp_path) -> None:

@@ -161,6 +161,8 @@ def test_opt_config_validation() -> None:
     for bad in (
         {"max_iter": 0},
         {"tol": -1.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
         {"eval_every": 0},
         {"patience": 0},
     ):

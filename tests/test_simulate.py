@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fsiw.data import NO_CONVERSION, Snapshot, categorical_schema, read_tsv
+from fsiw.data import NO_CONVERSION, FieldSpec, Snapshot, read_tsv
 from fsiw.simulate import (
     ExponentialDelay,
     ModulatedExponentialDelay,
@@ -15,9 +16,7 @@ from fsiw.simulate import (
     SimConfig,
     generate_arrays,
     onehot_matrix,
-    oracle_fsiw,
     oracle_fsiw_array,
-    read_truth,
     sample_weight_vector,
     snapshot_arrays,
     to_click_log,
@@ -69,27 +68,35 @@ def _onehot_snapshot(arrays: SimArrays, training_end: float) -> Snapshot:
     )
 
 
+def _oracle_one(true_p: float, rate: float, e: float, y: int, family=None) -> float:
+    """oracle_fsiw_array on a one-element input."""
+    (w,) = oracle_fsiw_array(
+        np.array([true_p]), np.array([rate]), np.array([e]), np.array([y]), family
+    )
+    return float(w)
+
+
 def test_oracle_weight_positive_example() -> None:
     # independent closed form: 1 / (1 - e^{-lambda e})
     expected = 1.0 / (1.0 - math.exp(-1.0))
-    assert oracle_fsiw(0.5, 1.0, 1.0, 1) == pytest.approx(expected, abs=1e-12)
+    assert _oracle_one(0.5, 1.0, 1.0, 1) == pytest.approx(expected, abs=1e-12)
     assert round(expected, 4) == 1.5820
 
 
 def test_oracle_weight_negative_example() -> None:
     expected = 0.5 / (0.5 + 0.5 * math.exp(-1.0))
-    assert oracle_fsiw(0.5, 1.0, 1.0, 0) == pytest.approx(expected, abs=1e-12)
+    assert _oracle_one(0.5, 1.0, 1.0, 0) == pytest.approx(expected, abs=1e-12)
     assert round(expected, 4) == 0.7311
 
 
 def test_oracle_weights_approach_one_without_censoring() -> None:
-    assert abs(oracle_fsiw(0.5, 1.0, 1e9, 1) - 1.0) < 1e-12
-    assert abs(oracle_fsiw(0.5, 1.0, 1e9, 0) - 1.0) < 1e-12
+    assert abs(_oracle_one(0.5, 1.0, 1e9, 1) - 1.0) < 1e-12
+    assert abs(_oracle_one(0.5, 1.0, 1e9, 0) - 1.0) < 1e-12
 
 
 def test_oracle_weight_rejects_nonpositive_elapsed_time() -> None:
     with pytest.raises(ValueError):
-        oracle_fsiw(0.5, 1.0, 0.0, 1)
+        _oracle_one(0.5, 1.0, 0.0, 1)
     with pytest.raises(ValueError):
         oracle_fsiw_array(np.array([0.5]), np.array([1.0]), np.array([-1.0]), np.array([1]))
 
@@ -235,8 +242,8 @@ def test_oracle_uses_family_cdf_when_given() -> None:
     fam = ModulatedExponentialDelay(rate_weights=(0.0,), modulation_depth=0.6)
     lam, e = 1.0 / DAY, 0.3 * DAY
     surv = 1.0 - float(fam.cdf(e, lam))
-    assert oracle_fsiw(0.4, lam, e, 1, family=fam) == pytest.approx(1.0 / (1.0 - surv))
-    assert oracle_fsiw(0.4, lam, e, 0, family=fam) == pytest.approx(0.6 / (0.6 + 0.4 * surv))
+    assert _oracle_one(0.4, lam, e, 1, family=fam) == pytest.approx(1.0 / (1.0 - surv))
+    assert _oracle_one(0.4, lam, e, 0, family=fam) == pytest.approx(0.6 / (0.6 + 0.4 * surv))
 
 
 def test_sim_click_log_is_consistent() -> None:
@@ -259,6 +266,18 @@ def test_sim_click_log_hashes_each_field_value_once(hash_calls) -> None:
     )
 
 
+def _read_truth(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a write_truth sidecar back as (c, true_p, true_rate) arrays."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "index\tc\ttrue_p\ttrue_rate"
+    rows = [line.split("\t") for line in lines[1:]]
+    return (
+        np.array([int(r[1]) for r in rows], np.int8),
+        np.array([float(r[2]) for r in rows]),
+        np.array([float(r[3]) for r in rows]),
+    )
+
+
 def test_records_round_trip_through_tsv_and_truth_sidecar(tmp_path) -> None:
     cfg = _config(n=300, seed=8)
     arrays = generate_arrays(cfg)
@@ -266,13 +285,14 @@ def test_records_round_trip_through_tsv_and_truth_sidecar(tmp_path) -> None:
     write_truth(arrays, tmp_path / "truth.tsv")
 
     # the TSV path and the simulator path give the same log, hashes included
-    read = read_tsv(tmp_path / "data.tsv", categorical_schema(2), dim=64, seed=5)
+    schema = [FieldSpec(name="f0"), FieldSpec(name="f1")]
+    read = read_tsv(tmp_path / "data.tsv", schema, dim=64, seed=5)
     direct = to_click_log(arrays, dim=64, seed=5)
     assert np.array_equal(read.click_ts, direct.click_ts)
     assert np.array_equal(read.conv_ts, direct.conv_ts)
     assert np.array_equal(read.x.indptr, direct.x.indptr)
     assert np.array_equal(read.x.indices, direct.x.indices)
-    c, p, rate = read_truth(tmp_path / "truth.tsv")
+    c, p, rate = _read_truth(tmp_path / "truth.tsv")
     assert np.array_equal(c, arrays.c)
     assert np.array_equal(p, arrays.true_p)
     assert np.array_equal(rate, arrays.true_rate)

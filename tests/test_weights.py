@@ -82,10 +82,11 @@ def test_basis_rejects_bad_edges() -> None:
 def test_hyper_validation() -> None:
     with pytest.raises(ValueError, match="holdout"):
         WeightModelHyper(holdout_fraction=0.5)
+    model = _constant_model(0.5)
     with pytest.raises(ValueError, match="clip_floor"):
-        WeightModelHyper(clip_floor=0.0)
+        WeightModelPair(model_pos=model, model_neg=model, clip_floor=0.0)
     with pytest.raises(ValueError, match="clip_floor"):
-        WeightModelHyper(clip_floor=1.0)
+        WeightModelPair(model_pos=model, model_neg=model, clip_floor=1.0)
 
 
 def test_fit_rejects_empty_input() -> None:
@@ -105,8 +106,11 @@ def test_single_class_falls_back_to_constant_with_warning() -> None:
 
     with pytest.warns(RuntimeWarning):
         model = fit_weight_model(x, e_adj, np.zeros(30))
-    # constant sits at the clip floor rather than at an exact zero
-    assert np.all(model.predict(x[:1], np.array([3600.0])) == WeightModelHyper().clip_floor)
+    # the constant is the raw class rate; assign_fsiw lifts it to the clip floor
+    assert np.all(model.predict(x[:1], np.array([3600.0])) == 0.0)
+    pair = WeightModelPair(model_pos=model, model_neg=model, clip_floor=0.05)
+    weighted = assign_fsiw(pair, x[:2], np.array([0, 1]), np.array([3600, 3600]))
+    assert weighted.weights.tolist() == [0.05, 1 / 0.05]
 
 
 def test_fit_is_invariant_to_duplicating_every_row() -> None:
@@ -117,7 +121,7 @@ def test_fit_is_invariant_to_duplicating_every_row() -> None:
         e_adj.append(int(rng.integers(600, 5 * DAY)))
         s.append(int(rng.random() < 0.5))
     x, e_adj, s = _onehot(cols), np.array(e_adj), np.array(s)
-    hyper = WeightModelHyper(holdout_fraction=0.0, opt=OptConfig(max_iter=500, tol=1e-12))
+    hyper = WeightModelHyper(holdout_fraction=0.0, max_iter=500)
     single = fit_weight_model(x, e_adj, s, hyper)
     doubled = fit_weight_model(
         sparse.vstack([x, x], format="csr"), np.tile(e_adj, 2), np.tile(s, 2), hyper
