@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -31,6 +32,10 @@ SECONDS_PER_DAY = 86400
 # real timestamp, so ``conv_ts <= t`` is False for it at any snapshot t.
 NO_CONVERSION = int(np.iinfo(np.int64).max)
 _MIN_TS = int(np.iinfo(np.int64).min)
+
+# characters of lines per block in read_tsv: readlines stops once a block
+# holds this many
+_BLOCK_CHARS = 1 << 16
 
 
 class ParseError(ValueError):
@@ -175,24 +180,70 @@ def read_tsv(
 
     Each field's tokens get codes in order of first appearance, so hash_csr
     hashes every distinct (field, token) pair once. Blank lines are skipped.
+
+    The file is read in blocks of about ``_BLOCK_CHARS`` characters, and
+    each block is parsed column by column: one split of all its cells, one
+    conversion per timestamp column, and range and ordering checks on whole
+    arrays. A block that holds a bad row raises without saying where; the
+    file is then read again line by line through ``parse_record``, which
+    defines a valid row, and its ParseError names the first bad line and
+    column.
     """
-    vocabs: list[dict[str, int]] = [{} for _ in schema]
-    clicks, convs, codes = [], [], []
+    try:
+        click_ts, conv_ts, codes, vocabs = _read_columns(path, schema)
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    else:
+        return ClickLog(
+            click_ts=click_ts,
+            conv_ts=conv_ts,
+            x=hash_csr(codes, [list(vocab) for vocab in vocabs], dim=dim, seed=seed),
+        )
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.strip():
+                parse_record(line, schema, line_no=line_no)
+    raise error  # parse_record accepted every row that a block rejected
+
+
+def _read_columns(
+    path: str | Path, schema: Sequence[FieldSpec]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict[str, int]]]:
+    """Click and conversion timestamps, the (n, fields) token codes and each
+    field's vocabulary of a TSV click log. Raises ValueError or
+    OverflowError, without a line number, on any row parse_record rejects."""
+    width = 2 + len(schema)
+    vocabs: list[dict[str, int]] = [{} for _ in schema]
+    clicks, convs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    codes = [np.empty((0, len(schema)), dtype=np.int64)]
+    with open(path, "r", encoding="utf-8") as handle:
+        while block := handle.readlines(_BLOCK_CHARS):
+            rows = list(filter(str.strip, block))
+            n = len(rows)
+            if n == 0:
                 continue
-            click_ts, conv_ts, tokens = parse_record(line, schema, line_no=line_no)
-            clicks.append(click_ts)
-            convs.append(conv_ts)
-            for vocab, token in zip(vocabs, tokens):
-                codes.append(vocab.setdefault(token, len(vocab)))
-    code_matrix = np.array(codes, dtype=np.int64).reshape(len(clicks), len(schema))
-    return ClickLog(
-        click_ts=np.array(clicks, dtype=np.int64),
-        conv_ts=np.array(convs, dtype=np.int64),
-        x=hash_csr(code_matrix, [list(vocab) for vocab in vocabs], dim=dim, seed=seed),
-    )
+            if np.any(np.fromiter(map(str.count, rows, repeat("\t")), np.intp, n) != width - 1):
+                raise ValueError("wrong column count")
+            cells = "\t".join(rows).replace("\n", "").split("\t")
+            click = np.fromiter(map(int, cells[0::width]), np.int64, n)
+            conv_cells = cells[1::width]
+            logged = np.fromiter(map(bool, conv_cells), bool, n)
+            conv = np.full(n, NO_CONVERSION, dtype=np.int64)
+            conv[logged] = np.fromiter(map(int, filter(None, conv_cells)), np.int64)
+            if np.any(
+                (click == NO_CONVERSION) | (conv < click) | (logged & (conv == NO_CONVERSION))
+            ):
+                raise ValueError("timestamp out of range or out of order")
+            block_codes = np.empty((n, len(schema)), dtype=np.int64)
+            for j, (spec, vocab) in enumerate(zip(schema, vocabs)):
+                tokens = list(map(spec.tokenize, cells[2 + j :: width]))
+                for token in dict.fromkeys(tokens):
+                    vocab.setdefault(token, len(vocab))
+                block_codes[:, j] = np.fromiter(map(vocab.__getitem__, tokens), np.int64, n)
+            clicks.append(click)
+            convs.append(conv)
+            codes.append(block_codes)
+    return np.concatenate(clicks), np.concatenate(convs), np.concatenate(codes), vocabs
 
 
 def stable_feature_hash(field_id: int, token: str, seed: int) -> int:

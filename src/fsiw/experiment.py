@@ -45,6 +45,7 @@ from .simulate import (
 )
 from .training import (
     TrainingMeta,
+    check_l2,
     predict_cvr_batch,
     save_model,
     train_dfm,
@@ -57,6 +58,7 @@ from .weights import (
     WeightModelHyper,
     WeightModelPair,
     assign_fsiw,
+    check_clip_floor,
     dump_weights,
     fit_weight_model,
 )
@@ -250,10 +252,11 @@ class ExperimentConfig:
                     f"tau {t} must lie strictly inside the training window "
                     f"({self.split.train_window}s)"
                 )
-        if not 0 <= self.l2 < np.inf:
-            raise ConfigError(f"l2 must be finite and non-negative, got {self.l2!r}")
-        if not 0.0 < self.clip_floor < 1.0:
-            raise ConfigError("clip_floor must be a probability strictly inside (0, 1)")
+        try:
+            check_l2(self.l2)
+            check_clip_floor(self.clip_floor)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def sha256(self) -> str:
         """Fingerprint of the experiment: everything except where output lands."""

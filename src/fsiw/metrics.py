@@ -8,7 +8,10 @@ order in which they were drawn).
 The bootstrap CIs of ``evaluate_predictions`` are exact: every resample's
 statistic is the value ``log_loss``, ``normalized_log_loss`` and ``pr_auc``
 return on the resampled rows, bit for bit, but it comes from per-row columns
-prepared once per call, in O(n) per resample and without a sort.
+prepared once per call, in O(n) per resample and without a comparison sort:
+the scores are sorted once, and only the draws that land in a tie group
+holding both labels are ordered, by a stable radix sort on small integer ids
+of their groups.
 """
 
 from __future__ import annotations
@@ -177,6 +180,12 @@ class _Ranking:
     except inside a tie group (rows of equal score): there the stable sort
     keeps the order of the draws. That only matters where the group holds
     both labels; ``tied[i]`` says whether row i's group does.
+
+    Such "mixed" groups are numbered 0, 1, ... in place order, and
+    ``group_id`` holds each place's number in the smallest unsigned dtype
+    that fits them all. A resample's tied draws are put in group order by a
+    stable argsort on those ids, which numpy runs as a radix sort while they
+    fit 16 bits (up to 65 536 mixed groups) and as a timsort beyond.
     """
 
     def __init__(self, labels: np.ndarray, preds: np.ndarray):
@@ -187,11 +196,15 @@ class _Ranking:
         starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
         sizes = np.diff(np.r_[starts, n])
         n_hits = np.add.reduceat(hit, starts, dtype=np.intp)
-        mixed = np.repeat((n_hits > 0) & (n_hits < sizes), sizes)
+        is_mixed = (n_hits > 0) & (n_hits < sizes)
+        mixed = np.repeat(is_mixed, sizes)
         self.hit = hit
         self.hit_places = np.flatnonzero(hit)
         self.hit_mixed = mixed[self.hit_places]
-        self.group_start = np.repeat(starts, sizes)
+        self.mixed_start = starts[is_mixed]
+        ids = np.maximum(np.cumsum(is_mixed) - 1, 0)
+        n_mixed = self.mixed_start.size
+        self.group_id = np.repeat(ids, sizes).astype(np.min_scalar_type(max(n_mixed - 1, 0)))
         self.place = np.empty(n, dtype=np.intp)
         self.place[order] = np.arange(n)
         self.tied = mixed[self.place]
@@ -215,10 +228,14 @@ class _Ranking:
         if drawn.size:
             # in a tie group with both labels the resample's draws keep their
             # order: the group's i-th draw has rank (rows above the group) + i + 1
-            drawn = drawn[np.argsort(self.group_start[drawn], kind="stable")]
-            start = self.group_start[drawn]
-            rank = upto[start] - counts[start] + np.arange(1, drawn.size + 1)
-            rank -= np.searchsorted(start, start)
+            group = self.group_id[drawn]
+            order = np.argsort(group, kind="stable")  # radix sort on ids of <= 16 bits
+            drawn, group = drawn[order], group[order]
+            n_drawn = np.bincount(group, minlength=self.mixed_start.size)
+            above = upto[self.mixed_start] - counts[self.mixed_start]
+            # minus each group's first index in the sorted draws
+            offset = above - (np.cumsum(n_drawn) - n_drawn)
+            rank = offset[group] + np.arange(1, drawn.size + 1)
             ranks[np.repeat(self.hit_mixed, copies)] = rank[self.hit[drawn]]
         return float((k / ranks).mean())
 

@@ -86,6 +86,12 @@ class DfmModel:
     meta: TrainingMeta
 
 
+def check_l2(l2: float) -> None:
+    """Reject an L2 penalty that is negative, infinite or nan."""
+    if not 0 <= l2 < np.inf:
+        raise ValueError(f"l2 must be finite and non-negative, got {l2!r}")
+
+
 def _validate_weights(w: np.ndarray) -> None:
     bad = ~(np.isfinite(w) & (w > 0))
     if np.any(bad):
@@ -118,8 +124,7 @@ def fit_logistic(
         raise TrainingError(f"label count {len(y)} != sample count {n}")
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     _validate_weights(w)
-    if l2 < 0:
-        raise ValueError("l2 must be non-negative")
+    check_l2(l2)
     y = np.asarray(y, dtype=float)
     denom = float(w.sum())
     xt = x.T.tocsr()
@@ -285,6 +290,7 @@ def train_dfm(
     intercept starts at the snapshot base rate, the delay intercept at the
     inverse mean observed delay.
     """
+    check_l2(l2)
     n, dim = x.shape
     if n == 0:
         raise TrainingError("empty training set")

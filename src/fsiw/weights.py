@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .optim import OptConfig, append_columns, sigmoid
-from .training import fit_logistic
+from .training import check_l2, fit_logistic
 
 DEFAULT_EDGES = (3600, 21600, 43200, 86400, 172800, 345600, 604800)
 DEFAULT_CLIP_FLOOR = 0.01
@@ -62,8 +62,7 @@ class WeightModelHyper:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
-        if not 0 <= self.l2 < np.inf:
-            raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
+        check_l2(self.l2)
         self.basis  # raises on bad edges
         self.opt  # raises on a bad max_iter
         if not 0.0 <= self.holdout_fraction < 0.5:
@@ -104,6 +103,12 @@ class WeightModel:
         return sigmoid(x @ self.coef + self.intercept)
 
 
+def check_clip_floor(clip_floor: float) -> None:
+    """Reject a weight-model probability floor outside (0, 1)."""
+    if not 0.0 < clip_floor < 1.0:
+        raise ValueError("clip_floor must be a probability strictly inside (0, 1)")
+
+
 @dataclass(frozen=True)
 class WeightModelPair:
     model_pos: WeightModel
@@ -111,8 +116,7 @@ class WeightModelPair:
     clip_floor: float = DEFAULT_CLIP_FLOOR
 
     def __post_init__(self):
-        if not 0.0 < self.clip_floor < 1.0:
-            raise ValueError("clip_floor must be a probability strictly inside (0, 1)")
+        check_clip_floor(self.clip_floor)
 
 
 @dataclass(frozen=True)

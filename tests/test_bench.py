@@ -6,11 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fsiw.data import snapshot_labels
+from fsiw.data import FieldSpec, read_tsv, snapshot_labels
 from fsiw.experiment import SimulatorSpec
 from fsiw.metrics import evaluate_predictions
 from fsiw.optim import OptConfig
-from fsiw.simulate import generate_arrays, to_click_log
+from fsiw.simulate import generate_arrays, to_click_log, write_sim_tsv
 from fsiw.training import train_dfm
 
 pytestmark = pytest.mark.bench
@@ -25,6 +25,34 @@ def test_evaluate_predictions_30k_rows_200_resamples(benchmark) -> None:
     preds = np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, logit.size)))), 0.01, 0.99)
     report = benchmark(evaluate_predictions, labels, preds, 0.2, bootstrap_b=200, seed=21)
     assert report.n_test == 30_000
+
+
+def test_evaluate_predictions_4k_rows_64_tied_scores_100_resamples(benchmark) -> None:
+    # a scorer with 64 distinct outputs, as a linear model over two 8-value
+    # fields gives: every score is a tie group, nearly all of them holding
+    # both labels
+    rng = np.random.default_rng(21)
+    preds = rng.choice(np.linspace(0.02, 0.6, 64), 4000)
+    labels = (rng.random(preds.size) < preds).astype(np.int64)
+    report = benchmark(evaluate_predictions, labels, preds, 0.2, bootstrap_b=100, seed=21)
+    assert report.n_test == 4000
+
+
+def test_read_tsv_40k_rows(benchmark, tmp_path) -> None:
+    # the README world's TSV, two 8-value fields, as `fsiw simulate` writes it
+    spec = SimulatorSpec(
+        n_samples=40_000,
+        field_cardinalities=(8, 8),
+        time_span=10 * 86400,
+        cvr_bias=-1.5,
+        mean_delay=86400,
+        rate_spread=0.4,
+    )
+    path = tmp_path / "data.tsv"
+    write_sim_tsv(generate_arrays(spec.build(21)), path)
+    schema = [FieldSpec(name="f0"), FieldSpec(name="f1")]
+    log = benchmark(read_tsv, path, schema, dim=1024, seed=0)
+    assert log.x.shape == (40_000, 1024)
 
 
 def test_train_dfm_battery_world_6k_rows(benchmark) -> None:

@@ -7,10 +7,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import fsiw.data as data_mod
 from fsiw.data import (
     NO_CONVERSION,
     ClickLog,
@@ -324,6 +325,118 @@ def test_read_tsv_keeps_line_and_column_of_bad_rows(tmp_path) -> None:
     with pytest.raises(ParseError, match="precedes") as err:
         read_tsv(path, _categorical_schema(1))
     assert (err.value.line_no, err.value.column) == (3, 2)
+
+
+def _reference_read_tsv(path, schema, *, dim: int, seed: int) -> ClickLog:
+    """The per-line reader that the block reader replaced, kept as the
+    reference that it must match, errors included."""
+    vocabs: list[dict[str, int]] = [{} for _ in schema]
+    clicks, convs, codes = [], [], []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            click_ts, conv_ts, tokens = parse_record(line, schema, line_no=line_no)
+            clicks.append(click_ts)
+            convs.append(conv_ts)
+            for vocab, token in zip(vocabs, tokens):
+                codes.append(vocab.setdefault(token, len(vocab)))
+    code_matrix = np.array(codes, dtype=np.int64).reshape(len(clicks), len(schema))
+    return ClickLog(
+        click_ts=np.array(clicks, dtype=np.int64),
+        conv_ts=np.array(convs, dtype=np.int64),
+        x=hash_csr(code_matrix, [list(vocab) for vocab in vocabs], dim=dim, seed=seed),
+    )
+
+
+def _read_outcome(reader, path, schema, block_chars: int | None = None):
+    """What reading ``path`` gives: the log's arrays, or the error's type,
+    message, line and column."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_chars is not None:
+            mp.setattr(data_mod, "_BLOCK_CHARS", block_chars)
+        try:
+            log = reader(path, schema, dim=64, seed=3)
+        except ValueError as exc:
+            where = (getattr(exc, "line_no", None), getattr(exc, "column", None))
+            return (type(exc), str(exc), *where)
+    arrays = (log.click_ts, log.conv_ts, log.x.indptr, log.x.indices, log.x.data)
+    return log.x.shape, [(a.dtype.str, a.tolist()) for a in arrays]
+
+
+TSV_SCHEMA = [FieldSpec(name="c"), FieldSpec(name="p", kind="numeric", bins=(1.0, 5.0))]
+
+# one row of each kind that parse_record rejects, for TSV_SCHEMA
+BAD_ROWS = [
+    "5\t\ta",  # too few columns
+    "5\t\ta\t1\textra",  # too many
+    "x\t\ta\t1",  # bad click timestamp
+    "\t\ta\t1",
+    f"{NO_CONVERSION}\t\ta\t1",  # click timestamp out of range
+    f"{-(2**63) - 1}\t\ta\t1",
+    f"{2**70}\t\ta\t1",
+    "5\tzz\ta\t1",  # bad conversion timestamp
+    "5\t \ta\t1",
+    "5\t3\ta\t1",  # conversion precedes click
+    f"5\t{NO_CONVERSION}\ta\t1",  # conversion timestamp out of range
+    f"5\t{2**64}\ta\t1",
+    "5\t\ta\tcheap",  # non-numeric value of a numeric field
+    "5\t\ta\t",
+]
+BLANK_LINES = ["", " ", "\t", " \t\t ", "\t\t\t", "\x0c"]
+
+
+@st.composite
+def _good_row(draw) -> str:
+    click = draw(st.one_of(st.integers(-10, 10**6), st.integers(-(2**63), 2**62)))
+    conv = draw(st.one_of(st.just(""), st.integers(0, 10**5).map(lambda d: str(click + d))))
+    token = draw(st.sampled_from(["a", "b", "tok", " a", "é", ""]))
+    value = draw(
+        st.one_of(
+            st.sampled_from(["0.5", "1", "3", "5", "100", "-2", " 4 ", "nan", "inf", "1e3"]),
+            st.floats(allow_nan=False).map(repr),
+        )
+    )
+    return "\t".join([str(click), conv, token, value])
+
+
+TSV_LINES = st.lists(
+    st.one_of(
+        _good_row(), _good_row(), _good_row(), _good_row(),
+        st.sampled_from(BLANK_LINES),
+        st.sampled_from(BAD_ROWS),
+    ),
+    max_size=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    TSV_LINES,
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+    st.sampled_from([1, 2, 16, 1 << 16]),
+)
+@example(lines=[], newline="\n", trailing=False, block_chars=1 << 16)  # an empty file
+def test_block_reader_matches_the_per_line_reader(
+    tmp_path_factory, lines, newline, trailing, block_chars
+) -> None:
+    path = tmp_path_factory.mktemp("tsv") / "clicks.tsv"
+    path.write_bytes((newline.join(lines) + (newline if trailing and lines else "")).encode())
+    want = _read_outcome(_reference_read_tsv, path, TSV_SCHEMA)
+    assert _read_outcome(read_tsv, path, TSV_SCHEMA, block_chars) == want
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS)
+@pytest.mark.parametrize("block_chars", [1, 40, 1 << 16])
+def test_block_reader_names_the_line_and_column_of_every_bad_row(tmp_path, bad, block_chars):
+    # good rows and blank lines, then the bad row on line 6, then more rows
+    lines = ["1\t2\ta\t0.5", "", "3\t\tb\t7", " \t", "4\t4\ta\t2", bad, "9\t\tc\t1"]
+    path = tmp_path / "bad.tsv"
+    path.write_bytes("\r\n".join(lines).encode())
+    got = _read_outcome(read_tsv, path, TSV_SCHEMA, block_chars)
+    assert got == _read_outcome(_reference_read_tsv, path, TSV_SCHEMA)
+    assert got[0] is ParseError and got[2] == 6
 
 
 def test_full_observation_respects_observational_period() -> None:

@@ -405,6 +405,25 @@ def test_evaluate_predictions_matches_the_per_resample_metrics(rows, base, seed)
     assert {k: _bits(v) for k, v in got.items()} == {k: _bits(v) for k, v in want.items()}
 
 
+@pytest.mark.parametrize(("n_mixed", "key"), [(300, np.uint16), (70_000, np.uint32)])
+def test_many_mixed_tie_groups_match_the_reference_bit_for_bit(n_mixed, key) -> None:
+    # more mixed tie groups than a uint8 (then a uint16) group id holds; each
+    # has a positive and a negative, among all-negative pairs and untied rows
+    rng = np.random.default_rng(n_mixed)
+    scores = rng.permutation(np.linspace(0.01, 0.99, n_mixed + 50))
+    preds = np.r_[np.repeat(scores, 2), rng.uniform(0.0, 1.0, 100)]
+    labels = np.r_[np.tile([1.0, 0.0], n_mixed), np.zeros(100), rng.random(100) < 0.5]
+    shuffle = rng.permutation(preds.size)
+    labels, preds = labels[shuffle], preds[shuffle]
+    ranking = _Ranking(labels, preds)
+    assert ranking.mixed_start.size == n_mixed
+    assert ranking.group_id.dtype == key
+    n = labels.size
+    for r in [rng.integers(0, n, n) for _ in range(3)]:
+        got = ranking.average_precision(ranking.place[r], ranking.tied[r], 0.0)
+        assert _bits(got) == _bits(_reference_pr_auc(labels[r], preds[r]))
+
+
 def _smooth_scores() -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(2024)
     labels = (rng.random(300) < 0.3).astype(int)

@@ -151,6 +151,20 @@ def test_bad_weight_names_offending_sample() -> None:
         fit_logistic(samples.x, samples.y, sample_weight=w, l2=0.1)
 
 
+@pytest.mark.parametrize(
+    "l2, shown", [(-1, "-1"), (-1e-9, "-1e-09"), (float("nan"), "nan"), (float("inf"), "inf")]
+)
+def test_trainers_reject_a_bad_l2_on_entry(l2, shown) -> None:
+    # without the check a negative l2 drove the delay model's objective
+    # without bound, and nan failed only inside the fit
+    samples = _make_samples(20, seed=9)
+    message = f"^l2 must be finite and non-negative, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        fit_logistic(samples.x, samples.y, l2=l2)
+    with pytest.raises(ValueError, match=message):
+        train_dfm(samples.x, samples.y, samples.d, samples.e, l2, OPT)
+
+
 def test_l2_path_shrinks_coefficients() -> None:
     samples = _make_samples(250, seed=5)
     norms = [
