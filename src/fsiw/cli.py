@@ -152,38 +152,74 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, predictions and 1-based line numbers of the rows of a
+    label/prediction TSV.
+
+    Lines are stripped, blank ones are skipped, columns after the second are
+    ignored, and line 1 is a header when its first cell is not a number. The
+    rows are parsed as columns: one split of all cells and one ``float`` per
+    cell. A row that does not parse raises there without saying where; the
+    lines are then checked one by one by ``_check_prediction_lines``, whose
+    CliError names the first bad line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = list(map(str.strip, handle.read().split("\n")))
+    kept = np.fromiter(map(bool, lines), bool, len(lines))
+    rows = list(filter(None, lines))
+    if kept[0]:
+        try:
+            float(lines[0].split("\t")[0])
+        except ValueError:
+            kept[0] = False  # header row: its label field is not a number
+            del rows[0]
+    n = len(rows)
+    if n == 0:
+        raise CliError(f"{path}: no prediction rows")
+    try:
+        if not all("\t" in row for row in rows):
+            raise ValueError("a row without a prediction")
+        cells = "\t".join(rows).split("\t")
+        if len(cells) > 2 * n:  # extra columns
+            cells = [cell for row in rows for cell in row.split("\t", 2)[:2]]
+        labels = np.fromiter(map(float, cells[0::2]), float, n)
+        preds = np.fromiter(map(float, cells[1::2]), float, n)
+    except ValueError:
+        _check_prediction_lines(path, lines)
+        raise  # every line passed the check that a column rejected
+    return labels, preds, np.flatnonzero(kept) + 1
+
+
+def _check_prediction_lines(path: Path, lines: list[str]) -> None:
+    """Raise CliError at the first of these stripped lines of a
+    label/prediction TSV that is not blank, the header or a row with a
+    numeric label and prediction."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if line_no == 1:
+            try:
+                float(parts[0])
+            except ValueError:
+                continue  # header row: its label field is not a number
+        if len(parts) < 2:
+            raise CliError(f"{path}:{line_no}: expected 'label<TAB>prediction'")
+        try:
+            float(parts[0])
+            float(parts[1])
+        except ValueError as exc:
+            raise CliError(f"{path}:{line_no}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     if args.bootstrap_b < 100:
         raise CliError(f"--bootstrap-b must be at least 100, got {args.bootstrap_b}")
     if args.train_mean_cvr is not None and not 0.0 < args.train_mean_cvr < 1.0:
         raise CliError(f"--train-mean-cvr must be in (0, 1), got {args.train_mean_cvr}")
-    labels: list[float] = []
-    preds: list[float] = []
-    line_nos: list[int] = []
     path = Path(args.preds)
     if not path.exists():
         raise CliError(f"prediction file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if line_no == 1:
-                try:
-                    float(parts[0])
-                except ValueError:
-                    continue  # header row: its label field is not a number
-            if len(parts) < 2:
-                raise CliError(f"{path}:{line_no}: expected 'label<TAB>prediction'")
-            try:
-                labels.append(float(parts[0]))
-                preds.append(float(parts[1]))
-            except ValueError as exc:
-                raise CliError(f"{path}:{line_no}: {exc}") from exc
-            line_nos.append(line_no)
-    if not labels:
-        raise CliError(f"{path}: no prediction rows")
+    labels, preds, line_nos = _read_predictions(path)
     base = args.train_mean_cvr
     if base is None:
         base = float(np.mean(labels))
@@ -198,7 +234,7 @@ def cmd_eval(args) -> int:
             labels, preds, base, bootstrap_b=args.bootstrap_b, seed=args.seed or 0
         )
     except MetricInputError as exc:
-        raise CliError(f"{path}:{line_nos[exc.index]}: {exc.detail}") from exc
+        raise CliError(f"{path}:{int(line_nos[exc.index])}: {exc.detail}") from exc
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     print(json.dumps(report.to_flat_dict(), sort_keys=True, indent=2))

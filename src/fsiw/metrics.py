@@ -8,22 +8,28 @@ order in which they were drawn).
 The bootstrap CIs of ``evaluate_predictions`` are exact: every resample's
 statistic is the value ``log_loss``, ``normalized_log_loss`` and ``pr_auc``
 return on the resampled rows, bit for bit, but it comes from per-row columns
-prepared once per call, in O(n) per resample and without a comparison sort:
-the scores are sorted once, and only the draws that land in a tie group
-holding both labels are ordered, by a stable radix sort on small integer ids
-of their groups.
+prepared once per call, and each statistic gathers only the columns it reads.
+The log losses gather each row's log likelihood. Average precision gathers
+one small slot number per row (see ``_Ranking``), counts the draws per slot
+and ranks them with one cumulative sum; only the draws that land in a tie
+group holding both labels are ordered, by a stable radix sort. The draws
+come in blocks of at most ``_BLOCK_DRAWS`` indices, so memory stays bounded
+whatever the number of rows and resamples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .data import NO_CONVERSION
 
 PRED_CLIP = 1e-15
+NO_POSITIVE = "average precision needs at least one positive label"
+# the most bootstrap indices drawn at once: 2 MiB of int64
+_BLOCK_DRAWS = 1 << 18
 
 DEFAULT_CDF_GRID = (
     1800,
@@ -93,13 +99,24 @@ def log_loss(labels: Sequence[int], preds: Sequence[float], clip: float = PRED_C
     return _mean_loss(_log_terms(labels, preds, clip))
 
 
+def _check_base_rate(train_mean_cvr: float) -> None:
+    if not 0.0 < train_mean_cvr < 1.0:
+        raise ValueError(f"train_mean_cvr must be in (0,1), got {train_mean_cvr}")
+
+
+def _normalized_loss(terms: np.ndarray, base_terms: np.ndarray) -> float:
+    """``normalized_log_loss`` of the rows whose log likelihoods under the
+    model and under the base rate are ``terms`` and ``base_terms``."""
+    ll_naive = _mean_loss(base_terms)
+    return 100.0 * (ll_naive - _mean_loss(terms)) / ll_naive
+
+
 def normalized_log_loss(
     labels: Sequence[int], preds: Sequence[float], train_mean_cvr: float
 ) -> float:
     """Percent improvement in log loss over always predicting the training
     base rate. 0 means no improvement; higher is better."""
-    if not 0.0 < train_mean_cvr < 1.0:
-        raise ValueError(f"train_mean_cvr must be in (0,1), got {train_mean_cvr}")
+    _check_base_rate(train_mean_cvr)
     labels, preds = _as_arrays(labels, preds)
     ll = log_loss(labels, preds)
     ll_naive = log_loss(labels, np.full(labels.shape, train_mean_cvr))
@@ -116,13 +133,38 @@ def pr_auc(labels: Sequence[int], preds: Sequence[float]) -> float:
     labels, preds = _as_arrays(labels, preds)
     n_pos = labels.sum()
     if n_pos == 0:
-        raise ValueError("average precision needs at least one positive label")
+        raise ValueError(NO_POSITIVE)
     order = np.argsort(-preds, kind="stable")
     sorted_labels = labels[order]
     cum_pos = np.cumsum(sorted_labels)
     ranks = np.arange(1, labels.size + 1)
     precision_at_pos = (cum_pos / ranks)[sorted_labels == 1]
     return float(precision_at_pos.mean())
+
+
+def _resamples(n: int, b: int, seed: int) -> Iterator[np.ndarray]:
+    """The ``b`` index rows of the bootstrap over ``n`` rows seeded by
+    ``seed``, drawn in blocks of at most ``_BLOCK_DRAWS`` indices (one row
+    per block once a row is longer).
+
+    The rows are those of one ``integers(0, n, size=(b, n))`` call on the
+    same generator: below 2**32 each index comes from the bit generator's
+    stream of 32-bit values, which carries on from one call to the next, so
+    the block size bounds memory and changes no draw."""
+    if b < 100:
+        raise ValueError(f"need at least 100 resamples, got {b}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
+    per_block = max(1, _BLOCK_DRAWS // n)
+    blocks = (
+        rng.integers(0, n, size=(min(per_block, b - done), n)) for done in range(0, b, per_block)
+    )
+    return (row for block in blocks for row in block)
+
+
+def _interval(values: Iterable[float]) -> tuple[float, float]:
+    """95% percentile interval of the resample statistics."""
+    lo, hi = np.percentile(np.fromiter(values, float), [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def bootstrap_ci(
@@ -137,55 +179,34 @@ def bootstrap_ci(
 
     ``labels`` and ``preds`` may be any two per-row columns, of any dtype;
     each resample passes ``metric`` the rows it drew of both, in draw order.
-    ``evaluate_predictions`` passes columns prepared once (see ``_Ranking``)
-    whose statistics equal the metrics on the drawn (label, pred) rows bit
-    for bit, so its intervals are the ones this loop gives for the metrics
-    themselves."""
-    if b < 100:
-        raise ValueError(f"need at least 100 resamples, got {b}")
+    ``evaluate_predictions`` draws the same rows for its three intervals but
+    computes each statistic from prepared columns, which equal the metrics
+    on the drawn (label, pred) rows bit for bit."""
     labels, preds = _as_arrays(labels, preds, dtype=None)
-    n = labels.size
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
-    values = np.empty(b)
-    chunk = max(1, min(b, (1 << 22) // max(n, 1)))
-    done = 0
-    while done < b:
-        take = min(chunk, b - done)
-        idx = rng.integers(0, n, size=(take, n))
-        for i in range(take):
-            values[done + i] = metric(labels[idx[i]], preds[idx[i]])
-        done += take
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    return float(lo), float(hi)
-
-
-def _resampled_ll(terms: np.ndarray, base_terms: np.ndarray) -> float:
-    """``log_loss`` of the rows whose log likelihoods are ``terms``."""
-    return _mean_loss(terms)
-
-
-def _resampled_nll(terms: np.ndarray, base_terms: np.ndarray) -> float:
-    """``normalized_log_loss`` of the rows whose log likelihoods under the
-    model and under the base rate are ``terms`` and ``base_terms``."""
-    ll_naive = _mean_loss(base_terms)
-    return 100.0 * (ll_naive - _mean_loss(terms)) / ll_naive
+    return _interval(metric(labels[r], preds[r]) for r in _resamples(labels.size, b, seed))
 
 
 class _Ranking:
     """The rows in one stable descending sort of their scores, from which the
     average precision of any resample of them follows without a sort.
 
-    ``place[i]`` is row i's place in that sort. The same sort of a resample
-    lists the places in ascending order, each as often as it was drawn,
-    except inside a tie group (rows of equal score): there the stable sort
-    keeps the order of the draws. That only matters where the group holds
-    both labels; ``tied[i]`` says whether row i's group does.
+    The same sort of a resample lists the rows' places in ascending order,
+    each as often as it was drawn, except inside a tie group (rows of equal
+    score), where the stable sort keeps the order of the draws. That only
+    matters where the group holds both labels ("mixed"), and a positive's
+    rank is the positives ranked at or above it plus the negatives above it.
 
-    Such "mixed" groups are numbered 0, 1, ... in place order, and
-    ``group_id`` holds each place's number in the smallest unsigned dtype
-    that fits them all. A resample's tied draws are put in group order by a
-    stable argsort on those ids, which numpy runs as a radix sort while they
-    fit 16 bits (up to 65 536 mixed groups) and as a timsort beyond.
+    So each row gets a ``slot``, in place order. The places are cut into
+    pairs of slots: a gap of negatives outside mixed groups, then a run of
+    positives outside them (either may be empty). Each mixed group has a pair
+    of its own, its negatives then its positives; its rows' slots sit above
+    ``cut``, one pair per group in place order, so that one comparison finds
+    a resample's tied draws, and their counts are moved into the group's
+    empty pair below ``cut`` before the cumulative sums. Slots are stored in
+    the smallest unsigned dtype that holds them all; a resample's tied draws
+    are put in group order by a stable argsort on their slot pair, which
+    numpy runs as a radix sort while slots fit 16 bits and as a timsort
+    beyond.
     """
 
     def __init__(self, labels: np.ndarray, preds: np.ndarray):
@@ -198,46 +219,59 @@ class _Ranking:
         n_hits = np.add.reduceat(hit, starts, dtype=np.intp)
         is_mixed = (n_hits > 0) & (n_hits < sizes)
         mixed = np.repeat(is_mixed, sizes)
-        self.hit = hit
-        self.hit_places = np.flatnonzero(hit)
-        self.hit_mixed = mixed[self.hit_places]
-        self.mixed_start = starts[is_mixed]
-        ids = np.maximum(np.cumsum(is_mixed) - 1, 0)
-        n_mixed = self.mixed_start.size
-        self.group_id = np.repeat(ids, sizes).astype(np.min_scalar_type(max(n_mixed - 1, 0)))
-        self.place = np.empty(n, dtype=np.intp)
-        self.place[order] = np.arange(n)
-        self.tied = mixed[self.place]
+        opens_group = np.zeros(n, dtype=bool)
+        opens_group[starts[is_mixed]] = True
+        gap = ~hit & ~mixed
+        # a place opens a pair where a gap begins, where a run of positives
+        # follows a mixed group, and where a mixed group begins
+        opens = gap & ~np.r_[False, gap[:-1]]
+        opens |= hit & ~mixed & np.r_[False, mixed[:-1]]
+        opens |= opens_group
+        opens[0] = True
+        pair = np.cumsum(opens) - 1
+        self.cut = 2 * int(pair[-1] + 1)
+        self.group_pair = pair[opens_group]
+        self.home = (2 * self.group_pair[:, None] + np.arange(2)).ravel()
+        self.n_slots = self.cut + self.home.size
+        slot = 2 * pair + hit
+        slot[mixed] = self.cut + 2 * (np.cumsum(opens_group)[mixed] - 1) + hit[mixed]
+        self.slot = np.empty(n, dtype=np.min_scalar_type(self.n_slots - 1))
+        self.slot[order] = slot
+        # k[j] = j + 1: the positives ranked at or above the j-th positive copy
+        self.k = np.arange(1, n + 1)
 
-    def average_precision(self, place: np.ndarray, tied: np.ndarray, fallback: float) -> float:
-        """``pr_auc`` of the resample whose rows have these ``place`` and
-        ``tied`` values, in draw order; ``fallback`` if it has no positive."""
-        counts = np.bincount(place, minlength=self.hit.size)
-        copies = counts[self.hit_places]
-        n_pos = int(copies.sum())
+    def average_precision(self, slots: np.ndarray, fallback: float) -> float:
+        """``pr_auc`` of the resample whose rows have these ``slots``, in draw
+        order; ``fallback`` if it has no positive."""
+        cut = self.cut
+        counts = np.bincount(slots, minlength=self.n_slots)
+        counts[self.home] = counts[cut:]
+        hits = counts[1:cut:2]
+        n_pos = int(hits.sum())
         if n_pos == 0:
             return fallback
-        # rows of the resample sorted above or at each place
-        upto = np.cumsum(counts)
-        # 1-based rank of every positive copy, in sorted order: its place's
-        # first rank plus the copy's index among that place's copies
-        k = np.arange(1, n_pos + 1)  # positives ranked at or above each copy
-        first = np.cumsum(copies) - copies
-        ranks = np.repeat(upto[self.hit_places] - copies - first, copies) + k
-        drawn = place[np.flatnonzero(tied)]
-        if drawn.size:
-            # in a tie group with both labels the resample's draws keep their
-            # order: the group's i-th draw has rank (rows above the group) + i + 1
-            group = self.group_id[drawn]
-            order = np.argsort(group, kind="stable")  # radix sort on ids of <= 16 bits
-            drawn, group = drawn[order], group[order]
-            n_drawn = np.bincount(group, minlength=self.mixed_start.size)
-            above = upto[self.mixed_start] - counts[self.mixed_start]
-            # minus each group's first index in the sorted draws
-            offset = above - (np.cumsum(n_drawn) - n_drawn)
-            rank = offset[group] + np.arange(1, drawn.size + 1)
-            ranks[np.repeat(self.hit_mixed, copies)] = rank[self.hit[drawn]]
-        return float((k / ranks).mean())
+        negs = np.cumsum(counts[0:cut:2])  # negatives at or above each pair
+        # negatives ranked above each positive copy, in rank order
+        above = np.repeat(negs, hits)
+        if counts[cut:].any():
+            # In a mixed group the draws keep their order, so a positive there
+            # has above it the negatives above its group and the group's
+            # negatives drawn before it. With the tied draws sorted by group,
+            # the ``at[j] - j`` negatives before the j-th tied positive are
+            # those, plus the negatives of the groups above it.
+            drawn = slots[slots >= cut]
+            drawn = drawn[np.argsort(drawn >> 1, kind="stable")]
+            at = np.flatnonzero(drawn & 1)
+            j = np.arange(at.size)
+            group_negs, group_hits = counts[cut::2], counts[cut + 1 :: 2]
+            # the j-th tied positive's index among all positive copies is j
+            # plus, for its group, the positives above it that are not tied
+            first = np.cumsum(hits)[self.group_pair] - np.cumsum(group_hits)
+            # and the negatives above its group that are not tied
+            outside = negs[self.group_pair] - np.cumsum(group_negs)
+            above[np.repeat(first, group_hits) + j] = np.repeat(outside, group_hits) + at - j
+        k = self.k[:n_pos]
+        return float((k / (k + above)).mean())
 
 
 @dataclass(frozen=True)
@@ -350,35 +384,40 @@ def evaluate_predictions(
     estimate for average precision (keeps the CI well-defined on skewed
     data). Percentile intervals are widened, if necessary, to bracket the
     point estimate.
+
+    The point estimates and every resample's statistic come from columns
+    prepared once: each row's log likelihood under the model (``terms``) and
+    under the base rate (``base_terms``), and its ``_Ranking`` slot. The three
+    intervals draw the rows ``bootstrap_ci`` would draw with seeds ``seed``,
+    ``seed + 1`` and ``seed + 2``, one block of at most ``_BLOCK_DRAWS``
+    indices at a time, and gather only the columns their statistic reads.
     """
     labels_arr, preds_arr = _as_arrays(labels, preds)
     _validate_inputs(labels_arr, preds_arr)
-    ll = log_loss(labels_arr, preds_arr)
-    nll = normalized_log_loss(labels_arr, preds_arr, train_mean_cvr)
-    ap = pr_auc(labels_arr, preds_arr)
-
+    _check_base_rate(train_mean_cvr)
+    if not labels_arr.any():
+        raise ValueError(NO_POSITIVE)
+    n = labels_arr.size
     terms = _log_terms(labels_arr, preds_arr)
-    base_terms = _log_terms(labels_arr, np.full(labels_arr.shape, train_mean_cvr, dtype=float))
+    base_terms = _log_terms(labels_arr, np.full(n, train_mean_cvr, dtype=float))
     ranking = _Ranking(labels_arr, preds_arr)
+    ll = _mean_loss(terms)
+    nll = _normalized_loss(terms, base_terms)
+    ap = ranking.average_precision(ranking.slot, 0.0)  # the identity draw has a positive
+    slot = ranking.slot
 
-    def ap_metric(place: np.ndarray, tied: np.ndarray) -> float:
-        return ranking.average_precision(place, tied, ap)
-
-    ll_ci = bootstrap_ci(_resampled_ll, terms, base_terms, bootstrap_b, seed)
-    nll_ci = bootstrap_ci(_resampled_nll, terms, base_terms, bootstrap_b, seed + 1)
-    ap_ci = bootstrap_ci(ap_metric, ranking.place, ranking.tied, bootstrap_b, seed + 2)
-
-    def bracket(point: float, ci: tuple[float, float]) -> tuple[float, float]:
-        return (min(ci[0], point), max(ci[1], point))
+    def interval(point: float, statistic: Callable[[np.ndarray], float], offset: int):
+        lo, hi = _interval(map(statistic, _resamples(n, bootstrap_b, seed + offset)))
+        return (min(lo, point), max(hi, point))
 
     return EvalReport(
         ll=ll,
-        ll_ci=bracket(ll, ll_ci),
+        ll_ci=interval(ll, lambda r: _mean_loss(terms[r]), 0),
         nll=nll,
-        nll_ci=bracket(nll, nll_ci),
+        nll_ci=interval(nll, lambda r: _normalized_loss(terms[r], base_terms[r]), 1),
         pr_auc=ap,
-        pr_auc_ci=bracket(ap, ap_ci),
-        n_test=int(labels_arr.size),
+        pr_auc_ci=interval(ap, lambda r: ranking.average_precision(slot[r], ap), 2),
+        n_test=n,
         mean_pred=float(preds_arr.mean()),
         mean_label=float(labels_arr.mean()),
         train_mean_cvr=float(train_mean_cvr),

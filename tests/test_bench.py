@@ -3,9 +3,12 @@ run them with ``python -m pytest -m bench``."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from fsiw.cli import main
 from fsiw.data import FieldSpec, read_tsv, snapshot_labels
 from fsiw.experiment import SimulatorSpec
 from fsiw.metrics import evaluate_predictions
@@ -16,15 +19,35 @@ from fsiw.training import train_dfm
 pytestmark = pytest.mark.bench
 
 
-def test_evaluate_predictions_30k_rows_200_resamples(benchmark) -> None:
+def _scorer_30k() -> tuple[np.ndarray, np.ndarray]:
     # a noisy but calibrated scorer whose predictions are clipped into
     # [0.01, 0.99], so both clip values form tie groups holding both labels
     rng = np.random.default_rng(21)
     logit = rng.normal(-1.5, 1.0, 30_000)
     labels = (rng.random(logit.size) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
     preds = np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, logit.size)))), 0.01, 0.99)
+    return labels, preds
+
+
+def test_evaluate_predictions_30k_rows_200_resamples(benchmark) -> None:
+    labels, preds = _scorer_30k()
     report = benchmark(evaluate_predictions, labels, preds, 0.2, bootstrap_b=200, seed=21)
     assert report.n_test == 30_000
+
+
+def test_cmd_eval_30k_rows(benchmark, tmp_path, capsys) -> None:
+    # `fsiw eval` end to end on the scorer above, written as the benchmark's
+    # label/prediction TSV: parse, 3 x 200 resamples, JSON report
+    labels, preds = _scorer_30k()
+    path = tmp_path / "preds.tsv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("label\tprediction\n")
+        handle.writelines(f"{y}\t{p!r}\n" for y, p in zip(labels.tolist(), preds.tolist()))
+    argv = ["eval", "--preds", str(path), "--train-mean-cvr", "0.2", "--bootstrap-b", "200",
+            "--seed", "21"]
+    assert benchmark(main, argv) == 0
+    report, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert report["n_test"] == 30_000
 
 
 def test_evaluate_predictions_4k_rows_64_tied_scores_100_resamples(benchmark) -> None:

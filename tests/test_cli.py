@@ -9,6 +9,7 @@ import sys
 import pytest
 import yaml
 
+from fsiw.cli import main
 from fsiw.metrics import evaluate_predictions
 
 from test_experiment import _base_dict
@@ -184,6 +185,85 @@ def test_eval_without_a_base_rate_names_the_mean_label(tmp_path, label) -> None:
         "so --train-mean-cvr must be given"
     )
     assert "train_mean_cvr must be in" not in proc.stderr
+
+
+def _eval_in_process(capsys, path, *flags: str) -> tuple[int, str, str]:
+    code = main(["eval", "--preds", str(path), "--bootstrap-b", "100", *flags])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    ("text", "line_no", "message"),
+    [
+        ("label\tprediction\n0\t0.2\n\n0.4\n1\t0.7\n", 4, "expected 'label<TAB>prediction'"),
+        ("0\t0.2\n1\t\n1\t0.7\n", 2, "expected 'label<TAB>prediction'"),
+        ("0\t0.2\r\n \r\nyes\t0.4\r\n", 3, "could not convert string to float: 'yes'"),
+        (
+            "label\tprediction\n0\t0.2\n\t\n1\thigh\t0.1",
+            4,
+            "could not convert string to float: 'high'",
+        ),
+        ("0\t0.2\t9\n1\t0.7\n0\t\t0.1\n", 3, "could not convert string to float: ''"),
+    ],
+)
+def test_eval_names_the_line_of_a_rejected_row(tmp_path, capsys, text, line_no, message) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = _eval_in_process(capsys, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{line_no}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0\t0.2\n1\t0.7\n0\t0.4\n",
+        "label\tprediction\n0\t0.2\n1\t0.7\n0\t0.4\n",
+        "label\n0\t0.2\n1\t0.7\n0\t0.4\n",
+        "\n0\t0.2\n  \n\t\n1\t0.7\n\n0\t0.4\n\n",
+        "0\t0.2\r\n1\t0.7\r\n0\t0.4\r\n",
+        "0\t0.2\r1\t0.7\r0\t0.4",
+        "0\t0.2\n1\t0.7\n0\t0.4",
+        "0\t0.2\tx\n1\t0.7\t1\t2\n0\t0.4\n",
+        "0\t0.2\t\n 1\t0.7 \n0 \t 0.4\n",
+        "0e0\t0.2\n+1\t0.7\n-0.0\t0.4\n",
+    ],
+)
+def test_eval_reads_the_same_rows_from_every_layout(tmp_path, capsys, text) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = _eval_in_process(capsys, path, "--seed", "3")
+    assert (code, err) == (0, "")
+    want = evaluate_predictions([0, 1, 0], [0.2, 0.7, 0.4], 1 / 3, bootstrap_b=100, seed=3)
+    assert json.loads(out) == want.to_flat_dict()
+
+
+@pytest.mark.parametrize(
+    ("text", "line_no"),
+    [
+        ("label\tprediction\r\n\r\n  \r\n0\t0.2\r\n1\t1.5\r\n", 5),
+        ("\n\n0\t0.2\n\t\n1\t0.7\n \n1\t1.5", 7),
+    ],
+)
+def test_eval_names_the_line_of_a_metric_input_error_after_blank_lines(
+    tmp_path, capsys, text, line_no
+) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = _eval_in_process(capsys, path)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}:{line_no}: prediction 1.5 is not a finite probability in [0, 1]\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "label\tprediction\n\n"])
+def test_eval_rejects_a_file_without_rows(tmp_path, capsys, text) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _eval_in_process(capsys, path)
+    assert (code, out, err) == (2, "", f"error: {path}: no prediction rows\n")
 
 
 def test_eval_with_a_base_rate_scores_a_file_of_positives(tmp_path) -> None:

@@ -4,6 +4,7 @@ delay-distribution summary."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from fsiw.metrics import (
     EvalReport,
     MetricInputError,
     _log_terms,
+    _mean_loss,
+    _normalized_loss,
     _Ranking,
-    _resampled_ll,
-    _resampled_nll,
+    _resamples,
     bootstrap_ci,
     delay_stats,
     evaluate_predictions,
@@ -375,14 +377,12 @@ def test_resample_statistics_match_the_metrics_bit_for_bit(rows, base, seed) -> 
         draws.append(np.resize(negatives, n))  # no positive: the fallback
     for r in draws:
         lab, pr = labels[r], preds[r]
-        assert _bits(_resampled_ll(terms[r], base_terms[r])) == _bits(
-            _reference_log_loss(lab, pr)
-        )
-        assert _bits(_resampled_nll(terms[r], base_terms[r])) == _bits(
+        assert _bits(_mean_loss(terms[r])) == _bits(_reference_log_loss(lab, pr))
+        assert _bits(_normalized_loss(terms[r], base_terms[r])) == _bits(
             _reference_nll(lab, pr, base)
         )
         want = _reference_pr_auc(lab, pr) if lab.sum() > 0 else fallback
-        got = ranking.average_precision(ranking.place[r], ranking.tied[r], fallback)
+        got = ranking.average_precision(ranking.slot[r], fallback)
         assert _bits(got) == _bits(want)
 
 
@@ -407,8 +407,9 @@ def test_evaluate_predictions_matches_the_per_resample_metrics(rows, base, seed)
 
 @pytest.mark.parametrize(("n_mixed", "key"), [(300, np.uint16), (70_000, np.uint32)])
 def test_many_mixed_tie_groups_match_the_reference_bit_for_bit(n_mixed, key) -> None:
-    # more mixed tie groups than a uint8 (then a uint16) group id holds; each
-    # has a positive and a negative, among all-negative pairs and untied rows
+    # more slots than a uint8 (then a uint16) holds, so tied draws are sorted
+    # by radix (then by timsort); each mixed group has a positive and a
+    # negative, among all-negative pairs and untied rows
     rng = np.random.default_rng(n_mixed)
     scores = rng.permutation(np.linspace(0.01, 0.99, n_mixed + 50))
     preds = np.r_[np.repeat(scores, 2), rng.uniform(0.0, 1.0, 100)]
@@ -416,12 +417,91 @@ def test_many_mixed_tie_groups_match_the_reference_bit_for_bit(n_mixed, key) -> 
     shuffle = rng.permutation(preds.size)
     labels, preds = labels[shuffle], preds[shuffle]
     ranking = _Ranking(labels, preds)
-    assert ranking.mixed_start.size == n_mixed
-    assert ranking.group_id.dtype == key
+    assert ranking.group_pair.size == n_mixed
+    assert ranking.slot.dtype == key
     n = labels.size
     for r in [rng.integers(0, n, n) for _ in range(3)]:
-        got = ranking.average_precision(ranking.place[r], ranking.tied[r], 0.0)
+        got = ranking.average_precision(ranking.slot[r], 0.0)
         assert _bits(got) == _bits(_reference_pr_auc(labels[r], preds[r]))
+
+
+@pytest.mark.parametrize(
+    ("labels", "preds", "draws"),
+    [
+        # a mixed group at the first place, then untied rows
+        (
+            [1, 0, 1, 0, 1, 0],
+            [0.9, 0.9, 0.9, 0.5, 0.4, 0.1],
+            [[2, 1, 0, 3, 4, 5], [1, 1, 2, 0, 5, 4]],
+        ),
+        # untied rows, then a mixed group at the last place
+        (
+            [1, 0, 1, 0, 1, 0],
+            [0.9, 0.7, 0.5, 0.2, 0.2, 0.2],
+            [[5, 4, 3, 2, 1, 0], [4, 5, 4, 0, 3, 3]],
+        ),
+        # a mixed group between two others, with an untied negative above it
+        (
+            [1, 0, 0, 1, 1, 0, 1, 0],
+            [0.8, 0.8, 0.6, 0.5, 0.5, 0.5, 0.3, 0.3],
+            [[2, 2, 0, 1, 2, 2, 0, 1], [2, 0, 2, 2, 1, 2, 2, 2], [3, 5, 4, 3, 5, 4, 7, 6]],
+        ),
+        # every row in one mixed group
+        ([0, 1, 1, 0, 1], [0.4] * 5, [[4, 3, 2, 1, 0], [0, 0, 0, 1, 1], [1, 0, 3, 3, 4]]),
+    ],
+)
+def test_slot_layout_edges_match_the_reference_bit_for_bit(labels, preds, draws) -> None:
+    labels, preds = np.array(labels, dtype=float), np.array(preds, dtype=float)
+    ranking = _Ranking(labels, preds)
+    n = labels.size
+    for r in [np.arange(n), *map(np.array, draws)]:
+        got = ranking.average_precision(ranking.slot[r], 0.0)
+        assert _bits(got) == _bits(_reference_pr_auc(labels[r], preds[r]))
+
+
+def test_a_resample_that_draws_no_tied_row() -> None:
+    # one mixed group at 0.5; the draws miss it, so no draw is ordered
+    labels = np.array([1, 0, 1, 0, 1, 0], dtype=float)
+    preds = np.array([0.9, 0.8, 0.5, 0.5, 0.3, 0.1])
+    ranking = _Ranking(labels, preds)
+    r = np.array([0, 1, 4, 5, 0, 4])
+    assert not np.any(ranking.slot[r] >= ranking.cut)
+    got = ranking.average_precision(ranking.slot[r], 0.0)
+    assert _bits(got) == _bits(_reference_pr_auc(labels[r], preds[r]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 401, 30_000, 2**18 + 1])
+@pytest.mark.parametrize("b", [100, 139, 201])
+def test_block_resampler_draws_the_rows_of_one_call(n, b) -> None:
+    # the bootstrap intervals depend on the draws only; the block size must
+    # not change them. The reference is drawn as uint32 to halve its memory,
+    # which gives the same values as the default int64 (checked on a prefix).
+    seed = 5
+    one_call = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
+    want = one_call.integers(0, n, size=(b, n), dtype=np.uint32)
+    prefix = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
+    assert np.array_equal(prefix.integers(0, n, size=(1, n)), want[:1])
+    rows = 0
+    for got, expected in zip(_resamples(n, b, seed), want):
+        assert np.array_equal(got, expected)
+        rows += 1
+    assert rows == b
+
+
+def test_evaluate_predictions_memory_stays_bounded() -> None:
+    # the benchmark's scorer at 30k rows and 200 resamples; drawing each
+    # interval's indices at once held about 47 MB
+    rng = np.random.default_rng(21)
+    logit = rng.normal(-1.5, 1.0, 30_000)
+    labels = (rng.random(logit.size) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    preds = np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, logit.size)))), 0.01, 0.99)
+    tracemalloc.start()
+    try:
+        evaluate_predictions(labels, preds, 0.2, bootstrap_b=200, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
 
 
 def _smooth_scores() -> tuple[np.ndarray, np.ndarray]:
