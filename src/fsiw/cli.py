@@ -214,6 +214,8 @@ def _check_prediction_lines(path: Path, lines: list[str]) -> None:
 def cmd_eval(args) -> int:
     if args.bootstrap_b < 100:
         raise CliError(f"--bootstrap-b must be at least 100, got {args.bootstrap_b}")
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     if args.train_mean_cvr is not None and not 0.0 < args.train_mean_cvr < 1.0:
         raise CliError(f"--train-mean-cvr must be in (0, 1), got {args.train_mean_cvr}")
     path = Path(args.preds)

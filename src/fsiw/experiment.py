@@ -33,18 +33,16 @@ from .data import (
     snapshot_labels,
 )
 from .metrics import EvalReport, evaluate_predictions
-from .optim import OptConfig
+from .optim import OptConfig, TrainingMeta
 from .relabel import ConfigError, RelabelConfig, build_artificial_datasets
 from .simulate import (
     ExponentialDelay,
-    ModulatedExponentialDelay,
     SimConfig,
     generate_arrays,
     sample_weight_vector,
     to_click_log,
 )
 from .training import (
-    TrainingMeta,
     check_l2,
     predict_cvr_batch,
     save_model,
@@ -113,14 +111,15 @@ class SimulatorSpec:
     time_span: int = field(default=28 * 86400, metadata=DURATION)
     cvr_bias: float = -2.0
     cvr_spread: float = 1.0
-    delay_family: str = "exponential"
     mean_delay: int = field(default=4 * 86400, metadata=DURATION)
     rate_spread: float = 0.5
-    modulation_depth: float = 0.0
 
     def __post_init__(self):
-        if self.delay_family not in ("exponential", "exponential_daily"):
-            raise ConfigError(f"unknown delay family {self.delay_family!r}")
+        if not self.field_cardinalities or min(self.field_cardinalities) < 1:
+            raise ConfigError(
+                "data.simulator.field_cardinalities must be a non-empty list of "
+                f"values >= 1, got {list(self.field_cardinalities)}"
+            )
         if self.n_samples < 1 or self.time_span < 1 or self.mean_delay < 1:
             raise ConfigError("simulator sizes must be positive")
 
@@ -135,17 +134,11 @@ class SimulatorSpec:
         rate_weights = sample_weight_vector(
             self.field_cardinalities, -np.log(self.mean_delay), self.rate_spread, rng_rate
         )
-        if self.delay_family == "exponential":
-            delay = ExponentialDelay(rate_weights=rate_weights)
-        else:
-            delay = ModulatedExponentialDelay(
-                rate_weights=rate_weights, modulation_depth=self.modulation_depth
-            )
         return SimConfig(
             n_samples=self.n_samples,
             field_cardinalities=self.field_cardinalities,
             cvr_weights=cvr_weights,
-            delay=delay,
+            delay=ExponentialDelay(rate_weights=rate_weights),
             time_span=self.time_span,
             seed=_derived_seed(seed, ROLE_SIM_DATA),
         )
@@ -163,6 +156,10 @@ class DataSpec:
     def __post_init__(self):
         if self.kind not in ("simulator", "tsv"):
             raise ConfigError(f"unknown data kind {self.kind!r}")
+        if self.observational_period is not None and self.observational_period < 0:
+            raise ConfigError(
+                f"data.observational_period must be non-negative, got {self.observational_period}"
+            )
         if self.kind == "tsv":
             if not self.path:
                 raise ConfigError("tsv data needs a path")
@@ -239,6 +236,8 @@ class ExperimentConfig:
     metrics: MetricsSpec = field(default_factory=MetricsSpec)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.trainers:
             raise ConfigError("select at least one trainer")
         for t in self.trainers:
@@ -611,35 +610,26 @@ def _fit_and_score(
     return models, weighted, rows
 
 
-def run_pipeline(
-    config: ExperimentConfig,
-    *,
-    out_dir: str | Path | None = None,
-    tau: int | None = None,
-    write_outputs: bool = True,
-) -> list[ReportRow]:
-    """Run every selected trainer over every rolling split and score it.
+def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> list[ReportRow]:
+    """Run every selected trainer over every rolling split and score it, at
+    the config's first counterfactual deadline.
 
-    ``tau`` overrides the config's (first) counterfactual deadline. With
-    ``write_outputs`` the output directory receives reports.csv /
+    With ``write_outputs`` the config's ``output_dir`` receives reports.csv /
     reports.json, per-split weight dumps and model blobs, the resolved
     config, and a manifest keyed by the config hash.
     """
-    the_tau = int(tau if tau is not None else config.tau[0])
-    if not 0 < the_tau < config.split.train_window:
-        raise ConfigError(f"tau {the_tau} must lie strictly inside the training window")
-
+    tau = config.tau[0]
     log, truth, (start, end) = load_source(config)
     splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
 
-    out_path = Path(out_dir if out_dir is not None else config.output_dir)
+    out_path = Path(config.output_dir)
     if write_outputs:
         out_path.mkdir(parents=True, exist_ok=True)
 
     rows: list[ReportRow] = []
     for split in splits:
         labeled = _label_split(config, log, truth, split)
-        models, weighted, split_rows = _fit_and_score(config, labeled, the_tau, config.trainers)
+        models, weighted, split_rows = _fit_and_score(config, labeled, tau, config.trainers)
         rows.extend(split_rows)
         if write_outputs:
             if weighted is not None:
@@ -650,7 +640,7 @@ def run_pipeline(
     if write_outputs:
         write_report_csv(rows, out_path / "reports.csv")
         write_report_json(rows, out_path / "reports.json")
-        write_manifest(config, out_path, n_splits=len(splits))
+        write_manifest(config, out_path, n_splits=len(splits), taus=[tau])
         (out_path / "config_resolved.yaml").write_text(config.to_yaml(), encoding="utf-8")
     return rows
 
@@ -659,7 +649,6 @@ def deadline_sweep(
     config: ExperimentConfig,
     taus: Sequence[int] | None = None,
     *,
-    out_dir: str | Path | None = None,
     write_outputs: bool = True,
 ) -> list[ReportRow]:
     """Run the weighted pipeline for each counterfactual deadline.
@@ -685,7 +674,7 @@ def deadline_sweep(
             rows.extend(_fit_and_score(config, labeled, t, ("lr_fsiw",))[2])
 
     if write_outputs:
-        out_path = Path(out_dir if out_dir is not None else config.output_dir)
+        out_path = Path(config.output_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         write_report_csv(rows, out_path / "sweep.csv")
         write_report_json(rows, out_path / "sweep.json")
@@ -698,7 +687,7 @@ def write_manifest(
     out_path: Path,
     *,
     n_splits: int | None,
-    taus: Sequence[int] | None = None,
+    taus: Sequence[int],
 ) -> None:
     import scipy
 
@@ -708,7 +697,7 @@ def write_manifest(
         "config_sha256": config.sha256(),
         "seed": config.seed,
         "n_splits": n_splits,
-        "taus": list(taus) if taus is not None else list(config.tau),
+        "taus": list(taus),
         "versions": {
             "fsiw": __version__,
             "numpy": np.__version__,

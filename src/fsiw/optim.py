@@ -70,11 +70,13 @@ class OptConfig:
                 raise ValueError(f"bad optimizer config: {name} = {getattr(self, name)!r}")
 
 
-@dataclass
-class OptResult:
-    theta: np.ndarray
-    loss: float
+@dataclass(frozen=True)
+class TrainingMeta:
+    """How a fit ended: its iterations, final loss, and whether it converged
+    or stopped early on the validation score."""
+
     n_iter: int
+    final_loss: float
     converged: bool
     stopped_early: bool = False
 
@@ -100,8 +102,9 @@ def minimize_batch(
     theta0: np.ndarray,
     cfg: OptConfig,
     validation: Callable[[np.ndarray], float] | None = None,
-) -> OptResult:
-    """Full-batch L-BFGS with a backtracking Armijo line search.
+) -> tuple[np.ndarray, TrainingMeta]:
+    """Full-batch L-BFGS with a backtracking Armijo line search; returns the
+    final iterate and a TrainingMeta of how the fit ended.
 
     The first step, and any step after the memory is cleared, is steepest
     descent of length 1/max(1, ||g||); later steps try the L-BFGS step at
@@ -120,7 +123,7 @@ def minimize_batch(
     When ``validation`` is given, it is evaluated every cfg.eval_every
     iterations; after cfg.patience evaluations without improvement the best
     iterate seen (by validation score) is returned with stopped_early=True.
-    The returned loss is then the one recorded when that iterate was reached.
+    Its final_loss is then the one recorded when that iterate was reached.
     """
     theta = np.array(theta0, dtype=np.float64)
     loss, grad = fun_grad(theta)
@@ -185,11 +188,7 @@ def minimize_batch(
     if validation is not None:
         if validation(theta) < best_val:
             best_theta, best_loss = theta.copy(), loss
-        return OptResult(
-            theta=best_theta,
-            loss=best_loss,
-            n_iter=n_iter,
-            converged=converged,
-            stopped_early=stopped_early,
-        )
-    return OptResult(theta=theta, loss=loss, n_iter=n_iter, converged=converged)
+        theta, loss = best_theta, best_loss
+    return theta, TrainingMeta(
+        n_iter=n_iter, final_loss=loss, converged=converged, stopped_early=stopped_early
+    )

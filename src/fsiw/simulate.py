@@ -11,8 +11,7 @@ chunk-parallelizable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +22,6 @@ from scipy.special import expit
 from .data import NO_CONVERSION, ClickLog, hash_csr
 
 CHUNK_SIZE = 1 << 16
-DAY_SECONDS = 86400.0
 
 
 @dataclass(frozen=True)
@@ -32,73 +30,8 @@ class ExponentialDelay:
 
     rate_weights: tuple[float, ...]
 
-    kind = "exponential"
-
-    def survival(self, t: np.ndarray | float, rate: np.ndarray | float) -> np.ndarray:
-        """P(D > t) for delay rate ``rate``."""
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return np.exp(-np.asarray(rate, dtype=float) * t)
-
-    def cdf(self, t: np.ndarray | float, rate: np.ndarray | float) -> np.ndarray:
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return -np.expm1(-np.asarray(rate, dtype=float) * t)
-
     def sample(self, rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0, size=rate.shape) / rate
-
-
-@dataclass(frozen=True)
-class ModulatedExponentialDelay:
-    """Exponential delays with a daily hazard modulation.
-
-    Hazard at lag t is rate·(1 + depth·cos(2πt/period)); depth < 1 keeps it
-    positive. Samples are drawn by inverting the integrated hazard
-    rate·(t + (depth/ω)·sin(ωt)) with bisection (the integrand is monotone).
-    """
-
-    rate_weights: tuple[float, ...]
-    modulation_depth: float
-    period: float = DAY_SECONDS
-
-    kind = "exponential_daily"
-
-    def __post_init__(self):
-        if not 0.0 <= self.modulation_depth < 1.0:
-            raise ValueError("modulation_depth must be in [0, 1)")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    @property
-    def _omega(self) -> float:
-        return 2.0 * math.pi / self.period
-
-    def _shape(self, t: np.ndarray) -> np.ndarray:
-        """Integrated hazard divided by the base rate."""
-        w = self._omega
-        return t + (self.modulation_depth / w) * np.sin(w * t)
-
-    def survival(self, t: np.ndarray | float, rate: np.ndarray | float) -> np.ndarray:
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return np.exp(-np.asarray(rate, dtype=float) * self._shape(t))
-
-    def cdf(self, t: np.ndarray | float, rate: np.ndarray | float) -> np.ndarray:
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return -np.expm1(-np.asarray(rate, dtype=float) * self._shape(t))
-
-    def sample(self, rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        target = rng.exponential(1.0, size=rate.shape) / rate
-        slack = self.modulation_depth / self._omega
-        lo = np.maximum(target - slack, 0.0)
-        hi = target + slack
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            above = self._shape(mid) > target
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        return 0.5 * (lo + hi)
-
-
-DelayFamily = ExponentialDelay | ModulatedExponentialDelay
 
 
 @dataclass(frozen=True)
@@ -106,7 +39,7 @@ class SimConfig:
     n_samples: int
     field_cardinalities: tuple[int, ...]
     cvr_weights: tuple[float, ...]
-    delay: DelayFamily
+    delay: ExponentialDelay
     time_span: int
     seed: int
 
@@ -264,27 +197,21 @@ def oracle_fsiw_array(
     true_rate: np.ndarray,
     e: np.ndarray,
     y: np.ndarray,
-    family: DelayFamily | None = None,
 ) -> np.ndarray:
     """Exact importance weight of each simulator sample.
 
     For y=1 this is 1/P(observed by e | converts); for y=0 it is
-    P(never converts)/P(not observed by e). ``family=None`` means plain
-    exponential delays; otherwise the family's own CDF is used.
+    P(never converts)/P(not observed by e), under exponential delays.
     """
     true_p = np.asarray(true_p, dtype=float)
     e = np.asarray(e, dtype=float)
     if np.any(e <= 0):
         raise ValueError("elapsed times must be positive")
+    rate = np.asarray(true_rate, dtype=float)
     # the already-observed probability comes from an expm1-accurate CDF so the
     # reciprocal stays exact even when the censoring window is tiny
-    if family is None:
-        rate = np.asarray(true_rate, dtype=float)
-        observed = -np.expm1(-rate * e)
-        surv = np.exp(-rate * e)
-    else:
-        observed = family.cdf(e, true_rate)
-        surv = family.survival(e, true_rate)
+    observed = -np.expm1(-rate * e)
+    surv = np.exp(-rate * e)
     w_pos = 1.0 / observed
     w_neg = (1.0 - true_p) / ((1.0 - true_p) + true_p * surv)
     return np.where(np.asarray(y) == 1, w_pos, w_neg)

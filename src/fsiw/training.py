@@ -24,7 +24,7 @@ from scipy import sparse
 
 from .optim import (
     OptConfig,
-    OptResult,
+    TrainingMeta,
     minimize_batch,
     sigmoid,
     softplus,
@@ -46,14 +46,6 @@ class TrainingError(RuntimeError):
             message = f"{message} (sample index {sample_index})"
         super().__init__(message)
         self.sample_index = sample_index
-
-
-@dataclass(frozen=True)
-class TrainingMeta:
-    n_iter: int
-    final_loss: float
-    converged: bool
-    stopped_early: bool = False
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ def fit_logistic(
     l2: float = 0.0,
     opt: OptConfig = OptConfig(),
     validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, OptResult]:
+) -> tuple[np.ndarray, TrainingMeta]:
     """Minimize the (weighted) logistic loss plus (l2/2)·||coef||².
 
     Returns theta laid out as [coef..., intercept]; the intercept is not
@@ -152,19 +144,9 @@ def fit_logistic(
             return float(wv @ (softplus(zv) - yv * zv)) / wv_total
 
     try:
-        result = minimize_batch(value_grad, np.zeros(dim + 1), opt, validation=val_fn)
+        return minimize_batch(value_grad, np.zeros(dim + 1), opt, validation=val_fn)
     except FloatingPointError as exc:
         raise TrainingError(f"non-finite training loss: {exc}") from exc
-    return result.theta, result
-
-
-def _meta(result: OptResult) -> TrainingMeta:
-    return TrainingMeta(
-        n_iter=result.n_iter,
-        final_loss=result.loss,
-        converged=result.converged,
-        stopped_early=result.stopped_early,
-    )
 
 
 def _linear_model(theta: np.ndarray, l2: float, meta: TrainingMeta) -> LinearCvrModel:
@@ -187,10 +169,10 @@ def train_weighted_logistic(
     val = None
     if validation is not None and len(validation) > 0:
         val = (validation.x, validation.y, validation.weights)
-    theta, result = fit_logistic(
+    theta, meta = fit_logistic(
         data.x, data.y, sample_weight=data.weights, l2=l2, opt=opt, validation=val
     )
-    return _linear_model(theta, l2, _meta(result))
+    return _linear_model(theta, l2, meta)
 
 
 def train_naive_logistic(
@@ -200,8 +182,8 @@ def train_naive_logistic(
     opt: OptConfig = OptConfig(),
 ) -> LinearCvrModel:
     """Unweighted logistic regression on snapshot labels (the biased baseline)."""
-    theta, result = fit_logistic(x, y, l2=l2, opt=opt)
-    return _linear_model(theta, l2, _meta(result))
+    theta, meta = fit_logistic(x, y, l2=l2, opt=opt)
+    return _linear_model(theta, l2, meta)
 
 
 def dfm_nll_grad(
@@ -314,11 +296,10 @@ def train_dfm(
         return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom)
 
     try:
-        result = minimize_batch(value_grad, theta0, opt)
+        theta, meta = minimize_batch(value_grad, theta0, opt)
     except FloatingPointError as exc:
         raise TrainingError(f"non-finite likelihood: {exc}") from exc
 
-    theta = result.theta
     return DfmModel(
         cvr_coef=theta[:dim],
         cvr_intercept=float(theta[dim]),
@@ -326,7 +307,7 @@ def train_dfm(
         delay_intercept=float(theta[2 * dim + 1]),
         dim=dim,
         l2=l2,
-        meta=_meta(result),
+        meta=meta,
     )
 
 

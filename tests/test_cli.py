@@ -291,6 +291,7 @@ def test_eval_with_a_base_rate_names_the_file_without_positives(tmp_path) -> Non
         (("--train-mean-cvr", "1"), "--train-mean-cvr must be in (0, 1), got 1.0"),
         (("--train-mean-cvr", "-0.2"), "--train-mean-cvr must be in (0, 1), got -0.2"),
         (("--train-mean-cvr", "nan"), "--train-mean-cvr must be in (0, 1), got nan"),
+        (("--seed", "-1"), "--seed must be non-negative, got -1"),
     ],
 )
 def test_eval_rejects_bad_flags_before_reading_the_file(tmp_path, flags, message) -> None:
@@ -369,6 +370,13 @@ def test_malformed_config_value_exits_two_without_a_traceback(
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()  # nothing was fit or written
+
+
+def test_run_rejects_a_negative_seed_flag_when_the_config_is_read(tmp_path, config_path) -> None:
+    proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--seed", "-3")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: seed must be non-negative, got -3\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_exits_two(tmp_path) -> None:

@@ -250,6 +250,34 @@ def test_config_requires_known_trainers() -> None:
         ("optimizer.tol", -1e-9, "optimizer: bad optimizer config: tol = -1e-09"),
         ("optimizer.tol", float("nan"), "optimizer: bad optimizer config: tol = nan"),
         ("optimizer.tol", float("inf"), "optimizer: bad optimizer config: tol = inf"),
+        (
+            "data.simulator.delay_family",
+            "exponential",
+            "unknown key(s) in data.simulator: delay_family",
+        ),
+        (
+            "data.simulator.modulation_depth",
+            0.0,
+            "unknown key(s) in data.simulator: modulation_depth",
+        ),
+        # values that would otherwise fail inside numpy or the first split
+        ("seed", -1, "seed must be non-negative, got -1"),
+        (
+            "data.observational_period",
+            -86400,
+            "data.observational_period must be non-negative, got -86400",
+        ),
+        (
+            "data.simulator.field_cardinalities",
+            [0, 4],
+            "data.simulator.field_cardinalities must be a non-empty list of values >= 1, "
+            "got [0, 4]",
+        ),
+        (
+            "data.simulator.field_cardinalities",
+            [],
+            "data.simulator.field_cardinalities must be a non-empty list of values >= 1, got []",
+        ),
     ],
 )
 def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> None:
@@ -380,19 +408,21 @@ def _golden_configs() -> dict[str, dict]:
 # reader and writer were derived from the dataclasses, and re-recorded each
 # time a key was removed, after checking that the resolved YAML lost exactly
 # that key's line: optimizer.step0, then normalization (the tsv config, which
-# set it to sum, no longer sets it).
+# set it to sum, no longer sets it), then data.simulator.delay_family and
+# data.simulator.modulation_depth (two lines; the tsv config records no
+# simulator keys).
 _GOLDEN_CONFIG_HASHES = {
     "crit10": (
-        "5dcaf11550260b282b6f56f9819a99a70b97123bd636f3a8e9397f0c62d4f5f0",
-        "52bba10f464fb68d11824c9d5c8343985c6557a7d8ce92b269fe7bc01660780f",
+        "6be34015389368beb350834674de10a73d598b47d318b24feeab97fad92b9dc8",
+        "765c16277a389a0ea89da685097edafca22f292293c410dd666c124ac53c2e23",
     ),
     "readme": (
-        "2b94c6fd529cd50ad68ed69359f7960f06fc40618734cea681d46a30ade52668",
-        "036e95b75c0b17842ff26c72e65abc11c2a3c3b584eff38608925305ed85579a",
+        "38d90f641856f119ca7cb4b7251b832530446e944978979a867dc4b9297a732f",
+        "0871b33dc8873f4c4cee3a771df7bac57027707aeb30d40d38d48e0ffad6c4a8",
     ),
     "battery": (
-        "6236379c2e833efffff0801db74ccf817092e868bbd9612d1927ef017d776930",
-        "01f962d902812a6d811d0c25e451df87fb557505b40a360b7fe9e3b4d7a216d6",
+        "6b229d5c8dc1fab845648daa438d31103c0c1ed10557574dffde5fc860524664",
+        "6fccc59ac383f3a8737bfe3e3be20bdf84828430827e7905cb0fbbb5d1b0a3dd",
     ),
     "tsv": (
         "3d91107d24466d477a4f93230c231ddb540afc771dc9a6b762adae4a6690c2f4",
@@ -425,7 +455,7 @@ def test_simulator_spec_build_is_seed_deterministic() -> None:
 
 def test_run_pipeline_rows_and_artifacts(tmp_path) -> None:
     config = config_from_dict(_base_dict())
-    rows = run_pipeline(config, out_dir=tmp_path)
+    rows = run_pipeline(replace(config, output_dir=str(tmp_path)))
     assert [(r.split, r.trainer) for r in rows] == [(0, "naive_lr"), (0, "lr_fsiw")]
     assert (tmp_path / "reports.csv").exists()
     assert (tmp_path / "reports.json").exists()
@@ -463,7 +493,7 @@ def _output_hashes(out_dir) -> dict[str, str]:
 
 def test_criterion_10_outputs_are_pinned(tmp_path, monkeypatch) -> None:
     config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
-    run_pipeline(config, out_dir=tmp_path / "run")
+    run_pipeline(replace(config, output_dir=str(tmp_path / "run")))
     assert _output_hashes(tmp_path / "run") == _CRITERION_10_OUTPUT_HASHES
 
     # the pin would catch a lost weight-model seed: with every holdout drawn
@@ -476,25 +506,25 @@ def test_criterion_10_outputs_are_pinned(tmp_path, monkeypatch) -> None:
         "fit_weight_model",
         lambda *args, **kwargs: fit(*args, **{**kwargs, "seed": 0}),
     )
-    run_pipeline(replace(config, trainers=("lr_fsiw",)), out_dir=tmp_path / "seed0")
+    run_pipeline(replace(config, trainers=("lr_fsiw",), output_dir=str(tmp_path / "seed0")))
     pinned = _CRITERION_10_OUTPUT_HASHES["weights_split0.tsv"]
     assert _output_hashes(tmp_path / "seed0")["weights_split0.tsv"] != pinned
 
 
 def test_run_pipeline_is_deterministic(tmp_path) -> None:
     config = config_from_dict(_base_dict())
-    first = run_pipeline(config, out_dir=tmp_path / "a")
-    second = run_pipeline(config, out_dir=tmp_path / "b")
+    first = run_pipeline(replace(config, output_dir=str(tmp_path / "a")))
+    second = run_pipeline(replace(config, output_dir=str(tmp_path / "b")))
     assert [r.to_flat_dict() for r in first] == [r.to_flat_dict() for r in second]
     for name in ("reports.csv", "reports.json", "weights_split0.tsv", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_report_schema_is_stable_across_trainer_subsets(tmp_path) -> None:
-    lone = config_from_dict(_base_dict(trainers=["naive_lr"]))
-    both = config_from_dict(_base_dict())
-    run_pipeline(lone, out_dir=tmp_path / "one")
-    run_pipeline(both, out_dir=tmp_path / "two")
+    lone = config_from_dict(_base_dict(trainers=["naive_lr"], output_dir=str(tmp_path / "one")))
+    both = config_from_dict(_base_dict(output_dir=str(tmp_path / "two")))
+    run_pipeline(lone)
+    run_pipeline(both)
     head_one = (tmp_path / "one" / "reports.csv").read_text(encoding="utf-8").splitlines()[0]
     head_two = (tmp_path / "two" / "reports.csv").read_text(encoding="utf-8").splitlines()[0]
     assert head_one == head_two == ",".join(REPORT_COLUMNS)
@@ -559,12 +589,6 @@ def test_run_and_sweep_hash_each_token_once(hash_calls) -> None:
     hash_calls.clear()
     deadline_sweep(config, [DAY, 2 * DAY, 3 * DAY], write_outputs=False)
     assert len(hash_calls) == len(set(hash_calls)) == 16
-
-
-def test_run_pipeline_rejects_out_of_range_tau_override() -> None:
-    config = config_from_dict(_base_dict())
-    with pytest.raises(ConfigError, match="tau"):
-        run_pipeline(config, tau=config.split.train_window, write_outputs=False)
 
 
 # --- TSV sources and label finality ---------------------------------------------
@@ -634,8 +658,8 @@ def test_test_window_conversions_cannot_touch_training_artifacts(tmp_path) -> No
     path_b.write_text("".join("\t".join(r) + "\n" for r in scrambled), encoding="utf-8")
 
     out_a, out_b = tmp_path / "out_a", tmp_path / "out_b"
-    run_pipeline(config_from_dict(_tsv_dict(path_a, tracked_until=100 * DAY)), out_dir=out_a)
-    run_pipeline(config_from_dict(_tsv_dict(path_b, tracked_until=100 * DAY)), out_dir=out_b)
+    run_pipeline(config_from_dict(_tsv_dict(path_a, tracked_until=100 * DAY, output_dir=str(out_a))))
+    run_pipeline(config_from_dict(_tsv_dict(path_b, tracked_until=100 * DAY, output_dir=str(out_b))))
 
     for name in ("weights_split0.tsv", "model_split0_naive_lr.json", "model_split0_lr_fsiw.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
@@ -671,7 +695,7 @@ def test_sweep_singleton_matches_run_pipeline() -> None:
     config = config_from_dict(_base_dict())
     sweep_rows = deadline_sweep(config, [2 * DAY], write_outputs=False)
     run_rows = run_pipeline(
-        replace(config, trainers=("lr_fsiw",)), tau=2 * DAY, write_outputs=False
+        replace(config, trainers=("lr_fsiw",), tau=(2 * DAY,)), write_outputs=False
     )
     assert [r.to_flat_dict() for r in sweep_rows] == [r.to_flat_dict() for r in run_rows]
 
@@ -684,9 +708,17 @@ def test_sweep_rejects_tau_outside_training_window() -> None:
         deadline_sweep(config, [], write_outputs=False)
 
 
+def test_run_manifest_records_the_one_tau_it_ran(tmp_path) -> None:
+    config = config_from_dict(_base_dict(tau=["2d", "3d"], output_dir=str(tmp_path)))
+    rows = run_pipeline(config)
+    assert {r.tau for r in rows} == {2 * DAY}
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["taus"] == [2 * DAY]
+
+
 def test_sweep_writes_per_tau_table(tmp_path) -> None:
-    config = config_from_dict(_base_dict())
-    rows = deadline_sweep(config, [DAY, 2 * DAY], out_dir=tmp_path)
+    config = config_from_dict(_base_dict(output_dir=str(tmp_path)))
+    rows = deadline_sweep(config, [DAY, 2 * DAY])
     assert [r.tau for r in rows] == [DAY, 2 * DAY]
     body = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert body[0] == ",".join(REPORT_COLUMNS)

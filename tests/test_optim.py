@@ -35,14 +35,14 @@ def test_minimize_batch_solves_quadratic_exactly() -> None:
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.5 * float(x @ a @ x) - float(b @ x), a @ x - b
 
-    res = minimize_batch(fg, np.zeros(2), OptConfig(max_iter=500, tol=1e-14))
-    assert res.converged
-    assert np.allclose(res.theta, target, atol=1e-6)
+    theta, meta = minimize_batch(fg, np.zeros(2), OptConfig(max_iter=500, tol=1e-14))
+    assert meta.converged
+    assert np.allclose(theta, target, atol=1e-6)
 
     # tol 0 stops at the first accepted step that leaves the loss unchanged
-    res = minimize_batch(fg, np.zeros(2), OptConfig(max_iter=500, tol=0.0))
-    assert res.converged and res.n_iter < 20
-    assert np.allclose(res.theta, target, atol=1e-8)
+    theta, meta = minimize_batch(fg, np.zeros(2), OptConfig(max_iter=500, tol=0.0))
+    assert meta.converged and meta.n_iter < 20
+    assert np.allclose(theta, target, atol=1e-8)
 
 
 @pytest.mark.parametrize("n", [10, 20])
@@ -56,10 +56,10 @@ def test_minimize_batch_converges_on_a_quadratic_within_n_plus_5_iterations(n, s
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.5 * float(x @ a @ x) - float(b @ x), a @ x - b
 
-    res = minimize_batch(fg, np.zeros(n), OptConfig(max_iter=500, tol=1e-9))
-    assert res.converged
-    assert res.n_iter <= n + 5
-    assert np.allclose(res.theta, np.linalg.solve(a, b), atol=1e-4)
+    theta, meta = minimize_batch(fg, np.zeros(n), OptConfig(max_iter=500, tol=1e-9))
+    assert meta.converged
+    assert meta.n_iter <= n + 5
+    assert np.allclose(theta, np.linalg.solve(a, b), atol=1e-4)
 
 
 def test_minimize_batch_never_increases_loss() -> None:
@@ -98,16 +98,16 @@ def test_minimize_batch_costs_one_evaluation_per_trial_point() -> None:
 
     # steepest descent of length 1/|g| = 1/6 reaches 1; the L-BFGS step is
     # then the Newton step to 3, accepted at unit length: no halving at all
-    res = minimize_batch(quadratic(2.0, 3.0), np.zeros(1), OptConfig(max_iter=50))
+    theta, meta = minimize_batch(quadratic(2.0, 3.0), np.zeros(1), OptConfig(max_iter=50))
     assert points == [0.0, 1.0, 3.0]
-    assert res.converged and res.theta[0] == 3.0 and res.n_iter == 3
+    assert meta.converged and theta[0] == 3.0 and meta.n_iter == 3
 
     # |g| = 1 gives a first trial at 1, which fails Armijo; three halvings
     # reach the minimum at 1/8
     points.clear()
-    res = minimize_batch(quadratic(8.0, 0.125), np.zeros(1), OptConfig(max_iter=50))
+    theta, meta = minimize_batch(quadratic(8.0, 0.125), np.zeros(1), OptConfig(max_iter=50))
     assert points == [0.0, 1.0, 0.5, 0.25, 0.125]
-    assert res.converged and res.theta[0] == 0.125 and res.n_iter == 2
+    assert meta.converged and theta[0] == 0.125 and meta.n_iter == 2
 
 
 @pytest.mark.parametrize("wall", [np.inf, -np.inf, np.nan])
@@ -123,10 +123,10 @@ def test_minimize_batch_backtracks_over_a_non_finite_trial_loss(wall) -> None:
             return wall, np.array([np.nan])
         return float((x[0] - 3.0) ** 2), np.array([2.0 * (x[0] - 3.0)])
 
-    res = minimize_batch(fg, np.zeros(1), OptConfig(max_iter=3))
+    theta, meta = minimize_batch(fg, np.zeros(1), OptConfig(max_iter=3))
     assert points == [0.0, 1.0, 3.0, 2.0, 3.0, 2.5]
-    assert res.theta[0] == 2.5 and res.loss == 0.25
-    assert res.n_iter == 3 and not res.converged
+    assert theta[0] == 2.5 and meta.final_loss == 0.25
+    assert meta.n_iter == 3 and not meta.converged
 
 
 def test_minimize_batch_early_stopping_returns_best_validation_iterate() -> None:
@@ -143,18 +143,18 @@ def test_minimize_batch_early_stopping_returns_best_validation_iterate() -> None
         scored.append((score, x.copy()))
         return score
 
-    res = minimize_batch(
+    theta, meta = minimize_batch(
         fg,
         np.array([-1.2, 1.0]),
         OptConfig(max_iter=200, tol=0.0, eval_every=1, patience=3),
         validation=val,
     )
-    assert res.stopped_early and not res.converged
-    assert res.n_iter < 20
+    assert meta.stopped_early and not meta.converged
+    assert meta.n_iter < 20
     best_score, best_theta = min(scored, key=lambda item: item[0])
-    assert np.array_equal(res.theta, best_theta)  # the best iterate validation saw
+    assert np.array_equal(theta, best_theta)  # the best iterate validation saw
     assert best_score < min(score for score, _ in scored[-3:])
-    assert res.loss == fg(res.theta)[0]
+    assert meta.final_loss == fg(theta)[0]
 
 
 def test_opt_config_validation() -> None:
@@ -185,13 +185,13 @@ def test_minimize_batch_stops_unconverged_at_a_nan_gradient() -> None:
 
     with np.errstate(invalid="ignore"):
         loss0, grad0 = fg(theta0)
-        res = minimize_batch(fg, theta0, OptConfig(max_iter=50))
+        theta, meta = minimize_batch(fg, theta0, OptConfig(max_iter=50))
     assert loss0 == pytest.approx(0.943, abs=1e-3)
     assert np.isnan(grad0).any()
-    assert not res.converged
-    assert res.n_iter == 1
-    assert np.array_equal(res.theta, theta0)
-    assert res.loss == loss0
+    assert not meta.converged
+    assert meta.n_iter == 1
+    assert np.array_equal(theta, theta0)
+    assert meta.final_loss == loss0
 
     # the same stop after finite steps keeps the last (finite) iterate
     calls = []
@@ -201,8 +201,8 @@ def test_minimize_batch_stops_unconverged_at_a_nan_gradient() -> None:
         grad = 2.0 * (theta - 3.0)
         return float((theta - 3.0) @ (theta - 3.0)), grad if len(calls) < 3 else grad * np.nan
 
-    res = minimize_batch(fg_late_nan, np.zeros(2), OptConfig(max_iter=50))
-    assert not res.converged
-    assert res.n_iter == 3
-    assert np.array_equal(res.theta, calls[-1])
-    assert np.isfinite(res.loss)
+    theta, meta = minimize_batch(fg_late_nan, np.zeros(2), OptConfig(max_iter=50))
+    assert not meta.converged
+    assert meta.n_iter == 3
+    assert np.array_equal(theta, calls[-1])
+    assert np.isfinite(meta.final_loss)

@@ -1,4 +1,4 @@
-"""Generator determinism, oracle weights, and delay-family correctness."""
+"""Generator determinism, oracle weights, and the exponential delay sampler."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from fsiw.data import NO_CONVERSION, FieldSpec, Snapshot, read_tsv
 from fsiw.simulate import (
     ExponentialDelay,
-    ModulatedExponentialDelay,
     SimArrays,
     SimConfig,
     generate_arrays,
@@ -36,20 +35,15 @@ def _config(
     rate_spread: float = 0.4,
     cards: tuple[int, ...] = (8, 8),
     time_span: int = 14 * DAY,
-    modulation: float | None = None,
 ) -> SimConfig:
     rng = np.random.default_rng(seed + 1000)
     cvr_w = sample_weight_vector(cards, cvr_bias, cvr_spread, rng)
     rate_w = sample_weight_vector(cards, -math.log(mean_delay), rate_spread, rng)
-    if modulation is None:
-        delay = ExponentialDelay(rate_weights=rate_w)
-    else:
-        delay = ModulatedExponentialDelay(rate_weights=rate_w, modulation_depth=modulation)
     return SimConfig(
         n_samples=n,
         field_cardinalities=cards,
         cvr_weights=cvr_w,
-        delay=delay,
+        delay=ExponentialDelay(rate_weights=rate_w),
         time_span=time_span,
         seed=seed,
     )
@@ -68,11 +62,9 @@ def _onehot_snapshot(arrays: SimArrays, training_end: float) -> Snapshot:
     )
 
 
-def _oracle_one(true_p: float, rate: float, e: float, y: int, family=None) -> float:
+def _oracle_one(true_p: float, rate: float, e: float, y: int) -> float:
     """oracle_fsiw_array on a one-element input."""
-    (w,) = oracle_fsiw_array(
-        np.array([true_p]), np.array([rate]), np.array([e]), np.array([y]), family
-    )
+    (w,) = oracle_fsiw_array(np.array([true_p]), np.array([rate]), np.array([e]), np.array([y]))
     return float(w)
 
 
@@ -209,41 +201,9 @@ def test_exponential_sampler_matches_cdf() -> None:
     rate = np.full(200_000, 1.0 / DAY)
     draws = fam.sample(rate, rng)
     for t in (0.5 * DAY, DAY, 3 * DAY):
-        expected = fam.cdf(t, 1.0 / DAY)
+        expected = -math.expm1(-t / DAY)
         got = (draws <= t).mean()
         assert abs(got - expected) < 0.005
-
-
-def test_modulated_family_cdf_and_sampler_agree() -> None:
-    fam = ModulatedExponentialDelay(rate_weights=(0.0,), modulation_depth=0.7)
-    rng = np.random.default_rng(6)
-    rate = np.full(200_000, 1.0 / DAY)
-    draws = fam.sample(rate, rng)
-    assert np.all(draws >= 0)
-    for t in (0.25 * DAY, 0.5 * DAY, DAY, 2 * DAY):
-        expected = float(fam.cdf(t, 1.0 / DAY))
-        got = (draws <= t).mean()
-        assert abs(got - expected) < 0.005
-
-
-def test_modulated_cdf_reduces_to_exponential_at_zero_depth() -> None:
-    flat = ModulatedExponentialDelay(rate_weights=(0.0,), modulation_depth=0.0)
-    plain = ExponentialDelay(rate_weights=(0.0,))
-    t = np.linspace(1.0, 5 * DAY, 50)
-    assert np.allclose(flat.cdf(t, 1.0 / DAY), plain.cdf(t, 1.0 / DAY), atol=1e-12)
-
-
-def test_modulated_depth_must_stay_below_one() -> None:
-    with pytest.raises(ValueError):
-        ModulatedExponentialDelay(rate_weights=(0.0,), modulation_depth=1.0)
-
-
-def test_oracle_uses_family_cdf_when_given() -> None:
-    fam = ModulatedExponentialDelay(rate_weights=(0.0,), modulation_depth=0.6)
-    lam, e = 1.0 / DAY, 0.3 * DAY
-    surv = 1.0 - float(fam.cdf(e, lam))
-    assert _oracle_one(0.4, lam, e, 1, family=fam) == pytest.approx(1.0 / (1.0 - surv))
-    assert _oracle_one(0.4, lam, e, 0, family=fam) == pytest.approx(0.6 / (0.6 + 0.4 * surv))
 
 
 def test_sim_click_log_is_consistent() -> None:

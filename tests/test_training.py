@@ -13,14 +13,13 @@ from scipy import sparse
 from scipy.special import expit
 
 from fsiw.data import Snapshot
-from fsiw.optim import OptConfig
+from fsiw.optim import OptConfig, TrainingMeta
 from fsiw.simulate import generate_arrays
 from fsiw.training import (
     MODEL_FORMAT,
     DfmModel,
     LinearCvrModel,
     TrainingError,
-    TrainingMeta,
     dfm_nll_grad,
     fit_logistic,
     predict_cvr_batch,
@@ -105,10 +104,8 @@ def test_fit_logistic_matches_independent_newton_reference() -> None:
     l2 = 0.01
 
     ref_beta, ref_loss = _newton_logistic_reference(x_dense, y, w, l2)
-    theta, result = fit_logistic(
-        sparse.csr_matrix(x_dense), y, sample_weight=w, l2=l2, opt=OPT
-    )
-    assert result.loss == pytest.approx(ref_loss, abs=1e-3)
+    theta, meta = fit_logistic(sparse.csr_matrix(x_dense), y, sample_weight=w, l2=l2, opt=OPT)
+    assert meta.final_loss == pytest.approx(ref_loss, abs=1e-3)
     assert np.allclose(theta, ref_beta, atol=1e-3)
 
 
