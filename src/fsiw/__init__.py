@@ -1,127 +1,46 @@
 """Delayed-feedback conversion-rate prediction with feedback-shift
 importance weights: data model, synthetic generator with exact oracle
 weights, counterfactual-deadline relabeling, weight estimation, weighted and
-baseline trainers, metrics, and an experiment harness."""
+baseline trainers, metrics, and an experiment harness.
 
-from .data import (
-    NO_CONVERSION,
-    ClickLog,
-    FieldSpec,
-    ParseError,
-    Snapshot,
-    full_observation_labels,
-    hash_csr,
-    parse_record,
-    read_tsv,
-    snapshot_labels,
-    stable_feature_hash,
-)
-from .experiment import (
-    ExperimentConfig,
-    PipelineError,
-    ReportRow,
-    config_from_dict,
-    deadline_sweep,
-    parse_duration,
-    rolling_splits,
-    run_pipeline,
-)
-from .metrics import (
-    DelayStats,
-    EvalReport,
-    bootstrap_ci,
-    delay_stats,
-    evaluate_predictions,
-    log_loss,
-    normalized_log_loss,
-    pr_auc,
-)
-from .optim import OptConfig, TrainingMeta, minimize_batch
-from .relabel import ArtificialSet, ConfigError, RelabelConfig, build_artificial_datasets
-from .simulate import (
-    ExponentialDelay,
-    SimConfig,
-    generate_arrays,
-    oracle_fsiw_array,
-    to_click_log,
-)
-from .training import (
-    DfmModel,
-    LinearCvrModel,
-    TrainingError,
-    predict_cvr_batch,
-    predict_delay_rate,
-    save_model,
-    train_dfm,
-    train_naive_logistic,
-    train_weighted_logistic,
-)
-from .weights import (
-    ElapsedBasis,
-    WeightedDataset,
-    WeightModel,
-    WeightModelHyper,
-    WeightModelPair,
-    assign_fsiw,
-    fit_weight_model,
-)
+Each public name below is imported from its module on first access, so
+``import fsiw`` loads no submodule."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArtificialSet",
-    "ClickLog",
-    "ConfigError",
-    "DelayStats",
-    "DfmModel",
-    "ElapsedBasis",
-    "EvalReport",
-    "ExperimentConfig",
-    "ExponentialDelay",
-    "FieldSpec",
-    "LinearCvrModel",
-    "NO_CONVERSION",
-    "OptConfig",
-    "ParseError",
-    "PipelineError",
-    "RelabelConfig",
-    "ReportRow",
-    "SimConfig",
-    "Snapshot",
-    "TrainingError",
-    "TrainingMeta",
-    "WeightModel",
-    "WeightModelHyper",
-    "WeightModelPair",
-    "WeightedDataset",
-    "assign_fsiw",
-    "bootstrap_ci",
-    "build_artificial_datasets",
-    "config_from_dict",
-    "deadline_sweep",
-    "delay_stats",
-    "evaluate_predictions",
-    "fit_weight_model",
-    "full_observation_labels",
-    "generate_arrays",
-    "hash_csr",
-    "log_loss",
-    "minimize_batch",
-    "normalized_log_loss",
-    "oracle_fsiw_array",
-    "parse_duration",
-    "parse_record",
-    "pr_auc",
-    "predict_cvr_batch",
-    "predict_delay_rate",
-    "read_tsv",
-    "rolling_splits",
-    "run_pipeline",
-    "save_model",
-    "snapshot_labels",
-    "stable_feature_hash",
-    "to_click_log",
-    "train_dfm",
-    "train_naive_logistic",
-    "train_weighted_logistic",
-]
+_EXPORTS = {
+    "data": (
+        "NO_CONVERSION ClickLog FieldSpec ParseError Snapshot full_observation_labels "
+        "hash_csr parse_record read_tsv snapshot_labels stable_feature_hash"
+    ),
+    "experiment": (
+        "ConfigError ExperimentConfig PipelineError ReportRow config_from_dict "
+        "deadline_sweep parse_duration rolling_splits run_pipeline"
+    ),
+    "metrics": (
+        "EvalReport bootstrap_ci delay_stats evaluate_predictions log_loss "
+        "normalized_log_loss pr_auc"
+    ),
+    "optim": "OptConfig TrainingMeta minimize_batch",
+    "relabel": "ArtificialSet build_artificial_datasets",
+    "simulate": "SimConfig generate_arrays oracle_fsiw_array to_click_log",
+    "training": (
+        "DfmModel LinearCvrModel TrainingError predict_cvr_batch predict_delay_rate "
+        "save_model train_dfm train_naive_logistic train_weighted_logistic"
+    ),
+    "weights": (
+        "ElapsedBasis WeightedDataset WeightModel WeightModelHyper WeightModelPair "
+        "assign_fsiw fit_weight_model"
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -105,8 +105,7 @@ def cmd_stats(args) -> int:
         )
     else:
         log = load_source(config)[0]
-    stats = delay_stats(log.click_ts, log.conv_ts)
-    payload = json.dumps(stats.to_dict(), sort_keys=True, indent=2)
+    payload = json.dumps(delay_stats(log.click_ts, log.conv_ts), sort_keys=True, indent=2)
     if args.json_out:
         Path(args.json_out).write_text(payload + "\n", encoding="utf-8")
         print(f"wrote {args.json_out}")

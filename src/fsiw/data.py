@@ -25,9 +25,6 @@ from scipy import sparse
 DEFAULT_HASH_DIM = 2**17
 DEFAULT_HASH_SEED = 0
 
-SECONDS_PER_HOUR = 3600
-SECONDS_PER_DAY = 86400
-
 # ``conv_ts`` of a click without a logged conversion. It sorts after every
 # real timestamp, so ``conv_ts <= t`` is False for it at any snapshot t.
 NO_CONVERSION = int(np.iinfo(np.int64).max)

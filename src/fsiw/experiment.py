@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -34,14 +35,8 @@ from .data import (
 )
 from .metrics import EvalReport, evaluate_predictions
 from .optim import OptConfig, TrainingMeta
-from .relabel import ConfigError, RelabelConfig, build_artificial_datasets
-from .simulate import (
-    ExponentialDelay,
-    SimConfig,
-    generate_arrays,
-    sample_weight_vector,
-    to_click_log,
-)
+from .relabel import build_artificial_datasets
+from .simulate import SimConfig, generate_arrays, sample_weight_vector, to_click_log
 from .training import (
     check_l2,
     predict_cvr_batch,
@@ -79,6 +74,10 @@ _UNIT_SECONDS = {"": 1, "s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
 DURATION = {"duration": True}
 
 
+class ConfigError(ValueError):
+    """A config value violates its invariants; the message names its key."""
+
+
 class PipelineError(RuntimeError):
     """A component failed; the message carries split/trainer context."""
 
@@ -95,6 +94,8 @@ def parse_duration(value: int | float | str, what: str = "duration") -> int:
         if not match:
             raise ConfigError(f"{what}: cannot parse duration {value!r}")
         seconds = float(match.group(1)) * _UNIT_SECONDS[match.group(2)]
+    if not math.isfinite(seconds):
+        raise ConfigError(f"{what}: duration must be finite, got {value!r}")
     if seconds != int(seconds):
         raise ConfigError(f"{what}: duration must be whole seconds, got {value!r}")
     return int(seconds)
@@ -122,6 +123,10 @@ class SimulatorSpec:
             )
         if self.n_samples < 1 or self.time_span < 1 or self.mean_delay < 1:
             raise ConfigError("simulator sizes must be positive")
+        for key in ("cvr_bias", "cvr_spread", "rate_spread"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"data.simulator.{key} must be finite, got {value}")
 
     def build(self, seed: int) -> SimConfig:
         """Materialize a SimConfig; coefficient vectors are drawn from
@@ -138,7 +143,7 @@ class SimulatorSpec:
             n_samples=self.n_samples,
             field_cardinalities=self.field_cardinalities,
             cvr_weights=cvr_weights,
-            delay=ExponentialDelay(rate_weights=rate_weights),
+            rate_weights=rate_weights,
             time_span=self.time_span,
             seed=_derived_seed(seed, ROLE_SIM_DATA),
         )
@@ -564,8 +569,7 @@ def _fit_and_score(
             elif trainer == "dfm":
                 models[trainer] = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
             else:
-                relabel_cfg = RelabelConfig(tau=tau, training_end=split.train_end)
-                d1, d0 = build_artificial_datasets(train, relabel_cfg)
+                d1, d0 = build_artificial_datasets(train, tau, split.train_end)
                 seed_pos = _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
                 seed_neg = _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
                 pair = WeightModelPair(

@@ -274,55 +274,35 @@ class _Ranking:
         return float((k / (k + above)).mean())
 
 
-@dataclass(frozen=True)
-class DelayStats:
-    n_conversions: int
-    cdf_grid: tuple[int, ...]
-    cdf: tuple[float, ...]
-    pdf_bin_width: int
-    pdf: tuple[float, ...]
-    quantiles: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_conversions": self.n_conversions,
-            "cdf_grid": list(self.cdf_grid),
-            "cdf": list(self.cdf),
-            "pdf_bin_width": self.pdf_bin_width,
-            "pdf": list(self.pdf),
-            "quantiles": self.quantiles,
-        }
-
-
 def delay_stats(
     click_ts: np.ndarray,
     conv_ts: np.ndarray,
     grid: Sequence[int] = DEFAULT_CDF_GRID,
     bin_width: int = 3600,
-) -> DelayStats:
+) -> dict:
     """Empirical delay distribution over the converted clicks of a log
-    (``conv_ts`` is NO_CONVERSION for the others).
+    (``conv_ts`` is NO_CONVERSION for the others), as a JSON-ready dict.
 
-    CDF is evaluated at the grid points (P(delay <= t)); the PDF is a
-    normalized histogram with fixed-width bins covering the observed range.
+    ``cdf`` is P(delay <= t) at each ``cdf_grid`` point; ``pdf`` is a
+    normalized histogram with ``pdf_bin_width``-second bins covering the
+    observed range; ``quantiles`` maps p10, p25, p50, p75 and p90 to seconds.
     """
     converted = conv_ts != NO_CONVERSION
     delays = (conv_ts[converted] - click_ts[converted]).astype(float)
     if delays.size == 0:
         raise ValueError("no converted records; delay distribution undefined")
-    cdf = tuple(float(np.mean(delays <= t)) for t in grid)
     n_bins = int(delays.max() // bin_width) + 1
     hist, _ = np.histogram(delays, bins=n_bins, range=(0, n_bins * bin_width))
-    pdf = tuple((hist / delays.size).tolist())
-    qs = {f"p{int(q * 100)}": float(np.quantile(delays, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
-    return DelayStats(
-        n_conversions=int(delays.size),
-        cdf_grid=tuple(int(t) for t in grid),
-        cdf=cdf,
-        pdf_bin_width=bin_width,
-        pdf=pdf,
-        quantiles=qs,
-    )
+    return {
+        "n_conversions": int(delays.size),
+        "cdf_grid": [int(t) for t in grid],
+        "cdf": [float(np.mean(delays <= t)) for t in grid],
+        "pdf_bin_width": bin_width,
+        "pdf": (hist / delays.size).tolist(),
+        "quantiles": {
+            f"p{int(q * 100)}": float(np.quantile(delays, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)
+        },
+    }
 
 
 @dataclass(frozen=True)

@@ -10,35 +10,11 @@ the samples that looked negative at the earlier deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Snapshot
-
-
-class ConfigError(ValueError):
-    """A relabeling/experiment configuration violates its invariants."""
-
-
-@dataclass(frozen=True)
-class RelabelConfig:
-    """tau: how far before training_end the counterfactual deadline sits."""
-
-    tau: int
-    training_end: int
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.tau >= self.training_end:
-            raise ConfigError("tau must leave a non-empty window before training_end")
-
-    @property
-    def cutoff(self) -> int:
-        """The counterfactual deadline itself (training_end - tau)."""
-        return self.training_end - self.tau
 
 
 class ArtificialSet(NamedTuple):
@@ -56,11 +32,13 @@ class ArtificialSet(NamedTuple):
 
 
 def build_artificial_datasets(
-    train: Snapshot, cfg: RelabelConfig
+    train: Snapshot, tau: int, training_end: int
 ) -> tuple[ArtificialSet, ArtificialSet]:
     """Split snapshot-labeled rows into the two weight-model training sets.
 
-    With cutoff = training_end - tau:
+    ``tau`` (positive seconds) is how far before ``training_end``, the
+    snapshot time, the counterfactual deadline sits; every row must have
+    been clicked before ``training_end``. With cutoff = training_end - tau:
       * clicks at or after the cutoff are excluded entirely;
       * a positive goes to D1 with s=1 if it converted strictly before the
         cutoff, else with s=0 — and in the latter case also to D0 with s=0
@@ -69,18 +47,21 @@ def build_artificial_datasets(
     Every kept row's adjusted elapsed time is e - tau, which the click filter
     keeps positive. Both sets list their rows in input order.
     """
-    late = train.click_ts >= cfg.training_end
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    late = train.click_ts >= training_end
     if np.any(late):
         raise ValueError(
             f"sample clicked at {train.click_ts[np.argmax(late)]}, "
-            f"after training_end {cfg.training_end}"
+            f"after training_end {training_end}"
         )
-    kept = train.click_ts < cfg.cutoff
+    cutoff = training_end - tau
+    kept = train.click_ts < cutoff
     pos = train.y == 1
-    early = pos & (train.click_ts + train.d < cfg.cutoff)
+    early = pos & (train.click_ts + train.d < cutoff)
     d1 = np.flatnonzero(kept & pos)
     d0 = np.flatnonzero(kept & ~early)
-    e_adj = train.e - cfg.tau
+    e_adj = train.e - tau
     return (
         ArtificialSet(idx=d1, e_adj=e_adj[d1], s=early[d1].astype(np.int8)),
         ArtificialSet(idx=d0, e_adj=e_adj[d0], s=(~pos[d0]).astype(np.int8)),

@@ -2,11 +2,11 @@
 
 Samples are (click_ts, categorical features, latent conversion, latent delay).
 The true conversion probability is logistic in a one-hot encoding of the
-features and the delay rate is log-linear in the same encoding, so every
-censoring probability has a closed form and importance weights can be computed
-exactly (``oracle_fsiw_array``). Arrays are generated in fixed-size chunks,
-each on its own seed substream, so output is reproducible and
-chunk-parallelizable.
+features and the delay is exponential with a rate log-linear in the same
+encoding, so every censoring probability has a closed form and importance
+weights can be computed exactly (``oracle_fsiw_array``). Arrays are generated
+in fixed-size chunks, each on its own seed substream, so output is
+reproducible and chunk-parallelizable.
 """
 
 from __future__ import annotations
@@ -25,21 +25,16 @@ CHUNK_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
-class ExponentialDelay:
-    """Pure exponential delays: rate exp(rate_weights · onehot(x))."""
-
-    rate_weights: tuple[float, ...]
-
-    def sample(self, rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(1.0, size=rate.shape) / rate
-
-
-@dataclass(frozen=True)
 class SimConfig:
+    """A simulated world. ``cvr_weights`` and ``rate_weights`` each hold a
+    bias and one coefficient per one-hot column: a click converts with
+    probability sigmoid(cvr_weights · onehot(x)), after an exponential delay
+    of rate exp(rate_weights · onehot(x)) per second."""
+
     n_samples: int
     field_cardinalities: tuple[int, ...]
     cvr_weights: tuple[float, ...]
-    delay: ExponentialDelay
+    rate_weights: tuple[float, ...]
     time_span: int
     seed: int
 
@@ -54,10 +49,10 @@ class SimConfig:
                 f"cvr_weights must have length {n_cols} (bias + one-hot columns), "
                 f"got {len(self.cvr_weights)}"
             )
-        if len(self.delay.rate_weights) != n_cols:
+        if len(self.rate_weights) != n_cols:
             raise ValueError(
                 f"delay rate_weights must have length {n_cols}, "
-                f"got {len(self.delay.rate_weights)}"
+                f"got {len(self.rate_weights)}"
             )
         if self.time_span <= 0:
             raise ValueError("time_span must be positive")
@@ -141,9 +136,9 @@ def generate_arrays(config: SimConfig, chunk_size: int = CHUNK_SIZE) -> SimArray
         for j, card in enumerate(cards):
             values[:, j] = rng.integers(0, card, size=size)
         p = expit(linear_score(values, config.cvr_weights, offsets))
-        rate = np.exp(linear_score(values, config.delay.rate_weights, offsets))
+        rate = np.exp(linear_score(values, config.rate_weights, offsets))
         c = (rng.random(size) < p).astype(np.int8)
-        delay = config.delay.sample(rate, rng)
+        delay = rng.exponential(1.0, size=size) / rate
         conv = np.where(c == 1, click + delay, np.nan)
         parts.append((click, values, conv, c, p, rate))
 

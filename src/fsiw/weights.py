@@ -88,7 +88,6 @@ class WeightModel:
 
     coef: np.ndarray
     intercept: float
-    dim: int
     basis: ElapsedBasis
     degenerate: bool = False
     constant: float | None = None
@@ -184,7 +183,6 @@ def fit_weight_model(
         return WeightModel(
             coef=np.zeros(dim + basis.n_columns),
             intercept=0.0,
-            dim=dim,
             basis=basis,
             degenerate=True,
             constant=rate,
@@ -219,7 +217,6 @@ def fit_weight_model(
     return WeightModel(
         coef=theta[:-1],
         intercept=float(theta[-1]),
-        dim=dim,
         basis=basis,
     )
 

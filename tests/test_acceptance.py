@@ -25,9 +25,8 @@ from fsiw.data import Snapshot
 from fsiw.experiment import config_from_dict, deadline_sweep, run_pipeline
 from fsiw.metrics import bootstrap_ci, log_loss, normalized_log_loss, pr_auc
 from fsiw.optim import OptConfig
-from fsiw.relabel import RelabelConfig, build_artificial_datasets
+from fsiw.relabel import build_artificial_datasets
 from fsiw.simulate import (
-    ExponentialDelay,
     SimConfig,
     generate_arrays,
     linear_score,
@@ -67,7 +66,7 @@ def _sim_config(
         n_samples=n,
         field_cardinalities=cards,
         cvr_weights=cvr_w,
-        delay=ExponentialDelay(rate_weights=rate_w),
+        rate_weights=rate_w,
         time_span=time_span,
         seed=seed,
     )
@@ -109,7 +108,7 @@ def _weighted_gap(seed: int, n: int, replicates: int) -> tuple[float, float]:
             n_samples=n,
             field_cardinalities=cards,
             cvr_weights=cvr_w,
-            delay=ExponentialDelay(rate_weights=rate_w),
+            rate_weights=rate_w,
             time_span=10 * DAY,
             seed=seed * 1000 + r,
         )
@@ -233,7 +232,7 @@ def test_criterion_03_relabeling_matches_brute_force_enumeration() -> None:
         if kept and s.y == 0:
             expect_d0.append((s.x.indices, s.e - tau, 1, "D0", s.e))
 
-    d1, d0 = build_artificial_datasets(snapshot, RelabelConfig(tau=tau, training_end=training_end))
+    d1, d0 = build_artificial_datasets(snapshot, tau, training_end)
 
     def got(a, destination: str) -> list[tuple]:
         return [
@@ -340,9 +339,7 @@ def test_criterion_05_weighting_halves_the_censoring_bias() -> None:
     samples, y = _labeled_samples(arrays, cfg, cfg.time_span)
     frac_censored = 1.0 - y.sum() / arrays.c.sum()
 
-    d1, d0 = build_artificial_datasets(
-        samples, RelabelConfig(tau=4 * DAY, training_end=cfg.time_span)
-    )
+    d1, d0 = build_artificial_datasets(samples, 4 * DAY, cfg.time_span)
     hyper = WeightModelHyper(l2=1e-4)
     pair = WeightModelPair(
         model_pos=fit_weight_model(samples.x[d1.idx], d1.e_adj, d1.s, hyper),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import yaml
 from fsiw.cli import main
 from fsiw.metrics import evaluate_predictions
 
-from test_experiment import _base_dict
+from test_experiment import _base_dict, _golden_configs
 
 DAY = 86400
 
@@ -101,6 +102,16 @@ def test_stats_on_the_simulated_tsv_matches_the_simulator_source(tmp_path, confi
     )
     assert from_config.returncode == 0 and from_tsv.returncode == 0, from_tsv.stderr
     assert from_tsv.stdout == from_config.stdout
+
+
+def test_stats_json_bytes_are_pinned_on_the_readme_config(tmp_path) -> None:
+    config = tmp_path / "readme.yaml"
+    config.write_text(yaml.safe_dump(_golden_configs()["readme"]), encoding="utf-8")
+    json_out = tmp_path / "stats.json"
+    assert main(["stats", "-c", str(config), "--json-out", str(json_out)]) == 0
+    assert hashlib.sha256(json_out.read_bytes()).hexdigest() == (
+        "a7c4c708f23b9cb5e68f87906dce19e6892fea7e03882556b09db498d4ff4254"
+    )
 
 
 @pytest.mark.parametrize(
@@ -360,6 +371,9 @@ def test_bad_config_key_exits_two(tmp_path, config_path) -> None:
         ("optimizer.eval_every=0", "bad optimizer config: eval_every = 0"),
         # rejected when the config is read, not as "split 0, trainer naive_lr: ..."
         ("l2=-1", "error: l2 must be finite and non-negative, got -1.0"),
+        # non-finite numbers: an OverflowError traceback before they were checked
+        ("tau=.inf", "error: tau: duration must be finite, got inf"),
+        ("data.simulator.rate_spread=.inf", "data.simulator.rate_spread must be finite, got inf"),
     ],
 )
 def test_malformed_config_value_exits_two_without_a_traceback(

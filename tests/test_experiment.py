@@ -17,6 +17,7 @@ from fsiw.cli import _set_dotted
 from fsiw.experiment import (
     REPORT_COLUMNS,
     TRAINERS,
+    ConfigError,
     SimulatorSpec,
     SplitSpec,
     config_from_dict,
@@ -25,7 +26,6 @@ from fsiw.experiment import (
     rolling_splits,
     run_pipeline,
 )
-from fsiw.relabel import ConfigError
 from fsiw.simulate import generate_arrays, write_sim_tsv
 
 DAY = 86400
@@ -278,6 +278,26 @@ def test_config_requires_known_trainers() -> None:
             [],
             "data.simulator.field_cardinalities must be a non-empty list of values >= 1, got []",
         ),
+        # non-finite numbers, which would otherwise end in an OverflowError
+        # traceback, a message without a key, or a degenerate first split
+        (
+            "data.simulator.rate_spread",
+            float("inf"),
+            "data.simulator.rate_spread must be finite, got inf",
+        ),
+        (
+            "data.simulator.cvr_spread",
+            float("nan"),
+            "data.simulator.cvr_spread must be finite, got nan",
+        ),
+        (
+            "data.simulator.cvr_bias",
+            float("nan"),
+            "data.simulator.cvr_bias must be finite, got nan",
+        ),
+        ("tau", float("inf"), "tau: duration must be finite, got inf"),
+        ("tau", float("nan"), "tau: duration must be finite, got nan"),
+        ("split.stride", float("inf"), "split.stride: duration must be finite, got inf"),
     ],
 )
 def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> None:

@@ -167,14 +167,14 @@ def _clicks(delays, ts: int = 1000) -> tuple[np.ndarray, np.ndarray]:
 
 def test_delay_stats_all_instant_conversions() -> None:
     stats = delay_stats(*_clicks([0] * 10))
-    assert stats.n_conversions == 10
-    assert all(v == 1.0 for v in stats.cdf)
-    assert stats.quantiles["p50"] == 0.0
+    assert stats["n_conversions"] == 10
+    assert all(v == 1.0 for v in stats["cdf"])
+    assert stats["quantiles"]["p50"] == 0.0
 
 
 def test_delay_stats_ignores_unconverted_and_requires_some_conversion() -> None:
     stats = delay_stats(*_clicks([0, None, None]))
-    assert stats.n_conversions == 1
+    assert stats["n_conversions"] == 1
     with pytest.raises(ValueError, match="no converted"):
         delay_stats(*_clicks([None]))
 
@@ -186,18 +186,18 @@ def test_delay_stats_matches_exponential_closed_form() -> None:
     stats = delay_stats(*_clicks(delays), grid=(DAY,))
     expected = 1.0 - math.exp(-1.0)
     band = 4 * math.sqrt(expected * (1 - expected) / n)
-    assert abs(stats.cdf[0] - expected) < band
+    assert abs(stats["cdf"][0] - expected) < band
     # median of an exponential is scale * ln 2
-    assert stats.quantiles["p50"] == pytest.approx(DAY * math.log(2), rel=0.02)
+    assert stats["quantiles"]["p50"] == pytest.approx(DAY * math.log(2), rel=0.02)
     # PDF sums to 1 over its bins
-    assert sum(stats.pdf) == pytest.approx(1.0, abs=1e-9)
+    assert sum(stats["pdf"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_delay_stats_default_grid_is_monotone() -> None:
     rng = np.random.default_rng(23)
     stats = delay_stats(*_clicks(rng.exponential(scale=2 * DAY, size=5000)))
-    assert stats.cdf_grid == DEFAULT_CDF_GRID
-    assert all(a <= b for a, b in zip(stats.cdf, stats.cdf[1:]))
+    assert stats["cdf_grid"] == list(DEFAULT_CDF_GRID)
+    assert all(a <= b for a, b in zip(stats["cdf"], stats["cdf"][1:]))
 
 
 def test_evaluate_predictions_report_contents() -> None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from fsiw.data import Snapshot
-from fsiw.relabel import ConfigError, RelabelConfig, build_artificial_datasets
+from fsiw.relabel import build_artificial_datasets
 
 
 def _snapshot(rows: list[tuple[int, int, int | None]], training_end: int = 1000) -> Snapshot:
@@ -30,60 +30,59 @@ def _rows(a) -> list[tuple[int, int, int]]:
     return list(zip(a.idx.tolist(), a.e_adj.tolist(), a.s.tolist()))
 
 
-CFG = RelabelConfig(tau=200, training_end=1000)  # cutoff at 800
+TAU, END = 200, 1000
+CUTOFF = END - TAU  # 800
 
 
 def test_early_converter_goes_to_d1_with_s1() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot([(500, 1, 100)]), CFG)
+    d1, d0 = build_artificial_datasets(_snapshot([(500, 1, 100)]), TAU, END)
     assert _rows(d0) == []
     assert _rows(d1) == [(0, 300, 1)]
 
 
 def test_late_converter_lands_in_both_sets_with_s0() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot([(700, 1, 200)]), CFG)
+    d1, d0 = build_artificial_datasets(_snapshot([(700, 1, 200)]), TAU, END)
     assert _rows(d1) == [(0, 100, 0)]
     assert _rows(d0) == [(0, 100, 0)]
 
 
 def test_negative_goes_to_d0_with_s1() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot([(500, 0, None)]), CFG)
+    d1, d0 = build_artificial_datasets(_snapshot([(500, 0, None)]), TAU, END)
     assert _rows(d1) == []
     assert _rows(d0) == [(0, 300, 1)]
 
 
 def test_click_past_cutoff_is_excluded_from_both() -> None:
     d1, d0 = build_artificial_datasets(
-        _snapshot([(900, 1, 50), (900, 0, None), (800, 0, None)]), CFG
+        _snapshot([(900, 1, 50), (900, 0, None), (800, 0, None)]), TAU, END
     )
     assert _rows(d1) == [] and _rows(d0) == []  # 800 is the cutoff itself: excluded too
 
 
 def test_conversion_exactly_at_cutoff_counts_as_not_yet_converted() -> None:
     # click 600 + delay 200 = 800 = cutoff; "before" is strict
-    d1, d0 = build_artificial_datasets(_snapshot([(600, 1, 200)]), CFG)
+    d1, d0 = build_artificial_datasets(_snapshot([(600, 1, 200)]), TAU, END)
     assert d1.s.tolist() == [0]
     assert len(d0.idx) == 1
 
 
 def test_adjusted_elapsed_time_is_original_minus_tau_and_positive() -> None:
     snap = _snapshot([(c, 0, None) for c in (0, 100, 750, 799)])
-    _, d0 = build_artificial_datasets(snap, CFG)
+    _, d0 = build_artificial_datasets(snap, TAU, END)
     assert d0.e_adj.tolist() == [800, 700, 50, 1]
     assert np.array_equal(snap.e[d0.idx], d0.e_adj + 200)
 
 
 def test_config_rejects_bad_tau() -> None:
-    with pytest.raises(ConfigError):
-        RelabelConfig(tau=0, training_end=1000)
-    with pytest.raises(ConfigError):
-        RelabelConfig(tau=-5, training_end=1000)
-    with pytest.raises(ConfigError):
-        RelabelConfig(tau=1000, training_end=1000)
+    with pytest.raises(ValueError, match="tau must be positive, got 0"):
+        build_artificial_datasets(_snapshot([(10, 0, None)]), 0, END)
+    with pytest.raises(ValueError, match="tau must be positive, got -5"):
+        build_artificial_datasets(_snapshot([(10, 0, None)]), -5, END)
 
 
 def test_sample_after_training_end_is_rejected() -> None:
     with pytest.raises(ValueError, match="clicked at 1200, after training_end"):
-        build_artificial_datasets(_snapshot([(10, 0, None), (1200, 0, None)]), CFG)
+        build_artificial_datasets(_snapshot([(10, 0, None), (1200, 0, None)]), TAU, END)
 
 
 def _random_rows(n: int, seed: int, training_end: int = 1000) -> list[tuple[int, int, int | None]]:
@@ -101,14 +100,14 @@ def _random_rows(n: int, seed: int, training_end: int = 1000) -> list[tuple[int,
 
 def test_set_level_membership_properties() -> None:
     rows = _random_rows(500, seed=1)
-    d1, d0 = build_artificial_datasets(_snapshot(rows), CFG)
-    kept = [r for r in rows if r[0] < CFG.cutoff]
+    d1, d0 = build_artificial_datasets(_snapshot(rows), TAU, END)
+    kept = [r for r in rows if r[0] < CUTOFF]
     kept_pos = [r for r in kept if r[1] == 1]
 
     assert len(d1.idx) == len(kept_pos)
     # every kept row shows up somewhere, and only late converters twice
     assert len(d0.idx) + len(d1.idx) == len(kept) + sum(
-        1 for c, _, d in kept_pos if c + d >= CFG.cutoff
+        1 for c, _, d in kept_pos if c + d >= CUTOFF
     )
     late = {(i, e) for i, e, s in _rows(d1) if s == 0}
     d0_s0 = {(i, e) for i, e, s in _rows(d0) if s == 0}
@@ -125,12 +124,12 @@ def test_long_deadline_makes_d1_pure_s1() -> None:
             rows.append((click, 1, int(rng.integers(0, 100))))
         else:
             rows.append((click, 0, None))
-    d1, _ = build_artificial_datasets(_snapshot(rows), RelabelConfig(tau=500, training_end=1000))
+    d1, _ = build_artificial_datasets(_snapshot(rows), 500, END)
     assert len(d1.idx) and np.all(d1.s == 1)
 
 
 def test_output_preserves_input_order() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot(_random_rows(300, seed=9)), CFG)
+    d1, d0 = build_artificial_datasets(_snapshot(_random_rows(300, seed=9)), TAU, END)
     for group in (d1, d0):
         assert np.all(np.diff(group.idx) > 0)
 
@@ -158,15 +157,15 @@ def test_artificial_sample_validation(world) -> None:
     # what ArtificialSample once checked per row, plus the D1/D0 membership
     # rules, as properties of the index arrays
     training_end, tau, rows = world
-    cfg = RelabelConfig(tau=tau, training_end=training_end)
-    d1, d0 = build_artificial_datasets(_snapshot(rows, training_end), cfg)
+    cutoff = training_end - tau
+    d1, d0 = build_artificial_datasets(_snapshot(rows, training_end), tau, training_end)
     expect_d1, expect_d0 = [], []
     for i, (click, y, d) in enumerate(rows):
-        if click >= cfg.cutoff:
+        if click >= cutoff:
             continue
         e_adj = training_end - click - tau
         if y == 1:
-            early = click + d < cfg.cutoff
+            early = click + d < cutoff
             expect_d1.append((i, e_adj, int(early)))
             if not early:
                 expect_d0.append((i, e_adj, 0))

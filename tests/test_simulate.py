@@ -10,7 +10,6 @@ import pytest
 
 from fsiw.data import NO_CONVERSION, FieldSpec, Snapshot, read_tsv
 from fsiw.simulate import (
-    ExponentialDelay,
     SimArrays,
     SimConfig,
     generate_arrays,
@@ -43,7 +42,7 @@ def _config(
         n_samples=n,
         field_cardinalities=cards,
         cvr_weights=cvr_w,
-        delay=ExponentialDelay(rate_weights=rate_w),
+        rate_weights=rate_w,
         time_span=time_span,
         seed=seed,
     )
@@ -145,7 +144,7 @@ def test_degenerate_cvr_produces_no_conversions() -> None:
         n_samples=5000,
         field_cardinalities=cards,
         cvr_weights=(-20.0, 0.0, 0.0, 0.0, 0.0),
-        delay=ExponentialDelay(rate_weights=(-11.0, 0.0, 0.0, 0.0, 0.0)),
+        rate_weights=(-11.0, 0.0, 0.0, 0.0, 0.0),
         time_span=10 * DAY,
         seed=3,
     )
@@ -160,7 +159,7 @@ def test_bias_only_cvr_matches_binomial_concentration() -> None:
         n_samples=1_000_000,
         field_cardinalities=(2,),
         cvr_weights=(bias, 0.0, 0.0),
-        delay=ExponentialDelay(rate_weights=(-11.0, 0.0, 0.0)),
+        rate_weights=(-11.0, 0.0, 0.0),
         time_span=10 * DAY,
         seed=17,
     )
@@ -196,10 +195,16 @@ def test_snapshot_arrays_weighted_loss_identity_holds_in_expectation() -> None:
 
 
 def test_exponential_sampler_matches_cdf() -> None:
-    fam = ExponentialDelay(rate_weights=(0.0,))
-    rng = np.random.default_rng(5)
-    rate = np.full(200_000, 1.0 / DAY)
-    draws = fam.sample(rate, rng)
+    # every click converts (p = 1 in float), at time 0, at rate 1/DAY
+    cfg = SimConfig(
+        n_samples=200_000,
+        field_cardinalities=(1,),
+        cvr_weights=(50.0, 0.0),
+        rate_weights=(-math.log(DAY), 0.0),
+        time_span=1,
+        seed=5,
+    )
+    draws = generate_arrays(cfg).delays()
     for t in (0.5 * DAY, DAY, 3 * DAY):
         expected = -math.expm1(-t / DAY)
         got = (draws <= t).mean()
@@ -270,7 +275,7 @@ def test_config_validates_weight_lengths() -> None:
             n_samples=10,
             field_cardinalities=(2,),
             cvr_weights=(0.0,),
-            delay=ExponentialDelay(rate_weights=(0.0, 0.0, 0.0)),
+            rate_weights=(0.0, 0.0, 0.0),
             time_span=100,
             seed=0,
         )

@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 
 from fsiw.optim import OptConfig
-from fsiw.relabel import RelabelConfig, build_artificial_datasets
+from fsiw.relabel import build_artificial_datasets
 from fsiw.simulate import generate_arrays, oracle_fsiw_array, snapshot_arrays
 from fsiw.training import predict_cvr_batch, train_naive_logistic, train_weighted_logistic
 from fsiw.weights import (
@@ -43,7 +43,6 @@ def _constant_model(value: float, dim: int = 8) -> WeightModel:
     return WeightModel(
         coef=np.zeros(dim + basis.n_columns),
         intercept=0.0,
-        dim=dim,
         basis=basis,
         degenerate=True,
         constant=value,
@@ -254,9 +253,7 @@ def test_fitted_weights_shrink_the_downward_bias_gap() -> None:
     frac_censored_pos = 1.0 - snap.y.sum() / arrays.c.sum()
     assert frac_censored_pos >= 0.30  # the regime this test is about
 
-    d1, d0 = build_artificial_datasets(
-        snap, RelabelConfig(tau=4 * DAY, training_end=training_end)
-    )
+    d1, d0 = build_artificial_datasets(snap, 4 * DAY, training_end)
     hyper = WeightModelHyper(l2=1e-4)
     pair = WeightModelPair(
         model_pos=fit_weight_model(snap.x[d1.idx], d1.e_adj, d1.s, hyper),
