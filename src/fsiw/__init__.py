@@ -30,10 +30,7 @@ _EXPORTS = {
         "DfmModel LinearCvrModel TrainingError predict_cvr_batch predict_delay_rate "
         "save_model train_dfm train_naive_logistic train_weighted_logistic"
     ),
-    "weights": (
-        "ElapsedBasis WeightedDataset WeightModel WeightModelHyper WeightModelPair "
-        "assign_fsiw fit_weight_model"
-    ),
+    "weights": "WeightedDataset WeightModel WeightModelHyper assign_fsiw fit_weight_model",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

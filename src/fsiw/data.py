@@ -302,7 +302,6 @@ class Snapshot(NamedTuple):
     y: np.ndarray
     e: np.ndarray
     d: np.ndarray
-    click_ts: np.ndarray
 
 
 def snapshot_labels(log: ClickLog, training_end: int) -> Snapshot:
@@ -321,7 +320,6 @@ def snapshot_labels(log: ClickLog, training_end: int) -> Snapshot:
         y=y.astype(np.int8),
         e=training_end - click_ts,
         d=np.where(y, conv_ts, click_ts) - click_ts,
-        click_ts=click_ts,
     )
 
 

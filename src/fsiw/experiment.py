@@ -49,7 +49,6 @@ from .weights import (
     DEFAULT_CLIP_FLOOR,
     WeightedDataset,
     WeightModelHyper,
-    WeightModelPair,
     assign_fsiw,
     check_clip_floor,
     dump_weights,
@@ -88,14 +87,17 @@ def parse_duration(value: int | float | str, what: str = "duration") -> int:
     if isinstance(value, bool):
         raise ConfigError(f"{what}: booleans are not durations")
     if isinstance(value, (int, float)):
-        seconds = float(value)
+        seconds = value
     else:
         match = _DURATION_RE.match(str(value))
         if not match:
             raise ConfigError(f"{what}: cannot parse duration {value!r}")
-        seconds = float(match.group(1)) * _UNIT_SECONDS[match.group(2)]
-    if not math.isfinite(seconds):
+        number = match.group(1)
+        seconds = (float(number) if "." in number else int(number)) * _UNIT_SECONDS[match.group(2)]
+    if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{what}: duration must be finite, got {value!r}")
+    if not -(2**63) <= seconds < 2**63:  # also where a literal overflowed float()
+        raise ConfigError(f"{what}: duration must fit in int64 seconds, got {value!r}")
     if seconds != int(seconds):
         raise ConfigError(f"{what}: duration must be whole seconds, got {value!r}")
     return int(seconds)
@@ -127,6 +129,13 @@ class SimulatorSpec:
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ConfigError(f"data.simulator.{key} must be finite, got {value}")
+        for key in ("cvr_spread", "rate_spread"):
+            value = getattr(self, key)
+            if value < 0 or not math.isfinite(2 * value):
+                raise ConfigError(
+                    f"data.simulator.{key} must be non-negative with a finite range "
+                    f"2*{key}, got {value}"
+                )
 
     def build(self, seed: int) -> SimConfig:
         """Materialize a SimConfig; coefficient vectors are drawn from
@@ -569,21 +578,18 @@ def _fit_and_score(
             elif trainer == "dfm":
                 models[trainer] = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
             else:
-                d1, d0 = build_artificial_datasets(train, tau, split.train_end)
+                d1, d0 = build_artificial_datasets(train, tau)
                 seed_pos = _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
                 seed_neg = _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
-                pair = WeightModelPair(
-                    model_pos=fit_weight_model(
-                        train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos
-                    ),
-                    model_neg=fit_weight_model(
-                        train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg
-                    ),
-                    clip_floor=config.clip_floor,
+                pos = fit_weight_model(
+                    train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos
                 )
-                weighted = assign_fsiw(pair, train.x, train.y, train.e)
+                neg = fit_weight_model(
+                    train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg
+                )
+                weighted = assign_fsiw(pos, neg, train.x, train.y, train.e, config.clip_floor)
                 weighted_val = (
-                    assign_fsiw(pair, val.x, val.y, val.e)
+                    assign_fsiw(pos, neg, val.x, val.y, val.e, config.clip_floor)
                     if val is not None and len(val.y) > 0
                     else None
                 )
@@ -663,11 +669,7 @@ def deadline_sweep(
     come tau by tau, each in split order, as from one run_pipeline per tau.
     """
     tau_list = [int(t) for t in (taus if taus is not None else config.tau)]
-    if not tau_list:
-        raise ConfigError("sweep needs at least one tau")
-    for t in tau_list:
-        if not 0 < t < config.split.train_window:
-            raise ConfigError(f"tau {t} must lie strictly inside the training window")
+    replace(config, tau=tuple(tau_list))  # the config's own tau check
 
     log, truth, (start, end) = load_source(config)
     splits = rolling_splits(log.click_ts, config.split, start=start, end=end)

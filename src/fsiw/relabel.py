@@ -1,11 +1,11 @@
 """Counterfactual-deadline relabeling.
 
 To learn how often a snapshot label is still wrong, we replay labeling with a
-deadline pulled ``tau`` seconds earlier: any sample whose click is too recent
-to have had a full ``tau`` of observation is dropped, and the rest get an
-"was this label already correct at the earlier deadline" indicator ``s``.
-Positives (eventual converters among the kept window) land in D1; D0 holds
-the samples that looked negative at the earlier deadline.
+deadline pulled ``tau`` seconds before the snapshot, from each row's elapsed
+time ``e`` and observed delay ``d`` alone: a row with ``e <= tau`` was not
+clicked before that deadline and is dropped, and the rest get a "was this
+label already correct at the earlier deadline" indicator ``s``. Positives
+land in D1; D0 holds the rows that looked negative at the earlier deadline.
 """
 
 from __future__ import annotations
@@ -31,34 +31,28 @@ class ArtificialSet(NamedTuple):
     s: np.ndarray
 
 
-def build_artificial_datasets(
-    train: Snapshot, tau: int, training_end: int
-) -> tuple[ArtificialSet, ArtificialSet]:
+def build_artificial_datasets(train: Snapshot, tau: int) -> tuple[ArtificialSet, ArtificialSet]:
     """Split snapshot-labeled rows into the two weight-model training sets.
 
-    ``tau`` (positive seconds) is how far before ``training_end``, the
-    snapshot time, the counterfactual deadline sits; every row must have
-    been clicked before ``training_end``. With cutoff = training_end - tau:
-      * clicks at or after the cutoff are excluded entirely;
+    ``tau`` (positive seconds) is how far before the snapshot the
+    counterfactual deadline sits; every row's elapsed time ``e`` must be
+    positive. At that deadline:
+      * rows with e <= tau are excluded entirely;
       * a positive goes to D1 with s=1 if it converted strictly before the
-        cutoff, else with s=0 — and in the latter case also to D0 with s=0
-        (at the earlier deadline it still looked negative);
+        deadline (e - d > tau), else with s=0 — and in the latter case also
+        to D0 with s=0 (at the earlier deadline it still looked negative);
       * a negative goes to D0 with s=1.
-    Every kept row's adjusted elapsed time is e - tau, which the click filter
+    Every kept row's adjusted elapsed time is e - tau, which the row filter
     keeps positive. Both sets list their rows in input order.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    late = train.click_ts >= training_end
+    late = train.e <= 0
     if np.any(late):
-        raise ValueError(
-            f"sample clicked at {train.click_ts[np.argmax(late)]}, "
-            f"after training_end {training_end}"
-        )
-    cutoff = training_end - tau
-    kept = train.click_ts < cutoff
+        raise ValueError(f"elapsed times must be positive, got {train.e[np.argmax(late)]}")
+    kept = train.e > tau
     pos = train.y == 1
-    early = pos & (train.click_ts + train.d < cutoff)
+    early = pos & (train.e - train.d > tau)
     d1 = np.flatnonzero(kept & pos)
     d0 = np.flatnonzero(kept & ~early)
     e_adj = train.e - tau

@@ -39,26 +39,15 @@ MODEL_FORMAT = "fsiw.model/1"
 
 
 class TrainingError(RuntimeError):
-    """Training could not proceed; carries the offending sample index if known."""
-
-    def __init__(self, message: str, *, sample_index: int | None = None):
-        if sample_index is not None:
-            message = f"{message} (sample index {sample_index})"
-        super().__init__(message)
-        self.sample_index = sample_index
+    """Training could not proceed."""
 
 
 @dataclass(frozen=True)
 class LinearCvrModel:
     coef: np.ndarray
     intercept: float
-    dim: int
     l2: float
     meta: TrainingMeta
-
-    def __post_init__(self):
-        if self.coef.shape != (self.dim,):
-            raise ValueError(f"coef must have shape ({self.dim},)")
 
 
 @dataclass(frozen=True)
@@ -73,7 +62,6 @@ class DfmModel:
     cvr_intercept: float
     delay_coef: np.ndarray
     delay_intercept: float
-    dim: int
     l2: float
     meta: TrainingMeta
 
@@ -89,8 +77,7 @@ def _validate_weights(w: np.ndarray) -> None:
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise TrainingError(
-            f"sample weight must be a positive finite number, got {w[idx]}",
-            sample_index=idx,
+            f"sample weight must be a positive finite number, got {w[idx]} (sample index {idx})"
         )
 
 
@@ -150,8 +137,7 @@ def fit_logistic(
 
 
 def _linear_model(theta: np.ndarray, l2: float, meta: TrainingMeta) -> LinearCvrModel:
-    dim = theta.shape[0] - 1
-    return LinearCvrModel(coef=theta[:dim], intercept=float(theta[dim]), dim=dim, l2=l2, meta=meta)
+    return LinearCvrModel(coef=theta[:-1], intercept=float(theta[-1]), l2=l2, meta=meta)
 
 
 def train_weighted_logistic(
@@ -305,7 +291,6 @@ def train_dfm(
         cvr_intercept=float(theta[dim]),
         delay_coef=theta[dim + 1 : 2 * dim + 1],
         delay_intercept=float(theta[2 * dim + 1]),
-        dim=dim,
         l2=l2,
         meta=meta,
     )
@@ -313,13 +298,13 @@ def train_dfm(
 
 def predict_cvr_batch(model: LinearCvrModel | DfmModel, x: sparse.csr_matrix) -> np.ndarray:
     """Conversion probability for every row of the feature matrix ``x``."""
-    if x.shape[1] != model.dim:
-        raise ValueError(f"feature dim {x.shape[1]} != model dim {model.dim}")
     coef, intercept = (
         (model.coef, model.intercept)
         if isinstance(model, LinearCvrModel)
         else (model.cvr_coef, model.cvr_intercept)
     )
+    if x.shape[1] != coef.size:
+        raise ValueError(f"feature dim {x.shape[1]} != model dim {coef.size}")
     return sigmoid(x @ coef + intercept)
 
 
@@ -351,7 +336,7 @@ def save_model(model: LinearCvrModel | DfmModel, path: str | Path) -> None:
         blob = {
             "format": MODEL_FORMAT,
             "kind": "linear",
-            "dim": model.dim,
+            "dim": model.coef.size,
             "l2": model.l2,
             "intercept": model.intercept,
             "coef_idx": idx,
@@ -364,7 +349,7 @@ def save_model(model: LinearCvrModel | DfmModel, path: str | Path) -> None:
         blob = {
             "format": MODEL_FORMAT,
             "kind": "dfm",
-            "dim": model.dim,
+            "dim": model.cvr_coef.size,
             "l2": model.l2,
             "cvr_intercept": model.cvr_intercept,
             "cvr_idx": ci,

@@ -3,10 +3,11 @@
 Two logistic models are fit on the relabeled D1/D0 sets: one predicts how
 likely a converting click has already been observed ("pos" model), the other
 how likely a currently-negative click will stay negative ("neg" model). Each
-consumes hashed click features plus an elapsed-time basis (log time and
-coarse duration bins) so the time dependence need not be linear. Per-sample
-weights are then the reciprocal of the pos-model probability for positives
-and the neg-model probability itself for negatives, clipped away from zero.
+reads hashed click features x plus features of the elapsed time e (log time
+and coarse duration bins, ``elapsed_features``) so the time dependence need
+not be linear. Per-sample weights are then the reciprocal of the pos-model
+probability for positives and the neg-model probability itself for
+negatives, clipped away from zero.
 """
 
 from __future__ import annotations
@@ -19,36 +20,22 @@ import numpy as np
 from scipy import sparse
 
 from .optim import OptConfig, append_columns, sigmoid
-from .training import check_l2, fit_logistic
+from .training import SECONDS_PER_DAY, check_l2, fit_logistic
 
 DEFAULT_EDGES = (3600, 21600, 43200, 86400, 172800, 345600, 604800)
 DEFAULT_CLIP_FLOOR = 0.01
-SECONDS_PER_DAY = 86400.0
 
 
-@dataclass(frozen=True)
-class ElapsedBasis:
-    """Feature expansion of an elapsed time: one-hot duration bin + log days."""
-
-    edges: tuple[int, ...] = DEFAULT_EDGES
-
-    def __post_init__(self):
-        if list(self.edges) != sorted(set(self.edges)) or any(e <= 0 for e in self.edges):
-            raise ValueError("edges must be strictly increasing positive durations")
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.edges) + 2
-
-    def transform(self, e: np.ndarray) -> np.ndarray:
-        e = np.asarray(e, dtype=float)
-        if np.any(e <= 0):
-            raise ValueError("elapsed times must be positive")
-        out = np.zeros((e.shape[0], self.n_columns))
-        bins = np.searchsorted(np.asarray(self.edges, dtype=float), e, side="left")
-        out[np.arange(e.shape[0]), bins] = 1.0
-        out[:, -1] = np.log(e / SECONDS_PER_DAY)
-        return out
+def elapsed_features(e: np.ndarray, edges: tuple[int, ...]) -> np.ndarray:
+    """Features of elapsed times: one-hot duration bin by ``edges``, then log days."""
+    e = np.asarray(e, dtype=float)
+    if np.any(e <= 0):
+        raise ValueError("elapsed times must be positive")
+    out = np.zeros((e.shape[0], len(edges) + 2))
+    bins = np.searchsorted(np.asarray(edges, dtype=float), e, side="left")
+    out[np.arange(e.shape[0]), bins] = 1.0
+    out[:, -1] = np.log(e / SECONDS_PER_DAY)
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,14 +50,11 @@ class WeightModelHyper:
 
     def __post_init__(self):
         check_l2(self.l2)
-        self.basis  # raises on bad edges
+        if list(self.edges) != sorted(set(self.edges)) or any(e <= 0 for e in self.edges):
+            raise ValueError("edges must be strictly increasing positive durations")
         self.opt  # raises on a bad max_iter
         if not 0.0 <= self.holdout_fraction < 0.5:
             raise ValueError("holdout_fraction must be in [0, 0.5)")
-
-    @property
-    def basis(self) -> ElapsedBasis:
-        return ElapsedBasis(edges=self.edges)
 
     @property
     def opt(self) -> OptConfig:
@@ -80,7 +64,8 @@ class WeightModelHyper:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Probabilistic classifier over (hashed features, elapsed-time basis).
+    """Probabilistic classifier over hashed features and the elapsed-time
+    features of ``edges``.
 
     ``degenerate`` marks the single-class fallback: a constant predictor at
     the class rate, flagged so callers can surface the anomaly.
@@ -88,7 +73,7 @@ class WeightModel:
 
     coef: np.ndarray
     intercept: float
-    basis: ElapsedBasis
+    edges: tuple[int, ...]
     degenerate: bool = False
     constant: float | None = None
 
@@ -98,7 +83,7 @@ class WeightModel:
             raise ValueError("feature/elapsed-time length mismatch")
         if self.degenerate:
             return np.full(e.shape[0], float(self.constant))
-        x = append_columns(x, self.basis.transform(e))
+        x = append_columns(x, elapsed_features(e, self.edges))
         return sigmoid(x @ self.coef + self.intercept)
 
 
@@ -106,16 +91,6 @@ def check_clip_floor(clip_floor: float) -> None:
     """Reject a weight-model probability floor outside (0, 1)."""
     if not 0.0 < clip_floor < 1.0:
         raise ValueError("clip_floor must be a probability strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class WeightModelPair:
-    model_pos: WeightModel
-    model_neg: WeightModel
-    clip_floor: float = DEFAULT_CLIP_FLOOR
-
-    def __post_init__(self):
-        check_clip_floor(self.clip_floor)
 
 
 @dataclass(frozen=True)
@@ -157,8 +132,8 @@ def fit_weight_model(
 ) -> WeightModel:
     """Fit one of the two weight models on a relabeled set.
 
-    Training pairs the hashed click features ``x`` with a basis expansion of
-    the *adjusted* elapsed time and targets the s-label. A holdout of
+    Training pairs the hashed click features ``x`` with the features of the
+    *adjusted* elapsed time and targets the s-label. A holdout of
     ``hyper.holdout_fraction``, drawn from ``seed``, drives early stopping.
     Single-class inputs degrade to a constant predictor at the class rate,
     with a warning; ``assign_fsiw`` clips it like any prediction.
@@ -170,7 +145,6 @@ def fit_weight_model(
     if not n == s.size == np.size(e_adj):
         raise ValueError("feature/elapsed-time/label length mismatch")
 
-    basis = hyper.basis
     n_classes = len(np.unique(s))
     if n_classes == 1:
         rate = float(s[0])
@@ -181,14 +155,14 @@ def fit_weight_model(
             stacklevel=2,
         )
         return WeightModel(
-            coef=np.zeros(dim + basis.n_columns),
+            coef=np.zeros(dim + len(hyper.edges) + 2),
             intercept=0.0,
-            basis=basis,
+            edges=hyper.edges,
             degenerate=True,
             constant=rate,
         )
 
-    x = append_columns(x, basis.transform(np.asarray(e_adj, dtype=float)))
+    x = append_columns(x, elapsed_features(e_adj, hyper.edges))
 
     validation = None
     train_idx = np.arange(n)
@@ -217,12 +191,17 @@ def fit_weight_model(
     return WeightModel(
         coef=theta[:-1],
         intercept=float(theta[-1]),
-        basis=basis,
+        edges=hyper.edges,
     )
 
 
 def assign_fsiw(
-    models: WeightModelPair, x: sparse.csr_matrix, y: np.ndarray, e: np.ndarray
+    model_pos: WeightModel,
+    model_neg: WeightModel,
+    x: sparse.csr_matrix,
+    y: np.ndarray,
+    e: np.ndarray,
+    clip_floor: float = DEFAULT_CLIP_FLOOR,
 ) -> WeightedDataset:
     """Attach an importance weight to every training row.
 
@@ -232,9 +211,10 @@ def assign_fsiw(
     directly. Probabilities are clipped to [clip_floor, 1] first, which caps
     any weight at 1/clip_floor.
     """
+    check_clip_floor(clip_floor)
     e_float = np.asarray(e, dtype=float)
-    p_pos = np.clip(models.model_pos.predict(x, e_float), models.clip_floor, 1.0)
-    p_neg = np.clip(models.model_neg.predict(x, e_float), models.clip_floor, 1.0)
+    p_pos = np.clip(model_pos.predict(x, e_float), clip_floor, 1.0)
+    p_neg = np.clip(model_neg.predict(x, e_float), clip_floor, 1.0)
     weights = np.where(np.asarray(y) == 1, 1.0 / p_pos, p_neg)
     return WeightedDataset(x=x, y=y, e=e, weights=weights)
 

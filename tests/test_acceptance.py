@@ -43,7 +43,7 @@ from fsiw.training import (
     train_naive_logistic,
     train_weighted_logistic,
 )
-from fsiw.weights import WeightModelHyper, WeightModelPair, assign_fsiw, fit_weight_model
+from fsiw.weights import WeightModelHyper, assign_fsiw, fit_weight_model
 
 DAY = 86400
 
@@ -81,7 +81,6 @@ def _labeled_samples(arrays, cfg: SimConfig, training_end: int) -> tuple[Snapsho
         y=y,
         e=e.astype(np.int64),
         d=np.where(y == 1, arrays.delays(), 0).astype(np.int64),
-        click_ts=arrays.click_ts,
     )
     return snapshot, y
 
@@ -208,7 +207,6 @@ def _relabel_fixture(
         y=np.array([s.y for s in samples], dtype=np.int8),
         e=np.array([s.e for s in samples], dtype=np.int64),
         d=np.array([s.d or 0 for s in samples], dtype=np.int64),
-        click_ts=np.array([s.click_ts for s in samples], dtype=np.int64),
     )
     return samples, snapshot
 
@@ -232,7 +230,7 @@ def test_criterion_03_relabeling_matches_brute_force_enumeration() -> None:
         if kept and s.y == 0:
             expect_d0.append((s.x.indices, s.e - tau, 1, "D0", s.e))
 
-    d1, d0 = build_artificial_datasets(snapshot, tau, training_end)
+    d1, d0 = build_artificial_datasets(snapshot, tau)
 
     def got(a, destination: str) -> list[tuple]:
         return [
@@ -339,13 +337,15 @@ def test_criterion_05_weighting_halves_the_censoring_bias() -> None:
     samples, y = _labeled_samples(arrays, cfg, cfg.time_span)
     frac_censored = 1.0 - y.sum() / arrays.c.sum()
 
-    d1, d0 = build_artificial_datasets(samples, 4 * DAY, cfg.time_span)
+    d1, d0 = build_artificial_datasets(samples, 4 * DAY)
     hyper = WeightModelHyper(l2=1e-4)
-    pair = WeightModelPair(
-        model_pos=fit_weight_model(samples.x[d1.idx], d1.e_adj, d1.s, hyper),
-        model_neg=fit_weight_model(samples.x[d0.idx], d0.e_adj, d0.s, hyper),
+    weighted = assign_fsiw(
+        fit_weight_model(samples.x[d1.idx], d1.e_adj, d1.s, hyper),
+        fit_weight_model(samples.x[d0.idx], d0.e_adj, d0.s, hyper),
+        samples.x,
+        samples.y,
+        samples.e,
     )
-    weighted = assign_fsiw(pair, samples.x, samples.y, samples.e)
 
     opt = OptConfig(max_iter=400, tol=1e-10)
     feats = samples.x

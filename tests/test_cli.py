@@ -374,6 +374,30 @@ def test_bad_config_key_exits_two(tmp_path, config_path) -> None:
         # non-finite numbers: an OverflowError traceback before they were checked
         ("tau=.inf", "error: tau: duration must be finite, got inf"),
         ("data.simulator.rate_spread=.inf", "data.simulator.rate_spread must be finite, got inf"),
+        # finite values out of range: an OverflowError traceback, or a numpy
+        # message that named no key
+        pytest.param(
+            "tau=" + "9" * 400,
+            "error: tau: duration must fit in int64 seconds",
+            id="tau-400-digits",
+        ),
+        pytest.param(
+            "split.stride=" + "9" * 400,
+            "error: split.stride: duration must fit in int64 seconds",
+            id="split.stride-400-digits",
+        ),
+        (
+            "data.simulator.time_span=1000000000000000000000000000000",
+            "error: data.simulator.time_span: duration must fit in int64 seconds",
+        ),
+        (
+            "data.simulator.rate_spread=1.0e+308",
+            "error: data.simulator.rate_spread must be non-negative with a finite range",
+        ),
+        (
+            "data.simulator.cvr_spread=-1",
+            "error: data.simulator.cvr_spread must be non-negative with a finite range",
+        ),
     ],
 )
 def test_malformed_config_value_exits_two_without_a_traceback(
@@ -384,6 +408,22 @@ def test_malformed_config_value_exits_two_without_a_traceback(
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()  # nothing was fit or written
+
+
+@pytest.mark.parametrize(
+    ("taus", "message"),
+    [
+        ("30d", "error: tau 2592000 must lie strictly inside the training window (604800s)\n"),
+        (",", "error: tau must contain at least one deadline\n"),
+    ],
+)
+def test_sweep_rejects_bad_taus_when_the_config_is_read(
+    tmp_path, config_path, taus, message
+) -> None:
+    proc = _fsiw("sweep", "-c", str(config_path), "-o", str(tmp_path / "out"), "--taus", taus)
+    assert proc.returncode == 2
+    assert proc.stderr == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_a_negative_seed_flag_when_the_config_is_read(tmp_path, config_path) -> None:

@@ -263,9 +263,9 @@ def test_snapshot_labels_is_idempotent_and_order_preserving() -> None:
     first = snapshot_labels(log, 10**6 + 1)
     second = snapshot_labels(log, 10**6 + 1)
     assert _csr_rows(first.x) == _csr_rows(second.x)
-    for name in ("y", "e", "d", "click_ts"):
+    for name in ("y", "e", "d"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
-    assert first.click_ts.tolist() == [c for c in clicks if c < 10**6 + 1]
+    assert (10**6 + 1 - first.e).tolist() == [c for c in clicks if c < 10**6 + 1]
     assert _csr_rows(first.x) == _csr_rows(log.x)
 
 
@@ -295,7 +295,7 @@ def test_labeled_sample_invariants(clicks, training_end) -> None:
     log = _log([c for c, _ in clicks], [None if d is None else c + d for c, d in clicks])
     snap = snapshot_labels(log, training_end)
     kept = [(c, d) for c, d in clicks if c < training_end]
-    assert snap.click_ts.tolist() == [c for c, _ in kept]
+    assert (training_end - snap.e).tolist() == [c for c, _ in kept]
     assert snap.x.shape[0] == len(kept)
     assert set(snap.y.tolist()) <= {0, 1}
     assert np.all(snap.e > 0)

@@ -298,6 +298,43 @@ def test_config_requires_known_trainers() -> None:
         ("tau", float("inf"), "tau: duration must be finite, got inf"),
         ("tau", float("nan"), "tau: duration must be finite, got nan"),
         ("split.stride", float("inf"), "split.stride: duration must be finite, got inf"),
+        # finite values too large for int64 seconds, or for the simulator's
+        # uniform(-spread, spread) draws, which ended the same way
+        pytest.param(
+            "tau",
+            10**400,
+            f"tau: duration must fit in int64 seconds, got {10**400}",
+            id="tau-400-digits",
+        ),
+        pytest.param(
+            "split.stride",
+            10**400,
+            f"split.stride: duration must fit in int64 seconds, got {10**400}",
+            id="split.stride-400-digits",
+        ),
+        pytest.param(
+            "tau",
+            "9" * 400 + "d",
+            f"tau: duration must fit in int64 seconds, got '{'9' * 400}d'",
+            id="tau-400-digit-days",
+        ),
+        (
+            "data.simulator.time_span",
+            10**30,
+            f"data.simulator.time_span: duration must fit in int64 seconds, got {10**30}",
+        ),
+        (
+            "data.simulator.rate_spread",
+            1.0e308,
+            "data.simulator.rate_spread must be non-negative with a finite range "
+            "2*rate_spread, got 1e+308",
+        ),
+        (
+            "data.simulator.cvr_spread",
+            -1,
+            "data.simulator.cvr_spread must be non-negative with a finite range "
+            "2*cvr_spread, got -1.0",
+        ),
     ],
 )
 def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> None:

@@ -21,7 +21,6 @@ def _snapshot(rows: list[tuple[int, int, int | None]], training_end: int = 1000)
         y=np.array([y for _, y, _ in rows], dtype=np.int8),
         e=training_end - click,
         d=np.array([d or 0 for _, _, d in rows], dtype=np.int64),
-        click_ts=click,
     )
 
 
@@ -35,54 +34,56 @@ CUTOFF = END - TAU  # 800
 
 
 def test_early_converter_goes_to_d1_with_s1() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot([(500, 1, 100)]), TAU, END)
+    d1, d0 = build_artificial_datasets(_snapshot([(500, 1, 100)]), TAU)
     assert _rows(d0) == []
     assert _rows(d1) == [(0, 300, 1)]
 
 
 def test_late_converter_lands_in_both_sets_with_s0() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot([(700, 1, 200)]), TAU, END)
+    d1, d0 = build_artificial_datasets(_snapshot([(700, 1, 200)]), TAU)
     assert _rows(d1) == [(0, 100, 0)]
     assert _rows(d0) == [(0, 100, 0)]
 
 
 def test_negative_goes_to_d0_with_s1() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot([(500, 0, None)]), TAU, END)
+    d1, d0 = build_artificial_datasets(_snapshot([(500, 0, None)]), TAU)
     assert _rows(d1) == []
     assert _rows(d0) == [(0, 300, 1)]
 
 
 def test_click_past_cutoff_is_excluded_from_both() -> None:
     d1, d0 = build_artificial_datasets(
-        _snapshot([(900, 1, 50), (900, 0, None), (800, 0, None)]), TAU, END
+        _snapshot([(900, 1, 50), (900, 0, None), (800, 0, None)]), TAU
     )
     assert _rows(d1) == [] and _rows(d0) == []  # 800 is the cutoff itself: excluded too
 
 
 def test_conversion_exactly_at_cutoff_counts_as_not_yet_converted() -> None:
     # click 600 + delay 200 = 800 = cutoff; "before" is strict
-    d1, d0 = build_artificial_datasets(_snapshot([(600, 1, 200)]), TAU, END)
+    d1, d0 = build_artificial_datasets(_snapshot([(600, 1, 200)]), TAU)
     assert d1.s.tolist() == [0]
     assert len(d0.idx) == 1
 
 
 def test_adjusted_elapsed_time_is_original_minus_tau_and_positive() -> None:
     snap = _snapshot([(c, 0, None) for c in (0, 100, 750, 799)])
-    _, d0 = build_artificial_datasets(snap, TAU, END)
+    _, d0 = build_artificial_datasets(snap, TAU)
     assert d0.e_adj.tolist() == [800, 700, 50, 1]
     assert np.array_equal(snap.e[d0.idx], d0.e_adj + 200)
 
 
 def test_config_rejects_bad_tau() -> None:
     with pytest.raises(ValueError, match="tau must be positive, got 0"):
-        build_artificial_datasets(_snapshot([(10, 0, None)]), 0, END)
+        build_artificial_datasets(_snapshot([(10, 0, None)]), 0)
     with pytest.raises(ValueError, match="tau must be positive, got -5"):
-        build_artificial_datasets(_snapshot([(10, 0, None)]), -5, END)
+        build_artificial_datasets(_snapshot([(10, 0, None)]), -5)
 
 
-def test_sample_after_training_end_is_rejected() -> None:
-    with pytest.raises(ValueError, match="clicked at 1200, after training_end"):
-        build_artificial_datasets(_snapshot([(10, 0, None), (1200, 0, None)]), TAU, END)
+def test_non_positive_elapsed_time_is_rejected() -> None:
+    # e = END - click: a click at or after the snapshot has no positive e
+    for late in (END, 1200):
+        with pytest.raises(ValueError, match=f"elapsed times must be positive, got {END - late}$"):
+            build_artificial_datasets(_snapshot([(10, 0, None), (late, 0, None)]), TAU)
 
 
 def _random_rows(n: int, seed: int, training_end: int = 1000) -> list[tuple[int, int, int | None]]:
@@ -100,7 +101,7 @@ def _random_rows(n: int, seed: int, training_end: int = 1000) -> list[tuple[int,
 
 def test_set_level_membership_properties() -> None:
     rows = _random_rows(500, seed=1)
-    d1, d0 = build_artificial_datasets(_snapshot(rows), TAU, END)
+    d1, d0 = build_artificial_datasets(_snapshot(rows), TAU)
     kept = [r for r in rows if r[0] < CUTOFF]
     kept_pos = [r for r in kept if r[1] == 1]
 
@@ -124,12 +125,12 @@ def test_long_deadline_makes_d1_pure_s1() -> None:
             rows.append((click, 1, int(rng.integers(0, 100))))
         else:
             rows.append((click, 0, None))
-    d1, _ = build_artificial_datasets(_snapshot(rows), 500, END)
+    d1, _ = build_artificial_datasets(_snapshot(rows), 500)
     assert len(d1.idx) and np.all(d1.s == 1)
 
 
 def test_output_preserves_input_order() -> None:
-    d1, d0 = build_artificial_datasets(_snapshot(_random_rows(300, seed=9)), TAU, END)
+    d1, d0 = build_artificial_datasets(_snapshot(_random_rows(300, seed=9)), TAU)
     for group in (d1, d0):
         assert np.all(np.diff(group.idx) > 0)
 
@@ -158,7 +159,7 @@ def test_artificial_sample_validation(world) -> None:
     # rules, as properties of the index arrays
     training_end, tau, rows = world
     cutoff = training_end - tau
-    d1, d0 = build_artificial_datasets(_snapshot(rows, training_end), tau, training_end)
+    d1, d0 = build_artificial_datasets(_snapshot(rows, training_end), tau)
     expect_d1, expect_d0 = [], []
     for i, (click, y, d) in enumerate(rows):
         if click >= cutoff:

@@ -57,7 +57,6 @@ def _onehot_snapshot(arrays: SimArrays, training_end: float) -> Snapshot:
         y=y,
         e=e.astype(np.int64),
         d=np.where(y == 1, arrays.delays(), 0).astype(np.int64),
-        click_ts=arrays.click_ts,
     )
 
 

@@ -83,7 +83,6 @@ def _make_samples(n: int, seed: int, dim: int = 16) -> Snapshot:
         y=np.array(y, dtype=np.int8),
         e=np.array(e, dtype=np.int64),
         d=np.array(d, dtype=np.int64),
-        click_ts=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -173,17 +172,17 @@ def test_l2_path_shrinks_coefficients() -> None:
 
 def test_predict_cvr_examples() -> None:
     meta = TrainingMeta(n_iter=0, final_loss=0.0, converged=True)
-    zero = LinearCvrModel(coef=np.zeros(8), intercept=0.0, dim=8, l2=0.0, meta=meta)
+    zero = LinearCvrModel(coef=np.zeros(8), intercept=0.0, l2=0.0, meta=meta)
     x = sparse.csr_matrix(np.eye(8)[[2, 5]])
     assert predict_cvr_batch(zero, x) == pytest.approx([0.5, 0.5])
 
     bias_only = LinearCvrModel(
-        coef=np.zeros(8), intercept=math.log(0.2 / 0.8), dim=8, l2=0.0, meta=meta
+        coef=np.zeros(8), intercept=math.log(0.2 / 0.8), l2=0.0, meta=meta
     )
     assert predict_cvr_batch(bias_only, x) == pytest.approx([0.2, 0.2])
 
     bumped = LinearCvrModel(
-        coef=np.eye(8)[2] * 0.7, intercept=0.0, dim=8, l2=0.0, meta=meta
+        coef=np.eye(8)[2] * 0.7, intercept=0.0, l2=0.0, meta=meta
     )
     p_bumped, p_other = predict_cvr_batch(bumped, x)
     assert 0.5 < p_bumped < 1.0
@@ -192,7 +191,7 @@ def test_predict_cvr_examples() -> None:
 
 def test_predict_cvr_rejects_dim_mismatch() -> None:
     meta = TrainingMeta(n_iter=0, final_loss=0.0, converged=True)
-    model = LinearCvrModel(coef=np.zeros(8), intercept=0.0, dim=8, l2=0.0, meta=meta)
+    model = LinearCvrModel(coef=np.zeros(8), intercept=0.0, l2=0.0, meta=meta)
     with pytest.raises(ValueError, match="feature dim 16 != model dim 8"):
         predict_cvr_batch(model, sparse.csr_matrix((1, 16)))
 
@@ -327,7 +326,7 @@ def _load_model(path: str | Path) -> LinearCvrModel | DfmModel:
         coef = np.zeros(dim)
         coef[blob["coef_idx"]] = blob["coef_val"]
         return LinearCvrModel(
-            coef=coef, intercept=blob["intercept"], dim=dim, l2=blob["l2"], meta=meta
+            coef=coef, intercept=blob["intercept"], l2=blob["l2"], meta=meta
         )
     cvr = np.zeros(dim)
     cvr[blob["cvr_idx"]] = blob["cvr_val"]
@@ -338,7 +337,6 @@ def _load_model(path: str | Path) -> LinearCvrModel | DfmModel:
         cvr_intercept=blob["cvr_intercept"],
         delay_coef=delay,
         delay_intercept=blob["delay_intercept"],
-        dim=dim,
         l2=blob["l2"],
         meta=meta,
     )

@@ -1,4 +1,4 @@
-"""Weight-model fitting and weight assignment: basis features, closed-form
+"""Weight-model fitting and weight assignment: elapsed-time features, closed-form
 calibration, clipping, degenerate fallbacks, and bias correction end to end."""
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from fsiw.simulate import generate_arrays, oracle_fsiw_array, snapshot_arrays
 from fsiw.training import predict_cvr_batch, train_naive_logistic, train_weighted_logistic
 from fsiw.weights import (
     DEFAULT_EDGES,
-    ElapsedBasis,
     WeightedDataset,
     WeightModel,
     WeightModelHyper,
-    WeightModelPair,
     assign_fsiw,
     dump_weights,
+    elapsed_features,
     fit_weight_model,
 )
 
@@ -39,20 +38,18 @@ def _onehot(cols, dim: int = 8) -> sparse.csr_matrix:
 
 
 def _constant_model(value: float, dim: int = 8) -> WeightModel:
-    basis = ElapsedBasis()
     return WeightModel(
-        coef=np.zeros(dim + basis.n_columns),
+        coef=np.zeros(dim + len(DEFAULT_EDGES) + 2),
         intercept=0.0,
-        basis=basis,
+        edges=DEFAULT_EDGES,
         degenerate=True,
         constant=value,
     )
 
 
 def test_basis_shape_and_bin_placement() -> None:
-    basis = ElapsedBasis()
-    assert basis.n_columns == len(DEFAULT_EDGES) + 2
-    out = basis.transform(np.array([1800.0, 3600.0, 3601.0, 1e7]))
+    out = elapsed_features(np.array([1800.0, 3600.0, 3601.0, 1e7]), DEFAULT_EDGES)
+    assert out.shape == (4, len(DEFAULT_EDGES) + 2)
     # 1800 and 3600 fall in the first bucket, 3601 in the second,
     # anything past the last edge in the overflow bucket
     assert out[0, 0] == 1.0 and out[1, 0] == 1.0
@@ -66,26 +63,28 @@ def test_basis_shape_and_bin_placement() -> None:
 
 def test_basis_rejects_nonpositive_elapsed() -> None:
     with pytest.raises(ValueError, match="positive"):
-        ElapsedBasis().transform(np.array([3600.0, 0.0]))
+        elapsed_features(np.array([3600.0, 0.0]), DEFAULT_EDGES)
 
 
 def test_basis_rejects_bad_edges() -> None:
-    with pytest.raises(ValueError):
-        ElapsedBasis(edges=(3600, 3600, 7200))
-    with pytest.raises(ValueError):
-        ElapsedBasis(edges=(7200, 3600))
-    with pytest.raises(ValueError):
-        ElapsedBasis(edges=(0, 3600))
+    message = "^edges must be strictly increasing positive durations$"
+    with pytest.raises(ValueError, match=message):
+        WeightModelHyper(edges=(3600, 3600, 7200))
+    with pytest.raises(ValueError, match=message):
+        WeightModelHyper(edges=(7200, 3600))
+    with pytest.raises(ValueError, match=message):
+        WeightModelHyper(edges=(0, 3600))
 
 
 def test_hyper_validation() -> None:
     with pytest.raises(ValueError, match="holdout"):
         WeightModelHyper(holdout_fraction=0.5)
     model = _constant_model(0.5)
+    x, y, e = _onehot([0]), np.array([1]), np.array([3600])
     with pytest.raises(ValueError, match="clip_floor"):
-        WeightModelPair(model_pos=model, model_neg=model, clip_floor=0.0)
+        assign_fsiw(model, model, x, y, e, clip_floor=0.0)
     with pytest.raises(ValueError, match="clip_floor"):
-        WeightModelPair(model_pos=model, model_neg=model, clip_floor=1.0)
+        assign_fsiw(model, model, x, y, e, clip_floor=1.0)
 
 
 def test_fit_rejects_empty_input() -> None:
@@ -107,8 +106,9 @@ def test_single_class_falls_back_to_constant_with_warning() -> None:
         model = fit_weight_model(x, e_adj, np.zeros(30))
     # the constant is the raw class rate; assign_fsiw lifts it to the clip floor
     assert np.all(model.predict(x[:1], np.array([3600.0])) == 0.0)
-    pair = WeightModelPair(model_pos=model, model_neg=model, clip_floor=0.05)
-    weighted = assign_fsiw(pair, x[:2], np.array([0, 1]), np.array([3600, 3600]))
+    weighted = assign_fsiw(
+        model, model, x[:2], np.array([0, 1]), np.array([3600, 3600]), clip_floor=0.05
+    )
     assert weighted.weights.tolist() == [0.05, 1 / 0.05]
 
 
@@ -148,14 +148,12 @@ def test_fit_calibrates_against_closed_form_probabilities() -> None:
 
 def test_assign_reciprocal_and_clip_examples() -> None:
     x, y, e = _onehot([0, 0]), np.array([1, 0]), np.array([7200, 7200])
-    pair = WeightModelPair(model_pos=_constant_model(0.5), model_neg=_constant_model(0.8))
-    out = assign_fsiw(pair, x, y, e)
+    out = assign_fsiw(_constant_model(0.5), _constant_model(0.8), x, y, e)
     assert out.weights[0] == pytest.approx(2.0)
     assert out.weights[1] == pytest.approx(0.8)
 
     # a probability of 0.001 hits the 0.01 floor, capping the weight at 100
-    pair_tiny = WeightModelPair(model_pos=_constant_model(0.001), model_neg=_constant_model(0.001))
-    out = assign_fsiw(pair_tiny, x, y, e)
+    out = assign_fsiw(_constant_model(0.001), _constant_model(0.001), x, y, e)
     assert out.weights[0] == pytest.approx(100.0)
     assert out.weights[1] == pytest.approx(0.01)
 
@@ -168,15 +166,16 @@ def test_assign_uses_original_elapsed_time() -> None:
             seen.append(np.asarray(e, dtype=float).copy())
             return np.full(x.shape[0], 0.5)
 
-    pair = WeightModelPair(model_pos=_Spy(), model_neg=_Spy())
-    assign_fsiw(pair, _onehot([0, 0]), np.array([1, 0]), np.array([9000, 123456]))
+    assign_fsiw(_Spy(), _Spy(), _onehot([0, 0]), np.array([1, 0]), np.array([9000, 123456]))
     for arr in seen:
         assert np.array_equal(arr, np.array([9000.0, 123456.0]))
 
 
 def test_assign_empty_input() -> None:
-    pair = WeightModelPair(model_pos=_constant_model(0.5), model_neg=_constant_model(0.5))
-    out = assign_fsiw(pair, _onehot([]), np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64))
+    model = _constant_model(0.5)
+    out = assign_fsiw(
+        model, model, _onehot([]), np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
+    )
     assert len(out) == 0
 
 
@@ -196,10 +195,9 @@ def test_oracle_probability_stubs_reproduce_oracle_weights() -> None:
             surv = np.exp(-arrays.true_rate[: x.shape[0]] * np.asarray(e_arr))
             return (1 - p) / ((1 - p) + p * surv)
 
-    pair = WeightModelPair(
-        model_pos=_TrueObserved(), model_neg=_TrueStillNegative(), clip_floor=1e-9
-    )
-    got = assign_fsiw(pair, snap.x, snap.y, snap.e).weights
+    got = assign_fsiw(
+        _TrueObserved(), _TrueStillNegative(), snap.x, snap.y, snap.e, clip_floor=1e-9
+    ).weights
     want = oracle_fsiw_array(arrays.true_p, arrays.true_rate, e.astype(float), y)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -253,13 +251,15 @@ def test_fitted_weights_shrink_the_downward_bias_gap() -> None:
     frac_censored_pos = 1.0 - snap.y.sum() / arrays.c.sum()
     assert frac_censored_pos >= 0.30  # the regime this test is about
 
-    d1, d0 = build_artificial_datasets(snap, 4 * DAY, training_end)
+    d1, d0 = build_artificial_datasets(snap, 4 * DAY)
     hyper = WeightModelHyper(l2=1e-4)
-    pair = WeightModelPair(
-        model_pos=fit_weight_model(snap.x[d1.idx], d1.e_adj, d1.s, hyper),
-        model_neg=fit_weight_model(snap.x[d0.idx], d0.e_adj, d0.s, hyper),
+    weighted = assign_fsiw(
+        fit_weight_model(snap.x[d1.idx], d1.e_adj, d1.s, hyper),
+        fit_weight_model(snap.x[d0.idx], d0.e_adj, d0.s, hyper),
+        snap.x,
+        snap.y,
+        snap.e,
     )
-    weighted = assign_fsiw(pair, snap.x, snap.y, snap.e)
 
     opt = OptConfig(max_iter=400, tol=1e-10)
     naive = train_naive_logistic(snap.x, snap.y, 1e-4, opt)
