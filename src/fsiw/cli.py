@@ -38,9 +38,7 @@ from .training import TrainingError
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A bad command-line argument or input file; exits with code 2."""
 
 
 def _set_dotted(raw: dict, dotted: str, value) -> None:
@@ -299,10 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ConfigError, ParseError, TrainingError, PipelineError, ValueError) as exc:
+    except (CliError, ConfigError, ParseError, TrainingError, PipelineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -123,8 +123,10 @@ class SimulatorSpec:
                 "data.simulator.field_cardinalities must be a non-empty list of "
                 f"values >= 1, got {list(self.field_cardinalities)}"
             )
-        if self.n_samples < 1 or self.time_span < 1 or self.mean_delay < 1:
-            raise ConfigError("simulator sizes must be positive")
+        for key in ("n_samples", "time_span", "mean_delay"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"data.simulator.{key} must be positive, got {value}")
         for key in ("cvr_bias", "cvr_spread", "rate_spread"):
             value = getattr(self, key)
             if not math.isfinite(value):
@@ -174,6 +176,10 @@ class DataSpec:
             raise ConfigError(
                 f"data.observational_period must be non-negative, got {self.observational_period}"
             )
+        if self.kind == "simulator":
+            for key in ("path", "observational_period", "tracked_until"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"data.{key} is for tsv data, not a simulator")
         if self.kind == "tsv":
             if not self.path:
                 raise ConfigError("tsv data needs a path")
@@ -446,24 +452,7 @@ class ReportRow:
         return out
 
 
-REPORT_COLUMNS = (
-    "split",
-    "trainer",
-    "tau",
-    "ll",
-    "ll_lo",
-    "ll_hi",
-    "nll",
-    "nll_lo",
-    "nll_hi",
-    "pr_auc",
-    "pr_auc_lo",
-    "pr_auc_hi",
-    "n_test",
-    "mean_pred",
-    "mean_label",
-    "train_mean_cvr",
-)
+REPORT_COLUMNS = ("split", "trainer", "tau", *(f.name for f in fields(EvalReport)))
 
 
 def _format_cell(value) -> str:
@@ -485,23 +474,17 @@ def write_report_json(rows: Sequence[ReportRow], path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def load_source(
-    config: ExperimentConfig,
-) -> tuple[ClickLog, np.ndarray | None, tuple[int | None, int | None]]:
-    """Returns (the hashed click log, true labels aligned with it or None,
-    and the (start, end) of the collection window, each None unless it is
-    known a priori)."""
+def load_source(config: ExperimentConfig) -> tuple[ClickLog, int | None, int | None]:
+    """Returns the hashed click log and the start and end of its collection
+    window, each None unless it is known a priori. A simulated log holds
+    every conversion, however late."""
     if config.data.kind == "simulator":
         arrays = generate_arrays(config.data.simulator.build(config.seed))
         log = to_click_log(arrays, dim=config.hashing.dim, seed=config.hashing.seed)
-        return log, arrays.c, (0, config.data.simulator.time_span)
+        return log, 0, config.data.simulator.time_span
     schema = list(config.data.schema)
     log = read_tsv(config.data.path, schema, dim=config.hashing.dim, seed=config.hashing.seed)
-    return log, None, (None, None)
-
-
-def _wrap(split_k: int, trainer: str, exc: Exception) -> PipelineError:
-    return PipelineError(f"split {split_k}, trainer {trainer}: {exc}")
+    return log, None, None
 
 
 @dataclass(frozen=True)
@@ -517,9 +500,7 @@ class _LabeledSplit:
     train_mean_cvr: float
 
 
-def _label_split(
-    config: ExperimentConfig, log: ClickLog, truth: np.ndarray | None, split: Split
-) -> _LabeledSplit:
+def _label_split(config: ExperimentConfig, log: ClickLog, split: Split) -> _LabeledSplit:
     # provenance gate: nothing clicked inside or after the test window may
     # reach a training artifact
     ts = log.click_ts[np.concatenate([split.train_idx, split.val_idx])]
@@ -538,18 +519,16 @@ def _label_split(
         if config.split.validation_window > 0
         else None
     )
-    if truth is not None:
-        x_test, c_test = log.x[split.test_idx], truth[split.test_idx]
-    else:
-        if split.test_end + config.data.observational_period > config.data.tracked_until:
-            raise ConfigError(
-                f"split {split.k}: test labels are not final — conversions are tracked "
-                f"until {config.data.tracked_until} but the test window needs "
-                f"{split.test_end + config.data.observational_period}"
-            )
-        x_test, c_test = full_observation_labels(
-            log.rows(split.test_idx), observational_period=config.data.observational_period
+    data = config.data
+    if data.kind == "tsv" and split.test_end + data.observational_period > data.tracked_until:
+        raise ConfigError(
+            f"split {split.k}: test labels are not final — conversions are tracked "
+            f"until {data.tracked_until} but the test window needs "
+            f"{split.test_end + data.observational_period}"
         )
+    x_test, c_test = full_observation_labels(
+        log.rows(split.test_idx), observational_period=data.observational_period
+    )
     if len(c_test) == 0:
         raise PipelineError(f"split {split.k}: empty test window")
 
@@ -564,19 +543,21 @@ def _label_split(
 def _fit_and_score(
     config: ExperimentConfig, labeled: _LabeledSplit, tau: int, trainers: Sequence[str]
 ) -> tuple[dict, WeightedDataset | None, list[ReportRow]]:
-    """Train ``trainers`` on one labeled split at deadline ``tau`` and score
-    them on its test rows. Returns the models, the weighted training set
-    (None unless lr_fsiw ran) and one report row per trainer."""
+    """Train each of ``trainers`` on one labeled split at deadline ``tau`` and
+    score it on the split's test rows, one trainer after the other. Returns
+    the models, the weighted training set (None unless lr_fsiw ran) and one
+    report row per trainer."""
     split, train, val = labeled.split, labeled.train, labeled.val
     models = {}
     weighted = None
     opt = config.optimizer
+    rows = []
     for trainer in trainers:
         try:
             if trainer == "naive_lr":
-                models[trainer] = train_naive_logistic(train.x, train.y, config.l2, opt)
+                model = train_naive_logistic(train.x, train.y, config.l2, opt)
             elif trainer == "dfm":
-                models[trainer] = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
+                model = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
             else:
                 d1, d0 = build_artificial_datasets(train, tau)
                 seed_pos = _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
@@ -593,30 +574,18 @@ def _fit_and_score(
                     if val is not None and len(val.y) > 0
                     else None
                 )
-                models[trainer] = train_weighted_logistic(
-                    weighted, config.l2, opt, validation=weighted_val
-                )
-        except (ValueError, RuntimeError) as exc:
-            raise _wrap(split.k, trainer, exc) from exc
-
-    rows = []
-    for trainer in trainers:
-        try:
-            preds = predict_cvr_batch(models[trainer], labeled.x_test)
+                model = train_weighted_logistic(weighted, config.l2, opt, validation=weighted_val)
             report = evaluate_predictions(
                 labeled.c_test,
-                preds,
+                predict_cvr_batch(model, labeled.x_test),
                 labeled.train_mean_cvr,
                 bootstrap_b=config.metrics.bootstrap_b,
                 seed=_derived_seed(config.seed, split.k, ROLE_EVAL),
             )
         except (ValueError, RuntimeError) as exc:
-            raise _wrap(split.k, trainer, exc) from exc
-        rows.append(
-            ReportRow(
-                split=split.k, trainer=trainer, tau=tau, report=report, fit=models[trainer].meta
-            )
-        )
+            raise PipelineError(f"split {split.k}, trainer {trainer}: {exc}") from exc
+        models[trainer] = model
+        rows.append(ReportRow(split.k, trainer, tau, report, fit=model.meta))
     return models, weighted, rows
 
 
@@ -629,7 +598,7 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     config, and a manifest keyed by the config hash.
     """
     tau = config.tau[0]
-    log, truth, (start, end) = load_source(config)
+    log, start, end = load_source(config)
     splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
 
     out_path = Path(config.output_dir)
@@ -638,7 +607,7 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
 
     rows: list[ReportRow] = []
     for split in splits:
-        labeled = _label_split(config, log, truth, split)
+        labeled = _label_split(config, log, split)
         models, weighted, split_rows = _fit_and_score(config, labeled, tau, config.trainers)
         rows.extend(split_rows)
         if write_outputs:
@@ -671,9 +640,9 @@ def deadline_sweep(
     tau_list = [int(t) for t in (taus if taus is not None else config.tau)]
     replace(config, tau=tuple(tau_list))  # the config's own tau check
 
-    log, truth, (start, end) = load_source(config)
+    log, start, end = load_source(config)
     splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
-    labeled_splits = [_label_split(config, log, truth, split) for split in splits]
+    labeled_splits = [_label_split(config, log, split) for split in splits]
     rows: list[ReportRow] = []
     for t in tau_list:
         for labeled in labeled_splits:

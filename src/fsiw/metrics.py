@@ -19,7 +19,7 @@ whatever the number of rows and resamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -307,12 +307,19 @@ def delay_stats(
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One test set's scores, each with the ends of its 95% bootstrap interval;
+    the fields, in order, are the columns of a report row after its split,
+    trainer and tau."""
+
     ll: float
-    ll_ci: tuple[float, float]
+    ll_lo: float
+    ll_hi: float
     nll: float
-    nll_ci: tuple[float, float]
+    nll_lo: float
+    nll_hi: float
     pr_auc: float
-    pr_auc_ci: tuple[float, float]
+    pr_auc_lo: float
+    pr_auc_hi: float
     n_test: int
     mean_pred: float
     mean_label: float
@@ -321,30 +328,13 @@ class EvalReport:
     def __post_init__(self):
         if self.ll < 0 or not 0.0 <= self.pr_auc <= 1.0:
             raise ValueError("metric out of range")
-        for point, (lo, hi) in (
-            (self.ll, self.ll_ci),
-            (self.nll, self.nll_ci),
-            (self.pr_auc, self.pr_auc_ci),
-        ):
+        for name in ("ll", "nll", "pr_auc"):
+            point, lo, hi = (getattr(self, name + end) for end in ("", "_lo", "_hi"))
             if not lo <= point <= hi:
                 raise ValueError(f"CI ({lo}, {hi}) does not bracket point {point}")
 
     def to_flat_dict(self) -> dict:
-        return {
-            "ll": self.ll,
-            "ll_lo": self.ll_ci[0],
-            "ll_hi": self.ll_ci[1],
-            "nll": self.nll,
-            "nll_lo": self.nll_ci[0],
-            "nll_hi": self.nll_ci[1],
-            "pr_auc": self.pr_auc,
-            "pr_auc_lo": self.pr_auc_ci[0],
-            "pr_auc_hi": self.pr_auc_ci[1],
-            "n_test": self.n_test,
-            "mean_pred": self.mean_pred,
-            "mean_label": self.mean_label,
-            "train_mean_cvr": self.train_mean_cvr,
-        }
+        return asdict(self)
 
 
 def evaluate_predictions(
@@ -355,7 +345,8 @@ def evaluate_predictions(
     bootstrap_b: int = 200,
     seed: int = 0,
 ) -> EvalReport:
-    """Full per-split report with bootstrap CIs for every metric.
+    """Full per-split report: each metric with the ends of its 95% bootstrap
+    interval.
 
     Raises MetricInputError for a label outside {0, 1} or a prediction that
     is not a finite probability.
@@ -388,15 +379,12 @@ def evaluate_predictions(
 
     def interval(point: float, statistic: Callable[[np.ndarray], float], offset: int):
         lo, hi = _interval(map(statistic, _resamples(n, bootstrap_b, seed + offset)))
-        return (min(lo, point), max(hi, point))
+        return point, min(lo, point), max(hi, point)
 
     return EvalReport(
-        ll=ll,
-        ll_ci=interval(ll, lambda r: _mean_loss(terms[r]), 0),
-        nll=nll,
-        nll_ci=interval(nll, lambda r: _normalized_loss(terms[r], base_terms[r]), 1),
-        pr_auc=ap,
-        pr_auc_ci=interval(ap, lambda r: ranking.average_precision(slot[r], ap), 2),
+        *interval(ll, lambda r: _mean_loss(terms[r]), 0),
+        *interval(nll, lambda r: _normalized_loss(terms[r], base_terms[r]), 1),
+        *interval(ap, lambda r: ranking.average_precision(slot[r], ap), 2),
         n_test=n,
         mean_pred=float(preds_arr.mean()),
         mean_label=float(labels_arr.mean()),

@@ -169,9 +169,17 @@ def snapshot_arrays(arrays: SimArrays, training_end: float) -> tuple[np.ndarray,
 
 def _integer_conv_ts(arrays: SimArrays) -> np.ndarray:
     """Conversion times rounded up to whole seconds, so that they never
-    precede their click; NO_CONVERSION where c=0."""
-    conv = np.where(np.isnan(arrays.conv_ts), -1, np.ceil(arrays.conv_ts)).astype(np.int64)
-    return np.where(arrays.c == 1, conv, NO_CONVERSION)
+    precede their click; NO_CONVERSION where c=0. Raises ValueError if one
+    does not fit below NO_CONVERSION."""
+    conv = np.where(arrays.c == 1, np.ceil(arrays.conv_ts), -1.0)
+    late = ~(conv < NO_CONVERSION)  # also where a delay overflowed to inf or nan
+    if np.any(late):
+        i = int(np.argmax(late))
+        raise ValueError(
+            f"row {i}: conversion time {float(arrays.conv_ts[i])!r} does not fit in int64 "
+            "seconds; lower data.simulator.mean_delay or rate_spread"
+        )
+    return np.where(arrays.c == 1, conv.astype(np.int64), NO_CONVERSION)
 
 
 def to_click_log(arrays: SimArrays, *, dim: int, seed: int) -> ClickLog:

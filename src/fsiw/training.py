@@ -55,7 +55,7 @@ class DfmModel:
     """Joint model: P(convert|x) = sigma(cvr head), delay rate = exp(delay head).
 
     The delay head is parameterized in inverse days to keep its linear scores
-    near zero; use predict_delay_rate for unit conversions.
+    near zero; predict_delay_rate gives rates per second.
     """
 
     cvr_coef: np.ndarray
@@ -308,14 +308,10 @@ def predict_cvr_batch(model: LinearCvrModel | DfmModel, x: sparse.csr_matrix) ->
     return sigmoid(x @ coef + intercept)
 
 
-def predict_delay_rate(model: DfmModel, x: sparse.csr_matrix, per: str = "day") -> np.ndarray:
-    """Predicted delay rate for every row of ``x``, per day or per second."""
-    rate = np.exp(x @ model.delay_coef + model.delay_intercept)
-    if per == "day":
-        return rate
-    if per == "second":
-        return rate / SECONDS_PER_DAY
-    raise ValueError(f"unknown rate unit {per!r}")
+def predict_delay_rate(model: DfmModel, x: sparse.csr_matrix) -> np.ndarray:
+    """Predicted delay rate for every row of ``x``, per second (the
+    simulator's unit)."""
+    return np.exp(x @ model.delay_coef + model.delay_intercept) / SECONDS_PER_DAY
 
 
 def _sparse_coef(coef: np.ndarray) -> tuple[list[int], list[float]]:

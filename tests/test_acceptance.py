@@ -381,7 +381,7 @@ def test_criterion_06_joint_model_recovers_simulator_truth() -> None:
     mae = float(np.mean(np.abs(predict_cvr_batch(model, feats) - arrays.true_p)))
     rate_rel = float(
         np.mean(
-            np.abs(predict_delay_rate(model, feats, per="second") - arrays.true_rate)
+            np.abs(predict_delay_rate(model, feats) - arrays.true_rate)
             / arrays.true_rate
         )
     )

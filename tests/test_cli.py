@@ -398,6 +398,7 @@ def test_bad_config_key_exits_two(tmp_path, config_path) -> None:
             "data.simulator.cvr_spread=-1",
             "error: data.simulator.cvr_spread must be non-negative with a finite range",
         ),
+        ("data.simulator.n_samples=0", "error: data.simulator.n_samples must be positive, got 0"),
     ],
 )
 def test_malformed_config_value_exits_two_without_a_traceback(
@@ -408,6 +409,31 @@ def test_malformed_config_value_exits_two_without_a_traceback(
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()  # nothing was fit or written
+
+
+@pytest.mark.parametrize("override", ["observational_period=1d", "tracked_until=5", "path=x.tsv"])
+def test_tsv_only_data_key_on_a_simulator_exits_two(tmp_path, config_path, override) -> None:
+    # a simulator reads none of these, and none reaches the resolved config or its hash
+    out = tmp_path / "out"
+    proc = _fsiw("run", "-c", str(config_path), "-o", str(out), "--set", f"data.{override}")
+    assert proc.returncode == 2
+    key = override.partition("=")[0]
+    assert proc.stderr == f"error: data.{key} is for tsv data, not a simulator\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "simulate"])
+def test_conversion_time_past_int64_names_the_simulator_keys(tmp_path, config_path, verb) -> None:
+    # delays around 2**62 s, so some conversion times pass 2**63 s
+    proc = _fsiw(
+        verb, "-c", str(config_path), "-o", str(tmp_path / "out"),
+        "--set", "data.simulator.n_samples=600",
+        "--set", "data.simulator.mean_delay=4611686018427387904",
+    )
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: row ") and "does not fit in int64 seconds" in line
+    assert line.endswith("lower data.simulator.mean_delay or rate_spread")
 
 
 @pytest.mark.parametrize(

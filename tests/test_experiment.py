@@ -335,6 +335,14 @@ def test_config_requires_known_trainers() -> None:
             "data.simulator.cvr_spread must be non-negative with a finite range "
             "2*cvr_spread, got -1.0",
         ),
+        # each simulator size names its own key
+        ("data.simulator.n_samples", 0, "data.simulator.n_samples must be positive, got 0"),
+        ("data.simulator.time_span", 0, "data.simulator.time_span must be positive, got 0"),
+        (
+            "data.simulator.mean_delay",
+            -86400,
+            "data.simulator.mean_delay must be positive, got -86400",
+        ),
     ],
 )
 def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> None:
@@ -528,7 +536,10 @@ def test_run_pipeline_rows_and_artifacts(tmp_path) -> None:
     assert set(manifest["versions"]) == {"fsiw", "numpy", "scipy"}
 
     header = (tmp_path / "reports.csv").read_text(encoding="utf-8").splitlines()[0]
-    assert header == ",".join(REPORT_COLUMNS)
+    assert header == (
+        "split,trainer,tau,ll,ll_lo,ll_hi,nll,nll_lo,nll_hi,pr_auc,pr_auc_lo,pr_auc_hi,"
+        "n_test,mean_pred,mean_label,train_mean_cvr"
+    )
 
 
 # SHA-256 of what the criterion-10 config writes: a refactor must leave these
@@ -728,9 +739,9 @@ def test_leakage_gate_rejects_training_rows_inside_the_test_window() -> None:
     from fsiw.experiment import PipelineError, Split, _label_split, load_source
 
     config = config_from_dict(_base_dict())
-    log, truth, (start, end) = load_source(config)
+    log, start, end = load_source(config)
     (split,) = rolling_splits(log.click_ts, config.split, start=start, end=end)
-    _label_split(config, log, truth, split)  # the real window passes
+    _label_split(config, log, split)  # the real window passes
     leaky = Split(
         k=0,
         train_idx=np.append(split.train_idx, split.test_idx[0]),
@@ -742,7 +753,7 @@ def test_leakage_gate_rejects_training_rows_inside_the_test_window() -> None:
     )
     clicked = log.click_ts[split.test_idx[0]]
     with pytest.raises(PipelineError, match=f"leakage — training record clicked at {clicked}"):
-        _label_split(config, log, truth, leaky)
+        _label_split(config, log, leaky)
 
 
 # --- sweep ----------------------------------------------------------------------

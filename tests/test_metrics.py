@@ -211,9 +211,9 @@ def test_evaluate_predictions_report_contents() -> None:
     assert report.n_test == 500
     assert report.mean_label == pytest.approx(labels.mean())
     assert report.mean_pred == pytest.approx(preds.mean())
-    assert report.ll_ci[0] <= report.ll <= report.ll_ci[1]
-    assert report.nll_ci[0] <= report.nll <= report.nll_ci[1]
-    assert report.pr_auc_ci[0] <= report.pr_auc <= report.pr_auc_ci[1]
+    assert report.ll_lo <= report.ll <= report.ll_hi
+    assert report.nll_lo <= report.nll <= report.nll_hi
+    assert report.pr_auc_lo <= report.pr_auc <= report.pr_auc_hi
 
     flat = report.to_flat_dict()
     assert set(flat) == {
@@ -230,15 +230,15 @@ def test_evaluate_predictions_survives_rare_positives() -> None:
     preds = np.full(120, 0.1)
     preds[7] = 0.6
     report = evaluate_predictions(labels, preds, 0.05, bootstrap_b=150, seed=3)
-    assert report.pr_auc_ci[0] <= report.pr_auc <= report.pr_auc_ci[1]
+    assert report.pr_auc_lo <= report.pr_auc <= report.pr_auc_hi
 
 
 def test_eval_report_rejects_nonbracketing_ci() -> None:
     with pytest.raises(ValueError, match="bracket"):
         EvalReport(
-            ll=0.5, ll_ci=(0.6, 0.7),
-            nll=1.0, nll_ci=(0.5, 1.5),
-            pr_auc=0.5, pr_auc_ci=(0.4, 0.6),
+            ll=0.5, ll_lo=0.6, ll_hi=0.7,
+            nll=1.0, nll_lo=0.5, nll_hi=1.5,
+            pr_auc=0.5, pr_auc_lo=0.4, pr_auc_hi=0.6,
             n_test=10, mean_pred=0.2, mean_label=0.25, train_mean_cvr=0.2,
         )
 

@@ -301,7 +301,7 @@ def test_dfm_recovers_ground_truth_on_well_specified_data() -> None:
     mae = float(np.mean(np.abs(p_hat - arrays.true_p)))
     assert mae <= 0.02
 
-    rate_hat = predict_delay_rate(model, snap.x, per="second")
+    rate_hat = predict_delay_rate(model, snap.x)
     rel = float(np.mean(np.abs(rate_hat - arrays.true_rate) / arrays.true_rate))
     assert rel <= 0.10
 
