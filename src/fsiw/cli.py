@@ -9,6 +9,11 @@ Verbs:
 
 Every config field can be overridden with --set dotted.name=value; values are
 parsed as YAML scalars, so numbers, booleans, lists, and durations all work.
+
+Each verb imports the modules it runs inside its own function, so importing
+this module loads no other ``fsiw`` module and neither scipy nor PyYAML:
+``eval`` loads ``fsiw.metrics`` alone, and PyYAML is loaded where a config is
+read.
 """
 
 from __future__ import annotations
@@ -17,24 +22,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import yaml
 
-from .data import ParseError, read_tsv
-from .experiment import (
-    ConfigError,
-    ExperimentConfig,
-    PipelineError,
-    config_from_dict,
-    deadline_sweep,
-    load_source,
-    parse_duration,
-    run_pipeline,
-)
-from .metrics import MetricInputError, delay_stats, evaluate_predictions
-from .simulate import generate_arrays, write_sim_tsv, write_truth
-from .training import TrainingError
+if TYPE_CHECKING:  # pragma: no cover
+    from .experiment import ExperimentConfig
 
 
 class CliError(Exception):
@@ -54,6 +47,8 @@ def _set_dotted(raw: dict, dotted: str, value) -> None:
 
 
 def _load_raw_config(args) -> dict:
+    import yaml
+
     if args.config is None:
         raw: dict = {}
     else:
@@ -77,10 +72,14 @@ def _load_raw_config(args) -> dict:
 
 
 def _build_config(args) -> ExperimentConfig:
+    from .experiment import config_from_dict
+
     return config_from_dict(_load_raw_config(args))
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import generate_arrays, write_sim_tsv, write_truth
+
     config = _build_config(args)
     if config.data.kind != "simulator":
         raise CliError("simulate requires data.kind=simulator")
@@ -94,6 +93,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .data import read_tsv
+    from .experiment import load_source
+    from .metrics import delay_stats
+
     config = _build_config(args)
     if args.data:
         if not config.data.schema:
@@ -113,6 +116,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .experiment import run_pipeline
+
     config = _build_config(args)
     rows = run_pipeline(config)
     out = Path(config.output_dir)
@@ -133,6 +138,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .experiment import deadline_sweep, parse_duration
+
     config = _build_config(args)
     taus = None
     if args.taus:
@@ -209,6 +216,8 @@ def _check_prediction_lines(path: Path, lines: list[str]) -> None:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import MetricInputError, evaluate_predictions
+
     if args.bootstrap_b < 100:
         raise CliError(f"--bootstrap-b must be at least 100, got {args.bootstrap_b}")
     if args.seed is not None and args.seed < 0:
@@ -297,7 +306,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, ConfigError, ParseError, TrainingError, PipelineError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # ConfigError and ParseError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # imported only here: an except tuple is evaluated whenever an
+        # exception reaches it, so naming these above would load scipy
+        from .experiment import PipelineError
+        from .training import TrainingError
+
+        if not isinstance(exc, (PipelineError, TrainingError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,8 +24,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import NO_CONVERSION
-
 PRED_CLIP = 1e-15
 NO_POSITIVE = "average precision needs at least one positive label"
 # the most bootstrap indices drawn at once: 2 MiB of int64
@@ -287,6 +285,8 @@ def delay_stats(
     normalized histogram with ``pdf_bin_width``-second bins covering the
     observed range; ``quantiles`` maps p10, p25, p50, p75 and p90 to seconds.
     """
+    from .data import NO_CONVERSION  # here, so that fsiw eval loads no scipy
+
     converted = conv_ts != NO_CONVERSION
     delays = (conv_ts[converted] - click_ts[converted]).astype(float)
     if delays.size == 0:

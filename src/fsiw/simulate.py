@@ -136,9 +136,12 @@ def generate_arrays(config: SimConfig, chunk_size: int = CHUNK_SIZE) -> SimArray
         for j, card in enumerate(cards):
             values[:, j] = rng.integers(0, card, size=size)
         p = expit(linear_score(values, config.cvr_weights, offsets))
-        rate = np.exp(linear_score(values, config.rate_weights, offsets))
-        c = (rng.random(size) < p).astype(np.int8)
-        delay = rng.exponential(1.0, size=size) / rate
+        # a huge rate_spread sends some rates to inf (delay 0) and others to 0
+        # (delay inf); _integer_conv_ts rejects an inf delay naming the keys
+        with np.errstate(over="ignore", divide="ignore"):
+            rate = np.exp(linear_score(values, config.rate_weights, offsets))
+            c = (rng.random(size) < p).astype(np.int8)
+            delay = rng.exponential(1.0, size=size) / rate
         conv = np.where(c == 1, click + delay, np.nan)
         parts.append((click, values, conv, c, p, rate))
 

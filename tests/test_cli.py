@@ -422,13 +422,24 @@ def test_tsv_only_data_key_on_a_simulator_exits_two(tmp_path, config_path, overr
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb", ["run", "simulate"])
-def test_conversion_time_past_int64_names_the_simulator_keys(tmp_path, config_path, verb) -> None:
-    # delays around 2**62 s, so some conversion times pass 2**63 s
+@pytest.mark.parametrize(
+    ("verb", "override"),
+    [
+        # delays around 2**62 s, so some conversion times pass 2**63 s
+        pytest.param("run", "mean_delay=4611686018427387904", id="run"),
+        pytest.param("simulate", "mean_delay=4611686018427387904", id="simulate"),
+        # rates that overflow to inf or underflow to 0: no numpy warning on stderr
+        pytest.param("run", "rate_spread=1.0e+300", id="run-rate_spread"),
+        pytest.param("simulate", "rate_spread=1.0e+300", id="simulate-rate_spread"),
+    ],
+)
+def test_conversion_time_past_int64_names_the_simulator_keys(
+    tmp_path, config_path, verb, override
+) -> None:
     proc = _fsiw(
         verb, "-c", str(config_path), "-o", str(tmp_path / "out"),
         "--set", "data.simulator.n_samples=600",
-        "--set", "data.simulator.mean_delay=4611686018427387904",
+        "--set", f"data.simulator.{override}",
     )
     assert proc.returncode == 2
     (line,) = proc.stderr.splitlines()
@@ -457,6 +468,16 @@ def test_run_rejects_a_negative_seed_flag_when_the_config_is_read(tmp_path, conf
     assert proc.returncode == 2
     assert proc.stderr == "error: seed must be non-negative, got -3\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_error_exits_two_with_one_line(tmp_path, config_path) -> None:
+    # no click converts, so the first split has no positive training label
+    proc = _fsiw(
+        "run", "-c", str(config_path), "-o", str(tmp_path / "out"),
+        "--set", "data.simulator.cvr_bias=-60",
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: split 0: degenerate training labels (mean y = 0.0)\n"
 
 
 def test_missing_config_file_exits_two(tmp_path) -> None:

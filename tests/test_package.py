@@ -42,40 +42,106 @@ def test_importing_the_package_loads_no_submodule() -> None:
     assert proc.stdout.splitlines() == ["[]", "fsiw.experiment"]
 
 
+def test_fsiw_eval_loads_neither_scipy_nor_yaml_nor_the_training_stack(tmp_path) -> None:
+    good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+    good.write_text("0\t0.2\n1\t0.7\n0\t0.4\n", encoding="utf-8")
+    bad.write_text("0\t0.2\n1\tabc\n", encoding="utf-8")
+    probe = (
+        "import contextlib, io, sys\n"
+        "import fsiw.cli\n"
+        "def loaded(*roots):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
+        "print([m for m in loaded('fsiw') if m not in ('fsiw', 'fsiw.cli')])\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [fsiw.cli.main(['eval', '--preds', p]) for p in sys.argv[1:]]\n"
+        "print(codes)\n"
+        "print(loaded('fsiw'))\n"
+        "print(loaded('scipy', 'yaml'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(good), str(bad)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "[0, 2]",
+        "['fsiw', 'fsiw.cli', 'fsiw.metrics']",
+        "[]",
+    ]
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a module or function body, without those of the
+    functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports and never reads, except on ``# noqa: F401``
-    lines and ``from __future__`` imports."""
+    lines and ``from __future__`` imports. A module-level import may be read
+    anywhere in the module; one inside a function only in that function
+    (including the functions nested in it)."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
-    imported: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if "# noqa: F401" in lines[node.lineno - 1]:
+    unused = []
+    for scope in (tree, *(n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS))):
+        imported: dict[str, int] = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            for alias in node.names:
-                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
-    # a quoted annotation names what it uses inside its string
-    quoted = [
-        ast.parse(note.value, mode="eval")
-        for node in ast.walk(tree)
-        for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
-        if isinstance(note, ast.Constant) and isinstance(note.value, str)
-    ]
-    used = {
-        node.id
-        for root in (tree, *quoted)
-        for node in ast.walk(root)
-        if isinstance(node, ast.Name)
-    }
-    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if "# noqa: F401" in lines[node.lineno - 1]:
+                    continue
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        # a quoted annotation names what it uses inside its string
+        quoted = [
+            ast.parse(note.value, mode="eval")
+            for node in ast.walk(scope)
+            for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+            if isinstance(note, ast.Constant) and isinstance(note.value, str)
+        ]
+        used = {
+            node.id
+            for root in (scope, *quoted)
+            for node in ast.walk(root)
+            if isinstance(node, ast.Name)
+        }
+        unused += [f"{path.name}:{n}: {name}" for name, n in imported.items() if name not in used]
+    return unused
 
 
 def test_no_module_imports_a_name_it_never_uses() -> None:
     unused = [entry for path in sorted(SRC.glob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_a_function_local_import_counts_as_used_only_in_its_function(tmp_path) -> None:
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import json\n"
+        "\n"
+        "def load(text):\n"
+        "    from math import inf, sqrt\n"
+        "    return sqrt(json.loads(text))\n"
+        "\n"
+        "def top():\n"
+        "    return inf\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(path) == ["probe.py:4: inf"]
 
 
 def test_every_function_the_benchmark_traces_exists() -> None:
