@@ -78,14 +78,15 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import generate_arrays, write_sim_tsv, write_truth
+    from .simulate import check_conv_ts, generate_arrays, write_sim_tsv, write_truth
 
     config = _build_config(args)
     if config.data.kind != "simulator":
         raise CliError("simulate requires data.kind=simulator")
+    arrays = generate_arrays(config.data.simulator.build(config.seed))
+    check_conv_ts(arrays)  # before mkdir: a world that cannot be written leaves no directory
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arrays = generate_arrays(config.data.simulator.build(config.seed))
     write_sim_tsv(arrays, out / "data.tsv")
     write_truth(arrays, out / "truth.tsv")
     print(f"wrote {out / 'data.tsv'} ({arrays.n} rows) and {out / 'truth.tsv'}")

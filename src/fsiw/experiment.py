@@ -600,14 +600,17 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     tau = config.tau[0]
     log, start, end = load_source(config)
     splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
+    # every split is labeled before output_dir exists, so a split that cannot
+    # be labeled leaves no directory behind
+    labeled_splits = [_label_split(config, log, split) for split in splits]
 
     out_path = Path(config.output_dir)
     if write_outputs:
         out_path.mkdir(parents=True, exist_ok=True)
 
     rows: list[ReportRow] = []
-    for split in splits:
-        labeled = _label_split(config, log, split)
+    for labeled in labeled_splits:
+        split = labeled.split
         models, weighted, split_rows = _fit_and_score(config, labeled, tau, config.trainers)
         rows.extend(split_rows)
         if write_outputs:

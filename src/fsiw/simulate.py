@@ -7,21 +7,26 @@ encoding, so every censoring probability has a closed form and importance
 weights can be computed exactly (``oracle_fsiw_array``). Arrays are generated
 in fixed-size chunks, each on its own seed substream, so output is
 reproducible and chunk-parallelizable.
+
+``write_sim_tsv`` and ``write_truth`` write the arrays as text column by
+column, in blocks of ``WRITE_BLOCK`` rows: the bytes are those of formatting
+one row at a time, and their memory is bounded by the block, not by n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit
 
 from .data import NO_CONVERSION, ClickLog, hash_csr
 
 CHUNK_SIZE = 1 << 16
+# rows the TSV writers format at a time; their memory grows with it, not with n
+WRITE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -86,33 +91,12 @@ class SimArrays:
     def n(self) -> int:
         return self.click_ts.shape[0]
 
-    def delays(self) -> np.ndarray:
-        """Latent delays in seconds (NaN where c=0)."""
-        return self.conv_ts - self.click_ts
-
-
-def _linear_columns(values: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
-    return np.asarray(offsets, dtype=np.int64)[None, :] + values
-
 
 def linear_score(values: np.ndarray, weights: Sequence[float], offsets: Sequence[int]) -> np.ndarray:
     """bias + sum of one coefficient per active one-hot column."""
     w = np.asarray(weights, dtype=float)
-    cols = _linear_columns(values, offsets)
+    cols = np.asarray(offsets, dtype=np.int64)[None, :] + values
     return w[0] + w[1 + cols].sum(axis=1)
-
-
-def onehot_matrix(values: np.ndarray, cardinalities: Sequence[int]) -> sparse.csr_matrix:
-    """CSR one-hot encoding, columns grouped field-by-field."""
-    n, k = values.shape
-    offsets, acc = [], 0
-    for card in cardinalities:
-        offsets.append(acc)
-        acc += card
-    cols = _linear_columns(values, offsets).ravel()
-    rows = np.repeat(np.arange(n), k)
-    data = np.ones(n * k, dtype=np.float64)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, acc))
 
 
 def generate_arrays(config: SimConfig, chunk_size: int = CHUNK_SIZE) -> SimArrays:
@@ -156,33 +140,25 @@ def generate_arrays(config: SimConfig, chunk_size: int = CHUNK_SIZE) -> SimArray
     )
 
 
-def snapshot_arrays(arrays: SimArrays, training_end: float) -> tuple[np.ndarray, np.ndarray]:
-    """Snapshot labels (y, e) at ``training_end`` for the whole array set.
-
-    Requires every click to precede the snapshot (the array path is meant for
-    oracle math on complete windows; use data.snapshot_labels for filtering).
-    """
-    if np.any(arrays.click_ts >= training_end):
-        raise ValueError("snapshot_arrays requires all clicks before training_end")
-    with np.errstate(invalid="ignore"):
-        y = (arrays.conv_ts <= training_end).astype(np.int8)
-    e = training_end - arrays.click_ts.astype(float)
-    return y, e
-
-
-def _integer_conv_ts(arrays: SimArrays) -> np.ndarray:
-    """Conversion times rounded up to whole seconds, so that they never
-    precede their click; NO_CONVERSION where c=0. Raises ValueError if one
-    does not fit below NO_CONVERSION."""
-    conv = np.where(arrays.c == 1, np.ceil(arrays.conv_ts), -1.0)
+def _integer_conv_ts(arrays: SimArrays, rows: slice = slice(None)) -> np.ndarray:
+    """Conversion times of ``rows`` rounded up to whole seconds, so that they
+    never precede their click; NO_CONVERSION where c=0. Raises ValueError if
+    one does not fit below NO_CONVERSION."""
+    c = arrays.c[rows]
+    conv = np.where(c == 1, np.ceil(arrays.conv_ts[rows]), -1.0)
     late = ~(conv < NO_CONVERSION)  # also where a delay overflowed to inf or nan
     if np.any(late):
-        i = int(np.argmax(late))
+        i = (rows.start or 0) + int(np.argmax(late))
         raise ValueError(
             f"row {i}: conversion time {float(arrays.conv_ts[i])!r} does not fit in int64 "
             "seconds; lower data.simulator.mean_delay or rate_spread"
         )
-    return np.where(arrays.c == 1, conv.astype(np.int64), NO_CONVERSION)
+    return np.where(c == 1, conv.astype(np.int64), NO_CONVERSION)
+
+
+def _field_tokens(config: SimConfig) -> list[list[str]]:
+    """The token ``v{v}`` of each value v of each field."""
+    return [[f"v{v}" for v in range(card)] for card in config.field_cardinalities]
 
 
 def to_click_log(arrays: SimArrays, *, dim: int, seed: int) -> ClickLog:
@@ -190,11 +166,10 @@ def to_click_log(arrays: SimArrays, *, dim: int, seed: int) -> ClickLog:
     that reading their TSV (write_sim_tsv) would give. Each field value v is
     the token ``v{v}``; the Σcardinalities tokens are hashed once and
     gathered by value."""
-    tokens = [[f"v{v}" for v in range(card)] for card in arrays.config.field_cardinalities]
     return ClickLog(
         click_ts=arrays.click_ts,
         conv_ts=_integer_conv_ts(arrays),
-        x=hash_csr(arrays.values, tokens, dim=dim, seed=seed),
+        x=hash_csr(arrays.values, _field_tokens(arrays.config), dim=dim, seed=seed),
     )
 
 
@@ -240,21 +215,56 @@ def sample_weight_vector(
     return (float(bias), *map(float, flat))
 
 
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive row slices of at most WRITE_BLOCK rows that cover range(n)."""
+    for lo in range(0, n, WRITE_BLOCK):
+        yield slice(lo, min(lo + WRITE_BLOCK, n))
+
+
+def check_conv_ts(arrays: SimArrays) -> None:
+    """Raise the ValueError that writing or hashing ``arrays`` would raise if
+    a conversion time does not fit in int64 seconds, block by block."""
+    for rows in _blocks(arrays.n):
+        _integer_conv_ts(arrays, rows)
+
+
+def _float_reprs(a: np.ndarray) -> list[str]:
+    """``repr`` of each float64 in ``a``, computed once per distinct bit
+    pattern (not per value: -0.0 == 0.0, but their reprs differ)."""
+    a = np.asarray(a, dtype=np.float64)
+    bits = a.view(np.int64).tolist()
+    reprs = {b: repr(v) for b, v in dict(zip(bits, a.tolist())).items()}
+    return list(map(reprs.__getitem__, bits))
+
+
 def write_sim_tsv(arrays: SimArrays, path: str | Path) -> None:
-    """Write the simulated clicks in the standard TSV layout."""
-    conv_int = _integer_conv_ts(arrays)
+    """Write the simulated clicks in the standard TSV layout: click time, the
+    conversion time ("" for none), then each field's token ``v{v}``. Raises
+    before opening ``path`` if a conversion time does not fit in int64."""
+    check_conv_ts(arrays)
+    tables = [np.array(tokens, dtype=object) for tokens in _field_tokens(arrays.config)]
+    fmt = "\t".join(["{}"] * (2 + len(tables))) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(arrays.n):
-            conv = "" if arrays.c[i] == 0 else str(int(conv_int[i]))
-            tokens = [f"v{arrays.values[i, j]}" for j in range(arrays.values.shape[1])]
-            handle.write("\t".join([str(int(arrays.click_ts[i])), conv, *tokens]) + "\n")
+        for rows in _blocks(arrays.n):
+            conv = _integer_conv_ts(arrays, rows).astype(object)
+            conv[arrays.c[rows] == 0] = ""
+            tokens = [table[arrays.values[rows, j]].tolist() for j, table in enumerate(tables)]
+            handle.writelines(
+                map(fmt.format, arrays.click_ts[rows].tolist(), conv.tolist(), *tokens)
+            )
 
 
 def write_truth(arrays: SimArrays, path: str | Path) -> None:
     """Sidecar ground-truth table: sample index, c, true_p, true_rate."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("index\tc\ttrue_p\ttrue_rate\n")
-        for i in range(arrays.n):
-            handle.write(
-                f"{i}\t{int(arrays.c[i])}\t{float(arrays.true_p[i])!r}\t{float(arrays.true_rate[i])!r}\n"
+        for rows in _blocks(arrays.n):
+            handle.writelines(
+                map(
+                    "{}\t{}\t{}\t{}\n".format,
+                    range(rows.start, rows.stop),
+                    arrays.c[rows].tolist(),
+                    _float_reprs(arrays.true_p[rows]),
+                    _float_reprs(arrays.true_rate[rows]),
+                )
             )

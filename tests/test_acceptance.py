@@ -30,10 +30,8 @@ from fsiw.simulate import (
     SimConfig,
     generate_arrays,
     linear_score,
-    onehot_matrix,
     oracle_fsiw_array,
     sample_weight_vector,
-    snapshot_arrays,
 )
 from fsiw.training import (
     dfm_nll_grad,
@@ -44,6 +42,8 @@ from fsiw.training import (
     train_weighted_logistic,
 )
 from fsiw.weights import WeightModelHyper, assign_fsiw, fit_weight_model
+
+from simworld import onehot_snapshot, snapshot_arrays
 
 DAY = 86400
 
@@ -70,19 +70,6 @@ def _sim_config(
         time_span=time_span,
         seed=seed,
     )
-
-
-def _labeled_samples(arrays, cfg: SimConfig, training_end: int) -> tuple[Snapshot, np.ndarray]:
-    """Snapshot the simulated world at training_end, one-hot encoding its
-    features (one column per field value)."""
-    y, e = snapshot_arrays(arrays, training_end)
-    snapshot = Snapshot(
-        x=onehot_matrix(arrays.values, cfg.field_cardinalities),
-        y=y,
-        e=e.astype(np.int64),
-        d=np.where(y == 1, arrays.delays(), 0).astype(np.int64),
-    )
-    return snapshot, y
 
 
 # --- 1: oracle-weighted loss is consistent for the true-label loss -----------
@@ -334,8 +321,8 @@ def test_criterion_05_weighting_halves_the_censoring_bias() -> None:
         mean_delay=4 * DAY, rate_spread=0.5, time_span=10 * DAY,
     )
     arrays = generate_arrays(cfg)
-    samples, y = _labeled_samples(arrays, cfg, cfg.time_span)
-    frac_censored = 1.0 - y.sum() / arrays.c.sum()
+    samples = onehot_snapshot(arrays, cfg.time_span)
+    frac_censored = 1.0 - samples.y.sum() / arrays.c.sum()
 
     d1, d0 = build_artificial_datasets(samples, 4 * DAY)
     hyper = WeightModelHyper(l2=1e-4)
@@ -373,7 +360,7 @@ def test_criterion_06_joint_model_recovers_simulator_truth() -> None:
         mean_delay=2 * DAY, rate_spread=0.5, time_span=12 * DAY,
     )
     arrays = generate_arrays(cfg)
-    samples, _ = _labeled_samples(arrays, cfg, cfg.time_span)
+    samples = onehot_snapshot(arrays, cfg.time_span)
     model = train_dfm(
         samples.x, samples.y, samples.d, samples.e, 1e-6, OptConfig(max_iter=1500, tol=1e-12)
     )

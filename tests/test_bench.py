@@ -13,7 +13,7 @@ from fsiw.data import FieldSpec, read_tsv, snapshot_labels
 from fsiw.experiment import SimulatorSpec
 from fsiw.metrics import evaluate_predictions
 from fsiw.optim import OptConfig
-from fsiw.simulate import generate_arrays, to_click_log, write_sim_tsv
+from fsiw.simulate import generate_arrays, to_click_log, write_sim_tsv, write_truth
 from fsiw.training import train_dfm
 
 pytestmark = pytest.mark.bench
@@ -61,18 +61,33 @@ def test_evaluate_predictions_4k_rows_64_tied_scores_100_resamples(benchmark) ->
     assert report.n_test == 4000
 
 
+# the README world at 40k clicks: two 8-value fields
+README_40K = SimulatorSpec(
+    n_samples=40_000,
+    field_cardinalities=(8, 8),
+    time_span=10 * 86400,
+    cvr_bias=-1.5,
+    mean_delay=86400,
+    rate_spread=0.4,
+)
+
+
+def test_write_sim_tsv_and_truth_40k_rows(benchmark, tmp_path) -> None:
+    # the two files `fsiw simulate` writes for the README world
+    arrays = generate_arrays(README_40K.build(21))
+
+    def write_both() -> None:
+        write_sim_tsv(arrays, tmp_path / "data.tsv")
+        write_truth(arrays, tmp_path / "truth.tsv")
+
+    benchmark(write_both)
+    assert len((tmp_path / "truth.tsv").read_bytes().splitlines()) == 40_001
+
+
 def test_read_tsv_40k_rows(benchmark, tmp_path) -> None:
-    # the README world's TSV, two 8-value fields, as `fsiw simulate` writes it
-    spec = SimulatorSpec(
-        n_samples=40_000,
-        field_cardinalities=(8, 8),
-        time_span=10 * 86400,
-        cvr_bias=-1.5,
-        mean_delay=86400,
-        rate_spread=0.4,
-    )
+    # the README world's TSV as `fsiw simulate` writes it
     path = tmp_path / "data.tsv"
-    write_sim_tsv(generate_arrays(spec.build(21)), path)
+    write_sim_tsv(generate_arrays(README_40K.build(21)), path)
     schema = [FieldSpec(name="f0"), FieldSpec(name="f1")]
     log = benchmark(read_tsv, path, schema, dim=1024, seed=0)
     assert log.x.shape == (40_000, 1024)

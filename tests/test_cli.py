@@ -445,6 +445,7 @@ def test_conversion_time_past_int64_names_the_simulator_keys(
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: row ") and "does not fit in int64 seconds" in line
     assert line.endswith("lower data.simulator.mean_delay or rate_spread")
+    assert not (tmp_path / "out").exists()  # the error came before anything was written
 
 
 @pytest.mark.parametrize(
@@ -478,6 +479,7 @@ def test_pipeline_error_exits_two_with_one_line(tmp_path, config_path) -> None:
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: split 0: degenerate training labels (mean y = 0.0)\n"
+    assert not (tmp_path / "out").exists()  # every split is labeled before out/ is made
 
 
 def test_missing_config_file_exits_two(tmp_path) -> None:

@@ -1,26 +1,29 @@
-"""Generator determinism, oracle weights, and the exponential delay sampler."""
+"""Generator determinism, oracle weights, the exponential delay sampler, and
+the TSV writers against their row-by-row reference."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fsiw.data import NO_CONVERSION, FieldSpec, Snapshot, read_tsv
+from fsiw.data import NO_CONVERSION, FieldSpec, read_tsv
 from fsiw.simulate import (
+    WRITE_BLOCK,
     SimArrays,
     SimConfig,
     generate_arrays,
-    onehot_matrix,
     oracle_fsiw_array,
     sample_weight_vector,
-    snapshot_arrays,
     to_click_log,
     write_sim_tsv,
     write_truth,
 )
+
+from simworld import delays, onehot_matrix, snapshot_arrays
 
 DAY = 86400
 
@@ -45,18 +48,6 @@ def _config(
         rate_weights=rate_w,
         time_span=time_span,
         seed=seed,
-    )
-
-
-def _onehot_snapshot(arrays: SimArrays, training_end: float) -> Snapshot:
-    """The simulated clicks snapshot-labeled at ``training_end``, with exact
-    one-hot features (one column per field value) in place of hashed ones."""
-    y, e = snapshot_arrays(arrays, training_end)
-    return Snapshot(
-        x=onehot_matrix(arrays.values, arrays.config.field_cardinalities),
-        y=y,
-        e=e.astype(np.int64),
-        d=np.where(y == 1, arrays.delays(), 0).astype(np.int64),
     )
 
 
@@ -203,7 +194,7 @@ def test_exponential_sampler_matches_cdf() -> None:
         time_span=1,
         seed=5,
     )
-    draws = generate_arrays(cfg).delays()
+    draws = delays(generate_arrays(cfg))
     for t in (0.5 * DAY, DAY, 3 * DAY):
         expected = -math.expm1(-t / DAY)
         got = (draws <= t).mean()
@@ -260,6 +251,91 @@ def test_records_round_trip_through_tsv_and_truth_sidecar(tmp_path) -> None:
     assert np.array_equal(c, arrays.c)
     assert np.array_equal(p, arrays.true_p)
     assert np.array_equal(rate, arrays.true_rate)
+
+
+def _write_sim_tsv_rowwise(arrays: SimArrays, path: Path) -> None:
+    """Reference for write_sim_tsv: one row at a time."""
+    conv_int = to_click_log(arrays, dim=1, seed=0).conv_ts
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(arrays.n):
+            conv = "" if arrays.c[i] == 0 else str(int(conv_int[i]))
+            tokens = [f"v{arrays.values[i, j]}" for j in range(arrays.values.shape[1])]
+            handle.write("\t".join([str(int(arrays.click_ts[i])), conv, *tokens]) + "\n")
+
+
+def _write_truth_rowwise(arrays: SimArrays, path: Path) -> None:
+    """Reference for write_truth: one row at a time."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("index\tc\ttrue_p\ttrue_rate\n")
+        for i in range(arrays.n):
+            handle.write(
+                f"{i}\t{int(arrays.c[i])}\t{float(arrays.true_p[i])!r}\t{float(arrays.true_rate[i])!r}\n"
+            )
+
+
+def _assert_writers_match_reference(arrays: SimArrays, tmp_path: Path) -> None:
+    for write, reference in (
+        (write_sim_tsv, _write_sim_tsv_rowwise),
+        (write_truth, _write_truth_rowwise),
+    ):
+        write(arrays, tmp_path / "got.tsv")
+        reference(arrays, tmp_path / "want.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+WRITER_WORLDS = {
+    "no_conversion": dict(cvr_bias=-60.0),
+    "readme": dict(mean_delay=DAY, time_span=10 * DAY),
+    "4x16": dict(cards=(16, 16, 16, 16), mean_delay=3 * DAY, rate_spread=1.0, time_span=15 * DAY),
+}
+
+
+@pytest.mark.parametrize("world", sorted(WRITER_WORLDS))
+@pytest.mark.parametrize("block", [1, 2, 7, WRITE_BLOCK])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_writers_match_the_row_by_row_reference(tmp_path, monkeypatch, world, block, extra) -> None:
+    # n one below, equal to and one above a block: the last block is short,
+    # whole, or a single row (and n = 0 at block 1)
+    monkeypatch.setattr("fsiw.simulate.WRITE_BLOCK", block)
+    arrays = generate_arrays(_config(n=block + extra, seed=9, **WRITER_WORLDS[world]))
+    assert world != "no_conversion" or arrays.c.sum() == 0
+    _assert_writers_match_reference(arrays, tmp_path)
+
+
+def test_truth_writer_keeps_signed_zeros_and_non_finite_values(tmp_path, monkeypatch) -> None:
+    # -0.0 == 0.0 but their reprs differ, so reprs are shared by bit pattern
+    monkeypatch.setattr("fsiw.simulate.WRITE_BLOCK", 7)
+    arrays = generate_arrays(_config(n=20, seed=3))
+    arrays.true_p[[0, 1, 9, 10]] = [-0.0, 0.0, 0.0, -0.0]
+    arrays.true_rate[[2, 3, 4, 5]] = [math.nan, math.inf, -math.inf, -0.0]
+    _assert_writers_match_reference(arrays, tmp_path)
+
+
+def test_write_sim_tsv_rejects_a_late_conversion_before_creating_the_file(
+    tmp_path, monkeypatch
+) -> None:
+    monkeypatch.setattr("fsiw.simulate.WRITE_BLOCK", 7)
+    arrays = generate_arrays(_config(n=50, seed=2))
+    late = int(np.flatnonzero(arrays.c == 1)[-1])
+    assert late >= 7  # the message names the row's index in the log, not in its block
+    arrays.conv_ts[late] = math.inf
+    with pytest.raises(ValueError, match=rf"^row {late}: conversion time inf does not fit"):
+        write_sim_tsv(arrays, tmp_path / "data.tsv")
+    assert not (tmp_path / "data.tsv").exists()
+
+
+@pytest.mark.parametrize("write", [write_sim_tsv, write_truth])
+def test_writers_memory_does_not_grow_with_the_row_count(tmp_path, write) -> None:
+    # 200k clicks, most with a distinct true_p and true_rate; one int64 column
+    # of them alone takes 1.6 MB, and the rows as text about 10 MB
+    arrays = generate_arrays(_config(n=200_000, seed=10, cards=(16, 16, 16, 16)))
+    tracemalloc.start()
+    try:
+        write(arrays, tmp_path / "out.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
 
 
 def test_onehot_matrix_shape_and_content() -> None:

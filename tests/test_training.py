@@ -31,7 +31,8 @@ from fsiw.training import (
 )
 from fsiw.weights import WeightedDataset
 
-from test_simulate import _config, _onehot_snapshot
+from simworld import onehot_snapshot
+from test_simulate import _config
 
 OPT = OptConfig(max_iter=2000, tol=1e-13)
 
@@ -292,7 +293,7 @@ def test_dfm_recovers_ground_truth_on_well_specified_data() -> None:
         mean_delay=2 * 86400, rate_spread=0.5, time_span=12 * 86400,
     )
     arrays = generate_arrays(cfg)
-    snap = _onehot_snapshot(arrays, cfg.time_span)
+    snap = onehot_snapshot(arrays, cfg.time_span)
 
     model = train_dfm(
         snap.x, snap.y, snap.d, snap.e, 1e-6, OptConfig(max_iter=1500, tol=1e-12)
@@ -309,7 +310,7 @@ def test_dfm_recovers_ground_truth_on_well_specified_data() -> None:
 def test_naive_trainer_underestimates_on_censored_data() -> None:
     cfg = _config(n=20_000, seed=33, cards=(8,), mean_delay=5 * 86400, time_span=10 * 86400)
     arrays = generate_arrays(cfg)
-    snap = _onehot_snapshot(arrays, cfg.time_span)
+    snap = onehot_snapshot(arrays, cfg.time_span)
     model = train_naive_logistic(snap.x, snap.y, 1e-5, OptConfig(max_iter=400))
     mean_pred = float(np.mean(predict_cvr_batch(model, snap.x)))
     assert mean_pred < arrays.true_p.mean()

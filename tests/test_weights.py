@@ -11,7 +11,7 @@ from scipy import sparse
 
 from fsiw.optim import OptConfig
 from fsiw.relabel import build_artificial_datasets
-from fsiw.simulate import generate_arrays, oracle_fsiw_array, snapshot_arrays
+from fsiw.simulate import generate_arrays, oracle_fsiw_array
 from fsiw.training import predict_cvr_batch, train_naive_logistic, train_weighted_logistic
 from fsiw.weights import (
     DEFAULT_EDGES,
@@ -24,7 +24,8 @@ from fsiw.weights import (
     fit_weight_model,
 )
 
-from test_simulate import _config, _onehot_snapshot
+from simworld import onehot_snapshot, snapshot_arrays
+from test_simulate import _config
 
 DAY = 86400
 
@@ -182,7 +183,7 @@ def test_assign_empty_input() -> None:
 def test_oracle_probability_stubs_reproduce_oracle_weights() -> None:
     cfg = _config(n=4000, seed=11)
     arrays = generate_arrays(cfg)
-    snap = _onehot_snapshot(arrays, cfg.time_span)
+    snap = onehot_snapshot(arrays, cfg.time_span)
     y, e = snapshot_arrays(arrays, cfg.time_span)
 
     class _TrueObserved:
@@ -246,7 +247,7 @@ def test_fitted_weights_shrink_the_downward_bias_gap() -> None:
     )
     arrays = generate_arrays(cfg)
     training_end = cfg.time_span
-    snap = _onehot_snapshot(arrays, training_end)
+    snap = onehot_snapshot(arrays, training_end)
 
     frac_censored_pos = 1.0 - snap.y.sum() / arrays.c.sum()
     assert frac_censored_pos >= 0.30  # the regime this test is about
