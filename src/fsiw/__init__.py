@@ -27,8 +27,8 @@ _EXPORTS = {
     "relabel": "ArtificialSet build_artificial_datasets",
     "simulate": "SimConfig generate_arrays oracle_fsiw_array to_click_log",
     "training": (
-        "DfmModel LinearCvrModel TrainingError predict_cvr_batch predict_delay_rate "
-        "save_model train_dfm train_naive_logistic train_weighted_logistic"
+        "DfmModel LinearCvrModel TrainingError predict_cvr_batch save_model train_dfm "
+        "train_naive_logistic train_weighted_logistic"
     ),
     "weights": "WeightedDataset WeightModel WeightModelHyper assign_fsiw fit_weight_model",
 }

@@ -307,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, ValueError) as exc:  # ConfigError and ParseError among them
+    # ConfigError and ParseError are ValueErrors; an OSError's message names its path
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

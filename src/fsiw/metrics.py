@@ -2,25 +2,25 @@
 percentile-bootstrap confidence intervals, and delay-distribution summaries.
 
 Average precision ranks rows by a stable descending sort of the scores, so
-rows with equal scores keep their input order (in a bootstrap resample: the
-order in which they were drawn).
+rows with equal scores keep their input order.
 
-The bootstrap CIs of ``evaluate_predictions`` are exact: every resample's
-statistic is the value ``log_loss``, ``normalized_log_loss`` and ``pr_auc``
-return on the resampled rows, bit for bit, but it comes from per-row columns
-prepared once per call, and each statistic gathers only the columns it reads.
-The log losses gather each row's log likelihood. Average precision gathers
-one small slot number per row (see ``_Ranking``), counts the draws per slot
-and ranks them with one cumulative sum; only the draws that land in a tie
-group holding both labels are ordered, by a stable radix sort. The draws
-come in blocks of at most ``_BLOCK_DRAWS`` indices, so memory stays bounded
-whatever the number of rows and resamples.
+``evaluate_predictions`` draws one stream of bootstrap resamples and computes
+all three statistics from each, from per-row columns prepared once per call;
+each statistic gathers only the columns it reads. A resample is a multiset
+of rows: its log losses are those of ``log_loss`` and ``normalized_log_loss``
+on its rows, and its average precision is ``pr_auc`` of its rows listed in
+row order, bit for bit, so the order of the draws plays no part. The log
+losses gather each row's log likelihood. Average precision gathers one small
+slot number per row (see ``_Ranking``), counts the draws per slot and ranks
+them with one cumulative sum; no resample is sorted. The draws come in blocks
+of at most ``_BLOCK_DRAWS`` indices, so memory stays bounded whatever the
+number of rows and resamples.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ def _as_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=dtype)
     preds = np.asarray(preds, dtype=dtype)
+    if labels.ndim != 1 or preds.ndim != 1:
+        raise ValueError(f"expected 1-D inputs, got shapes {labels.shape} and {preds.shape}")
     if labels.shape != preds.shape:
         raise ValueError(f"length mismatch: {labels.shape} labels vs {preds.shape} predictions")
     if labels.size == 0:
@@ -102,11 +104,11 @@ def _check_base_rate(train_mean_cvr: float) -> None:
         raise ValueError(f"train_mean_cvr must be in (0,1), got {train_mean_cvr}")
 
 
-def _normalized_loss(terms: np.ndarray, base_terms: np.ndarray) -> float:
-    """``normalized_log_loss`` of the rows whose log likelihoods under the
-    model and under the base rate are ``terms`` and ``base_terms``."""
+def _normalized_loss(loss: float, base_terms: np.ndarray) -> float:
+    """``normalized_log_loss`` of the rows whose log loss under the model is
+    ``loss`` and whose log likelihoods under the base rate are ``base_terms``."""
     ll_naive = _mean_loss(base_terms)
-    return 100.0 * (ll_naive - _mean_loss(terms)) / ll_naive
+    return 100.0 * (ll_naive - loss) / ll_naive
 
 
 def normalized_log_loss(
@@ -159,10 +161,10 @@ def _resamples(n: int, b: int, seed: int) -> Iterator[np.ndarray]:
     return (row for block in blocks for row in block)
 
 
-def _interval(values: Iterable[float]) -> tuple[float, float]:
-    """95% percentile interval of the resample statistics."""
-    lo, hi = np.percentile(np.fromiter(values, float), [2.5, 97.5])
-    return float(lo), float(hi)
+def _interval(stats: np.ndarray) -> np.ndarray:
+    """95% percentile interval of the resample statistics along the last
+    axis: the lower ends, then the upper ends."""
+    return np.percentile(stats, [2.5, 97.5], axis=-1)
 
 
 def bootstrap_ci(
@@ -177,97 +179,53 @@ def bootstrap_ci(
 
     ``labels`` and ``preds`` may be any two per-row columns, of any dtype;
     each resample passes ``metric`` the rows it drew of both, in draw order.
-    ``evaluate_predictions`` draws the same rows for its three intervals but
-    computes each statistic from prepared columns, which equal the metrics
-    on the drawn (label, pred) rows bit for bit."""
+    ``evaluate_predictions`` draws the same rows, once for its three
+    intervals, and computes each statistic from prepared columns."""
     labels, preds = _as_arrays(labels, preds, dtype=None)
-    return _interval(metric(labels[r], preds[r]) for r in _resamples(labels.size, b, seed))
+    stats = (metric(labels[r], preds[r]) for r in _resamples(labels.size, b, seed))
+    lo, hi = _interval(np.fromiter(stats, float))
+    return float(lo), float(hi)
 
 
 class _Ranking:
     """The rows in one stable descending sort of their scores, from which the
     average precision of any resample of them follows without a sort.
 
-    The same sort of a resample lists the rows' places in ascending order,
-    each as often as it was drawn, except inside a tie group (rows of equal
-    score), where the stable sort keeps the order of the draws. That only
-    matters where the group holds both labels ("mixed"), and a positive's
-    rank is the positives ranked at or above it plus the negatives above it.
+    A resample's rows, listed in row order and sorted the same way, take the
+    rows' places in ascending order, each as often as it was drawn: rows of
+    equal score keep their row order, so the order of the draws plays no part.
+    A positive's rank is the positives ranked at or above it plus the
+    negatives above it.
 
     So each row gets a ``slot``, in place order. The places are cut into
-    pairs of slots: a gap of negatives outside mixed groups, then a run of
-    positives outside them (either may be empty). Each mixed group has a pair
-    of its own, its negatives then its positives; its rows' slots sit above
-    ``cut``, one pair per group in place order, so that one comparison finds
-    a resample's tied draws, and their counts are moved into the group's
-    empty pair below ``cut`` before the cumulative sums. Slots are stored in
-    the smallest unsigned dtype that holds them all; a resample's tied draws
-    are put in group order by a stable argsort on their slot pair, which
-    numpy runs as a radix sort while slots fit 16 bits and as a timsort
-    beyond.
+    pairs of slots, a run of negatives then a run of positives (either may be
+    empty): a pair opens at the first place and wherever a negative follows a
+    positive, and a row's slot is ``2 * pair + hit``. Slots are stored in the
+    smallest unsigned dtype that holds them all.
     """
 
     def __init__(self, labels: np.ndarray, preds: np.ndarray):
         order = np.argsort(-preds, kind="stable")
         n = order.size
         hit = labels[order] == 1
-        scores = preds[order]
-        starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
-        sizes = np.diff(np.r_[starts, n])
-        n_hits = np.add.reduceat(hit, starts, dtype=np.intp)
-        is_mixed = (n_hits > 0) & (n_hits < sizes)
-        mixed = np.repeat(is_mixed, sizes)
-        opens_group = np.zeros(n, dtype=bool)
-        opens_group[starts[is_mixed]] = True
-        gap = ~hit & ~mixed
-        # a place opens a pair where a gap begins, where a run of positives
-        # follows a mixed group, and where a mixed group begins
-        opens = gap & ~np.r_[False, gap[:-1]]
-        opens |= hit & ~mixed & np.r_[False, mixed[:-1]]
-        opens |= opens_group
-        opens[0] = True
+        opens = np.r_[True, hit[:-1] & ~hit[1:]]
         pair = np.cumsum(opens) - 1
-        self.cut = 2 * int(pair[-1] + 1)
-        self.group_pair = pair[opens_group]
-        self.home = (2 * self.group_pair[:, None] + np.arange(2)).ravel()
-        self.n_slots = self.cut + self.home.size
-        slot = 2 * pair + hit
-        slot[mixed] = self.cut + 2 * (np.cumsum(opens_group)[mixed] - 1) + hit[mixed]
+        self.n_slots = 2 * int(pair[-1] + 1)
         self.slot = np.empty(n, dtype=np.min_scalar_type(self.n_slots - 1))
-        self.slot[order] = slot
+        self.slot[order] = 2 * pair + hit
         # k[j] = j + 1: the positives ranked at or above the j-th positive copy
         self.k = np.arange(1, n + 1)
 
     def average_precision(self, slots: np.ndarray, fallback: float) -> float:
-        """``pr_auc`` of the resample whose rows have these ``slots``, in draw
-        order; ``fallback`` if it has no positive."""
-        cut = self.cut
+        """``pr_auc`` of the resample whose rows have these ``slots``, listed
+        in row order; ``fallback`` if it has no positive."""
         counts = np.bincount(slots, minlength=self.n_slots)
-        counts[self.home] = counts[cut:]
-        hits = counts[1:cut:2]
+        hits = counts[1::2]
         n_pos = int(hits.sum())
         if n_pos == 0:
             return fallback
-        negs = np.cumsum(counts[0:cut:2])  # negatives at or above each pair
         # negatives ranked above each positive copy, in rank order
-        above = np.repeat(negs, hits)
-        if counts[cut:].any():
-            # In a mixed group the draws keep their order, so a positive there
-            # has above it the negatives above its group and the group's
-            # negatives drawn before it. With the tied draws sorted by group,
-            # the ``at[j] - j`` negatives before the j-th tied positive are
-            # those, plus the negatives of the groups above it.
-            drawn = slots[slots >= cut]
-            drawn = drawn[np.argsort(drawn >> 1, kind="stable")]
-            at = np.flatnonzero(drawn & 1)
-            j = np.arange(at.size)
-            group_negs, group_hits = counts[cut::2], counts[cut + 1 :: 2]
-            # the j-th tied positive's index among all positive copies is j
-            # plus, for its group, the positives above it that are not tied
-            first = np.cumsum(hits)[self.group_pair] - np.cumsum(group_hits)
-            # and the negatives above its group that are not tied
-            outside = negs[self.group_pair] - np.cumsum(group_negs)
-            above[np.repeat(first, group_hits) + j] = np.repeat(outside, group_hits) + at - j
+        above = np.repeat(np.cumsum(counts[0::2]), hits)
         k = self.k[:n_pos]
         return float((k / (k + above)).mean())
 
@@ -359,9 +317,10 @@ def evaluate_predictions(
     The point estimates and every resample's statistic come from columns
     prepared once: each row's log likelihood under the model (``terms``) and
     under the base rate (``base_terms``), and its ``_Ranking`` slot. The three
-    intervals draw the rows ``bootstrap_ci`` would draw with seeds ``seed``,
-    ``seed + 1`` and ``seed + 2``, one block of at most ``_BLOCK_DRAWS``
-    indices at a time, and gather only the columns their statistic reads.
+    intervals share one stream of resamples, the rows ``bootstrap_ci`` draws
+    with ``seed``, one block of at most ``_BLOCK_DRAWS`` indices at a time.
+    Each resample's log losses are those of its rows in draw order, and its
+    average precision is ``pr_auc`` of its rows listed in row order.
     """
     labels_arr, preds_arr = _as_arrays(labels, preds)
     _validate_inputs(labels_arr, preds_arr)
@@ -372,19 +331,21 @@ def evaluate_predictions(
     terms = _log_terms(labels_arr, preds_arr)
     base_terms = _log_terms(labels_arr, np.full(n, train_mean_cvr, dtype=float))
     ranking = _Ranking(labels_arr, preds_arr)
-    ll = _mean_loss(terms)
-    nll = _normalized_loss(terms, base_terms)
-    ap = ranking.average_precision(ranking.slot, 0.0)  # the identity draw has a positive
     slot = ranking.slot
-
-    def interval(point: float, statistic: Callable[[np.ndarray], float], offset: int):
-        lo, hi = _interval(map(statistic, _resamples(n, bootstrap_b, seed + offset)))
-        return point, min(lo, point), max(hi, point)
-
+    ll = _mean_loss(terms)
+    ap = ranking.average_precision(slot, 0.0)  # the identity draw has a positive
+    points = (ll, _normalized_loss(ll, base_terms), ap)
+    stats = np.empty((3, bootstrap_b))
+    for j, r in enumerate(_resamples(n, bootstrap_b, seed)):
+        loss = _mean_loss(terms[r])
+        stats[:, j] = (
+            loss,
+            _normalized_loss(loss, base_terms[r]),
+            ranking.average_precision(slot[r], ap),
+        )
+    ends = zip(points, *_interval(stats).tolist())
     return EvalReport(
-        *interval(ll, lambda r: _mean_loss(terms[r]), 0),
-        *interval(nll, lambda r: _normalized_loss(terms[r], base_terms[r]), 1),
-        *interval(ap, lambda r: ranking.average_precision(slot[r], ap), 2),
+        *(v for point, lo, hi in ends for v in (point, min(lo, point), max(hi, point))),
         n_test=n,
         mean_pred=float(preds_arr.mean()),
         mean_label=float(labels_arr.mean()),

@@ -55,7 +55,8 @@ class DfmModel:
     """Joint model: P(convert|x) = sigma(cvr head), delay rate = exp(delay head).
 
     The delay head is parameterized in inverse days to keep its linear scores
-    near zero; predict_delay_rate gives rates per second.
+    near zero: a row's delay rate per second is
+    ``exp(x @ delay_coef + delay_intercept) / SECONDS_PER_DAY``.
     """
 
     cvr_coef: np.ndarray
@@ -306,12 +307,6 @@ def predict_cvr_batch(model: LinearCvrModel | DfmModel, x: sparse.csr_matrix) ->
     if x.shape[1] != coef.size:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {coef.size}")
     return sigmoid(x @ coef + intercept)
-
-
-def predict_delay_rate(model: DfmModel, x: sparse.csr_matrix) -> np.ndarray:
-    """Predicted delay rate for every row of ``x``, per second (the
-    simulator's unit)."""
-    return np.exp(x @ model.delay_coef + model.delay_intercept) / SECONDS_PER_DAY
 
 
 def _sparse_coef(coef: np.ndarray) -> tuple[list[int], list[float]]:

@@ -1,6 +1,7 @@
 """Oracle views of a simulated world that only tests need: snapshot labels
-taken straight from the latent conversion times, exact one-hot features and
-the latent delays."""
+taken straight from the latent conversion times, exact one-hot features, the
+latent delays, and a joint model's predicted delay rates in the simulator's
+unit."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from scipy import sparse
 
 from fsiw.data import Snapshot
 from fsiw.simulate import SimArrays
+from fsiw.training import SECONDS_PER_DAY, DfmModel
 
 
 def snapshot_arrays(arrays: SimArrays, training_end: float) -> tuple[np.ndarray, np.ndarray]:
@@ -52,3 +54,9 @@ def onehot_snapshot(arrays: SimArrays, training_end: float) -> Snapshot:
         e=e.astype(np.int64),
         d=np.where(y == 1, delays(arrays), 0).astype(np.int64),
     )
+
+
+def predict_delay_rate(model: DfmModel, x: sparse.csr_matrix) -> np.ndarray:
+    """Predicted delay rate for every row of ``x``, per second (the
+    simulator's unit)."""
+    return np.exp(x @ model.delay_coef + model.delay_intercept) / SECONDS_PER_DAY

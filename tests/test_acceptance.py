@@ -36,14 +36,13 @@ from fsiw.simulate import (
 from fsiw.training import (
     dfm_nll_grad,
     predict_cvr_batch,
-    predict_delay_rate,
     train_dfm,
     train_naive_logistic,
     train_weighted_logistic,
 )
 from fsiw.weights import WeightModelHyper, assign_fsiw, fit_weight_model
 
-from simworld import onehot_snapshot, snapshot_arrays
+from simworld import onehot_snapshot, predict_delay_rate, snapshot_arrays
 
 DAY = 86400
 

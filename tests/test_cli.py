@@ -411,6 +411,34 @@ def test_malformed_config_value_exits_two_without_a_traceback(
     assert not (tmp_path / "out").exists()  # nothing was fit or written
 
 
+@pytest.mark.parametrize(
+    "case", ["run", "sweep", "stats", "stats --data", "eval --preds DIR", "run -c DIR"]
+)
+def test_a_bad_input_path_exits_two_with_one_error_line(tmp_path, capsys, case) -> None:
+    # a missing file or a directory where a file belongs: the OSError's
+    # message names the path
+    missing = tmp_path / "missing.tsv"
+    raw = _golden_configs()["tsv"]
+    raw["data"]["path"] = str(missing)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    argv, path = {
+        "run": (["run", "-c", str(config), "-o", str(out)], missing),
+        "sweep": (["sweep", "-c", str(config), "-o", str(out)], missing),
+        "stats": (["stats", "-c", str(config)], missing),
+        "stats --data": (["stats", "-c", str(config), "--data", str(tmp_path / "no.tsv")],
+                         tmp_path / "no.tsv"),
+        "eval --preds DIR": (["eval", "--preds", str(tmp_path)], tmp_path),
+        "run -c DIR": (["run", "-c", str(tmp_path), "-o", str(out)], tmp_path),
+    }[case]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert str(path) in line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", ["observational_period=1d", "tracked_until=5", "path=x.tsv"])
 def test_tsv_only_data_key_on_a_simulator_exits_two(tmp_path, config_path, override) -> None:
     # a simulator reads none of these, and none reaches the resolved config or its hash

@@ -65,6 +65,13 @@ def test_log_loss_is_permutation_invariant() -> None:
     )
 
 
+def test_metric_inputs_must_be_one_dimensional() -> None:
+    with pytest.raises(ValueError, match=r"1-D inputs, got shapes \(3, 1\) and \(3, 1\)"):
+        evaluate_predictions([[1], [0], [1]], [[0.9], [0.1], [0.5]], 0.5)
+    with pytest.raises(ValueError, match=r"shapes \(\) and \(\)"):
+        log_loss(1, 0.5)
+
+
 def test_nll_zero_when_matching_the_baseline() -> None:
     labels = [1, 0, 0, 1, 0]
     base = sum(labels) / len(labels)
@@ -313,12 +320,20 @@ def _reference_pr_auc(labels: np.ndarray, preds: np.ndarray) -> float:
     return float((cum_pos / ranks)[sorted_labels == 1].mean())
 
 
+def _reference_resample_pr_auc(labels: np.ndarray, preds: np.ndarray, r: np.ndarray) -> float:
+    """Average precision of the resample ``r``: its rows listed in row order."""
+    rows = np.sort(r)
+    return _reference_pr_auc(labels[rows], preds[rows])
+
+
 def _reference_evaluate(labels, preds, base: float, b: int, seed: int) -> dict:
+    # every interval resamples the same rows: the metrics get the drawn row
+    # indices, so that average precision can list them in row order
     labels, preds = np.asarray(labels, dtype=float), np.asarray(preds, dtype=float)
     ap = _reference_pr_auc(labels, preds)
 
-    def ap_metric(lab: np.ndarray, pr: np.ndarray) -> float:
-        return ap if lab.sum() == 0 else _reference_pr_auc(lab, pr)
+    def ap_metric(r: np.ndarray, _: np.ndarray) -> float:
+        return ap if labels[r].sum() == 0 else _reference_resample_pr_auc(labels, preds, r)
 
     points = {
         "ll": _reference_log_loss(labels, preds),
@@ -326,14 +341,15 @@ def _reference_evaluate(labels, preds, base: float, b: int, seed: int) -> dict:
         "pr_auc": ap,
     }
     metrics = {
-        "ll": _reference_log_loss,
-        "nll": lambda lab, pr: _reference_nll(lab, pr, base),
+        "ll": lambda r, _: _reference_log_loss(labels[r], preds[r]),
+        "nll": lambda r, _: _reference_nll(labels[r], preds[r], base),
         "pr_auc": ap_metric,
     }
     flat = {"n_test": labels.size, "mean_pred": float(preds.mean()),
             "mean_label": float(labels.mean()), "train_mean_cvr": base}
-    for offset, (name, metric) in enumerate(metrics.items()):
-        lo, hi = bootstrap_ci(metric, labels, preds, b, seed + offset)
+    rows = np.arange(labels.size)
+    for name, metric in metrics.items():
+        lo, hi = bootstrap_ci(metric, rows, rows, b, seed)
         flat[name] = points[name]
         flat[f"{name}_lo"] = min(lo, points[name])
         flat[f"{name}_hi"] = max(hi, points[name])
@@ -377,13 +393,17 @@ def test_resample_statistics_match_the_metrics_bit_for_bit(rows, base, seed) -> 
         draws.append(np.resize(negatives, n))  # no positive: the fallback
     for r in draws:
         lab, pr = labels[r], preds[r]
-        assert _bits(_mean_loss(terms[r])) == _bits(_reference_log_loss(lab, pr))
-        assert _bits(_normalized_loss(terms[r], base_terms[r])) == _bits(
+        loss = _mean_loss(terms[r])
+        assert _bits(loss) == _bits(_reference_log_loss(lab, pr))
+        assert _bits(_normalized_loss(loss, base_terms[r])) == _bits(
             _reference_nll(lab, pr, base)
         )
-        want = _reference_pr_auc(lab, pr) if lab.sum() > 0 else fallback
+        want = _reference_resample_pr_auc(labels, preds, r) if lab.sum() > 0 else fallback
         got = ranking.average_precision(ranking.slot[r], fallback)
         assert _bits(got) == _bits(want)
+        # a resample is a multiset of rows: the order of its draws plays no part
+        shuffled = rng.permutation(r)
+        assert _bits(ranking.average_precision(ranking.slot[shuffled], fallback)) == _bits(got)
 
 
 @settings(deadline=None, max_examples=60)
@@ -407,9 +427,9 @@ def test_evaluate_predictions_matches_the_per_resample_metrics(rows, base, seed)
 
 @pytest.mark.parametrize(("n_mixed", "key"), [(300, np.uint16), (70_000, np.uint32)])
 def test_many_mixed_tie_groups_match_the_reference_bit_for_bit(n_mixed, key) -> None:
-    # more slots than a uint8 (then a uint16) holds, so tied draws are sorted
-    # by radix (then by timsort); each mixed group has a positive and a
-    # negative, among all-negative pairs and untied rows
+    # each mixed tie group has a positive and a negative, among all-negative
+    # pairs and untied rows, so there are more slots than a uint8 (then a
+    # uint16) holds
     rng = np.random.default_rng(n_mixed)
     scores = rng.permutation(np.linspace(0.01, 0.99, n_mixed + 50))
     preds = np.r_[np.repeat(scores, 2), rng.uniform(0.0, 1.0, 100)]
@@ -417,12 +437,11 @@ def test_many_mixed_tie_groups_match_the_reference_bit_for_bit(n_mixed, key) -> 
     shuffle = rng.permutation(preds.size)
     labels, preds = labels[shuffle], preds[shuffle]
     ranking = _Ranking(labels, preds)
-    assert ranking.group_pair.size == n_mixed
     assert ranking.slot.dtype == key
     n = labels.size
     for r in [rng.integers(0, n, n) for _ in range(3)]:
         got = ranking.average_precision(ranking.slot[r], 0.0)
-        assert _bits(got) == _bits(_reference_pr_auc(labels[r], preds[r]))
+        assert _bits(got) == _bits(_reference_resample_pr_auc(labels, preds, r))
 
 
 @pytest.mark.parametrize(
@@ -456,18 +475,20 @@ def test_slot_layout_edges_match_the_reference_bit_for_bit(labels, preds, draws)
     n = labels.size
     for r in [np.arange(n), *map(np.array, draws)]:
         got = ranking.average_precision(ranking.slot[r], 0.0)
-        assert _bits(got) == _bits(_reference_pr_auc(labels[r], preds[r]))
+        assert _bits(got) == _bits(_reference_resample_pr_auc(labels, preds, r))
 
 
 def test_a_resample_that_draws_no_tied_row() -> None:
-    # one mixed group at 0.5; the draws miss it, so no draw is ordered
+    # one mixed group at 0.5 (rows 2 and 3); the draws miss it
     labels = np.array([1, 0, 1, 0, 1, 0], dtype=float)
     preds = np.array([0.9, 0.8, 0.5, 0.5, 0.3, 0.1])
     ranking = _Ranking(labels, preds)
     r = np.array([0, 1, 4, 5, 0, 4])
-    assert not np.any(ranking.slot[r] >= ranking.cut)
     got = ranking.average_precision(ranking.slot[r], 0.0)
-    assert _bits(got) == _bits(_reference_pr_auc(labels[r], preds[r]))
+    assert _bits(got) == _bits(_reference_resample_pr_auc(labels, preds, r))
+    # in row order the resample ranks rows 0, 0, 1, 4, 4, 5: the positives
+    # are at ranks 1, 2, 4 and 5
+    assert got == pytest.approx((1 + 1 + 3 / 4 + 4 / 5) / 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 401, 30_000, 2**18 + 1])
@@ -526,9 +547,9 @@ def _tied_scores() -> tuple[np.ndarray, np.ndarray]:
             {
                 "ll": 0.5026689689786261, "ll_lo": 0.46176284312400395,
                 "ll_hi": 0.5381185220387423, "nll": 26.025925345355766,
-                "nll_lo": 16.06058363564487, "nll_hi": 32.99326981451845,
-                "pr_auc": 0.7858764265209758, "pr_auc_lo": 0.7208188769371486,
-                "pr_auc_hi": 0.8421304241671302, "n_test": 300,
+                "nll_lo": 17.409770076635567, "nll_hi": 33.212952588527266,
+                "pr_auc": 0.7858764265209758, "pr_auc_lo": 0.7188685643258084,
+                "pr_auc_hi": 0.8410758104329644, "n_test": 300,
                 "mean_pred": 0.47778467853222367, "mean_label": 0.3566666666666667,
                 "train_mean_cvr": 0.25,
             },
@@ -538,9 +559,9 @@ def _tied_scores() -> tuple[np.ndarray, np.ndarray]:
             {
                 "ll": 3.3823995397759528, "ll_lo": 2.391052309498082,
                 "ll_hi": 4.860515334225121, "nll": -347.0528182469723,
-                "nll_lo": -533.3087836838059, "nll_hi": -207.6773444828918,
-                "pr_auc": 0.6918136340287067, "pr_auc_lo": 0.6199697540518575,
-                "pr_auc_hi": 0.795731633501275, "n_test": 250,
+                "nll_lo": -528.2757102175367, "nll_hi": -219.39109890754804,
+                "pr_auc": 0.6918136340287067, "pr_auc_lo": 0.5976178528212713,
+                "pr_auc_hi": 0.7862641401820593, "n_test": 250,
                 "mean_pred": 0.48475999999999997, "mean_label": 0.472,
                 "train_mean_cvr": 0.3,
             },
@@ -548,8 +569,9 @@ def _tied_scores() -> tuple[np.ndarray, np.ndarray]:
     ],
 )
 def test_evaluate_predictions_reproduces_pinned_reports(inputs, base, b, seed, want) -> None:
-    # values written by the per-resample implementation; any change to a CI's
-    # bytes shows up here
+    # values written by evaluate_predictions, whose resample statistics the
+    # per-resample reference above checks; any change to a CI's bytes shows up
+    # here
     labels, preds = inputs()
     report = evaluate_predictions(labels, preds, base, bootstrap_b=b, seed=seed)
     assert report.to_flat_dict() == want

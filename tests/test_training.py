@@ -23,7 +23,6 @@ from fsiw.training import (
     dfm_nll_grad,
     fit_logistic,
     predict_cvr_batch,
-    predict_delay_rate,
     save_model,
     train_dfm,
     train_naive_logistic,
@@ -31,7 +30,7 @@ from fsiw.training import (
 )
 from fsiw.weights import WeightedDataset
 
-from simworld import onehot_snapshot
+from simworld import onehot_snapshot, predict_delay_rate
 from test_simulate import _config
 
 OPT = OptConfig(max_iter=2000, tol=1e-13)
