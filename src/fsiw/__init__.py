@@ -20,7 +20,7 @@ _EXPORTS = {
         "deadline_sweep parse_duration rolling_splits run_pipeline"
     ),
     "metrics": (
-        "EvalReport bootstrap_ci delay_stats evaluate_predictions log_loss "
+        "EvalReport bootstrap_ci delay_stats evaluate_columns evaluate_predictions log_loss "
         "normalized_log_loss pr_auc"
     ),
     "optim": "OptConfig TrainingMeta minimize_batch",
@@ -30,7 +30,9 @@ _EXPORTS = {
         "DfmModel LinearCvrModel TrainingError predict_cvr_batch save_model train_dfm "
         "train_naive_logistic train_weighted_logistic"
     ),
-    "weights": "WeightedDataset WeightModel WeightModelHyper assign_fsiw fit_weight_model",
+    "weights": (
+        "DesignRows WeightedDataset WeightModel WeightModelHyper assign_fsiw fit_weight_model"
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -7,6 +7,13 @@ every split: snapshot-label the training window, relabel at the deadline, fit
 the two weight models, train the selected CVR models, and score them on the
 fully observed test window. Everything downstream of the global seed is
 deterministic, including the bytes of every report file.
+
+Work that depends on neither the deadline nor the trainer is done once per
+split. A split is labeled once; the weight models predict from one design of
+its training rows and one of its validation rows per distinct ``edges``;
+and its trainers (in a sweep, its deadlines) are all fitted and predicted
+before one ``evaluate_columns`` scores them from a single pass over the
+split's bootstrap resamples.
 """
 
 from __future__ import annotations
@@ -33,11 +40,13 @@ from .data import (
     read_tsv,
     snapshot_labels,
 )
-from .metrics import EvalReport, evaluate_predictions
+from .metrics import EvalReport, evaluate_columns
 from .optim import OptConfig, TrainingMeta
 from .relabel import build_artificial_datasets
 from .simulate import SimConfig, generate_arrays, sample_weight_vector, to_click_log
 from .training import (
+    DfmModel,
+    LinearCvrModel,
     check_l2,
     predict_cvr_batch,
     save_model,
@@ -47,6 +56,7 @@ from .training import (
 )
 from .weights import (
     DEFAULT_CLIP_FLOOR,
+    DesignRows,
     WeightedDataset,
     WeightModelHyper,
     assign_fsiw,
@@ -265,6 +275,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown trainer {t!r} (choose from {TRAINERS})")
         if not self.tau:
             raise ConfigError("tau must contain at least one deadline")
+        for key in ("trainers", "tau"):
+            values = getattr(self, key)
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"{key} lists {repeated!r} more than once")
         for t in self.tau:
             if not 0 < t < self.split.train_window:
                 raise ConfigError(
@@ -540,18 +555,67 @@ def _label_split(config: ExperimentConfig, log: ClickLog, split: Split) -> _Labe
     return _LabeledSplit(split, train, val, x_test, c_test, train_mean_cvr)
 
 
-def _fit_and_score(
-    config: ExperimentConfig, labeled: _LabeledSplit, tau: int, trainers: Sequence[str]
-) -> tuple[dict, WeightedDataset | None, list[ReportRow]]:
+def _design_rows(labeled: _LabeledSplit) -> tuple[DesignRows, DesignRows | None]:
+    """The rows the weight models predict for: a split's training rows and
+    its validation rows (None without a validation window)."""
+    train, val = labeled.train, labeled.val
+    return DesignRows(train.x, train.e), DesignRows(val.x, val.e) if val is not None else None
+
+
+def _fit_fsiw(
+    config: ExperimentConfig,
+    labeled: _LabeledSplit,
+    tau: int,
+    rows: tuple[DesignRows, DesignRows | None],
+) -> tuple[LinearCvrModel, WeightedDataset]:
+    """lr_fsiw at deadline ``tau``: relabel the training rows, fit both
+    weight models, weight the training and validation rows, predicting from
+    the designs of ``rows`` (see ``_design_rows``), and train on them.
+    Returns the model and the weighted training set."""
+    k, train, val = labeled.split.k, labeled.train, labeled.val
+    train_rows, val_rows = rows
+    d1, d0 = build_artificial_datasets(train, tau)
+    seed_pos = _derived_seed(config.seed, k, ROLE_WEIGHT_POS)
+    seed_neg = _derived_seed(config.seed, k, ROLE_WEIGHT_NEG)
+    pos = fit_weight_model(train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos)
+    neg = fit_weight_model(train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg)
+    weighted = assign_fsiw(pos, neg, train_rows, train.y, config.clip_floor)
+    weighted_val = (
+        assign_fsiw(pos, neg, val_rows, val.y, config.clip_floor)
+        if val is not None and len(val.y) > 0
+        else None
+    )
+    model = train_weighted_logistic(weighted, config.l2, config.optimizer, validation=weighted_val)
+    return model, weighted
+
+
+@dataclass(frozen=True)
+class _Fitted:
+    """One trainer fitted on a split at one deadline, and its predictions
+    for the split's test rows."""
+
+    trainer: str
+    tau: int
+    model: LinearCvrModel | DfmModel
+    preds: np.ndarray
+
+
+def _fit_split(
+    config: ExperimentConfig,
+    labeled: _LabeledSplit,
+    tau: int,
+    trainers: Sequence[str],
+    rows: tuple[DesignRows, DesignRows | None] | None = None,
+) -> tuple[list[_Fitted], WeightedDataset | None]:
     """Train each of ``trainers`` on one labeled split at deadline ``tau`` and
-    score it on the split's test rows, one trainer after the other. Returns
-    the models, the weighted training set (None unless lr_fsiw ran) and one
-    report row per trainer."""
-    split, train, val = labeled.split, labeled.train, labeled.val
-    models = {}
+    predict the split's test rows, one trainer after the other. Returns them
+    and the weighted training set (None unless lr_fsiw ran). ``rows`` keeps
+    the weight-prediction designs for other deadlines of the split; without
+    it they are built for this call and dropped after it."""
+    split, train = labeled.split, labeled.train
+    fitted = []
     weighted = None
     opt = config.optimizer
-    rows = []
     for trainer in trainers:
         try:
             if trainer == "naive_lr":
@@ -559,34 +623,36 @@ def _fit_and_score(
             elif trainer == "dfm":
                 model = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
             else:
-                d1, d0 = build_artificial_datasets(train, tau)
-                seed_pos = _derived_seed(config.seed, split.k, ROLE_WEIGHT_POS)
-                seed_neg = _derived_seed(config.seed, split.k, ROLE_WEIGHT_NEG)
-                pos = fit_weight_model(
-                    train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos
-                )
-                neg = fit_weight_model(
-                    train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg
-                )
-                weighted = assign_fsiw(pos, neg, train.x, train.y, train.e, config.clip_floor)
-                weighted_val = (
-                    assign_fsiw(pos, neg, val.x, val.y, val.e, config.clip_floor)
-                    if val is not None and len(val.y) > 0
-                    else None
-                )
-                model = train_weighted_logistic(weighted, config.l2, opt, validation=weighted_val)
-            report = evaluate_predictions(
-                labeled.c_test,
-                predict_cvr_batch(model, labeled.x_test),
-                labeled.train_mean_cvr,
-                bootstrap_b=config.metrics.bootstrap_b,
-                seed=_derived_seed(config.seed, split.k, ROLE_EVAL),
-            )
+                model, weighted = _fit_fsiw(config, labeled, tau, rows or _design_rows(labeled))
+            preds = predict_cvr_batch(model, labeled.x_test)
         except (ValueError, RuntimeError) as exc:
             raise PipelineError(f"split {split.k}, trainer {trainer}: {exc}") from exc
-        models[trainer] = model
-        rows.append(ReportRow(split.k, trainer, tau, report, fit=model.meta))
-    return models, weighted, rows
+        fitted.append(_Fitted(trainer, tau, model, preds))
+    return fitted, weighted
+
+
+def _score_split(
+    config: ExperimentConfig, labeled: _LabeledSplit, fitted: Sequence[_Fitted]
+) -> list[ReportRow]:
+    """Score every fitted trainer of one split on its test rows, from one
+    pass over the split's bootstrap resamples; one report row each, in the
+    order of ``fitted``. A metric error names the trainer of its column."""
+    k = labeled.split.k
+    try:
+        reports = evaluate_columns(
+            labeled.c_test,
+            [f.preds for f in fitted],
+            labeled.train_mean_cvr,
+            bootstrap_b=config.metrics.bootstrap_b,
+            seed=_derived_seed(config.seed, k, ROLE_EVAL),
+        )
+    except ValueError as exc:
+        trainer = fitted[getattr(exc, "column", 0)].trainer
+        raise PipelineError(f"split {k}, trainer {trainer}: {exc}") from exc
+    return [
+        ReportRow(k, f.trainer, f.tau, report, fit=f.model.meta)
+        for f, report in zip(fitted, reports)
+    ]
 
 
 def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> list[ReportRow]:
@@ -610,14 +676,14 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
 
     rows: list[ReportRow] = []
     for labeled in labeled_splits:
-        split = labeled.split
-        models, weighted, split_rows = _fit_and_score(config, labeled, tau, config.trainers)
-        rows.extend(split_rows)
+        k = labeled.split.k
+        fitted, weighted = _fit_split(config, labeled, tau, config.trainers)
+        rows.extend(_score_split(config, labeled, fitted))
         if write_outputs:
             if weighted is not None:
-                dump_weights(weighted, out_path / f"weights_split{split.k}.tsv")
-            for trainer, model in models.items():
-                save_model(model, out_path / f"model_split{split.k}_{trainer}.json")
+                dump_weights(weighted, out_path / f"weights_split{k}.tsv")
+            for f in fitted:
+                save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
 
     if write_outputs:
         write_report_csv(rows, out_path / "reports.csv")
@@ -637,8 +703,11 @@ def deadline_sweep(
 
     Everything except tau (data, splits, seeds) is held fixed, so the table
     isolates the deadline's effect. Only the weighted trainer runs. The log
-    is loaded and hashed, and every split labeled, once for all taus; rows
-    come tau by tau, each in split order, as from one run_pipeline per tau.
+    is loaded and hashed, and every split labeled, once for all taus. Each
+    split fits every tau before one pass over its bootstrap resamples scores
+    them all, so fits run split by split: when several fits would fail, the
+    error raised is the first in that order. The rows come tau by tau, each
+    in split order, with the bytes one run_pipeline per tau would give.
     """
     tau_list = [int(t) for t in (taus if taus is not None else config.tau)]
     replace(config, tau=tuple(tau_list))  # the config's own tau check
@@ -646,10 +715,15 @@ def deadline_sweep(
     log, start, end = load_source(config)
     splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
     labeled_splits = [_label_split(config, log, split) for split in splits]
-    rows: list[ReportRow] = []
-    for t in tau_list:
-        for labeled in labeled_splits:
-            rows.extend(_fit_and_score(config, labeled, t, ("lr_fsiw",))[2])
+    by_split = []
+    for labeled in labeled_splits:
+        designs = _design_rows(labeled)  # shared by every tau of the split
+        fitted = [
+            f for t in tau_list for f in _fit_split(config, labeled, t, ("lr_fsiw",), designs)[0]
+        ]
+        by_split.append(_score_split(config, labeled, fitted))
+    # tau by tau, each in split order
+    rows = [split_rows[i] for i in range(len(tau_list)) for split_rows in by_split]
 
     if write_outputs:
         out_path = Path(config.output_dir)

@@ -4,17 +4,25 @@ percentile-bootstrap confidence intervals, and delay-distribution summaries.
 Average precision ranks rows by a stable descending sort of the scores, so
 rows with equal scores keep their input order.
 
-``evaluate_predictions`` draws one stream of bootstrap resamples and computes
-all three statistics from each, from per-row columns prepared once per call;
-each statistic gathers only the columns it reads. A resample is a multiset
-of rows: its log losses are those of ``log_loss`` and ``normalized_log_loss``
-on its rows, and its average precision is ``pr_auc`` of its rows listed in
-row order, bit for bit, so the order of the draws plays no part. The log
-losses gather each row's log likelihood. Average precision gathers one small
-slot number per row (see ``_Ranking``), counts the draws per slot and ranks
-them with one cumulative sum; no resample is sorted. The draws come in blocks
-of at most ``_BLOCK_DRAWS`` indices, so memory stays bounded whatever the
-number of rows and resamples.
+``evaluate_columns`` scores several prediction columns of the same test rows
+(a split's trainers, or its deadlines) from one stream of bootstrap
+resamples, and ``evaluate_predictions`` is its one-column case; every column
+gets the report ``evaluate_predictions`` gives it alone, bit for bit. All
+three statistics of a resample come from per-row columns prepared once per
+call. A resample is a multiset of rows: its log losses are those of
+``log_loss`` and ``normalized_log_loss`` on its rows, and its average
+precision is ``pr_auc`` of its rows listed in row order, bit for bit, so the
+order of the draws plays no part.
+
+The draws come in blocks of index rows, each drawn once for all columns; a
+block's indices and what it gathers for all columns at once fill at most
+``_BLOCK_DRAWS`` values, so memory stays bounded whatever the number of rows,
+columns and resamples. A block's log losses are row means of one gather of
+every column's log likelihoods. Average precision gathers one small slot
+number per row (see ``_Ranking``): one ``bincount`` counts the draws per slot
+for every column and resample of the block, and one cumulative sum ranks
+them; no resample is sorted. Only each resample's final mean of precisions is
+a call of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ import numpy as np
 
 PRED_CLIP = 1e-15
 NO_POSITIVE = "average precision needs at least one positive label"
-# the most bootstrap indices drawn at once: 2 MiB of int64
+# the most bootstrap indices drawn at once, together with the values gathered
+# with them from every prediction column: 2 MiB of int64 or float64
 _BLOCK_DRAWS = 1 << 18
 
 DEFAULT_CDF_GRID = (
@@ -59,26 +68,31 @@ def _as_arrays(
 
 
 class MetricInputError(ValueError):
-    """A label or prediction outside its domain; ``index`` is the first bad sample."""
+    """A label or prediction outside its domain; ``index`` is the first bad
+    sample of the first prediction column, ``column``, that has one."""
 
-    def __init__(self, detail: str, index: int):
+    def __init__(self, detail: str, index: int, column: int = 0):
         super().__init__(f"sample {index}: {detail}")
         self.detail = detail
         self.index = index
+        self.column = column
 
 
 def _validate_inputs(labels: np.ndarray, preds: np.ndarray) -> None:
-    """Reject labels outside {0, 1} and predictions that are not finite
-    probabilities, naming the first offending sample. Call once per
-    evaluation, not per bootstrap resample."""
+    """Reject labels outside {0, 1} and predictions (one row per column) that
+    are not finite probabilities, naming the first offending sample of the
+    first column that has one. Call once per evaluation, not per bootstrap
+    resample."""
     bad_label = (labels != 0) & (labels != 1)
     bad = bad_label | ~((preds >= 0) & (preds <= 1))  # nan fails both comparisons
     if np.any(bad):
-        i = int(np.argmax(bad))
+        column, i = divmod(int(np.argmax(bad)), labels.size)
         if bad_label[i]:
-            raise MetricInputError(f"label {float(labels[i])!r} is not 0 or 1", i)
+            raise MetricInputError(f"label {float(labels[i])!r} is not 0 or 1", i, column)
         raise MetricInputError(
-            f"prediction {float(preds[i])!r} is not a finite probability in [0, 1]", i
+            f"prediction {float(preds[column, i])!r} is not a finite probability in [0, 1]",
+            i,
+            column,
         )
 
 
@@ -142,10 +156,11 @@ def pr_auc(labels: Sequence[int], preds: Sequence[float]) -> float:
     return float(precision_at_pos.mean())
 
 
-def _resamples(n: int, b: int, seed: int) -> Iterator[np.ndarray]:
+def _resample_blocks(n: int, b: int, seed: int, columns: int = 0) -> Iterator[np.ndarray]:
     """The ``b`` index rows of the bootstrap over ``n`` rows seeded by
-    ``seed``, drawn in blocks of at most ``_BLOCK_DRAWS`` indices (one row
-    per block once a row is longer).
+    ``seed``, drawn in blocks of at most ``_BLOCK_DRAWS // (1 + columns)``
+    indices (one row per block once a row is longer), so that a block and a
+    gather of it from ``columns`` columns fit in ``_BLOCK_DRAWS`` values.
 
     The rows are those of one ``integers(0, n, size=(b, n))`` call on the
     same generator: below 2**32 each index comes from the bit generator's
@@ -154,11 +169,15 @@ def _resamples(n: int, b: int, seed: int) -> Iterator[np.ndarray]:
     if b < 100:
         raise ValueError(f"need at least 100 resamples, got {b}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
-    per_block = max(1, _BLOCK_DRAWS // n)
-    blocks = (
+    per_block = max(1, _BLOCK_DRAWS // (n * (1 + columns)))
+    return (
         rng.integers(0, n, size=(min(per_block, b - done), n)) for done in range(0, b, per_block)
     )
-    return (row for block in blocks for row in block)
+
+
+def _resamples(n: int, b: int, seed: int) -> Iterator[np.ndarray]:
+    """The index rows of ``_resample_blocks``, one at a time."""
+    return (row for block in _resample_blocks(n, b, seed) for row in block)
 
 
 def _interval(stats: np.ndarray) -> np.ndarray:
@@ -179,8 +198,8 @@ def bootstrap_ci(
 
     ``labels`` and ``preds`` may be any two per-row columns, of any dtype;
     each resample passes ``metric`` the rows it drew of both, in draw order.
-    ``evaluate_predictions`` draws the same rows, once for its three
-    intervals, and computes each statistic from prepared columns."""
+    ``evaluate_columns`` draws the same rows, once for all its intervals, and
+    computes each statistic from prepared columns."""
     labels, preds = _as_arrays(labels, preds, dtype=None)
     stats = (metric(labels[r], preds[r]) for r in _resamples(labels.size, b, seed))
     lo, hi = _interval(np.fromiter(stats, float))
@@ -213,21 +232,37 @@ class _Ranking:
         self.n_slots = 2 * int(pair[-1] + 1)
         self.slot = np.empty(n, dtype=np.min_scalar_type(self.n_slots - 1))
         self.slot[order] = 2 * pair + hit
-        # k[j] = j + 1: the positives ranked at or above the j-th positive copy
-        self.k = np.arange(1, n + 1)
 
     def average_precision(self, slots: np.ndarray, fallback: float) -> float:
         """``pr_auc`` of the resample whose rows have these ``slots``, listed
         in row order; ``fallback`` if it has no positive."""
         counts = np.bincount(slots, minlength=self.n_slots)
-        hits = counts[1::2]
-        n_pos = int(hits.sum())
-        if n_pos == 0:
-            return fallback
+        return float(self.average_precisions(counts[None], fallback)[0])
+
+    def average_precisions(self, counts: np.ndarray, fallback: float) -> np.ndarray:
+        """``average_precision`` of each resample whose draws per slot are a
+        row of ``counts``.
+
+        The precisions at every positive copy of all the resamples are one
+        array, resample after resample; each resample's mean of its own part
+        is the only call per resample (``np.add.reduce`` over the count: the
+        arithmetic of ``mean`` without its overhead)."""
+        hits = counts[:, 1::2]
+        n_pos = hits.sum(axis=1)
+        ends = np.cumsum(n_pos)
         # negatives ranked above each positive copy, in rank order
-        above = np.repeat(np.cumsum(counts[0::2]), hits)
-        k = self.k[:n_pos]
-        return float((k / (k + above)).mean())
+        above = np.repeat(np.cumsum(counts[:, 0::2], axis=1), hits.ravel())
+        # positives ranked at or above it: 1, 2, ... within each resample
+        k = np.arange(1, ends[-1] + 1)
+        k -= np.repeat(ends - n_pos, n_pos)
+        above += k
+        precision = k / above
+        return np.array(
+            [
+                np.add.reduce(precision[end - m : end]) / m if m else fallback
+                for end, m in zip(ends.tolist(), n_pos.tolist())
+            ]
+        )
 
 
 def delay_stats(
@@ -295,6 +330,84 @@ class EvalReport:
         return asdict(self)
 
 
+def _slot_counts(slot: np.ndarray, block: np.ndarray, width: int) -> np.ndarray:
+    """The draws per slot of each resample of ``block``, one row each: one
+    ``bincount`` of the slots (``slot``, one row per column, offset so that
+    the columns fill ``width`` slots) that the block draws, offset by
+    ``width`` per resample. A function of its own, so that the gathered
+    slots are freed before the block is ranked."""
+    drawn = np.take(slot, block, axis=1)
+    drawn += (np.arange(len(block)) * width)[:, None]
+    return np.bincount(drawn.ravel(), minlength=len(block) * width).reshape(len(block), width)
+
+
+def evaluate_columns(
+    labels: Sequence[int],
+    columns: Sequence[Sequence[float]],
+    train_mean_cvr: float,
+    *,
+    bootstrap_b: int = 200,
+    seed: int = 0,
+) -> list[EvalReport]:
+    """``evaluate_predictions`` of each prediction column in ``columns``
+    against the same ``labels``, bit for bit, from one pass over the
+    resamples (see the module docstring).
+
+    Raises MetricInputError, whose ``column`` is the first column with a
+    label or prediction outside its domain.
+    """
+    if not len(columns):
+        raise ValueError("no prediction column to score")
+    labels_arr, _ = _as_arrays(labels, columns[0])
+    preds = np.stack([_as_arrays(labels_arr, column)[1] for column in columns])
+    _validate_inputs(labels_arr, preds)
+    _check_base_rate(train_mean_cvr)
+    if not labels_arr.any():
+        raise ValueError(NO_POSITIVE)
+    n_cols, n = preds.shape
+    terms = _log_terms(labels_arr, preds)
+    base_terms = _log_terms(labels_arr, np.full(n, train_mean_cvr, dtype=float))
+    rankings = [_Ranking(labels_arr, column) for column in preds]
+    lls = [_mean_loss(column_terms) for column_terms in terms]
+    # the identity draw has a positive
+    aps = [ranking.average_precision(ranking.slot, 0.0) for ranking in rankings]
+    starts = np.cumsum([0] + [ranking.n_slots for ranking in rankings]).tolist()
+    width = starts[-1]
+    slot = np.stack([r.slot.astype(np.intp) + start for r, start in zip(rankings, starts)])
+
+    stats = np.empty((n_cols, 3, bootstrap_b))
+    done = 0
+    for block in _resample_blocks(n, bootstrap_b, seed, n_cols):
+        rows = slice(done, done + len(block))
+        # take, not terms[:, block], whose rows would not be contiguous: a
+        # strided row mean does not sum in the pairs of the 1-D mean
+        loss = -np.take(terms, block, axis=1).mean(axis=-1)
+        base_loss = -base_terms[block].mean(axis=-1)
+        stats[:, 0, rows] = loss
+        stats[:, 1, rows] = 100.0 * (base_loss - loss) / base_loss
+        counts = _slot_counts(slot, block, width)
+        for j, ranking in enumerate(rankings):
+            column_counts = counts[:, starts[j] : starts[j + 1]]
+            stats[j, 2, rows] = ranking.average_precisions(column_counts, aps[j])
+        done += len(block)
+
+    lows, highs = _interval(stats).tolist()
+    reports = []
+    for j in range(n_cols):
+        points = (lls[j], _normalized_loss(lls[j], base_terms), aps[j])
+        ends = zip(points, lows[j], highs[j])
+        reports.append(
+            EvalReport(
+                *(v for point, lo, hi in ends for v in (point, min(lo, point), max(hi, point))),
+                n_test=n,
+                mean_pred=float(preds[j].mean()),
+                mean_label=float(labels_arr.mean()),
+                train_mean_cvr=float(train_mean_cvr),
+            )
+        )
+    return reports
+
+
 def evaluate_predictions(
     labels: Sequence[int],
     preds: Sequence[float],
@@ -314,40 +427,12 @@ def evaluate_predictions(
     data). Percentile intervals are widened, if necessary, to bracket the
     point estimate.
 
-    The point estimates and every resample's statistic come from columns
-    prepared once: each row's log likelihood under the model (``terms``) and
-    under the base rate (``base_terms``), and its ``_Ranking`` slot. The three
-    intervals share one stream of resamples, the rows ``bootstrap_ci`` draws
-    with ``seed``, one block of at most ``_BLOCK_DRAWS`` indices at a time.
-    Each resample's log losses are those of its rows in draw order, and its
-    average precision is ``pr_auc`` of its rows listed in row order.
+    The three intervals share one stream of resamples, the rows
+    ``bootstrap_ci`` draws with ``seed``. Each resample's log losses are
+    those of its rows in draw order, and its average precision is ``pr_auc``
+    of its rows listed in row order. This is ``evaluate_columns`` of one
+    column.
     """
-    labels_arr, preds_arr = _as_arrays(labels, preds)
-    _validate_inputs(labels_arr, preds_arr)
-    _check_base_rate(train_mean_cvr)
-    if not labels_arr.any():
-        raise ValueError(NO_POSITIVE)
-    n = labels_arr.size
-    terms = _log_terms(labels_arr, preds_arr)
-    base_terms = _log_terms(labels_arr, np.full(n, train_mean_cvr, dtype=float))
-    ranking = _Ranking(labels_arr, preds_arr)
-    slot = ranking.slot
-    ll = _mean_loss(terms)
-    ap = ranking.average_precision(slot, 0.0)  # the identity draw has a positive
-    points = (ll, _normalized_loss(ll, base_terms), ap)
-    stats = np.empty((3, bootstrap_b))
-    for j, r in enumerate(_resamples(n, bootstrap_b, seed)):
-        loss = _mean_loss(terms[r])
-        stats[:, j] = (
-            loss,
-            _normalized_loss(loss, base_terms[r]),
-            ranking.average_precision(slot[r], ap),
-        )
-    ends = zip(points, *_interval(stats).tolist())
-    return EvalReport(
-        *(v for point, lo, hi in ends for v in (point, min(lo, point), max(hi, point))),
-        n_test=n,
-        mean_pred=float(preds_arr.mean()),
-        mean_label=float(labels_arr.mean()),
-        train_mean_cvr=float(train_mean_cvr),
-    )
+    return evaluate_columns(
+        labels, [preds], train_mean_cvr, bootstrap_b=bootstrap_b, seed=seed
+    )[0]

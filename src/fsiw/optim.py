@@ -1,5 +1,5 @@
-"""Shared numerical kernel: stable link functions, sparse design matrices,
-and a deterministic full-batch L-BFGS minimizer.
+"""Shared numerical kernel: stable link functions and a deterministic
+full-batch L-BFGS minimizer.
 
 The link functions are what every objective evaluation spends its time on.
 ``softplus`` is max(z, 0) + log1p(exp(-|z|)), about 4x cheaper than
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
 
 
@@ -39,13 +38,6 @@ def softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     t = np.exp(-np.abs(z))
     return np.maximum(z, 0.0) + np.log1p(t), np.where(z >= 0, 1.0, t) / (1.0 + t)
-
-
-def append_columns(x: sparse.csr_matrix, extra: np.ndarray) -> sparse.csr_matrix:
-    """Append dense columns (e.g. an elapsed-time basis) to a CSR matrix."""
-    if extra.ndim != 2 or extra.shape[0] != x.shape[0]:
-        raise ValueError("extra columns must be 2-D with matching row count")
-    return sparse.hstack([x, sparse.csr_matrix(extra)], format="csr")
 
 
 # curvature pairs (s, y) kept by L-BFGS

@@ -4,10 +4,14 @@ Two logistic models are fit on the relabeled D1/D0 sets: one predicts how
 likely a converting click has already been observed ("pos" model), the other
 how likely a currently-negative click will stay negative ("neg" model). Each
 reads hashed click features x plus features of the elapsed time e (log time
-and coarse duration bins, ``elapsed_features``) so the time dependence need
+and coarse duration bins, ``weight_design``) so the time dependence need
 not be linear. Per-sample weights are then the reciprocal of the pos-model
 probability for positives and the neg-model probability itself for
 negatives, clipped away from zero.
+
+Weights are predicted from each row's own elapsed time, so the prediction
+design of a set of rows does not depend on the deadline: a ``DesignRows``
+builds it once per distinct ``edges`` and every deadline predicts from it.
 """
 
 from __future__ import annotations
@@ -19,23 +23,63 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .optim import OptConfig, append_columns, sigmoid
+from .optim import OptConfig, sigmoid
 from .training import SECONDS_PER_DAY, check_l2, fit_logistic
 
 DEFAULT_EDGES = (3600, 21600, 43200, 86400, 172800, 345600, 604800)
 DEFAULT_CLIP_FLOOR = 0.01
 
 
-def elapsed_features(e: np.ndarray, edges: tuple[int, ...]) -> np.ndarray:
-    """Features of elapsed times: one-hot duration bin by ``edges``, then log days."""
+def weight_design(x: sparse.csr_matrix, e: np.ndarray, edges: tuple[int, ...]) -> sparse.csr_matrix:
+    """The weight models' design ``[x | one-hot bin(e) | log days]``: the
+    hashed features, then the duration bin of each elapsed time by ``edges``,
+    then its log in days.
+
+    Built as CSR arrays directly, each row holding its entries of ``x``, its
+    bin entry, then its log entry unless that is zero (``e`` of exactly one
+    day): the arrays ``sparse.hstack`` gives for ``x`` beside the dense block
+    of those columns."""
     e = np.asarray(e, dtype=float)
     if np.any(e <= 0):
         raise ValueError("elapsed times must be positive")
-    out = np.zeros((e.shape[0], len(edges) + 2))
+    n, dim = x.shape
     bins = np.searchsorted(np.asarray(edges, dtype=float), e, side="left")
-    out[np.arange(e.shape[0]), bins] = 1.0
-    out[:, -1] = np.log(e / SECONDS_PER_DAY)
-    return out
+    log_days = np.log(e / SECONDS_PER_DAY)
+    has_log = log_days != 0.0
+    extra = 1 + has_log
+    indptr = x.indptr + np.r_[0, np.cumsum(extra)]
+    bin_at = indptr[1:] - extra
+    log_at = indptr[1:][has_log] - 1
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    from_x = np.ones(indptr[-1], dtype=bool)
+    from_x[bin_at] = from_x[log_at] = False
+    data[from_x], indices[from_x] = x.data, x.indices
+    data[bin_at], indices[bin_at] = 1.0, dim + bins
+    data[log_at], indices[log_at] = log_days[has_log], dim + len(edges) + 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, dim + len(edges) + 2))
+
+
+@dataclass(frozen=True)
+class DesignRows:
+    """Rows to predict weights for: hashed features ``x`` and elapsed seconds
+    ``e``. ``design(edges)`` builds their ``weight_design`` on first use and
+    keeps it, so a split's rows get one design per distinct ``edges``
+    however many deadlines predict from them."""
+
+    x: sparse.csr_matrix
+    e: np.ndarray
+    _designs: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.x.shape[0] != np.shape(self.e)[0]:
+            raise ValueError("feature/elapsed-time length mismatch")
+
+    def design(self, edges: tuple[int, ...]) -> sparse.csr_matrix:
+        key = tuple(edges)
+        if key not in self._designs:
+            self._designs[key] = weight_design(self.x, self.e, key)
+        return self._designs[key]
 
 
 @dataclass(frozen=True)
@@ -78,13 +122,12 @@ class WeightModel:
     constant: float | None = None
 
     def predict(self, x: sparse.csr_matrix, e: np.ndarray) -> np.ndarray:
-        e = np.asarray(e, dtype=float)
-        if x.shape[0] != e.shape[0]:
-            raise ValueError("feature/elapsed-time length mismatch")
+        return self.predict_rows(DesignRows(x, e))
+
+    def predict_rows(self, rows: DesignRows) -> np.ndarray:
         if self.degenerate:
-            return np.full(e.shape[0], float(self.constant))
-        x = append_columns(x, elapsed_features(e, self.edges))
-        return sigmoid(x @ self.coef + self.intercept)
+            return np.full(rows.x.shape[0], float(self.constant))
+        return sigmoid(rows.design(self.edges) @ self.coef + self.intercept)
 
 
 def check_clip_floor(clip_floor: float) -> None:
@@ -162,7 +205,7 @@ def fit_weight_model(
             constant=rate,
         )
 
-    x = append_columns(x, elapsed_features(e_adj, hyper.edges))
+    x = weight_design(x, e_adj, hyper.edges)
 
     validation = None
     train_idx = np.arange(n)
@@ -198,25 +241,24 @@ def fit_weight_model(
 def assign_fsiw(
     model_pos: WeightModel,
     model_neg: WeightModel,
-    x: sparse.csr_matrix,
+    rows: DesignRows,
     y: np.ndarray,
-    e: np.ndarray,
     clip_floor: float = DEFAULT_CLIP_FLOOR,
 ) -> WeightedDataset:
-    """Attach an importance weight to every training row.
+    """Attach an importance weight to every training row of ``rows``.
 
-    Predictions use each row's original elapsed time ``e`` (not the adjusted
-    one the models were trained with). Positives get the reciprocal of the
-    pos model's probability; negatives get the neg model's probability
-    directly. Probabilities are clipped to [clip_floor, 1] first, which caps
-    any weight at 1/clip_floor.
+    Predictions use each row's original elapsed time ``rows.e`` (not the
+    adjusted one the models were trained with), and both models predict from
+    the designs ``rows`` keeps, so calls that share ``rows`` build each one
+    once. Positives get the reciprocal of the pos model's probability;
+    negatives get the neg model's probability directly. Probabilities are
+    clipped to [clip_floor, 1] first, which caps any weight at 1/clip_floor.
     """
     check_clip_floor(clip_floor)
-    e_float = np.asarray(e, dtype=float)
-    p_pos = np.clip(model_pos.predict(x, e_float), clip_floor, 1.0)
-    p_neg = np.clip(model_neg.predict(x, e_float), clip_floor, 1.0)
+    p_pos = np.clip(model_pos.predict_rows(rows), clip_floor, 1.0)
+    p_neg = np.clip(model_neg.predict_rows(rows), clip_floor, 1.0)
     weights = np.where(np.asarray(y) == 1, 1.0 / p_pos, p_neg)
-    return WeightedDataset(x=x, y=y, e=e, weights=weights)
+    return WeightedDataset(x=rows.x, y=y, e=rows.e, weights=weights)
 
 
 def dump_weights(dataset: WeightedDataset, path: str | Path) -> None:

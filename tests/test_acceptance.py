@@ -40,7 +40,7 @@ from fsiw.training import (
     train_naive_logistic,
     train_weighted_logistic,
 )
-from fsiw.weights import WeightModelHyper, assign_fsiw, fit_weight_model
+from fsiw.weights import DesignRows, WeightModelHyper, assign_fsiw, fit_weight_model
 
 from simworld import onehot_snapshot, predict_delay_rate, snapshot_arrays
 
@@ -328,9 +328,8 @@ def test_criterion_05_weighting_halves_the_censoring_bias() -> None:
     weighted = assign_fsiw(
         fit_weight_model(samples.x[d1.idx], d1.e_adj, d1.s, hyper),
         fit_weight_model(samples.x[d0.idx], d0.e_adj, d0.s, hyper),
-        samples.x,
+        DesignRows(samples.x, samples.e),
         samples.y,
-        samples.e,
     )
 
     opt = OptConfig(max_iter=400, tol=1e-10)

@@ -10,8 +10,8 @@ import pytest
 
 from fsiw.cli import main
 from fsiw.data import FieldSpec, read_tsv, snapshot_labels
-from fsiw.experiment import SimulatorSpec
-from fsiw.metrics import evaluate_predictions
+from fsiw.experiment import SimulatorSpec, config_from_dict, deadline_sweep
+from fsiw.metrics import evaluate_columns, evaluate_predictions
 from fsiw.optim import OptConfig
 from fsiw.simulate import generate_arrays, to_click_log, write_sim_tsv, write_truth
 from fsiw.training import train_dfm
@@ -61,6 +61,27 @@ def test_evaluate_predictions_4k_rows_64_tied_scores_100_resamples(benchmark) ->
     assert report.n_test == 4000
 
 
+def _scorers(n: int, n_cols: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    # n_cols noisy scorers of the same rows, as a split's trainers or
+    # deadlines give
+    rng = np.random.default_rng(21)
+    logit = rng.normal(-1.5, 1.0, n)
+    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    columns = [
+        np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, n)))), 0.01, 0.99)
+        for _ in range(n_cols)
+    ]
+    return labels, columns
+
+
+@pytest.mark.parametrize(("n", "n_cols"), [(1000, 5), (4000, 3)])
+def test_evaluate_columns_100_resamples(benchmark, n, n_cols) -> None:
+    # a sweep's five deadlines on one split's test rows; a run's three trainers
+    labels, columns = _scorers(n, n_cols)
+    reports = benchmark(evaluate_columns, labels, columns, 0.2, bootstrap_b=100, seed=21)
+    assert [r.n_test for r in reports] == [n] * n_cols
+
+
 # the README world at 40k clicks: two 8-value fields
 README_40K = SimulatorSpec(
     n_samples=40_000,
@@ -91,6 +112,35 @@ def test_read_tsv_40k_rows(benchmark, tmp_path) -> None:
     schema = [FieldSpec(name="f0"), FieldSpec(name="f1")]
     log = benchmark(read_tsv, path, schema, dim=1024, seed=0)
     assert log.x.shape == (40_000, 1024)
+
+
+def test_deadline_sweep_on_the_sweep_world(benchmark) -> None:
+    # the benchmark's sweep workload in process: the README world at 10k
+    # clicks, five deadlines, every fit at its whole iteration budget
+    raw = {
+        "seed": 21,
+        "data": {
+            "kind": "simulator",
+            "simulator": {
+                "n_samples": 10_000,
+                "field_cardinalities": [8, 8],
+                "time_span": "10d",
+                "cvr_bias": -1.5,
+                "mean_delay": "1d",
+                "rate_spread": 0.4,
+            },
+        },
+        "hashing": {"dim": 1024, "seed": 0},
+        "split": {"train_window": "7d", "test_window": "1d", "stride": "1d", "n_splits": 1},
+        "tau": ["1d", "2d", "3d", "4d", "5d"],
+        "trainers": ["lr_fsiw"],
+        "optimizer": {"max_iter": 150, "tol": 0.0},
+        "weight_model_pos": {"max_iter": 40},
+        "weight_model_neg": {"max_iter": 40},
+        "metrics": {"bootstrap_b": 100},
+    }
+    rows = benchmark(deadline_sweep, config_from_dict(raw), write_outputs=False)
+    assert len(rows) == 5
 
 
 def test_train_dfm_battery_world_6k_rows(benchmark) -> None:

@@ -412,6 +412,24 @@ def test_malformed_config_value_exits_two_without_a_traceback(
 
 
 @pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["sweep", "--taus", "2d,48h"], "tau lists 172800 more than once"),
+        (["run", "--set", "trainers=[naive_lr, naive_lr]"],
+         "trainers lists 'naive_lr' more than once"),
+    ],
+)
+def test_a_repeated_tau_or_trainer_exits_two_with_one_error_line(
+    tmp_path, capsys, config_path, flags, message
+) -> None:
+    out = tmp_path / "out"
+    argv = [flags[0], "-c", str(config_path), "-o", str(out), *flags[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "case", ["run", "sweep", "stats", "stats --data", "eval --preds DIR", "run -c DIR"]
 )
 def test_a_bad_input_path_exits_two_with_one_error_line(tmp_path, capsys, case) -> None:

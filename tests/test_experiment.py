@@ -18,6 +18,7 @@ from fsiw.experiment import (
     REPORT_COLUMNS,
     TRAINERS,
     ConfigError,
+    PipelineError,
     SimulatorSpec,
     SplitSpec,
     config_from_dict,
@@ -343,6 +344,11 @@ def test_config_requires_known_trainers() -> None:
             -86400,
             "data.simulator.mean_delay must be positive, got -86400",
         ),
+        # a repeated deadline or trainer was fitted twice and reported twice
+        ("tau", ["2d", "2d"], "tau lists 172800 more than once"),
+        ("tau", ["1d", "2d", "48h"], "tau lists 172800 more than once"),
+        ("trainers", ["naive_lr", "naive_lr"], "trainers lists 'naive_lr' more than once"),
+        ("trainers", ["dfm", "lr_fsiw", "dfm"], "trainers lists 'dfm' more than once"),
     ],
 )
 def test_config_rejects_malformed_values_naming_the_key(key, value, message) -> None:
@@ -579,6 +585,38 @@ def test_criterion_10_outputs_are_pinned(tmp_path, monkeypatch) -> None:
     assert _output_hashes(tmp_path / "seed0")["weights_split0.tsv"] != pinned
 
 
+_TWO_SPLITS_WITH_VALIDATION = {
+    "train_window": "7d",
+    "validation_window": "1d",
+    "test_window": "1d",
+    "stride": "1d",
+    "n_splits": 2,
+}
+
+
+# SHA-256 of what a 3-tau, 2-split sweep with a validation window writes,
+# recorded before the sweep fitted every tau of a split ahead of scoring it;
+# the same rules as the criterion-10 pins apply
+_SWEEP_OUTPUT_HASHES = {
+    "sweep.csv": "dcf4baacf7cc03e90bb60b949679da93ddd82bc5bf3d0932e065eadcaefc7afc",
+    "sweep.json": "9162513d0a887e58cdd4d7b5264b353d7d17dd1f5c4dd9da389a45333894168a",
+}
+
+
+def test_sweep_outputs_are_pinned(tmp_path) -> None:
+    raw = _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, output_dir=str(tmp_path))
+    config = config_from_dict(raw)
+    rows = deadline_sweep(config, [DAY, 2 * DAY, 3 * DAY])
+    assert [(r.tau, r.split) for r in rows] == [
+        (tau, k) for tau in (DAY, 2 * DAY, 3 * DAY) for k in (0, 1)
+    ]
+    hashes = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _SWEEP_OUTPUT_HASHES
+    }
+    assert hashes == _SWEEP_OUTPUT_HASHES
+
+
 def test_run_pipeline_is_deterministic(tmp_path) -> None:
     config = config_from_dict(_base_dict())
     first = run_pipeline(replace(config, output_dir=str(tmp_path / "a")))
@@ -659,6 +697,55 @@ def test_run_and_sweep_hash_each_token_once(hash_calls) -> None:
     assert len(hash_calls) == len(set(hash_calls)) == 16
 
 
+def test_sweep_builds_each_design_and_draws_each_split_once(monkeypatch) -> None:
+    import fsiw.metrics
+    import fsiw.weights
+
+    designs, draws = [], []
+    build, draw = fsiw.weights.weight_design, fsiw.metrics._resample_blocks
+
+    def counting_build(x, e, edges):
+        designs.append(x)  # kept, so that no two calls see the same id
+        return build(x, e, edges)
+
+    def counting_draw(n, b, seed, columns=0):
+        draws.append(columns)
+        return draw(n, b, seed, columns)
+
+    monkeypatch.setattr(fsiw.weights, "weight_design", counting_build)
+    monkeypatch.setattr(fsiw.metrics, "_resample_blocks", counting_draw)
+    config = config_from_dict(_base_dict(split=_TWO_SPLITS_WITH_VALIDATION))
+    deadline_sweep(config, [DAY, 2 * DAY, 3 * DAY], write_outputs=False)
+    # per split: one design of its training rows and one of its validation
+    # rows, and one per weight-model fit (2 models x 3 taus)
+    assert len(designs) == 2 * (2 + 2 * 3)
+    assert len({id(x) for x in designs}) == len(designs)
+    # per split: one stream of resamples scores all three taus
+    assert draws == [3, 3]
+
+    draws.clear()
+    run_pipeline(replace(config, trainers=TRAINERS), write_outputs=False)
+    assert draws == [3, 3]
+
+
+def test_a_metric_error_names_the_trainer_of_its_column(monkeypatch) -> None:
+    import fsiw.experiment
+
+    predict = fsiw.experiment.predict_cvr_batch
+    calls = []
+
+    def nan_for_the_second_trainer(model, x):
+        calls.append(model)
+        preds = predict(model, x)
+        return np.full_like(preds, np.nan) if len(calls) == 2 else preds
+
+    monkeypatch.setattr(fsiw.experiment, "predict_cvr_batch", nan_for_the_second_trainer)
+    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
+    message = "split 0, trainer lr_fsiw: sample 0: prediction nan is not a finite probability"
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}"):
+        run_pipeline(config, write_outputs=False)
+
+
 # --- TSV sources and label finality ---------------------------------------------
 
 
@@ -736,7 +823,7 @@ def test_test_window_conversions_cannot_touch_training_artifacts(tmp_path) -> No
 
 
 def test_leakage_gate_rejects_training_rows_inside_the_test_window() -> None:
-    from fsiw.experiment import PipelineError, Split, _label_split, load_source
+    from fsiw.experiment import Split, _label_split, load_source
 
     config = config_from_dict(_base_dict())
     log, start, end = load_source(config)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsiw.data import NO_CONVERSION
@@ -23,6 +23,7 @@ from fsiw.metrics import (
     _resamples,
     bootstrap_ci,
     delay_stats,
+    evaluate_columns,
     evaluate_predictions,
     log_loss,
     normalized_log_loss,
@@ -425,6 +426,41 @@ def test_evaluate_predictions_matches_the_per_resample_metrics(rows, base, seed)
     assert {k: _bits(v) for k, v in got.items()} == {k: _bits(v) for k, v in want.items()}
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(st.lists(ANY_SCORE, min_size=n, max_size=n), min_size=1, max_size=5),
+        )
+    ),
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.integers(0, 2**31),
+)
+# one row; and one positive among tied negatives, so that most resamples
+# draw no positive
+@example(([True], [[0.5], [0.0], [1.0]]), 0.3, 7)
+@example(([True] + [False] * 11, [[0.2] * 12, [0.5] + [0.2] * 11, [0.0] * 12]), 0.1, 3)
+def test_split_scorer_matches_per_column_evaluation_bit_for_bit(rows, base, seed) -> None:
+    labels, columns = rows
+    assume(any(labels))
+    got = evaluate_columns(labels, columns, base, bootstrap_b=100, seed=seed)
+    assert len(got) == len(columns)
+    for report, column in zip(got, columns):
+        want = evaluate_predictions(labels, column, base, bootstrap_b=100, seed=seed)
+        assert {k: _bits(v) for k, v in report.to_flat_dict().items()} == {
+            k: _bits(v) for k, v in want.to_flat_dict().items()
+        }
+
+
+def test_split_scorer_names_the_first_column_with_a_bad_prediction() -> None:
+    labels = [0, 1, 0, 1]
+    columns = [[0.1, 0.7, 0.3, 0.2], [0.1, 0.7, 0.3, 1.5], [0.1, float("nan"), 0.3, 0.2]]
+    with pytest.raises(MetricInputError, match="^sample 3: prediction 1.5 ") as info:
+        evaluate_columns(labels, columns, 0.3, bootstrap_b=100, seed=0)
+    assert (info.value.column, info.value.index) == (1, 3)
+
+
 @pytest.mark.parametrize(("n_mixed", "key"), [(300, np.uint16), (70_000, np.uint32)])
 def test_many_mixed_tie_groups_match_the_reference_bit_for_bit(n_mixed, key) -> None:
     # each mixed tie group has a positive and a negative, among all-negative
@@ -519,6 +555,25 @@ def test_evaluate_predictions_memory_stays_bounded() -> None:
     tracemalloc.start()
     try:
         evaluate_predictions(labels, preds, 0.2, bootstrap_b=200, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
+
+
+def test_split_scorer_memory_stays_bounded() -> None:
+    # three noisy scorers of the same 30k rows: each block draws a third as
+    # many indices, so the gathers stay as small as for one column
+    rng = np.random.default_rng(21)
+    logit = rng.normal(-1.5, 1.0, 30_000)
+    labels = (rng.random(logit.size) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    columns = [
+        np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, logit.size)))), 0.01, 0.99)
+        for _ in range(3)
+    ]
+    tracemalloc.start()
+    try:
+        evaluate_columns(labels, columns, 0.2, bootstrap_b=200, seed=21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

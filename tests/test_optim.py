@@ -1,5 +1,4 @@
-"""Optimizer kernel: L-BFGS with a backtracking line search, and design-matrix
-assembly."""
+"""Optimizer kernel: L-BFGS with a backtracking line search."""
 
 from __future__ import annotations
 
@@ -9,17 +8,10 @@ from scipy import sparse
 
 from fsiw.optim import (
     OptConfig,
-    append_columns,
     minimize_batch,
     softplus,
 )
 from fsiw.training import dfm_nll_grad
-
-
-def test_append_columns_attaches_dense_block() -> None:
-    base = sparse.csr_matrix(np.array([[0.0, 1.0, 0.0, 0.0]]))
-    out = append_columns(base, np.array([[2.5, -1.0]]))
-    assert out.toarray().tolist() == [[0, 1, 0, 0, 2.5, -1.0]]
 
 
 def test_softplus_is_stable_for_large_arguments() -> None:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from fsiw.optim import OptConfig
@@ -15,13 +17,14 @@ from fsiw.simulate import generate_arrays, oracle_fsiw_array
 from fsiw.training import predict_cvr_batch, train_naive_logistic, train_weighted_logistic
 from fsiw.weights import (
     DEFAULT_EDGES,
+    DesignRows,
     WeightedDataset,
     WeightModel,
     WeightModelHyper,
     assign_fsiw,
     dump_weights,
-    elapsed_features,
     fit_weight_model,
+    weight_design,
 )
 
 from simworld import onehot_snapshot, snapshot_arrays
@@ -48,8 +51,14 @@ def _constant_model(value: float, dim: int = 8) -> WeightModel:
     )
 
 
+def _elapsed_columns(e) -> np.ndarray:
+    """The design's columns after the hashed features, as a dense block."""
+    e = np.asarray(e, dtype=float)
+    return weight_design(sparse.csr_matrix((e.size, 0)), e, DEFAULT_EDGES).toarray()
+
+
 def test_basis_shape_and_bin_placement() -> None:
-    out = elapsed_features(np.array([1800.0, 3600.0, 3601.0, 1e7]), DEFAULT_EDGES)
+    out = _elapsed_columns([1800.0, 3600.0, 3601.0, 1e7])
     assert out.shape == (4, len(DEFAULT_EDGES) + 2)
     # 1800 and 3600 fall in the first bucket, 3601 in the second,
     # anything past the last edge in the overflow bucket
@@ -64,7 +73,48 @@ def test_basis_shape_and_bin_placement() -> None:
 
 def test_basis_rejects_nonpositive_elapsed() -> None:
     with pytest.raises(ValueError, match="positive"):
-        elapsed_features(np.array([3600.0, 0.0]), DEFAULT_EDGES)
+        _elapsed_columns([3600.0, 0.0])
+
+
+def _hstack_design(x: sparse.csr_matrix, e: np.ndarray, edges) -> sparse.csr_matrix:
+    """The design as it was built before: the dense bin and log-day block,
+    converted to CSR and stacked beside ``x``."""
+    e = np.asarray(e, dtype=float)
+    block = np.zeros((e.size, len(edges) + 2))
+    block[np.arange(e.size), np.searchsorted(np.asarray(edges, dtype=float), e)] = 1.0
+    block[:, -1] = np.log(e / DAY)
+    return sparse.hstack([x, sparse.csr_matrix(block)], format="csr")
+
+
+# elapsed times on and around the default edges, including exactly one day,
+# whose log-day entry is zero and so not stored
+ELAPSED = st.one_of(
+    st.sampled_from([1.0, 3599.0, 3600.0, 3601.0, 86399.0, 86400.0, 86401.0, 604800.0]),
+    st.floats(1e-3, 1e8),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]), min_size=5, max_size=5),
+                     min_size=n, max_size=n),
+            st.lists(ELAPSED, min_size=n, max_size=n),
+        )
+    ),
+    st.sampled_from([DEFAULT_EDGES, (86400,), (3600, 86400, 172800)]),
+)
+def test_weight_design_matches_the_hstack_reference(rows, edges) -> None:
+    dense, e = rows
+    x = sparse.csr_matrix(np.array(dense, dtype=float).reshape(len(e), 5))
+    e = np.array(e)
+    got, want = weight_design(x, e, edges), _hstack_design(x, e, edges)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    one_day = e == 86400.0
+    assert np.array_equal(np.diff(got.indptr)[one_day], np.diff(x.indptr)[one_day] + 1)
 
 
 def test_basis_rejects_bad_edges() -> None:
@@ -83,9 +133,20 @@ def test_hyper_validation() -> None:
     model = _constant_model(0.5)
     x, y, e = _onehot([0]), np.array([1]), np.array([3600])
     with pytest.raises(ValueError, match="clip_floor"):
-        assign_fsiw(model, model, x, y, e, clip_floor=0.0)
+        assign_fsiw(model, model, DesignRows(x, e), y, clip_floor=0.0)
     with pytest.raises(ValueError, match="clip_floor"):
-        assign_fsiw(model, model, x, y, e, clip_floor=1.0)
+        assign_fsiw(model, model, DesignRows(x, e), y, clip_floor=1.0)
+
+
+def test_edges_given_as_a_list_predict_like_a_tuple() -> None:
+    rng = np.random.default_rng(3)
+    x = _onehot(rng.integers(0, 8, 200))
+    e_adj, s = rng.integers(600, 5 * DAY, 200), (rng.random(200) < 0.5).astype(int)
+    as_list = fit_weight_model(x, e_adj, s, WeightModelHyper(edges=[3600, 86400]))
+    as_tuple = fit_weight_model(x, e_adj, s, WeightModelHyper(edges=(3600, 86400)))
+    rows = DesignRows(x, e_adj)
+    assert np.array_equal(as_list.predict_rows(rows), as_tuple.predict_rows(rows))
+    assert np.array_equal(as_list.predict(x, e_adj), as_tuple.predict(x, e_adj))
 
 
 def test_fit_rejects_empty_input() -> None:
@@ -108,7 +169,7 @@ def test_single_class_falls_back_to_constant_with_warning() -> None:
     # the constant is the raw class rate; assign_fsiw lifts it to the clip floor
     assert np.all(model.predict(x[:1], np.array([3600.0])) == 0.0)
     weighted = assign_fsiw(
-        model, model, x[:2], np.array([0, 1]), np.array([3600, 3600]), clip_floor=0.05
+        model, model, DesignRows(x[:2], np.array([3600, 3600])), np.array([0, 1]), clip_floor=0.05
     )
     assert weighted.weights.tolist() == [0.05, 1 / 0.05]
 
@@ -149,12 +210,12 @@ def test_fit_calibrates_against_closed_form_probabilities() -> None:
 
 def test_assign_reciprocal_and_clip_examples() -> None:
     x, y, e = _onehot([0, 0]), np.array([1, 0]), np.array([7200, 7200])
-    out = assign_fsiw(_constant_model(0.5), _constant_model(0.8), x, y, e)
+    out = assign_fsiw(_constant_model(0.5), _constant_model(0.8), DesignRows(x, e), y)
     assert out.weights[0] == pytest.approx(2.0)
     assert out.weights[1] == pytest.approx(0.8)
 
     # a probability of 0.001 hits the 0.01 floor, capping the weight at 100
-    out = assign_fsiw(_constant_model(0.001), _constant_model(0.001), x, y, e)
+    out = assign_fsiw(_constant_model(0.001), _constant_model(0.001), DesignRows(x, e), y)
     assert out.weights[0] == pytest.approx(100.0)
     assert out.weights[1] == pytest.approx(0.01)
 
@@ -163,20 +224,20 @@ def test_assign_uses_original_elapsed_time() -> None:
     seen: list[np.ndarray] = []
 
     class _Spy:
-        def predict(self, x, e):
-            seen.append(np.asarray(e, dtype=float).copy())
-            return np.full(x.shape[0], 0.5)
+        def predict_rows(self, rows):
+            seen.append(np.asarray(rows.e, dtype=float).copy())
+            return np.full(rows.x.shape[0], 0.5)
 
-    assign_fsiw(_Spy(), _Spy(), _onehot([0, 0]), np.array([1, 0]), np.array([9000, 123456]))
+    rows = DesignRows(_onehot([0, 0]), np.array([9000, 123456]))
+    assign_fsiw(_Spy(), _Spy(), rows, np.array([1, 0]))
     for arr in seen:
         assert np.array_equal(arr, np.array([9000.0, 123456.0]))
 
 
 def test_assign_empty_input() -> None:
     model = _constant_model(0.5)
-    out = assign_fsiw(
-        model, model, _onehot([]), np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
-    )
+    rows = DesignRows(_onehot([]), np.zeros(0, dtype=np.int64))
+    out = assign_fsiw(model, model, rows, np.zeros(0, dtype=np.int8))
     assert len(out) == 0
 
 
@@ -187,17 +248,17 @@ def test_oracle_probability_stubs_reproduce_oracle_weights() -> None:
     y, e = snapshot_arrays(arrays, cfg.time_span)
 
     class _TrueObserved:
-        def predict(self, x, e_arr):
-            return -np.expm1(-arrays.true_rate[: x.shape[0]] * np.asarray(e_arr))
+        def predict_rows(self, rows):
+            return -np.expm1(-arrays.true_rate[: rows.x.shape[0]] * np.asarray(rows.e))
 
     class _TrueStillNegative:
-        def predict(self, x, e_arr):
-            p = arrays.true_p[: x.shape[0]]
-            surv = np.exp(-arrays.true_rate[: x.shape[0]] * np.asarray(e_arr))
+        def predict_rows(self, rows):
+            p = arrays.true_p[: rows.x.shape[0]]
+            surv = np.exp(-arrays.true_rate[: rows.x.shape[0]] * np.asarray(rows.e))
             return (1 - p) / ((1 - p) + p * surv)
 
     got = assign_fsiw(
-        _TrueObserved(), _TrueStillNegative(), snap.x, snap.y, snap.e, clip_floor=1e-9
+        _TrueObserved(), _TrueStillNegative(), DesignRows(snap.x, snap.e), snap.y, clip_floor=1e-9
     ).weights
     want = oracle_fsiw_array(arrays.true_p, arrays.true_rate, e.astype(float), y)
     assert np.allclose(got, want, atol=1e-9)
@@ -257,9 +318,8 @@ def test_fitted_weights_shrink_the_downward_bias_gap() -> None:
     weighted = assign_fsiw(
         fit_weight_model(snap.x[d1.idx], d1.e_adj, d1.s, hyper),
         fit_weight_model(snap.x[d0.idx], d0.e_adj, d0.s, hyper),
-        snap.x,
+        DesignRows(snap.x, snap.e),
         snap.y,
-        snap.e,
     )
 
     opt = OptConfig(max_iter=400, tol=1e-10)
