@@ -8,8 +8,11 @@ Three trainers share one deterministic optimizer:
   * train_dfm — a joint model of conversion probability and exponential
     conversion-delay rate, fit by maximum likelihood on censored labels.
 
-Weighted losses are normalized by the total weight, which makes duplicating a
-sample and doubling its weight exactly equivalent.
+Weighted losses are normalized by the total weight. The two logistic trainers
+fit on the distinct rows of their feature matrix, each with its summed weight
+and weighted mean label. So duplicating a unit-weight sample gives the same
+model, bit for bit, as giving it weight two, and a fit costs per distinct
+row, not per sample.
 """
 
 from __future__ import annotations
@@ -82,6 +85,63 @@ def _validate_weights(w: np.ndarray) -> None:
         )
 
 
+def _distinct_rows(x: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of each distinct row of ``x``, ascending, and the
+    group of every row.
+
+    Two rows are the same when their column indices and the bits of their
+    stored values are equal, in stored order. Groups are numbered in order of
+    first occurrence, so ``x[first][inverse]`` is ``x``, and a matrix whose
+    rows all differ gives ``first = inverse = arange(n)``.
+    """
+    n, dim = x.shape
+    nnz = np.diff(x.indptr)
+    width = int(nnz.max(initial=0))
+    row = np.repeat(np.arange(n), nnz)
+    slot = np.arange(x.nnz) - x.indptr[row]
+    # sort keys: each row's length and its column indices + 1 (0 pads a
+    # short row), packed into as few int64s as hold them, then the bits of
+    # every stored-value slot that is not the same on all rows
+    bits = max(dim, width, 1).bit_length()
+    per_key = 63 // bits
+    n_keys = -(-(width + 1) // per_key)
+    cols = np.zeros((n_keys * per_key, n), dtype=np.int64)
+    cols[0] = nnz
+    cols[1 + slot, row] = x.indices + 1
+    shifts = bits * np.arange(per_key)[:, None]
+    packed = (cols.reshape(n_keys, per_key, n) << shifts).sum(axis=1)
+    values = np.zeros((width, n), dtype=np.int64)
+    values[slot, row] = np.asarray(x.data, dtype=np.float64).view(np.int64)
+    keys = np.concatenate([values[np.any(values != values[:, :1], axis=1)], packed])
+    order = np.lexsort(keys)  # stable, so a group's first sorted row is its first occurrence
+    starts = np.ones(n, dtype=bool)
+    sorted_keys = keys[:, order]
+    np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0, out=starts[1:])
+    firsts = order[starts]
+    by_first = np.argsort(firsts)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = rank[np.cumsum(starts) - 1]
+    return firsts[by_first], inverse
+
+
+def _checked(
+    x: sparse.csr_matrix, y: np.ndarray, sample_weight: np.ndarray | None, l2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and weights as float arrays, after the checks every logistic
+    fit makes on its rows."""
+    n = x.shape[0]
+    if n == 0:
+        raise TrainingError("empty training set")
+    if len(y) != n:
+        raise TrainingError(f"label count {len(y)} != sample count {n}")
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    _validate_weights(w)
+    check_l2(l2)
+    return np.asarray(y, dtype=float), w
+
+
 def fit_logistic(
     x: sparse.csr_matrix,
     y: np.ndarray,
@@ -91,22 +151,51 @@ def fit_logistic(
     opt: OptConfig = OptConfig(),
     validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, TrainingMeta]:
-    """Minimize the (weighted) logistic loss plus (l2/2)·||coef||².
+    """Minimize the (weighted) logistic loss plus (l2/2)·||coef||², one
+    objective term per row of ``x``.
 
     Returns theta laid out as [coef..., intercept]; the intercept is not
     regularized. ``validation`` is (x, y, weight) scored by weighted log loss
     for early stopping.
     """
-    n, dim = x.shape
-    if n == 0:
-        raise TrainingError("empty training set")
-    if len(y) != n:
-        raise TrainingError(f"label count {len(y)} != sample count {n}")
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    _validate_weights(w)
-    check_l2(l2)
-    y = np.asarray(y, dtype=float)
-    denom = float(w.sum())
+    y, w = _checked(x, y, sample_weight, l2)
+    return _minimize_logistic(x, y, w, float(w.sum()), l2, opt, validation)
+
+
+def _fit_distinct(
+    x: sparse.csr_matrix,
+    y: np.ndarray,
+    sample_weight: np.ndarray | None,
+    l2: float,
+    opt: OptConfig,
+    validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, TrainingMeta]:
+    """``fit_logistic`` with one objective term per distinct row of ``x``.
+
+    Rows with the same features share one score z, so Σ wᵢ·(softplus(z) − yᵢ·z)
+    over a group is W·(softplus(z) − r·z) with W = Σ wᵢ and r = Σ wᵢ·yᵢ / W.
+    Without a repeated row W = w and r = y bit for bit (w·1/w = 1, 0/w = 0),
+    and the fit runs the per-row arithmetic.
+    """
+    y, w = _checked(x, y, sample_weight, l2)
+    first, inverse = _distinct_rows(x)
+    group_w = np.bincount(inverse, weights=w)
+    group_y = np.bincount(inverse, weights=w * y) / group_w
+    return _minimize_logistic(x[first], group_y, group_w, float(w.sum()), l2, opt, validation)
+
+
+def _minimize_logistic(
+    x: sparse.csr_matrix,
+    y: np.ndarray,
+    w: np.ndarray,
+    denom: float,
+    l2: float,
+    opt: OptConfig,
+    validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, TrainingMeta]:
+    """Minimize w @ (softplus(z) − y·z) / denom + (l2/2)·||coef||² over the
+    checked rows of ``x``."""
+    dim = x.shape[1]
     xt = x.T.tocsr()
 
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -156,9 +245,7 @@ def train_weighted_logistic(
     val = None
     if validation is not None and len(validation) > 0:
         val = (validation.x, validation.y, validation.weights)
-    theta, meta = fit_logistic(
-        data.x, data.y, sample_weight=data.weights, l2=l2, opt=opt, validation=val
-    )
+    theta, meta = _fit_distinct(data.x, data.y, data.weights, l2, opt, val)
     return _linear_model(theta, l2, meta)
 
 
@@ -169,7 +256,7 @@ def train_naive_logistic(
     opt: OptConfig = OptConfig(),
 ) -> LinearCvrModel:
     """Unweighted logistic regression on snapshot labels (the biased baseline)."""
-    theta, meta = fit_logistic(x, y, l2=l2, opt=opt)
+    theta, meta = _fit_distinct(x, y, None, l2, opt)
     return _linear_model(theta, l2, meta)
 
 

@@ -14,7 +14,7 @@ from fsiw.experiment import SimulatorSpec, config_from_dict, deadline_sweep
 from fsiw.metrics import evaluate_columns, evaluate_predictions
 from fsiw.optim import OptConfig
 from fsiw.simulate import generate_arrays, to_click_log, write_sim_tsv, write_truth
-from fsiw.training import train_dfm
+from fsiw.training import _distinct_rows, train_dfm, train_naive_logistic
 
 pytestmark = pytest.mark.bench
 
@@ -143,21 +143,45 @@ def test_deadline_sweep_on_the_sweep_world(benchmark) -> None:
     assert len(rows) == 5
 
 
+# the criterion-04 world at 6k clicks: four 16-value fields
+BATTERY_6K = SimulatorSpec(
+    n_samples=6000,
+    field_cardinalities=(16, 16, 16, 16),
+    time_span=15 * 86400,
+    cvr_bias=-1.5,
+    mean_delay=3 * 86400,
+    rate_spread=1.0,
+)
+
+
 def test_train_dfm_battery_world_6k_rows(benchmark) -> None:
     # the criterion-04 world at 6k clicks and hash dim 1024, snapshot at the
     # end of its 15 days, under the benchmark's fixed budget (tol 0): the fit
     # stops at its optimum or after 400 iterations
-    spec = SimulatorSpec(
-        n_samples=6000,
-        field_cardinalities=(16, 16, 16, 16),
-        time_span=15 * 86400,
-        cvr_bias=-1.5,
-        mean_delay=3 * 86400,
-        rate_spread=1.0,
-    )
-    log = to_click_log(generate_arrays(spec.build(21)), dim=1024, seed=0)
-    snap = snapshot_labels(log, spec.time_span)
+    log = to_click_log(generate_arrays(BATTERY_6K.build(21)), dim=1024, seed=0)
+    snap = snapshot_labels(log, BATTERY_6K.time_span)
     opt = OptConfig(max_iter=400, tol=0.0)
     model = benchmark(train_dfm, snap.x, snap.y, snap.d, snap.e, 1e-4, opt)
     assert snap.x.shape == (6000, 1024)
     assert np.isfinite(model.meta.final_loss)
+
+
+@pytest.mark.parametrize(
+    ("spec", "train_days", "max_iter", "n_distinct"),
+    [
+        # the scale workload's training window: ~28k rows, 64 distinct ones
+        (README_40K, 7, 150, 64),
+        # the battery workload's: ~4.8k rows, nearly all distinct
+        (BATTERY_6K, 12, 400, None),
+    ],
+    ids=["readme_world_28k_rows", "battery_world_4800_rows"],
+)
+def test_train_naive_logistic(benchmark, spec, train_days, max_iter, n_distinct) -> None:
+    # the naive_lr fit of a run's training window, under the benchmark's
+    # fixed budget (tol 0); its cost follows the distinct feature rows
+    log = to_click_log(generate_arrays(spec.build(21)), dim=1024, seed=0)
+    snap = snapshot_labels(log, train_days * 86400)
+    model = benchmark(train_naive_logistic, snap.x, snap.y, 1e-4, OptConfig(max_iter, tol=0.0))
+    assert np.isfinite(model.meta.final_loss)
+    if n_distinct is not None:
+        assert _distinct_rows(snap.x)[0].size == n_distinct

@@ -9,17 +9,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import expit
 
-from fsiw.data import Snapshot
-from fsiw.optim import OptConfig, TrainingMeta
-from fsiw.simulate import generate_arrays
+from fsiw.data import Snapshot, snapshot_labels
+from fsiw.experiment import SimulatorSpec
+from fsiw.optim import OptConfig, TrainingMeta, minimize_batch, softplus_sigmoid
+from fsiw.simulate import generate_arrays, to_click_log
 from fsiw.training import (
     MODEL_FORMAT,
     DfmModel,
     LinearCvrModel,
     TrainingError,
+    _distinct_rows,
+    _fit_distinct,
     dfm_nll_grad,
     fit_logistic,
     predict_cvr_batch,
@@ -126,7 +131,153 @@ def test_duplicated_sample_equals_weight_two() -> None:
     m_w2 = train_weighted_logistic(
         WeightedDataset(x=samples.x, y=samples.y, e=samples.e, weights=weights), 0.05, OPT
     )
-    assert m_dup.meta.final_loss == pytest.approx(m_w2.meta.final_loss, abs=1e-8)
+    assert np.array_equal(m_dup.coef, m_w2.coef)
+    assert m_dup.intercept == m_w2.intercept
+    assert m_dup.meta == m_w2.meta
+
+
+# --- fits over distinct rows -------------------------------------------------
+
+
+@st.composite
+def _csr_with_repeats(draw) -> sparse.csr_matrix:
+    """A CSR matrix drawn from a few row templates, so rows repeat; templates
+    vary in length (empty included), and stored values are not all 1.0."""
+    dim = draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, dim - 1), st.sampled_from([1.0, 2.0, -0.5, 0.25]))
+    template = st.lists(entry, max_size=4, unique_by=lambda e: e[0])
+    templates = draw(st.lists(template, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), max_size=30))
+    rows = [templates[i] for i in picks]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([c for r in rows for c, _ in r], dtype=np.int32)
+    data = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csr_with_repeats())
+def test_distinct_rows_give_back_the_matrix(x) -> None:
+    first, inverse = _distinct_rows(x)
+    back = x[first][inverse]
+    assert np.array_equal(back.indptr, x.indptr)
+    assert np.array_equal(back.indices, x.indices)
+    assert np.array_equal(back.data, x.data)
+    # representatives are first occurrences, in row order, and all differ
+    assert np.array_equal(first, np.sort(first))
+    assert np.array_equal(inverse[first], np.arange(first.size))
+    reps = x[first]
+    keys = {
+        (tuple(reps.indices[a:b]), reps.data[a:b].tobytes())
+        for a, b in zip(reps.indptr[:-1], reps.indptr[1:])
+    }
+    assert len(keys) == first.size
+
+
+def _per_row_fit(
+    x: sparse.csr_matrix, y: np.ndarray, w: np.ndarray, l2: float, opt: OptConfig
+) -> tuple[np.ndarray, TrainingMeta]:
+    """The logistic fit with one objective term per row of ``x``: the
+    objective the trainers minimized before they grouped repeated rows."""
+    dim = x.shape[1]
+    y = np.asarray(y, dtype=float)
+    denom = float(w.sum())
+    xt = x.T.tocsr()
+
+    def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        coef = theta[:dim]
+        z = x @ coef + theta[dim]
+        sp, p = softplus_sigmoid(z)
+        loss = float(w @ (sp - y * z)) / denom + 0.5 * l2 * float(coef @ coef)
+        dz = w * (p - y) / denom
+        grad = np.empty(dim + 1)
+        grad[:dim] = xt @ dz + l2 * coef
+        grad[dim] = dz.sum()
+        return loss, grad
+
+    return minimize_batch(value_grad, np.zeros(dim + 1), opt)
+
+
+def _distinct_samples(n: int, seed: int) -> Snapshot:
+    """Snapshot rows with no repeated feature row: row i stores 1 + i // 16 in
+    column i % 16, and 1.0 in one of the columns 16-23 and one of 24-31."""
+    rng = np.random.default_rng(seed)
+    rows = np.arange(n)
+    cols = np.column_stack([rows % 16, rng.integers(16, 24, n), rng.integers(24, 32, n)])
+    data = np.column_stack([1.0 + rows // 16, np.ones((n, 2))])
+    x = sparse.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, 3 * n + 1, 3)), shape=(n, 32))
+    y = (rng.random(n) < 0.3).astype(np.int8)
+    return Snapshot(x=x, y=y, e=np.full(n, 100), d=np.zeros(n, dtype=np.int64))
+
+
+def _fsiw_like_weights(y: np.ndarray, seed: int) -> np.ndarray:
+    """Weights as assign_fsiw gives them: above 1 on positives, at most 1 on
+    negatives."""
+    rng = np.random.default_rng(seed)
+    return np.where(y == 1, rng.uniform(1.0, 5.0, y.size), rng.uniform(0.2, 1.0, y.size))
+
+
+def test_a_fit_without_repeated_rows_runs_the_per_row_arithmetic() -> None:
+    samples = _distinct_samples(300, seed=3)
+    assert _distinct_rows(samples.x)[0].size == 300
+    w = _fsiw_like_weights(samples.y, seed=4)
+    opt = OptConfig(max_iter=60, tol=0.0)
+
+    for model, weights in (
+        (train_naive_logistic(samples.x, samples.y, 0.01, opt), np.ones(300)),
+        (
+            train_weighted_logistic(
+                WeightedDataset(x=samples.x, y=samples.y, e=samples.e, weights=w), 0.01, opt
+            ),
+            w,
+        ),
+    ):
+        theta, meta = _per_row_fit(samples.x, samples.y, weights, 0.01, opt)
+        assert np.array_equal(model.coef, theta[:-1])
+        assert model.intercept == theta[-1]
+        assert model.meta == meta
+
+
+def _readme_world_split(n_samples: int, seed: int) -> Snapshot:
+    """The README world (two 8-value fields, hash dim 1024), snapshot-labeled
+    at the end of its 7-day training window."""
+    spec = SimulatorSpec(
+        n_samples=n_samples,
+        field_cardinalities=(8, 8),
+        time_span=10 * 86400,
+        cvr_bias=-1.5,
+        mean_delay=86400,
+        rate_spread=0.4,
+    )
+    log = to_click_log(generate_arrays(spec.build(seed)), dim=1024, seed=0)
+    return snapshot_labels(log, 7 * 86400)
+
+
+def test_a_fit_over_distinct_rows_matches_the_per_row_fit_on_the_readme_world() -> None:
+    snap = _readme_world_split(3000, seed=5)
+    assert _distinct_rows(snap.x)[0].size <= 64
+    w = _fsiw_like_weights(snap.y, seed=6)
+    weighted = WeightedDataset(x=snap.x, y=snap.y, e=snap.e, weights=w)
+
+    for model, weights in (
+        (train_naive_logistic(snap.x, snap.y, 1e-4, OPT), np.ones(snap.y.size)),
+        (train_weighted_logistic(weighted, 1e-4, OPT), w),
+    ):
+        theta, meta = _per_row_fit(snap.x, snap.y, weights, 1e-4, OPT)
+        assert np.max(np.abs(model.coef - theta[:-1])) <= 1e-8
+        assert model.intercept == pytest.approx(theta[-1], abs=1e-8)
+        assert model.meta.final_loss == pytest.approx(meta.final_loss, abs=1e-8)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_a_bad_weight_on_a_repeated_row_names_its_own_sample_index(bad) -> None:
+    # rows 1, 4 and 6 are one distinct row; weights are checked before grouping
+    samples = _make_samples(10, seed=4)
+    dup = _rows(samples, np.array([0, 1, 2, 3, 1, 5, 1, 0]))
+    w = np.ones(8)
+    w[6] = bad
+    with pytest.raises(TrainingError, match=r"\(sample index 6\)$"):
+        _fit_distinct(dup.x, dup.y, w, 0.1, OPT)
 
 
 def test_empty_training_set_raises() -> None:
