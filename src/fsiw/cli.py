@@ -68,6 +68,8 @@ def _load_raw_config(args) -> dict:
         raw["seed"] = args.seed
     if getattr(args, "out", None):
         raw["output_dir"] = args.out
+    if getattr(args, "taus", None) is not None:  # sweep's shorthand for --set tau=[...]
+        raw["tau"] = [t for t in args.taus.split(",") if t.strip()]
     return raw
 
 
@@ -139,13 +141,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .experiment import deadline_sweep, parse_duration
+    from .experiment import deadline_sweep
 
     config = _build_config(args)
-    taus = None
-    if args.taus:
-        taus = [parse_duration(t, "taus") for t in args.taus.split(",") if t.strip()]
-    rows = deadline_sweep(config, taus)
+    rows = deadline_sweep(config)
     out = Path(config.output_dir)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     by_tau: dict[int, list[float]] = {}
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep the counterfactual deadline")
     common(p_sweep)
-    p_sweep.add_argument("--taus", help="comma-separated deadlines, e.g. 3d,4d,5d")
+    p_sweep.add_argument("--taus", help="comma-separated deadlines, e.g. 3d,4d,5d (sets tau)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_eval = sub.add_parser("eval", help="score a label/prediction TSV")

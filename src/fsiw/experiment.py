@@ -8,12 +8,14 @@ the two weight models, train the selected CVR models, and score them on the
 fully observed test window. Everything downstream of the global seed is
 deterministic, including the bytes of every report file.
 
-Work that depends on neither the deadline nor the trainer is done once per
-split. A split is labeled once; the weight models predict from one design of
-its training rows and one of its validation rows per distinct ``edges``;
-and its trainers (in a sweep, its deadlines) are all fitted and predicted
-before one ``evaluate_columns`` scores them from a single pass over the
-split's bootstrap resamples.
+``run_pipeline`` and ``deadline_sweep`` share one per-split path: every
+split is labeled once (``_labeled_splits``), ``_fit_split`` fits lr_fsiw at
+each deadline it is given and any other trainer once, at the first, and one
+``evaluate_columns`` scores all of the split's fits from a single pass over
+its bootstrap resamples. A run gives it the config's trainers and first
+deadline; a sweep gives it lr_fsiw and every deadline. The weight models of
+every deadline predict from one design of the split's training rows and one
+of its validation rows per distinct ``edges``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -470,18 +472,12 @@ class ReportRow:
 REPORT_COLUMNS = ("split", "trainer", "tau", *(f.name for f in fields(EvalReport)))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report_csv(rows: Sequence[ReportRow], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(REPORT_COLUMNS) + "\n")
         for row in rows:
             flat = row.to_flat_dict()
-            handle.write(",".join(_format_cell(flat[c]) for c in REPORT_COLUMNS) + "\n")
+            handle.write(",".join(str(flat[c]) for c in REPORT_COLUMNS) + "\n")
 
 
 def write_report_json(rows: Sequence[ReportRow], path: Path) -> None:
@@ -555,80 +551,83 @@ def _label_split(config: ExperimentConfig, log: ClickLog, split: Split) -> _Labe
     return _LabeledSplit(split, train, val, x_test, c_test, train_mean_cvr)
 
 
-def _design_rows(labeled: _LabeledSplit) -> tuple[DesignRows, DesignRows | None]:
-    """The rows the weight models predict for: a split's training rows and
-    its validation rows (None without a validation window)."""
-    train, val = labeled.train, labeled.val
-    return DesignRows(train.x, train.e), DesignRows(val.x, val.e) if val is not None else None
+def _labeled_splits(config: ExperimentConfig) -> list[_LabeledSplit]:
+    """Load the config's click log, cut it into rolling splits and label
+    every one of them."""
+    log, start, end = load_source(config)
+    splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
+    return [_label_split(config, log, split) for split in splits]
 
 
 def _fit_fsiw(
-    config: ExperimentConfig,
-    labeled: _LabeledSplit,
-    tau: int,
-    rows: tuple[DesignRows, DesignRows | None],
-) -> tuple[LinearCvrModel, WeightedDataset]:
-    """lr_fsiw at deadline ``tau``: relabel the training rows, fit both
-    weight models, weight the training and validation rows, predicting from
-    the designs of ``rows`` (see ``_design_rows``), and train on them.
-    Returns the model and the weighted training set."""
+    config: ExperimentConfig, labeled: _LabeledSplit, taus: Sequence[int]
+) -> Iterator[tuple[LinearCvrModel, WeightedDataset]]:
+    """lr_fsiw at each deadline of ``taus`` in turn: relabel the training
+    rows, fit both weight models, weight the training and validation rows,
+    and train on them. Yields each model and its weighted training set. The
+    weight models predict from one design of the training rows and one of
+    the validation rows, shared by every deadline and dropped after the last."""
     k, train, val = labeled.split.k, labeled.train, labeled.val
-    train_rows, val_rows = rows
-    d1, d0 = build_artificial_datasets(train, tau)
+    train_rows = DesignRows(train.x, train.e)
+    val_rows = DesignRows(val.x, val.e) if val is not None and len(val.y) > 0 else None
     seed_pos = _derived_seed(config.seed, k, ROLE_WEIGHT_POS)
     seed_neg = _derived_seed(config.seed, k, ROLE_WEIGHT_NEG)
-    pos = fit_weight_model(train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos)
-    neg = fit_weight_model(train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg)
-    weighted = assign_fsiw(pos, neg, train_rows, train.y, config.clip_floor)
-    weighted_val = (
-        assign_fsiw(pos, neg, val_rows, val.y, config.clip_floor)
-        if val is not None and len(val.y) > 0
-        else None
-    )
-    model = train_weighted_logistic(weighted, config.l2, config.optimizer, validation=weighted_val)
-    return model, weighted
+    for tau in taus:
+        d1, d0 = build_artificial_datasets(train, tau)
+        pos = fit_weight_model(
+            train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos
+        )
+        neg = fit_weight_model(
+            train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg
+        )
+        weighted = assign_fsiw(pos, neg, train_rows, train.y, config.clip_floor)
+        weighted_val = None
+        if val_rows is not None:
+            weighted_val = assign_fsiw(pos, neg, val_rows, val.y, config.clip_floor)
+        model = train_weighted_logistic(
+            weighted, config.l2, config.optimizer, validation=weighted_val
+        )
+        yield model, weighted
 
 
 @dataclass(frozen=True)
 class _Fitted:
-    """One trainer fitted on a split at one deadline, and its predictions
-    for the split's test rows."""
+    """One trainer fitted on a split at one deadline, its predictions for the
+    split's test rows, and its weighted training set (lr_fsiw only)."""
 
     trainer: str
     tau: int
     model: LinearCvrModel | DfmModel
     preds: np.ndarray
+    weighted: WeightedDataset | None
 
 
 def _fit_split(
     config: ExperimentConfig,
     labeled: _LabeledSplit,
-    tau: int,
     trainers: Sequence[str],
-    rows: tuple[DesignRows, DesignRows | None] | None = None,
-) -> tuple[list[_Fitted], WeightedDataset | None]:
-    """Train each of ``trainers`` on one labeled split at deadline ``tau`` and
-    predict the split's test rows, one trainer after the other. Returns them
-    and the weighted training set (None unless lr_fsiw ran). ``rows`` keeps
-    the weight-prediction designs for other deadlines of the split; without
-    it they are built for this call and dropped after it."""
+    taus: Sequence[int],
+) -> list[_Fitted]:
+    """Train each of ``trainers`` on one labeled split and predict the
+    split's test rows, one fit after the other: lr_fsiw at every deadline of
+    ``taus``, any other trainer once, at ``taus[0]``."""
     split, train = labeled.split, labeled.train
     fitted = []
-    weighted = None
     opt = config.optimizer
     for trainer in trainers:
         try:
-            if trainer == "naive_lr":
-                model = train_naive_logistic(train.x, train.y, config.l2, opt)
-            elif trainer == "dfm":
-                model = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
+            if trainer == "lr_fsiw":
+                fits = _fit_fsiw(config, labeled, taus)
+            elif trainer == "naive_lr":
+                fits = [(train_naive_logistic(train.x, train.y, config.l2, opt), None)]
             else:
-                model, weighted = _fit_fsiw(config, labeled, tau, rows or _design_rows(labeled))
-            preds = predict_cvr_batch(model, labeled.x_test)
+                fits = [(train_dfm(train.x, train.y, train.d, train.e, config.l2, opt), None)]
+            for tau, (model, weighted) in zip(taus, fits):
+                preds = predict_cvr_batch(model, labeled.x_test)
+                fitted.append(_Fitted(trainer, tau, model, preds, weighted))
         except (ValueError, RuntimeError) as exc:
             raise PipelineError(f"split {split.k}, trainer {trainer}: {exc}") from exc
-        fitted.append(_Fitted(trainer, tau, model, preds))
-    return fitted, weighted
+    return fitted
 
 
 def _score_split(
@@ -663,13 +662,10 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     reports.json, per-split weight dumps and model blobs, the resolved
     config, and a manifest keyed by the config hash.
     """
-    tau = config.tau[0]
-    log, start, end = load_source(config)
-    splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
+    taus = config.tau[:1]
     # every split is labeled before output_dir exists, so a split that cannot
     # be labeled leaves no directory behind
-    labeled_splits = [_label_split(config, log, split) for split in splits]
-
+    labeled_splits = _labeled_splits(config)
     out_path = Path(config.output_dir)
     if write_outputs:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -677,60 +673,47 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     rows: list[ReportRow] = []
     for labeled in labeled_splits:
         k = labeled.split.k
-        fitted, weighted = _fit_split(config, labeled, tau, config.trainers)
+        fitted = _fit_split(config, labeled, config.trainers, taus)
         rows.extend(_score_split(config, labeled, fitted))
         if write_outputs:
-            if weighted is not None:
-                dump_weights(weighted, out_path / f"weights_split{k}.tsv")
             for f in fitted:
+                if f.weighted is not None:
+                    dump_weights(f.weighted, out_path / f"weights_split{k}.tsv")
                 save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
 
     if write_outputs:
         write_report_csv(rows, out_path / "reports.csv")
         write_report_json(rows, out_path / "reports.json")
-        write_manifest(config, out_path, n_splits=len(splits), taus=[tau])
+        write_manifest(config, out_path, n_splits=len(labeled_splits), taus=taus)
         (out_path / "config_resolved.yaml").write_text(config.to_yaml(), encoding="utf-8")
     return rows
 
 
-def deadline_sweep(
-    config: ExperimentConfig,
-    taus: Sequence[int] | None = None,
-    *,
-    write_outputs: bool = True,
-) -> list[ReportRow]:
-    """Run the weighted pipeline for each counterfactual deadline.
+def deadline_sweep(config: ExperimentConfig, *, write_outputs: bool = True) -> list[ReportRow]:
+    """Run the weighted pipeline at each counterfactual deadline of the
+    config's ``tau``.
 
     Everything except tau (data, splits, seeds) is held fixed, so the table
-    isolates the deadline's effect. Only the weighted trainer runs. The log
-    is loaded and hashed, and every split labeled, once for all taus. Each
-    split fits every tau before one pass over its bootstrap resamples scores
-    them all, so fits run split by split: when several fits would fail, the
-    error raised is the first in that order. The rows come tau by tau, each
-    in split order, with the bytes one run_pipeline per tau would give.
+    isolates the deadline's effect. Only the weighted trainer runs. Each
+    split is labeled once and fits every tau before one pass over its
+    bootstrap resamples scores them all, so fits run split by split: when
+    several fits would fail, the error raised is the first in that order.
+    The rows come tau by tau, each in split order, with the bytes one
+    run_pipeline per tau would give.
     """
-    tau_list = [int(t) for t in (taus if taus is not None else config.tau)]
-    replace(config, tau=tuple(tau_list))  # the config's own tau check
-
-    log, start, end = load_source(config)
-    splits = rolling_splits(log.click_ts, config.split, start=start, end=end)
-    labeled_splits = [_label_split(config, log, split) for split in splits]
-    by_split = []
-    for labeled in labeled_splits:
-        designs = _design_rows(labeled)  # shared by every tau of the split
-        fitted = [
-            f for t in tau_list for f in _fit_split(config, labeled, t, ("lr_fsiw",), designs)[0]
-        ]
-        by_split.append(_score_split(config, labeled, fitted))
+    by_split = [
+        _score_split(config, labeled, _fit_split(config, labeled, ("lr_fsiw",), config.tau))
+        for labeled in _labeled_splits(config)
+    ]
     # tau by tau, each in split order
-    rows = [split_rows[i] for i in range(len(tau_list)) for split_rows in by_split]
+    rows = [split_rows[i] for i in range(len(config.tau)) for split_rows in by_split]
 
     if write_outputs:
         out_path = Path(config.output_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         write_report_csv(rows, out_path / "sweep.csv")
         write_report_json(rows, out_path / "sweep.json")
-        write_manifest(config, out_path, n_splits=None, taus=tau_list)
+        write_manifest(config, out_path, n_splits=None, taus=config.tau)
     return rows
 
 

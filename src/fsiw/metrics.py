@@ -1,5 +1,6 @@
 """Evaluation metrics: log loss, its normalized form, average precision,
-percentile-bootstrap confidence intervals, and delay-distribution summaries.
+percentile-bootstrap confidence intervals, and delay-distribution summaries
+(``delay_stats``, read on the fixed ``CDF_GRID`` and ``PDF_BIN_WIDTH`` bins).
 
 Average precision ranks rows by a stable descending sort of the scores, so
 rows with equal scores keep their input order.
@@ -38,7 +39,8 @@ NO_POSITIVE = "average precision needs at least one positive label"
 # with them from every prediction column: 2 MiB of int64 or float64
 _BLOCK_DRAWS = 1 << 18
 
-DEFAULT_CDF_GRID = (
+# delay_stats: the delays (s) its CDF is read at, and the width (s) of its PDF bins
+CDF_GRID = (
     1800,
     3600,
     10800,
@@ -51,6 +53,7 @@ DEFAULT_CDF_GRID = (
     1209600,
     2592000,
 )
+PDF_BIN_WIDTH = 3600
 
 
 def _as_arrays(
@@ -96,9 +99,9 @@ def _validate_inputs(labels: np.ndarray, preds: np.ndarray) -> None:
         )
 
 
-def _log_terms(labels: np.ndarray, preds: np.ndarray, clip: float = PRED_CLIP) -> np.ndarray:
+def _log_terms(labels: np.ndarray, preds: np.ndarray) -> np.ndarray:
     """Each row's log likelihood; log loss is minus their mean."""
-    p = np.clip(preds, clip, 1.0 - clip)
+    p = np.clip(preds, PRED_CLIP, 1.0 - PRED_CLIP)
     return labels * np.log(p) + (1.0 - labels) * np.log1p(-p)
 
 
@@ -106,11 +109,11 @@ def _mean_loss(terms: np.ndarray) -> float:
     return float(-np.mean(terms))
 
 
-def log_loss(labels: Sequence[int], preds: Sequence[float], clip: float = PRED_CLIP) -> float:
+def log_loss(labels: Sequence[int], preds: Sequence[float]) -> float:
     """Mean negative log likelihood; predictions are clipped into
-    [clip, 1-clip] so perfectly confident mistakes stay finite."""
+    [PRED_CLIP, 1-PRED_CLIP] so perfectly confident mistakes stay finite."""
     labels, preds = _as_arrays(labels, preds)
-    return _mean_loss(_log_terms(labels, preds, clip))
+    return _mean_loss(_log_terms(labels, preds))
 
 
 def _check_base_rate(train_mean_cvr: float) -> None:
@@ -265,18 +268,14 @@ class _Ranking:
         )
 
 
-def delay_stats(
-    click_ts: np.ndarray,
-    conv_ts: np.ndarray,
-    grid: Sequence[int] = DEFAULT_CDF_GRID,
-    bin_width: int = 3600,
-) -> dict:
+def delay_stats(click_ts: np.ndarray, conv_ts: np.ndarray) -> dict:
     """Empirical delay distribution over the converted clicks of a log
     (``conv_ts`` is NO_CONVERSION for the others), as a JSON-ready dict.
 
-    ``cdf`` is P(delay <= t) at each ``cdf_grid`` point; ``pdf`` is a
-    normalized histogram with ``pdf_bin_width``-second bins covering the
-    observed range; ``quantiles`` maps p10, p25, p50, p75 and p90 to seconds.
+    ``cdf`` is P(delay <= t) at each point t of ``cdf_grid`` (``CDF_GRID``);
+    ``pdf`` is a normalized histogram with ``pdf_bin_width``-second bins
+    (``PDF_BIN_WIDTH``) covering the observed range; ``quantiles`` maps p10,
+    p25, p50, p75 and p90 to seconds.
     """
     from .data import NO_CONVERSION  # here, so that fsiw eval loads no scipy
 
@@ -284,13 +283,13 @@ def delay_stats(
     delays = (conv_ts[converted] - click_ts[converted]).astype(float)
     if delays.size == 0:
         raise ValueError("no converted records; delay distribution undefined")
-    n_bins = int(delays.max() // bin_width) + 1
-    hist, _ = np.histogram(delays, bins=n_bins, range=(0, n_bins * bin_width))
+    n_bins = int(delays.max() // PDF_BIN_WIDTH) + 1
+    hist, _ = np.histogram(delays, bins=n_bins, range=(0, n_bins * PDF_BIN_WIDTH))
     return {
         "n_conversions": int(delays.size),
-        "cdf_grid": [int(t) for t in grid],
-        "cdf": [float(np.mean(delays <= t)) for t in grid],
-        "pdf_bin_width": bin_width,
+        "cdf_grid": list(CDF_GRID),
+        "cdf": [float(np.mean(delays <= t)) for t in CDF_GRID],
+        "pdf_bin_width": PDF_BIN_WIDTH,
         "pdf": (hist / delays.size).tolist(),
         "quantiles": {
             f"p{int(q * 100)}": float(np.quantile(delays, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)

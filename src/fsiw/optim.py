@@ -2,11 +2,11 @@
 full-batch L-BFGS minimizer.
 
 The link functions are what every objective evaluation spends its time on.
-``softplus`` is max(z, 0) + log1p(exp(-|z|)), about 4x cheaper than
-``np.logaddexp(0, z)``; ``softplus_sigmoid`` returns softplus(z) and sigmoid(z)
-from one shared exp(-|z|), so a loss-and-gradient evaluation takes one exp
-per linear score. ``sigmoid`` (scipy's ``expit``) stays the link for
-predictions.
+``softplus_sigmoid`` returns softplus(z) = max(z, 0) + log1p(exp(-|z|)), about
+4x cheaper than ``np.logaddexp(0, z)``, and sigmoid(z) from one shared
+exp(-|z|), so a loss-and-gradient evaluation takes one exp per linear score;
+a loss alone takes its first element. ``sigmoid`` (scipy's ``expit``) stays
+the link for predictions.
 
 ``minimize_batch`` is limited-memory BFGS (Liu & Nocedal 1989): the
 two-loop recursion over the last ``MEMORY`` curvature pairs gives the search
@@ -23,11 +23,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
-
-
-def softplus(z: np.ndarray | float) -> np.ndarray:
-    """log(1 + exp(z)) without overflow."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ The true conversion probability is logistic in a one-hot encoding of the
 features and the delay is exponential with a rate log-linear in the same
 encoding, so every censoring probability has a closed form and importance
 weights can be computed exactly (``oracle_fsiw_array``). Arrays are generated
-in fixed-size chunks, each on its own seed substream, so output is
+in chunks of ``CHUNK_SIZE`` rows, each on its own seed substream, so output is
 reproducible and chunk-parallelizable.
 
 ``write_sim_tsv`` and ``write_truth`` write the arrays as text column by
@@ -99,21 +99,22 @@ def linear_score(values: np.ndarray, weights: Sequence[float], offsets: Sequence
     return w[0] + w[1 + cols].sum(axis=1)
 
 
-def generate_arrays(config: SimConfig, chunk_size: int = CHUNK_SIZE) -> SimArrays:
+def generate_arrays(config: SimConfig) -> SimArrays:
     """Generate the dataset as flat arrays.
 
-    Chunk i uses the i-th spawn of SeedSequence(seed), so the output depends
-    only on (config, chunk_size), not on how chunks are scheduled.
+    Chunk i, rows i·CHUNK_SIZE onwards, uses the i-th spawn of
+    SeedSequence(seed), so the output depends only on the config, not on
+    how chunks are scheduled.
     """
     n = config.n_samples
     cards = config.field_cardinalities
     offsets = config.onehot_offsets
-    n_chunks = max(1, -(-n // chunk_size))
+    n_chunks = max(1, -(-n // CHUNK_SIZE))
     streams = np.random.SeedSequence(config.seed).spawn(n_chunks)
 
     parts: list[tuple[np.ndarray, ...]] = []
     for i in range(n_chunks):
-        size = min(chunk_size, n - i * chunk_size)
+        size = min(CHUNK_SIZE, n - i * CHUNK_SIZE)
         rng = np.random.Generator(np.random.PCG64(streams[i]))
         click = rng.integers(0, config.time_span, size=size, dtype=np.int64)
         values = np.empty((size, len(cards)), dtype=np.int64)

@@ -25,14 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
-from .optim import (
-    OptConfig,
-    TrainingMeta,
-    minimize_batch,
-    sigmoid,
-    softplus,
-    softplus_sigmoid,
-)
+from .optim import OptConfig, TrainingMeta, minimize_batch, sigmoid, softplus_sigmoid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .weights import WeightedDataset
@@ -218,7 +211,7 @@ def _minimize_logistic(
 
         def val_fn(theta: np.ndarray) -> float:
             zv = xv @ theta[:dim] + theta[dim]
-            return float(wv @ (softplus(zv) - yv * zv)) / wv_total
+            return float(wv @ (softplus_sigmoid(zv)[0] - yv * zv)) / wv_total
 
     try:
         return minimize_batch(value_grad, np.zeros(dim + 1), opt, validation=val_fn)
@@ -269,8 +262,7 @@ def dfm_nll_grad(
     e_days: np.ndarray,
     l2: float,
     denom: float,
-    want_grad: bool = True,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
     """Censored-likelihood objective for the joint CVR/delay model.
 
     theta = [cvr coef..., cvr intercept, delay coef..., delay intercept]; z and
@@ -294,27 +286,21 @@ def dfm_nll_grad(
         t = np.where(pos, d_days, e_days)
         lam_t = lam * t
         v = z - lam_t
-        if want_grad:
-            sp_z, p = softplus_sigmoid(z)
-            sp_v, r2 = softplus_sigmoid(v)
-        else:
-            sp_z, sp_v = softplus(z), softplus(v)
+        sp_z, p = softplus_sigmoid(z)
+        sp_v, r2 = softplus_sigmoid(v)
         ll = sp_z - np.where(pos, z + u - lam_t, sp_v)
         loss = float(ll.sum()) / denom + 0.5 * l2 * (float(wc @ wc) + float(wd @ wd))
-
-    if not want_grad:
-        return loss, None
 
     # dz = p - 1 and du = λd - 1 on positives, dz = p - r2 and du = r2·λe on negatives
     q = np.where(pos, 1.0, r2)
     dz = (p - q) / denom
     with np.errstate(invalid="ignore"):
         du = lam_t * q - pos
-    over = np.isinf(lam_t)
-    if over.any():
-        # λ·t overflowed, so r2 = 0 on a negative: q·λ first, then t, gives
-        # its du = 0 unless λ itself is inf
-        du[over] = q[over] * lam[over] * t[over] - pos[over]
+        over = np.isinf(lam_t)
+        if over.any():
+            # λ·t overflowed, so r2 = 0 on a negative: q·λ first, then t, gives
+            # its du = 0 unless λ itself is inf, where the loss is inf too
+            du[over] = q[over] * lam[over] * t[over] - pos[over]
     du /= denom
 
     grad = np.empty_like(theta)

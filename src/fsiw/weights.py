@@ -121,9 +121,6 @@ class WeightModel:
     degenerate: bool = False
     constant: float | None = None
 
-    def predict(self, x: sparse.csr_matrix, e: np.ndarray) -> np.ndarray:
-        return self.predict_rows(DesignRows(x, e))
-
     def predict_rows(self, rows: DesignRows) -> np.ndarray:
         if self.degenerate:
             return np.full(rows.x.shape[0], float(self.constant))

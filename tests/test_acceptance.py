@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -405,7 +406,7 @@ def test_criterion_07_training_gradients_match_central_differences() -> None:
         return g
 
     def dfm_obj(theta: np.ndarray) -> float:
-        return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(n), want_grad=False)[0]
+        return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(n))[0]
 
     def dfm_grad(theta: np.ndarray) -> np.ndarray:
         return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(n))[1]
@@ -506,7 +507,8 @@ def test_criterion_09_deadline_choice_barely_moves_test_loss() -> None:
     deadline from there to two days must not move the test log loss."""
     taus = [DAY, int(1.25 * DAY), int(1.5 * DAY), int(1.75 * DAY), 2 * DAY]
     for seed in (1, 2):
-        rows = deadline_sweep(config_from_dict(_sweep_dict(seed)), taus, write_outputs=False)
+        config = replace(config_from_dict(_sweep_dict(seed)), tau=tuple(taus))
+        rows = deadline_sweep(config, write_outputs=False)
         lls = [row.report.ll for row in rows]
         spread = max(lls) - min(lls)
         table = "  ".join(f"{tau / DAY:g}d:{ll:.5f}" for tau, ll in zip(taus, lls))

@@ -499,6 +499,7 @@ def test_conversion_time_past_int64_names_the_simulator_keys(
     [
         ("30d", "error: tau 2592000 must lie strictly inside the training window (604800s)\n"),
         (",", "error: tau must contain at least one deadline\n"),
+        ("", "error: tau must contain at least one deadline\n"),
     ],
 )
 def test_sweep_rejects_bad_taus_when_the_config_is_read(
@@ -509,6 +510,18 @@ def test_sweep_rejects_bad_taus_when_the_config_is_read(
     assert proc.stderr == message
     assert not (tmp_path / "out").exists()
 
+
+def test_sweep_taus_flag_writes_what_setting_tau_writes(tmp_path, config_path) -> None:
+    # --taus is shorthand for --set tau=[...]: same deadlines, same config
+    # hash in manifest.json, same bytes
+    outs = tmp_path / "taus", tmp_path / "set"
+    for out, flags in zip(outs, (["--taus", "1d,2d"], ["--set", "tau=[1d,2d]"])):
+        assert main(["sweep", "-c", str(config_path), "-o", str(out), *flags]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["manifest.json", "sweep.csv", "sweep.json"]
+    assert sorted(p.name for p in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 def test_run_rejects_a_negative_seed_flag_when_the_config_is_read(tmp_path, config_path) -> None:
     proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--seed", "-3")

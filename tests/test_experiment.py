@@ -605,7 +605,7 @@ _SWEEP_OUTPUT_HASHES = {
 def test_sweep_outputs_are_pinned(tmp_path) -> None:
     raw = _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, output_dir=str(tmp_path))
     config = config_from_dict(raw)
-    rows = deadline_sweep(config, [DAY, 2 * DAY, 3 * DAY])
+    rows = deadline_sweep(replace(config, tau=(DAY, 2 * DAY, 3 * DAY)))
     assert [(r.tau, r.split) for r in rows] == [
         (tau, k) for tau in (DAY, 2 * DAY, 3 * DAY) for k in (0, 1)
     ]
@@ -692,11 +692,12 @@ def test_run_and_sweep_hash_each_token_once(hash_calls) -> None:
     run_pipeline(config, write_outputs=False)
     assert len(hash_calls) == len(set(hash_calls)) == 16
     hash_calls.clear()
-    deadline_sweep(config, [DAY, 2 * DAY, 3 * DAY], write_outputs=False)
+    deadline_sweep(replace(config, tau=(DAY, 2 * DAY, 3 * DAY)), write_outputs=False)
     assert len(hash_calls) == len(set(hash_calls)) == 16
 
 
-def test_sweep_builds_each_design_and_draws_each_split_once(monkeypatch) -> None:
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_sweep_builds_each_design_and_draws_each_split_once(monkeypatch, verb) -> None:
     import fsiw.metrics
     import fsiw.weights
 
@@ -713,17 +714,20 @@ def test_sweep_builds_each_design_and_draws_each_split_once(monkeypatch) -> None
 
     monkeypatch.setattr(fsiw.weights, "weight_design", counting_build)
     monkeypatch.setattr(fsiw.metrics, "_resample_blocks", counting_draw)
-    config = config_from_dict(_base_dict(split=_TWO_SPLITS_WITH_VALIDATION))
-    deadline_sweep(config, [DAY, 2 * DAY, 3 * DAY], write_outputs=False)
+    config = config_from_dict(
+        _base_dict(
+            split=_TWO_SPLITS_WITH_VALIDATION, tau=["1d", "2d", "3d"], trainers=list(TRAINERS)
+        )
+    )
+    # a run fits lr_fsiw at the first tau and every trainer; a sweep
+    # fits lr_fsiw alone at all three taus
+    pipeline, weight_fits = {"run": (run_pipeline, 2), "sweep": (deadline_sweep, 2 * 3)}[verb]
+    pipeline(config, write_outputs=False)
     # per split: one design of its training rows and one of its validation
-    # rows, and one per weight-model fit (2 models x 3 taus)
-    assert len(designs) == 2 * (2 + 2 * 3)
+    # rows, and one per weight-model fit
+    assert len(designs) == 2 * (2 + weight_fits)
     assert len({id(x) for x in designs}) == len(designs)
-    # per split: one stream of resamples scores all three taus
-    assert draws == [3, 3]
-
-    draws.clear()
-    run_pipeline(replace(config, trainers=TRAINERS), write_outputs=False)
+    # per split: one stream of resamples scores all three fits
     assert draws == [3, 3]
 
 
@@ -847,7 +851,7 @@ def test_leakage_gate_rejects_training_rows_inside_the_test_window() -> None:
 
 def test_sweep_singleton_matches_run_pipeline() -> None:
     config = config_from_dict(_base_dict())
-    sweep_rows = deadline_sweep(config, [2 * DAY], write_outputs=False)
+    sweep_rows = deadline_sweep(replace(config, tau=(2 * DAY,)), write_outputs=False)
     run_rows = run_pipeline(
         replace(config, trainers=("lr_fsiw",), tau=(2 * DAY,)), write_outputs=False
     )
@@ -857,9 +861,9 @@ def test_sweep_singleton_matches_run_pipeline() -> None:
 def test_sweep_rejects_tau_outside_training_window() -> None:
     config = config_from_dict(_base_dict())
     with pytest.raises(ConfigError, match="tau"):
-        deadline_sweep(config, [7 * DAY], write_outputs=False)
+        deadline_sweep(replace(config, tau=(7 * DAY,)), write_outputs=False)
     with pytest.raises(ConfigError, match="at least one"):
-        deadline_sweep(config, [], write_outputs=False)
+        deadline_sweep(replace(config, tau=()), write_outputs=False)
 
 
 def test_run_manifest_records_the_one_tau_it_ran(tmp_path) -> None:
@@ -872,7 +876,7 @@ def test_run_manifest_records_the_one_tau_it_ran(tmp_path) -> None:
 
 def test_sweep_writes_per_tau_table(tmp_path) -> None:
     config = config_from_dict(_base_dict(output_dir=str(tmp_path)))
-    rows = deadline_sweep(config, [DAY, 2 * DAY])
+    rows = deadline_sweep(replace(config, tau=(DAY, 2 * DAY)))
     assert [r.tau for r in rows] == [DAY, 2 * DAY]
     body = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert body[0] == ",".join(REPORT_COLUMNS)

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import expit
 
-from fsiw.optim import softplus, softplus_sigmoid
+from fsiw.optim import softplus_sigmoid
 from fsiw.training import dfm_nll_grad
 
 RTOL = 1e-12
 
 
-def _reference_dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom, want_grad=True):
+def _reference_dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom):
     """The masked formulation: 4 logaddexp softplus calls, a logaddexp of the
     negative branch, and boolean gathers and scatters per label."""
     dim = x.shape[1]
@@ -42,9 +42,6 @@ def _reference_dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom, want_gra
         l0 = np.logaddexp(log_1mp, log_p_surv)
         ll[neg] = -l0
         loss = float(ll.sum()) / denom + 0.5 * l2 * (float(wc @ wc) + float(wd @ wd))
-
-    if not want_grad:
-        return loss, None
 
     dz = np.empty_like(z)
     du = np.empty_like(z)
@@ -96,12 +93,10 @@ def test_softplus_sigmoid_match_logaddexp_and_expit(values) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sp, sig = softplus_sigmoid(z)
-        sp_alone = softplus(z)
     # expit(z) for z < -709 is 1/(1 + inf) = 0 where the true value is a
     # subnormal; atol covers that and nothing coarser
     np.testing.assert_allclose(sp, np.logaddexp(0.0, z), rtol=RTOL, atol=0.0)
     np.testing.assert_allclose(sig, expit(z), rtol=RTOL, atol=1e-300)
-    assert np.array_equal(sp, sp_alone)
     assert np.all((sig >= 0.0) & (sig <= 1.0))
 
 
@@ -150,24 +145,20 @@ def _assert_close(new: float | np.ndarray, ref: float | np.ndarray) -> None:
 
 
 @settings(deadline=None, max_examples=300)
-@given(dfm_problems(), st.booleans())
-def test_dfm_nll_grad_matches_masked_reference(problem, want_grad) -> None:
+@given(dfm_problems())
+def test_dfm_nll_grad_matches_masked_reference(problem) -> None:
     (ref_loss, ref_grad), ref_warnings = _run_recording(
-        lambda: _reference_dfm_nll_grad(*problem, want_grad=want_grad)
+        lambda: _reference_dfm_nll_grad(*problem)
     )
-    loss, grad = _run_raising_new_warnings(
-        lambda: dfm_nll_grad(*problem, want_grad=want_grad), ref_warnings
-    )
+    loss, grad = _run_raising_new_warnings(lambda: dfm_nll_grad(*problem), ref_warnings)
     _assert_close(loss, ref_loss)
-    if want_grad:
-        _assert_close(grad, ref_grad)
-    else:
-        assert grad is None
+    _assert_close(grad, ref_grad)
 
 
 def test_dfm_loss_with_overflowing_rate_raises_no_warning() -> None:
-    # one negative with zero elapsed time and a positive, both with λ = inf:
-    # a branch term λ·d on the negative would be inf·0
+    # a positive and a negative whose d is 0, both with λ = inf: a branch
+    # term λ·d on the negative would be inf·0, and so is its du = r2·λ·e,
+    # with r2 = 0
     x = sparse.csr_matrix(np.ones((2, 1)))
     y = np.array([1.0, 0.0])
     d_days = np.array([1.5, 0.0])
@@ -176,8 +167,9 @@ def test_dfm_loss_with_overflowing_rate_raises_no_warning() -> None:
     args = (theta, x, x.T.tocsr(), y, d_days, e_days, 0.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loss, _ = dfm_nll_grad(*args, want_grad=False)
-    assert loss == np.inf == _reference_dfm_nll_grad(*args, want_grad=False)[0]
+        loss, _ = dfm_nll_grad(*args)
+    (ref_loss, _), _ = _run_recording(lambda: _reference_dfm_nll_grad(*args))
+    assert loss == np.inf == ref_loss
 
 
 def test_dfm_grad_where_only_the_rate_times_elapsed_time_overflows() -> None:

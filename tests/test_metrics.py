@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fsiw.data import NO_CONVERSION
 from fsiw.metrics import (
-    DEFAULT_CDF_GRID,
+    CDF_GRID,
     EvalReport,
     MetricInputError,
     _log_terms,
@@ -191,10 +191,10 @@ def test_delay_stats_matches_exponential_closed_form() -> None:
     rng = np.random.default_rng(17)
     n = 100_000
     delays = rng.exponential(scale=DAY, size=n)
-    stats = delay_stats(*_clicks(delays), grid=(DAY,))
+    stats = delay_stats(*_clicks(delays))
     expected = 1.0 - math.exp(-1.0)
     band = 4 * math.sqrt(expected * (1 - expected) / n)
-    assert abs(stats["cdf"][0] - expected) < band
+    assert abs(stats["cdf"][CDF_GRID.index(DAY)] - expected) < band
     # median of an exponential is scale * ln 2
     assert stats["quantiles"]["p50"] == pytest.approx(DAY * math.log(2), rel=0.02)
     # PDF sums to 1 over its bins
@@ -204,7 +204,7 @@ def test_delay_stats_matches_exponential_closed_form() -> None:
 def test_delay_stats_default_grid_is_monotone() -> None:
     rng = np.random.default_rng(23)
     stats = delay_stats(*_clicks(rng.exponential(scale=2 * DAY, size=5000)))
-    assert stats["cdf_grid"] == list(DEFAULT_CDF_GRID)
+    assert stats["cdf_grid"] == list(CDF_GRID)
     assert all(a <= b for a, b in zip(stats["cdf"], stats["cdf"][1:]))
 
 

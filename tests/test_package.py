@@ -8,7 +8,12 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+import yaml
+
 import fsiw
+
+from test_experiment import _base_dict
 
 SRC = Path(fsiw.__file__).parent
 SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
@@ -71,6 +76,35 @@ def test_fsiw_eval_loads_neither_scipy_nor_yaml_nor_the_training_stack(tmp_path)
         "['fsiw', 'fsiw.cli', 'fsiw.metrics']",
         "[]",
     ]
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--taus", "1d,2d"]], ids=["run", "sweep"])
+def test_fsiw_run_and_sweep_load_no_scipy_subpackage_but_sparse_and_special(
+    tmp_path, argv
+) -> None:
+    # importing scipy.optimize alone, which pulls in scipy.linalg, raises a
+    # fresh process's resident memory by about 22 MB
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(_base_dict()), encoding="utf-8")
+    probe = (
+        "import contextlib, io, sys\n"
+        "import fsiw.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = fsiw.cli.main(sys.argv[1:])\n"
+        "print(code)\n"
+        "print(sorted(name for name, module in sys.modules.items()\n"
+        "             if name.startswith('scipy.') and name.count('.') == 1\n"
+        "             and not name.startswith('scipy._') and hasattr(module, '__path__')))\n"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, argv[0], "-c", str(config), "-o", str(out), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "['scipy.sparse', 'scipy.special']"]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -12,6 +12,7 @@ import pytest
 
 from fsiw.data import NO_CONVERSION, FieldSpec, read_tsv
 from fsiw.simulate import (
+    CHUNK_SIZE,
     WRITE_BLOCK,
     SimArrays,
     SimConfig,
@@ -118,14 +119,15 @@ def test_generate_is_deterministic_for_fixed_seed() -> None:
 
 
 def test_generation_is_chunked_by_independent_substreams() -> None:
-    # re-derive two chunks by hand from the same top-level seed sequence
-    cfg = _config(n=3000, seed=23)
-    merged = generate_arrays(cfg, chunk_size=2048)
+    # re-derive both chunks by hand from the same top-level seed sequence
+    cfg = _config(n=CHUNK_SIZE + 1000, seed=23)
+    merged = generate_arrays(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(2)
-    first = np.random.Generator(np.random.PCG64(streams[0])).integers(
-        0, cfg.time_span, size=2048, dtype=np.int64
-    )
-    assert np.array_equal(merged.click_ts[:2048], first)
+    for stream, start, size in zip(streams, (0, CHUNK_SIZE), (CHUNK_SIZE, 1000)):
+        expected = np.random.Generator(np.random.PCG64(stream)).integers(
+            0, cfg.time_span, size=size, dtype=np.int64
+        )
+        assert np.array_equal(merged.click_ts[start : start + size], expected)
 
 
 def test_degenerate_cvr_produces_no_conversions() -> None:

@@ -360,7 +360,6 @@ def test_dfm_single_positive_sample_nll_closed_form() -> None:
         np.array([2.0]),
         l2=0.0,
         denom=1.0,
-        want_grad=False,
     )
     assert loss == pytest.approx(-(math.log(0.5) - 2.0), abs=1e-12)
     assert round(loss, 4) == 2.6931
@@ -373,7 +372,7 @@ def test_dfm_negative_contribution_vanishing_censoring() -> None:
     e_days = np.array([1e6])
     loss, _ = dfm_nll_grad(
         theta, x, x.T.tocsr(), np.array([0.0]), np.array([0.0]), e_days,
-        l2=0.0, denom=1.0, want_grad=False,
+        l2=0.0, denom=1.0,
     )
     p = expit(0.3)
     assert loss == pytest.approx(-math.log(1 - p), abs=1e-9)
@@ -413,7 +412,7 @@ def test_gradients_match_central_differences() -> None:
         return g
 
     def dfm_obj(theta: np.ndarray) -> float:
-        return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(n), want_grad=False)[0]
+        return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(n))[0]
 
     def dfm_grad(theta: np.ndarray) -> np.ndarray:
         return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(n))[1]

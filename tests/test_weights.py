@@ -146,7 +146,10 @@ def test_edges_given_as_a_list_predict_like_a_tuple() -> None:
     as_tuple = fit_weight_model(x, e_adj, s, WeightModelHyper(edges=(3600, 86400)))
     rows = DesignRows(x, e_adj)
     assert np.array_equal(as_list.predict_rows(rows), as_tuple.predict_rows(rows))
-    assert np.array_equal(as_list.predict(x, e_adj), as_tuple.predict(x, e_adj))
+    # and from a design each builds for itself
+    assert np.array_equal(
+        as_list.predict_rows(DesignRows(x, e_adj)), as_tuple.predict_rows(DesignRows(x, e_adj))
+    )
 
 
 def test_fit_rejects_empty_input() -> None:
@@ -162,12 +165,12 @@ def test_single_class_falls_back_to_constant_with_warning() -> None:
     with pytest.warns(RuntimeWarning, match="single s-class"):
         model = fit_weight_model(x, e_adj, np.ones(30))
     assert model.degenerate
-    assert np.all(model.predict(x, 2.0 * e_adj) == 1.0)
+    assert np.all(model.predict_rows(DesignRows(x, 2.0 * e_adj)) == 1.0)
 
     with pytest.warns(RuntimeWarning):
         model = fit_weight_model(x, e_adj, np.zeros(30))
     # the constant is the raw class rate; assign_fsiw lifts it to the clip floor
-    assert np.all(model.predict(x[:1], np.array([3600.0])) == 0.0)
+    assert np.all(model.predict_rows(DesignRows(x[:1], np.array([3600.0]))) == 0.0)
     weighted = assign_fsiw(
         model, model, DesignRows(x[:2], np.array([3600, 3600])), np.array([0, 1]), clip_floor=0.05
     )
@@ -187,11 +190,8 @@ def test_fit_is_invariant_to_duplicating_every_row() -> None:
     doubled = fit_weight_model(
         sparse.vstack([x, x], format="csr"), np.tile(e_adj, 2), np.tile(s, 2), hyper
     )
-    grid_x = _onehot(np.arange(8))
-    grid_e = np.full(8, float(DAY))
-    assert np.allclose(
-        single.predict(grid_x, grid_e), doubled.predict(grid_x, grid_e), atol=1e-6
-    )
+    grid = DesignRows(_onehot(np.arange(8)), np.full(8, float(DAY)))
+    assert np.allclose(single.predict_rows(grid), doubled.predict_rows(grid), atol=1e-6)
 
 
 def test_fit_calibrates_against_closed_form_probabilities() -> None:
@@ -204,7 +204,7 @@ def test_fit_calibrates_against_closed_form_probabilities() -> None:
     s = (rng.random(n) < p_true).astype(int)
     x = _onehot(cell, dim=n_cells)
     model = fit_weight_model(x, e_adj, s, WeightModelHyper(l2=1e-4))
-    pred = model.predict(x, e_adj.astype(float))
+    pred = model.predict_rows(DesignRows(x, e_adj.astype(float)))
     assert float(np.mean(np.abs(pred - p_true))) < 0.05
 
 
