@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .experiment import ExperimentConfig
+    from .experiment import ExperimentConfig, ReportRow
 
 
 class CliError(Exception):
@@ -118,6 +118,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _warn_if_unconverged(row: ReportRow, fit_name: str) -> None:
+    """One stderr warning line if the CVR fit of a report row stopped without
+    converging, naming its split and ``fit_name``."""
+    if not row.fit.converged:
+        print(
+            f"warning: split {row.split} {fit_name}: CVR fit did not converge "
+            f"(n_iter={row.fit.n_iter}, stopped_early={row.fit.stopped_early})",
+            file=sys.stderr,
+        )
+
+
 def cmd_run(args) -> int:
     from .experiment import run_pipeline
 
@@ -131,12 +142,7 @@ def cmd_run(args) -> int:
             f"split {row.split} {row.trainer}: ll={flat.ll:.6f} "
             f"nll={flat.nll:.4f} pr_auc={flat.pr_auc:.6f}"
         )
-        if not row.fit.converged:
-            print(
-                f"warning: split {row.split} {row.trainer}: CVR fit did not converge "
-                f"(n_iter={row.fit.n_iter}, stopped_early={row.fit.stopped_early})",
-                file=sys.stderr,
-            )
+        _warn_if_unconverged(row, row.trainer)
     return 0
 
 
@@ -150,6 +156,7 @@ def cmd_sweep(args) -> int:
     by_tau: dict[int, list[float]] = {}
     for row in rows:
         by_tau.setdefault(row.tau, []).append(row.report.ll)
+        _warn_if_unconverged(row, f"{row.trainer} tau {row.tau}s")
     for tau in sorted(by_tau):
         lls = by_tau[tau]
         print(f"tau {tau}s: mean ll={np.mean(lls):.6f} over {len(lls)} split(s)")

@@ -9,13 +9,20 @@ fully observed test window. Everything downstream of the global seed is
 deterministic, including the bytes of every report file.
 
 ``run_pipeline`` and ``deadline_sweep`` share one per-split path: every
-split is labeled once (``_labeled_splits``), ``_fit_split`` fits lr_fsiw at
-each deadline it is given and any other trainer once, at the first, and one
-``evaluate_columns`` scores all of the split's fits from a single pass over
-its bootstrap resamples. A run gives it the config's trainers and first
-deadline; a sweep gives it lr_fsiw and every deadline. The weight models of
-every deadline predict from one design of the split's training rows and one
-of its validation rows per distinct ``edges``.
+split is labeled once (``_labeled_splits``), ``_fit_split`` turns it into a
+list of tasks, each one trainer at one deadline, and one ``evaluate_columns``
+scores all of the split's tasks from a single pass over its bootstrap
+resamples. lr_fsiw is a task at each deadline ``_fit_split`` is given, any
+other trainer one task at the first; a run gives it the config's trainers and
+first deadline, a sweep lr_fsiw and every deadline. ``_fit_task`` fits one
+task. The weight models of every deadline predict from one design of the
+split's training rows and one of its validation rows per distinct ``edges``;
+they are freed after the split's last lr_fsiw task, so a later dfm fits
+without them.
+
+Every error of a task, in its fit or in its metrics, carries the task's
+label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
+model pos`` (or ``neg``) when one of its weight models cannot be fitted.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -42,13 +49,14 @@ from .data import (
     read_tsv,
     snapshot_labels,
 )
-from .metrics import EvalReport, evaluate_columns
+from .metrics import EvalReport, MetricInputError, evaluate_columns
 from .optim import OptConfig, TrainingMeta
 from .relabel import build_artificial_datasets
 from .simulate import SimConfig, generate_arrays, sample_weight_vector, to_click_log
 from .training import (
     DfmModel,
     LinearCvrModel,
+    TrainingError,
     check_l2,
     predict_cvr_batch,
     save_model,
@@ -548,6 +556,8 @@ def _label_split(config: ExperimentConfig, log: ClickLog, split: Split) -> _Labe
         raise PipelineError(
             f"split {split.k}: degenerate training labels (mean y = {train_mean_cvr})"
         )
+    if not c_test.any():  # average precision needs one
+        raise PipelineError(f"split {split.k}: no positive label in the test window")
     return _LabeledSplit(split, train, val, x_test, c_test, train_mean_cvr)
 
 
@@ -559,42 +569,11 @@ def _labeled_splits(config: ExperimentConfig) -> list[_LabeledSplit]:
     return [_label_split(config, log, split) for split in splits]
 
 
-def _fit_fsiw(
-    config: ExperimentConfig, labeled: _LabeledSplit, taus: Sequence[int]
-) -> Iterator[tuple[LinearCvrModel, WeightedDataset]]:
-    """lr_fsiw at each deadline of ``taus`` in turn: relabel the training
-    rows, fit both weight models, weight the training and validation rows,
-    and train on them. Yields each model and its weighted training set. The
-    weight models predict from one design of the training rows and one of
-    the validation rows, shared by every deadline and dropped after the last."""
-    k, train, val = labeled.split.k, labeled.train, labeled.val
-    train_rows = DesignRows(train.x, train.e)
-    val_rows = DesignRows(val.x, val.e) if val is not None and len(val.y) > 0 else None
-    seed_pos = _derived_seed(config.seed, k, ROLE_WEIGHT_POS)
-    seed_neg = _derived_seed(config.seed, k, ROLE_WEIGHT_NEG)
-    for tau in taus:
-        d1, d0 = build_artificial_datasets(train, tau)
-        pos = fit_weight_model(
-            train.x[d1.idx], d1.e_adj, d1.s, config.weight_model_pos, seed=seed_pos
-        )
-        neg = fit_weight_model(
-            train.x[d0.idx], d0.e_adj, d0.s, config.weight_model_neg, seed=seed_neg
-        )
-        weighted = assign_fsiw(pos, neg, train_rows, train.y, config.clip_floor)
-        weighted_val = None
-        if val_rows is not None:
-            weighted_val = assign_fsiw(pos, neg, val_rows, val.y, config.clip_floor)
-        model = train_weighted_logistic(
-            weighted, config.l2, config.optimizer, validation=weighted_val
-        )
-        yield model, weighted
-
-
 @dataclass(frozen=True)
 class _Fitted:
-    """One trainer fitted on a split at one deadline, its predictions for the
-    split's test rows, and its weighted training set (lr_fsiw only)."""
+    """A fitted task: its error label, model, test predictions and lr_fsiw's weighted rows."""
 
+    label: str
     trainer: str
     tau: int
     model: LinearCvrModel | DfmModel
@@ -602,40 +581,72 @@ class _Fitted:
     weighted: WeightedDataset | None
 
 
-def _fit_split(
-    config: ExperimentConfig,
-    labeled: _LabeledSplit,
-    trainers: Sequence[str],
-    taus: Sequence[int],
-) -> list[_Fitted]:
-    """Train each of ``trainers`` on one labeled split and predict the
-    split's test rows, one fit after the other: lr_fsiw at every deadline of
-    ``taus``, any other trainer once, at ``taus[0]``."""
-    split, train = labeled.split, labeled.train
-    fitted = []
-    opt = config.optimizer
-    for trainer in trainers:
+def _fit_fsiw(
+    config: ExperimentConfig, labeled: _LabeledSplit, tau: int, designs: list, label: str
+) -> tuple[LinearCvrModel, WeightedDataset]:
+    """lr_fsiw at deadline ``tau``: relabel, fit both weight models, weight
+    the training and validation rows of ``designs`` and train on them."""
+    k, train, val = labeled.split.k, labeled.train, labeled.val
+    d1, d0 = build_artificial_datasets(train, tau)
+    models = []
+    for side, d, hyper, seed in (
+        ("pos", d1, config.weight_model_pos, _derived_seed(config.seed, k, ROLE_WEIGHT_POS)),
+        ("neg", d0, config.weight_model_neg, _derived_seed(config.seed, k, ROLE_WEIGHT_NEG)),
+    ):
         try:
-            if trainer == "lr_fsiw":
-                fits = _fit_fsiw(config, labeled, taus)
-            elif trainer == "naive_lr":
-                fits = [(train_naive_logistic(train.x, train.y, config.l2, opt), None)]
-            else:
-                fits = [(train_dfm(train.x, train.y, train.d, train.e, config.l2, opt), None)]
-            for tau, (model, weighted) in zip(taus, fits):
-                preds = predict_cvr_batch(model, labeled.x_test)
-                fitted.append(_Fitted(trainer, tau, model, preds, weighted))
-        except (ValueError, RuntimeError) as exc:
-            raise PipelineError(f"split {split.k}, trainer {trainer}: {exc}") from exc
+            models.append(fit_weight_model(train.x[d.idx], d.e_adj, d.s, hyper, seed=seed))
+        except (ValueError, TrainingError) as exc:
+            raise PipelineError(f"{label}, weight model {side}: {exc}") from exc
+    weighted, weighted_val = [
+        None if rows is None else assign_fsiw(*models, rows, s.y, config.clip_floor)
+        for rows, s in zip(designs, (train, val))
+    ]
+    model = train_weighted_logistic(weighted, config.l2, config.optimizer, validation=weighted_val)
+    return model, weighted
+
+
+def _fit_task(
+    config: ExperimentConfig, labeled: _LabeledSplit, trainer: str, tau: int, designs: list | None
+) -> _Fitted:
+    """Fit ``trainer`` at deadline ``tau`` and predict the split's test rows."""
+    train, opt = labeled.train, config.optimizer
+    label = f"split {labeled.split.k}, trainer {trainer}"
+    weighted = None
+    try:
+        if trainer == "lr_fsiw":
+            label += f", tau {tau}s"
+            model, weighted = _fit_fsiw(config, labeled, tau, designs, label)
+        elif trainer == "naive_lr":
+            model = train_naive_logistic(train.x, train.y, config.l2, opt)
+        else:
+            model = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
+        preds = predict_cvr_batch(model, labeled.x_test)
+    except (ValueError, TrainingError) as exc:
+        raise PipelineError(f"{label}: {exc}") from exc
+    return _Fitted(label, trainer, tau, model, preds, weighted)
+
+
+def _fit_split(
+    config: ExperimentConfig, labeled: _LabeledSplit, trainers: Sequence[str], taus: Sequence[int]
+) -> list[_Fitted]:
+    """Fit a labeled split's tasks in turn: for each of ``trainers``, lr_fsiw
+    at every deadline of ``taus``, any other trainer once, at ``taus[0]``."""
+    train, val = labeled.train, labeled.val
+    tasks = [(t, tau) for t in trainers for tau in (taus if t == "lr_fsiw" else taus[:1])]
+    designs = [DesignRows(s.x, s.e) if s is not None and len(s.y) else None for s in (train, val)]
+    fitted = []
+    for trainer, tau in tasks:
+        fitted.append(_fit_task(config, labeled, trainer, tau, designs))
+        if trainer == "lr_fsiw" and tau == taus[-1]:
+            designs = None  # freed before any later trainer fits
     return fitted
 
 
 def _score_split(
     config: ExperimentConfig, labeled: _LabeledSplit, fitted: Sequence[_Fitted]
 ) -> list[ReportRow]:
-    """Score every fitted trainer of one split on its test rows, from one
-    pass over the split's bootstrap resamples; one report row each, in the
-    order of ``fitted``. A metric error names the trainer of its column."""
+    """Score a split's fitted tasks, one report row each in order, from one
+    pass over its bootstrap resamples; a metric error names its column's task."""
     k = labeled.split.k
     try:
         reports = evaluate_columns(
@@ -645,9 +656,8 @@ def _score_split(
             bootstrap_b=config.metrics.bootstrap_b,
             seed=_derived_seed(config.seed, k, ROLE_EVAL),
         )
-    except ValueError as exc:
-        trainer = fitted[getattr(exc, "column", 0)].trainer
-        raise PipelineError(f"split {k}, trainer {trainer}: {exc}") from exc
+    except MetricInputError as exc:
+        raise PipelineError(f"{fitted[exc.column].label}: {exc}") from exc
     return [
         ReportRow(k, f.trainer, f.tau, report, fit=f.model.meta)
         for f, report in zip(fitted, reports)

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -339,6 +340,83 @@ def test_run_warns_on_stderr_for_each_unconverged_cvr_fit(tmp_path, config_path)
          "weights_split0.tsv", "model_split0_naive_lr.json", "model_split0_lr_fsiw.json",
          "model_split0_dfm.json"]
     )
+
+
+def test_sweep_warns_on_stderr_for_each_unconverged_cvr_fit(
+    tmp_path, capsys, monkeypatch, config_path
+) -> None:
+    import fsiw.experiment
+
+    sweep, swept = fsiw.experiment.deadline_sweep, []
+
+    def recording_sweep(config, **kwargs):
+        swept.extend(sweep(config, **kwargs))
+        return swept
+
+    monkeypatch.setattr(fsiw.experiment, "deadline_sweep", recording_sweep)
+    argv = ["sweep", "-c", str(config_path), "-o", str(tmp_path / "out"), "--taus", "1d,2d"]
+    assert main([*argv, "--set", "optimizer.max_iter=20"]) == 0
+    expected = [
+        f"warning: split {row.split} lr_fsiw tau {row.tau}s: CVR fit did not converge "
+        f"(n_iter={row.fit.n_iter}, stopped_early={row.fit.stopped_early})"
+        for row in swept
+        if not row.fit.converged
+    ]
+    assert len(expected) == 2  # at 20 iterations neither deadline's fit converges
+    out, err = capsys.readouterr()
+    assert err.splitlines() == expected  # in row order
+    assert "warning" not in out
+
+
+def test_a_sweep_that_cannot_fit_a_weight_model_names_its_deadline_and_side(
+    tmp_path, config_path
+) -> None:
+    # 604799 s is one second short of the 7d training window, so no
+    # conversion is late enough for D1 and the pos model has no rows
+    out = tmp_path / "out"
+    proc = _fsiw("sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,6d,604799")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: split 0, trainer lr_fsiw, tau 604799s, weight model pos: "
+        "cannot fit a weight model on an empty dataset\n"
+    )
+    assert not out.exists()
+
+
+def test_a_metric_error_in_a_sweep_names_its_deadline(
+    tmp_path, capsys, monkeypatch, config_path
+) -> None:
+    import fsiw.experiment
+
+    predict, calls = fsiw.experiment.predict_cvr_batch, []
+
+    def nan_at_the_second_tau(model, x):
+        calls.append(model)
+        preds = predict(model, x)
+        return np.full_like(preds, np.nan) if len(calls) == 2 else preds
+
+    monkeypatch.setattr(fsiw.experiment, "predict_cvr_batch", nan_at_the_second_tau)
+    out = tmp_path / "out"
+    assert main(["sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,2d"]) == 2
+    assert capsys.readouterr().err == (
+        "error: split 0, trainer lr_fsiw, tau 172800s: "
+        "sample 0: prediction nan is not a finite probability in [0, 1]\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5, 8])
+def test_a_test_window_without_a_positive_label_fails_when_the_split_is_labeled(
+    tmp_path, capsys, config_path, seed
+) -> None:
+    # 200 clicks at a base CVR of about 2%: these seeds leave the test day
+    # without a conversion
+    out = tmp_path / "out"
+    argv = ["run", "-c", str(config_path), "-o", str(out), "--seed", str(seed)]
+    sets = ["--set", "data.simulator.n_samples=200", "--set", "data.simulator.cvr_bias=-4"]
+    assert main([*argv, *sets]) == 2
+    assert capsys.readouterr() == ("", "error: split 0: no positive label in the test window\n")
+    assert not out.exists()
 
 
 def test_eval_requires_existing_file(tmp_path) -> None:

@@ -7,6 +7,7 @@ import copy
 import hashlib
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -744,9 +745,40 @@ def test_a_metric_error_names_the_trainer_of_its_column(monkeypatch) -> None:
 
     monkeypatch.setattr(fsiw.experiment, "predict_cvr_batch", nan_for_the_second_trainer)
     config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
-    message = "split 0, trainer lr_fsiw: sample 0: prediction nan is not a finite probability"
+    message = (
+        "split 0, trainer lr_fsiw, tau 172800s: "
+        "sample 0: prediction nan is not a finite probability"
+    )
     with pytest.raises(PipelineError, match=f"^{re.escape(message)}"):
         run_pipeline(config, write_outputs=False)
+
+
+def test_the_weight_prediction_designs_are_freed_before_dfm_fits(monkeypatch) -> None:
+    import fsiw.experiment
+    import fsiw.weights
+
+    design, train_dfm = fsiw.weights.DesignRows.design, fsiw.experiment.train_dfm
+    designs, alive_at_dfm = [], []
+
+    def recording_design(rows, edges):
+        built = design(rows, edges)
+        if all(ref() is not built for ref in designs):  # both weight models read it
+            designs.append(weakref.ref(built))
+        return built
+
+    def checking_train_dfm(*args, **kwargs):
+        alive_at_dfm.append([ref() is not None for ref in designs])
+        return train_dfm(*args, **kwargs)
+
+    monkeypatch.setattr(fsiw.weights.DesignRows, "design", recording_design)
+    monkeypatch.setattr(fsiw.experiment, "train_dfm", checking_train_dfm)
+    config = config_from_dict(
+        _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS))
+    )
+    run_pipeline(config, write_outputs=False)
+    # per split: the training and the validation rows' design, each freed
+    # when its split's lr_fsiw fit is done
+    assert alive_at_dfm == [[False, False], [False, False, False, False]]
 
 
 # --- TSV sources and label finality ---------------------------------------------
