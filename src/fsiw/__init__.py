@@ -27,7 +27,7 @@ _EXPORTS = {
     "relabel": "ArtificialSet build_artificial_datasets",
     "simulate": "SimConfig generate_arrays oracle_fsiw_array to_click_log",
     "training": (
-        "DfmModel LinearCvrModel TrainingError predict_cvr_batch save_model train_dfm "
+        "DfmModel LinearCvrModel RowGroups TrainingError predict_cvr_batch save_model train_dfm "
         "train_naive_logistic train_weighted_logistic"
     ),
     "weights": (

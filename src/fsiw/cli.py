@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -129,11 +130,19 @@ def _warn_if_unconverged(row: ReportRow, fit_name: str) -> None:
         )
 
 
+def _print_warning(message, *_) -> None:
+    """``warnings.showwarning`` for run and sweep: one stderr ``warning:``
+    line holding the message alone."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     from .experiment import run_pipeline
 
     config = _build_config(args)
-    rows = run_pipeline(config)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        rows = run_pipeline(config)
     out = Path(config.output_dir)
     print(f"wrote {out / 'reports.csv'} ({len(rows)} rows)")
     for row in rows:
@@ -150,7 +159,9 @@ def cmd_sweep(args) -> int:
     from .experiment import deadline_sweep
 
     config = _build_config(args)
-    rows = deadline_sweep(config)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        rows = deadline_sweep(config)
     out = Path(config.output_dir)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     by_tau: dict[int, list[float]] = {}

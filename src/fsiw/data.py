@@ -233,7 +233,9 @@ def _read_columns(
                 raise ValueError("timestamp out of range or out of order")
             block_codes = np.empty((n, len(schema)), dtype=np.int64)
             for j, (spec, vocab) in enumerate(zip(schema, vocabs)):
-                tokens = list(map(spec.tokenize, cells[2 + j :: width]))
+                tokens = cells[2 + j :: width]
+                if spec.kind != "categorical":  # a categorical token is its cell
+                    tokens = list(map(spec.tokenize, tokens))
                 for token in dict.fromkeys(tokens):
                     vocab.setdefault(token, len(vocab))
                 block_codes[:, j] = np.fromiter(map(vocab.__getitem__, tokens), np.int64, n)

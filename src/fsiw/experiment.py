@@ -15,14 +15,19 @@ scores all of the split's tasks from a single pass over its bootstrap
 resamples. lr_fsiw is a task at each deadline ``_fit_split`` is given, any
 other trainer one task at the first; a run gives it the config's trainers and
 first deadline, a sweep lr_fsiw and every deadline. ``_fit_task`` fits one
-task. The weight models of every deadline predict from one design of the
-split's training rows and one of its validation rows per distinct ``edges``;
-they are freed after the split's last lr_fsiw task, so a later dfm fits
-without them.
+task. The logistic tasks share the split's rows (``_SharedRows``): one
+grouping of its training rows into distinct rows (``training.RowGroups``),
+which naive_lr and lr_fsiw at every deadline fit on, and one weight-prediction
+design of its training rows and one of its validation rows per distinct
+``edges``, from which the weight models of every deadline predict. They are
+built once per split and freed after its last logistic task, so a later dfm
+fits without them.
 
 Every error of a task, in its fit or in its metrics, carries the task's
 label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
-model pos`` (or ``neg``) when one of its weight models cannot be fitted.
+model pos`` (or ``neg``) when one of its weight models cannot be fitted. A
+weight model's warning, such as its single-class fallback, is raised again
+under that label.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -56,6 +62,7 @@ from .simulate import SimConfig, generate_arrays, sample_weight_vector, to_click
 from .training import (
     DfmModel,
     LinearCvrModel,
+    RowGroups,
     TrainingError,
     check_l2,
     predict_cvr_batch,
@@ -581,11 +588,28 @@ class _Fitted:
     weighted: WeightedDataset | None
 
 
+@dataclass(frozen=True)
+class _SharedRows:
+    """What a split's logistic tasks share: the grouping of its training
+    rows and the weight-prediction designs of its training and validation
+    rows (None without validation rows)."""
+
+    groups: RowGroups
+    designs: tuple[DesignRows, DesignRows | None]
+
+    @classmethod
+    def of(cls, labeled: _LabeledSplit) -> _SharedRows:
+        train, val = labeled.train, labeled.val
+        val_rows = DesignRows(val.x, val.e) if val is not None and len(val.y) else None
+        return cls(RowGroups(train.x), (DesignRows(train.x, train.e), val_rows))
+
+
 def _fit_fsiw(
-    config: ExperimentConfig, labeled: _LabeledSplit, tau: int, designs: list, label: str
+    config: ExperimentConfig, labeled: _LabeledSplit, tau: int, rows: _SharedRows, label: str
 ) -> tuple[LinearCvrModel, WeightedDataset]:
     """lr_fsiw at deadline ``tau``: relabel, fit both weight models, weight
-    the training and validation rows of ``designs`` and train on them."""
+    the training and validation rows and train on the training grouping.
+    A weight model's warning is raised again under its label."""
     k, train, val = labeled.split.k, labeled.train, labeled.val
     d1, d0 = build_artificial_datasets(train, tau)
     models = []
@@ -594,30 +618,41 @@ def _fit_fsiw(
         ("neg", d0, config.weight_model_neg, _derived_seed(config.seed, k, ROLE_WEIGHT_NEG)),
     ):
         try:
-            models.append(fit_weight_model(train.x[d.idx], d.e_adj, d.s, hyper, seed=seed))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                models.append(fit_weight_model(train.x[d.idx], d.e_adj, d.s, hyper, seed=seed))
         except (ValueError, TrainingError) as exc:
             raise PipelineError(f"{label}, weight model {side}: {exc}") from exc
+        for w in caught:
+            warnings.warn(f"{label}, weight model {side}: {w.message}", w.category)
     weighted, weighted_val = [
-        None if rows is None else assign_fsiw(*models, rows, s.y, config.clip_floor)
-        for rows, s in zip(designs, (train, val))
+        None if design is None else assign_fsiw(*models, design, s.y, config.clip_floor)
+        for design, s in zip(rows.designs, (train, val))
     ]
-    model = train_weighted_logistic(weighted, config.l2, config.optimizer, validation=weighted_val)
+    model = train_weighted_logistic(
+        replace(weighted, x=rows.groups), config.l2, config.optimizer, validation=weighted_val
+    )
     return model, weighted
 
 
 def _fit_task(
-    config: ExperimentConfig, labeled: _LabeledSplit, trainer: str, tau: int, designs: list | None
+    config: ExperimentConfig,
+    labeled: _LabeledSplit,
+    trainer: str,
+    tau: int,
+    rows: _SharedRows | None,
 ) -> _Fitted:
-    """Fit ``trainer`` at deadline ``tau`` and predict the split's test rows."""
+    """Fit ``trainer`` at deadline ``tau`` and predict the split's test rows;
+    a logistic trainer fits on ``rows``."""
     train, opt = labeled.train, config.optimizer
     label = f"split {labeled.split.k}, trainer {trainer}"
     weighted = None
     try:
         if trainer == "lr_fsiw":
             label += f", tau {tau}s"
-            model, weighted = _fit_fsiw(config, labeled, tau, designs, label)
+            model, weighted = _fit_fsiw(config, labeled, tau, rows, label)
         elif trainer == "naive_lr":
-            model = train_naive_logistic(train.x, train.y, config.l2, opt)
+            model = train_naive_logistic(rows.groups, train.y, config.l2, opt)
         else:
             model = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
         preds = predict_cvr_batch(model, labeled.x_test)
@@ -630,15 +665,17 @@ def _fit_split(
     config: ExperimentConfig, labeled: _LabeledSplit, trainers: Sequence[str], taus: Sequence[int]
 ) -> list[_Fitted]:
     """Fit a labeled split's tasks in turn: for each of ``trainers``, lr_fsiw
-    at every deadline of ``taus``, any other trainer once, at ``taus[0]``."""
-    train, val = labeled.train, labeled.val
+    at every deadline of ``taus``, any other trainer once, at ``taus[0]``.
+    The rows the logistic tasks share are built once and freed after the
+    last of them, so a later dfm fits without them."""
     tasks = [(t, tau) for t in trainers for tau in (taus if t == "lr_fsiw" else taus[:1])]
-    designs = [DesignRows(s.x, s.e) if s is not None and len(s.y) else None for s in (train, val)]
+    last = max((i for i, (t, _) in enumerate(tasks) if t != "dfm"), default=-1)
+    rows = _SharedRows.of(labeled) if last >= 0 else None
     fitted = []
-    for trainer, tau in tasks:
-        fitted.append(_fit_task(config, labeled, trainer, tau, designs))
-        if trainer == "lr_fsiw" and tau == taus[-1]:
-            designs = None  # freed before any later trainer fits
+    for i, (trainer, tau) in enumerate(tasks):
+        fitted.append(_fit_task(config, labeled, trainer, tau, rows))
+        if i == last:
+            rows = None  # freed before any later dfm fits
     return fitted
 
 

@@ -12,11 +12,13 @@ the link for predictions.
 two-loop recursion over the last ``MEMORY`` curvature pairs gives the search
 direction, and a backtracking Armijo line search tries the unit step first.
 Every trial point costs one loss-and-gradient evaluation, so an accepted unit
-step costs exactly one.
+step costs exactly one. The recursion writes its vector products into one
+work vector allocated per fit, and scalar checks run on Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -68,20 +70,21 @@ class TrainingMeta:
     stopped_early: bool = False
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+def _lbfgs_direction(grad: np.ndarray, pairs: deque, work: np.ndarray) -> np.ndarray:
     """-H·grad by the two-loop recursion, where H is the inverse-Hessian
-    estimate of ``pairs`` (oldest first) scaled by sᵀy/yᵀy of the newest."""
+    estimate of ``pairs`` (oldest first) scaled by sᵀy/yᵀy of the newest.
+    Each α·y and β·s is written into ``work``, a vector of grad's size."""
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q)
-        q -= alpha * y
+        alpha = rho * float(s.dot(q))
+        q -= np.multiply(y, alpha, out=work)
         alphas.append(alpha)
     s, y, rho = pairs[-1]
-    q *= 1.0 / (rho * float(y @ y))  # sᵀy / yᵀy
+    q *= 1.0 / (rho * float(y.dot(y)))  # sᵀy / yᵀy
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
-    return -q
+        q += np.multiply(s, alpha - rho * float(y.dot(q)), out=work)
+    return np.negative(q, out=q)
 
 
 def minimize_batch(
@@ -114,9 +117,10 @@ def minimize_batch(
     """
     theta = np.array(theta0, dtype=np.float64)
     loss, grad = fun_grad(theta)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss at the initial point")
     pairs: deque = deque(maxlen=MEMORY)
+    work = np.empty_like(theta)  # the two-loop recursion's scratch vector
 
     best_val = np.inf
     best_theta, best_loss = theta.copy(), loss
@@ -126,23 +130,23 @@ def minimize_batch(
     n_iter = 0
     converged = False
     for n_iter in range(1, cfg.max_iter + 1):
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             break
-        gnorm2 = float(grad @ grad)
+        gnorm2 = float(grad.dot(grad))
         if gnorm2 == 0.0:
             converged = True
             break
-        direction = _lbfgs_direction(grad, pairs) if pairs else -grad
-        slope = float(grad @ direction)
+        direction = _lbfgs_direction(grad, pairs, work) if pairs else -grad
+        slope = float(grad.dot(direction))
         if not slope < 0.0:  # not a descent direction: restart from steepest descent
             pairs.clear()
             direction, slope = -grad, -gnorm2
-        step = 1.0 if pairs else 1.0 / max(1.0, np.sqrt(gnorm2))
+        step = 1.0 if pairs else 1.0 / max(1.0, math.sqrt(gnorm2))
         accepted = False
         for _ in range(60):
             candidate = theta + step * direction
             new_loss, new_grad = fun_grad(candidate)
-            if np.isfinite(new_loss) and new_loss <= loss + 1e-4 * step * slope:
+            if math.isfinite(new_loss) and new_loss <= loss + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -150,8 +154,8 @@ def minimize_batch(
             converged = True  # no descent at machine-level steps: at a minimum
             break
         s, y = candidate - theta, new_grad - grad
-        sy, yy = float(s @ y), float(y @ y)
-        if np.isfinite(sy) and np.isfinite(yy) and sy > 1e-12 * yy:
+        sy, yy = float(s.dot(y)), float(y.dot(y))
+        if math.isfinite(sy) and math.isfinite(yy) and sy > 1e-12 * yy:
             pairs.append((s, y, 1.0 / sy))
         rel_drop = (loss - new_loss) / max(1.0, abs(loss))
         theta, loss, grad = candidate, new_loss, new_grad

@@ -12,7 +12,8 @@ Weighted losses are normalized by the total weight. The two logistic trainers
 fit on the distinct rows of their feature matrix, each with its summed weight
 and weighted mean label. So duplicating a unit-weight sample gives the same
 model, bit for bit, as giving it weight two, and a fit costs per distinct
-row, not per sample.
+row, not per sample. A ``RowGroups`` holds one matrix's grouping, so fits on
+the same rows group them once.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _distinct_rows(x: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked(
-    x: sparse.csr_matrix, y: np.ndarray, sample_weight: np.ndarray | None, l2: float
+    x: sparse.csr_matrix | RowGroups, y: np.ndarray, sample_weight: np.ndarray | None, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and weights as float arrays, after the checks every logistic
     fit makes on its rows."""
@@ -152,18 +153,38 @@ def fit_logistic(
     for early stopping.
     """
     y, w = _checked(x, y, sample_weight, l2)
-    return _minimize_logistic(x, y, w, float(w.sum()), l2, opt, validation)
+    return _minimize_logistic(x, x.T.tocsr(), y, w, float(w.sum()), l2, opt, validation)
+
+
+class RowGroups:
+    """A feature matrix ``x`` grouped into its distinct rows (``_distinct_rows``):
+    ``first`` and ``inverse``, the distinct-row matrix ``x[first]`` and its
+    transpose. Without a repeated row the distinct-row matrix is ``x`` itself.
+
+    The logistic trainers take a RowGroups wherever they take ``x``, so fits
+    on the same rows can share one grouping."""
+
+    def __init__(self, x: sparse.csr_matrix):
+        self.x = x
+        self.first, self.inverse = _distinct_rows(x)
+        self.distinct = x if self.first.size == x.shape[0] else x[self.first]
+        self.distinct_t = self.distinct.T.tocsr()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x.shape
 
 
 def _fit_distinct(
-    x: sparse.csr_matrix,
+    x: sparse.csr_matrix | RowGroups,
     y: np.ndarray,
     sample_weight: np.ndarray | None,
     l2: float,
     opt: OptConfig,
     validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, TrainingMeta]:
-    """``fit_logistic`` with one objective term per distinct row of ``x``.
+    """``fit_logistic`` with one objective term per distinct row of ``x``,
+    grouped here unless ``x`` is its RowGroups.
 
     Rows with the same features share one score z, so Σ wᵢ·(softplus(z) − yᵢ·z)
     over a group is W·(softplus(z) − r·z) with W = Σ wᵢ and r = Σ wᵢ·yᵢ / W.
@@ -171,14 +192,17 @@ def _fit_distinct(
     and the fit runs the per-row arithmetic.
     """
     y, w = _checked(x, y, sample_weight, l2)
-    first, inverse = _distinct_rows(x)
-    group_w = np.bincount(inverse, weights=w)
-    group_y = np.bincount(inverse, weights=w * y) / group_w
-    return _minimize_logistic(x[first], group_y, group_w, float(w.sum()), l2, opt, validation)
+    groups = x if isinstance(x, RowGroups) else RowGroups(x)
+    group_w = np.bincount(groups.inverse, weights=w)
+    group_y = np.bincount(groups.inverse, weights=w * y) / group_w
+    return _minimize_logistic(
+        groups.distinct, groups.distinct_t, group_y, group_w, float(w.sum()), l2, opt, validation
+    )
 
 
 def _minimize_logistic(
     x: sparse.csr_matrix,
+    xt: sparse.csr_matrix,
     y: np.ndarray,
     w: np.ndarray,
     denom: float,
@@ -187,9 +211,8 @@ def _minimize_logistic(
     validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, TrainingMeta]:
     """Minimize w @ (softplus(z) − y·z) / denom + (l2/2)·||coef||² over the
-    checked rows of ``x``."""
+    checked rows of ``x``, whose transpose as CSR is ``xt``."""
     dim = x.shape[1]
-    xt = x.T.tocsr()
 
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         coef = theta[:dim]
@@ -232,6 +255,7 @@ def train_weighted_logistic(
 ) -> LinearCvrModel:
     """Importance-weighted logistic regression over hashed features.
 
+    ``data.x`` may be the RowGroups of the features, to reuse a grouping.
     When ``validation`` is supplied, early stopping monitors the weighted log
     loss on it (weights there should come from the same weighting scheme).
     """
@@ -243,12 +267,13 @@ def train_weighted_logistic(
 
 
 def train_naive_logistic(
-    x: sparse.csr_matrix,
+    x: sparse.csr_matrix | RowGroups,
     y: np.ndarray,
     l2: float,
     opt: OptConfig = OptConfig(),
 ) -> LinearCvrModel:
-    """Unweighted logistic regression on snapshot labels (the biased baseline)."""
+    """Unweighted logistic regression on snapshot labels (the biased
+    baseline). ``x`` may be given as its RowGroups, to reuse a grouping."""
     theta, meta = _fit_distinct(x, y, None, l2, opt)
     return _linear_model(theta, l2, meta)
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .optim import OptConfig, sigmoid
-from .training import SECONDS_PER_DAY, check_l2, fit_logistic
+from .training import SECONDS_PER_DAY, RowGroups, check_l2, fit_logistic
 
 DEFAULT_EDGES = (3600, 21600, 43200, 86400, 172800, 345600, 604800)
 DEFAULT_CLIP_FLOOR = 0.01
@@ -137,9 +137,9 @@ def check_clip_floor(clip_floor: float) -> None:
 class WeightedDataset:
     """Training rows (features, snapshot label, elapsed seconds) with aligned
     positive importance weights: at least 1 on positives, at most 1 on
-    negatives."""
+    negatives. The features may be given as their ``RowGroups``."""
 
-    x: sparse.csr_matrix
+    x: sparse.csr_matrix | RowGroups
     y: np.ndarray
     e: np.ndarray
     weights: np.ndarray

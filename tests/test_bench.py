@@ -13,8 +13,10 @@ from fsiw.data import FieldSpec, read_tsv, snapshot_labels
 from fsiw.experiment import SimulatorSpec, config_from_dict, deadline_sweep
 from fsiw.metrics import evaluate_columns, evaluate_predictions
 from fsiw.optim import OptConfig
+from fsiw.relabel import build_artificial_datasets
 from fsiw.simulate import generate_arrays, to_click_log, write_sim_tsv, write_truth
-from fsiw.training import _distinct_rows, train_dfm, train_naive_logistic
+from fsiw.training import _distinct_rows, fit_logistic, train_dfm, train_naive_logistic
+from fsiw.weights import DEFAULT_EDGES, weight_design
 
 pytestmark = pytest.mark.bench
 
@@ -185,3 +187,19 @@ def test_train_naive_logistic(benchmark, spec, train_days, max_iter, n_distinct)
     assert np.isfinite(model.meta.final_loss)
     if n_distinct is not None:
         assert _distinct_rows(snap.x)[0].size == n_distinct
+
+
+def test_minimize_batch_on_a_1k_row_weight_model_fit(benchmark) -> None:
+    # one weight-model-shaped L-BFGS fit: the first 1000 rows of the README
+    # world's D0 set at tau 2d, as [hashed features | elapsed bins | log
+    # days] (1033 columns), fitted at the benchmark's weight-model budget of
+    # 40 iterations (tol 0), so nearly all of its time is minimize_batch
+    log = to_click_log(generate_arrays(README_40K.build(21)), dim=1024, seed=0)
+    snap = snapshot_labels(log, 7 * 86400)
+    _, d0 = build_artificial_datasets(snap, 2 * 86400)
+    x = weight_design(snap.x[d0.idx[:1000]], d0.e_adj[:1000], DEFAULT_EDGES)
+    _, meta = benchmark(
+        fit_logistic, x, d0.s[:1000], l2=1e-3, opt=OptConfig(max_iter=40, tol=0.0)
+    )
+    assert x.shape == (1000, 1024 + len(DEFAULT_EDGES) + 2)
+    assert meta.n_iter == 40 and np.isfinite(meta.final_loss)

@@ -368,6 +368,22 @@ def test_sweep_warns_on_stderr_for_each_unconverged_cvr_fit(
     assert "warning" not in out
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_a_weight_model_fallback_is_one_warning_line_naming_its_task(
+    tmp_path, config_path, verb
+) -> None:
+    proc = _fsiw(
+        verb, "-c", str(config_path), "-o", str(tmp_path / "out"), "--seed", "4",
+        "--set", "data.simulator.n_samples=200", "--set", "data.simulator.cvr_bias=-4",
+    )
+    assert proc.returncode == 0, proc.stderr
+    # no RuntimeWarning header and no source line: the one warning line alone
+    assert proc.stderr == (
+        "warning: split 0, trainer lr_fsiw, tau 172800s, weight model pos: weight-model data "
+        "has a single s-class (0); falling back to a constant predictor at 0.0\n"
+    )
+
+
 def test_a_sweep_that_cannot_fit_a_weight_model_names_its_deadline_and_side(
     tmp_path, config_path
 ) -> None:

@@ -781,6 +781,66 @@ def test_the_weight_prediction_designs_are_freed_before_dfm_fits(monkeypatch) ->
     assert alive_at_dfm == [[False, False], [False, False, False, False]]
 
 
+def test_the_training_rows_grouping_is_freed_before_dfm_fits(monkeypatch) -> None:
+    import fsiw.experiment
+
+    row_groups, train_dfm = fsiw.experiment.RowGroups, fsiw.experiment.train_dfm
+    groupings, alive_at_dfm = [], []
+
+    def recording_row_groups(x):
+        built = row_groups(x)
+        groupings.append(weakref.ref(built))
+        return built
+
+    def checking_train_dfm(*args, **kwargs):
+        alive_at_dfm.append([ref() is not None for ref in groupings])
+        return train_dfm(*args, **kwargs)
+
+    monkeypatch.setattr(fsiw.experiment, "RowGroups", recording_row_groups)
+    monkeypatch.setattr(fsiw.experiment, "train_dfm", checking_train_dfm)
+    config = config_from_dict(
+        _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS))
+    )
+    run_pipeline(config, write_outputs=False)
+    # one grouping per split, freed when its split's last logistic fit is done
+    assert alive_at_dfm == [[False], [False, False]]
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_each_split_groups_its_training_rows_once(monkeypatch, verb) -> None:
+    import fsiw.training
+
+    distinct_rows, grouped = fsiw.training._distinct_rows, []
+
+    def counting_distinct_rows(x):
+        grouped.append(x.shape[0])
+        return distinct_rows(x)
+
+    monkeypatch.setattr(fsiw.training, "_distinct_rows", counting_distinct_rows)
+    config = config_from_dict(
+        _base_dict(
+            split=_TWO_SPLITS_WITH_VALIDATION, tau=["1d", "2d", "3d"], trainers=list(TRAINERS)
+        )
+    )
+    # a run fits naive_lr and lr_fsiw on each split's training rows, a sweep
+    # lr_fsiw at three taus: both group those rows once per split
+    {"run": run_pipeline, "sweep": deadline_sweep}[verb](config, write_outputs=False)
+    assert len(grouped) == 2
+
+
+def test_a_weight_model_fallback_warns_under_its_task_label() -> None:
+    # 200 clicks at a low CVR: every conversion in D1 lands after the
+    # deadline (s = 0 throughout), so the pos model falls back to a constant
+    raw = _base_dict(seed=4)
+    raw["data"]["simulator"].update(n_samples=200, cvr_bias=-4)
+    with pytest.warns(RuntimeWarning) as caught:
+        run_pipeline(config_from_dict(raw), write_outputs=False)
+    assert [str(w.message) for w in caught] == [
+        "split 0, trainer lr_fsiw, tau 172800s, weight model pos: weight-model data has a "
+        "single s-class (0); falling back to a constant predictor at 0.0"
+    ]
+
+
 # --- TSV sources and label finality ---------------------------------------------
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from fsiw.optim import OptConfig, minimize_batch, softplus_sigmoid
+from fsiw.optim import MEMORY, OptConfig, _lbfgs_direction, minimize_batch, softplus_sigmoid
 from fsiw.training import dfm_nll_grad
 
 
@@ -195,3 +197,38 @@ def test_minimize_batch_stops_unconverged_at_a_nan_gradient() -> None:
     assert meta.n_iter == 3
     assert np.array_equal(theta, calls[-1])
     assert np.isfinite(meta.final_loss)
+
+
+def _reference_lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+    """The two-loop recursion as written before it reused a work vector: the
+    same operations in the same order, each product a fresh array."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
+
+
+@pytest.mark.parametrize("dim", [1, 7, 1034])
+@pytest.mark.parametrize("memory", range(1, MEMORY + 1))
+def test_the_two_loop_recursion_matches_its_reference_bit_for_bit(dim, memory) -> None:
+    rng = np.random.default_rng(1000 * dim + memory)
+    for _ in range(5):
+        pairs: deque = deque(maxlen=MEMORY)
+        for _ in range(memory):
+            s = rng.normal(size=dim) * rng.uniform(1e-3, 10.0)
+            y = s * rng.uniform(0.1, 10.0, size=dim) + 0.1 * rng.normal(size=dim)
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        grad = rng.normal(size=dim) * rng.uniform(1e-6, 1e3)
+        before = grad.copy()
+        work = np.full(dim, np.nan)  # what the work vector held before plays no part
+        direction = _lbfgs_direction(grad, pairs, work)
+        expected = _reference_lbfgs_direction(grad, pairs)
+        assert direction.tobytes() == expected.tobytes()
+        assert grad.tobytes() == before.tobytes()
