@@ -15,13 +15,13 @@ scores all of the split's tasks from a single pass over its bootstrap
 resamples. lr_fsiw is a task at each deadline ``_fit_split`` is given, any
 other trainer one task at the first; a run gives it the config's trainers and
 first deadline, a sweep lr_fsiw and every deadline. ``_fit_task`` fits one
-task. The logistic tasks share the split's rows (``_SharedRows``): one
-grouping of its training rows into distinct rows (``training.RowGroups``),
-which naive_lr and lr_fsiw at every deadline fit on, and one weight-prediction
-design of its training rows and one of its validation rows per distinct
-``edges``, from which the weight models of every deadline predict. They are
-built once per split and freed after its last logistic task, so a later dfm
-fits without them.
+task. Every task fits on one grouping of the split's training rows into
+distinct rows (``training.RowGroups``), which lives until the split's last
+task. lr_fsiw at every deadline also shares one weight-prediction design of
+the training rows and one of the validation rows per distinct ``edges``, from
+which the weight models of every deadline predict. They are built once per
+split and freed after its last lr_fsiw task, so a later dfm fits without
+them.
 
 Every error of a task, in its fit or in its metrics, carries the task's
 label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
@@ -588,28 +588,18 @@ class _Fitted:
     weighted: WeightedDataset | None
 
 
-@dataclass(frozen=True)
-class _SharedRows:
-    """What a split's logistic tasks share: the grouping of its training
-    rows and the weight-prediction designs of its training and validation
-    rows (None without validation rows)."""
-
-    groups: RowGroups
-    designs: tuple[DesignRows, DesignRows | None]
-
-    @classmethod
-    def of(cls, labeled: _LabeledSplit) -> _SharedRows:
-        train, val = labeled.train, labeled.val
-        val_rows = DesignRows(val.x, val.e) if val is not None and len(val.y) else None
-        return cls(RowGroups(train.x), (DesignRows(train.x, train.e), val_rows))
-
-
 def _fit_fsiw(
-    config: ExperimentConfig, labeled: _LabeledSplit, tau: int, rows: _SharedRows, label: str
+    config: ExperimentConfig,
+    labeled: _LabeledSplit,
+    tau: int,
+    groups: RowGroups,
+    designs: tuple[DesignRows, DesignRows | None],
+    label: str,
 ) -> tuple[LinearCvrModel, WeightedDataset]:
     """lr_fsiw at deadline ``tau``: relabel, fit both weight models, weight
-    the training and validation rows and train on the training grouping.
-    A weight model's warning is raised again under its label."""
+    the training and validation rows (``designs``, None without validation
+    rows) and train on the training grouping. A weight model's warning is
+    raised again under its label."""
     k, train, val = labeled.split.k, labeled.train, labeled.val
     d1, d0 = build_artificial_datasets(train, tau)
     models = []
@@ -627,10 +617,10 @@ def _fit_fsiw(
             warnings.warn(f"{label}, weight model {side}: {w.message}", w.category)
     weighted, weighted_val = [
         None if design is None else assign_fsiw(*models, design, s.y, config.clip_floor)
-        for design, s in zip(rows.designs, (train, val))
+        for design, s in zip(designs, (train, val))
     ]
     model = train_weighted_logistic(
-        replace(weighted, x=rows.groups), config.l2, config.optimizer, validation=weighted_val
+        replace(weighted, x=groups), config.l2, config.optimizer, validation=weighted_val
     )
     return model, weighted
 
@@ -640,21 +630,23 @@ def _fit_task(
     labeled: _LabeledSplit,
     trainer: str,
     tau: int,
-    rows: _SharedRows | None,
+    groups: RowGroups,
+    designs: tuple[DesignRows, DesignRows | None] | None,
 ) -> _Fitted:
-    """Fit ``trainer`` at deadline ``tau`` and predict the split's test rows;
-    a logistic trainer fits on ``rows``."""
+    """Fit ``trainer`` at deadline ``tau`` on the grouping of the split's
+    training rows and predict its test rows; lr_fsiw weights its rows from
+    ``designs``."""
     train, opt = labeled.train, config.optimizer
     label = f"split {labeled.split.k}, trainer {trainer}"
     weighted = None
     try:
         if trainer == "lr_fsiw":
             label += f", tau {tau}s"
-            model, weighted = _fit_fsiw(config, labeled, tau, rows, label)
+            model, weighted = _fit_fsiw(config, labeled, tau, groups, designs, label)
         elif trainer == "naive_lr":
-            model = train_naive_logistic(rows.groups, train.y, config.l2, opt)
+            model = train_naive_logistic(groups, train.y, config.l2, opt)
         else:
-            model = train_dfm(train.x, train.y, train.d, train.e, config.l2, opt)
+            model = train_dfm(groups, train.y, train.d, train.e, config.l2, opt)
         preds = predict_cvr_batch(model, labeled.x_test)
     except (ValueError, TrainingError) as exc:
         raise PipelineError(f"{label}: {exc}") from exc
@@ -666,16 +658,22 @@ def _fit_split(
 ) -> list[_Fitted]:
     """Fit a labeled split's tasks in turn: for each of ``trainers``, lr_fsiw
     at every deadline of ``taus``, any other trainer once, at ``taus[0]``.
-    The rows the logistic tasks share are built once and freed after the
-    last of them, so a later dfm fits without them."""
+    Every task fits on one grouping of the training rows. The weight
+    designs are built once and freed after the last lr_fsiw task, so a
+    later dfm fits without them."""
     tasks = [(t, tau) for t in trainers for tau in (taus if t == "lr_fsiw" else taus[:1])]
-    last = max((i for i, (t, _) in enumerate(tasks) if t != "dfm"), default=-1)
-    rows = _SharedRows.of(labeled) if last >= 0 else None
+    last = max((i for i, (t, _) in enumerate(tasks) if t == "lr_fsiw"), default=-1)
+    train, val = labeled.train, labeled.val
+    groups = RowGroups(train.x)
+    designs = (  # each built on first use
+        DesignRows(train.x, train.e),
+        DesignRows(val.x, val.e) if val is not None and len(val.y) else None,
+    )
     fitted = []
     for i, (trainer, tau) in enumerate(tasks):
-        fitted.append(_fit_task(config, labeled, trainer, tau, rows))
+        fitted.append(_fit_task(config, labeled, trainer, tau, groups, designs))
         if i == last:
-            rows = None  # freed before any later dfm fits
+            designs = None  # freed before any later dfm fits
     return fitted
 
 

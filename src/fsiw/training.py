@@ -14,6 +14,14 @@ and weighted mean label. So duplicating a unit-weight sample gives the same
 model, bit for bit, as giving it weight two, and a fit costs per distinct
 row, not per sample. A ``RowGroups`` holds one matrix's grouping, so fits on
 the same rows group them once.
+
+train_dfm groups only its feature-only terms when at most half of its rows
+are distinct: the CVR score z, its sum z + u with the delay score, the rate
+λ = exp(u), softplus(z) and sigmoid(z) are computed per distinct row and
+gathered back to the samples, with the same bits as per sample. What reads a
+sample's observed time (λ·d, λ·e, the censored branch and the loss sum) stays
+per sample, and so do the gradient products, whose sums a grouping would
+reorder.
 """
 
 from __future__ import annotations
@@ -70,13 +78,29 @@ def check_l2(l2: float) -> None:
         raise ValueError(f"l2 must be finite and non-negative, got {l2!r}")
 
 
-def _validate_weights(w: np.ndarray) -> None:
-    bad = ~(np.isfinite(w) & (w > 0))
+def _reject_first(bad: np.ndarray, values: np.ndarray, rule: str) -> None:
+    """Raise ``TrainingError`` naming the first sample where ``bad`` holds."""
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise TrainingError(
-            f"sample weight must be a positive finite number, got {w[idx]} (sample index {idx})"
-        )
+        raise TrainingError(f"{rule}, got {values[idx]} (sample index {idx})")
+
+
+def _column(values: np.ndarray, n: int, name: str) -> np.ndarray:
+    """One value per sample, as a float array."""
+    if len(values) != n:
+        raise TrainingError(f"{name} count {len(values)} != sample count {n}")
+    return np.asarray(values, dtype=float)
+
+
+def _labels(y: np.ndarray, n: int) -> np.ndarray:
+    y = _column(y, n, "label")
+    _reject_first((y != 0) & (y != 1), y, "label must be 0 or 1")
+    return y
+
+
+def _validate_weights(w: np.ndarray) -> None:
+    bad = ~(np.isfinite(w) & (w > 0))
+    _reject_first(bad, w, "sample weight must be a positive finite number")
 
 
 def _distinct_rows(x: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +152,11 @@ def _checked(
     n = x.shape[0]
     if n == 0:
         raise TrainingError("empty training set")
-    if len(y) != n:
-        raise TrainingError(f"label count {len(y)} != sample count {n}")
+    y = _labels(y, n)
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     _validate_weights(w)
     check_l2(l2)
-    return np.asarray(y, dtype=float), w
+    return y, w
 
 
 def fit_logistic(
@@ -161,8 +184,8 @@ class RowGroups:
     ``first`` and ``inverse``, the distinct-row matrix ``x[first]`` and its
     transpose. Without a repeated row the distinct-row matrix is ``x`` itself.
 
-    The logistic trainers take a RowGroups wherever they take ``x``, so fits
-    on the same rows can share one grouping."""
+    Every trainer takes a RowGroups wherever it takes ``x``, so fits on the
+    same rows can share one grouping."""
 
     def __init__(self, x: sparse.csr_matrix):
         self.x = x
@@ -287,6 +310,7 @@ def dfm_nll_grad(
     e_days: np.ndarray,
     l2: float,
     denom: float,
+    rows: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Censored-likelihood objective for the joint CVR/delay model.
 
@@ -298,22 +322,52 @@ def dfm_nll_grad(
     negative converts later. Both branches are computed on every row and
     chosen with np.where. λ is multiplied only by the row's own d or e, so an
     overflowing λ raises no warning that a per-label computation would not.
+
+    With a row map ``rows``, ``x`` holds distinct feature rows and sample i
+    has the features of ``x[rows[i]]``; ``xt`` stays the transpose of the
+    per-sample matrix. The result is the same bits as on that matrix.
+    """
+    pos = y == 1
+    return _dfm_objective(theta, x, xt, pos, np.where(pos, d_days, e_days), l2, denom, rows)
+
+
+def _dfm_objective(
+    theta: np.ndarray,
+    x: sparse.csr_matrix,
+    xt: sparse.csr_matrix,
+    pos: np.ndarray,
+    t: np.ndarray,
+    l2: float,
+    denom: float,
+    rows: np.ndarray | None,
+) -> tuple[float, np.ndarray]:
+    """``dfm_nll_grad`` given each sample's label test ``pos`` and its
+    observed time ``t`` (d on positives, e on negatives).
+
+    z, z + u, λ, softplus(z) and sigmoid(z) read only a row's features, so
+    with ``rows`` they are computed once per distinct row and gathered. A
+    distinct row keeps the stored indices and values of the rows it stands
+    for, so its scores sum in the same order, and the link functions act
+    element by element: the gathered values are the per-sample ones, bit for
+    bit. Everything that reads t, and the gradient products over ``xt``, stay
+    per sample; summing the products per group first would reorder their sums.
     """
     dim = x.shape[1]
     wc, bc = theta[:dim], theta[dim]
     wd, bd = theta[dim + 1 : 2 * dim + 1], theta[2 * dim + 1]
     z = x @ wc + bc
     u = x @ wd + bd
-    pos = y == 1
 
     with np.errstate(over="ignore", under="ignore"):
         lam = np.exp(u)
-        t = np.where(pos, d_days, e_days)
+        zu = z + u
+        sp_z, p = softplus_sigmoid(z)
+        if rows is not None:
+            z, zu, lam, sp_z, p = (a.take(rows) for a in (z, zu, lam, sp_z, p))
         lam_t = lam * t
         v = z - lam_t
-        sp_z, p = softplus_sigmoid(z)
         sp_v, r2 = softplus_sigmoid(v)
-        ll = sp_z - np.where(pos, z + u - lam_t, sp_v)
+        ll = sp_z - np.where(pos, zu - lam_t, sp_v)
         loss = float(ll.sum()) / denom + 0.5 * l2 * (float(wc @ wc) + float(wd @ wd))
 
     # dz = p - 1 and du = λd - 1 on positives, dz = p - r2 and du = r2·λe on negatives
@@ -337,7 +391,7 @@ def dfm_nll_grad(
 
 
 def train_dfm(
-    x: sparse.csr_matrix,
+    x: sparse.csr_matrix | RowGroups,
     y: np.ndarray,
     d: np.ndarray,
     e: np.ndarray,
@@ -351,24 +405,42 @@ def train_dfm(
     loss by at most ``opt.tol`` relative, or after ``opt.max_iter``
     iterations with ``meta.converged`` False.
 
-    ``d`` and ``e`` are the observed delay and the elapsed time in seconds;
-    positives contribute through ``d`` and negatives through ``e``, so ``d``
-    on negatives is ignored. Initialization is data-dependent: the CVR
-    intercept starts at the snapshot base rate, the delay intercept at the
-    inverse mean observed delay.
+    ``d`` and ``e`` are the observed delay and the elapsed time in seconds,
+    finite and non-negative; positives contribute through ``d`` and
+    negatives through ``e``, so ``d`` on negatives is not used.
+    Initialization is data-dependent: the CVR intercept starts at the
+    snapshot base rate, the delay intercept at the inverse mean observed
+    delay.
+
+    ``x`` may be given as its RowGroups, to reuse a grouping. When at most
+    half of the rows are distinct, the objective computes its feature-only
+    terms once per distinct row and gathers them (``_dfm_objective``);
+    with more distinct rows the gathers cost more than they save, and it
+    runs per row. The model is the same bits either way.
     """
     check_l2(l2)
     n, dim = x.shape
     if n == 0:
         raise TrainingError("empty training set")
-    y = np.asarray(y, dtype=float)
+    y = _labels(y, n)
+    d, e = _column(d, n, "delay"), _column(e, n, "elapsed-time")
+    for values, name in ((d, "delay"), (e, "elapsed time")):
+        bad = ~(np.isfinite(values) & (values >= 0))
+        _reject_first(bad, values, f"{name} must be a finite non-negative number of seconds")
     pos = y == 1
     if not np.any(pos):
         raise TrainingError("cannot fit a delay model without positive samples")
-    d_days = np.asarray(d, dtype=float) / SECONDS_PER_DAY
-    e_days = np.asarray(e, dtype=float) / SECONDS_PER_DAY
+    d_days = d / SECONDS_PER_DAY
+    e_days = e / SECONDS_PER_DAY
+    t = np.where(pos, d_days, e_days)
 
-    xt = x.T.tocsr()
+    groups = x if isinstance(x, RowGroups) else RowGroups(x)
+    # gathering pays when rows repeat: per evaluation, 64 distinct rows of 28k
+    # took 23-28% less time grouped, 4,599 distinct of 4,782 took 7-10% more
+    grouped = 2 * groups.first.size <= n
+    rows = groups.inverse if grouped else None
+    xs = groups.distinct if grouped else groups.x
+    xt = groups.distinct_t if groups.distinct is groups.x else groups.x.T.tocsr()
     denom = float(n)
 
     theta0 = np.zeros(2 * dim + 2)
@@ -378,7 +450,7 @@ def train_dfm(
     theta0[2 * dim + 1] = -np.log(max(mean_delay, 1e-6))
 
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, denom)
+        return _dfm_objective(theta, xs, xt, pos, t, l2, denom, rows)
 
     try:
         theta, meta = minimize_batch(value_grad, theta0, opt)

@@ -168,6 +168,18 @@ def test_train_dfm_battery_world_6k_rows(benchmark) -> None:
     assert np.isfinite(model.meta.final_loss)
 
 
+def test_train_dfm_readme_world_28k_rows(benchmark) -> None:
+    # the scale workload's dfm fit: its ~28k training rows hold 64 distinct
+    # feature rows, so the objective computes its feature-only terms per
+    # distinct row; the benchmark's budget of 50 iterations (tol 0)
+    log = to_click_log(generate_arrays(README_40K.build(21)), dim=1024, seed=0)
+    snap = snapshot_labels(log, 7 * 86400)
+    opt = OptConfig(max_iter=50, tol=0.0)
+    model = benchmark(train_dfm, snap.x, snap.y, snap.d, snap.e, 1e-4, opt)
+    assert _distinct_rows(snap.x)[0].size == 64
+    assert np.isfinite(model.meta.final_loss)
+
+
 @pytest.mark.parametrize(
     ("spec", "train_days", "max_iter", "n_distinct"),
     [

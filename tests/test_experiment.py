@@ -781,11 +781,12 @@ def test_the_weight_prediction_designs_are_freed_before_dfm_fits(monkeypatch) ->
     assert alive_at_dfm == [[False, False], [False, False, False, False]]
 
 
-def test_the_training_rows_grouping_is_freed_before_dfm_fits(monkeypatch) -> None:
+def test_the_training_rows_grouping_lives_until_its_split_is_fitted(monkeypatch) -> None:
     import fsiw.experiment
 
-    row_groups, train_dfm = fsiw.experiment.RowGroups, fsiw.experiment.train_dfm
-    groupings, alive_at_dfm = [], []
+    row_groups = fsiw.experiment.RowGroups
+    train_dfm, evaluate = fsiw.experiment.train_dfm, fsiw.experiment.evaluate_columns
+    groupings, alive_at_dfm, alive_at_scoring = [], [], []
 
     def recording_row_groups(x):
         built = row_groups(x)
@@ -796,18 +797,32 @@ def test_the_training_rows_grouping_is_freed_before_dfm_fits(monkeypatch) -> Non
         alive_at_dfm.append([ref() is not None for ref in groupings])
         return train_dfm(*args, **kwargs)
 
+    def checking_evaluate(*args, **kwargs):
+        alive_at_scoring.append([ref() is not None for ref in groupings])
+        return evaluate(*args, **kwargs)
+
     monkeypatch.setattr(fsiw.experiment, "RowGroups", recording_row_groups)
     monkeypatch.setattr(fsiw.experiment, "train_dfm", checking_train_dfm)
+    monkeypatch.setattr(fsiw.experiment, "evaluate_columns", checking_evaluate)
     config = config_from_dict(
         _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS))
     )
     run_pipeline(config, write_outputs=False)
-    # one grouping per split, freed when its split's last logistic fit is done
-    assert alive_at_dfm == [[False], [False, False]]
+    # one grouping per split: dfm fits on it, and it is freed once the
+    # split's last task is fitted, before the split is scored
+    assert alive_at_dfm == [[True], [False, True]]
+    assert alive_at_scoring == [[False], [False, False]]
 
 
-@pytest.mark.parametrize("verb", ["run", "sweep"])
-def test_each_split_groups_its_training_rows_once(monkeypatch, verb) -> None:
+@pytest.mark.parametrize(
+    ("verb", "trainers"),
+    [
+        pytest.param("run", list(TRAINERS), id="run"),
+        pytest.param("sweep", list(TRAINERS), id="sweep"),
+        pytest.param("run", ["dfm"], id="run_dfm_only"),
+    ],
+)
+def test_each_split_groups_its_training_rows_once(monkeypatch, verb, trainers) -> None:
     import fsiw.training
 
     distinct_rows, grouped = fsiw.training._distinct_rows, []
@@ -818,11 +833,9 @@ def test_each_split_groups_its_training_rows_once(monkeypatch, verb) -> None:
 
     monkeypatch.setattr(fsiw.training, "_distinct_rows", counting_distinct_rows)
     config = config_from_dict(
-        _base_dict(
-            split=_TWO_SPLITS_WITH_VALIDATION, tau=["1d", "2d", "3d"], trainers=list(TRAINERS)
-        )
+        _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, tau=["1d", "2d", "3d"], trainers=trainers)
     )
-    # a run fits naive_lr and lr_fsiw on each split's training rows, a sweep
+    # a run fits each of its trainers on each split's training rows, a sweep
     # lr_fsiw at three taus: both group those rows once per split
     {"run": run_pipeline, "sweep": deadline_sweep}[verb](config, write_outputs=False)
     assert len(grouped) == 2

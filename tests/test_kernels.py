@@ -11,6 +11,7 @@ import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -186,3 +187,86 @@ def test_dfm_grad_where_only_the_rate_times_elapsed_time_overflows() -> None:
     _assert_close(loss, ref_loss)
     _assert_close(grad, ref_grad)
     assert not np.isnan(grad).any()
+
+
+@st.composite
+def grouped_dfm_problems(draw):
+    """A dfm problem whose rows repeat: a matrix of distinct rows (the first
+    one empty, stored values other than 1) and a row map that uses each of
+    them at least once."""
+    n_distinct = draw(st.integers(1, 8))
+    n = draw(st.integers(n_distinct, 40))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice([1.0, 0.5, 3.0, -2.0, 1e-3], (n_distinct, dim))
+    dense = (rng.random((n_distinct, dim)) < 0.6) * values
+    dense[0] = 0.0
+    distinct = sparse.csr_matrix(dense)
+    extra = rng.integers(0, n_distinct, n - n_distinct)
+    rows = rng.permutation(np.concatenate([np.arange(n_distinct), extra]))
+    y = (rng.random(n) < 0.4).astype(float)
+    d_days = np.where(y == 1, rng.exponential(2.0, n) * (rng.random(n) < 0.9), 0.0)
+    e_days = d_days + rng.exponential(5.0, n) * (rng.random(n) < 0.9)
+    theta = np.array(draw(st.lists(PARAM, min_size=2 * dim + 2, max_size=2 * dim + 2)))
+    theta[2 * dim + 1] = draw(DELAY_INTERCEPT)
+    if draw(st.booleans()):
+        theta[dim + 1 : 2 * dim + 1] *= draw(st.floats(1.0, 400.0))
+    l2 = draw(st.sampled_from([0.0, 0.1]))
+    return theta, distinct, rows, y, d_days, e_days, l2
+
+
+def _assert_same_bits(new: tuple[float, np.ndarray], ref: tuple[float, np.ndarray]) -> None:
+    for a, b in zip(new, ref):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _grouped_and_per_row(problem):
+    """The problem's objective through its row map, its objective on the
+    expanded rows, and the masked reference on those rows, each with the
+    set of warnings it raised."""
+    theta, distinct, rows, y, d_days, e_days, l2 = problem
+    x = distinct[rows]
+    args = (y, d_days, e_days, l2, float(rows.size))
+    xt = x.T.tocsr()
+    return (
+        _run_recording(lambda: dfm_nll_grad(theta, distinct, xt, *args, rows=rows)),
+        _run_recording(lambda: dfm_nll_grad(theta, x, xt, *args)),
+        _run_recording(lambda: _reference_dfm_nll_grad(theta, x, xt, *args)),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(grouped_dfm_problems())
+def test_dfm_nll_grad_through_a_row_map_is_the_per_row_objective_bit_for_bit(problem) -> None:
+    (grouped, grouped_warnings), (per_row, per_row_warnings), (ref, ref_warnings) = (
+        _grouped_and_per_row(problem)
+    )
+    _assert_same_bits(grouped, per_row)
+    assert grouped_warnings == per_row_warnings
+    assert grouped_warnings <= ref_warnings
+    _assert_close(grouped[0], ref[0])
+    _assert_close(grouped[1], ref[1])
+
+
+@pytest.mark.parametrize("delay_intercept", [709.0, 800.0])
+def test_dfm_nll_grad_through_a_row_map_where_the_rate_overflows(delay_intercept) -> None:
+    # rows 0, 2 and 4 are the empty row, rows 1 and 3 store 0.5. At intercept
+    # 709, λ is finite on every row but λ·e overflows on row 1 (the du
+    # fix-up); at 800, λ itself is inf and so is the loss
+    distinct = sparse.csr_matrix(np.array([[0.0], [0.5]]))
+    rows = np.array([0, 1, 0, 1, 0])
+    y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    d_days = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    e_days = np.array([11.9, 4.2, 0.5, 3.0, 2.0])
+    theta = np.array([0.3, -0.2, -0.4, delay_intercept])
+    (grouped, grouped_warnings), (per_row, per_row_warnings), (ref, ref_warnings) = (
+        _grouped_and_per_row((theta, distinct, rows, y, d_days, e_days, 0.0))
+    )
+    _assert_same_bits(grouped, per_row)
+    assert grouped_warnings == per_row_warnings <= ref_warnings
+    _assert_close(grouped[0], ref[0])
+    _assert_close(grouped[1], ref[1])
+    if delay_intercept == 709.0:
+        assert np.isfinite(grouped[0]) and not np.isnan(grouped[1]).any()
+    else:
+        assert grouped[0] == np.inf

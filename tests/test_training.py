@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ from fsiw.optim import OptConfig, TrainingMeta, minimize_batch, softplus_sigmoid
 from fsiw.simulate import generate_arrays, to_click_log
 from fsiw.training import (
     MODEL_FORMAT,
+    SECONDS_PER_DAY,
     DfmModel,
     LinearCvrModel,
+    RowGroups,
     TrainingError,
     _distinct_rows,
     _fit_distinct,
@@ -269,6 +272,59 @@ def test_a_fit_over_distinct_rows_matches_the_per_row_fit_on_the_readme_world() 
         assert model.meta.final_loss == pytest.approx(meta.final_loss, abs=1e-8)
 
 
+def _per_row_dfm_fit(
+    x: sparse.csr_matrix, y: np.ndarray, d: np.ndarray, e: np.ndarray, l2: float, opt: OptConfig
+) -> tuple[np.ndarray, TrainingMeta]:
+    """train_dfm's fit with the per-row objective (``dfm_nll_grad`` on
+    ``x`` itself) from train_dfm's data-dependent start."""
+    dim = x.shape[1]
+    y = np.asarray(y, dtype=float)
+    d_days, e_days = d / SECONDS_PER_DAY, e / SECONDS_PER_DAY
+    theta0 = np.zeros(2 * dim + 2)
+    base = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
+    theta0[dim] = np.log(base / (1.0 - base))
+    theta0[2 * dim + 1] = -np.log(max(float(d_days[y == 1].mean()), 1e-6))
+    xt = x.T.tocsr()
+
+    def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(y.size))
+
+    return minimize_batch(value_grad, theta0, opt)
+
+
+def _distinct_delayed_samples(n: int, seed: int) -> Snapshot:
+    """``_distinct_samples`` with a delay of 40 s on every positive."""
+    snap = _distinct_samples(n, seed)
+    return Snapshot(x=snap.x, y=snap.y, e=snap.e, d=np.where(snap.y == 1, 40, 0))
+
+
+@pytest.mark.parametrize(
+    ("world", "distinct"),
+    [
+        # at most 64 distinct rows of about 2k: the objective gathers
+        (lambda: _readme_world_split(3000, seed=5), lambda n: n <= 64),
+        # 300 rows drawn from 560 feature sets: some repeat, most do not
+        (lambda: _make_samples(300, seed=7), lambda n: 150 < n < 300),
+        # no row repeats
+        (lambda: _distinct_delayed_samples(300, seed=8), lambda n: n == 300),
+    ],
+    ids=["readme_world", "mostly_distinct", "all_distinct"],
+)
+def test_dfm_on_row_groups_is_the_per_row_fit_bit_for_bit(world, distinct) -> None:
+    snap = world()
+    opt = OptConfig(max_iter=60, tol=0.0)
+    groups = RowGroups(snap.x)
+    assert distinct(groups.first.size)
+    theta, meta = _per_row_dfm_fit(snap.x, snap.y, snap.d, snap.e, 1e-4, opt)
+    for x in (groups, snap.x):
+        model = train_dfm(x, snap.y, snap.d, snap.e, 1e-4, opt)
+        assert model.cvr_coef.tobytes() == theta[: snap.x.shape[1]].tobytes()
+        assert model.cvr_intercept == theta[snap.x.shape[1]]
+        assert model.delay_coef.tobytes() == theta[snap.x.shape[1] + 1 : -1].tobytes()
+        assert model.delay_intercept == theta[-1]
+        assert model.meta == meta
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 def test_a_bad_weight_on_a_repeated_row_names_its_own_sample_index(bad) -> None:
     # rows 1, 4 and 6 are one distinct row; weights are checked before grouping
@@ -383,6 +439,63 @@ def test_dfm_requires_positive_samples() -> None:
     neg = _rows(samples, samples.y == 0)
     with pytest.raises(TrainingError, match="positive"):
         train_dfm(neg.x, neg.y, neg.d, neg.e, 0.1, OPT)
+
+
+@pytest.mark.parametrize(
+    ("column", "message"),
+    [
+        ("y", "label count 7 != sample count 8"),
+        ("d", "delay count 7 != sample count 8"),
+        ("e", "elapsed-time count 7 != sample count 8"),
+    ],
+)
+def test_dfm_rejects_a_column_of_the_wrong_length(column, message) -> None:
+    # one element short used to fail inside numpy, with an IndexError or a
+    # broadcasting ValueError
+    samples = _make_samples(8, seed=3)
+    args = {"y": samples.y, "d": samples.d, "e": samples.e}
+    args[column] = args[column][:7]
+    with pytest.raises(TrainingError, match=f"^{message}$"):
+        train_dfm(samples.x, l2=0.1, opt=OPT, **args)
+
+
+@pytest.mark.parametrize(
+    ("column", "bad", "message"),
+    [
+        # labels of 2 used to fail as "without positive samples"
+        ("y", 2, "label must be 0 or 1, got 2.0"),
+        ("y", -1, "label must be 0 or 1, got -1.0"),
+        ("y", np.nan, "label must be 0 or 1, got nan"),
+        # a negative elapsed time gave a loss without a lower bound
+        ("e", -5, "elapsed time must be a finite non-negative number of seconds, got -5.0"),
+        ("e", np.inf, "elapsed time must be a finite non-negative number of seconds, got inf"),
+        ("d", -1, "delay must be a finite non-negative number of seconds, got -1.0"),
+        ("d", np.nan, "delay must be a finite non-negative number of seconds, got nan"),
+    ],
+)
+def test_dfm_rejects_a_bad_value_naming_its_sample_index(column, bad, message) -> None:
+    samples = _make_samples(8, seed=3)
+    args = {"y": samples.y, "d": samples.d, "e": samples.e}
+    args = {k: v.astype(float) for k, v in args.items()}
+    args[column][5] = bad
+    with pytest.raises(TrainingError, match=f"^{re.escape(message)} \\(sample index 5\\)$"):
+        train_dfm(samples.x, l2=0.1, opt=OPT, **args)
+
+
+@pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan])
+def test_logistic_trainers_reject_a_label_outside_zero_and_one(bad) -> None:
+    # a label of 2 used to fit silently
+    samples = _make_samples(10, seed=4)
+    y = samples.y.astype(float)
+    y[6] = bad
+    message = f"^label must be 0 or 1, got {bad} \\(sample index 6\\)$"
+    with pytest.raises(TrainingError, match=message):
+        train_naive_logistic(samples.x, y, 0.1, OPT)
+    with pytest.raises(TrainingError, match=message):
+        fit_logistic(samples.x, y, l2=0.1)
+    weighted = WeightedDataset(x=samples.x, y=y, e=samples.e, weights=np.ones(10))
+    with pytest.raises(TrainingError, match=message):
+        train_weighted_logistic(weighted, 0.1, OPT)
 
 
 def test_gradients_match_central_differences() -> None:
