@@ -47,24 +47,40 @@ def _set_dotted(raw: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _load_raw_config(args) -> dict:
+def _parse_yaml(text: str, source: str):
+    """``text`` parsed as YAML; a syntax error is a CliError that names
+    ``source`` and the line and column of the problem."""
     import yaml
 
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise CliError(f"{source}{where}: invalid YAML: {problem}") from None
+
+
+def _load_raw_config(args) -> dict:
     if args.config is None:
         raw: dict = {}
     else:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle) or {}
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: {exc}") from None
+        raw = _parse_yaml(text, str(path)) or {}
         if not isinstance(raw, dict):
             raise CliError(f"config file must contain a mapping: {path}")
     for item in args.set or []:
         if "=" not in item:
             raise CliError(f"--set expects dotted.name=value, got {item!r}")
         key, _, value = item.partition("=")
-        _set_dotted(raw, key.strip(), yaml.safe_load(value))
+        key = key.strip()
+        _set_dotted(raw, key, _parse_yaml(value, f"--set {key}"))
     if args.seed is not None:
         raw["seed"] = args.seed
     if getattr(args, "out", None):
@@ -184,8 +200,14 @@ def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cell. A row that does not parse raises there without saying where; the
     lines are then checked one by one by ``_check_prediction_lines``, whose
     CliError names the first bad line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = list(map(str.strip, handle.read().split("\n")))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # the whole file was decoded at once, so exc.start is its byte offset;
+        # bytes.splitlines breaks lines where text mode does
+        line_no = len((exc.object[: exc.start] + b".").splitlines())
+        raise CliError(f"{path}:{line_no}: {exc}") from None
+    lines = list(map(str.strip, text.split("\n")))
     kept = np.fromiter(map(bool, lines), bool, len(lines))
     rows = list(filter(None, lines))
     if kept[0]:

@@ -184,7 +184,7 @@ def read_tsv(
     arrays. A block that holds a bad row raises without saying where; the
     file is then read again line by line through ``parse_record``, which
     defines a valid row, and its ParseError names the first bad line and
-    column.
+    column. A line that is not UTF-8 is named with the file's path.
     """
     try:
         click_ts, conv_ts, codes, vocabs = _read_columns(path, schema)
@@ -196,8 +196,16 @@ def read_tsv(
             conv_ts=conv_ts,
             x=hash_csr(codes, [list(vocab) for vocab in vocabs], dim=dim, seed=seed),
         )
-    with open(path, "r", encoding="utf-8") as handle:
+    # a byte that is not UTF-8 reads as the lone surrogate U+DC00 + byte,
+    # which does not encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                message = f"{path}: 'utf-8' codec can't decode byte {byte:#x}"
+                raise ParseError(message, line_no=line_no) from None
             if line.strip():
                 parse_record(line, schema, line_no=line_no)
     raise error  # parse_record accepted every row that a block rejected

@@ -15,10 +15,13 @@ call. A resample is a multiset of rows: its log losses are those of
 precision is ``pr_auc`` of its rows listed in row order, bit for bit, so the
 order of the draws plays no part.
 
-The draws come in blocks of index rows, each drawn once for all columns; a
-block's indices and what it gathers for all columns at once fill at most
-``_BLOCK_DRAWS`` values, so memory stays bounded whatever the number of rows,
-columns and resamples. A block's log losses are row means of one gather of
+The draws come in blocks of index rows, each drawn once for all columns.
+While a block is scored, one helper thread draws the next (the draws release
+the GIL, so on a second core they overlap the scoring); the draws are the same
+values in the same order as drawn inline. The two blocks in flight and what
+one of them gathers for all columns at once fill at most ``_BLOCK_DRAWS``
+values, so memory stays bounded whatever the number of rows, columns and
+resamples. A block's log losses are row means of one gather of
 every column's log likelihoods. Average precision gathers one small slot
 number per row (see ``_Ranking``): one ``bincount`` counts the draws per slot
 for every column and resample of the block, and one cumulative sum ranks
@@ -28,6 +31,8 @@ a call of its own.
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -35,8 +40,9 @@ import numpy as np
 
 PRED_CLIP = 1e-15
 NO_POSITIVE = "average precision needs at least one positive label"
-# the most bootstrap indices drawn at once, together with the values gathered
-# with them from every prediction column: 2 MiB of int64 or float64
+# the most bootstrap indices in flight at once (the block being scored and the
+# one being drawn), together with the values gathered with the first from
+# every prediction column: 2 MiB of int64 or float64
 _BLOCK_DRAWS = 1 << 18
 
 # delay_stats: the delays (s) its CDF is read at, and the width (s) of its PDF bins
@@ -161,21 +167,60 @@ def pr_auc(labels: Sequence[int], preds: Sequence[float]) -> float:
 
 def _resample_blocks(n: int, b: int, seed: int, columns: int = 0) -> Iterator[np.ndarray]:
     """The ``b`` index rows of the bootstrap over ``n`` rows seeded by
-    ``seed``, drawn in blocks of at most ``_BLOCK_DRAWS // (1 + columns)``
-    indices (one row per block once a row is longer), so that a block and a
-    gather of it from ``columns`` columns fit in ``_BLOCK_DRAWS`` values.
+    ``seed``, drawn in blocks of at most ``_BLOCK_DRAWS // (2 + columns)``
+    indices (one row per block once a row is longer), so that two blocks and
+    a gather of one from ``columns`` columns fit in ``_BLOCK_DRAWS`` values.
 
     The rows are those of one ``integers(0, n, size=(b, n))`` call on the
     same generator: below 2**32 each index comes from the bit generator's
     stream of 32-bit values, which carries on from one call to the next, so
-    the block size bounds memory and changes no draw."""
+    the block size bounds memory and changes no draw. When there is more
+    than one block, a helper thread draws each next block while the caller
+    holds the current one (``_drawn_ahead``)."""
     if b < 100:
         raise ValueError(f"need at least 100 resamples, got {b}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
-    per_block = max(1, _BLOCK_DRAWS // (n * (1 + columns)))
-    return (
-        rng.integers(0, n, size=(min(per_block, b - done), n)) for done in range(0, b, per_block)
-    )
+    per_block = max(1, _BLOCK_DRAWS // (n * (2 + columns)))
+    sizes = [min(per_block, b - done) for done in range(0, b, per_block)]
+    if len(sizes) == 1:
+        return (rng.integers(0, n, size=(b, n)) for _ in sizes)
+    return _drawn_ahead(rng, n, sizes)
+
+
+def _drawn_ahead(rng: np.random.Generator, n: int, sizes: list[int]) -> Iterator[np.ndarray]:
+    """``rng.integers(0, n, size=(size, n))`` for each of ``sizes`` in turn,
+    each drawn by one worker thread while the caller holds the one before.
+
+    The caller asks for a block (``requests``) and the worker answers with
+    it or with the exception its draw raised (``answers``), so at most two
+    blocks exist at once and only the worker touches ``rng``. The worker is
+    stopped and joined when the blocks run out, on ``close()``, and when an
+    exception in the caller finalizes this generator."""
+    requests: queue.SimpleQueue = queue.SimpleQueue()
+    answers: queue.SimpleQueue = queue.SimpleQueue()
+
+    def draw() -> None:
+        for size in iter(requests.get, None):
+            try:
+                answers.put(rng.integers(0, n, size=(size, n)))
+            except BaseException as exc:  # raised again in the caller
+                answers.put(exc)
+                return
+
+    worker = threading.Thread(target=draw, name="fsiw-bootstrap-draws", daemon=True)
+    worker.start()
+    try:
+        requests.put(sizes[0])
+        for ahead in [*sizes[1:], None]:
+            block = answers.get()
+            if isinstance(block, BaseException):
+                raise block
+            if ahead is not None:
+                requests.put(ahead)
+            yield block
+    finally:
+        requests.put(None)
+        worker.join()
 
 
 def _resamples(n: int, b: int, seed: int) -> Iterator[np.ndarray]:

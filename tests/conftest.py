@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,14 @@ def hash_calls(monkeypatch) -> list[tuple[int, str]]:
 
     monkeypatch.setattr(data_mod, "stable_feature_hash", counting_hash)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that ends with a live thread it did not start with, such
+    as a bootstrap draw thread that was never joined."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [thread.name for thread in threading.enumerate() if thread not in before]
+    if leaked:
+        pytest.fail(f"threads still running after the test: {leaked}")

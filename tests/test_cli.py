@@ -435,6 +435,32 @@ def test_a_test_window_without_a_positive_label_fails_when_the_split_is_labeled(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("seed", "sha256"),
+    [
+        (1, "6a81b24eee70d3da3b641bb9c60b243560c7aaa46b868ae1bf7f1d375e368707"),
+        (7, "6e2e4c878ee368d51309017fc3961d7f752e02cfbb1fa32f4a869e5c468a44d8"),
+    ],
+)
+def test_eval_stdout_bytes_are_pinned_on_many_bootstrap_blocks(
+    tmp_path, capsys, seed, sha256
+) -> None:
+    # 30k rows and 200 resamples are drawn in many blocks, so the draws of
+    # block after block (and the thread that draws ahead) meet the scoring
+    rng = np.random.default_rng(seed)
+    logit = rng.normal(-1.5, 1.0, 30_000)
+    labels = (rng.random(logit.size) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    preds = np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, logit.size)))), 0.01, 0.99)
+    path = tmp_path / "preds.tsv"
+    path.write_text(
+        "".join(f"{y}\t{p!r}\n" for y, p in zip(labels.tolist(), preds.tolist())),
+        encoding="utf-8",
+    )
+    argv = ["eval", "--preds", str(path), "--train-mean-cvr", "0.2", "--seed", str(seed)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_eval_requires_existing_file(tmp_path) -> None:
     proc = _fsiw("eval", "--preds", str(tmp_path / "nope.tsv"))
     assert proc.returncode == 2
@@ -548,6 +574,68 @@ def test_a_bad_input_path_exits_two_with_one_error_line(tmp_path, capsys, case) 
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
     assert str(path) in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "simulate", "stats"])
+@pytest.mark.parametrize("source", ["file", "--set"])
+def test_malformed_yaml_exits_two_with_one_error_line(tmp_path, capsys, verb, source) -> None:
+    config = tmp_path / "config.yaml"
+    out = tmp_path / "out"
+    if source == "file":
+        config.write_text("seed: 3\ntrainers: [naive_lr, dfm\n", encoding="utf-8")
+        flags, where = [], f"{config}, line 3, column 1"
+    else:
+        config.write_text(yaml.safe_dump(_base_dict()), encoding="utf-8")
+        flags, where = ["--set", "trainers=[a"], "--set trainers, line 1, column 3"
+    argv = [verb, "-c", str(config), *flags] + (["-o", str(out)] if verb != "stats" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {where}: invalid YAML: expected ',' or ']', but got '<stream end>'\n"
+    )
+    assert not out.exists()
+
+
+def test_a_control_character_in_yaml_exits_two_with_one_error_line(tmp_path, capsys) -> None:
+    # the YAML reader rejects it before parsing, so the error has no line or column
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 3\x07\n", encoding="utf-8")
+    assert main(["stats", "-c", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: invalid YAML: "
+        "unacceptable character #x0007: special characters are not allowed\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["config", "click log", "predictions"])
+def test_a_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys, kind) -> None:
+    clicks, config, preds = tmp_path / "clicks.tsv", tmp_path / "config.yaml", tmp_path / "p.tsv"
+    raw = _golden_configs()["tsv"]
+    raw["data"]["path"] = str(clicks)
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    clicks.write_bytes(b"100\t\ta\t1.0\n200\t\tb\xff\t1.0\n")
+    preds.write_bytes(b"0\t0.5\r\n1\t0.\xff7\r\n")
+    out = tmp_path / "out"
+    argv, message = {
+        "config": (
+            ["run", "-c", str(config), "-o", str(out)],
+            f"{config}: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte",
+        ),
+        "click log": (
+            ["run", "-c", str(config), "-o", str(out)],
+            f"{clicks}: 'utf-8' codec can't decode byte 0xff (line 2)",
+        ),
+        "predictions": (
+            ["eval", "--preds", str(preds)],
+            f"{preds}:2: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+        ),
+    }[kind]
+    if kind == "config":
+        config.write_bytes(b"seed: 3\n#\xff\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ delay-distribution summary."""
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fsiw.metrics
 from fsiw.data import NO_CONVERSION
 from fsiw.metrics import (
     CDF_GRID,
@@ -20,6 +22,7 @@ from fsiw.metrics import (
     _mean_loss,
     _normalized_loss,
     _Ranking,
+    _resample_blocks,
     _resamples,
     bootstrap_ci,
     delay_stats,
@@ -543,6 +546,96 @@ def test_block_resampler_draws_the_rows_of_one_call(n, b) -> None:
         assert np.array_equal(got, expected)
         rows += 1
     assert rows == b
+
+
+@pytest.mark.parametrize(
+    ("per_block", "b"),
+    [(1, 100), (7, 139), (None, 201)],
+    ids=["one-row-blocks", "short-last-block", "one-block"],
+)
+def test_blocks_drawn_ahead_are_the_rows_of_one_call(monkeypatch, per_block, b) -> None:
+    # per_block rows of n = 50 indices, plus a gather from one column; None
+    # keeps the default budget, which holds every row in one block
+    n, seed = 50, 3
+    if per_block is not None:
+        monkeypatch.setattr(fsiw.metrics, "_BLOCK_DRAWS", per_block * n * 3)
+    blocks = list(_resample_blocks(n, b, seed, columns=1))
+    want = np.random.default_rng(np.random.SeedSequence([seed, 0xB0])).integers(0, n, (b, n))
+    assert [len(block) for block in blocks[:-1]] == [per_block or b] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def _draw_all(blocks) -> int:
+    return sum(len(block) for block in blocks)
+
+
+def test_one_block_starts_no_thread() -> None:
+    start = threading.active_count()
+    blocks = _resample_blocks(407, 100, 0, columns=3)
+    next(blocks)
+    assert threading.active_count() == start
+    assert _draw_all(blocks) == 0
+
+
+def test_the_draw_thread_ends_after_a_full_pass_and_after_close(monkeypatch) -> None:
+    monkeypatch.setattr(fsiw.metrics, "_BLOCK_DRAWS", 2 * 40 * 2)
+    start = threading.active_count()
+    blocks = _resample_blocks(40, 100, 1)
+    assert threading.active_count() == start  # nothing runs before the first block
+    assert len(next(blocks)) == 2
+    assert threading.active_count() == start + 1
+    assert 2 + _draw_all(blocks) == 100
+    assert threading.active_count() == start
+    blocks = _resample_blocks(40, 100, 1)
+    next(blocks)
+    next(blocks)
+    blocks.close()
+    assert threading.active_count() == start
+
+
+def test_the_draw_thread_ends_when_the_caller_raises(monkeypatch) -> None:
+    # 30k rows: many blocks, so the exception comes while a draw is ahead
+    rng = np.random.default_rng(4)
+    labels = (rng.random(30_000) < 0.3).astype(np.int64)
+    preds = rng.random(30_000)
+    threads = []
+
+    def failing(self, counts, fallback):
+        threads.append(threading.active_count())
+        if len(threads) == 3:
+            raise RuntimeError("scoring failed")
+        return np.full(len(counts), fallback)
+
+    monkeypatch.setattr(_Ranking, "average_precisions", failing)
+    start = threading.active_count()
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        evaluate_predictions(labels, preds, 0.3, bootstrap_b=200, seed=1)
+    # the point estimate is scored before the first block is drawn
+    assert threads == [start, start + 1, start + 1]
+    assert threading.active_count() == start
+
+
+def test_an_exception_in_a_draw_reaches_the_caller(monkeypatch) -> None:
+    real = np.random.default_rng
+
+    class FailingGenerator:
+        def __init__(self, seed):
+            self.rng, self.draws = real(seed), 0
+
+        def integers(self, *args, **kwargs):
+            self.draws += 1
+            if self.draws == 3:
+                raise MemoryError("no room for a block")
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    monkeypatch.setattr(fsiw.metrics, "_BLOCK_DRAWS", 2 * 40 * 2)
+    start = threading.active_count()
+    blocks = _resample_blocks(40, 100, 1)
+    assert len(next(blocks)) == len(next(blocks)) == 2
+    with pytest.raises(MemoryError, match="no room for a block"):
+        next(blocks)
+    assert threading.active_count() == start
 
 
 def test_evaluate_predictions_memory_stays_bounded() -> None:
