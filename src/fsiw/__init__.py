@@ -1,6 +1,6 @@
 """Delayed-feedback conversion-rate prediction with feedback-shift
-importance weights: data model, synthetic generator with exact oracle
-weights, counterfactual-deadline relabeling, weight estimation, weighted and
+importance weights: data model, synthetic generator with closed-form ground
+truth, counterfactual-deadline relabeling, weight estimation, weighted and
 baseline trainers, metrics, and an experiment harness.
 
 Each public name below is imported from its module on first access, so
@@ -13,19 +13,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "data": (
         "NO_CONVERSION ClickLog FieldSpec ParseError Snapshot full_observation_labels "
-        "hash_csr parse_record read_tsv snapshot_labels stable_feature_hash"
+        "hash_csr read_tsv snapshot_labels"
     ),
     "experiment": (
         "ConfigError ExperimentConfig PipelineError ReportRow config_from_dict "
-        "deadline_sweep parse_duration rolling_splits run_pipeline"
+        "deadline_sweep run_pipeline"
     ),
-    "metrics": (
-        "EvalReport bootstrap_ci delay_stats evaluate_columns evaluate_predictions log_loss "
-        "normalized_log_loss pr_auc"
-    ),
+    "metrics": "EvalReport delay_stats evaluate_columns evaluate_predictions",
     "optim": "OptConfig TrainingMeta minimize_batch",
     "relabel": "ArtificialSet build_artificial_datasets",
-    "simulate": "SimConfig generate_arrays oracle_fsiw_array to_click_log",
+    "simulate": "SimConfig generate_arrays to_click_log",
     "training": (
         "DfmModel LinearCvrModel RowGroups TrainingError predict_cvr_batch save_model train_dfm "
         "train_naive_logistic train_weighted_logistic"

@@ -80,6 +80,8 @@ def _load_raw_config(args) -> dict:
             raise CliError(f"--set expects dotted.name=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
+        if not all(part.strip() for part in key.split(".")):
+            raise CliError(f"--set expects dotted.name=value with no empty name, got {item!r}")
         _set_dotted(raw, key, _parse_yaml(value, f"--set {key}"))
     if args.seed is not None:
         raw["seed"] = args.seed

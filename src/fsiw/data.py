@@ -36,17 +36,17 @@ _BLOCK_CHARS = 1 << 16
 
 
 class ParseError(ValueError):
-    """A TSV line could not be parsed into a click."""
+    """A TSV line could not be parsed into a click; ``detail`` is the message
+    without its line and column."""
 
-    def __init__(self, message: str, *, line_no: int | None = None, column: int | None = None):
+    def __init__(self, detail: str, *, line_no: int | None = None, column: int | None = None):
         where = []
         if line_no is not None:
             where.append(f"line {line_no}")
         if column is not None:
             where.append(f"column {column}")
-        if where:
-            message = f"{message} ({', '.join(where)})"
-        super().__init__(message)
+        super().__init__(f"{detail} ({', '.join(where)})" if where else detail)
+        self.detail = detail
         self.line_no = line_no
         self.column = column
 
@@ -183,8 +183,9 @@ def read_tsv(
     conversion per timestamp column, and range and ordering checks on whole
     arrays. A block that holds a bad row raises without saying where; the
     file is then read again line by line through ``parse_record``, which
-    defines a valid row, and its ParseError names the first bad line and
-    column. A line that is not UTF-8 is named with the file's path.
+    defines a valid row. The ParseError names the file, then the first bad
+    line and its column, as ``{path}: {detail} (line N, column M)``; a line
+    that is not UTF-8 is named the same way, without a column.
     """
     try:
         click_ts, conv_ts, codes, vocabs = _read_columns(path, schema)
@@ -206,8 +207,13 @@ def read_tsv(
                 byte = ord(line[exc.start]) - 0xDC00
                 message = f"{path}: 'utf-8' codec can't decode byte {byte:#x}"
                 raise ParseError(message, line_no=line_no) from None
-            if line.strip():
+            if not line.strip():
+                continue
+            try:
                 parse_record(line, schema, line_no=line_no)
+            except ParseError as exc:
+                detail = f"{path}: {exc.detail}"
+                raise ParseError(detail, line_no=line_no, column=exc.column) from None
     raise error  # parse_record accepted every row that a block rejected
 
 

@@ -1,19 +1,25 @@
-"""Evaluation metrics: log loss, its normalized form, average precision,
-percentile-bootstrap confidence intervals, and delay-distribution summaries
-(``delay_stats``, read on the fixed ``CDF_GRID`` and ``PDF_BIN_WIDTH`` bins).
+"""Test-set metrics with percentile-bootstrap confidence intervals, and
+delay-distribution summaries (``delay_stats``, read on the fixed
+``CDF_GRID`` and ``PDF_BIN_WIDTH`` bins).
 
-Average precision ranks rows by a stable descending sort of the scores, so
-rows with equal scores keep their input order.
+A report scores a prediction column against 0/1 labels three ways:
+
+* log loss, the mean negative log likelihood, with predictions clipped
+  into [PRED_CLIP, 1 - PRED_CLIP] so that a confident mistake stays finite;
+* normalized log loss, the percent improvement in log loss over always
+  predicting the training base rate: 0 means none, higher is better;
+* average precision, the mean over positives of the precision at each
+  positive's rank, after a stable descending sort of the scores: rows with
+  equal scores keep their input order.
 
 ``evaluate_columns`` scores several prediction columns of the same test rows
 (a split's trainers, or its deadlines) from one stream of bootstrap
 resamples, and ``evaluate_predictions`` is its one-column case; every column
 gets the report ``evaluate_predictions`` gives it alone, bit for bit. All
 three statistics of a resample come from per-row columns prepared once per
-call. A resample is a multiset of rows: its log losses are those of
-``log_loss`` and ``normalized_log_loss`` on its rows, and its average
-precision is ``pr_auc`` of its rows listed in row order, bit for bit, so the
-order of the draws plays no part.
+call. A resample is a multiset of rows: its log losses are those of its
+rows, and its average precision is that of its rows listed in row order, so
+the order of the draws plays no part.
 
 The draws come in blocks of index rows, each drawn once for all columns.
 While a block is scored, one helper thread draws the next (the draws release
@@ -34,12 +40,11 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 PRED_CLIP = 1e-15
-NO_POSITIVE = "average precision needs at least one positive label"
 # the most bootstrap indices in flight at once (the block being scored and the
 # one being drawn), together with the values gathered with the first from
 # every prediction column: 2 MiB of int64 or float64
@@ -62,11 +67,9 @@ CDF_GRID = (
 PDF_BIN_WIDTH = 3600
 
 
-def _as_arrays(
-    labels: Sequence[int], preds: Sequence[float], dtype: type | None = float
-) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels, dtype=dtype)
-    preds = np.asarray(preds, dtype=dtype)
+def _as_arrays(labels: Sequence[int], preds: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    labels = np.asarray(labels, dtype=float)
+    preds = np.asarray(preds, dtype=float)
     if labels.ndim != 1 or preds.ndim != 1:
         raise ValueError(f"expected 1-D inputs, got shapes {labels.shape} and {preds.shape}")
     if labels.shape != preds.shape:
@@ -115,54 +118,11 @@ def _mean_loss(terms: np.ndarray) -> float:
     return float(-np.mean(terms))
 
 
-def log_loss(labels: Sequence[int], preds: Sequence[float]) -> float:
-    """Mean negative log likelihood; predictions are clipped into
-    [PRED_CLIP, 1-PRED_CLIP] so perfectly confident mistakes stay finite."""
-    labels, preds = _as_arrays(labels, preds)
-    return _mean_loss(_log_terms(labels, preds))
-
-
-def _check_base_rate(train_mean_cvr: float) -> None:
-    if not 0.0 < train_mean_cvr < 1.0:
-        raise ValueError(f"train_mean_cvr must be in (0,1), got {train_mean_cvr}")
-
-
 def _normalized_loss(loss: float, base_terms: np.ndarray) -> float:
-    """``normalized_log_loss`` of the rows whose log loss under the model is
+    """Normalized log loss of the rows whose log loss under the model is
     ``loss`` and whose log likelihoods under the base rate are ``base_terms``."""
     ll_naive = _mean_loss(base_terms)
     return 100.0 * (ll_naive - loss) / ll_naive
-
-
-def normalized_log_loss(
-    labels: Sequence[int], preds: Sequence[float], train_mean_cvr: float
-) -> float:
-    """Percent improvement in log loss over always predicting the training
-    base rate. 0 means no improvement; higher is better."""
-    _check_base_rate(train_mean_cvr)
-    labels, preds = _as_arrays(labels, preds)
-    ll = log_loss(labels, preds)
-    ll_naive = log_loss(labels, np.full(labels.shape, train_mean_cvr))
-    if ll_naive == 0.0:
-        raise ValueError("baseline log loss is zero; normalization undefined")
-    return 100.0 * (ll_naive - ll) / ll_naive
-
-
-def pr_auc(labels: Sequence[int], preds: Sequence[float]) -> float:
-    """Average precision: mean over positives of precision at that positive's
-    rank after a stable descending-score sort. Ties keep input order, so
-    within a group of equal scores that holds both labels the value depends
-    on the order of the rows."""
-    labels, preds = _as_arrays(labels, preds)
-    n_pos = labels.sum()
-    if n_pos == 0:
-        raise ValueError(NO_POSITIVE)
-    order = np.argsort(-preds, kind="stable")
-    sorted_labels = labels[order]
-    cum_pos = np.cumsum(sorted_labels)
-    ranks = np.arange(1, labels.size + 1)
-    precision_at_pos = (cum_pos / ranks)[sorted_labels == 1]
-    return float(precision_at_pos.mean())
 
 
 def _resample_blocks(n: int, b: int, seed: int, columns: int = 0) -> Iterator[np.ndarray]:
@@ -223,37 +183,6 @@ def _drawn_ahead(rng: np.random.Generator, n: int, sizes: list[int]) -> Iterator
         worker.join()
 
 
-def _resamples(n: int, b: int, seed: int) -> Iterator[np.ndarray]:
-    """The index rows of ``_resample_blocks``, one at a time."""
-    return (row for block in _resample_blocks(n, b, seed) for row in block)
-
-
-def _interval(stats: np.ndarray) -> np.ndarray:
-    """95% percentile interval of the resample statistics along the last
-    axis: the lower ends, then the upper ends."""
-    return np.percentile(stats, [2.5, 97.5], axis=-1)
-
-
-def bootstrap_ci(
-    metric: Callable[[np.ndarray, np.ndarray], float],
-    labels: Sequence[int],
-    preds: Sequence[float],
-    b: int,
-    seed: int,
-) -> tuple[float, float]:
-    """95% percentile bootstrap interval for ``metric`` over (label, pred)
-    pairs resampled with replacement. Deterministic for a fixed seed.
-
-    ``labels`` and ``preds`` may be any two per-row columns, of any dtype;
-    each resample passes ``metric`` the rows it drew of both, in draw order.
-    ``evaluate_columns`` draws the same rows, once for all its intervals, and
-    computes each statistic from prepared columns."""
-    labels, preds = _as_arrays(labels, preds, dtype=None)
-    stats = (metric(labels[r], preds[r]) for r in _resamples(labels.size, b, seed))
-    lo, hi = _interval(np.fromiter(stats, float))
-    return float(lo), float(hi)
-
-
 class _Ranking:
     """The rows in one stable descending sort of their scores, from which the
     average precision of any resample of them follows without a sort.
@@ -282,8 +211,8 @@ class _Ranking:
         self.slot[order] = 2 * pair + hit
 
     def average_precision(self, slots: np.ndarray, fallback: float) -> float:
-        """``pr_auc`` of the resample whose rows have these ``slots``, listed
-        in row order; ``fallback`` if it has no positive."""
+        """Average precision of the resample whose rows have these ``slots``,
+        listed in row order; ``fallback`` if it has no positive."""
         counts = np.bincount(slots, minlength=self.n_slots)
         return float(self.average_precisions(counts[None], fallback)[0])
 
@@ -405,9 +334,10 @@ def evaluate_columns(
     labels_arr, _ = _as_arrays(labels, columns[0])
     preds = np.stack([_as_arrays(labels_arr, column)[1] for column in columns])
     _validate_inputs(labels_arr, preds)
-    _check_base_rate(train_mean_cvr)
+    if not 0.0 < train_mean_cvr < 1.0:
+        raise ValueError(f"train_mean_cvr must be in (0,1), got {train_mean_cvr}")
     if not labels_arr.any():
-        raise ValueError(NO_POSITIVE)
+        raise ValueError("average precision needs at least one positive label")
     n_cols, n = preds.shape
     terms = _log_terms(labels_arr, preds)
     base_terms = _log_terms(labels_arr, np.full(n, train_mean_cvr, dtype=float))
@@ -435,7 +365,7 @@ def evaluate_columns(
             stats[j, 2, rows] = ranking.average_precisions(column_counts, aps[j])
         done += len(block)
 
-    lows, highs = _interval(stats).tolist()
+    lows, highs = np.percentile(stats, [2.5, 97.5], axis=-1).tolist()
     reports = []
     for j in range(n_cols):
         points = (lls[j], _normalized_loss(lls[j], base_terms), aps[j])
@@ -460,22 +390,25 @@ def evaluate_predictions(
     bootstrap_b: int = 200,
     seed: int = 0,
 ) -> EvalReport:
-    """Full per-split report: each metric with the ends of its 95% bootstrap
-    interval.
+    """Full per-split report: log loss, normalized log loss against the base
+    rate ``train_mean_cvr`` and average precision (see the module
+    docstring), each with the ends of its 95% percentile interval over
+    ``bootstrap_b`` bootstrap resamples of the rows, drawn from ``seed``.
 
     Raises MetricInputError for a label outside {0, 1} or a prediction that
-    is not a finite probability.
+    is not a finite probability, and ValueError for columns that are not 1-D
+    or not of one non-zero length, a base rate outside (0, 1), labels without
+    a positive, or fewer than 100 resamples.
 
     Bootstrap resamples that lose all positives fall back to the point
     estimate for average precision (keeps the CI well-defined on skewed
     data). Percentile intervals are widened, if necessary, to bracket the
     point estimate.
 
-    The three intervals share one stream of resamples, the rows
-    ``bootstrap_ci`` draws with ``seed``. Each resample's log losses are
-    those of its rows in draw order, and its average precision is ``pr_auc``
-    of its rows listed in row order. This is ``evaluate_columns`` of one
-    column.
+    The three intervals share one stream of resamples (``_resample_blocks``).
+    Each resample's log losses are those of its rows, and its average
+    precision is that of its rows listed in row order. This is
+    ``evaluate_columns`` of one column.
     """
     return evaluate_columns(
         labels, [preds], train_mean_cvr, bootstrap_b=bootstrap_b, seed=seed

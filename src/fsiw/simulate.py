@@ -3,9 +3,9 @@
 Samples are (click_ts, categorical features, latent conversion, latent delay).
 The true conversion probability is logistic in a one-hot encoding of the
 features and the delay is exponential with a rate log-linear in the same
-encoding, so every censoring probability has a closed form and importance
-weights can be computed exactly (``oracle_fsiw_array``). Arrays are generated
-in chunks of ``CHUNK_SIZE`` rows, each on its own seed substream, so output is
+encoding, so every censoring probability, and with it each click's exact
+importance weight, has a closed form. Arrays are generated in chunks of
+``CHUNK_SIZE`` rows, each on its own seed substream, so output is
 reproducible and chunk-parallelizable.
 
 ``write_sim_tsv`` and ``write_truth`` write the arrays as text column by
@@ -172,31 +172,6 @@ def to_click_log(arrays: SimArrays, *, dim: int, seed: int) -> ClickLog:
         conv_ts=_integer_conv_ts(arrays),
         x=hash_csr(arrays.values, _field_tokens(arrays.config), dim=dim, seed=seed),
     )
-
-
-def oracle_fsiw_array(
-    true_p: np.ndarray,
-    true_rate: np.ndarray,
-    e: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Exact importance weight of each simulator sample.
-
-    For y=1 this is 1/P(observed by e | converts); for y=0 it is
-    P(never converts)/P(not observed by e), under exponential delays.
-    """
-    true_p = np.asarray(true_p, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if np.any(e <= 0):
-        raise ValueError("elapsed times must be positive")
-    rate = np.asarray(true_rate, dtype=float)
-    # the already-observed probability comes from an expm1-accurate CDF so the
-    # reciprocal stays exact even when the censoring window is tiny
-    observed = -np.expm1(-rate * e)
-    surv = np.exp(-rate * e)
-    w_pos = 1.0 / observed
-    w_neg = (1.0 - true_p) / ((1.0 - true_p) + true_p * surv)
-    return np.where(np.asarray(y) == 1, w_pos, w_neg)
 
 
 def sample_weight_vector(

@@ -6,7 +6,9 @@ Three trainers share one deterministic optimizer:
   * train_naive_logistic — the same model with unit weights (what you get if
     you ignore label censoring);
   * train_dfm — a joint model of conversion probability and exponential
-    conversion-delay rate, fit by maximum likelihood on censored labels.
+    conversion-delay rate, fit by maximum likelihood on censored labels: a
+    positive converted after its observed delay, a negative has not
+    converted by its elapsed time (``_dfm_objective``).
 
 Weighted losses are normalized by the total weight. The two logistic trainers
 fit on the distinct rows of their feature matrix, each with its summed weight
@@ -301,36 +303,6 @@ def train_naive_logistic(
     return _linear_model(theta, l2, meta)
 
 
-def dfm_nll_grad(
-    theta: np.ndarray,
-    x: sparse.csr_matrix,
-    xt: sparse.csr_matrix,
-    y: np.ndarray,
-    d_days: np.ndarray,
-    e_days: np.ndarray,
-    l2: float,
-    denom: float,
-    rows: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Censored-likelihood objective for the joint CVR/delay model.
-
-    theta = [cvr coef..., cvr intercept, delay coef..., delay intercept]; z and
-    u are the CVR and delay scores and λ = exp(u).
-    Positives contribute -log p(x) - log f(d|x) = softplus(z) - z - u + λd.
-    Negatives contribute -log[(1-p(x)) + p(x)·S(e|x)] = softplus(z) - softplus(v)
-    with v = z - λe; r2 = sigmoid(v) is the posterior probability that the
-    negative converts later. Both branches are computed on every row and
-    chosen with np.where. λ is multiplied only by the row's own d or e, so an
-    overflowing λ raises no warning that a per-label computation would not.
-
-    With a row map ``rows``, ``x`` holds distinct feature rows and sample i
-    has the features of ``x[rows[i]]``; ``xt`` stays the transpose of the
-    per-sample matrix. The result is the same bits as on that matrix.
-    """
-    pos = y == 1
-    return _dfm_objective(theta, x, xt, pos, np.where(pos, d_days, e_days), l2, denom, rows)
-
-
 def _dfm_objective(
     theta: np.ndarray,
     x: sparse.csr_matrix,
@@ -341,12 +313,26 @@ def _dfm_objective(
     denom: float,
     rows: np.ndarray | None,
 ) -> tuple[float, np.ndarray]:
-    """``dfm_nll_grad`` given each sample's label test ``pos`` and its
-    observed time ``t`` (d on positives, e on negatives).
+    """The joint CVR/delay model's censored negative log likelihood, summed
+    over samples and divided by ``denom``, plus (l2/2)·(||cvr coef||² +
+    ||delay coef||²), and its gradient.
 
-    z, z + u, λ, softplus(z) and sigmoid(z) read only a row's features, so
-    with ``rows`` they are computed once per distinct row and gathered. A
-    distinct row keeps the stored indices and values of the rows it stands
+    theta = [cvr coef..., cvr intercept, delay coef..., delay intercept]; z and
+    u are the CVR and delay scores and λ = exp(u). ``pos`` is each sample's
+    label test and ``t`` its observed time in days: the delay d on positives,
+    the elapsed time e on negatives.
+    Positives contribute -log p(x) - log f(d|x) = softplus(z) - z - u + λd.
+    Negatives contribute -log[(1-p(x)) + p(x)·S(e|x)] = softplus(z) - softplus(v)
+    with v = z - λe; r2 = sigmoid(v) is the posterior probability that the
+    negative converts later. Both branches are computed on every row and
+    chosen with np.where. λ is multiplied only by the row's own t, so an
+    overflowing λ raises no warning that a per-label computation would not.
+
+    With a row map ``rows``, ``x`` holds distinct feature rows and sample i
+    has the features of ``x[rows[i]]``; ``xt`` stays the transpose of the
+    per-sample matrix. z, z + u, λ, softplus(z) and sigmoid(z) read only a
+    row's features, so they are computed once per distinct row and gathered.
+    A distinct row keeps the stored indices and values of the rows it stands
     for, so its scores sum in the same order, and the link functions act
     element by element: the gathered values are the per-sample ones, bit for
     bit. Everything that reads t, and the gradient products over ``xt``, stay

@@ -24,18 +24,16 @@ from scipy.special import expit
 
 from fsiw.data import Snapshot
 from fsiw.experiment import config_from_dict, deadline_sweep, run_pipeline
-from fsiw.metrics import bootstrap_ci, log_loss, normalized_log_loss, pr_auc
+from fsiw.metrics import evaluate_predictions
 from fsiw.optim import OptConfig
 from fsiw.relabel import build_artificial_datasets
 from fsiw.simulate import (
     SimConfig,
     generate_arrays,
     linear_score,
-    oracle_fsiw_array,
     sample_weight_vector,
 )
 from fsiw.training import (
-    dfm_nll_grad,
     predict_cvr_batch,
     train_dfm,
     train_naive_logistic,
@@ -43,7 +41,13 @@ from fsiw.training import (
 )
 from fsiw.weights import DesignRows, WeightModelHyper, assign_fsiw, fit_weight_model
 
-from simworld import onehot_snapshot, predict_delay_rate, snapshot_arrays
+from simworld import (
+    dfm_nll_grad,
+    onehot_snapshot,
+    oracle_fsiw_array,
+    predict_delay_rate,
+    snapshot_arrays,
+)
 
 DAY = 86400
 
@@ -437,22 +441,24 @@ def test_criterion_07_training_gradients_match_central_differences() -> None:
 
 
 def test_criterion_08_metric_oracles_and_bootstrap_coverage() -> None:
-    # closed forms first
-    assert log_loss([1], [0.5]) == pytest.approx(math.log(2), rel=1e-12)
-    assert log_loss([0], [0.25]) == pytest.approx(-math.log(0.75), rel=1e-12)
-    assert pr_auc([0, 1], [0.1, 0.9]) == pytest.approx(1.0, rel=1e-12)
-    assert pr_auc([1, 0, 1], [0.9, 0.8, 0.7]) == pytest.approx((1 + 2 / 3) / 2, rel=1e-12)
-    assert normalized_log_loss([1, 0, 0, 0, 1], [0.4] * 5, 0.4) == pytest.approx(0.0, abs=1e-12)
+    # closed forms first, read from the reports the pipeline writes; average
+    # precision needs a positive label, so each input has one
+    def report(labels, preds, base=0.5, b=100, seed=0):
+        return evaluate_predictions(labels, preds, base, bootstrap_b=b, seed=seed)
+
+    assert report([1], [0.5]).ll == pytest.approx(math.log(2), rel=1e-12)
+    assert report([0, 1], [0.25, 0.75]).ll == pytest.approx(-math.log(0.75), rel=1e-12)
+    assert report([0, 1], [0.1, 0.9]).pr_auc == pytest.approx(1.0, rel=1e-12)
+    assert report([1, 0, 1], [0.9, 0.8, 0.7]).pr_auc == pytest.approx((1 + 2 / 3) / 2, rel=1e-12)
+    assert report([1, 0, 0, 0, 1], [0.4] * 5, 0.4).nll == pytest.approx(0.0, abs=1e-12)
     a = 2**-0.8
-    assert normalized_log_loss([1, 0], [a, 1 - a], 0.5) == pytest.approx(20.0, rel=1e-12)
-    flat = bootstrap_ci(log_loss, [0] * 50, [0.3] * 50, 200, seed=1)
-    assert flat[0] == flat[1] == pytest.approx(-math.log(0.7), rel=1e-12)
+    assert report([1, 0], [a, 1 - a], 0.5).nll == pytest.approx(20.0, rel=1e-12)
+    flat = report([1] * 50, [0.7] * 50, b=200, seed=1)
+    assert flat.ll_lo == flat.ll_hi == pytest.approx(-math.log(0.7), rel=1e-12)
     rng = np.random.default_rng(99)
     labels = (rng.random(80) < 0.4).astype(int)
     preds = rng.uniform(0.05, 0.95, 80)
-    assert bootstrap_ci(log_loss, labels, preds, 300, seed=6) == bootstrap_ci(
-        log_loss, labels, preds, 300, seed=6
-    )
+    assert report(labels, preds, b=300, seed=6) == report(labels, preds, b=300, seed=6)
 
     # coverage: 95% percentile intervals should cover the population value
     # about 95% of the time; small resamples run a little low, so the band
@@ -461,14 +467,16 @@ def test_criterion_08_metric_oracles_and_bootstrap_coverage() -> None:
     pop = 200_000
     pop_preds = pop_rng.uniform(0.02, 0.6, pop)
     pop_labels = (pop_rng.random(pop) < pop_preds).astype(int)
-    pop_ll = log_loss(pop_labels, pop_preds)
+    pop_terms = pop_labels * np.log(pop_preds) + (1 - pop_labels) * np.log1p(-pop_preds)
+    pop_ll = float(-np.mean(pop_terms))
+    base = float(pop_labels.mean())
     hits = 0
     trials = 200
     for trial in range(trials):
         trial_rng = np.random.default_rng(10_000 + trial)
         idx = trial_rng.integers(0, pop, 2000)
-        lo, hi = bootstrap_ci(log_loss, pop_labels[idx], pop_preds[idx], 500, seed=trial)
-        hits += lo <= pop_ll <= hi
+        got = report(pop_labels[idx], pop_preds[idx], base, b=500, seed=trial)
+        hits += got.ll_lo <= pop_ll <= got.ll_hi
     coverage = hits / trials
     print(f"bootstrap coverage over {trials} trials: {coverage:.1%} (band 91%..99%)")
     assert 0.91 <= coverage <= 0.99

@@ -639,6 +639,36 @@ def test_a_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys, kind) -
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "stats --data"])
+def test_a_row_that_does_not_parse_is_named_with_its_file(tmp_path, capsys, verb) -> None:
+    # stats --data reads its own file, not the config's data.path
+    bad, config = tmp_path / "bad.tsv", tmp_path / "config.yaml"
+    bad.write_text("100\t\ta\t1.0\nx\t\tb\t1.0\n", encoding="utf-8")
+    raw = _golden_configs()["tsv"]
+    raw["data"]["path"] = str(bad if verb == "run" else tmp_path / "missing.tsv")
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "-c", str(config), "-o", str(out)],
+        "stats --data": ["stats", "-c", str(config), "--data", str(bad)],
+    }[verb]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: bad click timestamp 'x' (line 2, column 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("item", ["=1", "split..x=1"])
+def test_an_empty_name_in_set_quotes_the_whole_item(capsys, item) -> None:
+    # these failed as "unknown key(s) in config: " and "... in split: ",
+    # naming no key
+    assert main(["stats", "--set", item]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --set expects dotted.name=value with no empty name, got {item!r}\n"
+    )
+
+
 @pytest.mark.parametrize("override", ["observational_period=1d", "tracked_until=5", "path=x.tsv"])
 def test_tsv_only_data_key_on_a_simulator_exits_two(tmp_path, config_path, override) -> None:
     # a simulator reads none of these, and none reaches the resolved config or its hash

@@ -325,18 +325,24 @@ def test_read_tsv_keeps_line_and_column_of_bad_rows(tmp_path) -> None:
     with pytest.raises(ParseError, match="precedes") as err:
         read_tsv(path, _categorical_schema(1))
     assert (err.value.line_no, err.value.column) == (3, 2)
+    assert str(err.value) == f"{path}: conversion timestamp 3 precedes click 5 (line 3, column 2)"
 
 
 def _reference_read_tsv(path, schema, *, dim: int, seed: int) -> ClickLog:
     """The per-line reader that the block reader replaced, kept as the
-    reference that it must match, errors included."""
+    reference that it must match, errors included: a row's ParseError names
+    the file before its message."""
     vocabs: list[dict[str, int]] = [{} for _ in schema]
     clicks, convs, codes = [], [], []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            click_ts, conv_ts, tokens = parse_record(line, schema, line_no=line_no)
+            try:
+                click_ts, conv_ts, tokens = parse_record(line, schema, line_no=line_no)
+            except ParseError as exc:
+                detail = f"{path}: {exc.detail}"
+                raise ParseError(detail, line_no=line_no, column=exc.column) from None
             clicks.append(click_ts)
             convs.append(conv_ts)
             for vocab, token in zip(vocabs, tokens):

@@ -1,8 +1,9 @@
 """Objective kernels against the formulations they replace.
 
 The link functions are checked against ``np.logaddexp`` and scipy's ``expit``;
-``dfm_nll_grad`` against the masked log-space formulation kept below as the
-reference. Neither kernel may raise a RuntimeWarning the reference does not.
+``dfm``'s objective (``training._dfm_objective``, called through
+``simworld.dfm_nll_grad``) against the masked log-space formulation kept
+below as the reference. Neither kernel may raise a RuntimeWarning the reference does not.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from scipy import sparse
 from scipy.special import expit
 
 from fsiw.optim import softplus_sigmoid
-from fsiw.training import dfm_nll_grad
+
+from simworld import dfm_nll_grad
 
 RTOL = 1e-12
 

@@ -1,5 +1,6 @@
-"""Metric hand-checks, invariance properties, bootstrap behavior, and the
-delay-distribution summary."""
+"""Metric hand-checks, invariance properties and bootstrap behavior, all
+read from the reports of the shipping scorer, and the delay-distribution
+summary."""
 
 from __future__ import annotations
 
@@ -23,40 +24,41 @@ from fsiw.metrics import (
     _normalized_loss,
     _Ranking,
     _resample_blocks,
-    _resamples,
-    bootstrap_ci,
     delay_stats,
     evaluate_columns,
     evaluate_predictions,
-    log_loss,
-    normalized_log_loss,
-    pr_auc,
 )
 
 DAY = 86400
 
 
+def _report(labels, preds, base: float = 0.5, *, bootstrap_b: int = 100, seed: int = 0):
+    return evaluate_predictions(labels, preds, base, bootstrap_b=bootstrap_b, seed=seed)
+
+
 def test_log_loss_single_positive_at_half() -> None:
-    assert log_loss([1], [0.5]) == pytest.approx(math.log(2), abs=1e-12)
+    assert _report([1], [0.5]).ll == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_log_loss_single_negative() -> None:
-    assert log_loss([0], [0.25]) == pytest.approx(-math.log(0.75), abs=1e-12)
+    # average precision needs a positive; at 0.75 it costs what the
+    # negative at 0.25 costs
+    assert _report([0, 1], [0.25, 0.75]).ll == pytest.approx(-math.log(0.75), abs=1e-12)
 
 
 def test_log_loss_clips_confident_predictions_finite() -> None:
-    loss = log_loss([1], [1.0])
+    loss = _report([1], [1.0]).ll
     assert math.isfinite(loss)
     assert loss == pytest.approx(0.0, abs=1e-12)
     # symmetric case: certain-and-wrong is finite too
-    assert math.isfinite(log_loss([1], [0.0]))
+    assert math.isfinite(_report([1], [0.0]).ll)
 
 
 def test_log_loss_rejects_bad_shapes() -> None:
     with pytest.raises(ValueError, match="mismatch"):
-        log_loss([1, 0], [0.5])
+        _report([1, 0], [0.5])
     with pytest.raises(ValueError, match="empty"):
-        log_loss([], [])
+        _report([], [])
 
 
 def test_log_loss_is_permutation_invariant() -> None:
@@ -64,8 +66,8 @@ def test_log_loss_is_permutation_invariant() -> None:
     labels = (rng.random(200) < 0.3).astype(int)
     preds = rng.uniform(0.01, 0.99, 200)
     perm = rng.permutation(200)
-    assert log_loss(labels, preds) == pytest.approx(
-        log_loss(labels[perm], preds[perm]), abs=1e-12
+    assert _report(labels, preds).ll == pytest.approx(
+        _report(labels[perm], preds[perm]).ll, abs=1e-12
     )
 
 
@@ -73,28 +75,28 @@ def test_metric_inputs_must_be_one_dimensional() -> None:
     with pytest.raises(ValueError, match=r"1-D inputs, got shapes \(3, 1\) and \(3, 1\)"):
         evaluate_predictions([[1], [0], [1]], [[0.9], [0.1], [0.5]], 0.5)
     with pytest.raises(ValueError, match=r"shapes \(\) and \(\)"):
-        log_loss(1, 0.5)
+        evaluate_predictions(1, 0.5, 0.5)
 
 
 def test_nll_zero_when_matching_the_baseline() -> None:
     labels = [1, 0, 0, 1, 0]
     base = sum(labels) / len(labels)
-    assert normalized_log_loss(labels, [base] * 5, base) == pytest.approx(0.0, abs=1e-12)
+    assert _report(labels, [base] * 5, base).nll == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nll_is_percent_improvement() -> None:
     # baseline loss ln 2; predictions engineered so the model loss is
     # exactly 80% of it, i.e. a 20.0 improvement score
     a = 2 ** -0.8
-    got = normalized_log_loss([1, 0], [a, 1 - a], 0.5)
+    got = _report([1, 0], [a, 1 - a], 0.5).nll
     assert got == pytest.approx(20.0, abs=1e-9)
 
 
 def test_nll_validates_base_rate() -> None:
     with pytest.raises(ValueError, match="train_mean_cvr"):
-        normalized_log_loss([1, 0], [0.5, 0.5], 0.0)
+        _report([1, 0], [0.5, 0.5], 0.0)
     with pytest.raises(ValueError, match="train_mean_cvr"):
-        normalized_log_loss([1, 0], [0.5, 0.5], 1.0)
+        _report([1, 0], [0.5, 0.5], 1.0)
 
 
 def test_nll_ordering_reverses_log_loss_ordering() -> None:
@@ -105,69 +107,73 @@ def test_nll_ordering_reverses_log_loss_ordering() -> None:
     mild = np.clip(0.25 + 0.2 * (labels - 0.25) + rng.normal(0, 0.05, 500), 0.01, 0.99)
     flat = np.full(500, base)
 
-    lls = [log_loss(labels, p) for p in (sharp, mild, flat)]
-    nlls = [normalized_log_loss(labels, p, base) for p in (sharp, mild, flat)]
+    reports = evaluate_columns(labels, [sharp, mild, flat], base, bootstrap_b=100)
+    lls = [report.ll for report in reports]
+    nlls = [report.nll for report in reports]
     assert lls[0] < lls[1] < lls[2]
     assert nlls[0] > nlls[1] > nlls[2]
 
 
 def test_pr_auc_hand_examples() -> None:
-    assert pr_auc([1, 0], [0.9, 0.1]) == pytest.approx(1.0)
-    assert pr_auc([0, 1], [0.9, 0.1]) == pytest.approx(0.5)
-    assert pr_auc([1, 1, 0, 0], [0.9, 0.8, 0.7, 0.6]) == pytest.approx(1.0)
+    assert _report([1, 0], [0.9, 0.1]).pr_auc == pytest.approx(1.0)
+    assert _report([0, 1], [0.9, 0.1]).pr_auc == pytest.approx(0.5)
+    assert _report([1, 1, 0, 0], [0.9, 0.8, 0.7, 0.6]).pr_auc == pytest.approx(1.0)
 
 
 def test_pr_auc_mixed_ranking_hand_enumeration() -> None:
     # ranks by score: pos, neg, pos, neg -> precisions 1/1 and 2/3
-    got = pr_auc([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.6])
+    got = _report([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.6]).pr_auc
     assert got == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
 
 
 def test_pr_auc_needs_a_positive() -> None:
     with pytest.raises(ValueError, match="positive"):
-        pr_auc([0, 0], [0.4, 0.6])
+        _report([0, 0], [0.4, 0.6])
+
+
+def _pr_auc_ends(report: EvalReport) -> tuple[float, float, float]:
+    return report.pr_auc, report.pr_auc_lo, report.pr_auc_hi
 
 
 def test_pr_auc_invariant_under_monotone_transform() -> None:
+    # the point and both interval ends: every resample keeps its ranking
     rng = np.random.default_rng(5)
     labels = (rng.random(300) < 0.2).astype(int)
     preds = rng.uniform(0.001, 0.999, 300)
-    before = pr_auc(labels, preds)
-    assert pr_auc(labels, np.log(preds / (1 - preds))) == pytest.approx(before, abs=1e-12)
-    assert pr_auc(labels, preds ** 3) == pytest.approx(before, abs=1e-12)
+    before = _pr_auc_ends(_report(labels, preds))
+    assert _pr_auc_ends(_report(labels, np.sqrt(preds))) == before
+    assert _pr_auc_ends(_report(labels, preds ** 3)) == before
 
 
 def test_pr_auc_ties_keep_input_order() -> None:
     # all scores equal: precision after k-th listed positive depends only on
     # input order, so the value is reproducible and order-sensitive
-    a = pr_auc([1, 0, 0, 1], [0.5, 0.5, 0.5, 0.5])
-    b = pr_auc([0, 0, 1, 1], [0.5, 0.5, 0.5, 0.5])
+    a = _report([1, 0, 0, 1], [0.5, 0.5, 0.5, 0.5]).pr_auc
+    b = _report([0, 0, 1, 1], [0.5, 0.5, 0.5, 0.5]).pr_auc
     assert a == pytest.approx((1.0 + 0.5) / 2.0)
     assert b == pytest.approx((1.0 / 3.0 + 0.5) / 2.0)
 
 
 def test_bootstrap_zero_width_on_identical_pairs() -> None:
-    labels = [1] * 50
-    preds = [0.7] * 50
-    lo, hi = bootstrap_ci(log_loss, labels, preds, 200, seed=0)
-    assert lo == hi == pytest.approx(-math.log(0.7))
+    report = _report([1] * 50, [0.7] * 50, bootstrap_b=200, seed=0)
+    assert report.ll_lo == report.ll == report.ll_hi == pytest.approx(-math.log(0.7))
 
 
 def test_bootstrap_is_deterministic_per_seed() -> None:
     rng = np.random.default_rng(9)
     labels = (rng.random(400) < 0.3).astype(int)
     preds = rng.uniform(0.05, 0.95, 400)
-    first = bootstrap_ci(log_loss, labels, preds, 1000, seed=42)
-    second = bootstrap_ci(log_loss, labels, preds, 1000, seed=42)
-    other = bootstrap_ci(log_loss, labels, preds, 1000, seed=43)
+    first = _report(labels, preds, 0.3, bootstrap_b=1000, seed=42)
+    second = _report(labels, preds, 0.3, bootstrap_b=1000, seed=42)
+    other = _report(labels, preds, 0.3, bootstrap_b=1000, seed=43)
     assert first == second
-    assert first != other
-    assert first[0] < log_loss(labels, preds) < first[1]
+    assert (first.ll_lo, first.ll_hi) != (other.ll_lo, other.ll_hi)
+    assert first.ll_lo < first.ll < first.ll_hi
 
 
 def test_bootstrap_rejects_too_few_resamples() -> None:
     with pytest.raises(ValueError, match="100"):
-        bootstrap_ci(log_loss, [1, 0], [0.6, 0.4], 99, seed=0)
+        _report([1, 0], [0.6, 0.4], bootstrap_b=99)
 
 
 def _clicks(delays, ts: int = 1000) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +222,9 @@ def test_evaluate_predictions_report_contents() -> None:
     labels = (rng.random(500) < 0.3).astype(int)
     preds = np.clip(labels * 0.5 + rng.uniform(0.05, 0.45, 500), 0.01, 0.99)
     report = evaluate_predictions(labels, preds, 0.3, bootstrap_b=200, seed=7)
-    assert report.ll == pytest.approx(log_loss(labels, preds))
-    assert report.nll == pytest.approx(normalized_log_loss(labels, preds, 0.3))
-    assert report.pr_auc == pytest.approx(pr_auc(labels, preds))
+    assert report.ll == pytest.approx(_reference_log_loss(labels, preds))
+    assert report.nll == pytest.approx(_reference_nll(labels, preds, 0.3))
+    assert report.pr_auc == pytest.approx(_reference_pr_auc(labels, preds))
     assert report.n_test == 500
     assert report.mean_label == pytest.approx(labels.mean())
     assert report.mean_pred == pytest.approx(preds.mean())
@@ -330,13 +336,22 @@ def _reference_resample_pr_auc(labels: np.ndarray, preds: np.ndarray, r: np.ndar
     return _reference_pr_auc(labels[rows], preds[rows])
 
 
+def _reference_bootstrap_ci(metric, n: int, b: int, seed: int) -> tuple[float, float]:
+    """95% percentile interval of ``metric`` over the ``b`` bootstrap
+    resamples of ``n`` rows seeded by ``seed``, one call per resample, each
+    given the row indices it drew, in draw order."""
+    stats = [metric(r) for block in _resample_blocks(n, b, seed) for r in block]
+    lo, hi = np.percentile(stats, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 def _reference_evaluate(labels, preds, base: float, b: int, seed: int) -> dict:
     # every interval resamples the same rows: the metrics get the drawn row
     # indices, so that average precision can list them in row order
     labels, preds = np.asarray(labels, dtype=float), np.asarray(preds, dtype=float)
     ap = _reference_pr_auc(labels, preds)
 
-    def ap_metric(r: np.ndarray, _: np.ndarray) -> float:
+    def ap_metric(r: np.ndarray) -> float:
         return ap if labels[r].sum() == 0 else _reference_resample_pr_auc(labels, preds, r)
 
     points = {
@@ -345,15 +360,14 @@ def _reference_evaluate(labels, preds, base: float, b: int, seed: int) -> dict:
         "pr_auc": ap,
     }
     metrics = {
-        "ll": lambda r, _: _reference_log_loss(labels[r], preds[r]),
-        "nll": lambda r, _: _reference_nll(labels[r], preds[r], base),
+        "ll": lambda r: _reference_log_loss(labels[r], preds[r]),
+        "nll": lambda r: _reference_nll(labels[r], preds[r], base),
         "pr_auc": ap_metric,
     }
     flat = {"n_test": labels.size, "mean_pred": float(preds.mean()),
             "mean_label": float(labels.mean()), "train_mean_cvr": base}
-    rows = np.arange(labels.size)
     for name, metric in metrics.items():
-        lo, hi = bootstrap_ci(metric, rows, rows, b, seed)
+        lo, hi = _reference_bootstrap_ci(metric, labels.size, b, seed)
         flat[name] = points[name]
         flat[f"{name}_lo"] = min(lo, points[name])
         flat[f"{name}_hi"] = max(hi, points[name])
@@ -542,7 +556,8 @@ def test_block_resampler_draws_the_rows_of_one_call(n, b) -> None:
     prefix = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
     assert np.array_equal(prefix.integers(0, n, size=(1, n)), want[:1])
     rows = 0
-    for got, expected in zip(_resamples(n, b, seed), want):
+    rows_drawn = (row for block in _resample_blocks(n, b, seed) for row in block)
+    for got, expected in zip(rows_drawn, want):
         assert np.array_equal(got, expected)
         rows += 1
     assert rows == b

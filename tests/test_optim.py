@@ -9,7 +9,8 @@ import pytest
 from scipy import sparse
 
 from fsiw.optim import MEMORY, OptConfig, _lbfgs_direction, minimize_batch, softplus_sigmoid
-from fsiw.training import dfm_nll_grad
+
+from simworld import dfm_nll_grad
 
 
 def test_softplus_is_stable_for_large_arguments() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import subprocess
 import sys
 from importlib import import_module
@@ -18,12 +19,16 @@ from test_experiment import _base_dict
 SRC = Path(fsiw.__file__).parent
 SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
 
-# traced by the benchmark but replaced by data.hash_csr and
-# simulate.to_click_log; the benchmark's next change traces those instead
+# traced by the benchmark but gone from the package: the first three were
+# replaced by data.hash_csr and simulate.to_click_log, and bootstrap_ci, which
+# no scorer has called since evaluate_columns draws its own resamples, was
+# deleted; the benchmark's next change traces hash_csr, to_click_log and
+# evaluate_columns instead
 REPLACED_TARGETS = {
     ("simulate", "to_records"),
     ("data", "hash_records"),
     ("optim", "features_to_csr"),
+    ("metrics", "bootstrap_ci"),
 }
 
 
@@ -31,6 +36,30 @@ def test_every_public_name_is_listed_once_and_resolves() -> None:
     assert len(fsiw.__all__) == len(set(fsiw.__all__))
     missing = [name for name in fsiw.__all__ if not hasattr(fsiw, name)]
     assert missing == []
+
+
+def _called_names(path: Path) -> set[str]:
+    """The names a module calls, as ``name(...)`` or ``anything.name(...)``."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_function_is_called_from_another_module() -> None:
+    # a function that only its own module and the tests call is not public
+    # API; types and exceptions are exempt
+    calls = {path.stem: _called_names(path) for path in SRC.glob("*.py")}
+    uncalled = []
+    for name in fsiw.__all__:
+        obj = getattr(fsiw, name)
+        if not inspect.isfunction(obj):
+            continue
+        home = obj.__module__.rpartition(".")[2]
+        if not any(name in called for module, called in calls.items() if module != home):
+            uncalled.append(f"{home}.{name}")
+    assert uncalled == []
 
 
 def test_importing_the_package_loads_no_submodule() -> None:

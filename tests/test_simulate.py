@@ -17,14 +17,13 @@ from fsiw.simulate import (
     SimArrays,
     SimConfig,
     generate_arrays,
-    oracle_fsiw_array,
     sample_weight_vector,
     to_click_log,
     write_sim_tsv,
     write_truth,
 )
 
-from simworld import delays, onehot_matrix, snapshot_arrays
+from simworld import delays, onehot_matrix, oracle_fsiw_array, snapshot_arrays
 
 DAY = 86400
 

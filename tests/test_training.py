@@ -28,7 +28,6 @@ from fsiw.training import (
     TrainingError,
     _distinct_rows,
     _fit_distinct,
-    dfm_nll_grad,
     fit_logistic,
     predict_cvr_batch,
     save_model,
@@ -38,7 +37,7 @@ from fsiw.training import (
 )
 from fsiw.weights import WeightedDataset
 
-from simworld import onehot_snapshot, predict_delay_rate
+from simworld import dfm_nll_grad, onehot_snapshot, predict_delay_rate
 from test_simulate import _config
 
 OPT = OptConfig(max_iter=2000, tol=1e-13)

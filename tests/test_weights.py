@@ -13,7 +13,7 @@ from scipy import sparse
 
 from fsiw.optim import OptConfig
 from fsiw.relabel import build_artificial_datasets
-from fsiw.simulate import generate_arrays, oracle_fsiw_array
+from fsiw.simulate import generate_arrays
 from fsiw.training import predict_cvr_batch, train_naive_logistic, train_weighted_logistic
 from fsiw.weights import (
     DEFAULT_EDGES,
@@ -27,7 +27,7 @@ from fsiw.weights import (
     weight_design,
 )
 
-from simworld import onehot_snapshot, snapshot_arrays
+from simworld import onehot_snapshot, oracle_fsiw_array, snapshot_arrays
 from test_simulate import _config
 
 DAY = 86400
