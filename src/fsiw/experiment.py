@@ -23,6 +23,13 @@ which the weight models of every deadline predict. They are built once per
 split and freed after its last lr_fsiw task, so a later dfm fits without
 them.
 
+``_fit_split`` yields each task as soon as it is fitted, so a run can start
+the split's weight dump right after its lr_fsiw task, in a forked child
+pinned off the parent's CPU (``_fork_weight_writer``): the dump is written
+on the second core while the parent fits dfm and scores the split. The child
+is reaped before the next split and before any report is written. Where a
+fork would not pay, the dump is written in process once the split is scored.
+
 Every error of a task, in its fit or in its metrics, carries the task's
 label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
 model pos`` (or ``neg``) when one of its weight models cannot be fitted. A
@@ -35,12 +42,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+import threading
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -98,6 +107,11 @@ _UNIT_SECONDS = {"": 1, "s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
 
 # field metadata of a config key whose values go through parse_duration
 DURATION = {"duration": True}
+
+# a weight dump of fewer rows is written in process: below this a fork's fixed
+# cost (a few ms, plus copy-on-write faults in the parent's next fit) outweighs
+# the write it takes off the parent
+_FORK_MIN_ROWS = 10_000
 
 
 class ConfigError(ValueError):
@@ -655,12 +669,12 @@ def _fit_task(
 
 def _fit_split(
     config: ExperimentConfig, labeled: _LabeledSplit, trainers: Sequence[str], taus: Sequence[int]
-) -> list[_Fitted]:
-    """Fit a labeled split's tasks in turn: for each of ``trainers``, lr_fsiw
-    at every deadline of ``taus``, any other trainer once, at ``taus[0]``.
-    Every task fits on one grouping of the training rows. The weight
-    designs are built once and freed after the last lr_fsiw task, so a
-    later dfm fits without them."""
+) -> Iterator[_Fitted]:
+    """Fit a labeled split's tasks in turn, yielding each as soon as it is
+    fitted: for each of ``trainers``, lr_fsiw at every deadline of ``taus``,
+    any other trainer once, at ``taus[0]``. Every task fits on one grouping
+    of the training rows. The weight designs are built once and freed after
+    the last lr_fsiw task, so a later dfm fits without them."""
     tasks = [(t, tau) for t in trainers for tau in (taus if t == "lr_fsiw" else taus[:1])]
     last = max((i for i, (t, _) in enumerate(tasks) if t == "lr_fsiw"), default=-1)
     train, val = labeled.train, labeled.val
@@ -669,12 +683,10 @@ def _fit_split(
         DesignRows(train.x, train.e),
         DesignRows(val.x, val.e) if val is not None and len(val.y) else None,
     )
-    fitted = []
     for i, (trainer, tau) in enumerate(tasks):
-        fitted.append(_fit_task(config, labeled, trainer, tau, groups, designs))
+        yield _fit_task(config, labeled, trainer, tau, groups, designs)
         if i == last:
             designs = None  # freed before any later dfm fits
-    return fitted
 
 
 def _score_split(
@@ -699,13 +711,66 @@ def _score_split(
     ]
 
 
+def _last_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or
+    None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as handle:
+            stat = handle.read()
+        # field 2, the command name, may hold spaces: count from its ")"
+        return int(stat[stat.rindex(b")") + 1 :].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _fork_weight_writer(weighted: WeightedDataset, path: Path) -> int | None:
+    """Start writing ``weighted``'s dump to ``path`` in a forked child and
+    return its pid; return None, having written nothing, where a fork would
+    not pay or fails.
+
+    It forks where ``os.fork`` and ``os.sched_setaffinity`` exist, at least 2
+    CPUs are usable, no other thread is alive, and the dump has at least
+    ``_FORK_MIN_ROWS`` rows. The child pins itself to the usable CPUs other
+    than the one the parent last ran on, so that it does not take the
+    parent's CPU from its next fit, writes with ``dump_weights`` and leaves
+    with ``os._exit``: it never returns into the caller, flushes the
+    parent's stdio buffers or runs ``atexit``. Its exit status is 0 when the
+    dump was written."""
+    if not (
+        len(weighted) >= _FORK_MIN_ROWS
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_setaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    ):
+        return None
+    cpu = _last_cpu()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller writes in process
+        return None
+    if pid:
+        return pid
+    code = 1
+    try:
+        if cpu is not None:
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+        dump_weights(weighted, path)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> list[ReportRow]:
     """Run every selected trainer over every rolling split and score it, at
     the config's first counterfactual deadline.
 
     With ``write_outputs`` the config's ``output_dir`` receives reports.csv /
     reports.json, per-split weight dumps and model blobs, the resolved
-    config, and a manifest keyed by the config hash.
+    config, and a manifest keyed by the config hash. A split's weight dump
+    may be written by a child process (``_fork_weight_writer``), reaped once
+    the split's models are saved or the split fails; a child that could not
+    write is the split's PipelineError.
     """
     taus = config.tau[:1]
     # every split is labeled before output_dir exists, so a split that cannot
@@ -718,13 +783,27 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     rows: list[ReportRow] = []
     for labeled in labeled_splits:
         k = labeled.split.k
-        fitted = _fit_split(config, labeled, config.trainers, taus)
-        rows.extend(_score_split(config, labeled, fitted))
-        if write_outputs:
-            for f in fitted:
-                if f.weighted is not None:
-                    dump_weights(f.weighted, out_path / f"weights_split{k}.tsv")
-                save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
+        weights_path = out_path / f"weights_split{k}.tsv"
+        writer = None  # the pid of the child writing weights_path, if one does
+        try:
+            fitted = []
+            for f in _fit_split(config, labeled, config.trainers, taus):
+                fitted.append(f)
+                if write_outputs and f.weighted is not None:
+                    writer = _fork_weight_writer(f.weighted, weights_path)
+            rows.extend(_score_split(config, labeled, fitted))
+            if write_outputs:
+                for f in fitted:
+                    if f.weighted is not None and writer is None:
+                        dump_weights(f.weighted, weights_path)
+                    save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
+        finally:  # a split's own error wins over its writer's
+            code = 0 if writer is None else os.waitstatus_to_exitcode(os.waitpid(writer, 0)[1])
+        if code:
+            raise PipelineError(
+                f"split {k}: could not write {weights_path} "
+                f"(weight writer exited with status {code})"
+            )
 
     if write_outputs:
         write_report_csv(rows, out_path / "reports.csv")
@@ -747,7 +826,7 @@ def deadline_sweep(config: ExperimentConfig, *, write_outputs: bool = True) -> l
     run_pipeline per tau would give.
     """
     by_split = [
-        _score_split(config, labeled, _fit_split(config, labeled, ("lr_fsiw",), config.tau))
+        _score_split(config, labeled, list(_fit_split(config, labeled, ("lr_fsiw",), config.tau)))
         for labeled in _labeled_splits(config)
     ]
     # tau by tau, each in split order

@@ -176,7 +176,9 @@ def fit_weight_model(
     *adjusted* elapsed time and targets the s-label. A holdout of
     ``hyper.holdout_fraction``, drawn from ``seed``, drives early stopping.
     Single-class inputs degrade to a constant predictor at the class rate,
-    with a warning; ``assign_fsiw`` clips it like any prediction.
+    with a warning; ``assign_fsiw`` clips it like any prediction. A fit that
+    reaches ``hyper.max_iter`` without converging or stopping early on its
+    holdout warns too.
     """
     s = np.asarray(s, dtype=float)
     if s.size == 0:
@@ -221,13 +223,15 @@ def fit_weight_model(
                 np.ones(len(hold_idx)),
             )
 
-    theta, _ = fit_logistic(
+    theta, meta = fit_logistic(
         x[train_idx],
         s[train_idx],
         l2=hyper.l2,
         opt=hyper.opt,
         validation=validation,
     )
+    if not (meta.converged or meta.stopped_early):
+        warnings.warn(f"fit did not converge (n_iter={meta.n_iter})", RuntimeWarning, stacklevel=2)
     return WeightModel(
         coef=theta[:-1],
         intercept=float(theta[-1]),
@@ -259,7 +263,10 @@ def assign_fsiw(
 
 
 def dump_weights(dataset: WeightedDataset, path: str | Path) -> None:
-    """Audit dump: one row per sample (index, y, e, weight)."""
+    """Audit dump: one row per sample (index, y, e, weight).
+
+    It calls no BLAS and starts no thread, so ``fsiw run`` can call it in a
+    forked child (``experiment._fork_weight_writer``)."""
     rows = zip(
         np.asarray(dataset.y).tolist(),
         np.asarray(dataset.e).tolist(),

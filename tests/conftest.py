@@ -43,3 +43,21 @@ def no_thread_outlives_its_test():
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]
     if leaked:
         pytest.fail(f"threads still running after the test: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_its_test():
+    """Fail a test that ends with a child process alive or unreaped, such as
+    a weight writer that was never waited for."""
+    yield
+    unreaped = []  # reaped here, so that a later test is not blamed for them
+    while True:
+        try:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            break  # no child left
+        if pid == 0:
+            pytest.fail("a child process is still running after the test")
+        unreaped.append(f"{pid} (status {status})")
+    if unreaped:
+        pytest.fail(f"child processes exited but were never reaped: {unreaped}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import yaml
 from fsiw.cli import main
 from fsiw.metrics import evaluate_predictions
 
-from test_experiment import _base_dict, _golden_configs
+from test_experiment import _base_dict, _golden_configs, needs_two_cpus
 
 DAY = 86400
 
@@ -382,6 +383,81 @@ def test_a_weight_model_fallback_is_one_warning_line_naming_its_task(
         "warning: split 0, trainer lr_fsiw, tau 172800s, weight model pos: weight-model data "
         "has a single s-class (0); falling back to a constant predictor at 0.0\n"
     )
+
+
+def test_a_weight_model_that_runs_out_of_iterations_is_one_warning_line(
+    tmp_path, config_path
+) -> None:
+    out = tmp_path / "out"
+    proc = _fsiw(
+        "run", "-c", str(config_path), "-o", str(out), "--set", "weight_model_pos.max_iter=2"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "warning: split 0, trainer lr_fsiw, tau 172800s, weight model pos: "
+        "fit did not converge (n_iter=2)\n"
+    )
+
+
+# `fsiw run` with every weight dump forked, whatever its size; the arguments
+# after -c are the CLI's, and a dump that should fail names it in FAIL_DUMP
+_FORKED_RUN = """
+import os
+import sys
+
+import fsiw.experiment
+from fsiw.cli import main
+
+def failing_dump(weighted, path):
+    raise OSError("no space left on device")
+
+fsiw.experiment._FORK_MIN_ROWS = 0
+if os.environ.get("FAIL_DUMP"):
+    fsiw.experiment.dump_weights = failing_dump
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _forked_run(*argv: str, fail_dump: bool = False) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", _FORKED_RUN, "run", *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "FAIL_DUMP": "1" if fail_dump else ""},
+    )
+
+
+@needs_two_cpus
+def test_a_forked_weight_dump_prints_the_run_once_and_writes_its_bytes(
+    tmp_path, config_path
+) -> None:
+    plain, forked = tmp_path / "plain", tmp_path / "forked"
+    expected = _fsiw("run", "-c", str(config_path), "-o", str(plain))
+    proc = _forked_run("-c", str(config_path), "-o", str(forked))
+    assert proc.returncode == expected.returncode == 0, proc.stderr
+    # the child never returns into main, so the run's lines appear once
+    assert proc.stdout == expected.stdout.replace(str(plain), str(forked))
+    assert proc.stderr == expected.stderr == ""
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in forked.iterdir()) == names
+    for name in set(names) - {"config_resolved.yaml"}:  # which names its output_dir
+        assert (forked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+@needs_two_cpus
+def test_a_weight_writer_that_fails_is_one_error_line_naming_its_file(
+    tmp_path, config_path
+) -> None:
+    out = tmp_path / "out"
+    proc = _forked_run("-c", str(config_path), "-o", str(out), fail_dump=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    # no traceback, and no line from the child, which leaves without a word
+    assert proc.stderr == (
+        f"error: split 0: could not write {out / 'weights_split0.tsv'} "
+        "(weight writer exited with status 1)\n"
+    )
+    assert not (out / "reports.csv").exists()
 
 
 def test_a_sweep_that_cannot_fit_a_weight_model_names_its_deadline_and_side(

@@ -6,7 +6,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 import re
+import threading
 import weakref
 from dataclasses import replace
 
@@ -29,6 +31,7 @@ from fsiw.experiment import (
     run_pipeline,
 )
 from fsiw.simulate import generate_arrays, write_sim_tsv
+from fsiw.training import TrainingError
 
 DAY = 86400
 
@@ -852,6 +855,161 @@ def test_a_weight_model_fallback_warns_under_its_task_label() -> None:
         "split 0, trainer lr_fsiw, tau 172800s, weight model pos: weight-model data has a "
         "single s-class (0); falling back to a constant predictor at 0.0"
     ]
+
+
+# --- the weight dump's writer process -----------------------------------------
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a weight dump forks only where at least 2 CPUs are usable",
+)
+
+
+def _fork_every_dump(monkeypatch) -> list[int]:
+    """Let a weight dump of any size fork; returns the list that every
+    forked child's pid is appended to."""
+    import fsiw.experiment
+
+    monkeypatch.setattr(fsiw.experiment, "_FORK_MIN_ROWS", 0)
+    fork, pids = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@needs_two_cpus
+def test_criterion_10_pins_hold_when_the_weight_dump_is_forked(tmp_path, monkeypatch) -> None:
+    forks = _fork_every_dump(monkeypatch)
+    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
+    run_pipeline(replace(config, output_dir=str(tmp_path)))
+    assert len(forks) == 1
+    assert _output_hashes(tmp_path) == _CRITERION_10_OUTPUT_HASHES
+
+
+@needs_two_cpus
+def test_a_forked_weight_dump_leaves_every_output_byte_as_in_process(
+    tmp_path, monkeypatch
+) -> None:
+    config = config_from_dict(
+        _base_dict(
+            split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS), output_dir=str(tmp_path)
+        )
+    )
+    run_pipeline(config)
+    in_process = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for path in tmp_path.iterdir():
+        path.unlink()
+
+    forks = _fork_every_dump(monkeypatch)
+    run_pipeline(config)
+    assert len(forks) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == in_process
+    assert {"weights_split0.tsv", "weights_split1.tsv"} <= set(in_process)
+
+
+@needs_two_cpus
+def test_one_weight_writer_at_a_time_each_reaped_before_the_reports(
+    tmp_path, monkeypatch
+) -> None:
+    forks = _fork_every_dump(monkeypatch)
+    fork, waitpid = os.fork, os.waitpid
+    reaped, alive_at_fork = [], []
+
+    def counting_fork():
+        alive_at_fork.append(len(forks) - len(reaped))
+        return fork()
+
+    def checking_waitpid(pid, options):
+        assert not (tmp_path / "reports.csv").exists()
+        result = waitpid(pid, options)
+        reaped.append(result[0])
+        return result
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", checking_waitpid)
+    config = config_from_dict(
+        _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS))
+    )
+    run_pipeline(replace(config, output_dir=str(tmp_path)))
+    assert alive_at_fork == [0, 0]
+    assert reaped == forks and len(forks) == 2
+    assert (tmp_path / "reports.csv").exists()
+
+
+@needs_two_cpus
+def test_a_later_task_error_is_reported_and_its_weight_writer_reaped(
+    tmp_path, monkeypatch
+) -> None:
+    import fsiw.experiment
+
+    forks = _fork_every_dump(monkeypatch)
+
+    def failing_dump(weighted, path):
+        raise OSError("no space left on device")
+
+    def failing_dfm(*args, **kwargs):
+        raise TrainingError("dfm cannot be fitted")
+
+    # the child's write fails too, but the split's own error wins
+    monkeypatch.setattr(fsiw.experiment, "dump_weights", failing_dump)
+    monkeypatch.setattr(fsiw.experiment, "train_dfm", failing_dfm)
+    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
+    with pytest.raises(PipelineError, match="^split 0, trainer dfm: dfm cannot be fitted$"):
+        run_pipeline(replace(config, output_dir=str(tmp_path)))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+@needs_two_cpus
+def test_a_weight_dump_under_the_row_floor_is_written_in_process(tmp_path, monkeypatch) -> None:
+    import fsiw.experiment
+
+    forks = _fork_every_dump(monkeypatch)
+    config = config_from_dict(_base_dict(trainers=["lr_fsiw"]))
+    run_pipeline(replace(config, output_dir=str(tmp_path / "a")))
+    n_rows = len((tmp_path / "a" / "weights_split0.tsv").read_bytes().splitlines()) - 1
+    forked = []
+    for floor, out in ((n_rows + 1, "b"), (n_rows, "c")):
+        monkeypatch.setattr(fsiw.experiment, "_FORK_MIN_ROWS", floor)
+        run_pipeline(replace(config, output_dir=str(tmp_path / out)))
+        forked.append(len(forks))
+    assert forked == [1, 2]  # the run at the floor forks, the run under it does not
+
+
+def _no_process_to_spare():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("why", ["one_cpu", "another_thread", "fork_fails"])
+def test_a_weight_dump_is_written_in_process_without_a_fork_that_pays(
+    tmp_path, monkeypatch, why
+) -> None:
+    forks = _fork_every_dump(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif why == "fork_fails":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    else:
+        thread.start()
+    try:
+        config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
+        run_pipeline(replace(config, output_dir=str(tmp_path)))
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert _output_hashes(tmp_path) == _CRITERION_10_OUTPUT_HASHES
 
 
 # --- TSV sources and label finality ---------------------------------------------
