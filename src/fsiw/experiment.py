@@ -112,6 +112,9 @@ DURATION = {"duration": True}
 # cost (a few ms, plus copy-on-write faults in the parent's next fit) outweighs
 # the write it takes off the parent
 _FORK_MIN_ROWS = 10_000
+# bytes of a failed weight writer's message that reach the parent: one page,
+# the least a Linux pipe holds, so the child's write never waits for a reader
+_CAUSE_BYTES = 4096
 
 
 class ConfigError(ValueError):
@@ -723,10 +726,10 @@ def _last_cpu() -> int | None:
         return None
 
 
-def _fork_weight_writer(weighted: WeightedDataset, path: Path) -> int | None:
+def _fork_weight_writer(weighted: WeightedDataset, path: Path) -> tuple[int, int] | None:
     """Start writing ``weighted``'s dump to ``path`` in a forked child and
-    return its pid; return None, having written nothing, where a fork would
-    not pay or fails.
+    return its pid and the read end of a pipe from it; return None, having
+    written nothing, where a fork would not pay or fails.
 
     It forks where ``os.fork`` and ``os.sched_setaffinity`` exist, at least 2
     CPUs are usable, no other thread is alive, and the dump has at least
@@ -735,7 +738,8 @@ def _fork_weight_writer(weighted: WeightedDataset, path: Path) -> int | None:
     parent's CPU from its next fit, writes with ``dump_weights`` and leaves
     with ``os._exit``: it never returns into the caller, flushes the
     parent's stdio buffers or runs ``atexit``. Its exit status is 0 when the
-    dump was written."""
+    dump was written; when it was not, the child sends the error's message
+    down the pipe (``_reap_weight_writer`` reads it)."""
     if not (
         len(weighted) >= _FORK_MIN_ROWS
         and hasattr(os, "fork")
@@ -746,19 +750,44 @@ def _fork_weight_writer(weighted: WeightedDataset, path: Path) -> int | None:
         return None
     cpu = _last_cpu()
     try:
+        read_end, write_end = os.pipe()
+    except OSError:  # no descriptor to spare: the caller writes in process
+        return None
+    try:
         pid = os.fork()
     except OSError:  # no process to spare: the caller writes in process
+        os.close(read_end)
+        os.close(write_end)
         return None
     if pid:
-        return pid
+        os.close(write_end)
+        return pid, read_end
     code = 1
     try:
         if cpu is not None:
             os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
         dump_weights(weighted, path)
         code = 0
+    except Exception as exc:  # the parent reads it once the child has exited
+        os.write(write_end, str(exc).encode(errors="replace")[:_CAUSE_BYTES])
     finally:
         os._exit(code)
+
+
+def _reap_weight_writer(writer: tuple[int, int]) -> str | None:
+    """Wait for a child of ``_fork_weight_writer`` and close its pipe; return
+    None if it wrote its dump, else the end of the error that says why not:
+    the message it sent, or its exit status where it sent none (a signal
+    killed it, say)."""
+    pid, read_end = writer
+    try:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        cause = os.read(read_end, _CAUSE_BYTES).decode(errors="replace")
+    finally:
+        os.close(read_end)
+    if not code:
+        return None
+    return f": {cause}" if cause else f" (weight writer exited with status {code})"
 
 
 def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> list[ReportRow]:
@@ -784,7 +813,7 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     for labeled in labeled_splits:
         k = labeled.split.k
         weights_path = out_path / f"weights_split{k}.tsv"
-        writer = None  # the pid of the child writing weights_path, if one does
+        writer = None  # the child writing weights_path and its pipe, if one does
         try:
             fitted = []
             for f in _fit_split(config, labeled, config.trainers, taus):
@@ -798,12 +827,9 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
                         dump_weights(f.weighted, weights_path)
                     save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
         finally:  # a split's own error wins over its writer's
-            code = 0 if writer is None else os.waitstatus_to_exitcode(os.waitpid(writer, 0)[1])
-        if code:
-            raise PipelineError(
-                f"split {k}: could not write {weights_path} "
-                f"(weight writer exited with status {code})"
-            )
+            failure = None if writer is None else _reap_weight_writer(writer)
+        if failure:
+            raise PipelineError(f"split {k}: could not write {weights_path}{failure}")
 
     if write_outputs:
         write_report_csv(rows, out_path / "reports.csv")

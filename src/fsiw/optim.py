@@ -5,8 +5,9 @@ The link functions are what every objective evaluation spends its time on.
 ``softplus_sigmoid`` returns softplus(z) = max(z, 0) + log1p(exp(-|z|)), about
 4x cheaper than ``np.logaddexp(0, z)``, and sigmoid(z) from one shared
 exp(-|z|), so a loss-and-gradient evaluation takes one exp per linear score;
-a loss alone takes its first element. ``sigmoid`` (scipy's ``expit``) stays
-the link for predictions.
+a loss alone takes its first element. ``sigmoid`` is the same sigmoid on its
+own, the link for predictions, weights and the simulator's true CVR, so the
+package computes one sigmoid and imports no scipy here.
 
 ``minimize_batch`` is limited-memory BFGS (Liu & Nocedal 1989): the
 two-loop recursion over the last ``MEMORY`` curvature pairs gives the search
@@ -24,17 +25,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
+
+
+def sigmoid(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(z) from t = exp(-|z|), computed here unless given: 1/(1+t)
+    for z >= 0 and t/(1+t) below, so neither branch overflows; ±inf map to
+    the limits and nan stays nan."""
+    if t is None:
+        t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, t) / (1.0 + t)
 
 
 def softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softplus(z) and sigmoid(z), both from one t = exp(-|z|).
-
-    sigmoid is 1/(1+t) for z >= 0 and t/(1+t) below, so neither branch
-    overflows; ±inf map to the limits and nan stays nan.
-    """
+    """softplus(z) and sigmoid(z), both from one t = exp(-|z|)."""
     t = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(t), np.where(z >= 0, 1.0, t) / (1.0 + t)
+    return np.maximum(z, 0.0) + np.log1p(t), sigmoid(z, t)
 
 
 # curvature pairs (s, y) kept by L-BFGS

@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .data import NO_CONVERSION, ClickLog, hash_csr
+from .optim import sigmoid
 
 CHUNK_SIZE = 1 << 16
 # rows the TSV writers format at a time; their memory grows with it, not with n
@@ -120,7 +120,7 @@ def generate_arrays(config: SimConfig) -> SimArrays:
         values = np.empty((size, len(cards)), dtype=np.int64)
         for j, card in enumerate(cards):
             values[:, j] = rng.integers(0, card, size=size)
-        p = expit(linear_score(values, config.cvr_weights, offsets))
+        p = sigmoid(linear_score(values, config.cvr_weights, offsets))
         # a huge rate_spread sends some rates to inf (delay 0) and others to 0
         # (delay inf); _integer_conv_ts rejects an inf delay naming the keys
         with np.errstate(over="ignore", divide="ignore"):

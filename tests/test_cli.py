@@ -400,15 +400,19 @@ def test_a_weight_model_that_runs_out_of_iterations_is_one_warning_line(
 
 
 # `fsiw run` with every weight dump forked, whatever its size; the arguments
-# after -c are the CLI's, and a dump that should fail names it in FAIL_DUMP
+# after -c are the CLI's. FAIL_DUMP=raise makes the dump raise, and
+# FAIL_DUMP=kill makes the child kill itself without a word
 _FORKED_RUN = """
 import os
+import signal
 import sys
 
 import fsiw.experiment
 from fsiw.cli import main
 
 def failing_dump(weighted, path):
+    if os.environ["FAIL_DUMP"] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
     raise OSError("no space left on device")
 
 fsiw.experiment._FORK_MIN_ROWS = 0
@@ -418,13 +422,13 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _forked_run(*argv: str, fail_dump: bool = False) -> subprocess.CompletedProcess:
+def _forked_run(*argv: str, fail_dump: str = "") -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", _FORKED_RUN, "run", *argv],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "FAIL_DUMP": "1" if fail_dump else ""},
+        env={**os.environ, "FAIL_DUMP": fail_dump},
     )
 
 
@@ -450,14 +454,44 @@ def test_a_weight_writer_that_fails_is_one_error_line_naming_its_file(
     tmp_path, config_path
 ) -> None:
     out = tmp_path / "out"
-    proc = _forked_run("-c", str(config_path), "-o", str(out), fail_dump=True)
+    proc = _forked_run("-c", str(config_path), "-o", str(out), fail_dump="raise")
     assert (proc.returncode, proc.stdout) == (2, "")
-    # no traceback, and no line from the child, which leaves without a word
+    # no traceback, and no line from the child: it sends its cause to the parent
     assert proc.stderr == (
-        f"error: split 0: could not write {out / 'weights_split0.tsv'} "
-        "(weight writer exited with status 1)\n"
+        f"error: split 0: could not write {out / 'weights_split0.tsv'}: "
+        "no space left on device\n"
     )
     assert not (out / "reports.csv").exists()
+
+
+@needs_two_cpus
+def test_a_weight_writer_killed_by_a_signal_is_named_by_its_status(
+    tmp_path, config_path
+) -> None:
+    out = tmp_path / "out"
+    proc = _forked_run("-c", str(config_path), "-o", str(out), fail_dump="kill")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: split 0: could not write {out / 'weights_split0.tsv'} "
+        "(weight writer exited with status -9)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "forked", [False, pytest.param(True, marks=needs_two_cpus)], ids=["in process", "forked"]
+)
+def test_a_weight_dump_that_cannot_be_written_names_its_cause(
+    tmp_path, config_path, forked
+) -> None:
+    # a directory where the dump goes: the same OSError in the child as in process
+    out = tmp_path / "out"
+    (out / "weights_split0.tsv").mkdir(parents=True)
+    argv = ("-c", str(config_path), "-o", str(out))
+    proc = _forked_run(*argv) if forked else _fsiw("run", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    cause = f"[Errno 21] Is a directory: '{out / 'weights_split0.tsv'}'"
+    prefix = f"split 0: could not write {out / 'weights_split0.tsv'}: " if forked else ""
+    assert proc.stderr == f"error: {prefix}{cause}\n"
 
 
 def test_a_sweep_that_cannot_fit_a_weight_model_names_its_deadline_and_side(

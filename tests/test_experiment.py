@@ -556,9 +556,9 @@ def test_run_pipeline_rows_and_artifacts(tmp_path) -> None:
 # bytes as they are. Re-record them only after a numpy or scipy upgrade, or in
 # a change that sets out to move reported numbers, with a note in CHANGES.md.
 _CRITERION_10_OUTPUT_HASHES = {
-    "reports.csv": "bf13223fabff066746e2ab6fec543431bc397d0eb8715626ac942248dca783b1",
-    "reports.json": "5080aac932e5d0eb76c317d03c6194cea2e70c9e8351ee860d55fcefa359f263",
-    "weights_split0.tsv": "e9d714b1992a34be1bf793415cb02bb2aeabd060b146a878fb55c5ec56918204",
+    "reports.csv": "deca771a23952b605e6a9333017713978f6e74fe9e88e067e72a6d4eeffeb926",
+    "reports.json": "55f627e7e47fe01d32740eed696511974c04fa6453545000626c419a33b27588",
+    "weights_split0.tsv": "7f48e8c6476ad1b0756559f1079ffe21f6ca596f66a763aeb3b6c90ed3c4f441",
 }
 
 
@@ -601,8 +601,8 @@ _TWO_SPLITS_WITH_VALIDATION = {
 # SHA-256 of what a 3-tau, 2-split sweep with a validation window writes; the
 # same rules as the criterion-10 pins apply
 _SWEEP_OUTPUT_HASHES = {
-    "sweep.csv": "e806b987b05d02576877b3e6f289e7485595c503034c5e74a1a2eb1af777d02f",
-    "sweep.json": "3824472132c880724cae295bcc10f71f9301e09bbf088652b5b9fdd8ab56b12b",
+    "sweep.csv": "e3b97c47e5629b25d6cb3b68641365cf29f84ccc327ffa5375658f17dfeee6b1",
+    "sweep.json": "a82e570e20584069b77c0ceb1adbf32a49287869faa5241ba262863b8d266ce1",
 }
 
 
@@ -942,6 +942,10 @@ def test_one_weight_writer_at_a_time_each_reaped_before_the_reports(
     assert (tmp_path / "reports.csv").exists()
 
 
+def _failing_dfm(*args, **kwargs):
+    raise TrainingError("dfm cannot be fitted")
+
+
 @needs_two_cpus
 def test_a_later_task_error_is_reported_and_its_weight_writer_reaped(
     tmp_path, monkeypatch
@@ -953,12 +957,9 @@ def test_a_later_task_error_is_reported_and_its_weight_writer_reaped(
     def failing_dump(weighted, path):
         raise OSError("no space left on device")
 
-    def failing_dfm(*args, **kwargs):
-        raise TrainingError("dfm cannot be fitted")
-
     # the child's write fails too, but the split's own error wins
     monkeypatch.setattr(fsiw.experiment, "dump_weights", failing_dump)
-    monkeypatch.setattr(fsiw.experiment, "train_dfm", failing_dfm)
+    monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
     config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
     with pytest.raises(PipelineError, match="^split 0, trainer dfm: dfm cannot be fitted$"):
         run_pipeline(replace(config, output_dir=str(tmp_path)))
@@ -1010,6 +1011,42 @@ def test_a_weight_dump_is_written_in_process_without_a_fork_that_pays(
     assert not thread.is_alive()
     assert forks == []
     assert _output_hashes(tmp_path) == _CRITERION_10_OUTPUT_HASHES
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("outcome", ["written", "dump_fails", "split_fails", "fork_fails"])
+def test_a_weight_writer_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) -> None:
+    import fsiw.experiment
+
+    forks = _fork_every_dump(monkeypatch)
+    if outcome == "dump_fails":  # a directory where the dump goes
+        (tmp_path / "weights_split0.tsv").mkdir()
+    elif outcome == "split_fails":
+        monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
+    elif outcome == "fork_fails":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
+    before = _open_descriptors()
+    try:
+        run_pipeline(replace(config, output_dir=str(tmp_path)))
+    except PipelineError as exc:
+        error = str(exc)
+    else:
+        error = None
+    assert _open_descriptors() == before
+    assert len(forks) == (0 if outcome == "fork_fails" else 1)
+    path = tmp_path / "weights_split0.tsv"
+    assert error == {
+        "written": None,
+        "dump_fails": f"split 0: could not write {path}: [Errno 21] Is a directory: '{path}'",
+        "split_fails": "split 0, trainer dfm: dfm cannot be fitted",
+        "fork_fails": None,
+    }[outcome]
 
 
 # --- TSV sources and label finality ---------------------------------------------

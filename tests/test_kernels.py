@@ -1,6 +1,7 @@
 """Objective kernels against the formulations they replace.
 
-The link functions are checked against ``np.logaddexp`` and scipy's ``expit``;
+The link functions are checked against ``np.logaddexp`` and scipy's ``expit``,
+which the package no longer imports: ``sigmoid`` is the kernel's own sigmoid;
 ``dfm``'s objective (``training._dfm_objective``, called through
 ``simworld.dfm_nll_grad``) against the masked log-space formulation kept
 below as the reference. Neither kernel may raise a RuntimeWarning the reference does not.
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import expit
 
-from fsiw.optim import softplus_sigmoid
+from fsiw.optim import sigmoid, softplus_sigmoid
 
 from simworld import dfm_nll_grad
 
@@ -83,6 +84,15 @@ def _run_raising_new_warnings(fn, allowed: set[str]):
         return fn()
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """How many doubles apart a and b are, for a, b >= 0."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
 LINK_POINTS = st.one_of(
     st.floats(-800.0, 800.0),
     st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 36.7, -36.7, 709.0, -745.0]),
@@ -100,6 +110,8 @@ def test_softplus_sigmoid_match_logaddexp_and_expit(values) -> None:
     # subnormal; atol covers that and nothing coarser
     np.testing.assert_allclose(sp, np.logaddexp(0.0, z), rtol=RTOL, atol=0.0)
     np.testing.assert_allclose(sig, expit(z), rtol=RTOL, atol=1e-300)
+    near = expit(z) >= 1e-300
+    assert np.all(_ulps(sig[near], expit(z[near])) <= 4)
     assert np.all((sig >= 0.0) & (sig <= 1.0))
 
 
@@ -107,6 +119,55 @@ def test_softplus_sigmoid_limits_and_nan() -> None:
     sp, sig = softplus_sigmoid(np.array([-np.inf, 0.0, np.inf, np.nan]))
     assert sp[0] == 0.0 and sp[1] == np.log(2.0) and sp[2] == np.inf and np.isnan(sp[3])
     assert sig[0] == 0.0 and sig[1] == 0.5 and sig[2] == 1.0 and np.isnan(sig[3])
+
+
+# z in [-746, -708] spans the edge where exp(-|z|) turns subnormal and then 0
+SIGMOID_EDGE = np.concatenate(
+    [np.linspace(-746.0, -708.0, 3001), [-np.inf, -0.0, 0.0, np.inf, np.nan]]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_sigmoid_is_the_kernels_sigmoid_bit_for_bit(values) -> None:
+    z = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same_bits(sigmoid(z), softplus_sigmoid(z)[1])
+
+
+def test_sigmoid_is_the_kernels_sigmoid_at_the_edges() -> None:
+    assert _same_bits(sigmoid(SIGMOID_EDGE), softplus_sigmoid(SIGMOID_EDGE)[1])
+
+
+def test_sigmoid_is_within_4_ulps_of_expit() -> None:
+    rng = np.random.default_rng(14)
+    z = np.concatenate(
+        [
+            rng.normal(0.0, 5.0, 200_000),
+            rng.uniform(-700.0, 40.0, 200_000),
+            rng.standard_cauchy(200_000),
+            SIGMOID_EDGE[np.isfinite(SIGMOID_EDGE)],
+        ]
+    )
+    ref = expit(z)
+    near = ref >= 1e-300
+    assert near.sum() > 590_000
+    assert _ulps(sigmoid(z[near]), ref[near]).max() <= 4
+
+
+def test_sigmoid_keeps_the_subnormal_tail_that_expit_rounds_to_zero() -> None:
+    # below z ≈ -709.78, exp(-z) overflows inside expit, which returns 0.0;
+    # the kernel's t = exp(z) is the subnormal value itself, and 1 + t = 1
+    z = np.linspace(-745.0, -709.8, 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = sigmoid(z)
+        tail = sigmoid(np.array([-746.0, -1e4]))
+    assert np.all(expit(z) == 0.0)
+    assert np.all((sig > 0.0) & (sig < np.finfo(float).tiny))
+    assert _same_bits(sig, np.exp(z))
+    assert tail.tolist() == [0.0, 0.0]
 
 
 PARAM = st.one_of(st.floats(-3.0, 3.0), st.floats(-40.0, 40.0))

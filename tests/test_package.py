@@ -107,12 +107,15 @@ def test_fsiw_eval_loads_neither_scipy_nor_yaml_nor_the_training_stack(tmp_path)
     ]
 
 
-@pytest.mark.parametrize("argv", [["run"], ["sweep", "--taus", "1d,2d"]], ids=["run", "sweep"])
-def test_fsiw_run_and_sweep_load_no_scipy_subpackage_but_sparse_and_special(
-    tmp_path, argv
-) -> None:
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["sweep", "--taus", "1d,2d"], ["simulate"], ["stats"]],
+    ids=["run", "sweep", "simulate", "stats"],
+)
+def test_fsiw_verbs_load_no_scipy_subpackage_but_sparse(tmp_path, argv) -> None:
     # importing scipy.optimize alone, which pulls in scipy.linalg, raises a
-    # fresh process's resident memory by about 22 MB
+    # fresh process's resident memory by about 22 MB, and scipy.special about
+    # 5 MB: the package's one sigmoid is optim.sigmoid
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(_base_dict()), encoding="utf-8")
     probe = (
@@ -125,15 +128,28 @@ def test_fsiw_run_and_sweep_load_no_scipy_subpackage_but_sparse_and_special(
         "             if name.startswith('scipy.') and name.count('.') == 1\n"
         "             and not name.startswith('scipy._') and hasattr(module, '__path__')))\n"
     )
-    out = tmp_path / "out"
+    out = ["-o", str(tmp_path / "out")] if argv[0] != "stats" else []
     proc = subprocess.run(
-        [sys.executable, "-c", probe, argv[0], "-c", str(config), "-o", str(out), *argv[1:]],
+        [sys.executable, "-c", probe, argv[0], "-c", str(config), *out, *argv[1:]],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0", "['scipy.sparse', 'scipy.special']"]
+    assert proc.stdout.splitlines() == ["0", "['scipy.sparse']"]
+
+
+def test_importing_the_optimizer_loads_no_scipy() -> None:
+    probe = (
+        "import sys\n"
+        "import fsiw.optim\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
