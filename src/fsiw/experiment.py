@@ -23,12 +23,19 @@ which the weight models of every deadline predict. They are built once per
 split and freed after its last lr_fsiw task, so a later dfm fits without
 them.
 
-``_fit_split`` yields each task as soon as it is fitted, so a run can start
-the split's weight dump right after its lr_fsiw task, in a forked child
-pinned off the parent's CPU (``_fork_weight_writer``): the dump is written
-on the second core while the parent fits dfm and scores the split. The child
-is reaped before the next split and before any report is written. Where a
-fork would not pay, the dump is written in process once the split is scored.
+``_fit_split`` yields each task as soon as it is fitted, which lets a run
+give each split at most one child process, pinned off the parent's CPU
+(``_fork``) so that it works on the second core. A split whose weight dump
+has at least ``_FORK_MIN_ROWS`` rows gives the child its dump, started right
+after its lr_fsiw task, while the parent fits dfm and scores the split. Any
+other split that trains dfm on at least ``_DFM_FORK_MIN_ROWS`` rows gives the
+child dfm's task, started as soon as the grouping is built, while the parent
+fits the other tasks and writes the dump. The child sends its result back
+down a pipe, and the parent puts it in task order, so every output byte is
+the one the task gives in process. The child is reaped before the split is
+scored (dfm) or before the next split (the dump), and always before any
+report is written. Where a fork would not pay or fails, the task runs in
+process.
 
 Every error of a task, in its fit or in its metrics, carries the task's
 label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
@@ -43,13 +50,15 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import threading
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from types import UnionType
-from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -112,9 +121,12 @@ DURATION = {"duration": True}
 # cost (a few ms, plus copy-on-write faults in the parent's next fit) outweighs
 # the write it takes off the parent
 _FORK_MIN_ROWS = 10_000
-# bytes of a failed weight writer's message that reach the parent: one page,
-# the least a Linux pipe holds, so the child's write never waits for a reader
-_CAUSE_BYTES = 4096
+# a split whose dump stays in process forks dfm's fit instead when it has at
+# least this many training rows. A fork and reap cost 4-5 ms and both sides
+# slow down while both cores are busy: on README worlds, where dfm converges in
+# 20-30 iterations, forking lost 2-3 ms up to 2.8k rows and won from 3.5k; on
+# criterion-04 worlds it won from 0.8k rows
+_DFM_FORK_MIN_ROWS = 3_000
 
 
 class ConfigError(ValueError):
@@ -671,17 +683,32 @@ def _fit_task(
 
 
 def _fit_split(
-    config: ExperimentConfig, labeled: _LabeledSplit, trainers: Sequence[str], taus: Sequence[int]
-) -> Iterator[_Fitted]:
+    config: ExperimentConfig,
+    labeled: _LabeledSplit,
+    trainers: Sequence[str],
+    taus: Sequence[int],
+    fork_dfm: bool = False,
+) -> Iterator[_Fitted | _Child]:
     """Fit a labeled split's tasks in turn, yielding each as soon as it is
     fitted: for each of ``trainers``, lr_fsiw at every deadline of ``taus``,
     any other trainer once, at ``taus[0]``. Every task fits on one grouping
     of the training rows. The weight designs are built once and freed after
-    the last lr_fsiw task, so a later dfm fits without them."""
+    the last lr_fsiw task, so a later dfm fits without them.
+
+    With ``fork_dfm``, dfm's task starts in a child (``_fork``) as soon as
+    the grouping is built. Where the fork happens, that child is yielded
+    first, for the caller to reap, and the other tasks are fitted here
+    meanwhile."""
     tasks = [(t, tau) for t in trainers for tau in (taus if t == "lr_fsiw" else taus[:1])]
-    last = max((i for i, (t, _) in enumerate(tasks) if t == "lr_fsiw"), default=-1)
     train, val = labeled.train, labeled.val
     groups = RowGroups(train.x)
+    if fork_dfm and "dfm" in trainers:
+        task = partial(_fit_task, config, labeled, "dfm", taus[0], groups, None)
+        child = _fork(task, f"split {labeled.split.k}, trainer dfm", "fit")
+        if child is not None:
+            tasks.remove(("dfm", taus[0]))
+            yield child
+    last = max((i for i, (t, _) in enumerate(tasks) if t == "lr_fsiw"), default=-1)
     designs = (  # each built on first use
         DesignRows(train.x, train.e),
         DesignRows(val.x, val.e) if val is not None and len(val.y) else None,
@@ -726,23 +753,33 @@ def _last_cpu() -> int | None:
         return None
 
 
-def _fork_weight_writer(weighted: WeightedDataset, path: Path) -> tuple[int, int] | None:
-    """Start writing ``weighted``'s dump to ``path`` in a forked child and
-    return its pid and the read end of a pipe from it; return None, having
-    written nothing, where a fork would not pay or fails.
+@dataclass(frozen=True)
+class _Child:
+    """A forked child running one task: its pid, the read end of the pipe its
+    outcome comes down, and the words of the error raised where it sends
+    none: ``{label} ({name} exited with status N)``."""
+
+    pid: int
+    read_end: int
+    label: str
+    name: str
+
+
+def _fork(task: Callable[[], object], label: str, name: str) -> _Child | None:
+    """Start ``task`` in a forked child and return it; return None, having
+    run nothing, where a fork would not pay or fails.
 
     It forks where ``os.fork`` and ``os.sched_setaffinity`` exist, at least 2
-    CPUs are usable, no other thread is alive, and the dump has at least
-    ``_FORK_MIN_ROWS`` rows. The child pins itself to the usable CPUs other
-    than the one the parent last ran on, so that it does not take the
-    parent's CPU from its next fit, writes with ``dump_weights`` and leaves
-    with ``os._exit``: it never returns into the caller, flushes the
-    parent's stdio buffers or runs ``atexit``. Its exit status is 0 when the
-    dump was written; when it was not, the child sends the error's message
-    down the pipe (``_reap_weight_writer`` reads it)."""
+    CPUs are usable and no other thread is alive. The child pins itself to
+    the usable CPUs other than the one the parent last ran on, so that it
+    does not take the parent's CPU from the parent's next fit. It runs
+    ``task`` with its warnings recorded and pickles them down the pipe, with
+    the task's result or error. It leaves with ``os._exit``: it never
+    returns into the caller, flushes the parent's stdio buffers or runs
+    ``atexit``. Its exit status is 0 once the pipe holds its whole outcome.
+    ``_reap`` waits for it."""
     if not (
-        len(weighted) >= _FORK_MIN_ROWS
-        and hasattr(os, "fork")
+        hasattr(os, "fork")
         and hasattr(os, "sched_setaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and threading.active_count() == 1
@@ -751,43 +788,67 @@ def _fork_weight_writer(weighted: WeightedDataset, path: Path) -> tuple[int, int
     cpu = _last_cpu()
     try:
         read_end, write_end = os.pipe()
-    except OSError:  # no descriptor to spare: the caller writes in process
+    except OSError:  # no descriptor to spare: the caller runs the task
         return None
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the caller writes in process
+    except OSError:  # no process to spare: the caller runs the task
         os.close(read_end)
         os.close(write_end)
         return None
     if pid:
         os.close(write_end)
-        return pid, read_end
+        return _Child(pid, read_end, label, name)
     code = 1
     try:
+        os.close(read_end)
         if cpu is not None:
             os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-        dump_weights(weighted, path)
+        # the filters are the parent's, so the child records what it would show
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = task(), None
+            except Exception as exc:  # raised again in the parent
+                outcome = None, exc
+        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        with open(write_end, "wb") as pipe:
+            pickle.dump((*outcome, shown), pipe)
         code = 0
-    except Exception as exc:  # the parent reads it once the child has exited
-        os.write(write_end, str(exc).encode(errors="replace")[:_CAUSE_BYTES])
     finally:
         os._exit(code)
 
 
-def _reap_weight_writer(writer: tuple[int, int]) -> str | None:
-    """Wait for a child of ``_fork_weight_writer`` and close its pipe; return
-    None if it wrote its dump, else the end of the error that says why not:
-    the message it sent, or its exit status where it sent none (a signal
-    killed it, say)."""
-    pid, read_end = writer
+def _reap(child: _Child, discard: bool = False):
+    """Read ``child``'s pipe to its end, close it and wait for the child;
+    then raise the warnings its task recorded again, in order, and return
+    the task's result or raise its error. A child that did not exit with
+    status 0 (a signal killed it, say) is a PipelineError naming its status.
+    With ``discard`` the outcome is dropped and nothing is raised."""
     try:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        cause = os.read(read_end, _CAUSE_BYTES).decode(errors="replace")
+        # to the end before waiting: the outcome may fill more than the pipe holds
+        with open(child.read_end, "rb") as pipe:
+            payload = pipe.read()
     finally:
-        os.close(read_end)
-    if not code:
+        code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+    if discard:
         return None
-    return f": {cause}" if cause else f" (weight writer exited with status {code})"
+    if code:
+        raise PipelineError(f"{child.label} ({child.name} exited with status {code})")
+    result, error, shown = pickle.loads(payload)
+    for message, category, filename, lineno in shown:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if error is not None:
+        raise error
+    return result
+
+
+def _write_dump(weighted: WeightedDataset, path: Path, k: int) -> None:
+    """Split ``k``'s weight dump, in process or in a child: ``dump_weights``,
+    whose error becomes ``split k: could not write <path>: <cause>``."""
+    try:
+        dump_weights(weighted, path)
+    except OSError as exc:
+        raise PipelineError(f"split {k}: could not write {path}: {exc}") from exc
 
 
 def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> list[ReportRow]:
@@ -796,10 +857,16 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
 
     With ``write_outputs`` the config's ``output_dir`` receives reports.csv /
     reports.json, per-split weight dumps and model blobs, the resolved
-    config, and a manifest keyed by the config hash. A split's weight dump
-    may be written by a child process (``_fork_weight_writer``), reaped once
-    the split's models are saved or the split fails; a child that could not
-    write is the split's PipelineError.
+    config, and a manifest keyed by the config hash.
+
+    A split gives at most one task to a child (``_fork``): its weight dump
+    when that has at least ``_FORK_MIN_ROWS`` rows, reaped once the split's
+    models are saved, or else dfm's fit when it trains on at least
+    ``_DFM_FORK_MIN_ROWS`` rows, reaped before the split is scored. Every
+    child is reaped before the next split and before this returns or raises.
+    When more than one step of a split fails, the error raised is the first
+    in process order (the tasks in order, the dump, the scoring, the model
+    files), except that a forked dump's error gives way to any other.
     """
     taus = config.tau[:1]
     # every split is labeled before output_dir exists, so a split that cannot
@@ -813,23 +880,41 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     for labeled in labeled_splits:
         k = labeled.split.k
         weights_path = out_path / f"weights_split{k}.tsv"
-        writer = None  # the child writing weights_path and its pipe, if one does
+        n_rows = len(labeled.train.y)  # the dump has one row per training row
+        fork_dump = write_outputs and "lr_fsiw" in config.trainers and n_rows >= _FORK_MIN_ROWS
+        fork_dfm = not fork_dump and n_rows >= _DFM_FORK_MIN_ROWS
+        child, dfm_at = None, None  # the split's child; dfm's place in task order if it fits dfm
+        fitted, dump = [], None
         try:
-            fitted = []
-            for f in _fit_split(config, labeled, config.trainers, taus):
+            for f in _fit_split(config, labeled, config.trainers, taus, fork_dfm):
+                if isinstance(f, _Child):
+                    child, dfm_at = f, config.trainers.index("dfm")
+                    continue
                 fitted.append(f)
                 if write_outputs and f.weighted is not None:
-                    writer = _fork_weight_writer(f.weighted, weights_path)
+                    dump = partial(_write_dump, f.weighted, weights_path, k)
+                    if fork_dump:
+                        label = f"split {k}: could not write {weights_path}"
+                        child = _fork(dump, label, "weight writer")
+                        if child is not None:
+                            dump = None
+            if dump is not None:
+                dump()  # while a child fits dfm, if one does
+            if dfm_at is not None:
+                forked, child = child, None
+                fitted.insert(dfm_at, _reap(forked))
             rows.extend(_score_split(config, labeled, fitted))
             if write_outputs:
                 for f in fitted:
-                    if f.weighted is not None and writer is None:
-                        dump_weights(f.weighted, weights_path)
                     save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
-        finally:  # a split's own error wins over its writer's
-            failure = None if writer is None else _reap_weight_writer(writer)
-        if failure:
-            raise PipelineError(f"split {k}: could not write {weights_path}{failure}")
+        except BaseException as exc:
+            # the child's error wins only where its task came before the failed one
+            if child is not None:
+                first = isinstance(exc, Exception) and dfm_at is not None and dfm_at <= len(fitted)
+                _reap(child, discard=not first)
+            raise
+        if child is not None:  # the dump's
+            _reap(child)
 
     if write_outputs:
         write_report_csv(rows, out_path / "reports.csv")

@@ -266,7 +266,7 @@ def dump_weights(dataset: WeightedDataset, path: str | Path) -> None:
     """Audit dump: one row per sample (index, y, e, weight).
 
     It calls no BLAS and starts no thread, so ``fsiw run`` can call it in a
-    forked child (``experiment._fork_weight_writer``)."""
+    forked child (``experiment._fork``)."""
     rows = zip(
         np.asarray(dataset.y).tolist(),
         np.asarray(dataset.e).tolist(),

@@ -399,9 +399,10 @@ def test_a_weight_model_that_runs_out_of_iterations_is_one_warning_line(
     )
 
 
-# `fsiw run` with every weight dump forked, whatever its size; the arguments
-# after -c are the CLI's. FAIL_DUMP=raise makes the dump raise, and
-# FAIL_DUMP=kill makes the child kill itself without a word
+# `fsiw run` with every split's weight dump (FORK=dump) or dfm fit (FORK=dfm)
+# forked, whatever its size; the arguments after -c are the CLI's. FAIL lists
+# the functions that fail (dump_weights, train_dfm, train_naive_logistic),
+# each raising, or, with ":kill", killing its process without a word
 _FORKED_RUN = """
 import os
 import signal
@@ -409,44 +410,77 @@ import sys
 
 import fsiw.experiment
 from fsiw.cli import main
+from fsiw.training import TrainingError
 
-def failing_dump(weighted, path):
-    if os.environ["FAIL_DUMP"] == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise OSError("no space left on device")
+ERRORS = {
+    "dump_weights": OSError("no space left on device"),
+    "train_dfm": TrainingError("dfm cannot be fitted"),
+    "train_naive_logistic": TrainingError("naive_lr cannot be fitted"),
+}
 
-fsiw.experiment._FORK_MIN_ROWS = 0
-if os.environ.get("FAIL_DUMP"):
-    fsiw.experiment.dump_weights = failing_dump
+def failing(error, kill):
+    def fail(*args, **kwargs):
+        if kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise error
+    return fail
+
+fork = os.environ["FORK"]
+if fork:
+    setattr(fsiw.experiment, {"dump": "_FORK_MIN_ROWS", "dfm": "_DFM_FORK_MIN_ROWS"}[fork], 0)
+for name in filter(None, os.environ["FAIL"].split(",")):
+    name, _, how = name.partition(":")
+    setattr(fsiw.experiment, name, failing(ERRORS[name], how == "kill"))
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def _forked_run(*argv: str, fail_dump: str = "") -> subprocess.CompletedProcess:
+def _forked_run(
+    *argv: str, fork: str = "dump", fail: str = "", env: dict | None = None
+) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", _FORKED_RUN, "run", *argv],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "FAIL_DUMP": fail_dump},
+        env={**os.environ, **(env or {}), "FORK": fork, "FAIL": fail},
     )
+
+
+def _check_forked_run_prints_as_in_process(tmp_path, config_path, fork: str, *flags: str) -> str:
+    """A run with ``fork``'s task forked prints the lines and writes the bytes
+    of the same run in process, under 2 BLAS threads; returns its stderr."""
+    plain, forked = tmp_path / "plain", tmp_path / "forked"
+    env = {"OPENBLAS_NUM_THREADS": "2"}
+    expected = _forked_run("-c", str(config_path), "-o", str(plain), *flags, fork="", env=env)
+    proc = _forked_run("-c", str(config_path), "-o", str(forked), *flags, fork=fork, env=env)
+    assert proc.returncode == expected.returncode == 0, proc.stderr
+    # the child never returns into main, so the run's lines appear once
+    assert proc.stdout == expected.stdout.replace(str(plain), str(forked))
+    assert proc.stderr == expected.stderr
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in forked.iterdir()) == names
+    for name in set(names) - {"config_resolved.yaml"}:  # which names its output_dir
+        assert (forked / name).read_bytes() == (plain / name).read_bytes(), name
+    return proc.stderr
 
 
 @needs_two_cpus
 def test_a_forked_weight_dump_prints_the_run_once_and_writes_its_bytes(
     tmp_path, config_path
 ) -> None:
-    plain, forked = tmp_path / "plain", tmp_path / "forked"
-    expected = _fsiw("run", "-c", str(config_path), "-o", str(plain))
-    proc = _forked_run("-c", str(config_path), "-o", str(forked))
-    assert proc.returncode == expected.returncode == 0, proc.stderr
-    # the child never returns into main, so the run's lines appear once
-    assert proc.stdout == expected.stdout.replace(str(plain), str(forked))
-    assert proc.stderr == expected.stderr == ""
-    names = sorted(p.name for p in plain.iterdir())
-    assert sorted(p.name for p in forked.iterdir()) == names
-    for name in set(names) - {"config_resolved.yaml"}:  # which names its output_dir
-        assert (forked / name).read_bytes() == (plain / name).read_bytes(), name
+    assert _check_forked_run_prints_as_in_process(tmp_path, config_path, "dump") == ""
+
+
+@needs_two_cpus
+def test_a_forked_dfm_prints_the_run_once_with_its_warning_lines(tmp_path, config_path) -> None:
+    # every CVR fit stops unconverged, and the pos weight model too: four
+    # warning lines, dfm's among them
+    flags = ("--set", "trainers=[naive_lr,lr_fsiw,dfm]", "--set", "optimizer.max_iter=3",
+             "--set", "weight_model_pos.max_iter=2")
+    stderr = _check_forked_run_prints_as_in_process(tmp_path, config_path, "dfm", *flags)
+    assert len(stderr.splitlines()) == 4
+    assert stderr.splitlines()[-1].startswith("warning: split 0 dfm: CVR fit did not converge")
 
 
 @needs_two_cpus
@@ -454,7 +488,7 @@ def test_a_weight_writer_that_fails_is_one_error_line_naming_its_file(
     tmp_path, config_path
 ) -> None:
     out = tmp_path / "out"
-    proc = _forked_run("-c", str(config_path), "-o", str(out), fail_dump="raise")
+    proc = _forked_run("-c", str(config_path), "-o", str(out), fail="dump_weights")
     assert (proc.returncode, proc.stdout) == (2, "")
     # no traceback, and no line from the child: it sends its cause to the parent
     assert proc.stderr == (
@@ -469,7 +503,7 @@ def test_a_weight_writer_killed_by_a_signal_is_named_by_its_status(
     tmp_path, config_path
 ) -> None:
     out = tmp_path / "out"
-    proc = _forked_run("-c", str(config_path), "-o", str(out), fail_dump="kill")
+    proc = _forked_run("-c", str(config_path), "-o", str(out), fail="dump_weights:kill")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         f"error: split 0: could not write {out / 'weights_split0.tsv'} "
@@ -483,15 +517,60 @@ def test_a_weight_writer_killed_by_a_signal_is_named_by_its_status(
 def test_a_weight_dump_that_cannot_be_written_names_its_cause(
     tmp_path, config_path, forked
 ) -> None:
-    # a directory where the dump goes: the same OSError in the child as in process
+    # a directory where the dump goes: the same OSError in the child as in
+    # process, and the same error line
     out = tmp_path / "out"
     (out / "weights_split0.tsv").mkdir(parents=True)
     argv = ("-c", str(config_path), "-o", str(out))
     proc = _forked_run(*argv) if forked else _fsiw("run", *argv)
     assert (proc.returncode, proc.stdout) == (2, "")
-    cause = f"[Errno 21] Is a directory: '{out / 'weights_split0.tsv'}'"
-    prefix = f"split 0: could not write {out / 'weights_split0.tsv'}: " if forked else ""
-    assert proc.stderr == f"error: {prefix}{cause}\n"
+    path = out / "weights_split0.tsv"
+    cause = f"[Errno 21] Is a directory: '{path}'"
+    assert proc.stderr == f"error: split 0: could not write {path}: {cause}\n"
+
+
+def _dfm_config(tmp_path, trainers: list[str]) -> str:
+    path = tmp_path / "dfm.yaml"
+    path.write_text(yaml.safe_dump(_base_dict(trainers=trainers)), encoding="utf-8")
+    return str(path)
+
+
+@needs_two_cpus
+def test_a_forked_dfm_that_fails_is_one_error_line_naming_its_task(tmp_path) -> None:
+    out = tmp_path / "out"
+    config = _dfm_config(tmp_path, ["naive_lr", "lr_fsiw", "dfm"])
+    proc = _forked_run("-c", config, "-o", str(out), fork="dfm", fail="train_dfm")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: split 0, trainer dfm: dfm cannot be fitted\n"
+    assert not (out / "reports.csv").exists()
+
+
+@needs_two_cpus
+def test_a_forked_dfm_killed_by_a_signal_is_named_by_its_status(tmp_path) -> None:
+    out = tmp_path / "out"
+    config = _dfm_config(tmp_path, ["naive_lr", "lr_fsiw", "dfm"])
+    proc = _forked_run("-c", config, "-o", str(out), fork="dfm", fail="train_dfm:kill")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: split 0, trainer dfm (fit exited with status -9)\n"
+
+
+@needs_two_cpus
+@pytest.mark.parametrize(
+    ("trainers", "error"),
+    [
+        (["dfm", "naive_lr"], "split 0, trainer dfm: dfm cannot be fitted"),
+        (["naive_lr", "dfm"], "split 0, trainer naive_lr: naive_lr cannot be fitted"),
+    ],
+    ids=["dfm_first", "dfm_last"],
+)
+def test_when_a_forked_dfm_and_another_task_fail_the_first_in_task_order_wins(
+    tmp_path, trainers, error
+) -> None:
+    config = _dfm_config(tmp_path, trainers)
+    fail = "train_dfm,train_naive_logistic"
+    for fork in ("", "dfm"):  # in process, then forked
+        proc = _forked_run("-c", config, "-o", str(tmp_path / "out"), fork=fork, fail=fail)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n"), fork
 
 
 def test_a_sweep_that_cannot_fit_a_weight_model_names_its_deadline_and_side(

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import threading
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -857,20 +858,21 @@ def test_a_weight_model_fallback_warns_under_its_task_label() -> None:
     ]
 
 
-# --- the weight dump's writer process -----------------------------------------
+# --- the split's child process ------------------------------------------------
 
 needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="a weight dump forks only where at least 2 CPUs are usable",
+    reason="a task forks only where at least 2 CPUs are usable",
 )
 
 
-def _fork_every_dump(monkeypatch) -> list[int]:
-    """Let a weight dump of any size fork; returns the list that every
-    forked child's pid is appended to."""
+def _fork_every(monkeypatch, floor: str) -> list[int]:
+    """Set the row floor named ``floor`` to 0, so that every split forks its
+    weight dump (``_FORK_MIN_ROWS``) or its dfm fit (``_DFM_FORK_MIN_ROWS``);
+    returns the list that every forked child's pid is appended to."""
     import fsiw.experiment
 
-    monkeypatch.setattr(fsiw.experiment, "_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(fsiw.experiment, floor, 0)
     fork, pids = os.fork, []
 
     def recording_fork():
@@ -883,9 +885,15 @@ def _fork_every_dump(monkeypatch) -> list[int]:
     return pids
 
 
-@needs_two_cpus
-def test_criterion_10_pins_hold_when_the_weight_dump_is_forked(tmp_path, monkeypatch) -> None:
-    forks = _fork_every_dump(monkeypatch)
+def _fork_every_dump(monkeypatch) -> list[int]:
+    return _fork_every(monkeypatch, "_FORK_MIN_ROWS")
+
+
+def _fork_every_dfm(monkeypatch) -> list[int]:
+    return _fork_every(monkeypatch, "_DFM_FORK_MIN_ROWS")
+
+
+def _check_criterion_10_pins(tmp_path, forks: list[int]) -> None:
     config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
     run_pipeline(replace(config, output_dir=str(tmp_path)))
     assert len(forks) == 1
@@ -893,31 +901,51 @@ def test_criterion_10_pins_hold_when_the_weight_dump_is_forked(tmp_path, monkeyp
 
 
 @needs_two_cpus
-def test_a_forked_weight_dump_leaves_every_output_byte_as_in_process(
-    tmp_path, monkeypatch
-) -> None:
+def test_criterion_10_pins_hold_when_the_weight_dump_is_forked(tmp_path, monkeypatch) -> None:
+    _check_criterion_10_pins(tmp_path, _fork_every_dump(monkeypatch))
+
+
+@needs_two_cpus
+def test_criterion_10_pins_hold_when_dfm_is_forked(tmp_path, monkeypatch) -> None:
+    _check_criterion_10_pins(tmp_path, _fork_every_dfm(monkeypatch))
+
+
+def _check_outputs_as_in_process(tmp_path, monkeypatch, fork, trainers: list[str]) -> None:
+    """Every output byte and report row of a 2-split run whose splits each
+    fork a task (``fork``) equals the run's in process."""
     config = config_from_dict(
-        _base_dict(
-            split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS), output_dir=str(tmp_path)
-        )
+        _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, trainers=trainers, output_dir=str(tmp_path))
     )
-    run_pipeline(config)
+    expected = run_pipeline(config)
     in_process = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     for path in tmp_path.iterdir():
         path.unlink()
 
-    forks = _fork_every_dump(monkeypatch)
-    run_pipeline(config)
+    forks = fork(monkeypatch)
+    rows = run_pipeline(config)
     assert len(forks) == 2
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == in_process
-    assert {"weights_split0.tsv", "weights_split1.tsv"} <= set(in_process)
+    assert {"weights_split0.tsv", "weights_split1.tsv", "model_split1_dfm.json"} <= set(in_process)
+    # the rows a library caller gets, the fits' meta included
+    assert rows == expected
 
 
 @needs_two_cpus
-def test_one_weight_writer_at_a_time_each_reaped_before_the_reports(
+def test_a_forked_weight_dump_leaves_every_output_byte_as_in_process(
     tmp_path, monkeypatch
 ) -> None:
-    forks = _fork_every_dump(monkeypatch)
+    _check_outputs_as_in_process(tmp_path, monkeypatch, _fork_every_dump, list(TRAINERS))
+
+
+@needs_two_cpus
+def test_a_forked_dfm_leaves_every_output_byte_as_in_process(tmp_path, monkeypatch) -> None:
+    # dfm first: its result goes back to its place in task order
+    _check_outputs_as_in_process(tmp_path, monkeypatch, _fork_every_dfm, ["dfm", *TRAINERS[:2]])
+
+
+def _check_one_child_at_a_time(tmp_path, monkeypatch, forks: list[int]) -> None:
+    """A 2-split run forks one child per split, each reaped before the next
+    fork and before reports.csv is written."""
     fork, waitpid = os.fork, os.waitpid
     reaped, alive_at_fork = [], []
 
@@ -942,8 +970,24 @@ def test_one_weight_writer_at_a_time_each_reaped_before_the_reports(
     assert (tmp_path / "reports.csv").exists()
 
 
+@needs_two_cpus
+def test_one_weight_writer_at_a_time_each_reaped_before_the_reports(
+    tmp_path, monkeypatch
+) -> None:
+    _check_one_child_at_a_time(tmp_path, monkeypatch, _fork_every_dump(monkeypatch))
+
+
+@needs_two_cpus
+def test_one_dfm_child_at_a_time_each_reaped_before_the_reports(tmp_path, monkeypatch) -> None:
+    _check_one_child_at_a_time(tmp_path, monkeypatch, _fork_every_dfm(monkeypatch))
+
+
 def _failing_dfm(*args, **kwargs):
     raise TrainingError("dfm cannot be fitted")
+
+
+def _failing_naive(*args, **kwargs):
+    raise TrainingError("naive_lr cannot be fitted")
 
 
 @needs_two_cpus
@@ -969,30 +1013,95 @@ def test_a_later_task_error_is_reported_and_its_weight_writer_reaped(
 
 
 @needs_two_cpus
-def test_a_weight_dump_under_the_row_floor_is_written_in_process(tmp_path, monkeypatch) -> None:
+def test_a_forked_dfm_raises_its_warnings_again_in_the_parent_in_order(monkeypatch) -> None:
     import fsiw.experiment
 
-    forks = _fork_every_dump(monkeypatch)
-    config = config_from_dict(_base_dict(trainers=["lr_fsiw"]))
+    train_dfm = fsiw.experiment.train_dfm
+
+    def warning_dfm(*args, **kwargs):
+        warnings.warn("first", RuntimeWarning)
+        warnings.warn("second", UserWarning)
+        return train_dfm(*args, **kwargs)
+
+    monkeypatch.setattr(fsiw.experiment, "train_dfm", warning_dfm)
+    config = config_from_dict(_base_dict(trainers=["dfm", "naive_lr"]))
+    caught = {}
+    for how in ("in process", "forked"):
+        forks = _fork_every_dfm(monkeypatch) if how == "forked" else []
+        with pytest.warns(Warning) as caught[how]:
+            run_pipeline(config, write_outputs=False)
+    assert len(forks) == 1
+    assert [(w.category, str(w.message)) for w in caught["forked"]] == [
+        (RuntimeWarning, "first"),
+        (UserWarning, "second"),
+    ]
+    assert [(w.category, str(w.message), w.filename) for w in caught["forked"]] == [
+        (w.category, str(w.message), w.filename) for w in caught["in process"]
+    ]
+
+
+def _check_row_floor(tmp_path, monkeypatch, floor: str) -> None:
+    """A run whose split has one row fewer than ``floor`` does not fork; a
+    run at the floor does."""
+    import fsiw.experiment
+
+    forks = _fork_every(monkeypatch, floor)
+    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
     run_pipeline(replace(config, output_dir=str(tmp_path / "a")))
     n_rows = len((tmp_path / "a" / "weights_split0.tsv").read_bytes().splitlines()) - 1
     forked = []
-    for floor, out in ((n_rows + 1, "b"), (n_rows, "c")):
-        monkeypatch.setattr(fsiw.experiment, "_FORK_MIN_ROWS", floor)
+    for rows, out in ((n_rows + 1, "b"), (n_rows, "c")):
+        monkeypatch.setattr(fsiw.experiment, floor, rows)
         run_pipeline(replace(config, output_dir=str(tmp_path / out)))
         forked.append(len(forks))
     assert forked == [1, 2]  # the run at the floor forks, the run under it does not
+
+
+@needs_two_cpus
+def test_a_weight_dump_under_the_row_floor_is_written_in_process(tmp_path, monkeypatch) -> None:
+    _check_row_floor(tmp_path, monkeypatch, "_FORK_MIN_ROWS")
+
+
+@needs_two_cpus
+def test_a_dfm_fit_under_the_row_floor_runs_in_process(tmp_path, monkeypatch) -> None:
+    _check_row_floor(tmp_path, monkeypatch, "_DFM_FORK_MIN_ROWS")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize(
+    ("trainers", "dfm_forked"),
+    [(list(TRAINERS), False), (["naive_lr", "dfm"], True)],
+    ids=["with_a_dump", "without_a_dump"],
+)
+def test_a_split_whose_dump_forks_fits_dfm_in_process(
+    tmp_path, monkeypatch, trainers, dfm_forked
+) -> None:
+    import fsiw.experiment
+
+    # both floors at 0: a dump takes the split's one child where there is one
+    dfm_pids, train_dfm = [], fsiw.experiment.train_dfm
+
+    def recording_dfm(*args, **kwargs):
+        dfm_pids.append(os.getpid())
+        return train_dfm(*args, **kwargs)
+
+    monkeypatch.setattr(fsiw.experiment, "train_dfm", recording_dfm)
+    monkeypatch.setattr(fsiw.experiment, "_DFM_FORK_MIN_ROWS", 0)
+    forks = _fork_every_dump(monkeypatch)
+    config = config_from_dict(_base_dict(trainers=trainers))
+    run_pipeline(replace(config, output_dir=str(tmp_path)))
+    assert len(forks) == 1
+    # a list appended to in a child stays empty in the parent
+    assert dfm_pids == ([] if dfm_forked else [os.getpid()])
 
 
 def _no_process_to_spare():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
-@pytest.mark.parametrize("why", ["one_cpu", "another_thread", "fork_fails"])
-def test_a_weight_dump_is_written_in_process_without_a_fork_that_pays(
-    tmp_path, monkeypatch, why
-) -> None:
-    forks = _fork_every_dump(monkeypatch)
+def _check_no_fork_that_pays(tmp_path, monkeypatch, forks: list[int], why: str) -> None:
+    """With one usable CPU, another thread alive or no process to spare, a
+    run forks nothing and writes the criterion-10 bytes."""
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     if why == "one_cpu":
@@ -1013,8 +1122,38 @@ def test_a_weight_dump_is_written_in_process_without_a_fork_that_pays(
     assert _output_hashes(tmp_path) == _CRITERION_10_OUTPUT_HASHES
 
 
+_NO_FORK_THAT_PAYS = pytest.mark.parametrize("why", ["one_cpu", "another_thread", "fork_fails"])
+
+
+@_NO_FORK_THAT_PAYS
+def test_a_weight_dump_is_written_in_process_without_a_fork_that_pays(
+    tmp_path, monkeypatch, why
+) -> None:
+    _check_no_fork_that_pays(tmp_path, monkeypatch, _fork_every_dump(monkeypatch), why)
+
+
+@_NO_FORK_THAT_PAYS
+def test_a_dfm_fit_runs_in_process_without_a_fork_that_pays(tmp_path, monkeypatch, why) -> None:
+    _check_no_fork_that_pays(tmp_path, monkeypatch, _fork_every_dfm(monkeypatch), why)
+
+
 def _open_descriptors() -> int:
     return len(os.listdir("/proc/self/fd"))
+
+
+def _run_counting_descriptors(tmp_path, trainers) -> str | None:
+    """Run the criterion-10 config into ``tmp_path``; returns its error, if
+    any, having checked that it left no descriptor open."""
+    config = config_from_dict(_base_dict(trainers=trainers))
+    before = _open_descriptors()
+    try:
+        run_pipeline(replace(config, output_dir=str(tmp_path)))
+    except PipelineError as exc:
+        error = str(exc)
+    else:
+        error = None
+    assert _open_descriptors() == before
+    return error
 
 
 @needs_two_cpus
@@ -1030,15 +1169,7 @@ def test_a_weight_writer_leaves_no_descriptor_open(tmp_path, monkeypatch, outcom
         monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
     elif outcome == "fork_fails":
         monkeypatch.setattr(os, "fork", _no_process_to_spare)
-    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
-    before = _open_descriptors()
-    try:
-        run_pipeline(replace(config, output_dir=str(tmp_path)))
-    except PipelineError as exc:
-        error = str(exc)
-    else:
-        error = None
-    assert _open_descriptors() == before
+    error = _run_counting_descriptors(tmp_path, list(TRAINERS))
     assert len(forks) == (0 if outcome == "fork_fails" else 1)
     path = tmp_path / "weights_split0.tsv"
     assert error == {
@@ -1047,6 +1178,46 @@ def test_a_weight_writer_leaves_no_descriptor_open(tmp_path, monkeypatch, outcom
         "split_fails": "split 0, trainer dfm: dfm cannot be fitted",
         "fork_fails": None,
     }[outcome]
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("outcome", ["fitted", "dfm_fails", "earlier_task_fails", "fork_fails"])
+def test_a_forked_dfm_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) -> None:
+    import fsiw.experiment
+
+    forks = _fork_every_dfm(monkeypatch)
+    if outcome == "dfm_fails":
+        monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
+    elif outcome == "earlier_task_fails":
+        monkeypatch.setattr(fsiw.experiment, "train_naive_logistic", _failing_naive)
+    elif outcome == "fork_fails":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    error = _run_counting_descriptors(tmp_path, list(TRAINERS))
+    assert len(forks) == (0 if outcome == "fork_fails" else 1)
+    assert error == {
+        "fitted": None,
+        "dfm_fails": "split 0, trainer dfm: dfm cannot be fitted",
+        "earlier_task_fails": "split 0, trainer naive_lr: naive_lr cannot be fitted",
+        "fork_fails": None,
+    }[outcome]
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_a_childs_outcome_larger_than_a_pipe_holds_comes_back_whole() -> None:
+    from fsiw.experiment import _fork, _reap
+
+    big = np.arange(200_000, dtype=np.float64)  # 1.6 MB, far past a 64 KB pipe buffer
+    assert np.array_equal(_reap(_fork(lambda: big, "label", "task")), big)
+
+    def failing():
+        raise PipelineError("split 3, trainer dfm: " + "x" * 100_000)
+
+    with pytest.raises(PipelineError, match=r"^split 3, trainer dfm: x{100000}$"):
+        _reap(_fork(failing, "label", "task"))
 
 
 # --- TSV sources and label finality ---------------------------------------------
