@@ -23,19 +23,22 @@ which the weight models of every deadline predict. They are built once per
 split and freed after its last lr_fsiw task, so a later dfm fits without
 them.
 
-``_fit_split`` yields each task as soon as it is fitted, which lets a run
-give each split at most one child process, pinned off the parent's CPU
-(``_fork``) so that it works on the second core. A split whose weight dump
-has at least ``_FORK_MIN_ROWS`` rows gives the child its dump, started right
+``_fit_split`` yields each task as soon as it is fitted, which lets each
+split have at most one child process, pinned off the parent's CPU (``_fork``)
+so that it works on the second core. In a run, a split whose weight dump has
+at least ``_FORK_MIN_ROWS`` rows gives the child its dump, started right
 after its lr_fsiw task, while the parent fits dfm and scores the split. Any
-other split that trains dfm on at least ``_DFM_FORK_MIN_ROWS`` rows gives the
-child dfm's task, started as soon as the grouping is built, while the parent
-fits the other tasks and writes the dump. The child sends its result back
-down a pipe, and the parent puts it in task order, so every output byte is
-the one the task gives in process. The child is reaped before the split is
-scored (dfm) or before the next split (the dump), and always before any
-report is written. Where a fork would not pay or fails, the task runs in
-process.
+other split that trains dfm on at least ``_FIT_FORK_MIN_ROWS`` rows gives the
+child dfm's task, and in a sweep a split of at least two deadlines that
+trains on that many rows gives it the later half of them. ``_fit_split``
+forks that share of its task list as soon as the grouping is built (and,
+for lr_fsiw, the weight designs, which the child inherits), and the parent
+fits the other tasks meanwhile (and, in a run, writes the dump). The child
+sends its results back down a pipe, and the parent puts them in task order,
+so every output byte is the one the tasks give in process. The child is
+reaped before the split is scored (a share of its tasks) or before the next
+split (the dump), and always before any report is written. Where a fork
+would not pay or fails, every task runs in process.
 
 Every error of a task, in its fit or in its metrics, carries the task's
 label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
@@ -121,12 +124,15 @@ DURATION = {"duration": True}
 # cost (a few ms, plus copy-on-write faults in the parent's next fit) outweighs
 # the write it takes off the parent
 _FORK_MIN_ROWS = 10_000
-# a split whose dump stays in process forks dfm's fit instead when it has at
-# least this many training rows. A fork and reap cost 4-5 ms and both sides
-# slow down while both cores are busy: on README worlds, where dfm converges in
-# 20-30 iterations, forking lost 2-3 ms up to 2.8k rows and won from 3.5k; on
-# criterion-04 worlds it won from 0.8k rows
-_DFM_FORK_MIN_ROWS = 3_000
+# a split forks a share of its fits when it trains on at least this many rows:
+# in a run, dfm's fit when its dump stays in process; in a sweep, the later
+# half of its deadlines. A fork and reap cost 4-5 ms and both sides slow down
+# while both cores are busy. On README worlds, where dfm converges in 20-30
+# iterations, forking dfm lost 2-3 ms up to 2.8k rows and won from 3.5k (on
+# criterion-04 worlds it won from 0.8k rows); forking a sweep's later
+# deadlines gained nothing clear up to 2.1k rows at 2, 3 or 5 deadlines and
+# won from 2.8k, so one floor serves both
+_FIT_FORK_MIN_ROWS = 3_000
 
 
 class ConfigError(ValueError):
@@ -682,37 +688,60 @@ def _fit_task(
     return _Fitted(label, trainer, tau, model, preds, weighted)
 
 
+def _tasks(trainers: Sequence[str], taus: Sequence[int]) -> list[tuple[str, int]]:
+    """A split's tasks in order: for each of ``trainers``, lr_fsiw at every
+    deadline of ``taus``, any other trainer once, at ``taus[0]``."""
+    return [(t, tau) for t in trainers for tau in (taus if t == "lr_fsiw" else taus[:1])]
+
+
+def _share_label(k: int, share: Sequence[tuple[str, int]]) -> str:
+    """The label of a child's share, a run of one trainer's tasks: the
+    task's own label for one, and every deadline for several."""
+    trainer = share[0][0]
+    if trainer != "lr_fsiw":
+        return f"split {k}, trainer {trainer}"
+    taus = ", ".join(f"{tau}s" for _, tau in share)
+    return f"split {k}, trainer lr_fsiw, tau{'s' if len(share) > 1 else ''} {taus}"
+
+
 def _fit_split(
     config: ExperimentConfig,
     labeled: _LabeledSplit,
-    trainers: Sequence[str],
-    taus: Sequence[int],
-    fork_dfm: bool = False,
+    tasks: Sequence[tuple[str, int]],
+    forked: range = range(0),
 ) -> Iterator[_Fitted | _Child]:
-    """Fit a labeled split's tasks in turn, yielding each as soon as it is
-    fitted: for each of ``trainers``, lr_fsiw at every deadline of ``taus``,
-    any other trainer once, at ``taus[0]``. Every task fits on one grouping
-    of the training rows. The weight designs are built once and freed after
-    the last lr_fsiw task, so a later dfm fits without them.
+    """Fit a labeled split's ``tasks`` (``_tasks``) in turn, yielding each as
+    soon as it is fitted. Every task fits on one grouping of the training
+    rows. The weight designs are built once and freed after the last lr_fsiw
+    task, so a later dfm fits without them.
 
-    With ``fork_dfm``, dfm's task starts in a child (``_fork``) as soon as
-    the grouping is built. Where the fork happens, that child is yielded
-    first, for the caller to reap, and the other tasks are fitted here
-    meanwhile."""
-    tasks = [(t, tau) for t in trainers for tau in (taus if t == "lr_fsiw" else taus[:1])]
+    The tasks at the indices ``forked``, a run of one trainer's tasks, start
+    in a child (``_fork``) as soon as the grouping is built, and the designs
+    too if they fit lr_fsiw, so that the child inherits them. Where the fork
+    happens, that child is yielded first, for the caller to reap (its
+    ``_reap`` gives their ``_Fitted`` list, in task order), and the other
+    tasks are fitted here meanwhile."""
     train, val = labeled.train, labeled.val
     groups = RowGroups(train.x)
-    if fork_dfm and "dfm" in trainers:
-        task = partial(_fit_task, config, labeled, "dfm", taus[0], groups, None)
-        child = _fork(task, f"split {labeled.split.k}, trainer dfm", "fit")
-        if child is not None:
-            tasks.remove(("dfm", taus[0]))
-            yield child
-    last = max((i for i, (t, _) in enumerate(tasks) if t == "lr_fsiw"), default=-1)
     designs = (  # each built on first use
         DesignRows(train.x, train.e),
         DesignRows(val.x, val.e) if val is not None and len(val.y) else None,
     )
+    share = tasks[forked.start : forked.stop]
+    if share:
+        if any(t == "lr_fsiw" for t, _ in share):
+            for rows in filter(None, designs):
+                for hyper in (config.weight_model_pos, config.weight_model_neg):
+                    rows.design(hyper.edges)
+        child = _fork(
+            lambda: [_fit_task(config, labeled, t, tau, groups, designs) for t, tau in share],
+            _share_label(labeled.split.k, share),
+            "fit",
+        )
+        if child is not None:
+            tasks = [*tasks[: forked.start], *tasks[forked.stop :]]
+            yield child
+    last = max((i for i, (t, _) in enumerate(tasks) if t == "lr_fsiw"), default=-1)
     for i, (trainer, tau) in enumerate(tasks):
         yield _fit_task(config, labeled, trainer, tau, groups, designs)
         if i == last:
@@ -842,6 +871,16 @@ def _reap(child: _Child, discard: bool = False):
     return result
 
 
+def _reap_failed(child: _Child, exc: BaseException, forked: range, n_fitted: int) -> None:
+    """Reap a split's ``child`` once the split has failed with ``exc`` after
+    the parent fitted ``n_fitted`` of its own tasks. The outcome of a child
+    that fits the tasks at the indices ``forked`` wins where they come before
+    the parent's failed step, so that the error raised is the first in task
+    order; any other child's (``forked`` empty: the dump's) is discarded."""
+    first = isinstance(exc, Exception) and forked and forked.start <= n_fitted
+    _reap(child, discard=not first)
+
+
 def _write_dump(weighted: WeightedDataset, path: Path, k: int) -> None:
     """Split ``k``'s weight dump, in process or in a child: ``dump_weights``,
     whose error becomes ``split k: could not write <path>: <cause>``."""
@@ -862,13 +901,14 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     A split gives at most one task to a child (``_fork``): its weight dump
     when that has at least ``_FORK_MIN_ROWS`` rows, reaped once the split's
     models are saved, or else dfm's fit when it trains on at least
-    ``_DFM_FORK_MIN_ROWS`` rows, reaped before the split is scored. Every
+    ``_FIT_FORK_MIN_ROWS`` rows, reaped before the split is scored. Every
     child is reaped before the next split and before this returns or raises.
     When more than one step of a split fails, the error raised is the first
     in process order (the tasks in order, the dump, the scoring, the model
     files), except that a forked dump's error gives way to any other.
     """
     taus = config.tau[:1]
+    tasks = _tasks(config.trainers, taus)
     # every split is labeled before output_dir exists, so a split that cannot
     # be labeled leaves no directory behind
     labeled_splits = _labeled_splits(config)
@@ -882,13 +922,15 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
         weights_path = out_path / f"weights_split{k}.tsv"
         n_rows = len(labeled.train.y)  # the dump has one row per training row
         fork_dump = write_outputs and "lr_fsiw" in config.trainers and n_rows >= _FORK_MIN_ROWS
-        fork_dfm = not fork_dump and n_rows >= _DFM_FORK_MIN_ROWS
-        child, dfm_at = None, None  # the split's child; dfm's place in task order if it fits dfm
-        fitted, dump = [], None
+        forked = range(0)
+        if not fork_dump and "dfm" in config.trainers and n_rows >= _FIT_FORK_MIN_ROWS:
+            at = tasks.index(("dfm", taus[0]))
+            forked = range(at, at + 1)
+        child, fitted, dump = None, [], None  # the child: the dump's, or the tasks forked
         try:
-            for f in _fit_split(config, labeled, config.trainers, taus, fork_dfm):
+            for f in _fit_split(config, labeled, tasks, forked):
                 if isinstance(f, _Child):
-                    child, dfm_at = f, config.trainers.index("dfm")
+                    child = f
                     continue
                 fitted.append(f)
                 if write_outputs and f.weighted is not None:
@@ -900,18 +942,16 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
                             dump = None
             if dump is not None:
                 dump()  # while a child fits dfm, if one does
-            if dfm_at is not None:
-                forked, child = child, None
-                fitted.insert(dfm_at, _reap(forked))
+            if child is not None and forked:
+                reaped, child = child, None
+                fitted[forked.start : forked.start] = _reap(reaped)
             rows.extend(_score_split(config, labeled, fitted))
             if write_outputs:
                 for f in fitted:
                     save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
         except BaseException as exc:
-            # the child's error wins only where its task came before the failed one
             if child is not None:
-                first = isinstance(exc, Exception) and dfm_at is not None and dfm_at <= len(fitted)
-                _reap(child, discard=not first)
+                _reap_failed(child, exc, forked, len(fitted))
             raise
         if child is not None:  # the dump's
             _reap(child)
@@ -935,11 +975,36 @@ def deadline_sweep(config: ExperimentConfig, *, write_outputs: bool = True) -> l
     several fits would fail, the error raised is the first in that order.
     The rows come tau by tau, each in split order, with the bytes one
     run_pipeline per tau would give.
+
+    A split of at least two deadlines that trains on at least
+    ``_FIT_FORK_MIN_ROWS`` rows gives the later half of them to a child
+    (``_fork``), while the parent fits the earlier half. The child is
+    reaped before the split is scored, so before the next split and before
+    anything is written, and also when a task fails. Its deadlines come
+    after the parent's, so the parent's warnings print as they are raised,
+    the child's follow in order, and an error of the parent's wins.
     """
-    by_split = [
-        _score_split(config, labeled, list(_fit_split(config, labeled, ("lr_fsiw",), config.tau)))
-        for labeled in _labeled_splits(config)
-    ]
+    tasks = _tasks(("lr_fsiw",), config.tau)
+    by_split = []
+    for labeled in _labeled_splits(config):
+        forked = range(0)
+        if len(tasks) >= 2 and len(labeled.train.y) >= _FIT_FORK_MIN_ROWS:
+            forked = range(len(tasks) // 2, len(tasks))
+        child, fitted = None, []
+        try:
+            for f in _fit_split(config, labeled, tasks, forked):
+                if isinstance(f, _Child):
+                    child = f
+                else:
+                    fitted.append(f)
+            if child is not None:
+                reaped, child = child, None
+                fitted[forked.start : forked.start] = _reap(reaped)
+        except BaseException as exc:
+            if child is not None:
+                _reap_failed(child, exc, forked, len(fitted))
+            raise
+        by_split.append(_score_split(config, labeled, fitted))
     # tau by tau, each in split order
     rows = [split_rows[i] for i in range(len(config.tau)) for split_rows in by_split]
 

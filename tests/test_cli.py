@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import yaml
 from fsiw.cli import main
 from fsiw.metrics import evaluate_predictions
 
-from test_experiment import _base_dict, _golden_configs, needs_two_cpus
+from test_experiment import _base_dict, _fork_every, _golden_configs, needs_two_cpus
 
 DAY = 86400
 
@@ -399,10 +401,13 @@ def test_a_weight_model_that_runs_out_of_iterations_is_one_warning_line(
     )
 
 
-# `fsiw run` with every split's weight dump (FORK=dump) or dfm fit (FORK=dfm)
-# forked, whatever its size; the arguments after -c are the CLI's. FAIL lists
-# the functions that fail (dump_weights, train_dfm, train_naive_logistic),
-# each raising, or, with ":kill", killing its process without a word
+# `fsiw run` (or `fsiw sweep`) with every split's weight dump (FORK=dump),
+# dfm fit (FORK=dfm) or later deadlines (FORK=sweep) forked, whatever its
+# size; the arguments after the verb are the CLI's. FAIL lists the functions
+# that fail (dump_weights, train_dfm, train_naive_logistic,
+# build_artificial_datasets), each raising, or, with ":kill", killing its
+# process without a word; with "@N", only where the call's second argument
+# (build_artificial_datasets' deadline) is N
 _FORKED_RUN = """
 import os
 import signal
@@ -416,10 +421,13 @@ ERRORS = {
     "dump_weights": OSError("no space left on device"),
     "train_dfm": TrainingError("dfm cannot be fitted"),
     "train_naive_logistic": TrainingError("naive_lr cannot be fitted"),
+    "build_artificial_datasets": ValueError("no rows at this deadline"),
 }
 
-def failing(error, kill):
+def failing(real, error, kill, at):
     def fail(*args, **kwargs):
+        if at is not None and args[1] != at:
+            return real(*args, **kwargs)
         if kill:
             os.kill(os.getpid(), signal.SIGKILL)
         raise error
@@ -427,19 +435,22 @@ def failing(error, kill):
 
 fork = os.environ["FORK"]
 if fork:
-    setattr(fsiw.experiment, {"dump": "_FORK_MIN_ROWS", "dfm": "_DFM_FORK_MIN_ROWS"}[fork], 0)
+    floor = {"dump": "_FORK_MIN_ROWS", "dfm": "_FIT_FORK_MIN_ROWS", "sweep": "_FIT_FORK_MIN_ROWS"}
+    setattr(fsiw.experiment, floor[fork], 0)
 for name in filter(None, os.environ["FAIL"].split(",")):
+    name, _, at = name.partition("@")
     name, _, how = name.partition(":")
-    setattr(fsiw.experiment, name, failing(ERRORS[name], how == "kill"))
+    real, at = getattr(fsiw.experiment, name), int(at) if at else None
+    setattr(fsiw.experiment, name, failing(real, ERRORS[name], how == "kill", at))
 sys.exit(main(sys.argv[1:]))
 """
 
 
 def _forked_run(
-    *argv: str, fork: str = "dump", fail: str = "", env: dict | None = None
+    *argv: str, verb: str = "run", fork: str = "dump", fail: str = "", env: dict | None = None
 ) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", _FORKED_RUN, "run", *argv],
+        [sys.executable, "-c", _FORKED_RUN, verb, *argv],
         capture_output=True,
         text=True,
         timeout=300,
@@ -447,13 +458,17 @@ def _forked_run(
     )
 
 
-def _check_forked_run_prints_as_in_process(tmp_path, config_path, fork: str, *flags: str) -> str:
-    """A run with ``fork``'s task forked prints the lines and writes the bytes
-    of the same run in process, under 2 BLAS threads; returns its stderr."""
+def _check_forked_run_prints_as_in_process(
+    tmp_path, config_path, fork: str, *flags: str, verb: str = "run"
+) -> str:
+    """A run (or sweep) with ``fork``'s task forked prints the lines and
+    writes the bytes of the same call in process, under 2 BLAS threads;
+    returns its stderr."""
     plain, forked = tmp_path / "plain", tmp_path / "forked"
     env = {"OPENBLAS_NUM_THREADS": "2"}
-    expected = _forked_run("-c", str(config_path), "-o", str(plain), *flags, fork="", env=env)
-    proc = _forked_run("-c", str(config_path), "-o", str(forked), *flags, fork=fork, env=env)
+    argv = ("-c", str(config_path), *flags)
+    expected = _forked_run(*argv, "-o", str(plain), verb=verb, fork="", env=env)
+    proc = _forked_run(*argv, "-o", str(forked), verb=verb, fork=fork, env=env)
     assert proc.returncode == expected.returncode == 0, proc.stderr
     # the child never returns into main, so the run's lines appear once
     assert proc.stdout == expected.stdout.replace(str(plain), str(forked))
@@ -573,6 +588,73 @@ def test_when_a_forked_dfm_and_another_task_fail_the_first_in_task_order_wins(
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n"), fork
 
 
+@needs_two_cpus
+def test_a_forked_sweep_prints_its_lines_once_with_each_deadlines_warnings(
+    tmp_path, config_path
+) -> None:
+    # the pos weight model stops unconverged at every tau: one warning line
+    # each, in tau order, the child's after the parent's
+    flags = ("--taus", "1d,2d,3d", "--set", "weight_model_pos.max_iter=2")
+    stderr = _check_forked_run_prints_as_in_process(
+        tmp_path, config_path, "sweep", *flags, verb="sweep"
+    )
+    assert [line for line in stderr.splitlines() if "weight model" in line] == [
+        f"warning: split 0, trainer lr_fsiw, tau {tau}s, weight model pos: "
+        "fit did not converge (n_iter=2)"
+        for tau in (DAY, 2 * DAY, 3 * DAY)
+    ]
+
+
+@needs_two_cpus
+def test_a_deadline_that_fails_in_a_sweeps_child_is_one_error_line_naming_it(
+    tmp_path, config_path
+) -> None:
+    # the child fits 6d and 604799 s, which leaves D1 without rows
+    out = tmp_path / "out"
+    argv = ("-c", str(config_path), "-o", str(out), "--taus", "1d,6d,604799")
+    proc = _forked_run(*argv, verb="sweep", fork="sweep")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: split 0, trainer lr_fsiw, tau 604799s, weight model pos: "
+        "cannot fit a weight model on an empty dataset\n"
+    )
+    assert not out.exists()
+
+
+@needs_two_cpus
+def test_when_a_parent_and_a_child_deadline_of_a_sweep_fail_the_earlier_wins(
+    tmp_path, config_path
+) -> None:
+    # neither deadline leaves D1 any rows; the parent fits the first, the
+    # child the second
+    argv = ("-c", str(config_path), "-o", str(tmp_path / "out"))
+    error = (
+        "error: split 0, trainer lr_fsiw, tau {}s, weight model pos: "
+        "cannot fit a weight model on an empty dataset\n"
+    )
+    alone = _forked_run(*argv, "--taus", "604798", verb="sweep", fork="")
+    assert (alone.returncode, alone.stderr) == (2, error.format(604798))
+    for fork in ("", "sweep"):  # in process, then forked
+        proc = _forked_run(*argv, "--taus", "604799,604798", verb="sweep", fork=fork)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error.format(604799)), fork
+
+
+@needs_two_cpus
+def test_a_sweeps_child_killed_by_a_signal_is_named_by_its_status_and_deadlines(
+    tmp_path, config_path
+) -> None:
+    out = tmp_path / "out"
+    argv = ("-c", str(config_path), "-o", str(out), "--taus", "1d,2d,3d")
+    proc = _forked_run(
+        *argv, verb="sweep", fork="sweep", fail=f"build_artificial_datasets:kill@{3 * DAY}"
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: split 0, trainer lr_fsiw, taus 172800s, 259200s (fit exited with status -9)\n"
+    )
+    assert not out.exists()
+
+
 def test_a_sweep_that_cannot_fit_a_weight_model_names_its_deadline_and_side(
     tmp_path, config_path
 ) -> None:
@@ -593,6 +675,9 @@ def test_a_metric_error_in_a_sweep_names_its_deadline(
 ) -> None:
     import fsiw.experiment
 
+    # in process: the calls are counted in this process's memory, which no
+    # child's count reaches
+    monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", math.inf)
     predict, calls = fsiw.experiment.predict_cvr_batch, []
 
     def nan_at_the_second_tau(model, x):
@@ -603,6 +688,33 @@ def test_a_metric_error_in_a_sweep_names_its_deadline(
     monkeypatch.setattr(fsiw.experiment, "predict_cvr_batch", nan_at_the_second_tau)
     out = tmp_path / "out"
     assert main(["sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,2d"]) == 2
+    assert capsys.readouterr().err == (
+        "error: split 0, trainer lr_fsiw, tau 172800s: "
+        "sample 0: prediction nan is not a finite probability in [0, 1]\n"
+    )
+    assert not out.exists()
+
+
+@needs_two_cpus
+def test_a_metric_error_in_a_forked_sweep_names_its_deadline(
+    tmp_path, capsys, monkeypatch, config_path
+) -> None:
+    import fsiw.experiment
+
+    fit_task = fsiw.experiment._fit_task
+
+    def nan_at_the_second_tau(config, labeled, trainer, tau, *args):
+        # chosen by the task's deadline, which the child that fits it knows
+        fitted = fit_task(config, labeled, trainer, tau, *args)
+        if tau != 2 * DAY:
+            return fitted
+        return replace(fitted, preds=np.full_like(fitted.preds, np.nan))
+
+    monkeypatch.setattr(fsiw.experiment, "_fit_task", nan_at_the_second_tau)
+    forks = _fork_every(monkeypatch, "_FIT_FORK_MIN_ROWS")
+    out = tmp_path / "out"
+    assert main(["sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,2d"]) == 2
+    assert len(forks) == 1  # the child fits 2d
     assert capsys.readouterr().err == (
         "error: split 0, trainer lr_fsiw, tau 172800s: "
         "sample 0: prediction nan is not a finite probability in [0, 1]\n"

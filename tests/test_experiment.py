@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import threading
@@ -607,18 +608,29 @@ _SWEEP_OUTPUT_HASHES = {
 }
 
 
-def test_sweep_outputs_are_pinned(tmp_path) -> None:
-    raw = _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, output_dir=str(tmp_path))
-    config = config_from_dict(raw)
-    rows = deadline_sweep(replace(config, tau=(DAY, 2 * DAY, 3 * DAY)))
+def _sweep_config(out_dir, tau=("1d", "2d", "3d")):
+    """The pinned sweep's config: 2 splits with a validation window, 3 taus."""
+    raw = _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, tau=list(tau), output_dir=str(out_dir))
+    return config_from_dict(raw)
+
+
+def _sweep_hashes(out_dir) -> dict[str, str]:
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in _SWEEP_OUTPUT_HASHES
+    }
+
+
+def _check_sweep_pins(tmp_path) -> None:
+    rows = deadline_sweep(_sweep_config(tmp_path))
     assert [(r.tau, r.split) for r in rows] == [
         (tau, k) for tau in (DAY, 2 * DAY, 3 * DAY) for k in (0, 1)
     ]
-    hashes = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in _SWEEP_OUTPUT_HASHES
-    }
-    assert hashes == _SWEEP_OUTPUT_HASHES
+    assert _sweep_hashes(tmp_path) == _SWEEP_OUTPUT_HASHES
+
+
+def test_sweep_outputs_are_pinned(tmp_path) -> None:
+    _check_sweep_pins(tmp_path)
 
 
 def test_run_pipeline_is_deterministic(tmp_path) -> None:
@@ -703,9 +715,13 @@ def test_run_and_sweep_hash_each_token_once(hash_calls) -> None:
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
 def test_sweep_builds_each_design_and_draws_each_split_once(monkeypatch, verb) -> None:
+    import fsiw.experiment
     import fsiw.metrics
     import fsiw.weights
 
+    # in process: the designs are counted in this process's memory, which no
+    # child's count reaches
+    monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", math.inf)
     designs, draws = [], []
     build, draw = fsiw.weights.weight_design, fsiw.metrics._resample_blocks
 
@@ -868,7 +884,8 @@ needs_two_cpus = pytest.mark.skipif(
 
 def _fork_every(monkeypatch, floor: str) -> list[int]:
     """Set the row floor named ``floor`` to 0, so that every split forks its
-    weight dump (``_FORK_MIN_ROWS``) or its dfm fit (``_DFM_FORK_MIN_ROWS``);
+    weight dump (``_FORK_MIN_ROWS``) or a share of its fits
+    (``_FIT_FORK_MIN_ROWS``: a run's dfm, a sweep's later deadlines);
     returns the list that every forked child's pid is appended to."""
     import fsiw.experiment
 
@@ -889,8 +906,8 @@ def _fork_every_dump(monkeypatch) -> list[int]:
     return _fork_every(monkeypatch, "_FORK_MIN_ROWS")
 
 
-def _fork_every_dfm(monkeypatch) -> list[int]:
-    return _fork_every(monkeypatch, "_DFM_FORK_MIN_ROWS")
+def _fork_every_fit(monkeypatch) -> list[int]:
+    return _fork_every(monkeypatch, "_FIT_FORK_MIN_ROWS")
 
 
 def _check_criterion_10_pins(tmp_path, forks: list[int]) -> None:
@@ -907,7 +924,7 @@ def test_criterion_10_pins_hold_when_the_weight_dump_is_forked(tmp_path, monkeyp
 
 @needs_two_cpus
 def test_criterion_10_pins_hold_when_dfm_is_forked(tmp_path, monkeypatch) -> None:
-    _check_criterion_10_pins(tmp_path, _fork_every_dfm(monkeypatch))
+    _check_criterion_10_pins(tmp_path, _fork_every_fit(monkeypatch))
 
 
 def _check_outputs_as_in_process(tmp_path, monkeypatch, fork, trainers: list[str]) -> None:
@@ -940,34 +957,38 @@ def test_a_forked_weight_dump_leaves_every_output_byte_as_in_process(
 @needs_two_cpus
 def test_a_forked_dfm_leaves_every_output_byte_as_in_process(tmp_path, monkeypatch) -> None:
     # dfm first: its result goes back to its place in task order
-    _check_outputs_as_in_process(tmp_path, monkeypatch, _fork_every_dfm, ["dfm", *TRAINERS[:2]])
+    _check_outputs_as_in_process(tmp_path, monkeypatch, _fork_every_fit, ["dfm", *TRAINERS[:2]])
 
 
-def _check_one_child_at_a_time(tmp_path, monkeypatch, forks: list[int]) -> None:
-    """A 2-split run forks one child per split, each reaped before the next
-    fork and before reports.csv is written."""
+def _check_one_child_at_a_time(tmp_path, monkeypatch, forks: list[int], verb="run") -> None:
+    """A 2-split run (or 3-tau sweep) forks one child per split, each reaped
+    before the next fork and before reports.csv (sweep.csv) is written."""
     fork, waitpid = os.fork, os.waitpid
     reaped, alive_at_fork = [], []
+    report = tmp_path / ("reports.csv" if verb == "run" else "sweep.csv")
 
     def counting_fork():
         alive_at_fork.append(len(forks) - len(reaped))
         return fork()
 
     def checking_waitpid(pid, options):
-        assert not (tmp_path / "reports.csv").exists()
+        assert not report.exists()
         result = waitpid(pid, options)
         reaped.append(result[0])
         return result
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "waitpid", checking_waitpid)
-    config = config_from_dict(
-        _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS))
-    )
-    run_pipeline(replace(config, output_dir=str(tmp_path)))
+    if verb == "run":
+        config = config_from_dict(
+            _base_dict(split=_TWO_SPLITS_WITH_VALIDATION, trainers=list(TRAINERS))
+        )
+        run_pipeline(replace(config, output_dir=str(tmp_path)))
+    else:
+        deadline_sweep(_sweep_config(tmp_path))
     assert alive_at_fork == [0, 0]
     assert reaped == forks and len(forks) == 2
-    assert (tmp_path / "reports.csv").exists()
+    assert report.exists()
 
 
 @needs_two_cpus
@@ -979,7 +1000,14 @@ def test_one_weight_writer_at_a_time_each_reaped_before_the_reports(
 
 @needs_two_cpus
 def test_one_dfm_child_at_a_time_each_reaped_before_the_reports(tmp_path, monkeypatch) -> None:
-    _check_one_child_at_a_time(tmp_path, monkeypatch, _fork_every_dfm(monkeypatch))
+    _check_one_child_at_a_time(tmp_path, monkeypatch, _fork_every_fit(monkeypatch))
+
+
+@needs_two_cpus
+def test_one_sweep_child_at_a_time_each_reaped_before_the_sweep_table(
+    tmp_path, monkeypatch
+) -> None:
+    _check_one_child_at_a_time(tmp_path, monkeypatch, _fork_every_fit(monkeypatch), "sweep")
 
 
 def _failing_dfm(*args, **kwargs):
@@ -1027,7 +1055,7 @@ def test_a_forked_dfm_raises_its_warnings_again_in_the_parent_in_order(monkeypat
     config = config_from_dict(_base_dict(trainers=["dfm", "naive_lr"]))
     caught = {}
     for how in ("in process", "forked"):
-        forks = _fork_every_dfm(monkeypatch) if how == "forked" else []
+        forks = _fork_every_fit(monkeypatch) if how == "forked" else []
         with pytest.warns(Warning) as caught[how]:
             run_pipeline(config, write_outputs=False)
     assert len(forks) == 1
@@ -1064,7 +1092,7 @@ def test_a_weight_dump_under_the_row_floor_is_written_in_process(tmp_path, monke
 
 @needs_two_cpus
 def test_a_dfm_fit_under_the_row_floor_runs_in_process(tmp_path, monkeypatch) -> None:
-    _check_row_floor(tmp_path, monkeypatch, "_DFM_FORK_MIN_ROWS")
+    _check_row_floor(tmp_path, monkeypatch, "_FIT_FORK_MIN_ROWS")
 
 
 @needs_two_cpus
@@ -1086,7 +1114,7 @@ def test_a_split_whose_dump_forks_fits_dfm_in_process(
         return train_dfm(*args, **kwargs)
 
     monkeypatch.setattr(fsiw.experiment, "train_dfm", recording_dfm)
-    monkeypatch.setattr(fsiw.experiment, "_DFM_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", 0)
     forks = _fork_every_dump(monkeypatch)
     config = config_from_dict(_base_dict(trainers=trainers))
     run_pipeline(replace(config, output_dir=str(tmp_path)))
@@ -1134,20 +1162,20 @@ def test_a_weight_dump_is_written_in_process_without_a_fork_that_pays(
 
 @_NO_FORK_THAT_PAYS
 def test_a_dfm_fit_runs_in_process_without_a_fork_that_pays(tmp_path, monkeypatch, why) -> None:
-    _check_no_fork_that_pays(tmp_path, monkeypatch, _fork_every_dfm(monkeypatch), why)
+    _check_no_fork_that_pays(tmp_path, monkeypatch, _fork_every_fit(monkeypatch), why)
 
 
 def _open_descriptors() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-def _run_counting_descriptors(tmp_path, trainers) -> str | None:
-    """Run the criterion-10 config into ``tmp_path``; returns its error, if
-    any, having checked that it left no descriptor open."""
-    config = config_from_dict(_base_dict(trainers=trainers))
+def _run_counting_descriptors(tmp_path, trainers, pipeline=run_pipeline, tau="2d") -> str | None:
+    """Run (or sweep) the criterion-10 config into ``tmp_path``; returns its
+    error, if any, having checked that it left no descriptor open."""
+    config = config_from_dict(_base_dict(trainers=trainers, tau=tau))
     before = _open_descriptors()
     try:
-        run_pipeline(replace(config, output_dir=str(tmp_path)))
+        pipeline(replace(config, output_dir=str(tmp_path)))
     except PipelineError as exc:
         error = str(exc)
     else:
@@ -1186,7 +1214,7 @@ def test_a_weight_writer_leaves_no_descriptor_open(tmp_path, monkeypatch, outcom
 def test_a_forked_dfm_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) -> None:
     import fsiw.experiment
 
-    forks = _fork_every_dfm(monkeypatch)
+    forks = _fork_every_fit(monkeypatch)
     if outcome == "dfm_fails":
         monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
     elif outcome == "earlier_task_fails":
@@ -1201,6 +1229,161 @@ def test_a_forked_dfm_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) 
         "earlier_task_fails": "split 0, trainer naive_lr: naive_lr cannot be fitted",
         "fork_fails": None,
     }[outcome]
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_sweep_pins_hold_when_each_splits_later_deadlines_are_forked(
+    tmp_path, monkeypatch
+) -> None:
+    forks = _fork_every_fit(monkeypatch)
+    _check_sweep_pins(tmp_path)
+    assert len(forks) == 2
+
+
+@needs_two_cpus
+def test_a_forked_sweep_leaves_every_output_byte_and_row_as_in_process(
+    tmp_path, monkeypatch
+) -> None:
+    config = _sweep_config(tmp_path)
+    expected = deadline_sweep(config)
+    in_process = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for path in tmp_path.iterdir():
+        path.unlink()
+
+    forks = _fork_every_fit(monkeypatch)
+    rows = deadline_sweep(config)
+    assert len(forks) == 2
+    assert set(in_process) == {"sweep.csv", "sweep.json", "manifest.json"}
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == in_process
+    # the rows a library caller gets, the fits' meta included
+    assert rows == expected
+
+
+@needs_two_cpus
+def test_a_sweep_split_forks_from_the_row_floor_up(tmp_path, monkeypatch) -> None:
+    import fsiw.experiment
+
+    forks = _fork_every_fit(monkeypatch)
+    config = _sweep_config(tmp_path)
+    n_rows = [len(labeled.train.y) for labeled in fsiw.experiment._labeled_splits(config)]
+    forked = []
+    for floor in (max(n_rows) + 1, max(n_rows), min(n_rows)):
+        monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", floor)
+        deadline_sweep(config, write_outputs=False)
+        forked.append(sum(rows >= floor for rows in n_rows))
+    # a split at the floor forks, a split under it does not
+    assert len(forks) == sum(forked) and forked[0] == 0 and forked[2] == 2
+
+
+@pytest.mark.parametrize(
+    "why", ["one_tau", "under_the_floor", "one_cpu", "another_thread", "fork_fails"]
+)
+def test_a_sweep_fits_every_deadline_in_process_without_a_fork_that_pays(
+    tmp_path, monkeypatch, why
+) -> None:
+    import fsiw.experiment
+
+    forks = _fork_every_fit(monkeypatch)
+    config = _sweep_config(tmp_path, tau=["1d"] if why == "one_tau" else ["1d", "2d", "3d"])
+    if why == "under_the_floor":
+        n_rows = [len(labeled.train.y) for labeled in fsiw.experiment._labeled_splits(config)]
+        monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", max(n_rows) + 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif why == "fork_fails":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    elif why == "another_thread":
+        thread.start()
+    try:
+        rows = deadline_sweep(config)
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    if why == "one_tau":
+        assert [(r.tau, r.split) for r in rows] == [(DAY, 0), (DAY, 1)]
+    else:
+        assert _sweep_hashes(tmp_path) == _SWEEP_OUTPUT_HASHES
+
+
+@needs_two_cpus
+def test_a_forked_sweep_builds_each_design_in_the_parent_and_draws_each_split_once(
+    tmp_path, monkeypatch
+) -> None:
+    import fsiw.metrics
+    import fsiw.weights
+
+    log, draws = tmp_path / "designs.log", []
+    build, design = fsiw.weights.weight_design, fsiw.weights.DesignRows.design
+    draw = fsiw.metrics._resample_blocks
+
+    def note(what):  # in a file, which a child writes to as well
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {what}\n")
+
+    def counting_build(x, e, edges):
+        note("design")
+        return build(x, e, edges)
+
+    def counting_prediction_design(rows, edges):
+        if tuple(edges) not in rows._designs:
+            note("prediction")
+        return design(rows, edges)
+
+    def counting_draw(n, b, seed, columns=0):
+        draws.append(columns)
+        return draw(n, b, seed, columns)
+
+    monkeypatch.setattr(fsiw.weights, "weight_design", counting_build)
+    monkeypatch.setattr(fsiw.weights.DesignRows, "design", counting_prediction_design)
+    monkeypatch.setattr(fsiw.metrics, "_resample_blocks", counting_draw)
+    forks = _fork_every_fit(monkeypatch)
+    deadline_sweep(_sweep_config(tmp_path), write_outputs=False)
+    parent, children = str(os.getpid()), [str(pid) for pid in forks]
+    assert len(children) == 2  # one per split
+    notes = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    # per split, the parent builds one design of its training rows and one
+    # of its validation rows, and its child none
+    assert [pid for pid, what in notes if what == "prediction"] == [parent] * 4
+    # one design per weight-model fit, two fits per tau: the parent's 1d and
+    # each child's 2d and 3d
+    designs = [pid for pid, what in notes if what == "design"]
+    assert {pid: designs.count(pid) for pid in designs} == {
+        parent: 2 * (2 + 2),
+        **{child: 2 * 2 for child in children},
+    }
+    # per split: one stream of resamples scores all three fits
+    assert draws == [3, 3]
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("outcome", ["fitted", "child_tau_fails", "parent_tau_fails", "fork_fails"])
+def test_a_forked_sweep_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) -> None:
+    forks = _fork_every_fit(monkeypatch)
+    if outcome == "fork_fails":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    # 604799 s is one second short of the 7d training window: no conversion
+    # is late enough for D1, so the pos model has no rows. The child fits the
+    # later two taus, the parent the first
+    taus = {
+        "child_tau_fails": ["1d", "6d", "604799"],
+        "parent_tau_fails": ["604799", "1d", "2d"],
+    }.get(outcome, ["1d", "2d", "3d"])
+    error = _run_counting_descriptors(tmp_path, ["lr_fsiw"], deadline_sweep, taus)
+    assert len(forks) == (0 if outcome == "fork_fails" else 1)
+    empty = (
+        "split 0, trainer lr_fsiw, tau 604799s, weight model pos: "
+        "cannot fit a weight model on an empty dataset"
+    )
+    assert error == (empty if outcome.endswith("tau_fails") else None)
     for pid in forks:
         with pytest.raises(ChildProcessError):  # already reaped
             os.waitpid(pid, os.WNOHANG)
