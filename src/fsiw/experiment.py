@@ -9,36 +9,22 @@ fully observed test window. Everything downstream of the global seed is
 deterministic, including the bytes of every report file.
 
 ``run_pipeline`` and ``deadline_sweep`` share one per-split path: every
-split is labeled once (``_labeled_splits``), ``_fit_split`` turns it into a
-list of tasks, each one trainer at one deadline, and one ``evaluate_columns``
-scores all of the split's tasks from a single pass over its bootstrap
-resamples. lr_fsiw is a task at each deadline ``_fit_split`` is given, any
-other trainer one task at the first; a run gives it the config's trainers and
-first deadline, a sweep lr_fsiw and every deadline. ``_fit_task`` fits one
-task. Every task fits on one grouping of the split's training rows into
-distinct rows (``training.RowGroups``), which lives until the split's last
-task. lr_fsiw at every deadline also shares one weight-prediction design of
-the training rows and one of the validation rows per distinct ``edges``, from
-which the weight models of every deadline predict. They are built once per
-split and freed after its last lr_fsiw task, so a later dfm fits without
-them.
+split is labeled once (``_labeled_splits``) and run by ``_run_split``, which
+fits its list of tasks, each one trainer at one deadline, and scores them all
+with one ``evaluate_columns`` pass over its bootstrap resamples. lr_fsiw is a
+task at each deadline given, any other trainer one task at the first
+(``_tasks``); a run gives the config's trainers and first deadline, a sweep
+lr_fsiw and every deadline. ``_fit_task`` fits one task. Every task fits on
+one grouping of the split's training rows into distinct rows
+(``training.RowGroups``), which lives until the split's last task. lr_fsiw at
+every deadline also shares one weight-prediction design of the training rows
+and one of the validation rows per distinct ``edges``, from which the weight
+models of every deadline predict. They are built once per split and freed
+after its last lr_fsiw task, so a later dfm fits without them.
 
-``_fit_split`` yields each task as soon as it is fitted, which lets each
-split have at most one child process, pinned off the parent's CPU (``_fork``)
-so that it works on the second core. In a run, a split whose weight dump has
-at least ``_FORK_MIN_ROWS`` rows gives the child its dump, started right
-after its lr_fsiw task, while the parent fits dfm and scores the split. Any
-other split that trains dfm on at least ``_FIT_FORK_MIN_ROWS`` rows gives the
-child dfm's task, and in a sweep a split of at least two deadlines that
-trains on that many rows gives it the later half of them. ``_fit_split``
-forks that share of its task list as soon as the grouping is built (and,
-for lr_fsiw, the weight designs, which the child inherits), and the parent
-fits the other tasks meanwhile (and, in a run, writes the dump). The child
-sends its results back down a pipe, and the parent puts them in task order,
-so every output byte is the one the tasks give in process. The child is
-reaped before the split is scored (a share of its tasks) or before the next
-split (the dump), and always before any report is written. Where a fork
-would not pay or fails, every task runs in process.
+A split may give one share of its work to a child process on the second
+core; ``_child_share`` says which. The parent puts the child's results in
+task order, so every output byte is the one the split gives in process.
 
 Every error of a task, in its fit or in its metrics, carries the task's
 label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
@@ -61,7 +47,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -124,9 +110,8 @@ DURATION = {"duration": True}
 # cost (a few ms, plus copy-on-write faults in the parent's next fit) outweighs
 # the write it takes off the parent
 _FORK_MIN_ROWS = 10_000
-# a split forks a share of its fits when it trains on at least this many rows:
-# in a run, dfm's fit when its dump stays in process; in a sweep, the later
-# half of its deadlines. A fork and reap cost 4-5 ms and both sides slow down
+# a split forks a share of its fits (``_child_share``) when it trains on at
+# least this many rows. A fork and reap cost 4-5 ms and both sides slow down
 # while both cores are busy. On README worlds, where dfm converges in 20-30
 # iterations, forking dfm lost 2-3 ms up to 2.8k rows and won from 3.5k (on
 # criterion-04 worlds it won from 0.8k rows); forking a sweep's later
@@ -613,7 +598,8 @@ def _labeled_splits(config: ExperimentConfig) -> list[_LabeledSplit]:
 
 @dataclass(frozen=True)
 class _Fitted:
-    """A fitted task: its error label, model, test predictions and lr_fsiw's weighted rows."""
+    """A fitted task: its error label, model, test predictions and lr_fsiw's
+    weighted rows (None where a child fitted it)."""
 
     label: str
     trainer: str
@@ -704,48 +690,34 @@ def _share_label(k: int, share: Sequence[tuple[str, int]]) -> str:
     return f"split {k}, trainer lr_fsiw, tau{'s' if len(share) > 1 else ''} {taus}"
 
 
-def _fit_split(
-    config: ExperimentConfig,
-    labeled: _LabeledSplit,
-    tasks: Sequence[tuple[str, int]],
-    forked: range = range(0),
-) -> Iterator[_Fitted | _Child]:
-    """Fit a labeled split's ``tasks`` (``_tasks``) in turn, yielding each as
-    soon as it is fitted. Every task fits on one grouping of the training
-    rows. The weight designs are built once and freed after the last lr_fsiw
-    task, so a later dfm fits without them.
+def _child_share(tasks: Sequence[tuple[str, int]], n_rows: int, dump: bool) -> range | None:
+    """The share of a split's work that its one child takes: None for the
+    weight dump, else the indices of a run of ``tasks`` (``_tasks``), empty
+    for no child. ``n_rows`` counts the split's training rows, and ``dump``
+    says whether lr_fsiw's weights are dumped, one row per training row.
 
-    The tasks at the indices ``forked``, a run of one trainer's tasks, start
-    in a child (``_fork``) as soon as the grouping is built, and the designs
-    too if they fit lr_fsiw, so that the child inherits them. Where the fork
-    happens, that child is yielded first, for the caller to reap (its
-    ``_reap`` gives their ``_Fitted`` list, in task order), and the other
-    tasks are fitted here meanwhile."""
-    train, val = labeled.train, labeled.val
-    groups = RowGroups(train.x)
-    designs = (  # each built on first use
-        DesignRows(train.x, train.e),
-        DesignRows(val.x, val.e) if val is not None and len(val.y) else None,
-    )
-    share = tasks[forked.start : forked.stop]
-    if share:
-        if any(t == "lr_fsiw" for t, _ in share):
-            for rows in filter(None, designs):
-                for hyper in (config.weight_model_pos, config.weight_model_neg):
-                    rows.design(hyper.edges)
-        child = _fork(
-            lambda: [_fit_task(config, labeled, t, tau, groups, designs) for t, tau in share],
-            _share_label(labeled.split.k, share),
-            "fit",
-        )
-        if child is not None:
-            tasks = [*tasks[: forked.start], *tasks[forked.stop :]]
-            yield child
-    last = max((i for i, (t, _) in enumerate(tasks) if t == "lr_fsiw"), default=-1)
-    for i, (trainer, tau) in enumerate(tasks):
-        yield _fit_task(config, labeled, trainer, tau, groups, designs)
-        if i == last:
-            designs = None  # freed before any later dfm fits
+    - The dump, when it has at least ``_FORK_MIN_ROWS`` rows. The child
+      starts once lr_fsiw is fitted and writes it while the parent fits the
+      later tasks, scores the split and saves its models.
+    - Otherwise, from ``_FIT_FORK_MIN_ROWS`` training rows, dfm's task, or
+      else the later ceil(n/2) of n >= 2 lr_fsiw deadlines. The child starts
+      once the grouping (and, for lr_fsiw, the weight designs) is built, so
+      that it inherits them, while the parent fits the other tasks and
+      writes the dump.
+
+    Where the fork would not pay or fails (``_fork``), the share runs in
+    process."""
+    trainers = [t for t, _ in tasks]
+    n = trainers.count("lr_fsiw")
+    if dump and n and n_rows >= _FORK_MIN_ROWS:
+        return None
+    if n_rows >= _FIT_FORK_MIN_ROWS and "dfm" in trainers:
+        at = trainers.index("dfm")
+        return range(at, at + 1)
+    if n_rows >= _FIT_FORK_MIN_ROWS and n >= 2:
+        at = trainers.index("lr_fsiw")  # the first of a run of n
+        return range(at + n // 2, at + n)
+    return range(0)
 
 
 def _score_split(
@@ -871,16 +843,6 @@ def _reap(child: _Child, discard: bool = False):
     return result
 
 
-def _reap_failed(child: _Child, exc: BaseException, forked: range, n_fitted: int) -> None:
-    """Reap a split's ``child`` once the split has failed with ``exc`` after
-    the parent fitted ``n_fitted`` of its own tasks. The outcome of a child
-    that fits the tasks at the indices ``forked`` wins where they come before
-    the parent's failed step, so that the error raised is the first in task
-    order; any other child's (``forked`` empty: the dump's) is discarded."""
-    first = isinstance(exc, Exception) and forked and forked.start <= n_fitted
-    _reap(child, discard=not first)
-
-
 def _write_dump(weighted: WeightedDataset, path: Path, k: int) -> None:
     """Split ``k``'s weight dump, in process or in a child: ``dump_weights``,
     whose error becomes ``split k: could not write <path>: <cause>``."""
@@ -888,6 +850,80 @@ def _write_dump(weighted: WeightedDataset, path: Path, k: int) -> None:
         dump_weights(weighted, path)
     except OSError as exc:
         raise PipelineError(f"split {k}: could not write {path}: {exc}") from exc
+
+
+def _run_split(
+    config: ExperimentConfig,
+    labeled: _LabeledSplit,
+    tasks: Sequence[tuple[str, int]],
+    out_path: Path | None = None,
+) -> list[ReportRow]:
+    """Fit a labeled split's ``tasks`` (``_tasks``) and score them, one
+    report row each in task order. With ``out_path`` the split's weight dump
+    and model files are written there.
+
+    Its child (``_child_share``) sends back each task's model and test
+    predictions, or its error, and is reaped before the split is scored (a
+    share of the tasks) or once the models are saved (the dump), and before
+    this raises. When more than one step fails, the error raised is the
+    first in process order (the tasks in order, the dump, the scoring, the
+    model files), except that a forked dump's error gives way to any other."""
+    k, train, val = labeled.split.k, labeled.train, labeled.val
+    share = _child_share(tasks, len(train.y), out_path is not None)
+    groups = RowGroups(train.x)
+    designs = (  # each built on first use
+        DesignRows(train.x, train.e),
+        DesignRows(val.x, val.e) if val is not None and len(val.y) else None,
+    )
+    child, fitted, dump = None, [], None
+    try:
+        if share:
+            forked = tasks[share.start : share.stop]
+            if any(t == "lr_fsiw" for t, _ in forked):  # built for the child to inherit
+                for part in filter(None, designs):
+                    for hyper in (config.weight_model_pos, config.weight_model_neg):
+                        part.design(hyper.edges)
+            child = _fork(
+                lambda: [
+                    replace(_fit_task(config, labeled, t, tau, groups, designs), weighted=None)
+                    for t, tau in forked
+                ],
+                _share_label(k, forked),
+                "fit",
+            )
+        own = tasks if child is None else [*tasks[: share.start], *tasks[share.stop :]]
+        last = max((i for i, (t, _) in enumerate(own) if t == "lr_fsiw"), default=-1)
+        for i, (trainer, tau) in enumerate(own):
+            fitted.append(_fit_task(config, labeled, trainer, tau, groups, designs))
+            if i == last:
+                designs = None  # freed before any later dfm fits
+            if out_path is not None and fitted[-1].weighted is not None:
+                path = out_path / f"weights_split{k}.tsv"
+                dump = partial(_write_dump, fitted[-1].weighted, path, k)
+                if share is None:
+                    child = _fork(dump, f"split {k}: could not write {path}", "weight writer")
+                    if child is not None:
+                        dump = None
+        groups = designs = None  # freed before the split is scored
+        if dump is not None:
+            dump()  # while a child fits its share, if one does
+        if child is not None and share:
+            reaped, child = child, None
+            fitted[share.start : share.start] = _reap(reaped)
+        rows = _score_split(config, labeled, fitted)
+        if out_path is not None:
+            for f in fitted:
+                save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
+    except BaseException as exc:
+        if child is not None:
+            # a share's outcome wins where its tasks come before the failed
+            # step; the dump's is discarded
+            first = isinstance(exc, Exception) and share and share.start <= len(fitted)
+            _reap(child, discard=not first)
+        raise
+    if child is not None:  # the dump's
+        _reap(child)
+    return rows
 
 
 def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> list[ReportRow]:
@@ -898,14 +934,8 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
     reports.json, per-split weight dumps and model blobs, the resolved
     config, and a manifest keyed by the config hash.
 
-    A split gives at most one task to a child (``_fork``): its weight dump
-    when that has at least ``_FORK_MIN_ROWS`` rows, reaped once the split's
-    models are saved, or else dfm's fit when it trains on at least
-    ``_FIT_FORK_MIN_ROWS`` rows, reaped before the split is scored. Every
-    child is reaped before the next split and before this returns or raises.
-    When more than one step of a split fails, the error raised is the first
-    in process order (the tasks in order, the dump, the scoring, the model
-    files), except that a forked dump's error gives way to any other.
+    Each split runs through ``_run_split``, which says which of a split's
+    errors is raised when several steps fail.
     """
     taus = config.tau[:1]
     tasks = _tasks(config.trainers, taus)
@@ -918,43 +948,7 @@ def run_pipeline(config: ExperimentConfig, *, write_outputs: bool = True) -> lis
 
     rows: list[ReportRow] = []
     for labeled in labeled_splits:
-        k = labeled.split.k
-        weights_path = out_path / f"weights_split{k}.tsv"
-        n_rows = len(labeled.train.y)  # the dump has one row per training row
-        fork_dump = write_outputs and "lr_fsiw" in config.trainers and n_rows >= _FORK_MIN_ROWS
-        forked = range(0)
-        if not fork_dump and "dfm" in config.trainers and n_rows >= _FIT_FORK_MIN_ROWS:
-            at = tasks.index(("dfm", taus[0]))
-            forked = range(at, at + 1)
-        child, fitted, dump = None, [], None  # the child: the dump's, or the tasks forked
-        try:
-            for f in _fit_split(config, labeled, tasks, forked):
-                if isinstance(f, _Child):
-                    child = f
-                    continue
-                fitted.append(f)
-                if write_outputs and f.weighted is not None:
-                    dump = partial(_write_dump, f.weighted, weights_path, k)
-                    if fork_dump:
-                        label = f"split {k}: could not write {weights_path}"
-                        child = _fork(dump, label, "weight writer")
-                        if child is not None:
-                            dump = None
-            if dump is not None:
-                dump()  # while a child fits dfm, if one does
-            if child is not None and forked:
-                reaped, child = child, None
-                fitted[forked.start : forked.start] = _reap(reaped)
-            rows.extend(_score_split(config, labeled, fitted))
-            if write_outputs:
-                for f in fitted:
-                    save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
-        except BaseException as exc:
-            if child is not None:
-                _reap_failed(child, exc, forked, len(fitted))
-            raise
-        if child is not None:  # the dump's
-            _reap(child)
+        rows.extend(_run_split(config, labeled, tasks, out_path if write_outputs else None))
 
     if write_outputs:
         write_report_csv(rows, out_path / "reports.csv")
@@ -976,35 +970,12 @@ def deadline_sweep(config: ExperimentConfig, *, write_outputs: bool = True) -> l
     The rows come tau by tau, each in split order, with the bytes one
     run_pipeline per tau would give.
 
-    A split of at least two deadlines that trains on at least
-    ``_FIT_FORK_MIN_ROWS`` rows gives the later half of them to a child
-    (``_fork``), while the parent fits the earlier half. The child is
-    reaped before the split is scored, so before the next split and before
-    anything is written, and also when a task fails. Its deadlines come
-    after the parent's, so the parent's warnings print as they are raised,
-    the child's follow in order, and an error of the parent's wins.
+    Each split runs through ``_run_split``. Where its child takes the later
+    deadlines (``_child_share``), the parent's warnings print as they are
+    raised and the child's follow in order.
     """
     tasks = _tasks(("lr_fsiw",), config.tau)
-    by_split = []
-    for labeled in _labeled_splits(config):
-        forked = range(0)
-        if len(tasks) >= 2 and len(labeled.train.y) >= _FIT_FORK_MIN_ROWS:
-            forked = range(len(tasks) // 2, len(tasks))
-        child, fitted = None, []
-        try:
-            for f in _fit_split(config, labeled, tasks, forked):
-                if isinstance(f, _Child):
-                    child = f
-                else:
-                    fitted.append(f)
-            if child is not None:
-                reaped, child = child, None
-                fitted[forked.start : forked.start] = _reap(reaped)
-        except BaseException as exc:
-            if child is not None:
-                _reap_failed(child, exc, forked, len(fitted))
-            raise
-        by_split.append(_score_split(config, labeled, fitted))
+    by_split = [_run_split(config, labeled, tasks) for labeled in _labeled_splits(config)]
     # tau by tau, each in split order
     rows = [split_rows[i] for i in range(len(config.tau)) for split_rows in by_split]
 

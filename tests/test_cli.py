@@ -1,4 +1,5 @@
-"""End-to-end CLI checks through real subprocesses."""
+"""End-to-end CLI checks, in process where no fresh interpreter is needed and
+through real subprocesses where one is."""
 
 from __future__ import annotations
 
@@ -127,10 +128,10 @@ def test_stats_json_bytes_are_pinned_on_the_readme_config(tmp_path) -> None:
         (f"hashing.seed={2**64}", "hashing.seed must fit in an unsigned 64-bit integer"),
     ],
 )
-def test_bad_hashing_config_exits_two(tmp_path, config_path, override, message) -> None:
-    proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--set", override)
-    assert proc.returncode == 2
-    assert message in proc.stderr
+def test_bad_hashing_config_exits_two(tmp_path, capsys, config_path, override, message) -> None:
+    argv = ["run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--set", override]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -823,12 +824,13 @@ def test_bad_config_key_exits_two(tmp_path, config_path) -> None:
     ],
 )
 def test_malformed_config_value_exits_two_without_a_traceback(
-    tmp_path, config_path, override, message
+    tmp_path, capsys, config_path, override, message
 ) -> None:
-    proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--set", override)
-    assert proc.returncode == 2
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    argv = ["run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--set", override]
+    assert main(argv) == 2
+    stderr = capsys.readouterr().err
+    assert message in stderr
+    assert "Traceback" not in stderr
     assert not (tmp_path / "out").exists()  # nothing was fit or written
 
 
@@ -971,13 +973,14 @@ def test_an_empty_name_in_set_quotes_the_whole_item(capsys, item) -> None:
 
 
 @pytest.mark.parametrize("override", ["observational_period=1d", "tracked_until=5", "path=x.tsv"])
-def test_tsv_only_data_key_on_a_simulator_exits_two(tmp_path, config_path, override) -> None:
+def test_tsv_only_data_key_on_a_simulator_exits_two(
+    tmp_path, capsys, config_path, override
+) -> None:
     # a simulator reads none of these, and none reaches the resolved config or its hash
     out = tmp_path / "out"
-    proc = _fsiw("run", "-c", str(config_path), "-o", str(out), "--set", f"data.{override}")
-    assert proc.returncode == 2
+    assert main(["run", "-c", str(config_path), "-o", str(out), "--set", f"data.{override}"]) == 2
     key = override.partition("=")[0]
-    assert proc.stderr == f"error: data.{key} is for tsv data, not a simulator\n"
+    assert capsys.readouterr().err == f"error: data.{key} is for tsv data, not a simulator\n"
     assert not out.exists()
 
 
@@ -1016,11 +1019,11 @@ def test_conversion_time_past_int64_names_the_simulator_keys(
     ],
 )
 def test_sweep_rejects_bad_taus_when_the_config_is_read(
-    tmp_path, config_path, taus, message
+    tmp_path, capsys, config_path, taus, message
 ) -> None:
-    proc = _fsiw("sweep", "-c", str(config_path), "-o", str(tmp_path / "out"), "--taus", taus)
-    assert proc.returncode == 2
-    assert proc.stderr == message
+    argv = ["sweep", "-c", str(config_path), "-o", str(tmp_path / "out"), "--taus", taus]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
 
 

@@ -32,6 +32,7 @@ from fsiw.experiment import (
     rolling_splits,
     run_pipeline,
 )
+from fsiw.metrics import MetricInputError
 from fsiw.simulate import generate_arrays, write_sim_tsv
 from fsiw.training import TrainingError
 
@@ -1234,6 +1235,39 @@ def test_a_forked_dfm_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) 
             os.waitpid(pid, os.WNOHANG)
 
 
+def _failing_evaluate(*args, **kwargs):
+    raise MetricInputError("cannot be scored", 0)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("dfm_fails", [False, True], ids=["alone", "dfm_fails_too"])
+@pytest.mark.parametrize("step", ["dump", "scoring"])
+def test_a_failing_dump_or_scoring_gives_way_to_a_forked_dfms_error(
+    tmp_path, monkeypatch, step, dfm_fails
+) -> None:
+    import fsiw.experiment
+
+    # dfm forked, the dump (under its row floor) written in process
+    forks = _fork_every_fit(monkeypatch)
+    path = tmp_path / "weights_split0.tsv"
+    if step == "dump":  # a directory where the dump goes
+        path.mkdir()
+        error = f"split 0: could not write {path}: [Errno 21] Is a directory: '{path}'"
+    else:
+        monkeypatch.setattr(fsiw.experiment, "evaluate_columns", _failing_evaluate)
+        error = "split 0, trainer naive_lr: sample 0: cannot be scored"
+    if dfm_fails:  # dfm's task comes before the dump and the scoring
+        monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
+        error = "split 0, trainer dfm: dfm cannot be fitted"
+    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
+    with pytest.raises(PipelineError) as caught:
+        run_pipeline(replace(config, output_dir=str(tmp_path)))
+    assert str(caught.value) == error
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(forks[0], os.WNOHANG)
+
+
 @needs_two_cpus
 def test_sweep_pins_hold_when_each_splits_later_deadlines_are_forked(
     tmp_path, monkeypatch
@@ -1387,6 +1421,78 @@ def test_a_forked_sweep_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome
     for pid in forks:
         with pytest.raises(ChildProcessError):  # already reaped
             os.waitpid(pid, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_a_forked_sweep_share_sends_back_its_models_and_predictions_alone(
+    tmp_path, monkeypatch
+) -> None:
+    import fsiw.experiment
+
+    reap, shares = fsiw.experiment._reap, []
+
+    def recording_reap(child, discard=False):
+        shares.append(reap(child, discard))
+        return shares[-1]
+
+    monkeypatch.setattr(fsiw.experiment, "_reap", recording_reap)
+    forks = _fork_every_fit(monkeypatch)
+    deadline_sweep(_sweep_config(tmp_path), write_outputs=False)
+    assert len(forks) == 2
+    # per split, the child fits 2d and 3d; no sweep reads the weighted rows
+    assert [[(f.tau, f.weighted) for f in share] for share in shares] == [
+        [(2 * DAY, None), (3 * DAY, None)]
+    ] * 2
+    assert all(len(f.preds) and f.model.meta for share in shares for f in share)
+
+
+def _share(trainers, n_rows: int, n_taus: int = 1, dump: bool = False) -> range | None:
+    from fsiw.experiment import _child_share, _tasks
+
+    return _child_share(_tasks(trainers, [DAY * (i + 1) for i in range(n_taus)]), n_rows, dump)
+
+
+def test_a_weight_dump_goes_to_the_child_from_its_row_floor_up() -> None:
+    from fsiw.experiment import _FORK_MIN_ROWS
+
+    assert _FORK_MIN_ROWS == 10_000
+    assert _share(TRAINERS, 9_999, dump=True) == range(2, 3)  # dfm instead
+    assert _share(TRAINERS, 10_000, dump=True) is None
+    assert _share(["naive_lr", "lr_fsiw"], 10_000, dump=True) is None
+    # without lr_fsiw there is no dump, and without write_outputs none is written
+    assert _share(["naive_lr", "dfm"], 10_000, dump=True) == range(1, 2)
+    assert _share(TRAINERS, 10_000, dump=False) == range(2, 3)
+
+
+def test_a_split_forks_a_share_of_its_fits_from_its_row_floor_up() -> None:
+    from fsiw.experiment import _FIT_FORK_MIN_ROWS
+
+    assert _FIT_FORK_MIN_ROWS == 3_000
+    for trainers, n_taus, share in ((TRAINERS, 1, range(2, 3)), (["lr_fsiw"], 3, range(1, 3))):
+        assert _share(trainers, 2_999, n_taus) == range(0)
+        assert _share(trainers, 3_000, n_taus) == share
+        assert _share(trainers, 2_999, n_taus, dump=True) == range(0)
+
+
+@pytest.mark.parametrize(
+    ("trainers", "share"),
+    [
+        (["dfm", "naive_lr", "lr_fsiw"], range(0, 1)),
+        (["naive_lr", "lr_fsiw", "dfm"], range(2, 3)),
+        (["naive_lr", "lr_fsiw"], range(0)),
+        (["lr_fsiw"], range(0)),
+    ],
+    ids=["dfm_first", "dfm_last", "no_dfm", "lr_fsiw_alone"],
+)
+def test_a_run_gives_its_child_dfms_task(trainers, share) -> None:
+    assert _share(trainers, 5_000) == share
+
+
+@pytest.mark.parametrize(
+    ("n_taus", "share"), [(1, range(0)), (2, range(1, 2)), (3, range(1, 3)), (5, range(2, 5))]
+)
+def test_a_sweep_gives_its_child_the_later_half_of_its_deadlines(n_taus, share) -> None:
+    assert _share(["lr_fsiw"], 5_000, n_taus) == share
 
 
 @needs_two_cpus
