@@ -11,23 +11,24 @@ Every config field can be overridden with --set dotted.name=value; values are
 parsed as YAML scalars, so numbers, booleans, lists, and durations all work.
 
 Each verb imports the modules it runs inside its own function, so importing
-this module loads no other ``fsiw`` module and neither scipy nor PyYAML:
-``eval`` loads ``fsiw.metrics`` alone, and PyYAML is loaded where a config is
-read.
+this module loads no other ``fsiw`` module and neither numpy, scipy nor
+PyYAML: ``eval`` loads ``fsiw.metrics`` alone, and PyYAML is loaded where a
+config is read. That lets ``main`` give BLAS one thread before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .experiment import ExperimentConfig, ReportRow
 
 
@@ -174,6 +175,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     from .experiment import deadline_sweep
 
     config = _build_config(args)
@@ -202,6 +205,8 @@ def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cell. A row that does not parse raises there without saying where; the
     lines are then checked one by one by ``_check_prediction_lines``, whose
     CliError names the first bad line."""
+    import numpy as np
+
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -258,6 +263,8 @@ def _check_prediction_lines(path: Path, lines: list[str]) -> None:
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
     from .metrics import MetricInputError, evaluate_predictions
 
     if args.bootstrap_b < 100:
@@ -344,6 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # one BLAS thread unless the user set a count: on 2 CPUs a second thread
+    # takes a 20k-element dot product from 5 us to 0.46 ms, and to 8 ms in a
+    # split's child pinned to one CPU (experiment._fork). numpy reads the
+    # count as it loads, so a caller that loaded it keeps its own
+    if "numpy" not in sys.modules:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            os.environ.setdefault(name, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -22,9 +22,11 @@ and one of the validation rows per distinct ``edges``, from which the weight
 models of every deadline predict. They are built once per split and freed
 after its last lr_fsiw task, so a later dfm fits without them.
 
-A split may give one share of its work to a child process on the second
+A split may give one share of its fits to a child process on the second
 core; ``_child_share`` says which. The parent puts the child's results in
 task order, so every output byte is the one the split gives in process.
+lr_fsiw's weight dump is written by the process that fits lr_fsiw, right
+after it weights its rows.
 
 Every error of a task, in its fit or in its metrics, carries the task's
 label: ``split k, trainer T``, with ``, tau Ns`` for lr_fsiw, and ``, weight
@@ -44,7 +46,6 @@ import re
 import threading
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
@@ -81,7 +82,6 @@ from .training import (
 from .weights import (
     DEFAULT_CLIP_FLOOR,
     DesignRows,
-    WeightedDataset,
     WeightModelHyper,
     assign_fsiw,
     check_clip_floor,
@@ -106,10 +106,6 @@ _UNIT_SECONDS = {"": 1, "s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
 # field metadata of a config key whose values go through parse_duration
 DURATION = {"duration": True}
 
-# a weight dump of fewer rows is written in process: below this a fork's fixed
-# cost (a few ms, plus copy-on-write faults in the parent's next fit) outweighs
-# the write it takes off the parent
-_FORK_MIN_ROWS = 10_000
 # a split forks a share of its fits (``_child_share``) when it trains on at
 # least this many rows. A fork and reap cost 4-5 ms and both sides slow down
 # while both cores are busy. On README worlds, where dfm converges in 20-30
@@ -598,15 +594,13 @@ def _labeled_splits(config: ExperimentConfig) -> list[_LabeledSplit]:
 
 @dataclass(frozen=True)
 class _Fitted:
-    """A fitted task: its error label, model, test predictions and lr_fsiw's
-    weighted rows (None where a child fitted it)."""
+    """A fitted task: its error label, model and test predictions."""
 
     label: str
     trainer: str
     tau: int
     model: LinearCvrModel | DfmModel
     preds: np.ndarray
-    weighted: WeightedDataset | None
 
 
 def _fit_fsiw(
@@ -616,11 +610,14 @@ def _fit_fsiw(
     groups: RowGroups,
     designs: tuple[DesignRows, DesignRows | None],
     label: str,
-) -> tuple[LinearCvrModel, WeightedDataset]:
+    dump_path: Path | None,
+) -> LinearCvrModel:
     """lr_fsiw at deadline ``tau``: relabel, fit both weight models, weight
     the training and validation rows (``designs``, None without validation
-    rows) and train on the training grouping. A weight model's warning is
-    raised again under its label."""
+    rows), dump the training rows' weights to ``dump_path`` if given, and
+    train on the training grouping. A weight model's warning is raised again
+    under its label; the dump's error is ``split k: could not write <path>:
+    <cause>``."""
     k, train, val = labeled.split.k, labeled.train, labeled.val
     d1, d0 = build_artificial_datasets(train, tau)
     models = []
@@ -640,10 +637,14 @@ def _fit_fsiw(
         None if design is None else assign_fsiw(*models, design, s.y, config.clip_floor)
         for design, s in zip(designs, (train, val))
     ]
-    model = train_weighted_logistic(
+    if dump_path is not None:
+        try:
+            dump_weights(weighted, dump_path)
+        except OSError as exc:
+            raise PipelineError(f"split {k}: could not write {dump_path}: {exc}") from exc
+    return train_weighted_logistic(
         replace(weighted, x=groups), config.l2, config.optimizer, validation=weighted_val
     )
-    return model, weighted
 
 
 def _fit_task(
@@ -653,17 +654,18 @@ def _fit_task(
     tau: int,
     groups: RowGroups,
     designs: tuple[DesignRows, DesignRows | None] | None,
+    dump_path: Path | None = None,
 ) -> _Fitted:
     """Fit ``trainer`` at deadline ``tau`` on the grouping of the split's
     training rows and predict its test rows; lr_fsiw weights its rows from
-    ``designs``."""
+    ``designs`` and, given ``dump_path``, writes the split's weight dump
+    there."""
     train, opt = labeled.train, config.optimizer
     label = f"split {labeled.split.k}, trainer {trainer}"
-    weighted = None
     try:
         if trainer == "lr_fsiw":
             label += f", tau {tau}s"
-            model, weighted = _fit_fsiw(config, labeled, tau, groups, designs, label)
+            model = _fit_fsiw(config, labeled, tau, groups, designs, label, dump_path)
         elif trainer == "naive_lr":
             model = train_naive_logistic(groups, train.y, config.l2, opt)
         else:
@@ -671,7 +673,7 @@ def _fit_task(
         preds = predict_cvr_batch(model, labeled.x_test)
     except (ValueError, TrainingError) as exc:
         raise PipelineError(f"{label}: {exc}") from exc
-    return _Fitted(label, trainer, tau, model, preds, weighted)
+    return _Fitted(label, trainer, tau, model, preds)
 
 
 def _tasks(trainers: Sequence[str], taus: Sequence[int]) -> list[tuple[str, int]]:
@@ -690,27 +692,20 @@ def _share_label(k: int, share: Sequence[tuple[str, int]]) -> str:
     return f"split {k}, trainer lr_fsiw, tau{'s' if len(share) > 1 else ''} {taus}"
 
 
-def _child_share(tasks: Sequence[tuple[str, int]], n_rows: int, dump: bool) -> range | None:
-    """The share of a split's work that its one child takes: None for the
-    weight dump, else the indices of a run of ``tasks`` (``_tasks``), empty
-    for no child. ``n_rows`` counts the split's training rows, and ``dump``
-    says whether lr_fsiw's weights are dumped, one row per training row.
+def _child_share(tasks: Sequence[tuple[str, int]], n_rows: int) -> range:
+    """The indices of the run of a split's ``tasks`` (``_tasks``) that its
+    one child fits, empty for no child; ``n_rows`` counts the split's
+    training rows.
 
-    - The dump, when it has at least ``_FORK_MIN_ROWS`` rows. The child
-      starts once lr_fsiw is fitted and writes it while the parent fits the
-      later tasks, scores the split and saves its models.
-    - Otherwise, from ``_FIT_FORK_MIN_ROWS`` training rows, dfm's task, or
-      else the later ceil(n/2) of n >= 2 lr_fsiw deadlines. The child starts
-      once the grouping (and, for lr_fsiw, the weight designs) is built, so
-      that it inherits them, while the parent fits the other tasks and
-      writes the dump.
+    From ``_FIT_FORK_MIN_ROWS`` training rows the child fits dfm's task, or
+    else the later ceil(n/2) of n >= 2 lr_fsiw deadlines. It starts once the
+    grouping (and, for lr_fsiw, the weight designs) is built, so that it
+    inherits them, while the parent fits the other tasks.
 
     Where the fork would not pay or fails (``_fork``), the share runs in
     process."""
     trainers = [t for t, _ in tasks]
     n = trainers.count("lr_fsiw")
-    if dump and n and n_rows >= _FORK_MIN_ROWS:
-        return None
     if n_rows >= _FIT_FORK_MIN_ROWS and "dfm" in trainers:
         at = trainers.index("dfm")
         return range(at, at + 1)
@@ -757,16 +752,15 @@ def _last_cpu() -> int | None:
 @dataclass(frozen=True)
 class _Child:
     """A forked child running one task: its pid, the read end of the pipe its
-    outcome comes down, and the words of the error raised where it sends
-    none: ``{label} ({name} exited with status N)``."""
+    outcome comes down, and the label of the error raised where it sends
+    none: ``{label} (fit exited with status N)``."""
 
     pid: int
     read_end: int
     label: str
-    name: str
 
 
-def _fork(task: Callable[[], object], label: str, name: str) -> _Child | None:
+def _fork(task: Callable[[], object], label: str) -> _Child | None:
     """Start ``task`` in a forked child and return it; return None, having
     run nothing, where a fork would not pay or fails.
 
@@ -799,7 +793,7 @@ def _fork(task: Callable[[], object], label: str, name: str) -> _Child | None:
         return None
     if pid:
         os.close(write_end)
-        return _Child(pid, read_end, label, name)
+        return _Child(pid, read_end, label)
     code = 1
     try:
         os.close(read_end)
@@ -834,22 +828,13 @@ def _reap(child: _Child, discard: bool = False):
     if discard:
         return None
     if code:
-        raise PipelineError(f"{child.label} ({child.name} exited with status {code})")
+        raise PipelineError(f"{child.label} (fit exited with status {code})")
     result, error, shown = pickle.loads(payload)
     for message, category, filename, lineno in shown:
         warnings.warn_explicit(message, category, filename, lineno)
     if error is not None:
         raise error
     return result
-
-
-def _write_dump(weighted: WeightedDataset, path: Path, k: int) -> None:
-    """Split ``k``'s weight dump, in process or in a child: ``dump_weights``,
-    whose error becomes ``split k: could not write <path>: <cause>``."""
-    try:
-        dump_weights(weighted, path)
-    except OSError as exc:
-        raise PipelineError(f"split {k}: could not write {path}: {exc}") from exc
 
 
 def _run_split(
@@ -860,22 +845,23 @@ def _run_split(
 ) -> list[ReportRow]:
     """Fit a labeled split's ``tasks`` (``_tasks``) and score them, one
     report row each in task order. With ``out_path`` the split's weight dump
-    and model files are written there.
+    (written by the process that fits lr_fsiw) and model files are written
+    there.
 
     Its child (``_child_share``) sends back each task's model and test
-    predictions, or its error, and is reaped before the split is scored (a
-    share of the tasks) or once the models are saved (the dump), and before
-    this raises. When more than one step fails, the error raised is the
-    first in process order (the tasks in order, the dump, the scoring, the
-    model files), except that a forked dump's error gives way to any other."""
+    predictions, or its error, and is reaped before the split is scored and
+    before this raises. When more than one step fails, the error raised is
+    the first in process order: the tasks in order, lr_fsiw's with its dump,
+    then the scoring, then the model files."""
     k, train, val = labeled.split.k, labeled.train, labeled.val
-    share = _child_share(tasks, len(train.y), out_path is not None)
+    share = _child_share(tasks, len(train.y))
     groups = RowGroups(train.x)
     designs = (  # each built on first use
         DesignRows(train.x, train.e),
         DesignRows(val.x, val.e) if val is not None and len(val.y) else None,
     )
-    child, fitted, dump = None, [], None
+    dump_path = None if out_path is None else out_path / f"weights_split{k}.tsv"
+    child, fitted = None, []
     try:
         if share:
             forked = tasks[share.start : share.stop]
@@ -885,29 +871,19 @@ def _run_split(
                         part.design(hyper.edges)
             child = _fork(
                 lambda: [
-                    replace(_fit_task(config, labeled, t, tau, groups, designs), weighted=None)
+                    _fit_task(config, labeled, t, tau, groups, designs, dump_path)
                     for t, tau in forked
                 ],
                 _share_label(k, forked),
-                "fit",
             )
         own = tasks if child is None else [*tasks[: share.start], *tasks[share.stop :]]
         last = max((i for i, (t, _) in enumerate(own) if t == "lr_fsiw"), default=-1)
         for i, (trainer, tau) in enumerate(own):
-            fitted.append(_fit_task(config, labeled, trainer, tau, groups, designs))
+            fitted.append(_fit_task(config, labeled, trainer, tau, groups, designs, dump_path))
             if i == last:
                 designs = None  # freed before any later dfm fits
-            if out_path is not None and fitted[-1].weighted is not None:
-                path = out_path / f"weights_split{k}.tsv"
-                dump = partial(_write_dump, fitted[-1].weighted, path, k)
-                if share is None:
-                    child = _fork(dump, f"split {k}: could not write {path}", "weight writer")
-                    if child is not None:
-                        dump = None
         groups = designs = None  # freed before the split is scored
-        if dump is not None:
-            dump()  # while a child fits its share, if one does
-        if child is not None and share:
+        if child is not None:
             reaped, child = child, None
             fitted[share.start : share.start] = _reap(reaped)
         rows = _score_split(config, labeled, fitted)
@@ -916,13 +892,10 @@ def _run_split(
                 save_model(f.model, out_path / f"model_split{k}_{f.trainer}.json")
     except BaseException as exc:
         if child is not None:
-            # a share's outcome wins where its tasks come before the failed
-            # step; the dump's is discarded
-            first = isinstance(exc, Exception) and share and share.start <= len(fitted)
+            # the child's outcome wins where its tasks come before the failed one
+            first = isinstance(exc, Exception) and share.start <= len(fitted)
             _reap(child, discard=not first)
         raise
-    if child is not None:  # the dump's
-        _reap(child)
     return rows
 
 

@@ -65,6 +65,8 @@ CDF_GRID = (
     2592000,
 )
 PDF_BIN_WIDTH = 3600
+# the most PDF bins delay_stats allocates: 2^20 hours, about 120 years
+PDF_MAX_BINS = 1 << 20
 
 
 def _as_arrays(labels: Sequence[int], preds: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -249,15 +251,23 @@ def delay_stats(click_ts: np.ndarray, conv_ts: np.ndarray) -> dict:
     ``cdf`` is P(delay <= t) at each point t of ``cdf_grid`` (``CDF_GRID``);
     ``pdf`` is a normalized histogram with ``pdf_bin_width``-second bins
     (``PDF_BIN_WIDTH``) covering the observed range; ``quantiles`` maps p10,
-    p25, p50, p75 and p90 to seconds.
+    p25, p50, p75 and p90 to seconds. A delay that would need more than
+    ``PDF_MAX_BINS`` bins is a ValueError that names it.
     """
     from .data import NO_CONVERSION  # here, so that fsiw eval loads no scipy
 
     converted = conv_ts != NO_CONVERSION
-    delays = (conv_ts[converted] - click_ts[converted]).astype(float)
-    if delays.size == 0:
+    raw = conv_ts[converted] - click_ts[converted]
+    if raw.size == 0:
         raise ValueError("no converted records; delay distribution undefined")
-    n_bins = int(delays.max() // PDF_BIN_WIDTH) + 1
+    longest = int(raw.max())
+    n_bins = longest // PDF_BIN_WIDTH + 1
+    if n_bins > PDF_MAX_BINS:
+        raise ValueError(
+            f"longest delay {longest}s needs {n_bins} pdf bins of {PDF_BIN_WIDTH}s, "
+            f"more than {PDF_MAX_BINS}"
+        )
+    delays = raw.astype(float)
     hist, _ = np.histogram(delays, bins=n_bins, range=(0, n_bins * PDF_BIN_WIDTH))
     return {
         "n_conversions": int(delays.size),

@@ -263,10 +263,9 @@ def assign_fsiw(
 
 
 def dump_weights(dataset: WeightedDataset, path: str | Path) -> None:
-    """Audit dump: one row per sample (index, y, e, weight).
-
-    It calls no BLAS and starts no thread, so ``fsiw run`` can call it in a
-    forked child (``experiment._fork``)."""
+    """Audit dump: one row per sample (index, y, e, weight). ``fsiw run``
+    writes it in the process that fits lr_fsiw, right after that fit weights
+    its rows (``experiment._fit_fsiw``)."""
     rows = zip(
         np.asarray(dataset.y).tolist(),
         np.asarray(dataset.e).tolist(),

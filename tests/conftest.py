@@ -48,7 +48,7 @@ def no_thread_outlives_its_test():
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_its_test():
     """Fail a test that ends with a child process alive or unreaped, such as
-    a weight writer that was never waited for."""
+    a forked fit that was never waited for."""
     yield
     unreaped = []  # reaped here, so that a later test is not blamed for them
     while True:

@@ -18,7 +18,7 @@ import yaml
 from fsiw.cli import main
 from fsiw.metrics import evaluate_predictions
 
-from test_experiment import _base_dict, _fork_every, _golden_configs, needs_two_cpus
+from test_experiment import _base_dict, _fork_every_fit, _golden_configs, needs_two_cpus
 
 DAY = 86400
 
@@ -135,19 +135,31 @@ def test_bad_hashing_config_exits_two(tmp_path, capsys, config_path, override, m
     assert not (tmp_path / "out").exists()
 
 
-def test_eval_matches_library_metrics(tmp_path) -> None:
+def _eval(capsys, *argv: str) -> tuple[int, str, str]:
+    """``fsiw eval`` with ``argv``, in process: its exit code, stdout and
+    stderr."""
+    code = main(["eval", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _eval_in_process(capsys, path, *flags: str) -> tuple[int, str, str]:
+    return _eval(capsys, "--preds", str(path), "--bootstrap-b", "100", *flags)
+
+
+def test_eval_matches_library_metrics(tmp_path, capsys) -> None:
     labels = [1, 0, 0, 1, 0, 0, 0, 1, 0, 0]
     preds = [0.8, 0.2, 0.3, 0.6, 0.1, 0.15, 0.4, 0.5, 0.05, 0.25]
     path = tmp_path / "preds.tsv"
     rows = ["label\tprediction"] + [f"{y}\t{p}" for y, p in zip(labels, preds)]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    proc = _fsiw(
-        "eval", "--preds", str(path),
-        "--train-mean-cvr", "0.3", "--bootstrap-b", "150", "--seed", "5",
+    code, out, err = _eval(
+        capsys, "--preds", str(path), "--train-mean-cvr", "0.3", "--bootstrap-b", "150",
+        "--seed", "5",
     )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    assert code == 0, err
+    got = json.loads(out)
     want = evaluate_predictions(labels, preds, 0.3, bootstrap_b=150, seed=5).to_flat_dict()
     assert got == want
 
@@ -161,13 +173,13 @@ def test_eval_matches_library_metrics(tmp_path) -> None:
         ("1\tabc", "could not convert string to float"),
     ],
 )
-def test_eval_names_file_and_line_of_a_bad_row(tmp_path, row, message) -> None:
+def test_eval_names_file_and_line_of_a_bad_row(tmp_path, capsys, row, message) -> None:
     path = tmp_path / "preds.tsv"
     path.write_text("label\tprediction\n0\t0.2\n\n1\t0.8\n" + row + "\n0\t0.1\n", encoding="utf-8")
-    proc = _fsiw("eval", "--preds", str(path), "--bootstrap-b", "100")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: {path}:5: ")
-    assert message in proc.stderr
+    code, _, err = _eval_in_process(capsys, path)
+    assert code == 2
+    assert err.startswith(f"error: {path}:5: ")
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -181,32 +193,26 @@ def test_eval_names_file_and_line_of_a_bad_row(tmp_path, row, message) -> None:
     ],
 )
 def test_eval_reads_line_one_as_a_header_only_when_its_label_is_not_a_number(
-    tmp_path, first, n_test
+    tmp_path, capsys, first, n_test
 ) -> None:
     path = tmp_path / "preds.tsv"
     path.write_text(first + "\n0\t0.2\n1\t0.7\n", encoding="utf-8")
-    proc = _fsiw("eval", "--preds", str(path), "--bootstrap-b", "100")
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["n_test"] == n_test
+    code, out, err = _eval_in_process(capsys, path)
+    assert code == 0, err
+    assert json.loads(out)["n_test"] == n_test
 
 
 @pytest.mark.parametrize("label", [0, 1])
-def test_eval_without_a_base_rate_names_the_mean_label(tmp_path, label) -> None:
+def test_eval_without_a_base_rate_names_the_mean_label(tmp_path, capsys, label) -> None:
     path = tmp_path / "preds.tsv"
     path.write_text(f"{label}\t0.2\n{label}\t0.7\n", encoding="utf-8")
-    proc = _fsiw("eval", "--preds", str(path), "--bootstrap-b", "100")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(
+    code, _, err = _eval_in_process(capsys, path)
+    assert code == 2
+    assert err.startswith(
         f"error: {path}: the mean test label is {label}, not a baseline rate in (0, 1), "
         "so --train-mean-cvr must be given"
     )
-    assert "train_mean_cvr must be in" not in proc.stderr
-
-
-def _eval_in_process(capsys, path, *flags: str) -> tuple[int, str, str]:
-    code = main(["eval", "--preds", str(path), "--bootstrap-b", "100", *flags])
-    out, err = capsys.readouterr()
-    return code, out, err
+    assert "train_mean_cvr must be in" not in err
 
 
 @pytest.mark.parametrize(
@@ -282,20 +288,20 @@ def test_eval_rejects_a_file_without_rows(tmp_path, capsys, text) -> None:
     assert (code, out, err) == (2, "", f"error: {path}: no prediction rows\n")
 
 
-def test_eval_with_a_base_rate_scores_a_file_of_positives(tmp_path) -> None:
+def test_eval_with_a_base_rate_scores_a_file_of_positives(tmp_path, capsys) -> None:
     path = tmp_path / "preds.tsv"
     path.write_text("1\t0.2\n1\t0.7\n", encoding="utf-8")
-    proc = _fsiw("eval", "--preds", str(path), "--train-mean-cvr", "0.3", "--bootstrap-b", "100")
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["pr_auc"] == 1.0
+    code, out, err = _eval_in_process(capsys, path, "--train-mean-cvr", "0.3")
+    assert code == 0, err
+    assert json.loads(out)["pr_auc"] == 1.0
 
 
-def test_eval_with_a_base_rate_names_the_file_without_positives(tmp_path) -> None:
+def test_eval_with_a_base_rate_names_the_file_without_positives(tmp_path, capsys) -> None:
     path = tmp_path / "preds.tsv"
     path.write_text("0\t0.2\n0\t0.7\n", encoding="utf-8")
-    proc = _fsiw("eval", "--preds", str(path), "--train-mean-cvr", "0.3", "--bootstrap-b", "100")
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: {path}: average precision needs at least one positive label\n"
+    code, _, err = _eval_in_process(capsys, path, "--train-mean-cvr", "0.3")
+    assert code == 2
+    assert err == f"error: {path}: average precision needs at least one positive label\n"
 
 
 @pytest.mark.parametrize(
@@ -310,11 +316,13 @@ def test_eval_with_a_base_rate_names_the_file_without_positives(tmp_path) -> Non
         (("--seed", "-1"), "--seed must be non-negative, got -1"),
     ],
 )
-def test_eval_rejects_bad_flags_before_reading_the_file(tmp_path, flags, message) -> None:
+def test_eval_rejects_bad_flags_before_reading_the_file(
+    tmp_path, capsys, flags, message
+) -> None:
     # the file does not exist: a flag error proves the file was never opened
-    proc = _fsiw("eval", "--preds", str(tmp_path / "nope.tsv"), *flags)
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: {message}\n"
+    code, _, err = _eval(capsys, "--preds", str(tmp_path / "nope.tsv"), *flags)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_run_warns_on_stderr_for_each_unconverged_cvr_fit(tmp_path, config_path) -> None:
@@ -402,13 +410,13 @@ def test_a_weight_model_that_runs_out_of_iterations_is_one_warning_line(
     )
 
 
-# `fsiw run` (or `fsiw sweep`) with every split's weight dump (FORK=dump),
-# dfm fit (FORK=dfm) or later deadlines (FORK=sweep) forked, whatever its
-# size; the arguments after the verb are the CLI's. FAIL lists the functions
-# that fail (dump_weights, train_dfm, train_naive_logistic,
-# build_artificial_datasets), each raising, or, with ":kill", killing its
-# process without a word; with "@N", only where the call's second argument
-# (build_artificial_datasets' deadline) is N
+# `fsiw run` (or `fsiw sweep`) with every split's dfm fit (FORK=dfm) or later
+# deadlines (FORK=sweep) forked, whatever its size; the arguments after the
+# verb are the CLI's. A row floor that fsiw.experiment lacks stops the script,
+# rather than leaving the run in process. FAIL lists the functions that fail
+# (train_dfm, train_naive_logistic, build_artificial_datasets), each raising,
+# or, with ":kill", killing its process without a word; with "@N", only where
+# the call's second argument (build_artificial_datasets' deadline) is N
 _FORKED_RUN = """
 import os
 import signal
@@ -419,7 +427,6 @@ from fsiw.cli import main
 from fsiw.training import TrainingError
 
 ERRORS = {
-    "dump_weights": OSError("no space left on device"),
     "train_dfm": TrainingError("dfm cannot be fitted"),
     "train_naive_logistic": TrainingError("naive_lr cannot be fitted"),
     "build_artificial_datasets": ValueError("no rows at this deadline"),
@@ -436,8 +443,10 @@ def failing(real, error, kill, at):
 
 fork = os.environ["FORK"]
 if fork:
-    floor = {"dump": "_FORK_MIN_ROWS", "dfm": "_FIT_FORK_MIN_ROWS", "sweep": "_FIT_FORK_MIN_ROWS"}
-    setattr(fsiw.experiment, floor[fork], 0)
+    floor = {"dfm": "_FIT_FORK_MIN_ROWS", "sweep": "_FIT_FORK_MIN_ROWS"}[fork]
+    if not hasattr(fsiw.experiment, floor):
+        sys.exit(f"fsiw.experiment has no row floor {floor}")
+    setattr(fsiw.experiment, floor, 0)
 for name in filter(None, os.environ["FAIL"].split(",")):
     name, _, at = name.partition("@")
     name, _, how = name.partition(":")
@@ -448,7 +457,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 def _forked_run(
-    *argv: str, verb: str = "run", fork: str = "dump", fail: str = "", env: dict | None = None
+    *argv: str, verb: str = "run", fork: str = "", fail: str = "", env: dict | None = None
 ) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", _FORKED_RUN, verb, *argv],
@@ -482,13 +491,6 @@ def _check_forked_run_prints_as_in_process(
 
 
 @needs_two_cpus
-def test_a_forked_weight_dump_prints_the_run_once_and_writes_its_bytes(
-    tmp_path, config_path
-) -> None:
-    assert _check_forked_run_prints_as_in_process(tmp_path, config_path, "dump") == ""
-
-
-@needs_two_cpus
 def test_a_forked_dfm_prints_the_run_once_with_its_warning_lines(tmp_path, config_path) -> None:
     # every CVR fit stops unconverged, and the pos weight model too: four
     # warning lines, dfm's among them
@@ -499,46 +501,18 @@ def test_a_forked_dfm_prints_the_run_once_with_its_warning_lines(tmp_path, confi
     assert stderr.splitlines()[-1].startswith("warning: split 0 dfm: CVR fit did not converge")
 
 
-@needs_two_cpus
-def test_a_weight_writer_that_fails_is_one_error_line_naming_its_file(
-    tmp_path, config_path
-) -> None:
-    out = tmp_path / "out"
-    proc = _forked_run("-c", str(config_path), "-o", str(out), fail="dump_weights")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    # no traceback, and no line from the child: it sends its cause to the parent
-    assert proc.stderr == (
-        f"error: split 0: could not write {out / 'weights_split0.tsv'}: "
-        "no space left on device\n"
-    )
-    assert not (out / "reports.csv").exists()
-
-
-@needs_two_cpus
-def test_a_weight_writer_killed_by_a_signal_is_named_by_its_status(
-    tmp_path, config_path
-) -> None:
-    out = tmp_path / "out"
-    proc = _forked_run("-c", str(config_path), "-o", str(out), fail="dump_weights:kill")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        f"error: split 0: could not write {out / 'weights_split0.tsv'} "
-        "(weight writer exited with status -9)\n"
-    )
-
-
 @pytest.mark.parametrize(
     "forked", [False, pytest.param(True, marks=needs_two_cpus)], ids=["in process", "forked"]
 )
 def test_a_weight_dump_that_cannot_be_written_names_its_cause(
     tmp_path, config_path, forked
 ) -> None:
-    # a directory where the dump goes: the same OSError in the child as in
-    # process, and the same error line
+    # a directory where the dump goes: the same error line whether or not
+    # dfm's child is fitting while the parent writes the dump
     out = tmp_path / "out"
     (out / "weights_split0.tsv").mkdir(parents=True)
-    argv = ("-c", str(config_path), "-o", str(out))
-    proc = _forked_run(*argv) if forked else _fsiw("run", *argv)
+    argv = ("-c", str(config_path), "-o", str(out), "--set", "trainers=[naive_lr,lr_fsiw,dfm]")
+    proc = _forked_run(*argv, fork="dfm") if forked else _fsiw("run", *argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     path = out / "weights_split0.tsv"
     cause = f"[Errno 21] Is a directory: '{path}'"
@@ -712,7 +686,7 @@ def test_a_metric_error_in_a_forked_sweep_names_its_deadline(
         return replace(fitted, preds=np.full_like(fitted.preds, np.nan))
 
     monkeypatch.setattr(fsiw.experiment, "_fit_task", nan_at_the_second_tau)
-    forks = _fork_every(monkeypatch, "_FIT_FORK_MIN_ROWS")
+    forks = _fork_every_fit(monkeypatch)
     out = tmp_path / "out"
     assert main(["sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,2d"]) == 2
     assert len(forks) == 1  # the child fits 2d
@@ -763,10 +737,10 @@ def test_eval_stdout_bytes_are_pinned_on_many_bootstrap_blocks(
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
-def test_eval_requires_existing_file(tmp_path) -> None:
-    proc = _fsiw("eval", "--preds", str(tmp_path / "nope.tsv"))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
+def test_eval_requires_existing_file(tmp_path, capsys) -> None:
+    code, _, err = _eval(capsys, "--preds", str(tmp_path / "nope.tsv"))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_sweep_emits_one_block_per_deadline(tmp_path, config_path) -> None:
@@ -960,6 +934,59 @@ def test_a_row_that_does_not_parse_is_named_with_its_file(tmp_path, capsys, verb
     assert captured.out == ""
     assert captured.err == f"error: {bad}: bad click timestamp 'x' (line 2, column 1)\n"
     assert not out.exists()
+
+
+def test_stats_on_a_delay_too_long_for_its_pdf_exits_two_naming_it(tmp_path, capsys) -> None:
+    # read_tsv accepts the row; its hourly PDF would need 17.8 PiB
+    data, config = tmp_path / "long.tsv", tmp_path / "config.yaml"
+    data.write_text("0\t9000000000000000000\ta\t1.0\n", encoding="utf-8")
+    config.write_text(yaml.safe_dump(_golden_configs()["tsv"]), encoding="utf-8")
+    assert main(["stats", "-c", str(config), "--data", str(data)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: longest delay 9000000000000000000s needs 2500000000000001 pdf bins of "
+        "3600s, more than 1048576\n",
+    )
+
+
+_BLAS_PROBE = """
+import contextlib, io, os, sys
+from fsiw.cli import main
+with contextlib.redirect_stderr(io.StringIO()):
+    main(["eval", "--preds", sys.argv[1]])
+print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize(
+    ("user", "expected"),
+    [({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3 1")],
+    ids=["unset", "set_by_the_user"],
+)
+def test_the_cli_gives_blas_one_thread_unless_the_user_set_it(tmp_path, user, expected) -> None:
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, str(tmp_path / "missing.tsv")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**env, **user},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
+
+
+def test_main_in_a_process_that_loaded_numpy_leaves_the_environment_alone(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    # numpy has read its BLAS setting already; setting one now would only
+    # reach child processes
+    assert "numpy" in sys.modules
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert _eval(capsys, "--preds", str(tmp_path / "missing.tsv"))[0] == 2
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("item", ["=1", "split..x=1"])

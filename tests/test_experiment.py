@@ -12,7 +12,7 @@ import re
 import threading
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -883,14 +883,13 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
-def _fork_every(monkeypatch, floor: str) -> list[int]:
-    """Set the row floor named ``floor`` to 0, so that every split forks its
-    weight dump (``_FORK_MIN_ROWS``) or a share of its fits
-    (``_FIT_FORK_MIN_ROWS``: a run's dfm, a sweep's later deadlines);
-    returns the list that every forked child's pid is appended to."""
+def _fork_every_fit(monkeypatch) -> list[int]:
+    """Set ``_FIT_FORK_MIN_ROWS`` to 0, so that every split forks a share of
+    its fits (a run's dfm, a sweep's later deadlines); returns the list that
+    every forked child's pid is appended to."""
     import fsiw.experiment
 
-    monkeypatch.setattr(fsiw.experiment, floor, 0)
+    monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", 0)
     fork, pids = os.fork, []
 
     def recording_fork():
@@ -903,24 +902,11 @@ def _fork_every(monkeypatch, floor: str) -> list[int]:
     return pids
 
 
-def _fork_every_dump(monkeypatch) -> list[int]:
-    return _fork_every(monkeypatch, "_FORK_MIN_ROWS")
-
-
-def _fork_every_fit(monkeypatch) -> list[int]:
-    return _fork_every(monkeypatch, "_FIT_FORK_MIN_ROWS")
-
-
 def _check_criterion_10_pins(tmp_path, forks: list[int]) -> None:
     config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
     run_pipeline(replace(config, output_dir=str(tmp_path)))
     assert len(forks) == 1
     assert _output_hashes(tmp_path) == _CRITERION_10_OUTPUT_HASHES
-
-
-@needs_two_cpus
-def test_criterion_10_pins_hold_when_the_weight_dump_is_forked(tmp_path, monkeypatch) -> None:
-    _check_criterion_10_pins(tmp_path, _fork_every_dump(monkeypatch))
 
 
 @needs_two_cpus
@@ -946,13 +932,6 @@ def _check_outputs_as_in_process(tmp_path, monkeypatch, fork, trainers: list[str
     assert {"weights_split0.tsv", "weights_split1.tsv", "model_split1_dfm.json"} <= set(in_process)
     # the rows a library caller gets, the fits' meta included
     assert rows == expected
-
-
-@needs_two_cpus
-def test_a_forked_weight_dump_leaves_every_output_byte_as_in_process(
-    tmp_path, monkeypatch
-) -> None:
-    _check_outputs_as_in_process(tmp_path, monkeypatch, _fork_every_dump, list(TRAINERS))
 
 
 @needs_two_cpus
@@ -993,13 +972,6 @@ def _check_one_child_at_a_time(tmp_path, monkeypatch, forks: list[int], verb="ru
 
 
 @needs_two_cpus
-def test_one_weight_writer_at_a_time_each_reaped_before_the_reports(
-    tmp_path, monkeypatch
-) -> None:
-    _check_one_child_at_a_time(tmp_path, monkeypatch, _fork_every_dump(monkeypatch))
-
-
-@needs_two_cpus
 def test_one_dfm_child_at_a_time_each_reaped_before_the_reports(tmp_path, monkeypatch) -> None:
     _check_one_child_at_a_time(tmp_path, monkeypatch, _fork_every_fit(monkeypatch))
 
@@ -1017,28 +989,6 @@ def _failing_dfm(*args, **kwargs):
 
 def _failing_naive(*args, **kwargs):
     raise TrainingError("naive_lr cannot be fitted")
-
-
-@needs_two_cpus
-def test_a_later_task_error_is_reported_and_its_weight_writer_reaped(
-    tmp_path, monkeypatch
-) -> None:
-    import fsiw.experiment
-
-    forks = _fork_every_dump(monkeypatch)
-
-    def failing_dump(weighted, path):
-        raise OSError("no space left on device")
-
-    # the child's write fails too, but the split's own error wins
-    monkeypatch.setattr(fsiw.experiment, "dump_weights", failing_dump)
-    monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
-    config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
-    with pytest.raises(PipelineError, match="^split 0, trainer dfm: dfm cannot be fitted$"):
-        run_pipeline(replace(config, output_dir=str(tmp_path)))
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):  # already reaped
-        os.waitpid(forks[0], os.WNOHANG)
 
 
 @needs_two_cpus
@@ -1069,68 +1019,31 @@ def test_a_forked_dfm_raises_its_warnings_again_in_the_parent_in_order(monkeypat
     ]
 
 
-def _check_row_floor(tmp_path, monkeypatch, floor: str) -> None:
-    """A run whose split has one row fewer than ``floor`` does not fork; a
-    run at the floor does."""
+@needs_two_cpus
+def test_a_dfm_fit_under_the_row_floor_runs_in_process(tmp_path, monkeypatch) -> None:
     import fsiw.experiment
 
-    forks = _fork_every(monkeypatch, floor)
+    forks = _fork_every_fit(monkeypatch)
     config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
     run_pipeline(replace(config, output_dir=str(tmp_path / "a")))
     n_rows = len((tmp_path / "a" / "weights_split0.tsv").read_bytes().splitlines()) - 1
     forked = []
     for rows, out in ((n_rows + 1, "b"), (n_rows, "c")):
-        monkeypatch.setattr(fsiw.experiment, floor, rows)
+        monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", rows)
         run_pipeline(replace(config, output_dir=str(tmp_path / out)))
         forked.append(len(forks))
     assert forked == [1, 2]  # the run at the floor forks, the run under it does not
-
-
-@needs_two_cpus
-def test_a_weight_dump_under_the_row_floor_is_written_in_process(tmp_path, monkeypatch) -> None:
-    _check_row_floor(tmp_path, monkeypatch, "_FORK_MIN_ROWS")
-
-
-@needs_two_cpus
-def test_a_dfm_fit_under_the_row_floor_runs_in_process(tmp_path, monkeypatch) -> None:
-    _check_row_floor(tmp_path, monkeypatch, "_FIT_FORK_MIN_ROWS")
-
-
-@needs_two_cpus
-@pytest.mark.parametrize(
-    ("trainers", "dfm_forked"),
-    [(list(TRAINERS), False), (["naive_lr", "dfm"], True)],
-    ids=["with_a_dump", "without_a_dump"],
-)
-def test_a_split_whose_dump_forks_fits_dfm_in_process(
-    tmp_path, monkeypatch, trainers, dfm_forked
-) -> None:
-    import fsiw.experiment
-
-    # both floors at 0: a dump takes the split's one child where there is one
-    dfm_pids, train_dfm = [], fsiw.experiment.train_dfm
-
-    def recording_dfm(*args, **kwargs):
-        dfm_pids.append(os.getpid())
-        return train_dfm(*args, **kwargs)
-
-    monkeypatch.setattr(fsiw.experiment, "train_dfm", recording_dfm)
-    monkeypatch.setattr(fsiw.experiment, "_FIT_FORK_MIN_ROWS", 0)
-    forks = _fork_every_dump(monkeypatch)
-    config = config_from_dict(_base_dict(trainers=trainers))
-    run_pipeline(replace(config, output_dir=str(tmp_path)))
-    assert len(forks) == 1
-    # a list appended to in a child stays empty in the parent
-    assert dfm_pids == ([] if dfm_forked else [os.getpid()])
 
 
 def _no_process_to_spare():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
-def _check_no_fork_that_pays(tmp_path, monkeypatch, forks: list[int], why: str) -> None:
-    """With one usable CPU, another thread alive or no process to spare, a
-    run forks nothing and writes the criterion-10 bytes."""
+@pytest.mark.parametrize("why", ["one_cpu", "another_thread", "fork_fails"])
+def test_a_dfm_fit_runs_in_process_without_a_fork_that_pays(tmp_path, monkeypatch, why) -> None:
+    # with one usable CPU, another thread alive or no process to spare, a run
+    # forks nothing and writes the criterion-10 bytes
+    forks = _fork_every_fit(monkeypatch)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     if why == "one_cpu":
@@ -1149,21 +1062,6 @@ def _check_no_fork_that_pays(tmp_path, monkeypatch, forks: list[int], why: str) 
     assert not thread.is_alive()
     assert forks == []
     assert _output_hashes(tmp_path) == _CRITERION_10_OUTPUT_HASHES
-
-
-_NO_FORK_THAT_PAYS = pytest.mark.parametrize("why", ["one_cpu", "another_thread", "fork_fails"])
-
-
-@_NO_FORK_THAT_PAYS
-def test_a_weight_dump_is_written_in_process_without_a_fork_that_pays(
-    tmp_path, monkeypatch, why
-) -> None:
-    _check_no_fork_that_pays(tmp_path, monkeypatch, _fork_every_dump(monkeypatch), why)
-
-
-@_NO_FORK_THAT_PAYS
-def test_a_dfm_fit_runs_in_process_without_a_fork_that_pays(tmp_path, monkeypatch, why) -> None:
-    _check_no_fork_that_pays(tmp_path, monkeypatch, _fork_every_fit(monkeypatch), why)
 
 
 def _open_descriptors() -> int:
@@ -1187,36 +1085,17 @@ def _run_counting_descriptors(tmp_path, trainers, pipeline=run_pipeline, tau="2d
 
 @needs_two_cpus
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("outcome", ["written", "dump_fails", "split_fails", "fork_fails"])
-def test_a_weight_writer_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) -> None:
-    import fsiw.experiment
-
-    forks = _fork_every_dump(monkeypatch)
-    if outcome == "dump_fails":  # a directory where the dump goes
-        (tmp_path / "weights_split0.tsv").mkdir()
-    elif outcome == "split_fails":
-        monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
-    elif outcome == "fork_fails":
-        monkeypatch.setattr(os, "fork", _no_process_to_spare)
-    error = _run_counting_descriptors(tmp_path, list(TRAINERS))
-    assert len(forks) == (0 if outcome == "fork_fails" else 1)
-    path = tmp_path / "weights_split0.tsv"
-    assert error == {
-        "written": None,
-        "dump_fails": f"split 0: could not write {path}: [Errno 21] Is a directory: '{path}'",
-        "split_fails": "split 0, trainer dfm: dfm cannot be fitted",
-        "fork_fails": None,
-    }[outcome]
-
-
-@needs_two_cpus
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("outcome", ["fitted", "dfm_fails", "earlier_task_fails", "fork_fails"])
+@pytest.mark.parametrize(
+    "outcome", ["fitted", "dfm_fails", "earlier_task_fails", "dump_fails", "fork_fails"]
+)
 def test_a_forked_dfm_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) -> None:
     import fsiw.experiment
 
     forks = _fork_every_fit(monkeypatch)
-    if outcome == "dfm_fails":
+    path = tmp_path / "weights_split0.tsv"
+    if outcome == "dump_fails":  # a directory where the parent writes the dump
+        path.mkdir()
+    elif outcome == "dfm_fails":
         monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
     elif outcome == "earlier_task_fails":
         monkeypatch.setattr(fsiw.experiment, "train_naive_logistic", _failing_naive)
@@ -1228,6 +1107,7 @@ def test_a_forked_dfm_leaves_no_descriptor_open(tmp_path, monkeypatch, outcome) 
         "fitted": None,
         "dfm_fails": "split 0, trainer dfm: dfm cannot be fitted",
         "earlier_task_fails": "split 0, trainer naive_lr: naive_lr cannot be fitted",
+        "dump_fails": f"split 0: could not write {path}: [Errno 21] Is a directory: '{path}'",
         "fork_fails": None,
     }[outcome]
     for pid in forks:
@@ -1247,7 +1127,7 @@ def test_a_failing_dump_or_scoring_gives_way_to_a_forked_dfms_error(
 ) -> None:
     import fsiw.experiment
 
-    # dfm forked, the dump (under its row floor) written in process
+    # dfm forked, the dump written in process with lr_fsiw
     forks = _fork_every_fit(monkeypatch)
     path = tmp_path / "weights_split0.tsv"
     if step == "dump":  # a directory where the dump goes
@@ -1256,9 +1136,10 @@ def test_a_failing_dump_or_scoring_gives_way_to_a_forked_dfms_error(
     else:
         monkeypatch.setattr(fsiw.experiment, "evaluate_columns", _failing_evaluate)
         error = "split 0, trainer naive_lr: sample 0: cannot be scored"
-    if dfm_fails:  # dfm's task comes before the dump and the scoring
+    if dfm_fails:  # dfm's task comes after lr_fsiw's dump and before the scoring
         monkeypatch.setattr(fsiw.experiment, "train_dfm", _failing_dfm)
-        error = "split 0, trainer dfm: dfm cannot be fitted"
+        if step == "scoring":
+            error = "split 0, trainer dfm: dfm cannot be fitted"
     config = config_from_dict(_base_dict(trainers=list(TRAINERS)))
     with pytest.raises(PipelineError) as caught:
         run_pipeline(replace(config, output_dir=str(tmp_path)))
@@ -1439,29 +1320,16 @@ def test_a_forked_sweep_share_sends_back_its_models_and_predictions_alone(
     forks = _fork_every_fit(monkeypatch)
     deadline_sweep(_sweep_config(tmp_path), write_outputs=False)
     assert len(forks) == 2
-    # per split, the child fits 2d and 3d; no sweep reads the weighted rows
-    assert [[(f.tau, f.weighted) for f in share] for share in shares] == [
-        [(2 * DAY, None), (3 * DAY, None)]
-    ] * 2
+    # per split, the child fits 2d and 3d and sends back no weighted rows
+    assert [[f.tau for f in share] for share in shares] == [[2 * DAY, 3 * DAY]] * 2
     assert all(len(f.preds) and f.model.meta for share in shares for f in share)
+    assert [f.name for f in fields(shares[0][0])] == ["label", "trainer", "tau", "model", "preds"]
 
 
-def _share(trainers, n_rows: int, n_taus: int = 1, dump: bool = False) -> range | None:
+def _share(trainers, n_rows: int, n_taus: int = 1) -> range:
     from fsiw.experiment import _child_share, _tasks
 
-    return _child_share(_tasks(trainers, [DAY * (i + 1) for i in range(n_taus)]), n_rows, dump)
-
-
-def test_a_weight_dump_goes_to_the_child_from_its_row_floor_up() -> None:
-    from fsiw.experiment import _FORK_MIN_ROWS
-
-    assert _FORK_MIN_ROWS == 10_000
-    assert _share(TRAINERS, 9_999, dump=True) == range(2, 3)  # dfm instead
-    assert _share(TRAINERS, 10_000, dump=True) is None
-    assert _share(["naive_lr", "lr_fsiw"], 10_000, dump=True) is None
-    # without lr_fsiw there is no dump, and without write_outputs none is written
-    assert _share(["naive_lr", "dfm"], 10_000, dump=True) == range(1, 2)
-    assert _share(TRAINERS, 10_000, dump=False) == range(2, 3)
+    return _child_share(_tasks(trainers, [DAY * (i + 1) for i in range(n_taus)]), n_rows)
 
 
 def test_a_split_forks_a_share_of_its_fits_from_its_row_floor_up() -> None:
@@ -1471,7 +1339,6 @@ def test_a_split_forks_a_share_of_its_fits_from_its_row_floor_up() -> None:
     for trainers, n_taus, share in ((TRAINERS, 1, range(2, 3)), (["lr_fsiw"], 3, range(1, 3))):
         assert _share(trainers, 2_999, n_taus) == range(0)
         assert _share(trainers, 3_000, n_taus) == share
-        assert _share(trainers, 2_999, n_taus, dump=True) == range(0)
 
 
 @pytest.mark.parametrize(
@@ -1500,13 +1367,13 @@ def test_a_childs_outcome_larger_than_a_pipe_holds_comes_back_whole() -> None:
     from fsiw.experiment import _fork, _reap
 
     big = np.arange(200_000, dtype=np.float64)  # 1.6 MB, far past a 64 KB pipe buffer
-    assert np.array_equal(_reap(_fork(lambda: big, "label", "task")), big)
+    assert np.array_equal(_reap(_fork(lambda: big, "label")), big)
 
     def failing():
         raise PipelineError("split 3, trainer dfm: " + "x" * 100_000)
 
     with pytest.raises(PipelineError, match=r"^split 3, trainer dfm: x{100000}$"):
-        _reap(_fork(failing, "label", "task"))
+        _reap(_fork(failing, "label"))
 
 
 # --- TSV sources and label finality ---------------------------------------------

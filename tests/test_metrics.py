@@ -5,6 +5,7 @@ summary."""
 from __future__ import annotations
 
 import math
+import re
 import threading
 import tracemalloc
 
@@ -17,6 +18,8 @@ import fsiw.metrics
 from fsiw.data import NO_CONVERSION
 from fsiw.metrics import (
     CDF_GRID,
+    PDF_BIN_WIDTH,
+    PDF_MAX_BINS,
     EvalReport,
     MetricInputError,
     _log_terms,
@@ -208,6 +211,20 @@ def test_delay_stats_matches_exponential_closed_form() -> None:
     assert stats["quantiles"]["p50"] == pytest.approx(DAY * math.log(2), rel=0.02)
     # PDF sums to 1 over its bins
     assert sum(stats["pdf"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_delay_stats_rejects_a_delay_past_its_last_pdf_bin() -> None:
+    last = PDF_MAX_BINS * PDF_BIN_WIDTH - 1  # the last second of the last bin
+    assert len(delay_stats(*_clicks([0, last]))["pdf"]) == PDF_MAX_BINS
+    message = (
+        f"longest delay {last + 1}s needs {PDF_MAX_BINS + 1} pdf bins of {PDF_BIN_WIDTH}s, "
+        f"more than {PDF_MAX_BINS}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        delay_stats(*_clicks([0, last + 1]))
+    # a delay near the int64 limit: 17.8 PiB of bins, never allocated
+    with pytest.raises(ValueError, match="^longest delay 9000000000000000000s needs "):
+        delay_stats(*_clicks([9_000_000_000_000_000_000], ts=0))
 
 
 def test_delay_stats_default_grid_is_monotone() -> None:
