@@ -351,10 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # one BLAS thread unless the user set a count: on 2 CPUs a second thread
-    # takes a 20k-element dot product from 5 us to 0.46 ms, and to 8 ms in a
-    # split's child pinned to one CPU (experiment._fork). numpy reads the
-    # count as it loads, so a caller that loaded it keeps its own
+    # one BLAS thread unless the user set a count. No fit needs the cap
+    # (optim.dot keeps each product on one thread), but numpy loads in half
+    # the time: 53-60 ms against 113-156 ms at two threads on a 2-vCPU VM.
+    # numpy reads the count as it loads, so a caller that loaded it keeps
+    # its own
     if "numpy" not in sys.modules:
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             os.environ.setdefault(name, "1")

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
-from .optim import OptConfig, TrainingMeta, minimize_batch, sigmoid, softplus_sigmoid
+from .optim import OptConfig, TrainingMeta, dot, minimize_batch, sigmoid, softplus_sigmoid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .weights import WeightedDataset
@@ -243,7 +243,7 @@ def _minimize_logistic(
         coef = theta[:dim]
         z = x @ coef + theta[dim]
         sp, p = softplus_sigmoid(z)
-        loss = float(w @ (sp - y * z)) / denom + 0.5 * l2 * float(coef @ coef)
+        loss = dot(w, sp - y * z) / denom + 0.5 * l2 * dot(coef, coef)
         dz = w * (p - y) / denom
         grad = np.empty(dim + 1)
         grad[:dim] = xt @ dz + l2 * coef
@@ -259,7 +259,7 @@ def _minimize_logistic(
 
         def val_fn(theta: np.ndarray) -> float:
             zv = xv @ theta[:dim] + theta[dim]
-            return float(wv @ (softplus_sigmoid(zv)[0] - yv * zv)) / wv_total
+            return dot(wv, softplus_sigmoid(zv)[0] - yv * zv) / wv_total
 
     try:
         return minimize_batch(value_grad, np.zeros(dim + 1), opt, validation=val_fn)
@@ -354,7 +354,7 @@ def _dfm_objective(
         v = z - lam_t
         sp_v, r2 = softplus_sigmoid(v)
         ll = sp_z - np.where(pos, zu - lam_t, sp_v)
-        loss = float(ll.sum()) / denom + 0.5 * l2 * (float(wc @ wc) + float(wd @ wd))
+        loss = float(ll.sum()) / denom + 0.5 * l2 * (dot(wc, wc) + dot(wd, wd))
 
     # dz = p - 1 and du = λd - 1 on positives, dz = p - r2 and du = r2·λe on negatives
     q = np.where(pos, 1.0, r2)

@@ -976,6 +976,32 @@ def test_the_cli_gives_blas_one_thread_unless_the_user_set_it(tmp_path, user, ex
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
 
 
+def test_a_run_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path) -> None:
+    # at hashing.dim 2^14 every fit's parameter vector passes one ddot block
+    # (optim.dot), where OpenBLAS would split a plain product over its threads
+    config = tmp_path / "config.yaml"
+    raw = _base_dict(trainers=["naive_lr", "lr_fsiw", "dfm"], hashing={"dim": 1 << 14, "seed": 0})
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    written = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsiw", "run", "-c", str(config), "-o", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        for path in out.iterdir():
+            path.unlink()
+    assert "model_split0_dfm.json" in written["1"]
+    assert written["1"].keys() == written["2"].keys()
+    for name, data in written["1"].items():
+        assert written["2"][name] == data, name
+
+
 def test_main_in_a_process_that_loaded_numpy_leaves_the_environment_alone(
     tmp_path, capsys, monkeypatch
 ) -> None:

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from fsiw.optim import MEMORY, OptConfig, _lbfgs_direction, minimize_batch, softplus_sigmoid
+from fsiw.optim import (
+    _DOT_CHUNK,
+    MEMORY,
+    OptConfig,
+    _lbfgs_direction,
+    dot,
+    minimize_batch,
+    softplus_sigmoid,
+)
 
 from simworld import dfm_nll_grad
 
@@ -17,6 +26,38 @@ def test_softplus_is_stable_for_large_arguments() -> None:
     sp, _ = softplus_sigmoid(np.array([1000.0, -1000.0]))
     assert sp[0] == pytest.approx(1000.0)
     assert sp[1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, _DOT_CHUNK - 1, _DOT_CHUNK])
+def test_dot_up_to_one_block_is_the_plain_product(n) -> None:
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    result = dot(a, b)
+    assert type(result) is float
+    assert np.float64(result).tobytes() == np.float64(a @ b).tobytes()
+
+
+@pytest.mark.parametrize("n", [_DOT_CHUNK + 1, 2 * _DOT_CHUNK, 5 * _DOT_CHUNK + 7, 131073])
+def test_dot_past_one_block_adds_the_block_products_in_order(n) -> None:
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=n) * rng.uniform(1e-3, 1e3, size=n)
+    b = rng.normal(size=n)
+    expected = 0.0
+    for i in range(0, n, _DOT_CHUNK):
+        expected += float(a[i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK])
+    assert np.float64(dot(a, b)).tobytes() == np.float64(expected).tobytes()
+    assert dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [100, _DOT_CHUNK + 1, 3 * _DOT_CHUNK + 5])
+def test_dot_of_a_view_equals_that_of_its_contiguous_copy(n) -> None:
+    # as a fit's coefficient slices of theta: the value does not follow
+    # where the vectors start in memory
+    rng = np.random.default_rng(n)
+    theta = rng.normal(size=2 * n + 3)
+    a, b = theta[1 : n + 1], theta[n + 3 :]
+    assert a.base is theta and b.base is theta
+    assert np.float64(dot(a, b)).tobytes() == np.float64(dot(a.copy(), b.copy())).tobytes()
 
 
 def test_minimize_batch_solves_quadratic_exactly() -> None:
@@ -205,13 +246,13 @@ def _reference_lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
     same operations in the same order, each product a fresh array."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in reversed(pairs):
+    for s, y, rho, _ in reversed(pairs):
         alpha = rho * float(s @ q)
         q -= alpha * y
         alphas.append(alpha)
-    s, y, rho = pairs[-1]
+    s, y, rho, _ = pairs[-1]
     q *= 1.0 / (rho * float(y @ y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - rho * float(y @ q)) * s
     return -q
 
@@ -225,7 +266,7 @@ def test_the_two_loop_recursion_matches_its_reference_bit_for_bit(dim, memory) -
         for _ in range(memory):
             s = rng.normal(size=dim) * rng.uniform(1e-3, 10.0)
             y = s * rng.uniform(0.1, 10.0, size=dim) + 0.1 * rng.normal(size=dim)
-            pairs.append((s, y, 1.0 / float(s @ y)))
+            pairs.append((s, y, 1.0 / float(s @ y), float(y @ y)))
         grad = rng.normal(size=dim) * rng.uniform(1e-6, 1e3)
         before = grad.copy()
         work = np.full(dim, np.nan)  # what the work vector held before plays no part
