@@ -15,7 +15,11 @@ machine such a product took 1-8 ms instead of a few µs, and its bits followed
 the thread count. ``dot`` gives BLAS blocks of at most ``_DOT_CHUNK`` = 8192
 elements, one thread each, and adds their products in order. The optimizer
 picks its product once per fit (``_dot_of_size``), so a vector of one block
-pays no Python call per product.
+pays no Python call per product. A fit's parameter vector holds one
+coefficient per hashed column its rows touch (``training._touched_columns``),
+not one per hash bucket, so it passes one block only when the rows touch
+8192 columns or more (4096 for dfm's two heads); a loss or validation product
+passes one past 8192 rows.
 
 ``minimize_batch`` is limited-memory BFGS (Liu & Nocedal 1989): the
 two-loop recursion over the last ``MEMORY`` curvature pairs gives the search

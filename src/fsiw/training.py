@@ -24,6 +24,15 @@ gathered back to the samples, with the same bits as per sample. What reads a
 sample's observed time (λ·d, λ·e, the censored branch and the loss sum) stays
 per sample, and so do the gradient products, whose sums a grouping would
 reorder.
+
+Every fit (these trainers and ``fit_logistic``, which fits the weight models)
+runs over the hashed columns its rows touch, not over all of ``hashing.dim``:
+a column no row touches keeps its coefficient at 0.0, so its optimizer state,
+gradient and L2 term are left out (``_touched_columns``) and the fitted
+coefficients are spread back to the full width. A fit then costs per touched
+column, not per hash bucket, and gives the same model at any ``hashing.dim``
+that stores its rows at the same column indices. A ``RowGroups`` holds the
+column set, so the fits on one split's rows find it once.
 """
 
 from __future__ import annotations
@@ -146,6 +155,47 @@ def _distinct_rows(x: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return firsts[by_first], inverse
 
 
+def _over_columns(x: sparse.csr_matrix, cols: np.ndarray) -> sparse.csr_matrix:
+    """``x``'s entries in the columns ``cols`` (ascending), each renumbered to
+    its column's position in ``cols``, in stored order; other entries are
+    dropped. A row's sparse products with coefficients over ``cols`` are
+    then the bits of its products with those coefficients spread to all of
+    ``x``'s columns, where a dropped entry would add a zero."""
+    at = np.full(x.shape[1], -1, dtype=x.indices.dtype)
+    at[cols] = np.arange(cols.size)
+    idx = at[x.indices]
+    keep = idx >= 0
+    shape = (x.shape[0], cols.size)
+    if keep.all():
+        return sparse.csr_matrix((x.data, idx, x.indptr), shape=shape)
+    indptr = np.concatenate(([0], np.cumsum(keep)))[x.indptr]
+    return sparse.csr_matrix((x.data[keep], idx[keep], indptr), shape=shape)
+
+
+def _touched_columns(
+    x: sparse.csr_matrix,
+) -> tuple[np.ndarray, sparse.csr_matrix, sparse.csr_matrix]:
+    """The columns that hold a stored entry of ``x``, ascending, and ``x``
+    and its transpose as CSR over those columns.
+
+    A fit's gradient on a column no row touches is its L2 term alone, 0 from
+    the 0 start, so that coefficient stays 0.0: fits run over the touched
+    columns and spread their coefficients back (``_spread``). Both matrices
+    keep their stored order, so every sparse product keeps its bits; the
+    dense products over the shorter parameter vector may move by ulps."""
+    cols = np.flatnonzero(np.bincount(x.indices, minlength=x.shape[1]))
+    xc = _over_columns(x, cols)
+    return cols, xc, xc.T.tocsr()
+
+
+def _spread(coef: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Coefficients over ``cols`` as a vector over all ``n_cols`` columns,
+    0.0 elsewhere."""
+    full = np.zeros(n_cols)
+    full[cols] = coef
+    return full
+
+
 def _checked(
     x: sparse.csr_matrix | RowGroups, y: np.ndarray, sample_weight: np.ndarray | None, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,22 +228,24 @@ def fit_logistic(
     for early stopping.
     """
     y, w = _checked(x, y, sample_weight, l2)
-    return _minimize_logistic(x, x.T.tocsr(), y, w, float(w.sum()), l2, opt, validation)
+    cols, xc, xct = _touched_columns(x)
+    return _minimize_logistic(xc, xct, cols, x.shape[1], y, w, float(w.sum()), l2, opt, validation)
 
 
 class RowGroups:
     """A feature matrix ``x`` grouped into its distinct rows (``_distinct_rows``):
-    ``first`` and ``inverse``, the distinct-row matrix ``x[first]`` and its
-    transpose. Without a repeated row the distinct-row matrix is ``x`` itself.
+    ``first`` and ``inverse``, the columns ``cols`` that some row touches, and
+    the distinct-row matrix ``x[first]`` over those columns and its transpose
+    (``_touched_columns``).
 
     Every trainer takes a RowGroups wherever it takes ``x``, so fits on the
-    same rows can share one grouping."""
+    same rows can share one grouping and one column set."""
 
     def __init__(self, x: sparse.csr_matrix):
         self.x = x
         self.first, self.inverse = _distinct_rows(x)
-        self.distinct = x if self.first.size == x.shape[0] else x[self.first]
-        self.distinct_t = self.distinct.T.tocsr()
+        distinct = x if self.first.size == x.shape[0] else x[self.first]
+        self.cols, self.distinct, self.distinct_t = _touched_columns(distinct)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -221,13 +273,24 @@ def _fit_distinct(
     group_w = np.bincount(groups.inverse, weights=w)
     group_y = np.bincount(groups.inverse, weights=w * y) / group_w
     return _minimize_logistic(
-        groups.distinct, groups.distinct_t, group_y, group_w, float(w.sum()), l2, opt, validation
+        groups.distinct,
+        groups.distinct_t,
+        groups.cols,
+        groups.shape[1],
+        group_y,
+        group_w,
+        float(w.sum()),
+        l2,
+        opt,
+        validation,
     )
 
 
 def _minimize_logistic(
     x: sparse.csr_matrix,
     xt: sparse.csr_matrix,
+    cols: np.ndarray,
+    n_cols: int,
     y: np.ndarray,
     w: np.ndarray,
     denom: float,
@@ -236,7 +299,12 @@ def _minimize_logistic(
     validation: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, TrainingMeta]:
     """Minimize w @ (softplus(z) − y·z) / denom + (l2/2)·||coef||² over the
-    checked rows of ``x``, whose transpose as CSR is ``xt``."""
+    checked rows of ``x``, whose transpose as CSR is ``xt``.
+
+    ``x`` and ``xt`` hold only the columns ``cols`` of an ``n_cols``-column
+    matrix (``_touched_columns``); theta is returned over all ``n_cols``,
+    with 0.0 on every other column. Validation rows keep only their entries
+    in ``cols``, whose coefficients are the only nonzero ones."""
     dim = x.shape[1]
 
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -253,6 +321,7 @@ def _minimize_logistic(
     val_fn = None
     if validation is not None:
         xv, yv, wv = validation
+        xv = _over_columns(xv, cols)
         yv = np.asarray(yv, dtype=float)
         wv = np.asarray(wv, dtype=float)
         wv_total = float(wv.sum())
@@ -262,9 +331,10 @@ def _minimize_logistic(
             return dot(wv, softplus_sigmoid(zv)[0] - yv * zv) / wv_total
 
     try:
-        return minimize_batch(value_grad, np.zeros(dim + 1), opt, validation=val_fn)
+        theta, meta = minimize_batch(value_grad, np.zeros(dim + 1), opt, validation=val_fn)
     except FloatingPointError as exc:
         raise TrainingError(f"non-finite training loss: {exc}") from exc
+    return np.append(_spread(theta[:dim], cols, n_cols), theta[dim]), meta
 
 
 def _linear_model(theta: np.ndarray, l2: float, meta: TrainingMeta) -> LinearCvrModel:
@@ -425,15 +495,20 @@ def train_dfm(
     # took 23-28% less time grouped, 4,599 distinct of 4,782 took 7-10% more
     grouped = 2 * groups.first.size <= n
     rows = groups.inverse if grouped else None
-    xs = groups.distinct if grouped else groups.x
-    xt = groups.distinct_t if groups.distinct is groups.x else groups.x.T.tocsr()
+    if groups.first.size == n:  # no repeated row: the distinct rows are the rows
+        xs, xt = groups.distinct, groups.distinct_t
+    else:
+        per_row = _over_columns(groups.x, groups.cols)
+        xs, xt = groups.distinct if grouped else per_row, per_row.T.tocsr()
     denom = float(n)
 
-    theta0 = np.zeros(2 * dim + 2)
+    # both heads over the columns some row touches (``_touched_columns``)
+    k = groups.cols.size
+    theta0 = np.zeros(2 * k + 2)
     base = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
-    theta0[dim] = np.log(base / (1.0 - base))
+    theta0[k] = np.log(base / (1.0 - base))
     mean_delay = float(d_days[pos].mean())
-    theta0[2 * dim + 1] = -np.log(max(mean_delay, 1e-6))
+    theta0[2 * k + 1] = -np.log(max(mean_delay, 1e-6))
 
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         return _dfm_objective(theta, xs, xt, pos, t, l2, denom, rows)
@@ -444,10 +519,10 @@ def train_dfm(
         raise TrainingError(f"non-finite likelihood: {exc}") from exc
 
     return DfmModel(
-        cvr_coef=theta[:dim],
-        cvr_intercept=float(theta[dim]),
-        delay_coef=theta[dim + 1 : 2 * dim + 1],
-        delay_intercept=float(theta[2 * dim + 1]),
+        cvr_coef=_spread(theta[:k], groups.cols, dim),
+        cvr_intercept=float(theta[k]),
+        delay_coef=_spread(theta[k + 1 : 2 * k + 1], groups.cols, dim),
+        delay_intercept=float(theta[2 * k + 1]),
         l2=l2,
         meta=meta,
     )

@@ -16,7 +16,10 @@ import pytest
 import yaml
 
 from fsiw.cli import main
+from fsiw.experiment import _labeled_splits, config_from_dict
 from fsiw.metrics import evaluate_predictions
+from fsiw.optim import _DOT_CHUNK
+from fsiw.training import RowGroups
 
 from test_experiment import _base_dict, _fork_every_fit, _golden_configs, needs_two_cpus
 
@@ -55,10 +58,17 @@ def test_run_same_output_dir_twice_is_byte_identical(tmp_path, config_path) -> N
     assert first.stdout == second.stdout
 
 
-def test_simulate_writes_log_and_truth(tmp_path, config_path) -> None:
+def _cli(capsys, *argv: str) -> tuple[int, str, str]:
+    """``fsiw`` with ``argv``, in process: its exit code, stdout and stderr."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_simulate_writes_log_and_truth(tmp_path, capsys, config_path) -> None:
     out = tmp_path / "sim"
-    proc = _fsiw("simulate", "-c", str(config_path), "-o", str(out))
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = _cli(capsys, "simulate", "-c", str(config_path), "-o", str(out))
+    assert code == 0, err
     data_lines = (out / "data.tsv").read_text(encoding="utf-8").splitlines()
     truth_lines = (out / "truth.tsv").read_text(encoding="utf-8").splitlines()
     assert len(data_lines) == 3000
@@ -67,46 +77,47 @@ def test_simulate_writes_log_and_truth(tmp_path, config_path) -> None:
 
 def test_seed_flag_controls_simulation(tmp_path, config_path) -> None:
     out1, out2, out3 = (tmp_path / n for n in ("s1", "s2", "s3"))
-    assert _fsiw("simulate", "-c", str(config_path), "-o", str(out1), "--seed", "7").returncode == 0
-    assert _fsiw("simulate", "-c", str(config_path), "-o", str(out2), "--seed", "7").returncode == 0
-    assert _fsiw("simulate", "-c", str(config_path), "-o", str(out3), "--seed", "8").returncode == 0
+    for out, seed in ((out1, "7"), (out2, "7"), (out3, "8")):
+        assert main(["simulate", "-c", str(config_path), "-o", str(out), "--seed", seed]) == 0
     assert (out1 / "data.tsv").read_bytes() == (out2 / "data.tsv").read_bytes()
     assert (out1 / "data.tsv").read_bytes() != (out3 / "data.tsv").read_bytes()
 
 
-def test_set_override_reaches_the_simulator(tmp_path, config_path) -> None:
+def test_set_override_reaches_the_simulator(tmp_path, capsys, config_path) -> None:
     out = tmp_path / "small"
-    proc = _fsiw(
-        "simulate", "-c", str(config_path), "-o", str(out),
+    code, _, err = _cli(
+        capsys, "simulate", "-c", str(config_path), "-o", str(out),
         "--set", "data.simulator.n_samples=500",
     )
-    assert proc.returncode == 0, proc.stderr
+    assert code == 0, err
     assert len((out / "data.tsv").read_text(encoding="utf-8").splitlines()) == 500
 
 
-def test_stats_reports_delay_distribution(tmp_path, config_path) -> None:
+def test_stats_reports_delay_distribution(tmp_path, capsys, config_path) -> None:
     json_out = tmp_path / "stats.json"
-    proc = _fsiw("stats", "-c", str(config_path), "--json-out", str(json_out))
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = _cli(capsys, "stats", "-c", str(config_path), "--json-out", str(json_out))
+    assert code == 0, err
     payload = json.loads(json_out.read_text(encoding="utf-8"))
     assert payload["n_conversions"] > 0
     assert len(payload["cdf"]) == len(payload["cdf_grid"])
 
-    inline = _fsiw("stats", "-c", str(config_path))
-    assert inline.returncode == 0
-    assert json.loads(inline.stdout)["n_conversions"] == payload["n_conversions"]
+    code, out, _ = _cli(capsys, "stats", "-c", str(config_path))
+    assert code == 0
+    assert json.loads(out)["n_conversions"] == payload["n_conversions"]
 
 
-def test_stats_on_the_simulated_tsv_matches_the_simulator_source(tmp_path, config_path) -> None:
+def test_stats_on_the_simulated_tsv_matches_the_simulator_source(
+    tmp_path, capsys, config_path
+) -> None:
     sim = tmp_path / "sim"
-    assert _fsiw("simulate", "-c", str(config_path), "-o", str(sim)).returncode == 0
-    from_config = _fsiw("stats", "-c", str(config_path))
-    from_tsv = _fsiw(
-        "stats", "-c", str(config_path), "--data", str(sim / "data.tsv"),
+    assert _cli(capsys, "simulate", "-c", str(config_path), "-o", str(sim))[0] == 0
+    from_config = _cli(capsys, "stats", "-c", str(config_path))
+    from_tsv = _cli(
+        capsys, "stats", "-c", str(config_path), "--data", str(sim / "data.tsv"),
         "--set", "data.schema=[{name: f0}, {name: f1}]",
     )
-    assert from_config.returncode == 0 and from_tsv.returncode == 0, from_tsv.stderr
-    assert from_tsv.stdout == from_config.stdout
+    assert from_config[0] == 0 and from_tsv[0] == 0, from_tsv[2]
+    assert from_tsv[1] == from_config[1]
 
 
 def test_stats_json_bytes_are_pinned_on_the_readme_config(tmp_path) -> None:
@@ -138,9 +149,7 @@ def test_bad_hashing_config_exits_two(tmp_path, capsys, config_path, override, m
 def _eval(capsys, *argv: str) -> tuple[int, str, str]:
     """``fsiw eval`` with ``argv``, in process: its exit code, stdout and
     stderr."""
-    code = main(["eval", *argv])
-    out, err = capsys.readouterr()
-    return code, out, err
+    return _cli(capsys, "eval", *argv)
 
 
 def _eval_in_process(capsys, path, *flags: str) -> tuple[int, str, str]:
@@ -752,11 +761,12 @@ def test_sweep_emits_one_block_per_deadline(tmp_path, config_path) -> None:
     assert "tau 86400s:" in proc.stdout and "tau 172800s:" in proc.stdout
 
 
-def test_bad_config_key_exits_two(tmp_path, config_path) -> None:
-    proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "x"), "--set", "bogus=1")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
-    assert "bogus" in proc.stderr
+def test_bad_config_key_exits_two(tmp_path, capsys, config_path) -> None:
+    argv = ("run", "-c", str(config_path), "-o", str(tmp_path / "x"), "--set", "bogus=1")
+    code, _, err = _cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "bogus" in err
 
 
 @pytest.mark.parametrize(
@@ -977,10 +987,15 @@ def test_the_cli_gives_blas_one_thread_unless_the_user_set_it(tmp_path, user, ex
 
 
 def test_a_run_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path) -> None:
-    # at hashing.dim 2^14 every fit's parameter vector passes one ddot block
+    # a field of 100k values at hashing.dim 2^16: the CVR fits' rows touch
+    # more columns, and hold more distinct rows, than one ddot block
     # (optim.dot), where OpenBLAS would split a plain product over its threads
     config = tmp_path / "config.yaml"
-    raw = _base_dict(trainers=["naive_lr", "lr_fsiw", "dfm"], hashing={"dim": 1 << 14, "seed": 0})
+    raw = _base_dict(trainers=["naive_lr", "lr_fsiw", "dfm"], hashing={"dim": 1 << 16, "seed": 0})
+    raw["data"]["simulator"].update(n_samples=18000, field_cardinalities=[100_000, 8])
+    (labeled,) = _labeled_splits(config_from_dict(raw))
+    groups = RowGroups(labeled.train.x)
+    assert min(groups.cols.size, groups.first.size) > _DOT_CHUNK
     config.write_text(yaml.safe_dump(raw), encoding="utf-8")
     out = tmp_path / "out"
     written = {}
@@ -1092,10 +1107,11 @@ def test_sweep_taus_flag_writes_what_setting_tau_writes(tmp_path, config_path) -
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
-def test_run_rejects_a_negative_seed_flag_when_the_config_is_read(tmp_path, config_path) -> None:
-    proc = _fsiw("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--seed", "-3")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: seed must be non-negative, got -3\n"
+def test_run_rejects_a_negative_seed_flag_when_the_config_is_read(
+    tmp_path, capsys, config_path
+) -> None:
+    argv = ("run", "-c", str(config_path), "-o", str(tmp_path / "out"), "--seed", "-3")
+    assert _cli(capsys, *argv) == (2, "", "error: seed must be non-negative, got -3\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1110,7 +1126,7 @@ def test_pipeline_error_exits_two_with_one_line(tmp_path, config_path) -> None:
     assert not (tmp_path / "out").exists()  # every split is labeled before out/ is made
 
 
-def test_missing_config_file_exits_two(tmp_path) -> None:
-    proc = _fsiw("run", "-c", str(tmp_path / "absent.yaml"))
-    assert proc.returncode == 2
-    assert "not found" in proc.stderr
+def test_missing_config_file_exits_two(tmp_path, capsys) -> None:
+    code, _, err = _cli(capsys, "run", "-c", str(tmp_path / "absent.yaml"))
+    assert code == 2
+    assert "not found" in err

@@ -559,9 +559,9 @@ def test_run_pipeline_rows_and_artifacts(tmp_path) -> None:
 # bytes as they are. Re-record them only after a numpy or scipy upgrade, or in
 # a change that sets out to move reported numbers, with a note in CHANGES.md.
 _CRITERION_10_OUTPUT_HASHES = {
-    "reports.csv": "deca771a23952b605e6a9333017713978f6e74fe9e88e067e72a6d4eeffeb926",
-    "reports.json": "55f627e7e47fe01d32740eed696511974c04fa6453545000626c419a33b27588",
-    "weights_split0.tsv": "7f48e8c6476ad1b0756559f1079ffe21f6ca596f66a763aeb3b6c90ed3c4f441",
+    "reports.csv": "866d2e73c9bc63836b44f82e12e28d05f466359db0f639a19234138a33b5c31f",
+    "reports.json": "63cbb3d85f204ea899198d2ed6aa9dcd16801bc20ebef14f12464abb4e1735ef",
+    "weights_split0.tsv": "ba212142c5f2d42636ec39c0b1bd5287a3d3bd56d0782f47179986b924fc6eb6",
 }
 
 
@@ -604,8 +604,8 @@ _TWO_SPLITS_WITH_VALIDATION = {
 # SHA-256 of what a 3-tau, 2-split sweep with a validation window writes; the
 # same rules as the criterion-10 pins apply
 _SWEEP_OUTPUT_HASHES = {
-    "sweep.csv": "e3b97c47e5629b25d6cb3b68641365cf29f84ccc327ffa5375658f17dfeee6b1",
-    "sweep.json": "a82e570e20584069b77c0ceb1adbf32a49287869faa5241ba262863b8d266ce1",
+    "sweep.csv": "c9ab3453f8b8d92ed9bffc5d73cf54dcb9e409c06cc53bf5805ed3da7b04253f",
+    "sweep.json": "4e95b36c2194c86b290e2226530e8bf978575256c1a948fabf13233e1c6e8cbe",
 }
 
 

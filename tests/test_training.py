@@ -35,7 +35,7 @@ from fsiw.training import (
     train_naive_logistic,
     train_weighted_logistic,
 )
-from fsiw.weights import WeightedDataset
+from fsiw.weights import WeightedDataset, WeightModelHyper, fit_weight_model
 
 from simworld import dfm_nll_grad, onehot_snapshot, predict_delay_rate
 from test_simulate import _config
@@ -275,20 +275,31 @@ def _per_row_dfm_fit(
     x: sparse.csr_matrix, y: np.ndarray, d: np.ndarray, e: np.ndarray, l2: float, opt: OptConfig
 ) -> tuple[np.ndarray, TrainingMeta]:
     """train_dfm's fit with the per-row objective (``dfm_nll_grad`` on
-    ``x`` itself) from train_dfm's data-dependent start."""
+    ``x`` itself) from train_dfm's data-dependent start, over the columns
+    some row touches; theta comes back laid out over all of x's columns,
+    0.0 on the others."""
     dim = x.shape[1]
+    cols = np.unique(x.indices)
+    k = cols.size
+    x = sparse.csr_matrix(
+        (x.data, np.searchsorted(cols, x.indices), x.indptr), shape=(x.shape[0], k)
+    )
     y = np.asarray(y, dtype=float)
     d_days, e_days = d / SECONDS_PER_DAY, e / SECONDS_PER_DAY
-    theta0 = np.zeros(2 * dim + 2)
+    theta0 = np.zeros(2 * k + 2)
     base = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
-    theta0[dim] = np.log(base / (1.0 - base))
-    theta0[2 * dim + 1] = -np.log(max(float(d_days[y == 1].mean()), 1e-6))
+    theta0[k] = np.log(base / (1.0 - base))
+    theta0[2 * k + 1] = -np.log(max(float(d_days[y == 1].mean()), 1e-6))
     xt = x.T.tocsr()
 
     def value_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         return dfm_nll_grad(theta, x, xt, y, d_days, e_days, l2, float(y.size))
 
-    return minimize_batch(value_grad, theta0, opt)
+    fitted, meta = minimize_batch(value_grad, theta0, opt)
+    theta = np.zeros(2 * dim + 2)
+    theta[cols], theta[dim] = fitted[:k], fitted[k]
+    theta[dim + 1 + cols], theta[-1] = fitted[k + 1 : -1], fitted[-1]
+    return theta, meta
 
 
 def _distinct_delayed_samples(n: int, seed: int) -> Snapshot:
@@ -322,6 +333,109 @@ def test_dfm_on_row_groups_is_the_per_row_fit_bit_for_bit(world, distinct) -> No
         assert model.delay_coef.tobytes() == theta[snap.x.shape[1] + 1 : -1].tobytes()
         assert model.delay_intercept == theta[-1]
         assert model.meta == meta
+
+
+# --- fits over the columns their rows touch ----------------------------------
+
+# the default hashing.dim
+_WIDE = 1 << 17
+
+
+def _stored_at(x: sparse.csr_matrix, dim: int) -> sparse.csr_matrix:
+    """The rows of ``x``, the same stored entries, in a matrix of ``dim`` columns."""
+    return sparse.csr_matrix((x.data, x.indices, x.indptr), shape=(x.shape[0], dim))
+
+
+def _with_entry(x: sparse.csr_matrix, cols: np.ndarray) -> sparse.csr_matrix:
+    """``x`` with 1.0 in column ``cols[i]`` appended to the end of row i."""
+    ends = x.indptr[1:]
+    indptr = x.indptr + np.arange(x.shape[0] + 1)
+    return sparse.csr_matrix(
+        (np.insert(x.data, ends, 1.0), np.insert(x.indices, ends, cols), indptr), shape=x.shape
+    )
+
+
+def _assert_spread(narrow: np.ndarray, wide: np.ndarray, touched: np.ndarray) -> None:
+    """``wide`` holds the bits of ``narrow`` on its first columns and +0.0
+    beyond, and both are +0.0 on every column outside ``touched``."""
+    assert wide[: narrow.size].tobytes() == narrow.tobytes()
+    assert wide[narrow.size :].tobytes() == bytes(8 * (wide.size - narrow.size))
+    untouched = np.setdiff1d(np.arange(narrow.size), touched)
+    assert narrow[untouched].tobytes() == bytes(8 * untouched.size)
+
+
+def test_a_logistic_fit_does_not_depend_on_untouched_columns() -> None:
+    snap = _readme_world_split(3000, seed=5)
+    touched = np.unique(snap.x.indices)
+    plain_val = _readme_world_split(600, seed=6)
+    # every validation row also touches a column that no training row does
+    spare = np.setdiff1d(np.arange(1024), touched)
+    rows = np.arange(plain_val.y.size)
+    val = plain_val._replace(x=_with_entry(plain_val.x, spare[rows % spare.size]))
+    w = _fsiw_like_weights(snap.y, seed=7)
+    opt = OptConfig(max_iter=300, tol=0.0, eval_every=2, patience=3)
+    fits = {}
+    for dim in (1024, _WIDE):
+        x, xv = _stored_at(snap.x, dim), _stored_at(val.x, dim)
+        weighted = WeightedDataset(x=x, y=snap.y, e=snap.e, weights=w)
+        validation = WeightedDataset(x=xv, y=val.y, e=val.e, weights=np.ones(val.y.size))
+        fits[dim] = (
+            train_naive_logistic(x, snap.y, 1e-4, opt),
+            train_weighted_logistic(weighted, 1e-4, opt, validation=validation),
+        )
+    for narrow, wide in zip(fits[1024], fits[_WIDE]):
+        _assert_spread(narrow.coef, wide.coef, touched)
+        assert narrow.intercept == wide.intercept
+        assert narrow.meta == wide.meta
+    # a validation entry off the training columns is scored at coefficient 0
+    weighted = WeightedDataset(x=snap.x, y=snap.y, e=snap.e, weights=w)
+    validation = WeightedDataset(plain_val.x, plain_val.y, plain_val.e, np.ones(rows.size))
+    plain = train_weighted_logistic(weighted, 1e-4, opt, validation=validation)
+    assert plain.coef.tobytes() == fits[1024][1].coef.tobytes()
+    assert plain.meta == fits[1024][1].meta
+
+
+@pytest.mark.parametrize(
+    "world",
+    [lambda: _readme_world_split(3000, seed=5), lambda: _distinct_delayed_samples(300, seed=8)],
+    ids=["grouped", "per_row"],
+)
+def test_dfm_does_not_depend_on_untouched_columns(world) -> None:
+    snap = world()
+    touched = np.unique(snap.x.indices)
+    opt = OptConfig(max_iter=60, tol=0.0)
+    narrow_x = _stored_at(snap.x, 1024)
+    for x in (narrow_x, RowGroups(narrow_x)):
+        narrow = train_dfm(x, snap.y, snap.d, snap.e, 1e-4, opt)
+        wide = train_dfm(_stored_at(snap.x, _WIDE), snap.y, snap.d, snap.e, 1e-4, opt)
+        _assert_spread(narrow.cvr_coef, wide.cvr_coef, touched)
+        _assert_spread(narrow.delay_coef, wide.delay_coef, touched)
+        assert (narrow.cvr_intercept, narrow.delay_intercept) == (
+            wide.cvr_intercept,
+            wide.delay_intercept,
+        )
+        assert narrow.meta == wide.meta
+
+
+def test_a_weight_model_does_not_depend_on_untouched_columns() -> None:
+    snap = _readme_world_split(800, seed=9)
+    n = snap.y.size
+    # one column of its own per row, so every holdout row touches a column
+    # that no training row does
+    own = np.setdiff1d(np.arange(1024), snap.x.indices)[:n]
+    x = _with_entry(snap.x, own)
+    hyper = WeightModelHyper(l2=1e-3, max_iter=300)
+    narrow = fit_weight_model(x, snap.e + 1, snap.y, hyper, seed=3)
+    wide = fit_weight_model(_stored_at(x, _WIDE), snap.e + 1, snap.y, hyper, seed=3)
+    # the elapsed-time columns follow the hashed ones
+    tail = len(hyper.edges) + 2
+    assert wide.coef[-tail:].tobytes() == narrow.coef[-tail:].tobytes()
+    touched = np.append(np.unique(x.indices), np.arange(1024, 1024 + tail))
+    _assert_spread(narrow.coef[:-tail], wide.coef[:-tail], touched)
+    assert narrow.intercept == wide.intercept
+    # the holdout rows' own columns keep 0.0; the training rows' do not
+    held = int(n * hyper.holdout_fraction)
+    assert np.count_nonzero(narrow.coef[own]) == n - held
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
