@@ -27,12 +27,14 @@ the GIL, so on a second core they overlap the scoring); the draws are the same
 values in the same order as drawn inline. The two blocks in flight and what
 one of them gathers for all columns at once fill at most ``_BLOCK_DRAWS``
 values, so memory stays bounded whatever the number of rows, columns and
-resamples. A block's log losses are row means of one gather of
-every column's log likelihoods. Average precision gathers one small slot
-number per row (see ``_Ranking``): one ``bincount`` counts the draws per slot
-for every column and resample of the block, and one cumulative sum ranks
+resamples. A block's log losses under the models are row means of one
+gather of every column's log likelihoods. Average precision gathers one small
+slot number per row (see ``_Ranking``): one ``bincount`` counts the draws per
+slot for every column and resample of the block, and one cumulative sum ranks
 them; no resample is sorted. Only each resample's final mean of precisions is
-a call of its own.
+a call of its own. A resample's log loss under the base rate follows from its
+number of drawn positives alone (``_base_rate_loss``), which those counts
+hold, so it needs no gather.
 """
 
 from __future__ import annotations
@@ -120,11 +122,18 @@ def _mean_loss(terms: np.ndarray) -> float:
     return float(-np.mean(terms))
 
 
-def _normalized_loss(loss: float, base_terms: np.ndarray) -> float:
-    """Normalized log loss of the rows whose log loss under the model is
-    ``loss`` and whose log likelihoods under the base rate are ``base_terms``."""
-    ll_naive = _mean_loss(base_terms)
-    return 100.0 * (ll_naive - loss) / ll_naive
+def _base_rate_loss(positives: int | np.ndarray, n: int, base_rate: float) -> float | np.ndarray:
+    """Log loss of predicting ``base_rate`` for each of ``n`` rows of which
+    ``positives`` (a count, or an array of counts) are positive: the mean of
+    their ``_log_terms``, which take only two values, from the count alone."""
+    c = np.clip(base_rate, PRED_CLIP, 1.0 - PRED_CLIP)
+    return -(positives * np.log(c) + (n - positives) * np.log1p(-c)) / n
+
+
+def _normalized_loss(loss: float | np.ndarray, base_loss: float | np.ndarray) -> float | np.ndarray:
+    """Normalized log loss of rows whose log loss is ``loss`` under the model
+    and ``base_loss`` under the base rate (floats, or arrays of them)."""
+    return 100.0 * (base_loss - loss) / base_loss
 
 
 def _resample_blocks(n: int, b: int, seed: int, columns: int = 0) -> Iterator[np.ndarray]:
@@ -334,7 +343,9 @@ def evaluate_columns(
 ) -> list[EvalReport]:
     """``evaluate_predictions`` of each prediction column in ``columns``
     against the same ``labels``, bit for bit, from one pass over the
-    resamples (see the module docstring).
+    resamples (see the module docstring): the models' log losses of a block
+    come from one gather, and the base rate's from each resample's drawn
+    positives.
 
     Raises MetricInputError, whose ``column`` is the first column with a
     label or prediction outside its domain.
@@ -350,7 +361,7 @@ def evaluate_columns(
         raise ValueError("average precision needs at least one positive label")
     n_cols, n = preds.shape
     terms = _log_terms(labels_arr, preds)
-    base_terms = _log_terms(labels_arr, np.full(n, train_mean_cvr, dtype=float))
+    base_ll = _mean_loss(_log_terms(labels_arr, np.full(n, train_mean_cvr, dtype=float)))
     rankings = [_Ranking(labels_arr, column) for column in preds]
     lls = [_mean_loss(column_terms) for column_terms in terms]
     # the identity draw has a positive
@@ -366,10 +377,11 @@ def evaluate_columns(
         # take, not terms[:, block], whose rows would not be contiguous: a
         # strided row mean does not sum in the pairs of the 1-D mean
         loss = -np.take(terms, block, axis=1).mean(axis=-1)
-        base_loss = -base_terms[block].mean(axis=-1)
         stats[:, 0, rows] = loss
-        stats[:, 1, rows] = 100.0 * (base_loss - loss) / base_loss
         counts = _slot_counts(slot, block, width)
+        # column 0's hit slots count each resample's drawn positives
+        positives = counts[:, 1 : starts[1] : 2].sum(axis=1)
+        stats[:, 1, rows] = _normalized_loss(loss, _base_rate_loss(positives, n, train_mean_cvr))
         for j, ranking in enumerate(rankings):
             column_counts = counts[:, starts[j] : starts[j + 1]]
             stats[j, 2, rows] = ranking.average_precisions(column_counts, aps[j])
@@ -378,7 +390,7 @@ def evaluate_columns(
     lows, highs = np.percentile(stats, [2.5, 97.5], axis=-1).tolist()
     reports = []
     for j in range(n_cols):
-        points = (lls[j], _normalized_loss(lls[j], base_terms), aps[j])
+        points = (lls[j], _normalized_loss(lls[j], base_ll), aps[j])
         ends = zip(points, lows[j], highs[j])
         reports.append(
             EvalReport(

@@ -21,26 +21,33 @@ from fsiw.weights import DEFAULT_EDGES, weight_design
 pytestmark = pytest.mark.bench
 
 
-def _scorer_30k() -> tuple[np.ndarray, np.ndarray]:
+def _scorer(n: int = 30_000) -> tuple[np.ndarray, np.ndarray]:
     # a noisy but calibrated scorer whose predictions are clipped into
     # [0.01, 0.99], so both clip values form tie groups holding both labels
     rng = np.random.default_rng(21)
-    logit = rng.normal(-1.5, 1.0, 30_000)
+    logit = rng.normal(-1.5, 1.0, n)
     labels = (rng.random(logit.size) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
     preds = np.clip(1.0 / (1.0 + np.exp(-(logit + rng.normal(0.0, 0.5, logit.size)))), 0.01, 0.99)
     return labels, preds
 
 
 def test_evaluate_predictions_30k_rows_200_resamples(benchmark) -> None:
-    labels, preds = _scorer_30k()
+    labels, preds = _scorer()
     report = benchmark(evaluate_predictions, labels, preds, 0.2, bootstrap_b=200, seed=21)
     assert report.n_test == 30_000
+
+
+def test_evaluate_predictions_200k_rows_200_resamples(benchmark) -> None:
+    # the eval size the ROADMAP's north star names
+    labels, preds = _scorer(200_000)
+    report = benchmark(evaluate_predictions, labels, preds, 0.2, bootstrap_b=200, seed=21)
+    assert report.n_test == 200_000
 
 
 def test_cmd_eval_30k_rows(benchmark, tmp_path, capsys) -> None:
     # `fsiw eval` end to end on the scorer above, written as the benchmark's
     # label/prediction TSV: parse, 3 x 200 resamples, JSON report
-    labels, preds = _scorer_30k()
+    labels, preds = _scorer()
     path = tmp_path / "preds.tsv"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("label\tprediction\n")

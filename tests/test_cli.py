@@ -640,16 +640,17 @@ def test_a_sweeps_child_killed_by_a_signal_is_named_by_its_status_and_deadlines(
 
 
 def test_a_sweep_that_cannot_fit_a_weight_model_names_its_deadline_and_side(
-    tmp_path, config_path
+    tmp_path, capsys, config_path
 ) -> None:
     # 604799 s is one second short of the 7d training window, so no
     # conversion is late enough for D1 and the pos model has no rows
     out = tmp_path / "out"
-    proc = _fsiw("sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,6d,604799")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
+    argv = ("sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,6d,604799")
+    assert _cli(capsys, *argv) == (
+        2,
+        "",
         "error: split 0, trainer lr_fsiw, tau 604799s, weight model pos: "
-        "cannot fit a weight model on an empty dataset\n"
+        "cannot fit a weight model on an empty dataset\n",
     )
     assert not out.exists()
 
@@ -723,7 +724,7 @@ def test_a_test_window_without_a_positive_label_fails_when_the_split_is_labeled(
 @pytest.mark.parametrize(
     ("seed", "sha256"),
     [
-        (1, "6a81b24eee70d3da3b641bb9c60b243560c7aaa46b868ae1bf7f1d375e368707"),
+        (1, "e06462269aa07e034e4b5dd0554be5b4d6660032b14ddbf1ec6c1980b9b3037d"),
         (7, "6e2e4c878ee368d51309017fc3961d7f752e02cfbb1fa32f4a869e5c468a44d8"),
     ],
 )
@@ -752,13 +753,15 @@ def test_eval_requires_existing_file(tmp_path, capsys) -> None:
     assert err.startswith("error:")
 
 
-def test_sweep_emits_one_block_per_deadline(tmp_path, config_path) -> None:
+def test_sweep_emits_one_block_per_deadline(tmp_path, capsys, config_path) -> None:
     out = tmp_path / "sweep"
-    proc = _fsiw("sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,2d")
-    assert proc.returncode == 0, proc.stderr
+    code, stdout, err = _cli(
+        capsys, "sweep", "-c", str(config_path), "-o", str(out), "--taus", "1d,2d"
+    )
+    assert code == 0, err
     lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
-    assert "tau 86400s:" in proc.stdout and "tau 172800s:" in proc.stdout
+    assert "tau 86400s:" in stdout and "tau 172800s:" in stdout
 
 
 def test_bad_config_key_exits_two(tmp_path, capsys, config_path) -> None:
@@ -1115,14 +1118,15 @@ def test_run_rejects_a_negative_seed_flag_when_the_config_is_read(
     assert not (tmp_path / "out").exists()
 
 
-def test_pipeline_error_exits_two_with_one_line(tmp_path, config_path) -> None:
+def test_pipeline_error_exits_two_with_one_line(tmp_path, capsys, config_path) -> None:
     # no click converts, so the first split has no positive training label
-    proc = _fsiw(
+    argv = (
         "run", "-c", str(config_path), "-o", str(tmp_path / "out"),
         "--set", "data.simulator.cvr_bias=-60",
     )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: split 0: degenerate training labels (mean y = 0.0)\n"
+    assert _cli(capsys, *argv) == (
+        2, "", "error: split 0: degenerate training labels (mean y = 0.0)\n"
+    )
     assert not (tmp_path / "out").exists()  # every split is labeled before out/ is made
 
 

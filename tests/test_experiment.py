@@ -559,8 +559,8 @@ def test_run_pipeline_rows_and_artifacts(tmp_path) -> None:
 # bytes as they are. Re-record them only after a numpy or scipy upgrade, or in
 # a change that sets out to move reported numbers, with a note in CHANGES.md.
 _CRITERION_10_OUTPUT_HASHES = {
-    "reports.csv": "866d2e73c9bc63836b44f82e12e28d05f466359db0f639a19234138a33b5c31f",
-    "reports.json": "63cbb3d85f204ea899198d2ed6aa9dcd16801bc20ebef14f12464abb4e1735ef",
+    "reports.csv": "ce967bde6a04e6bda5b208cbb65ef7aa5770214148da90a8d40aa4e4f11e6cd0",
+    "reports.json": "c92207331ededf60e0ae5fe99eceaa6288e47e949e4368254eae0ea5acaf15ca",
     "weights_split0.tsv": "ba212142c5f2d42636ec39c0b1bd5287a3d3bd56d0782f47179986b924fc6eb6",
 }
 
@@ -604,8 +604,8 @@ _TWO_SPLITS_WITH_VALIDATION = {
 # SHA-256 of what a 3-tau, 2-split sweep with a validation window writes; the
 # same rules as the criterion-10 pins apply
 _SWEEP_OUTPUT_HASHES = {
-    "sweep.csv": "c9ab3453f8b8d92ed9bffc5d73cf54dcb9e409c06cc53bf5805ed3da7b04253f",
-    "sweep.json": "4e95b36c2194c86b290e2226530e8bf978575256c1a948fabf13233e1c6e8cbe",
+    "sweep.csv": "f0fa7628476394b73fb96725ae69f3c3a705a0c26b90db5f0c839817d3374bfd",
+    "sweep.json": "6a64cb0b72db2557a42fb5f146987af59cdf8c8c055d7fe2681e67d0b812cbc9",
 }
 
 

@@ -22,6 +22,7 @@ from fsiw.metrics import (
     PDF_MAX_BINS,
     EvalReport,
     MetricInputError,
+    _base_rate_loss,
     _log_terms,
     _mean_loss,
     _normalized_loss,
@@ -339,6 +340,17 @@ def _reference_nll(labels: np.ndarray, preds: np.ndarray, base: float) -> float:
     return 100.0 * (ll_naive - ll) / ll_naive
 
 
+def _reference_resample_nll(labels: np.ndarray, preds: np.ndarray, base: float) -> float:
+    """``_reference_nll`` with the base rate's log loss taken from the number
+    of positives, k, of n rows: -(k log c + (n - k) log(1 - c)) / n, where c
+    is the base rate clipped as the predictions are."""
+    ll = _reference_log_loss(labels, preds)
+    c = np.clip(base, 1e-15, 1.0 - 1e-15)
+    k, n = labels.sum(), labels.size
+    ll_naive = float(-(k * np.log(c) + (n - k) * np.log1p(-c)) / n)
+    return 100.0 * (ll_naive - ll) / ll_naive
+
+
 def _reference_pr_auc(labels: np.ndarray, preds: np.ndarray) -> float:
     order = np.argsort(-preds, kind="stable")
     sorted_labels = labels[order]
@@ -378,7 +390,7 @@ def _reference_evaluate(labels, preds, base: float, b: int, seed: int) -> dict:
     }
     metrics = {
         "ll": lambda r: _reference_log_loss(labels[r], preds[r]),
-        "nll": lambda r: _reference_nll(labels[r], preds[r], base),
+        "nll": lambda r: _reference_resample_nll(labels[r], preds[r], base),
         "pr_auc": ap_metric,
     }
     flat = {"n_test": labels.size, "mean_pred": float(preds.mean()),
@@ -417,7 +429,6 @@ def test_resample_statistics_match_the_metrics_bit_for_bit(rows, base, seed) -> 
     preds = np.array(rows[1], dtype=float)
     n = labels.size
     terms = _log_terms(labels, preds)
-    base_terms = _log_terms(labels, np.full(n, base))
     ranking = _Ranking(labels, preds)
     fallback = 0.123
     rng = np.random.default_rng(seed)
@@ -430,8 +441,11 @@ def test_resample_statistics_match_the_metrics_bit_for_bit(rows, base, seed) -> 
         lab, pr = labels[r], preds[r]
         loss = _mean_loss(terms[r])
         assert _bits(loss) == _bits(_reference_log_loss(lab, pr))
-        assert _bits(_normalized_loss(loss, base_terms[r])) == _bits(
-            _reference_nll(lab, pr, base)
+        # the bootstrap counts a resample's positives in its hit slots
+        positives = np.bincount(ranking.slot[r], minlength=ranking.n_slots)[1::2].sum()
+        assert positives == lab.sum()
+        assert _bits(_normalized_loss(loss, _base_rate_loss(positives, n, base))) == _bits(
+            _reference_resample_nll(lab, pr, base)
         )
         want = _reference_resample_pr_auc(labels, preds, r) if lab.sum() > 0 else fallback
         got = ranking.average_precision(ranking.slot[r], fallback)
@@ -439,6 +453,34 @@ def test_resample_statistics_match_the_metrics_bit_for_bit(rows, base, seed) -> 
         # a resample is a multiset of rows: the order of its draws plays no part
         shuffled = rng.permutation(r)
         assert _bits(ranking.average_precision(ranking.slot[shuffled], fallback)) == _bits(got)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=3000),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(0, 2**32 - 1),
+)
+# base rates that _log_terms clips, to PRED_CLIP and to 1 - PRED_CLIP
+@example([True, False, False, False], 1e-300, 0)
+@example([True, False, False, False], 0.9999999999999999, 0)
+@example([False] * 2000 + [True], 1e-300, 1)
+@example([True] * 2000 + [False], 0.9999999999999999, 1)
+def test_base_rate_loss_from_the_positive_count_matches_the_mean_of_its_terms(
+    labels, base, seed
+) -> None:
+    # the bootstrap's closed form against the mean of each resample's
+    # gathered base-rate log likelihoods, which it replaced
+    labels = np.array(labels, dtype=float)
+    n = labels.size
+    base_terms = _log_terms(labels, np.full(n, base))
+    block = np.random.default_rng(seed).integers(0, n, size=(20, n))
+    block[0] = np.arange(n)
+    want = -base_terms[block].mean(axis=-1)
+    got = _base_rate_loss(labels[block].sum(axis=1).astype(np.int64), n, base)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    # one count gives the bits that the same count in an array of them gives
+    assert _base_rate_loss(int(labels.sum()), n, base) == got[0]
 
 
 @settings(deadline=None, max_examples=60)
@@ -727,7 +769,7 @@ def _tied_scores() -> tuple[np.ndarray, np.ndarray]:
             {
                 "ll": 0.5026689689786261, "ll_lo": 0.46176284312400395,
                 "ll_hi": 0.5381185220387423, "nll": 26.025925345355766,
-                "nll_lo": 17.409770076635567, "nll_hi": 33.212952588527266,
+                "nll_lo": 17.40977007663558, "nll_hi": 33.212952588527266,
                 "pr_auc": 0.7858764265209758, "pr_auc_lo": 0.7188685643258084,
                 "pr_auc_hi": 0.8410758104329644, "n_test": 300,
                 "mean_pred": 0.47778467853222367, "mean_label": 0.3566666666666667,
@@ -739,7 +781,7 @@ def _tied_scores() -> tuple[np.ndarray, np.ndarray]:
             {
                 "ll": 3.3823995397759528, "ll_lo": 2.391052309498082,
                 "ll_hi": 4.860515334225121, "nll": -347.0528182469723,
-                "nll_lo": -528.2757102175367, "nll_hi": -219.39109890754804,
+                "nll_lo": -528.2757102175367, "nll_hi": -219.391098907548,
                 "pr_auc": 0.6918136340287067, "pr_auc_lo": 0.5976178528212713,
                 "pr_auc_hi": 0.7862641401820593, "n_test": 250,
                 "mean_pred": 0.48475999999999997, "mean_label": 0.472,
