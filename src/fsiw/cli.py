@@ -19,6 +19,7 @@ config is read. That lets ``main`` give BLAS one thread before numpy loads.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -50,9 +51,17 @@ def _set_dotted(raw: dict, dotted: str, value) -> None:
 
 def _parse_yaml(text: str, source: str):
     """``text`` parsed as YAML; a syntax error is a CliError that names
-    ``source`` and the line and column of the problem."""
+    ``source`` and the line and column of the problem.
+
+    libyaml's parser (``CSafeLoader``) reads the text where PyYAML has it;
+    text it refuses is parsed again by PyYAML's own, so that the message and
+    position of an error are PyYAML's."""
     import yaml
 
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError:
+        pass
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -195,9 +204,69 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, predictions and 1-based line numbers of the rows of a
-    label/prediction TSV.
+def _is_header(line: str) -> bool:
+    """Whether the stripped line 1 of a label/prediction TSV is a header: it
+    is not blank and its first cell is not a number."""
+    try:
+        float(line.split("\t", 1)[0])
+    except ValueError:
+        return bool(line)
+    return False
+
+
+def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
+    """Labels and predictions of the rows of a label/prediction TSV, and the
+    file's text, from which ``_parse_predictions`` gives each row's line.
+
+    ``_loadtxt_columns`` reads the rows; a file it refuses is read by
+    ``_parse_predictions``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # the whole file was decoded at once, so exc.start is its byte offset;
+        # bytes.splitlines breaks lines where text mode does
+        line_no = len((exc.object[: exc.start] + b".").splitlines())
+        raise CliError(f"{path}:{line_no}: {exc}") from None
+    columns = _loadtxt_columns(text)
+    labels, preds = _parse_predictions(path, text)[:2] if columns is None else columns
+    return labels, preds, text
+
+
+# printable ASCII, tab and newline (read_text has turned every CR into one)
+_LOADTXT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+
+
+def _loadtxt_columns(text: str) -> np.ndarray | None:
+    """The label and prediction columns of the text of a label/prediction
+    TSV as numpy's C reader (``np.loadtxt``) reads them, converting each cell
+    with the routine ``float`` uses; None where it could read a row otherwise
+    than ``_parse_predictions`` does, or refuses the text.
+
+    Text with a byte outside ``_LOADTXT_BYTES`` is not tried: ``np.loadtxt``
+    skips \\x1c-\\x1f as whitespace and rejects Unicode digits, and ``float``
+    does the opposite. ``np.loadtxt`` skips only empty lines, and raises on a
+    line of blanks, on a row of one cell and on a cell such as ``1_0``."""
+    import numpy as np
+
+    if text.encode("utf-8").translate(None, _LOADTXT_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # its warning on no rows
+            table = np.loadtxt(
+                io.StringIO(text), dtype=float, comments=None, delimiter="\t",
+                skiprows=int(_is_header(text.partition("\n")[0].strip())),
+                usecols=(0, 1), ndmin=2,
+            )
+    except ValueError:
+        return None
+    # no rows: _parse_predictions raises the error that names the file
+    return np.ascontiguousarray(table.T) if len(table) else None
+
+
+def _parse_predictions(path: Path, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, predictions and 1-based line numbers of the rows of the text
+    of a label/prediction TSV.
 
     Lines are stripped, blank ones are skipped, columns after the second are
     ignored, and line 1 is a header when its first cell is not a number. The
@@ -207,22 +276,12 @@ def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     CliError names the first bad line."""
     import numpy as np
 
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        # the whole file was decoded at once, so exc.start is its byte offset;
-        # bytes.splitlines breaks lines where text mode does
-        line_no = len((exc.object[: exc.start] + b".").splitlines())
-        raise CliError(f"{path}:{line_no}: {exc}") from None
     lines = list(map(str.strip, text.split("\n")))
     kept = np.fromiter(map(bool, lines), bool, len(lines))
     rows = list(filter(None, lines))
-    if kept[0]:
-        try:
-            float(lines[0].split("\t")[0])
-        except ValueError:
-            kept[0] = False  # header row: its label field is not a number
-            del rows[0]
+    if _is_header(lines[0]):
+        kept[0] = False
+        del rows[0]
     n = len(rows)
     if n == 0:
         raise CliError(f"{path}: no prediction rows")
@@ -247,12 +306,9 @@ def _check_prediction_lines(path: Path, lines: list[str]) -> None:
     for line_no, line in enumerate(lines, start=1):
         if not line:
             continue
+        if line_no == 1 and _is_header(line):
+            continue
         parts = line.split("\t")
-        if line_no == 1:
-            try:
-                float(parts[0])
-            except ValueError:
-                continue  # header row: its label field is not a number
         if len(parts) < 2:
             raise CliError(f"{path}:{line_no}: expected 'label<TAB>prediction'")
         try:
@@ -276,7 +332,7 @@ def cmd_eval(args) -> int:
     path = Path(args.preds)
     if not path.exists():
         raise CliError(f"prediction file not found: {path}")
-    labels, preds, line_nos = _read_predictions(path)
+    labels, preds, text = _read_predictions(path)
     base = args.train_mean_cvr
     if base is None:
         base = float(np.mean(labels))
@@ -291,6 +347,7 @@ def cmd_eval(args) -> int:
             labels, preds, base, bootstrap_b=args.bootstrap_b, seed=args.seed or 0
         )
     except MetricInputError as exc:
+        line_nos = _parse_predictions(path, text)[2]
         raise CliError(f"{path}:{int(line_nos[exc.index])}: {exc.detail}") from exc
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc

@@ -9,12 +9,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from fsiw import cli
 from fsiw.cli import main
 from fsiw.experiment import _labeled_splits, config_from_dict
 from fsiw.metrics import evaluate_predictions
@@ -267,6 +271,97 @@ def test_eval_reads_the_same_rows_from_every_layout(tmp_path, capsys, text) -> N
     code, out, err = _eval_in_process(capsys, path, "--seed", "3")
     assert (code, err) == (0, "")
     want = evaluate_predictions([0, 1, 0], [0.2, 0.7, 0.4], 1 / 3, bootstrap_b=100, seed=3)
+    assert json.loads(out) == want.to_flat_dict()
+
+
+# cells that np.loadtxt and float() read alike, read differently, or that
+# only one of them reads
+_ODD_CELLS = [
+    " 0.5 ", "+1", "1e0", "-0.0", "nan", "inf", "1_0", "\x1c1", "\u0663", "abc", "0.5#", "",
+]
+_cells = st.one_of(st.floats().map(repr), st.sampled_from(_ODD_CELLS))
+_rows = st.one_of(
+    st.tuples(st.sampled_from(["0", "1"]), st.floats(0.0, 1.0).map(repr)),
+    st.tuples(st.sampled_from(["0", "1"]) | _cells, _cells),
+    st.tuples(st.sampled_from(["0", "1"]), st.floats(0.0, 1.0).map(repr), _cells),
+).map("\t".join)
+
+
+@st.composite
+def _prediction_files(draw) -> bytes:
+    """A label/prediction TSV: an optional header, then rows mixed with
+    blank, whitespace-only and one-cell lines, with LF, CRLF or lone-CR line
+    ends and with or without a final one."""
+    header = draw(st.sampled_from([[], ["label\tprediction"], ["y"]]))
+    lines = draw(st.lists(_rows | st.sampled_from(["", "  ", "\t", "1"]), max_size=6))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(header + lines) + draw(st.sampled_from(["", newline]))
+    return text.encode("utf-8")
+
+
+def _read_or_error(read, path):
+    """The label and prediction columns that ``read`` gives, as the bits of
+    their floats, or the message of its CliError."""
+    try:
+        columns = read(path)[:2]
+    except cli.CliError as exc:
+        return str(exc)
+    return [np.asarray(column, float).view(np.int64).tolist() for column in columns]
+
+
+def _eval_and_warnings(capsys, path) -> tuple[tuple[int, str, str], list[str]]:
+    """``fsiw eval`` of ``path``, in process, and the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _eval_in_process(capsys, path, "--seed", "3")
+    return result, [str(warning.message) for warning in caught]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=_prediction_files())
+@example(data=b"label\tprediction\n0\t0.25\n1\t0.75\n")
+@example(data=b"0\t 0.5 \n+1\t1e0\n-0.0\t0.3")
+@example(data=b"0\t0.2\n\x1c1\t0.7\n")
+@example(data="0\t0.2\n\u0663\t0.7\n".encode("utf-8"))
+@example(data=b"0\t0.2\n1_0\t0.7\n")
+@example(data=b"0\t0.2\n  \n1\t0.7\r")
+@example(data=b"y\r\n0\t0.2\tx\t\r\n1\t0.7\r\n")
+@example(data=b"0\tnan\n1\tinf\n")
+@example(data=b"label\tprediction\n\n")
+def test_numpys_reader_reads_every_file_as_the_python_reader(tmp_path, capsys, data) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_bytes(data)
+
+    def python_reader(path):
+        return cli._parse_predictions(path, path.read_text(encoding="utf-8"))
+
+    assert _read_or_error(cli._read_predictions, path) == _read_or_error(python_reader, path)
+    got = _eval_and_warnings(capsys, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_loadtxt_columns", lambda text: None)
+        assert got == _eval_and_warnings(capsys, path)
+
+
+def test_eval_reads_a_benchmark_shaped_file_with_numpys_reader(tmp_path, capsys, monkeypatch):
+    # the file perfbench's eval workload writes: a header, then y<TAB>repr(p)
+    rng = np.random.default_rng(36)
+    labels = (rng.random(2000) < 0.2).astype(int).tolist()
+    preds = rng.uniform(0.01, 0.99, 2000).tolist()
+    path = tmp_path / "preds.tsv"
+    path.write_text(
+        "label\tprediction\n" + "".join(f"{y}\t{p!r}\n" for y, p in zip(labels, preds)),
+        encoding="utf-8",
+    )
+
+    def python_reader(*_):
+        raise AssertionError("the file was read by the Python reader")
+
+    monkeypatch.setattr(cli, "_parse_predictions", python_reader)
+    code, out, err = _eval_in_process(capsys, path, "--train-mean-cvr", "0.2", "--seed", "4")
+    assert (code, err) == (0, "")
+    want = evaluate_predictions(labels, preds, 0.2, bootstrap_b=100, seed=4)
     assert json.loads(out) == want.to_flat_dict()
 
 
@@ -886,6 +981,17 @@ def test_malformed_yaml_exits_two_with_one_error_line(tmp_path, capsys, verb, so
         f"error: {where}: invalid YAML: expected ',' or ']', but got '<stream end>'\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "seed: 3\ntrainers: [naive_lr, dfm]\ntau: 2d\n",
+        "%YAML 1.3\n---\nseed: 3\n",  # a version libyaml refuses and PyYAML reads
+    ],
+)
+def test_yaml_is_read_as_pyyaml_reads_it(text) -> None:
+    assert cli._parse_yaml(text, "config.yaml") == yaml.safe_load(text)
 
 
 def test_a_control_character_in_yaml_exits_two_with_one_error_line(tmp_path, capsys) -> None:

@@ -518,6 +518,18 @@ def test_config_writer_bytes_are_pinned_and_round_trip(name) -> None:
     assert config_from_dict(yaml.safe_load(resolved)) == config
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIG_HASHES))
+def test_config_writer_bytes_are_pyyamls_under_libyaml(monkeypatch, name) -> None:
+    import fsiw.experiment
+
+    config = config_from_dict(_golden_configs()[name])
+    assert fsiw.experiment._YAML_DUMPER is yaml.CSafeDumper
+    with_libyaml = config.to_yaml()
+    monkeypatch.setattr(fsiw.experiment, "_YAML_DUMPER", yaml.SafeDumper)
+    assert config.to_yaml() == with_libyaml
+
+
 def test_simulator_spec_build_is_seed_deterministic() -> None:
     spec = SimulatorSpec(n_samples=100, field_cardinalities=(4, 4))
     one = spec.build(3)
